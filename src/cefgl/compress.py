@@ -12,7 +12,8 @@ Wire format (little-endian): magic ``CFP1``, version u16, scheme u8, tensor
 count u16; per tensor: name length u16 + UTF-8 name, rows u32, cols u32,
 then the scheme-specific body.  A body consisting of the single flag byte
 0xFF marks an all-zero tensor (quantized schemes only; a zero tensor has no
-L2 norm to quantize against).
+L2 norm to quantize against).  The decoder refuses payloads that declare
+more than ``_MAX_WIRE_ELEMENTS`` values in total.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ _ZERO_BODY = 0xFF
 # Keeps the 0xFF zero-tensor marker distinguishable from the low byte of the
 # rank field in low-rank bodies.
 _MAX_WIRE_RANK = 0xFE
+# Zero-marker and low-rank bodies expand far beyond their wire size, so the
+# bytes that remain cannot bound what a payload decodes to; this cap (128 MiB
+# of float64) does.  Every other body is read only after the reader has
+# checked that its bytes are present.
+_MAX_WIRE_ELEMENTS = 1 << 24
 
 
 @dataclass
@@ -300,6 +306,7 @@ def _walk(blob: bytes) -> Iterator[Tuple[str, np.ndarray]]:
     if scheme_code not in _SCHEME_NAMES:
         raise MalformedPayload(f"unknown scheme code {scheme_code}")
     scheme = _SCHEME_NAMES[scheme_code]
+    declared = 0
     for _ in range(count):
         (name_len,) = rd.unpack("<H")
         try:
@@ -308,6 +315,12 @@ def _walk(blob: bytes) -> Iterator[Tuple[str, np.ndarray]]:
             raise MalformedPayload("tensor name is not valid UTF-8") from exc
         rows, cols = rd.unpack("<II")
         n = rows * cols
+        declared += n  # low-rank factors hold rank * (rows + cols) <= 2n values
+        if declared > _MAX_WIRE_ELEMENTS:
+            raise MalformedPayload(
+                f"tensor {name!r} declares {rows}x{cols} values, past the "
+                f"{_MAX_WIRE_ELEMENTS}-value payload limit"
+            )
         if scheme == SCHEME_DENSE:
             values = np.frombuffer(rd.take(8 * n), dtype="<f8").astype(np.float64)
         elif scheme == SCHEME_QUANTIZED:

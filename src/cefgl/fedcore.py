@@ -1,10 +1,15 @@
 """Federated round state machines.
 
-Implements the dual-channel protocol (shared low-rank channel trained with a
-drift-correction term, private sparse channel fine-tuned against the global
-view, truncated-SVD aggregation, quantized transfers, probabilistic
-communication skipping, client sampling and dropout) plus weighted-average
-and proximal-regularized baselines.
+Implements the dual-channel protocol: a shared low-rank channel trained with
+a drift-correction term, a private sparse channel fine-tuned against the
+global view, truncated-SVD aggregation, quantized transfers, probabilistic
+communication skipping, client sampling and dropout.  ``run_round`` is the
+only round function.  The weighted-average (FedAvg) and proximal (FedProx)
+baselines are settings of its knobs: no correction, no fine-tuning, p = 1,
+global-pull weight 0 (FedAvg) or the proximal weight (FedProx, whose step
+``w - eta*(g + mu*(w - theta))`` is the shared-channel step with h = 0), and
+``ServerState.plain_average`` for dense shared-channel uplinks merged by a
+plain sample-weighted mean.
 
 Clients and the server are mutable state records; round operations mutate
 them in place and are deterministic given the states' RNG streams.
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,14 +73,13 @@ class ClientConfig:
     batch_size: int = 0  # 0 means full batch
     use_correction: bool = True
     proxskip_h: bool = False
-    mu_prox: float = 0.01
     quantize_mode: str = "deterministic"
 
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("eta must be > 0")
-        if self.alpha < 0 or self.nu < 0 or self.mu_prox < 0:
-            raise ValueError("alpha, nu and mu_prox must be >= 0")
+        if self.alpha < 0 or self.nu < 0:
+            raise ValueError("alpha and nu must be >= 0")
         if self.local_epochs < 0 or self.finetune_epochs < 0:
             raise ValueError("epoch counts must be >= 0")
 
@@ -112,6 +116,9 @@ class ServerState:
     dropout: Optional[Tuple[float, float]] = None  # Beta(a, b) drop-rate, or off
     bandwidth_bps: float = 100e6
     latency_s: float = 0.02
+    # Baselines: uplinks carry the shared channel only, densely, and the
+    # server takes their sample-weighted mean without correction or truncation.
+    plain_average: bool = False
     t: int = 0
     coin_rng: np.random.Generator = field(default_factory=np.random.default_rng)
     sampling_rng: np.random.Generator = field(default_factory=np.random.default_rng)
@@ -158,12 +165,6 @@ def lowrank_channel_step(
     return {k: w[k] - eta * (grads[k] - h[k]) + eta * alpha * (theta[k] - w[k]) for k in w}
 
 
-def fedprox_step(
-    w: ModelParams, grads: ModelParams, theta: ModelParams, eta: float, mu_prox: float
-) -> ModelParams:
-    return {k: w[k] - eta * (grads[k] + mu_prox * (w[k] - theta[k])) for k in w}
-
-
 def _batches(c: ClientState) -> List[List]:
     graphs = c.train.graphs
     if not graphs:  # data-less clients sit rounds out
@@ -203,7 +204,8 @@ def finetune_sparse(c: ClientState) -> ClientState:
     """
     for _ in range(c.cfg.finetune_epochs):
         for batch in _batches(c):
-            _, grads = gnn.loss_and_grad_at_sum(c.theta_view, c.s, batch)
+            # d(loss at view + s)/ds equals the gradient at the sum.
+            _, grads = gnn.loss_and_grad(gnn.combine(c.theta_view, c.s), batch)
             stepped = {
                 k: c.s[k] - c.cfg.eta * (grads[k] + c.cfg.nu * np.sign(c.s[k]))
                 for k in c.s
@@ -216,14 +218,20 @@ def finetune_sparse(c: ClientState) -> ClientState:
 def update_correction(c: ClientState) -> ClientState:
     """Accumulate (global view - new shared channel) / eta into the correction term."""
     c.h = {k: c.h[k] + (c.theta_view[k] - c.w[k]) / c.cfg.eta for k in c.h}
+    _check_finite(c.h, f"client {c.id} correction update")
     return c
 
 
-def client_uplink(c: ClientState, r_bits: int) -> compress.CompressedPayload:
-    """Quantized payload of the shared channel and the correction term.
+def client_uplink(
+    c: ClientState, r_bits: int, plain: bool = False
+) -> compress.CompressedPayload:
+    """Quantized payload of the shared channel and the correction term, or
+    with ``plain`` the dense shared channel alone (the baselines' uplink).
 
     The private channel never leaves the client.
     """
+    if plain:
+        return compress.encode_payload(c.w, compress.SCHEME_DENSE)
     tensors = {f"w.{k}": v for k, v in c.w.items()}
     tensors.update({f"h.{k}": v for k, v in c.h.items()})
     return compress.encode_payload(
@@ -246,7 +254,11 @@ def _aggregate(
     sample_sizes: Sequence[int],
     eta: float,
     tau_lowrank: float,
+    plain: bool = False,
 ) -> Tuple[ModelParams, _AggregateStats]:
+    """Sample-size-weighted merge of shared channels minus eta times the
+    weighted correction terms, rank-truncated per weight matrix; with
+    ``plain``, the weighted mean of shared-channel-only payloads."""
     if len(payloads) == 0:
         raise ValueError("need at least one payload to aggregate")
     if len(payloads) != len(sample_sizes):
@@ -261,14 +273,18 @@ def _aggregate(
     for d in decoded[1:]:
         if list(d) != names:
             raise ShapeMismatch("payloads carry different tensor sets")
+
+    def mean(name: str) -> np.ndarray:
+        return linalg.weighted_sum([(wt, d[name]) for wt, d in zip(weights, decoded)])
+
+    if plain:
+        return {name: mean(name) for name in names}, _AggregateStats(None, None)
     base = [n[len("w.") :] for n in names if n.startswith("w.")]
 
     theta: ModelParams = {}
     retained, full, kept_params, dense_params = 0, 0, 0, 0
     for key in base:
-        w_sum = linalg.weighted_sum([(wt, d[f"w.{key}"]) for wt, d in zip(weights, decoded)])
-        h_sum = linalg.weighted_sum([(wt, d[f"h.{key}"]) for wt, d in zip(weights, decoded)])
-        merged = w_sum - eta * h_sum
+        merged = mean(f"w.{key}") - eta * mean(f"h.{key}")
         rows, cols = merged.shape
         if min(rows, cols) == 1:
             theta[key] = merged  # rank truncation is meaningless for bias rows
@@ -284,18 +300,6 @@ def _aggregate(
         param_ratio=kept_params / dense_params if dense_params else None,
     )
     return theta, stats
-
-
-def server_aggregate(
-    payloads: Sequence[compress.CompressedPayload],
-    sample_sizes: Sequence[int],
-    eta: float,
-    tau_lowrank: float,
-) -> ModelParams:
-    """Sample-size-weighted merge of shared channels minus eta times the
-    weighted correction terms, rank-truncated per weight matrix."""
-    theta, _ = _aggregate(payloads, sample_sizes, eta, tau_lowrank)
-    return theta
 
 
 def dropout_filter(
@@ -341,12 +345,12 @@ def _wall_time(server: ServerState, bits: int, messages: int) -> float:
 def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecord:
     """One full protocol round; mutates the server and client states.
 
-    Coin first, then sampling, then dropout.  Survivors train both channels,
-    update their correction terms and build quantized uplinks.  On a
-    communicated round the server aggregates, re-compresses and broadcasts
+    Coin first, then sampling, then dropout.  Survivors train both channels
+    and update their correction terms.  On a communicated round they build
+    their uplinks, and the server aggregates, re-compresses and broadcasts
     to every client (which adopt the decoded model as both global view and
-    shared channel); on a skipped round each client's view becomes its own
-    shared channel and nothing is billed.
+    shared channel); on a skipped round nothing is encoded or billed and
+    each client's view becomes its own shared channel.
     """
     clients = sorted(clients, key=lambda c: c.id)
     communicate = bool(server.coin_rng.random() < server.p)
@@ -358,7 +362,6 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
     dropped = sorted(set(sampled) - set(survivors))
     by_id = {c.id: c for c in clients}
 
-    payloads: Dict[int, compress.CompressedPayload] = {}
     for cid in survivors:
         c = by_id[cid]
         if c.cfg.local_epochs > 0:
@@ -367,14 +370,16 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
             finetune_sparse(c)
         if c.cfg.use_correction and not c.cfg.proxskip_h:
             update_correction(c)
-        payloads[cid] = client_uplink(c, server.r_bits)
 
     stats = _AggregateStats(rank_ratio=None, param_ratio=None)
     if communicate:
+        payloads = [
+            client_uplink(by_id[cid], server.r_bits, server.plain_average) for cid in survivors
+        ]
         if payloads:
             sizes = [len(by_id[cid].train) for cid in survivors]
             server.theta, stats = _aggregate(
-                [payloads[cid] for cid in survivors], sizes, server.eta, server.tau_lowrank
+                payloads, sizes, server.eta, server.tau_lowrank, server.plain_average
             )
         downlink = compress.encode_payload(
             server.theta,
@@ -383,17 +388,17 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
             tau_lowrank=server.tau_lowrank,
         )
         decoded = compress.decode_payload(downlink)
-        uplink_bits = sum(compress.payload_bits(payloads[cid]) for cid in survivors)
+        uplink_bits = sum(compress.payload_bits(p) for p in payloads)
         downlink_bits = len(clients) * compress.payload_bits(downlink)
         messages = len(survivors) + len(clients)
         for c in clients:
             if c.cfg.use_correction and c.cfg.proxskip_h and c.id in survivors:
                 scale = server.p / c.cfg.eta
                 c.h = {k: c.h[k] + scale * (decoded[k] - c.w[k]) for k in c.h}
+                _check_finite(c.h, f"client {c.id} correction update")
             c.theta_view = gnn.clone_params(decoded)
             c.w = gnn.clone_params(decoded)
     else:
-        # Unsent uplinks cost nothing; every client falls back to its own model.
         uplink_bits = downlink_bits = messages = 0
         for c in clients:
             c.theta_view = gnn.clone_params(c.w)
@@ -415,89 +420,3 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
     )
     server.t += 1
     return record
-
-
-# ---------------------------------------------------------------------------
-# Baselines
-
-
-def fedprox_local_step(c: ClientState, theta: ModelParams, mu_prox: float) -> ClientState:
-    """One proximal-regularized full-batch step on the shared channel."""
-    _, grads = gnn.loss_and_grad(c.w, c.train.graphs)
-    c.w = fedprox_step(c.w, grads, theta, c.cfg.eta, mu_prox)
-    _check_finite(c.w, f"client {c.id} proximal step")
-    return c
-
-
-def _baseline_round(
-    server: ServerState, clients: Sequence[ClientState], proximal: bool
-) -> RoundRecord:
-    clients = sorted(clients, key=lambda c: c.id)
-    server.coin_rng.random()  # keep stream alignment; baselines always communicate
-    sampled = _sample_participants(server, [c.id for c in clients])
-    if server.dropout is not None:
-        survivors = dropout_filter(sampled, *server.dropout, rng=server.dropout_rng)
-    else:
-        survivors = list(sampled)
-    dropped = sorted(set(sampled) - set(survivors))
-    by_id = {c.id: c for c in clients}
-
-    payloads: Dict[int, compress.CompressedPayload] = {}
-    for cid in survivors:
-        c = by_id[cid]
-        anchor = gnn.clone_params(c.theta_view)
-        for _ in range(c.cfg.local_epochs):
-            for batch in _batches(c):
-                _, grads = gnn.loss_and_grad(c.w, batch)
-                if proximal:
-                    c.w = fedprox_step(c.w, grads, anchor, c.cfg.eta, c.cfg.mu_prox)
-                else:
-                    c.w = {k: c.w[k] - c.cfg.eta * grads[k] for k in c.w}
-            _check_finite(c.w, f"client {c.id} local training")
-        payloads[cid] = compress.encode_payload(c.w, compress.SCHEME_DENSE)
-
-    if payloads:
-        total = float(sum(len(by_id[cid].train) for cid in survivors))
-        decoded_up = {cid: compress.decode_payload(payloads[cid]) for cid in survivors}
-        server.theta = {
-            key: linalg.weighted_sum(
-                [(len(by_id[cid].train) / total, decoded_up[cid][key]) for cid in survivors]
-            )
-            for key in clients[0].w
-        }
-    downlink = compress.encode_payload(server.theta, compress.SCHEME_DENSE)
-    decoded = compress.decode_payload(downlink)
-    for c in clients:
-        c.theta_view = gnn.clone_params(decoded)
-        c.w = gnn.clone_params(decoded)
-
-    uplink_bits = sum(compress.payload_bits(p) for p in payloads.values())
-    downlink_bits = len(clients) * compress.payload_bits(downlink)
-    losses, accs, density = _round_metrics(clients)
-    record = RoundRecord(
-        t=server.t,
-        communicated=True,
-        participants=list(survivors),
-        dropped=dropped,
-        uplink_bits=uplink_bits,
-        downlink_bits=downlink_bits,
-        train_loss=losses,
-        test_accuracy=accs,
-        wall_time=_wall_time(
-            server, uplink_bits + downlink_bits, len(survivors) + len(clients)
-        ),
-        sparsity_ratio=density,
-    )
-    server.t += 1
-    return record
-
-
-def fedavg_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecord:
-    """Plain weighted-average baseline: dense transfers every round."""
-    return _baseline_round(server, clients, proximal=False)
-
-
-def fedprox_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecord:
-    """Proximal-regularized baseline: local steps are pulled toward the
-    round-start global model."""
-    return _baseline_round(server, clients, proximal=True)

@@ -159,18 +159,6 @@ def loss_and_grad(p: ModelParams, batch: Sequence[Graph]) -> Tuple[float, GradSe
     return total * inv_b, grads
 
 
-def loss_and_grad_at_sum(
-    base: ModelParams, s: ModelParams, batch: Sequence[Graph]
-) -> Tuple[float, GradSet]:
-    """Loss at ``base + s`` with gradients taken with respect to ``s``.
-
-    The values equal the gradients at the summed parameters because the
-    combination is an elementwise sum; the separate entry point keeps the
-    sparse-channel contract explicit.
-    """
-    return loss_and_grad(combine(base, s), batch)
-
-
 def evaluate(p: ModelParams, data: GraphDataset) -> Tuple[float, float]:
     """(accuracy, mean cross-entropy loss); argmax ties go to the lowest class."""
     if len(data) == 0:

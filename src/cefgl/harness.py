@@ -21,7 +21,7 @@ import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -313,18 +313,22 @@ def build_simulation(
     if cfg.run.ablation == "s_only":
         theta0 = gnn.zeros_like_params(theta0)
 
-    c = cfg.client
+    c, s = cfg.client, cfg.server
+    baseline = cfg.run.algorithm != "cefgl"
+    # The baselines are presets of the one round pipeline: FedProx's step is
+    # the shared-channel step with the correction term at zero and the
+    # global pull weighted by mu_prox; FedAvg's has no pull.  They always
+    # communicate (even under s_only) and never fine-tune a private channel.
     client_cfg = ClientConfig(
         eta=c.eta,
-        alpha=c.alpha,
+        alpha={"cefgl": c.alpha, "fedavg": 0.0, "fedprox": c.mu_prox}[cfg.run.algorithm],
         nu=c.nu,
         sparsifier=Sparsifier(c.sparsifier, cut=c.cut_sparse, beta=c.beta),
         local_epochs=0 if cfg.run.ablation == "s_only" else c.local_epochs,
-        finetune_epochs=0 if cfg.run.ablation == "w_only" else c.finetune_epochs,
+        finetune_epochs=0 if baseline or cfg.run.ablation == "w_only" else c.finetune_epochs,
         batch_size=c.batch_size,
-        use_correction=c.use_correction,
+        use_correction=c.use_correction and not baseline,
         proxskip_h=c.proxskip_h,
-        mu_prox=c.mu_prox,
     )
     ratios = (cfg.data.train_frac, cfg.data.val_frac, cfg.data.test_frac)
     clients = []
@@ -346,18 +350,18 @@ def build_simulation(
                 rng=np.random.default_rng([cfg.seeds.data, 2000 + cid]),
             )
         )
-    s = cfg.server
     server = ServerState(
         theta=gnn.clone_params(theta0),
-        p=0.0 if cfg.run.ablation == "s_only" else s.p,
+        p=1.0 if baseline else 0.0 if cfg.run.ablation == "s_only" else s.p,
         rho=s.rho,
         tau_lowrank=s.tau_lowrank,
         r_bits=s.r_bits,
         eta=c.eta,
-        downlink_scheme=s.downlink_scheme,
+        downlink_scheme=compress.SCHEME_DENSE if baseline else s.downlink_scheme,
         dropout=(s.dropout_a, s.dropout_b) if s.dropout_a > 0 else None,
         bandwidth_bps=s.bandwidth_mbps * 1e6,
         latency_s=s.latency_ms / 1e3,
+        plain_average=baseline,
         coin_rng=np.random.default_rng(cfg.seeds.coin),
         sampling_rng=np.random.default_rng(cfg.seeds.sampling),
         dropout_rng=np.random.default_rng(cfg.seeds.dropout),
@@ -375,14 +379,10 @@ class RunSummary:
 
     records: List[RoundRecord]
     partition_hash: str
-    algorithm: str
-    r_bits: int
     final_acc_mean: float = 0.0
     final_acc_std: float = 0.0
     total_uplink_bits: int = 0
     total_downlink_bits: int = 0
-    dense_equivalent_bits: int = 0
-    per_element_ratio_32bit: float = 0.0
 
     def __post_init__(self):
         last = self.records[-1]
@@ -390,9 +390,6 @@ class RunSummary:
         self.final_acc_std = float(np.std(last.test_accuracy))
         self.total_uplink_bits = sum(r.uplink_bits for r in self.records)
         self.total_downlink_bits = sum(r.downlink_bits for r in self.records)
-        # Naive per-element accounting against a 32-bit dense baseline;
-        # the measured wire bits above are the second accounting.
-        self.per_element_ratio_32bit = self.r_bits / 32.0
 
     def lowrank_rank_trajectory(self) -> List[Optional[float]]:
         return [r.lowrank_rank_ratio for r in self.records]
@@ -404,50 +401,17 @@ class RunSummary:
         return [r.sparsity_ratio for r in self.records]
 
 
-def _dense_equivalent_bits(
-    template: Dict[str, np.ndarray], records: Sequence[RoundRecord], n_clients: int
-) -> int:
-    """Bits the same transfers would have cost with 64-bit dense bodies."""
-    up_unit = compress.payload_bits(
-        compress.encode_payload(
-            {f"w.{k}": v for k, v in template.items()}
-            | {f"h.{k}": v for k, v in template.items()},
-            compress.SCHEME_DENSE,
-        )
-    )
-    down_unit = compress.payload_bits(compress.encode_payload(template, compress.SCHEME_DENSE))
-    total = 0
-    for rec in records:
-        if rec.communicated:
-            total += up_unit * len(rec.participants) + down_unit * n_clients
-    return total
-
-
-_ROUND_FNS = {
-    "cefgl": fedcore.run_round,
-    "fedavg": fedcore.fedavg_round,
-    "fedprox": fedcore.fedprox_round,
-}
-
-
 def _execute(cfg: ExperimentConfig):
     started = time.perf_counter()
     server, clients, fingerprint = build_simulation(cfg)
-    round_fn = _ROUND_FNS[cfg.run.algorithm]
     rounds: List[RoundRecord] = []
     for t in range(cfg.run.rounds):
         try:
-            rounds.append(round_fn(server, clients))
+            rounds.append(fedcore.run_round(server, clients))
         except Exception as exc:
             exc.args = (f"round {t}: {exc}",) + exc.args[1:]
             raise
-    summary = RunSummary(
-        records=rounds,
-        partition_hash=fingerprint,
-        algorithm=cfg.run.algorithm,
-        r_bits=cfg.server.r_bits,
-    )
-    summary.dense_equivalent_bits = _dense_equivalent_bits(server.theta, rounds, len(clients))
+    summary = RunSummary(records=rounds, partition_hash=fingerprint)
     log.info(
         "run finished: %d rounds, final acc %.4f, elapsed %.2fs",
         cfg.run.rounds,
@@ -465,12 +429,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """
     summary, _, _ = _execute(cfg)
     return summary
-
-
-def summarize_seeds(summaries: Sequence[RunSummary]) -> Tuple[float, float]:
-    """Mean and std of final accuracy across repeated-seed runs."""
-    finals = [s.final_acc_mean for s in summaries]
-    return float(np.mean(finals)), float(np.std(finals))
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str, values: Sequence) -> List[RunSummary]:
@@ -553,7 +511,7 @@ def emit_metrics(summary: RunSummary, sink) -> Path:
     return out
 
 
-def load_summary(directory, algorithm: str = "", r_bits: int = 4) -> RunSummary:
+def load_summary(directory) -> RunSummary:
     """Rebuild a RunSummary from rounds.jsonl, cross-checking summary.csv."""
     root = Path(directory)
     jsonl = root / "rounds.jsonl"
@@ -565,9 +523,7 @@ def load_summary(directory, algorithm: str = "", r_bits: int = 4) -> RunSummary:
             records.append(_record_from_dict(json.loads(line)))
     if not records:
         raise IoError(f"{jsonl} holds no round records")
-    summary = RunSummary(
-        records=records, partition_hash="", algorithm=algorithm, r_bits=r_bits
-    )
+    summary = RunSummary(records=records, partition_hash="")
     csv_path = root / "summary.csv"
     if csv_path.is_file():
         with open(csv_path, newline="") as fh:

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cefgl import compress
 from cefgl.errors import BadBits, MalformedPayload, NonFiniteInput, ZeroVector
@@ -16,6 +18,26 @@ def tensor_meta_bytes(name: str) -> int:
 
 def quant_body_bytes(n: int, r: int) -> int:
     return 1 + 8 + (n + 7) // 8 + (n * r + 7) // 8
+
+
+def _fuzz_seeds():
+    """Valid wire images of every scheme, with bias rows and a zero tensor."""
+    rng = np.random.default_rng(40)
+    tensors = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3)), "z": np.zeros((2, 2))}
+    return [
+        compress.encode_payload(tensors, scheme, r=5, tau_lowrank=0.1).blob
+        for scheme in ("dense", "quantized", "lowrank_quantized")
+    ]
+
+
+@st.composite
+def hostile_blobs(draw):
+    """A valid payload with bytes overwritten, then cut or extended."""
+    blob = bytearray(draw(st.sampled_from(_fuzz_seeds())))
+    for _ in range(draw(st.integers(1, 6))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    blob = blob[: draw(st.integers(0, len(blob)))]
+    return bytes(blob) + draw(st.binary(max_size=8))
 
 
 class TestQuantize:
@@ -236,6 +258,30 @@ class TestPayloads:
         blob = compress.encode_payload({"x": np.ones((1, 1))}, "dense").to_bytes()
         with pytest.raises(MalformedPayload):
             compress.decode_payload(blob + b"\x00")
+
+    def test_oversized_declared_tensor_is_malformed(self):
+        # 21 bytes declaring a (2**32-1) x (2**32-1) all-zero tensor.
+        blob = compress.MAGIC + struct.pack("<HBHH", 1, 1, 1, 1) + b"t"
+        blob += struct.pack("<II", 2**32 - 1, 2**32 - 1) + b"\xff"
+        assert len(blob) == 21
+        with pytest.raises(MalformedPayload):
+            compress.decode_payload(blob)
+        # The limit holds per payload: two tensors of just over half of it
+        # each cannot add up past it.
+        rows, cols = 2, compress._MAX_WIRE_ELEMENTS // 4 + 1
+        entry = struct.pack("<HII", 0, rows, cols) + b"\xff"
+        blob = compress.MAGIC + struct.pack("<HBH", 1, 1, 2) + entry * 2
+        with pytest.raises(MalformedPayload):
+            compress.decode_payload(blob)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(blob=hostile_blobs())
+    def test_decoder_fuzz_returns_or_raises_malformed(self, blob):
+        try:
+            decoded = compress.decode_payload(blob)
+        except MalformedPayload:
+            return
+        assert all(v.ndim == 2 for v in decoded.values())
 
     def test_non_finite_tensors_rejected(self):
         with pytest.raises(NonFiniteInput):

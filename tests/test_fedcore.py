@@ -50,6 +50,31 @@ def make_server(theta0, seed=0, **kwargs):
     )
 
 
+# The FedAvg preset of run_round, as build_simulation resolves it.
+FEDAVG_CLIENT = dict(alpha=0.0, finetune_epochs=0, use_correction=False)
+FEDAVG_SERVER = dict(p=1.0, downlink_scheme=compress.SCHEME_DENSE, plain_average=True)
+
+
+def plain_fedavg_reference(theta0, clients, rounds):
+    """Global model after each round of plain weighted averaging: every
+    client runs full-batch SGD from theta, and the server takes the
+    sample-size-weighted mean.  No coin, codec or records."""
+    theta = gnn.clone_params(theta0)
+    total = sum(len(c.train) for c in clients)
+    history = []
+    for _ in range(rounds):
+        local = []
+        for c in clients:
+            w = gnn.clone_params(theta)
+            for _ in range(c.cfg.local_epochs):
+                _, grads = gnn.loss_and_grad(w, c.train.graphs)
+                w = {k: w[k] - c.cfg.eta * grads[k] for k in w}
+            local.append((len(c.train) / total, w))
+        theta = {k: sum(wt * w[k] for wt, w in local) for k in theta}
+        history.append(theta)
+    return history
+
+
 def max_rel_frob(a, b):
     out = 0.0
     for k in a:
@@ -144,7 +169,7 @@ class TestFinetune:
         c = clients[0]
         expected = gnn.zeros_like_params(c.s)
         for _ in range(2):
-            _, grads = gnn.loss_and_grad_at_sum(c.theta_view, expected, c.train.graphs)
+            _, grads = gnn.loss_and_grad(gnn.combine(c.theta_view, expected), c.train.graphs)
             expected = {k: expected[k] - c.cfg.eta * grads[k] for k in expected}
         fedcore.finetune_sparse(c)
         assert max_rel_frob(c.s, expected) <= 1e-12
@@ -189,6 +214,15 @@ class TestCorrection:
         fedcore.update_correction(c)
         for k in delta:
             assert np.allclose(c.h[k], delta[k], atol=1e-15)
+
+    def test_non_finite_correction_raises_on_a_skipped_round(self):
+        # Skipped rounds encode no uplink, so the correction update itself
+        # must catch a blown-up h.
+        theta0, clients = make_clients(n_clients=1, local_epochs=0, finetune_epochs=0)
+        clients[0].h = {k: np.full_like(v, np.inf) for k, v in clients[0].h.items()}
+        server = make_server(theta0, p=0.0)
+        with pytest.raises(DivergenceDetected):
+            fedcore.run_round(server, clients)
 
     def test_two_identical_rounds_accumulate(self):
         _, clients = make_clients(n_clients=1, eta=0.5)
@@ -241,7 +275,7 @@ class TestAggregate:
         rng = np.random.default_rng(1)
         w = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3))}
         h = gnn.zeros_like_params(w)
-        theta = fedcore.server_aggregate([self._dense_payload(w, h)], [10], 0.01, 0.0)
+        theta, _ = fedcore._aggregate([self._dense_payload(w, h)], [10], 0.01, 0.0)
         assert max_rel_frob(theta, w) <= 1e-8
 
     def test_two_equal_clients_average(self):
@@ -249,7 +283,7 @@ class TestAggregate:
         w1 = {"a": rng.normal(size=(4, 4))}
         w2 = {"a": rng.normal(size=(4, 4))}
         zero = gnn.zeros_like_params(w1)
-        theta = fedcore.server_aggregate(
+        theta, _ = fedcore._aggregate(
             [self._dense_payload(w1, zero), self._dense_payload(w2, zero)],
             [7, 7],
             0.01,
@@ -266,14 +300,14 @@ class TestAggregate:
         sizes = [2, 3, 5]
         payloads = [self._dense_payload(theta_prev, g) for g in grads]
         eta = 0.05
-        theta = fedcore.server_aggregate(payloads, sizes, eta, 0.0)
+        theta, _ = fedcore._aggregate(payloads, sizes, eta, 0.0)
         mean_grad = sum(s * g["a"] for s, g in zip(sizes, grads)) / sum(sizes)
         assert np.allclose(theta["a"], theta_prev["a"] - eta * mean_grad, atol=1e-8)
 
     def test_bias_rows_bypass_truncation(self):
         bias = {"b": np.array([[0.4, -0.2, 0.6]])}
         zero = gnn.zeros_like_params(bias)
-        theta = fedcore.server_aggregate(
+        theta, _ = fedcore._aggregate(
             [self._dense_payload(bias, zero)], [1], 0.01, tau_lowrank=10.0
         )
         assert np.allclose(theta["b"], bias["b"], atol=1e-12)
@@ -281,7 +315,7 @@ class TestAggregate:
     def test_weight_matrices_get_truncated(self):
         mat = {"a": np.diag([4.0, 1.0])}
         zero = gnn.zeros_like_params(mat)
-        theta = fedcore.server_aggregate(
+        theta, _ = fedcore._aggregate(
             [self._dense_payload(mat, zero)], [1], 0.01, tau_lowrank=0.5
         )
         assert np.allclose(theta["a"], np.diag([4.0, 0.0]), atol=1e-10)
@@ -379,6 +413,22 @@ class TestRunRound:
                 nnz = sum(int(np.count_nonzero(v)) for v in c.s.values())
                 assert nnz <= math.ceil(0.1 * total)
 
+    def test_uplinks_encoded_only_for_communicated_participants(self, monkeypatch):
+        calls = []
+        real = fedcore.client_uplink
+
+        def counting(c, *args):
+            calls.append(c.id)
+            return real(c, *args)
+
+        monkeypatch.setattr(fedcore, "client_uplink", counting)
+        theta0, clients = make_clients(n_clients=4, n_graphs=32, seed=5)
+        server = make_server(theta0, seed=5, p=0.5, rho=0.75, dropout=(2.0, 5.0))
+        for _ in range(12):
+            before = len(calls)
+            rec = fedcore.run_round(server, clients)
+            assert calls[before:] == (rec.participants if rec.communicated else [])
+
     def test_communication_accounting_matches_wire_format(self):
         theta0, clients = make_clients(hidden=4)
         server = make_server(theta0, p=1.0, r_bits=8, tau_lowrank=0.0)
@@ -395,9 +445,9 @@ class TestRunRound:
 
 class TestBaselines:
     def test_single_client_fedavg_theta_is_client_w(self):
-        theta0, clients = make_clients(n_clients=1)
-        server = make_server(theta0)
-        fedcore.fedavg_round(server, clients)
+        theta0, clients = make_clients(n_clients=1, **FEDAVG_CLIENT)
+        server = make_server(theta0, **FEDAVG_SERVER)
+        fedcore.run_round(server, clients)
         # After the round the client was reset to theta, so replay one epoch.
         theta1, replay = make_clients(n_clients=1)
         for _ in range(replay[0].cfg.local_epochs):
@@ -408,7 +458,7 @@ class TestBaselines:
         assert max_rel_frob(server.theta, replay[0].w) <= 1e-12
 
     def test_identical_clients_are_symmetric(self):
-        theta0, clients = make_clients(n_clients=1, n_graphs=10)
+        theta0, clients = make_clients(n_clients=1, n_graphs=10, **FEDAVG_CLIENT)
         base = clients[0]
         twin = ClientState(
             id=1,
@@ -422,36 +472,35 @@ class TestBaselines:
             cfg=base.cfg,
             rng=np.random.default_rng(0),
         )
-        server = make_server(theta0)
-        fedcore.fedavg_round(server, [base, twin])
+        server = make_server(theta0, **FEDAVG_SERVER)
+        fedcore.run_round(server, [base, twin])
         assert max_rel_frob(base.w, twin.w) == 0.0
 
     def test_fedprox_step_examples(self):
-        _, clients = make_clients(n_clients=1)
+        # FedProx's step w - eta*(g + mu*(w - theta)) is the shared-channel
+        # step with h = 0 and alpha = mu.
+        _, clients = make_clients(n_clients=1, **FEDAVG_CLIENT)
         c = clients[0]
 
         w0 = gnn.clone_params(c.w)
         _, grads = gnn.loss_and_grad(w0, c.train.graphs)
         plain = {k: w0[k] - c.cfg.eta * grads[k] for k in w0}
 
-        fedcore.fedprox_local_step(c, c.theta_view, mu_prox=0.0)
+        fedcore.local_train_round(c)  # mu = 0
         assert max_rel_frob(c.w, plain) <= 1e-12
 
         # theta = w reduces to the plain step regardless of mu.
         c.w = gnn.clone_params(w0)
-        fedcore.fedprox_local_step(c, w0, mu_prox=3.0)
+        c.cfg = dataclasses.replace(c.cfg, alpha=3.0)
+        fedcore.local_train_round(c)
         assert max_rel_frob(c.w, plain) <= 1e-12
 
-    def test_fedprox_zero_gradient_contracts_toward_theta(self):
-        theta = {"m": np.array([[1.0, 2.0]])}
-        w = {"m": np.array([[5.0, -2.0]])}
-        zero = {"m": np.zeros((1, 2))}
-        eta, mu = 0.1, 0.5
-        for step in range(1, 5):
-            w = fedcore.fedprox_step(w, zero, theta, eta, mu)
-            shrink = (1.0 - eta * mu) ** step
-            expected = theta["m"] + shrink * (np.array([[5.0, -2.0]]) - theta["m"])
-            assert np.allclose(w["m"], expected, atol=1e-12)
+        # Away from theta the pull is mu * (theta - w) per unit step.
+        c.w = gnn.clone_params(w0)
+        c.theta_view = {k: v + 1.0 for k, v in w0.items()}
+        fedcore.local_train_round(c)
+        expected = {k: plain[k] + c.cfg.eta * 3.0 for k in plain}
+        assert max_rel_frob(c.w, expected) <= 1e-12
 
 
 class TestVariantKnobs:
@@ -478,24 +527,20 @@ class TestVariantKnobs:
 class TestFedAvgReduction:
     def test_cefgl_degenerates_to_fedavg(self):
         # Oracle equivalence: the full pipeline with the personalization and
-        # compression knobs neutralized must track plain weighted averaging.
-        kwargs = dict(
-            n_clients=2,
-            n_graphs=20,
-            seed=21,
-            alpha=0.0,
-            nu=0.0,
-            finetune_epochs=0,
-            use_correction=False,
-        )
-        theta0a, cefgl_clients = make_clients(**kwargs)
-        cefgl_server = make_server(theta0a, seed=3, p=1.0, rho=1.0, tau_lowrank=0.0, r_bits=32)
-        theta0b, avg_clients = make_clients(**kwargs)
-        avg_server = make_server(theta0b, seed=3)
-        for t in range(20):
-            fedcore.run_round(cefgl_server, cefgl_clients)
-            fedcore.fedavg_round(avg_server, avg_clients)
-            assert max_rel_frob(cefgl_server.theta, avg_server.theta) <= 1e-6, t
+        # compression knobs neutralized, and the FedAvg preset, must track
+        # plain weighted averaging.
+        kwargs = dict(n_clients=3, n_graphs=26, seed=21, nu=0.0, **FEDAVG_CLIENT)
+        setups = {
+            "neutral": dict(p=1.0, rho=1.0, tau_lowrank=0.0, r_bits=32),
+            "fedavg": FEDAVG_SERVER,
+        }
+        for name, server_kwargs in setups.items():
+            theta0, clients = make_clients(**kwargs)
+            reference = plain_fedavg_reference(theta0, clients, rounds=20)
+            server = make_server(theta0, seed=3, **server_kwargs)
+            for t in range(20):
+                fedcore.run_round(server, clients)
+                assert max_rel_frob(server.theta, reference[t]) <= 1e-6, (name, t)
 
     def test_correction_term_fixed_point_aggregate(self):
         # With w_i = view and constant h_i, aggregation returns
@@ -507,6 +552,6 @@ class TestFedAvgReduction:
         for h in hs:
             tensors = {"w.a": theta_prev["a"], "h.a": h["a"]}
             payloads.append(compress.encode_payload(tensors, "dense"))
-        theta = fedcore.server_aggregate(payloads, [1, 1], 0.1, 0.0)
+        theta, _ = fedcore._aggregate(payloads, [1, 1], 0.1, 0.0)
         expected = theta_prev["a"] - 0.1 * 0.5 * (hs[0]["a"] + hs[1]["a"])
         assert np.allclose(theta["a"], expected, atol=1e-8)

@@ -99,7 +99,7 @@ class TestRunExperiment:
         assert a.partition_hash == b.partition_hash
 
     def test_round_index_attached_to_failures(self, monkeypatch):
-        real = harness._ROUND_FNS["cefgl"]
+        real = fedcore.run_round
         state = {"calls": 0}
 
         def flaky(server, clients):
@@ -108,7 +108,7 @@ class TestRunExperiment:
             state["calls"] += 1
             return real(server, clients)
 
-        monkeypatch.setitem(harness._ROUND_FNS, "cefgl", flaky)
+        monkeypatch.setattr(fedcore, "run_round", flaky)
         with pytest.raises(RuntimeError, match="round 3: boom"):
             harness.run_experiment(small_cfg(**{"run.rounds": 8}))
 
@@ -132,6 +132,16 @@ class TestRunExperiment:
             summary = harness.run_experiment(cfg)
             assert all(r.communicated for r in summary.records)
             assert summary.total_uplink_bits > 0
+
+    def test_baselines_communicate_every_round_under_s_only(self):
+        # s_only switches the coin off for cefgl; the baselines keep p = 1.
+        for algorithm in ("fedavg", "fedprox"):
+            cfg = small_cfg(
+                **{"run.algorithm": algorithm, "run.ablation": "s_only", "run.rounds": 6}
+            )
+            summary = harness.run_experiment(cfg)
+            assert [r.communicated for r in summary.records] == [True] * 6
+            assert summary.total_uplink_bits + summary.total_downlink_bits == 121152
 
     def test_separable_task_reaches_high_accuracy(self):
         # Establish the task with the plain-averaging oracle first, then
