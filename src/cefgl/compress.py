@@ -14,6 +14,9 @@ then the scheme-specific body.  A body consisting of the single flag byte
 0xFF marks an all-zero tensor (quantized schemes only; a zero tensor has no
 L2 norm to quantize against).  The decoder refuses payloads that declare
 more than ``_MAX_WIRE_ELEMENTS`` values in total.
+
+Only the shared channel and the correction term travel; the private sparse
+channel stays on its client, so no sparse encoding is defined here.
 """
 
 from __future__ import annotations
@@ -105,48 +108,6 @@ def dequantize(q: QuantizedVector) -> np.ndarray:
     return np.where(q.signs == 1, -magnitudes, magnitudes)
 
 
-@dataclass
-class SparseTensor:
-    """COO-style view of a matrix: strictly increasing flat indices, nonzero values."""
-
-    shape: Tuple[int, int]
-    indices: np.ndarray  # int64, strictly increasing flat (row-major) indices
-    values: np.ndarray  # float64, all nonzero
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape[0] * self.shape[1])
-        out[self.indices] = self.values
-        return out.reshape(self.shape)
-
-
-def sparsify_threshold(m, cut: float) -> SparseTensor:
-    """Keep entries with ``|value| >= cut``; zeros are never stored."""
-    if cut < 0:
-        raise ValueError("cut must be >= 0")
-    mat = linalg.as_matrix(m)
-    flat = mat.ravel()
-    mask = (np.abs(flat) >= cut) & (flat != 0.0)
-    idx = np.nonzero(mask)[0].astype(np.int64)
-    return SparseTensor(shape=mat.shape, indices=idx, values=flat[idx].copy())
-
-
-def sparsify_topk(m, k: int) -> SparseTensor:
-    """Keep the k entries of largest magnitude, smaller flat index winning ties."""
-    mat = linalg.as_matrix(m)
-    flat = mat.ravel()
-    if not 0 <= k <= flat.size:
-        raise ValueError(f"k must be in [0, {flat.size}], got {k}")
-    nonzero = np.nonzero(flat)[0]
-    # Sort by descending magnitude, then ascending flat index.
-    order = nonzero[np.lexsort((nonzero, -np.abs(flat[nonzero])))]
-    chosen = np.sort(order[:k]).astype(np.int64)
-    return SparseTensor(shape=mat.shape, indices=chosen, values=flat[chosen].copy())
-
-
 def _pack_levels(levels: np.ndarray, r: int) -> bytes:
     bits = ((levels[:, None] >> np.arange(r, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
     return np.packbits(bits.ravel(), bitorder="little").tobytes()
@@ -158,7 +119,7 @@ def _unpack_levels(buf: bytes, n: int, r: int) -> np.ndarray:
     return (bits.reshape(n, r).astype(np.uint64) * weights).sum(axis=1)
 
 
-def _quant_segment(vec: np.ndarray, r: int, mode: str, rng) -> bytes:
+def _quant_segment(vec: np.ndarray, r: int) -> bytes:
     """Quantized body for one flattened tensor, or the zero marker.
 
     ZeroVector covers both genuinely zero tensors and tensors so small that
@@ -166,7 +127,7 @@ def _quant_segment(vec: np.ndarray, r: int, mode: str, rng) -> bytes:
     marker byte.
     """
     try:
-        q = quantize(vec, r, mode=mode, rng=rng)
+        q = quantize(vec, r)
     except ZeroVector:
         return bytes([_ZERO_BODY])
     sign_bytes = np.packbits(q.signs, bitorder="little").tobytes()
@@ -243,8 +204,6 @@ def encode_payload(
     scheme: str,
     r: int = 4,
     tau_lowrank: float = 0.0,
-    mode: str = "deterministic",
-    rng: Optional[np.random.Generator] = None,
 ) -> CompressedPayload:
     """Serialize named matrices under one compression scheme.
 
@@ -267,15 +226,15 @@ def encode_payload(
         if scheme == SCHEME_DENSE:
             parts.append(mat.astype("<f8").tobytes())
         elif scheme == SCHEME_QUANTIZED:
-            parts.append(_quant_segment(mat.ravel(), r, mode, rng))
+            parts.append(_quant_segment(mat.ravel(), r))
         else:
-            parts.append(_lowrank_body(mat, r, tau_lowrank, mode, rng))
+            parts.append(_lowrank_body(mat, r, tau_lowrank))
     return CompressedPayload(kind=scheme, blob=b"".join(parts))
 
 
-def _lowrank_body(mat: np.ndarray, r: int, tau: float, mode: str, rng) -> bytes:
+def _lowrank_body(mat: np.ndarray, r: int, tau: float) -> bytes:
     if min(mat.shape) == 1:
-        return _quant_segment(mat.ravel(), r, mode, rng)
+        return _quant_segment(mat.ravel(), r)
     if not np.any(mat):
         return bytes([_ZERO_BODY])
     dec = linalg.svd(mat)
@@ -289,8 +248,8 @@ def _lowrank_body(mat: np.ndarray, r: int, tau: float, mode: str, rng) -> bytes:
     return b"".join(
         [
             struct.pack("<H", rank),
-            _quant_segment(left.ravel(), r, mode, rng),
-            _quant_segment(right.ravel(), r, mode, rng),
+            _quant_segment(left.ravel(), r),
+            _quant_segment(right.ravel(), r),
             dec.sigma[:rank].astype("<f8").tobytes(),
         ]
     )

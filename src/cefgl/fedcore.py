@@ -11,6 +11,11 @@ global-pull weight 0 (FedAvg) or the proximal weight (FedProx, whose step
 ``ServerState.plain_average`` for dense shared-channel uplinks merged by a
 plain sample-weighted mean.
 
+``ClientConfig`` and ``ServerConfig`` are the ``client`` and ``server``
+sections of a config file, as ``harness.parse_config`` fills them; its
+``_validate`` is their one range check.  The private channel is sparsified
+by a mask on the parameters themselves and never travels.
+
 Clients and the server are mutable state records; round operations mutate
 them in place and are deterministic given the states' RNG streams.
 """
@@ -30,58 +35,61 @@ from .graphdata import GraphDataset
 
 
 @dataclass
-class Sparsifier:
-    """Sparsification rule for the private channel."""
+class ClientConfig:
+    """The ``client`` config section, as parsed and as the round runs it."""
 
-    kind: str  # "threshold" or "topk"
-    cut: float = 0.001
+    eta: float = 0.01
+    alpha: float = 0.6
+    nu: float = 0.5
+    sparsifier: str = "threshold"  # "threshold" or "topk"
+    cut_sparse: float = 0.001
     beta: float = 0.1
+    local_epochs: int = 1
+    finetune_epochs: int = 1
+    batch_size: int = 0  # 0 means full batch
+    use_correction: bool = True
+    proxskip_h: bool = False
+    mu_prox: float = 0.01
 
-    def __post_init__(self):
-        if self.kind not in ("threshold", "topk"):
-            raise ValueError(f"unknown sparsifier {self.kind!r}")
-        if self.cut < 0 or not 0.0 <= self.beta <= 1.0:
-            raise ValueError("cut must be >= 0 and beta within [0, 1]")
+
+@dataclass
+class ServerConfig:
+    """The ``server`` config section, as parsed and as the round runs it."""
+
+    p: float = 0.5
+    rho: float = 1.0
+    tau_lowrank: float = 0.0001
+    r_bits: int = 4
+    downlink_scheme: str = compress.SCHEME_LOWRANK
+    dropout_a: float = 0.0  # Beta(a, b) drop rate; both zero disables dropout
+    dropout_b: float = 0.0
+    bandwidth_mbps: float = 100.0
+    latency_ms: float = 20.0
 
 
-def apply_sparsifier(params: ModelParams, rule: Sparsifier) -> ModelParams:
-    """Zero out entries per the rule; top-k is global across all matrices."""
-    if rule.kind == "threshold":
-        return {
-            k: compress.sparsify_threshold(v, rule.cut).to_dense() for k, v in params.items()
-        }
-    total = sum(v.size for v in params.values())
-    k = math.ceil(rule.beta * total)
+def apply_sparsifier(params: ModelParams, cfg: ClientConfig) -> ModelParams:
+    """Zero the entries the private-channel rule drops.
+
+    ``threshold`` keeps entries with ``|v| >= cut_sparse``; ``topk`` keeps the
+    ``ceil(beta * size)`` largest magnitudes across all matrices, the smaller
+    flat index (matrices in dict order) winning ties.
+    """
     flat = np.concatenate([v.ravel() for v in params.values()])
-    kept = compress.sparsify_topk(flat.reshape(1, -1), k).to_dense().ravel()
+    if cfg.sparsifier == "threshold":
+        keep = np.abs(flat) >= cfg.cut_sparse
+    else:
+        nonzero = np.nonzero(flat)[0]
+        # Descending magnitude, then ascending flat index.
+        order = nonzero[np.lexsort((nonzero, -np.abs(flat[nonzero])))]
+        keep = np.zeros(flat.size, dtype=bool)
+        keep[order[: math.ceil(cfg.beta * flat.size)]] = True
+    kept = np.where(keep, flat, 0.0)
     out: ModelParams = {}
     offset = 0
     for name, v in params.items():
         out[name] = kept[offset : offset + v.size].reshape(v.shape)
         offset += v.size
     return out
-
-
-@dataclass
-class ClientConfig:
-    eta: float = 0.01
-    alpha: float = 0.6
-    nu: float = 0.5
-    sparsifier: Sparsifier = field(default_factory=lambda: Sparsifier("threshold"))
-    local_epochs: int = 1
-    finetune_epochs: int = 1
-    batch_size: int = 0  # 0 means full batch
-    use_correction: bool = True
-    proxskip_h: bool = False
-    quantize_mode: str = "deterministic"
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
-        if self.alpha < 0 or self.nu < 0:
-            raise ValueError("alpha and nu must be >= 0")
-        if self.local_epochs < 0 or self.finetune_epochs < 0:
-            raise ValueError("epoch counts must be >= 0")
 
 
 @dataclass
@@ -107,15 +115,8 @@ class ClientState:
 @dataclass
 class ServerState:
     theta: ModelParams
-    p: float = 0.5
-    rho: float = 1.0
-    tau_lowrank: float = 0.0001
-    r_bits: int = 4
+    cfg: ServerConfig = field(default_factory=ServerConfig)
     eta: float = 0.01
-    downlink_scheme: str = compress.SCHEME_LOWRANK
-    dropout: Optional[Tuple[float, float]] = None  # Beta(a, b) drop-rate, or off
-    bandwidth_bps: float = 100e6
-    latency_s: float = 0.02
     # Baselines: uplinks carry the shared channel only, densely, and the
     # server takes their sample-weighted mean without correction or truncation.
     plain_average: bool = False
@@ -123,12 +124,6 @@ class ServerState:
     coin_rng: np.random.Generator = field(default_factory=np.random.default_rng)
     sampling_rng: np.random.Generator = field(default_factory=np.random.default_rng)
     dropout_rng: np.random.Generator = field(default_factory=np.random.default_rng)
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must be within [0, 1]")
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError("rho must be within (0, 1]")
 
 
 @dataclass
@@ -184,16 +179,19 @@ def _check_finite(params: ModelParams, who: str) -> None:
         raise DivergenceDetected(f"{who} produced non-finite parameters (lower eta)")
 
 
-def local_train_round(c: ClientState) -> ClientState:
-    """Run the configured local epochs on the shared channel."""
+def local_train_round(c: ClientState) -> int:
+    """Run the configured local epochs on the shared channel; returns the
+    number of steps taken."""
+    steps = 0
     for _ in range(c.cfg.local_epochs):
         for batch in _batches(c):
             _, grads = gnn.loss_and_grad(c.w, batch)
             c.w = lowrank_channel_step(
                 c.w, grads, c.h, c.theta_view, c.cfg.eta, c.cfg.alpha
             )
+            steps += 1
         _check_finite(c.w, f"client {c.id} local training")
-    return c
+    return steps
 
 
 def finetune_sparse(c: ClientState) -> ClientState:
@@ -210,14 +208,23 @@ def finetune_sparse(c: ClientState) -> ClientState:
                 k: c.s[k] - c.cfg.eta * (grads[k] + c.cfg.nu * np.sign(c.s[k]))
                 for k in c.s
             }
-            c.s = apply_sparsifier(stepped, c.cfg.sparsifier)
+            c.s = apply_sparsifier(stepped, c.cfg)
         _check_finite(c.s, f"client {c.id} fine-tuning")
     return c
 
 
-def update_correction(c: ClientState) -> ClientState:
-    """Accumulate (global view - new shared channel) / eta into the correction term."""
-    c.h = {k: c.h[k] + (c.theta_view[k] - c.w[k]) / c.cfg.eta for k in c.h}
+def update_correction(c: ClientState, steps: int) -> ClientState:
+    """Accumulate (global view - new shared channel) / (eta * steps) into the
+    correction term, ``steps`` being the local steps of this round.
+
+    Every local step subtracts eta * h, so dividing by eta alone would let h
+    grow geometrically with several steps per round; SCAFFOLD's control
+    variates (Karimireddy et al. 2020) divide by both.  With no steps h
+    stays as it is.
+    """
+    if steps:
+        scale = c.cfg.eta * steps
+        c.h = {k: c.h[k] + (c.theta_view[k] - c.w[k]) / scale for k in c.h}
     _check_finite(c.h, f"client {c.id} correction update")
     return c
 
@@ -234,13 +241,7 @@ def client_uplink(
         return compress.encode_payload(c.w, compress.SCHEME_DENSE)
     tensors = {f"w.{k}": v for k, v in c.w.items()}
     tensors.update({f"h.{k}": v for k, v in c.h.items()})
-    return compress.encode_payload(
-        tensors,
-        compress.SCHEME_QUANTIZED,
-        r=r_bits,
-        mode=c.cfg.quantize_mode,
-        rng=c.rng,
-    )
+    return compress.encode_payload(tensors, compress.SCHEME_QUANTIZED, r=r_bits)
 
 
 @dataclass
@@ -285,6 +286,7 @@ def _aggregate(
     retained, full, kept_params, dense_params = 0, 0, 0, 0
     for key in base:
         merged = mean(f"w.{key}") - eta * mean(f"h.{key}")
+        _check_finite({key: merged}, "server aggregation")
         rows, cols = merged.shape
         if min(rows, cols) == 1:
             theta[key] = merged  # rank truncation is meaningless for bias rows
@@ -313,7 +315,7 @@ def dropout_filter(
 
 
 def _sample_participants(server: ServerState, ids: Sequence[int]) -> List[int]:
-    m = math.ceil(len(ids) * server.rho)
+    m = math.ceil(len(ids) * server.cfg.rho)
     picked = server.sampling_rng.choice(np.asarray(ids), size=m, replace=False)
     return sorted(int(i) for i in picked)
 
@@ -338,8 +340,8 @@ def _round_metrics(clients: Sequence[ClientState]) -> Tuple[List[float], List[fl
     return losses, accs, float(np.mean(density))
 
 
-def _wall_time(server: ServerState, bits: int, messages: int) -> float:
-    return bits / server.bandwidth_bps + server.latency_s * messages
+def _wall_time(cfg: ServerConfig, bits: int, messages: int) -> float:
+    return bits / (cfg.bandwidth_mbps * 1e6) + cfg.latency_ms / 1e3 * messages
 
 
 def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecord:
@@ -352,11 +354,14 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
     shared channel); on a skipped round nothing is encoded or billed and
     each client's view becomes its own shared channel.
     """
+    cfg = server.cfg
     clients = sorted(clients, key=lambda c: c.id)
-    communicate = bool(server.coin_rng.random() < server.p)
+    communicate = bool(server.coin_rng.random() < cfg.p)
     sampled = _sample_participants(server, [c.id for c in clients])
-    if server.dropout is not None:
-        survivors = dropout_filter(sampled, *server.dropout, rng=server.dropout_rng)
+    if cfg.dropout_a > 0:
+        survivors = dropout_filter(
+            sampled, cfg.dropout_a, cfg.dropout_b, rng=server.dropout_rng
+        )
     else:
         survivors = list(sampled)
     dropped = sorted(set(sampled) - set(survivors))
@@ -364,28 +369,27 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
 
     for cid in survivors:
         c = by_id[cid]
-        if c.cfg.local_epochs > 0:
-            local_train_round(c)
+        steps = local_train_round(c) if c.cfg.local_epochs > 0 else 0
         if c.cfg.finetune_epochs > 0:
             finetune_sparse(c)
         if c.cfg.use_correction and not c.cfg.proxskip_h:
-            update_correction(c)
+            update_correction(c, steps)
 
     stats = _AggregateStats(rank_ratio=None, param_ratio=None)
     if communicate:
         payloads = [
-            client_uplink(by_id[cid], server.r_bits, server.plain_average) for cid in survivors
+            client_uplink(by_id[cid], cfg.r_bits, server.plain_average) for cid in survivors
         ]
         if payloads:
             sizes = [len(by_id[cid].train) for cid in survivors]
             server.theta, stats = _aggregate(
-                payloads, sizes, server.eta, server.tau_lowrank, server.plain_average
+                payloads, sizes, server.eta, cfg.tau_lowrank, server.plain_average
             )
         downlink = compress.encode_payload(
             server.theta,
-            server.downlink_scheme,
-            r=server.r_bits,
-            tau_lowrank=server.tau_lowrank,
+            cfg.downlink_scheme,
+            r=cfg.r_bits,
+            tau_lowrank=cfg.tau_lowrank,
         )
         decoded = compress.decode_payload(downlink)
         uplink_bits = sum(compress.payload_bits(p) for p in payloads)
@@ -393,7 +397,7 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
         messages = len(survivors) + len(clients)
         for c in clients:
             if c.cfg.use_correction and c.cfg.proxskip_h and c.id in survivors:
-                scale = server.p / c.cfg.eta
+                scale = cfg.p / c.cfg.eta
                 c.h = {k: c.h[k] + scale * (decoded[k] - c.w[k]) for k in c.h}
                 _check_finite(c.h, f"client {c.id} correction update")
             c.theta_view = gnn.clone_params(decoded)
@@ -413,7 +417,7 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
         downlink_bits=downlink_bits,
         train_loss=losses,
         test_accuracy=accs,
-        wall_time=_wall_time(server, uplink_bits + downlink_bits, messages),
+        wall_time=_wall_time(cfg, uplink_bits + downlink_bits, messages),
         sparsity_ratio=density,
         lowrank_rank_ratio=stats.rank_ratio,
         lowrank_param_ratio=stats.param_ratio,

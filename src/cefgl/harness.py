@@ -27,7 +27,7 @@ import numpy as np
 
 from . import compress, fedcore, gnn, graphdata
 from .errors import ConfigError, IoError, VersionMismatch
-from .fedcore import ClientConfig, ClientState, RoundRecord, ServerState, Sparsifier
+from .fedcore import ClientConfig, ClientState, RoundRecord, ServerConfig, ServerState
 
 log = logging.getLogger("cefgl")
 
@@ -64,35 +64,6 @@ class DataSection:
 
 
 @dataclass
-class ClientSection:
-    eta: float = 0.01
-    alpha: float = 0.6
-    nu: float = 0.5
-    sparsifier: str = "threshold"
-    cut_sparse: float = 0.001
-    beta: float = 0.1
-    local_epochs: int = 1
-    finetune_epochs: int = 1
-    batch_size: int = 0
-    use_correction: bool = True
-    proxskip_h: bool = False
-    mu_prox: float = 0.01
-
-
-@dataclass
-class ServerSection:
-    p: float = 0.5
-    rho: float = 1.0
-    tau_lowrank: float = 0.0001
-    r_bits: int = 4
-    downlink_scheme: str = "lowrank_quantized"
-    dropout_a: float = 0.0  # both zero disables dropout
-    dropout_b: float = 0.0
-    bandwidth_mbps: float = 100.0
-    latency_ms: float = 20.0
-
-
-@dataclass
 class RunSection:
     algorithm: str = "cefgl"
     rounds: int = 200
@@ -114,8 +85,8 @@ class SeedSection:
 @dataclass
 class ExperimentConfig:
     data: DataSection = field(default_factory=DataSection)
-    client: ClientSection = field(default_factory=ClientSection)
-    server: ServerSection = field(default_factory=ServerSection)
+    client: ClientConfig = field(default_factory=ClientConfig)
+    server: ServerConfig = field(default_factory=ServerConfig)
     run: RunSection = field(default_factory=RunSection)
     seeds: SeedSection = field(default_factory=SeedSection)
 
@@ -319,16 +290,17 @@ def build_simulation(
     # the shared-channel step with the correction term at zero and the
     # global pull weighted by mu_prox; FedAvg's has no pull.  They always
     # communicate (even under s_only) and never fine-tune a private channel.
-    client_cfg = ClientConfig(
-        eta=c.eta,
+    client_cfg = dataclasses.replace(
+        c,
         alpha={"cefgl": c.alpha, "fedavg": 0.0, "fedprox": c.mu_prox}[cfg.run.algorithm],
-        nu=c.nu,
-        sparsifier=Sparsifier(c.sparsifier, cut=c.cut_sparse, beta=c.beta),
         local_epochs=0 if cfg.run.ablation == "s_only" else c.local_epochs,
         finetune_epochs=0 if baseline or cfg.run.ablation == "w_only" else c.finetune_epochs,
-        batch_size=c.batch_size,
         use_correction=c.use_correction and not baseline,
-        proxskip_h=c.proxskip_h,
+    )
+    server_cfg = dataclasses.replace(
+        s,
+        p=1.0 if baseline else 0.0 if cfg.run.ablation == "s_only" else s.p,
+        downlink_scheme=compress.SCHEME_DENSE if baseline else s.downlink_scheme,
     )
     ratios = (cfg.data.train_frac, cfg.data.val_frac, cfg.data.test_frac)
     clients = []
@@ -352,15 +324,8 @@ def build_simulation(
         )
     server = ServerState(
         theta=gnn.clone_params(theta0),
-        p=1.0 if baseline else 0.0 if cfg.run.ablation == "s_only" else s.p,
-        rho=s.rho,
-        tau_lowrank=s.tau_lowrank,
-        r_bits=s.r_bits,
+        cfg=server_cfg,
         eta=c.eta,
-        downlink_scheme=compress.SCHEME_DENSE if baseline else s.downlink_scheme,
-        dropout=(s.dropout_a, s.dropout_b) if s.dropout_a > 0 else None,
-        bandwidth_bps=s.bandwidth_mbps * 1e6,
-        latency_s=s.latency_ms / 1e3,
         plain_average=baseline,
         coin_rng=np.random.default_rng(cfg.seeds.coin),
         sampling_rng=np.random.default_rng(cfg.seeds.sampling),

@@ -234,10 +234,7 @@ def test_c06_fedavg_reduction_oracle():
         theta0, ours = _reduction_clients(77)
         ours_server = fedcore.ServerState(
             theta=gnn.clone_params(theta0),
-            p=1.0,
-            rho=1.0,
-            tau_lowrank=0.0,
-            r_bits=32,
+            cfg=fedcore.ServerConfig(p=1.0, rho=1.0, tau_lowrank=0.0, r_bits=32),
             coin_rng=np.random.default_rng(5),
             sampling_rng=np.random.default_rng(6),
             dropout_rng=np.random.default_rng(7),

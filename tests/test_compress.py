@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cefgl import compress
+from cefgl import compress, fedcore
 from cefgl.errors import BadBits, MalformedPayload, NonFiniteInput, ZeroVector
+from cefgl.fedcore import ClientConfig
 
 # Wire-format accounting used to derive expected byte counts independently.
 HEADER_BYTES = 4 + 2 + 1 + 2  # magic, version, scheme, tensor count
@@ -116,42 +118,45 @@ class TestQuantize:
 
 
 class TestSparsify:
+    """``fedcore.apply_sparsifier``'s mask rules on a single matrix."""
+
+    @staticmethod
+    def threshold(m, cut):
+        cfg = ClientConfig(sparsifier="threshold", cut_sparse=cut)
+        return fedcore.apply_sparsifier({"m": np.asarray(m)}, cfg)["m"]
+
+    @staticmethod
+    def topk(m, k):
+        m = np.asarray(m)
+        cfg = ClientConfig(sparsifier="topk", beta=k / m.size)
+        assert math.ceil(cfg.beta * m.size) == k
+        return fedcore.apply_sparsifier({"m": m}, cfg)["m"]
+
     def test_threshold_zero_keeps_all_nonzeros(self):
         m = np.array([[0.5, 0.0], [-0.2, 1.0]])
-        s = compress.sparsify_threshold(m, 0.0)
-        assert s.nnz == 3
-        assert np.array_equal(s.to_dense(), m)
+        assert np.array_equal(self.threshold(m, 0.0), m)
 
     def test_threshold_drops_small_magnitudes(self):
         m = np.array([[0.5, -0.01], [0.0, 2.0]])
-        s = compress.sparsify_threshold(m, 0.1)
-        assert list(s.indices) == [0, 3]
-        assert list(s.values) == [0.5, 2.0]
+        assert self.threshold(m, 0.1).tolist() == [[0.5, 0.0], [0.0, 2.0]]
 
     def test_threshold_huge_cut_empties(self):
-        s = compress.sparsify_threshold(np.ones((3, 3)), 1e300)
-        assert s.nnz == 0
-        assert np.array_equal(s.to_dense(), np.zeros((3, 3)))
+        assert not self.threshold(np.ones((3, 3)), 1e300).any()
 
     def test_topk_full_k_is_identity_support(self):
         m = np.array([[1.0, 0.0], [-2.0, 3.0]])
-        s = compress.sparsify_topk(m, 4)
-        assert s.nnz == 3  # zeros never enter the support
-        assert np.array_equal(s.to_dense(), m)
+        assert np.array_equal(self.topk(m, 4), m)
 
     def test_topk_zero_is_empty(self):
-        assert compress.sparsify_topk(np.ones((2, 2)), 0).nnz == 0
+        assert not self.topk(np.ones((2, 2)), 0).any()
 
     def test_topk_selects_largest_magnitudes(self):
         m = np.array([[1.0, -3.0], [2.0, 0.0]])
-        s = compress.sparsify_topk(m, 2)
-        assert list(s.indices) == [1, 2]
-        assert list(s.values) == [-3.0, 2.0]
+        assert self.topk(m, 2).tolist() == [[0.0, -3.0], [2.0, 0.0]]
 
     def test_topk_breaks_ties_by_flat_index(self):
         m = np.array([[2.0, -2.0], [2.0, 1.0]])
-        s = compress.sparsify_topk(m, 2)
-        assert list(s.indices) == [0, 1]
+        assert self.topk(m, 2).tolist() == [[2.0, -2.0], [0.0, 0.0]]
 
     def test_topk_is_best_k_sparse_approximation(self):
         # Brute-force oracle: try every support of size k on 3x3 matrices.
@@ -166,7 +171,7 @@ class TestSparsify:
                     np.linalg.norm(np.delete(flat, support))
                     for support in combinations(range(9), k)
                 )
-                ours = np.linalg.norm(m - compress.sparsify_topk(m, k).to_dense())
+                ours = np.linalg.norm(m - self.topk(m, k))
                 assert ours <= best + 1e-12
 
 

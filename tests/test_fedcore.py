@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from cefgl import compress, fedcore, gnn, graphdata
+from cefgl import compress, fedcore, gnn, graphdata, harness
 from cefgl.errors import DivergenceDetected
-from cefgl.fedcore import ClientConfig, ClientState, ServerState, Sparsifier
+from cefgl.fedcore import ClientConfig, ClientState, ServerConfig, ServerState
 from cefgl.gnn import ArchConfig
 from cefgl.graphdata import SynthSpec
 
@@ -40,13 +40,14 @@ def make_clients(n_clients=2, n_graphs=20, seed=0, hidden=4, noise=0.4, **cfg_kw
     return theta0, clients
 
 
-def make_server(theta0, seed=0, **kwargs):
+def make_server(theta0, seed=0, plain_average=False, **cfg_kwargs):
     return ServerState(
         theta=gnn.clone_params(theta0),
+        cfg=ServerConfig(**cfg_kwargs),
+        plain_average=plain_average,
         coin_rng=np.random.default_rng(seed + 10),
         sampling_rng=np.random.default_rng(seed + 11),
         dropout_rng=np.random.default_rng(seed + 12),
-        **kwargs,
     )
 
 
@@ -86,23 +87,33 @@ def max_rel_frob(a, b):
 class TestSparsifier:
     def test_threshold_postcondition(self):
         params = {"a": np.array([[0.5, -0.0005], [0.002, 0.0]])}
-        out = fedcore.apply_sparsifier(params, Sparsifier("threshold", cut=0.001))
+        out = fedcore.apply_sparsifier(
+            params, ClientConfig(sparsifier="threshold", cut_sparse=0.001)
+        )
         nz = out["a"][out["a"] != 0]
         assert np.min(np.abs(nz)) >= 0.001
         assert out["a"][0, 1] == 0.0
 
     def test_topk_is_global_across_matrices(self):
         params = {"a": np.array([[5.0, 0.1]]), "b": np.array([[4.0, 0.2]])}
-        out = fedcore.apply_sparsifier(params, Sparsifier("topk", beta=0.5))
+        out = fedcore.apply_sparsifier(params, ClientConfig(sparsifier="topk", beta=0.5))
         assert out["a"][0, 0] == 5.0 and out["b"][0, 0] == 4.0
         assert out["a"][0, 1] == 0.0 and out["b"][0, 1] == 0.0
+        # A tie across matrices goes to the smaller flat index, the matrices
+        # concatenated in dict order.
+        a, b = np.array([[1.0, -3.0]]), np.array([[3.0, 1.0]])
+        one = ClientConfig(sparsifier="topk", beta=0.25)
+        out = fedcore.apply_sparsifier({"a": a, "b": b}, one)
+        assert out["a"].tolist() == [[0.0, -3.0]] and not out["b"].any()
+        out = fedcore.apply_sparsifier({"b": b, "a": a}, one)
+        assert out["b"].tolist() == [[3.0, 0.0]] and not out["a"].any()
 
     def test_topk_nnz_bound(self):
         rng = np.random.default_rng(0)
         params = {"a": rng.normal(size=(5, 5)), "b": rng.normal(size=(3, 7))}
         total = 46
         for beta in (0.0, 0.1, 0.37, 1.0):
-            out = fedcore.apply_sparsifier(params, Sparsifier("topk", beta=beta))
+            out = fedcore.apply_sparsifier(params, ClientConfig(sparsifier="topk", beta=beta))
             nnz = sum(int(np.count_nonzero(v)) for v in out.values())
             assert nnz <= math.ceil(beta * total)
 
@@ -163,7 +174,8 @@ class TestFinetune:
         _, clients = make_clients(
             n_clients=1,
             nu=0.0,
-            sparsifier=Sparsifier("topk", beta=1.0),
+            sparsifier="topk",
+            beta=1.0,
             finetune_epochs=2,
         )
         c = clients[0]
@@ -176,7 +188,7 @@ class TestFinetune:
 
     def test_beta_zero_keeps_s_all_zero(self):
         _, clients = make_clients(
-            n_clients=1, sparsifier=Sparsifier("topk", beta=0.0), finetune_epochs=3
+            n_clients=1, sparsifier="topk", beta=0.0, finetune_epochs=3
         )
         c = clients[0]
         for _ in range(3):
@@ -185,7 +197,7 @@ class TestFinetune:
 
     def test_sparsifier_postcondition_after_each_epoch(self):
         _, clients = make_clients(
-            n_clients=1, sparsifier=Sparsifier("topk", beta=0.2), finetune_epochs=1
+            n_clients=1, sparsifier="topk", beta=0.2, finetune_epochs=1
         )
         c = clients[0]
         total = sum(v.size for v in c.s.values())
@@ -202,18 +214,21 @@ class TestCorrection:
         c.w = gnn.clone_params(c.theta_view)
         c.h = {k: np.full_like(v, 0.25) for k, v in c.h.items()}
         before = gnn.clone_params(c.h)
-        fedcore.update_correction(c)
+        fedcore.update_correction(c, steps=1)
         for k in before:
             assert np.array_equal(c.h[k], before[k])
 
     def test_direct_substitution(self):
-        _, clients = make_clients(n_clients=1, eta=1.0)
-        c = clients[0]
-        delta = {k: np.full_like(v, 0.5) for k, v in c.w.items()}
-        c.w = {k: c.theta_view[k] - delta[k] for k in c.w}
-        fedcore.update_correction(c)
-        for k in delta:
-            assert np.allclose(c.h[k], delta[k], atol=1e-15)
+        # h gains (view - w) / (eta * steps); no local steps leave h alone.
+        for steps in (0, 1, 4):
+            _, clients = make_clients(n_clients=1, eta=1.0)
+            c = clients[0]
+            delta = {k: np.full_like(v, 0.5) for k, v in c.w.items()}
+            c.w = {k: c.theta_view[k] - delta[k] for k in c.w}
+            fedcore.update_correction(c, steps)
+            for k in delta:
+                expected = delta[k] / steps if steps else np.zeros_like(delta[k])
+                assert np.allclose(c.h[k], expected, atol=1e-15)
 
     def test_non_finite_correction_raises_on_a_skipped_round(self):
         # Skipped rounds encode no uplink, so the correction update itself
@@ -224,13 +239,29 @@ class TestCorrection:
         with pytest.raises(DivergenceDetected):
             fedcore.run_round(server, clients)
 
+    def test_several_local_steps_stay_finite(self):
+        # Each of the nine minibatch steps per round subtracts eta * h, so a
+        # correction update divided by eta alone blew up within ten rounds.
+        cfg = harness.ExperimentConfig()
+        cfg.run.clients = 4
+        cfg.data.n_graphs = 40
+        cfg.client.batch_size = 3
+        cfg.client.local_epochs = 3
+        cfg.server.r_bits = 16
+        server, clients, _ = harness.build_simulation(cfg)
+        for _ in range(20):
+            fedcore.run_round(server, clients)
+        assert gnn.params_finite(server.theta)
+        for c in clients:
+            assert all(gnn.params_finite(x) for x in (c.w, c.s, c.h, c.theta_view))
+
     def test_two_identical_rounds_accumulate(self):
         _, clients = make_clients(n_clients=1, eta=0.5)
         c = clients[0]
         delta = {k: np.full_like(v, 0.2) for k, v in c.w.items()}
         c.w = {k: c.theta_view[k] - delta[k] for k in c.w}
-        fedcore.update_correction(c)
-        fedcore.update_correction(c)
+        fedcore.update_correction(c, steps=1)
+        fedcore.update_correction(c, steps=1)
         for k in delta:
             assert np.allclose(c.h[k], 2.0 * delta[k] / 0.5, atol=1e-12)
 
@@ -320,6 +351,14 @@ class TestAggregate:
         )
         assert np.allclose(theta["a"], np.diag([4.0, 0.0]), atol=1e-10)
 
+    def test_non_finite_merge_is_divergence(self):
+        # w - eta * h overflows on the server, before any SVD sees it.
+        w = {"a": np.full((2, 2), 1e308)}
+        h = {"a": np.full((2, 2), -1e308)}
+        payloads = [self._dense_payload(w, h)] * 2
+        with np.errstate(over="ignore"), pytest.raises(DivergenceDetected):
+            fedcore._aggregate(payloads, [1, 1], 10.0, 0.0)
+
 
 class TestDropout:
     def test_tiny_drop_rate_rarely_drops(self):
@@ -385,7 +424,7 @@ class TestRunRound:
 
     def test_zero_survivor_round_keeps_theta(self):
         theta0, clients = make_clients()
-        server = make_server(theta0, p=1.0, dropout=(1e6, 1e-3))  # drops everyone
+        server = make_server(theta0, p=1.0, dropout_a=1e6, dropout_b=1e-3)  # drops everyone
         before = gnn.clone_params(server.theta)
         rec = fedcore.run_round(server, clients)
         assert rec.communicated
@@ -397,13 +436,13 @@ class TestRunRound:
         records = []
         for _ in range(2):
             theta0, clients = make_clients(seed=7)
-            server = make_server(theta0, seed=7, p=0.5, dropout=(2.0, 5.0))
+            server = make_server(theta0, seed=7, p=0.5, dropout_a=2.0, dropout_b=5.0)
             records.append([dataclasses.asdict(fedcore.run_round(server, clients)) for _ in range(12)])
         assert records[0] == records[1]
 
     def test_sparsity_invariant_maintained(self):
         theta0, clients = make_clients(
-            sparsifier=Sparsifier("topk", beta=0.1), finetune_epochs=1
+            sparsifier="topk", beta=0.1, finetune_epochs=1
         )
         server = make_server(theta0, p=0.5)
         total = sum(v.size for v in clients[0].s.values())
@@ -423,7 +462,7 @@ class TestRunRound:
 
         monkeypatch.setattr(fedcore, "client_uplink", counting)
         theta0, clients = make_clients(n_clients=4, n_graphs=32, seed=5)
-        server = make_server(theta0, seed=5, p=0.5, rho=0.75, dropout=(2.0, 5.0))
+        server = make_server(theta0, seed=5, p=0.5, rho=0.75, dropout_a=2.0, dropout_b=5.0)
         for _ in range(12):
             before = len(calls)
             rec = fedcore.run_round(server, clients)
@@ -438,7 +477,7 @@ class TestRunRound:
         )
         assert rec.uplink_bits == expected_up
         down = compress.encode_payload(
-            server.theta, server.downlink_scheme, r=8, tau_lowrank=0.0
+            server.theta, server.cfg.downlink_scheme, r=8, tau_lowrank=0.0
         )
         assert rec.downlink_bits == len(clients) * compress.payload_bits(down)
 
@@ -513,15 +552,6 @@ class TestVariantKnobs:
         server = make_server(theta0, p=1.0)
         fedcore.run_round(server, clients)
         assert any(v.any() for c in clients for v in c.h.values())
-
-    def test_stochastic_uplink_is_seed_deterministic(self):
-        def run_once():
-            theta0, clients = make_clients(quantize_mode="stochastic", seed=3)
-            server = make_server(theta0, seed=3, p=1.0)
-            recs = [fedcore.run_round(server, clients) for _ in range(4)]
-            return [dataclasses.asdict(r) for r in recs]
-
-        assert run_once() == run_once()
 
 
 class TestFedAvgReduction:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,32 @@ def small_cfg(**overrides) -> harness.ExperimentConfig:
         section, field = key.split(".")
         setattr(getattr(cfg, section), field, value)
     return harness.with_base_seed(cfg, 5)
+
+
+# Every range-checked client/server key with one value outside its range,
+# and the key as the error message names it.
+OUT_OF_RANGE = [
+    ("client.eta = 0", "client.eta"),
+    ("client.alpha = -0.1", "client.alpha"),
+    ("client.nu = -1", "client.nu"),
+    ("client.mu_prox = -1", "client.mu_prox"),
+    ("client.sparsifier = random", "client.sparsifier"),
+    ("client.cut_sparse = -0.5", "client.cut_sparse"),
+    ("client.beta = 1.5", "client.beta"),
+    ("client.local_epochs = -1", "client.local_epochs"),
+    ("client.finetune_epochs = -1", "client.finetune_epochs"),
+    ("client.batch_size = -1", "client.batch_size"),
+    ("server.p = 1.5", "server.p"),
+    ("server.rho = 0", "server.rho"),
+    ("server.tau_lowrank = -1", "server.tau_lowrank"),
+    ("server.r_bits = 33", "server.r_bits"),
+    ("server.downlink_scheme = zip", "server.downlink_scheme"),
+    ("server.dropout_a = -1", "server.dropout_a/b"),
+    ("server.dropout_b = -1", "server.dropout_a/b"),
+    ("server.dropout_a = 2", "server.dropout_a/b"),  # one Beta parameter alone
+    ("server.bandwidth_mbps = 0", "server.bandwidth_mbps"),
+    ("server.latency_ms = -1", "server.latency_ms"),
+]
 
 
 class TestParseConfig:
@@ -45,10 +73,15 @@ class TestParseConfig:
         assert cfg.run.rounds == 7
         assert cfg.client.use_correction is False
 
-    def test_out_of_range_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line, named", OUT_OF_RANGE, ids=[line.replace(" ", "") for line, _ in OUT_OF_RANGE]
+    )
+    def test_out_of_range_rejected(self, tmp_path, line, named):
+        # parse_config is the only range check on the client and server
+        # sections; the records fedcore runs on have none of their own.
         path = tmp_path / "bad.cfg"
-        path.write_text("server.p = 1.5\n")
-        with pytest.raises(ConfigError):
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=re.escape(named)):
             harness.parse_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
