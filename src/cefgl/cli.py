@@ -1,7 +1,7 @@
 """Command-line surface: run, sweep, inspect, make-fixture.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime divergence,
-4 input/output failure.
+4 input/output failure (malformed dataset files included).
 """
 
 from __future__ import annotations

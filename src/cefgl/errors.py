@@ -25,15 +25,19 @@ class MalformedPayload(CefglError):
     pass
 
 
-class MissingFile(CefglError):
+class IoError(CefglError):
     pass
 
 
-class ParseError(CefglError):
+class MissingFile(IoError):
     pass
 
 
-class IndexOutOfRange(CefglError):
+class ParseError(IoError):
+    pass
+
+
+class IndexOutOfRange(IoError):
     pass
 
 
@@ -58,8 +62,4 @@ class ConfigError(CefglError):
 
 
 class VersionMismatch(CefglError):
-    pass
-
-
-class IoError(CefglError):
     pass

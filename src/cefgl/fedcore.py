@@ -17,7 +17,9 @@ sections of a config file, as ``harness.parse_config`` fills them; its
 by a mask on the parameters themselves and never travels.
 
 Clients and the server are mutable state records; round operations mutate
-them in place and are deterministic given the states' RNG streams.
+them in place and are deterministic given the states' RNG streams.  A
+client's global view is its shared channel as the round starts, passed to
+the round's steps and never stored.
 """
 
 from __future__ import annotations
@@ -70,13 +72,14 @@ class ServerConfig:
 def apply_sparsifier(params: ModelParams, cfg: ClientConfig) -> ModelParams:
     """Zero the entries the private-channel rule drops.
 
-    ``threshold`` keeps entries with ``|v| >= cut_sparse``; ``topk`` keeps the
+    ``threshold`` keeps entries unless ``|v| < cut_sparse``, so NaN and Inf
+    survive for the finiteness check to catch; ``topk`` keeps the
     ``ceil(beta * size)`` largest magnitudes across all matrices, the smaller
     flat index (matrices in dict order) winning ties.
     """
     flat = np.concatenate([v.ravel() for v in params.values()])
     if cfg.sparsifier == "threshold":
-        keep = np.abs(flat) >= cfg.cut_sparse
+        keep = ~(np.abs(flat) < cfg.cut_sparse)
     else:
         nonzero = np.nonzero(flat)[0]
         # Descending magnitude, then ascending flat index.
@@ -94,21 +97,19 @@ def apply_sparsifier(params: ModelParams, cfg: ClientConfig) -> ModelParams:
 
 @dataclass
 class ClientState:
-    """One client's channels, correction term, global view and data."""
+    """One client's channels, correction term and data."""
 
     id: int
     w: ModelParams
     s: ModelParams
     h: ModelParams
-    theta_view: ModelParams
     train: GraphDataset
-    val: GraphDataset
     test: GraphDataset
     cfg: ClientConfig
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
     def __post_init__(self):
-        for other in (self.s, self.h, self.theta_view):
+        for other in (self.s, self.h):
             gnn.check_congruent(self.w, other)
 
 
@@ -179,22 +180,20 @@ def _check_finite(params: ModelParams, who: str) -> None:
         raise DivergenceDetected(f"{who} produced non-finite parameters (lower eta)")
 
 
-def local_train_round(c: ClientState) -> int:
-    """Run the configured local epochs on the shared channel; returns the
-    number of steps taken."""
+def local_train_round(c: ClientState, view: ModelParams) -> int:
+    """Run the configured local epochs on the shared channel, pulled toward
+    the global view; returns the number of steps taken."""
     steps = 0
     for _ in range(c.cfg.local_epochs):
         for batch in _batches(c):
             _, grads = gnn.loss_and_grad(c.w, batch)
-            c.w = lowrank_channel_step(
-                c.w, grads, c.h, c.theta_view, c.cfg.eta, c.cfg.alpha
-            )
+            c.w = lowrank_channel_step(c.w, grads, c.h, view, c.cfg.eta, c.cfg.alpha)
             steps += 1
         _check_finite(c.w, f"client {c.id} local training")
     return steps
 
 
-def finetune_sparse(c: ClientState) -> ClientState:
+def finetune_sparse(c: ClientState, view: ModelParams) -> ClientState:
     """Fine-tune the private channel at (global view + private), then re-sparsify.
 
     The shared channel stays frozen; an L1 subgradient (elementwise sign,
@@ -203,7 +202,7 @@ def finetune_sparse(c: ClientState) -> ClientState:
     for _ in range(c.cfg.finetune_epochs):
         for batch in _batches(c):
             # d(loss at view + s)/ds equals the gradient at the sum.
-            _, grads = gnn.loss_and_grad(gnn.combine(c.theta_view, c.s), batch)
+            _, grads = gnn.loss_and_grad(gnn.combine(view, c.s), batch)
             stepped = {
                 k: c.s[k] - c.cfg.eta * (grads[k] + c.cfg.nu * np.sign(c.s[k]))
                 for k in c.s
@@ -213,7 +212,7 @@ def finetune_sparse(c: ClientState) -> ClientState:
     return c
 
 
-def update_correction(c: ClientState, steps: int) -> ClientState:
+def update_correction(c: ClientState, view: ModelParams, steps: int) -> ClientState:
     """Accumulate (global view - new shared channel) / (eta * steps) into the
     correction term, ``steps`` being the local steps of this round.
 
@@ -224,7 +223,7 @@ def update_correction(c: ClientState, steps: int) -> ClientState:
     """
     if steps:
         scale = c.cfg.eta * steps
-        c.h = {k: c.h[k] + (c.theta_view[k] - c.w[k]) / scale for k in c.h}
+        c.h = {k: c.h[k] + (view[k] - c.w[k]) / scale for k in c.h}
     _check_finite(c.h, f"client {c.id} correction update")
     return c
 
@@ -322,14 +321,14 @@ def _sample_participants(server: ServerState, ids: Sequence[int]) -> List[int]:
 
 def _round_metrics(clients: Sequence[ClientState]) -> Tuple[List[float], List[float], float]:
     """Per-client loss on train data and accuracy on held-out data, both at
-    the personalized model (global view + private channel).
+    the personalized model (shared channel + private channel).
 
     Tiny shards fall back from the test split to the train split; clients
     holding no data at all report zeros.
     """
     losses, accs, density = [], [], []
     for c in clients:
-        personalized = gnn.combine(c.theta_view, c.s)
+        personalized = gnn.combine(c.w, c.s)
         held_out = c.test if len(c.test) else c.train
         train_loss = gnn.evaluate(personalized, c.train)[1] if len(c.train) else 0.0
         acc = gnn.evaluate(personalized, held_out)[0] if len(held_out) else 0.0
@@ -348,11 +347,12 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
     """One full protocol round; mutates the server and client states.
 
     Coin first, then sampling, then dropout.  Survivors train both channels
-    and update their correction terms.  On a communicated round they build
-    their uplinks, and the server aggregates, re-compresses and broadcasts
-    to every client (which adopt the decoded model as both global view and
-    shared channel); on a skipped round nothing is encoded or billed and
-    each client's view becomes its own shared channel.
+    against their view (the shared channel as the round starts) and update
+    their correction terms.  On a communicated round they build their
+    uplinks, and the server aggregates, re-compresses and broadcasts to
+    every client, which adopt the decoded model as their shared channel; on
+    a skipped round nothing is encoded or billed and each client keeps its
+    own shared channel.
     """
     cfg = server.cfg
     clients = sorted(clients, key=lambda c: c.id)
@@ -369,11 +369,12 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
 
     for cid in survivors:
         c = by_id[cid]
-        steps = local_train_round(c) if c.cfg.local_epochs > 0 else 0
+        view = c.w  # every step rebinds c.w, so this stays the round-start model
+        steps = local_train_round(c, view) if c.cfg.local_epochs > 0 else 0
         if c.cfg.finetune_epochs > 0:
-            finetune_sparse(c)
+            finetune_sparse(c, view)
         if c.cfg.use_correction and not c.cfg.proxskip_h:
-            update_correction(c, steps)
+            update_correction(c, view, steps)
 
     stats = _AggregateStats(rank_ratio=None, param_ratio=None)
     if communicate:
@@ -400,12 +401,9 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
                 scale = cfg.p / c.cfg.eta
                 c.h = {k: c.h[k] + scale * (decoded[k] - c.w[k]) for k in c.h}
                 _check_finite(c.h, f"client {c.id} correction update")
-            c.theta_view = gnn.clone_params(decoded)
             c.w = gnn.clone_params(decoded)
     else:
         uplink_bits = downlink_bits = messages = 0
-        for c in clients:
-            c.theta_view = gnn.clone_params(c.w)
 
     losses, accs, density = _round_metrics(clients)
     record = RoundRecord(

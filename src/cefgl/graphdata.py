@@ -99,7 +99,6 @@ class ClientPartition:
     """Disjoint index assignments of a dataset pool to clients."""
 
     assignments: Dict[int, Tuple[int, ...]]
-    mode: str
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +106,11 @@ class ClientPartition:
 
 
 def _read_lines(path: Path) -> List[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _parse_int(token: str, path: Path, lineno: int) -> int:
@@ -198,9 +200,12 @@ def load_tu_dataset(dir_path) -> GraphDataset:
         rows = []
         for lineno, line in enumerate(_read_lines(attributes_path), start=1):
             try:
-                rows.append([float(tok) for tok in line.split(",")])
+                row = [float(tok) for tok in line.split(",")]
             except ValueError as exc:
                 raise ParseError(f"{attributes_path.name}:{lineno}: bad attribute row") from exc
+            if not all(math.isfinite(v) for v in row):
+                raise ParseError(f"{attributes_path.name}:{lineno}: non-finite attribute")
+            rows.append(row)
         if len(rows) != n_nodes:
             raise ParseError(f"{attributes_path.name}: {len(rows)} rows for {n_nodes} nodes")
         widths = {len(row) for row in rows}
@@ -392,10 +397,7 @@ def partition_clients(
     if mode == MODE_CROSS_DATASET:
         if len(pool) != k:
             raise BadMode(f"cross_dataset needs exactly {k} datasets, got {len(pool)}")
-        return ClientPartition(
-            assignments={i: tuple(range(len(pool[i]))) for i in range(k)},
-            mode=mode,
-        )
+        return ClientPartition({i: tuple(range(len(pool[i]))) for i in range(k)})
     if mode not in (MODE_IID, MODE_LABEL_SKEW):
         raise BadMode(f"unknown partition mode {mode!r}")
     if len(pool) != 1:
@@ -417,10 +419,7 @@ def partition_clients(
             cuts = (np.cumsum(proportions) * len(idx)).astype(int)[:-1]
             for cid, chunk in enumerate(np.split(idx, cuts)):
                 shares[cid].extend(chunk)
-    return ClientPartition(
-        assignments={cid: tuple(sorted(int(i) for i in shares[cid])) for cid in range(k)},
-        mode=mode,
-    )
+    return ClientPartition({cid: tuple(sorted(int(i) for i in shares[cid])) for cid in range(k)})
 
 
 def pad_to_common(pool: Sequence[GraphDataset]) -> List[GraphDataset]:

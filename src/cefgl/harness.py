@@ -33,7 +33,7 @@ log = logging.getLogger("cefgl")
 
 SEED_ENV_VAR = "CEFGL_SEED"
 CHECKPOINT_MAGIC = b"CFCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ALGORITHMS = ("cefgl", "fedavg", "fedprox")
 ABLATIONS = ("full", "w_only", "s_only")
@@ -307,16 +307,15 @@ def build_simulation(
     for cid in range(cfg.run.clients):
         source = pool[cid] if cfg.data.partition == graphdata.MODE_CROSS_DATASET else pool[0]
         local = source.subset(partition.assignments[cid], name=f"client{cid}")
-        train, val, test = graphdata.split_dataset(local, ratios, cfg.seeds.data + 1000 + cid)
+        # The val split is held out but nothing scores it.
+        train, _, test = graphdata.split_dataset(local, ratios, cfg.seeds.data + 1000 + cid)
         clients.append(
             ClientState(
                 id=cid,
                 w=gnn.clone_params(theta0),
                 s=gnn.zeros_like_params(theta0),
                 h=gnn.zeros_like_params(theta0),
-                theta_view=gnn.clone_params(theta0),
                 train=train,
-                val=val,
                 test=test,
                 cfg=client_cfg,
                 rng=np.random.default_rng([cfg.seeds.data, 2000 + cid]),
@@ -508,25 +507,25 @@ def load_summary(directory) -> RunSummary:
 
 
 def save_checkpoint(states, path) -> None:
-    """Serialize any picklable training state with a version header."""
-    payload = pickle.dumps(states, protocol=pickle.HIGHEST_PROTOCOL)
+    """Stream any picklable training state to disk after a version header."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        fh.write(payload)
+        pickle.dump(states, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def load_checkpoint(path):
     p = Path(path)
     if not p.is_file():
         raise IoError(f"checkpoint {p} does not exist")
-    blob = p.read_bytes()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise VersionMismatch(f"{p} is not a checkpoint file")
-    (version,) = struct.unpack("<H", blob[4:6])
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatch(f"checkpoint version {version} != {CHECKPOINT_VERSION}")
-    return pickle.loads(blob[6:])
+    with open(p, "rb") as fh:
+        header = fh.read(6)
+        if len(header) < 6 or header[:4] != CHECKPOINT_MAGIC:
+            raise VersionMismatch(f"{p} is not a checkpoint file")
+        (version,) = struct.unpack("<H", header[4:])
+        if version != CHECKPOINT_VERSION:
+            raise VersionMismatch(f"checkpoint version {version} != {CHECKPOINT_VERSION}")
+        return pickle.load(fh)
 
 
 def run_and_persist(cfg: ExperimentConfig, out_dir=None) -> RunSummary:

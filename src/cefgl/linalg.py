@@ -42,10 +42,6 @@ class SvdResult:
     sigma: np.ndarray
     v: Matrix
 
-    @property
-    def k(self) -> int:
-        return len(self.sigma)
-
 
 def svd(a) -> SvdResult:
     """Thin singular value decomposition of a dense real matrix.

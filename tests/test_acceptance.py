@@ -192,16 +192,14 @@ def _reduction_clients(seed):
     clients = []
     for cid in range(2):
         local = ds.subset(part.assignments[cid])
-        train, val, test = graphdata.split_dataset(local, (0.8, 0.1, 0.1), seed=cid)
+        train, _, test = graphdata.split_dataset(local, (0.8, 0.1, 0.1), seed=cid)
         clients.append(
             fedcore.ClientState(
                 id=cid,
                 w=gnn.clone_params(theta0),
                 s=gnn.zeros_like_params(theta0),
                 h=gnn.zeros_like_params(theta0),
-                theta_view=gnn.clone_params(theta0),
                 train=train,
-                val=val,
                 test=test,
                 cfg=cfg,
                 rng=np.random.default_rng(cid),

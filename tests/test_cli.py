@@ -1,3 +1,5 @@
+import pytest
+
 from cefgl import cli, graphdata
 
 
@@ -71,6 +73,32 @@ class TestCli:
         assert code == cli.EXIT_OK
         assert (out / "r_bits=4" / "rounds.jsonl").is_file()
         assert (out / "r_bits=8" / "rounds.jsonl").is_file()
+
+    @pytest.mark.parametrize(
+        "breakage, named",
+        [
+            ("non_utf8", "FIXTURE_graph_labels.txt"),
+            ("nan_attribute", "FIXTURE_node_attributes.txt:3"),
+            ("missing_labels", "FIXTURE_graph_labels.txt"),
+            ("bad_edge_line", "FIXTURE_A.txt:1"),
+        ],
+    )
+    def test_malformed_tu_dataset_exit_code(self, tmp_path, capsys, breakage, named):
+        root = graphdata.write_tu_fixture(tmp_path / "tu")
+        if breakage == "non_utf8":
+            (root / "FIXTURE_graph_labels.txt").write_bytes(b"1\n\xff\n")
+        elif breakage == "nan_attribute":
+            (root / "FIXTURE_node_attributes.txt").write_text("1\n1\nnan\n1\n1\n")
+        elif breakage == "missing_labels":
+            (root / "FIXTURE_graph_labels.txt").unlink()
+        else:
+            (root / "FIXTURE_A.txt").write_text("1, 2, 3\n")
+        cfg = write_config(
+            tmp_path, BASE_CONFIG + f"data.source = tu\ndata.tu_path = {root}\n"
+        )
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "i/o error" in err and named in err
 
     def test_make_fixture_then_load(self, tmp_path):
         target = tmp_path / "fixture"

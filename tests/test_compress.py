@@ -133,8 +133,10 @@ class TestSparsify:
         return fedcore.apply_sparsifier({"m": m}, cfg)["m"]
 
     def test_threshold_zero_keeps_all_nonzeros(self):
-        m = np.array([[0.5, 0.0], [-0.2, 1.0]])
-        assert np.array_equal(self.threshold(m, 0.0), m)
+        # NaN and Inf are kept, so the finiteness check downstream sees them.
+        for m in ([[0.5, 0.0], [-0.2, 1.0]], [[np.nan, 1.0, np.inf]]):
+            m = np.array(m)
+            assert np.array_equal(self.threshold(m, 0.0), m, equal_nan=True)
 
     def test_threshold_drops_small_magnitudes(self):
         m = np.array([[0.5, -0.01], [0.0, 2.0]])
@@ -144,8 +146,9 @@ class TestSparsify:
         assert not self.threshold(np.ones((3, 3)), 1e300).any()
 
     def test_topk_full_k_is_identity_support(self):
-        m = np.array([[1.0, 0.0], [-2.0, 3.0]])
-        assert np.array_equal(self.topk(m, 4), m)
+        for m in ([[1.0, 0.0], [-2.0, 3.0]], [[np.nan, 1.0, np.inf]]):
+            m = np.array(m)
+            assert np.array_equal(self.topk(m, m.size), m, equal_nan=True)
 
     def test_topk_zero_is_empty(self):
         assert not self.topk(np.ones((2, 2)), 0).any()

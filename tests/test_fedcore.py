@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -22,16 +23,14 @@ def make_clients(n_clients=2, n_graphs=20, seed=0, hidden=4, noise=0.4, **cfg_kw
     clients = []
     for cid in range(n_clients):
         local = ds.subset(part.assignments[cid])
-        train, val, test = graphdata.split_dataset(local, (0.8, 0.1, 0.1), seed=seed + cid)
+        train, _, test = graphdata.split_dataset(local, (0.8, 0.1, 0.1), seed=seed + cid)
         clients.append(
             ClientState(
                 id=cid,
                 w=gnn.clone_params(theta0),
                 s=gnn.zeros_like_params(theta0),
                 h=gnn.zeros_like_params(theta0),
-                theta_view=gnn.clone_params(theta0),
                 train=train,
-                val=val,
                 test=test,
                 cfg=cfg,
                 rng=np.random.default_rng([seed, cid]),
@@ -128,7 +127,7 @@ class TestLocalSteps:
         for _ in range(3):
             _, grads = gnn.loss_and_grad(expected, c.train.graphs)
             expected = {k: expected[k] - c.cfg.eta * grads[k] for k in expected}
-        fedcore.local_train_round(c)
+        fedcore.local_train_round(c, c.w)
         assert max_rel_frob(c.w, expected) <= 1e-12
         del reference
 
@@ -155,10 +154,10 @@ class TestLocalSteps:
         assert np.allclose(out["m"], expected, atol=1e-15)
 
     def test_divergence_detection(self):
-        _, clients = make_clients(n_clients=1, eta=1e9, local_epochs=2)
+        theta0, clients = make_clients(n_clients=1, eta=1e9, local_epochs=2)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceDetected):
             for _ in range(50):
-                fedcore.local_train_round(clients[0])
+                fedcore.local_train_round(clients[0], theta0)
 
 
 class TestFinetune:
@@ -166,7 +165,7 @@ class TestFinetune:
         _, clients = make_clients(n_clients=1, finetune_epochs=0)
         c = clients[0]
         before = gnn.clone_params(c.s)
-        fedcore.finetune_sparse(c)
+        fedcore.finetune_sparse(c, c.w)
         for k in before:
             assert np.array_equal(c.s[k], before[k])
 
@@ -181,9 +180,9 @@ class TestFinetune:
         c = clients[0]
         expected = gnn.zeros_like_params(c.s)
         for _ in range(2):
-            _, grads = gnn.loss_and_grad(gnn.combine(c.theta_view, expected), c.train.graphs)
+            _, grads = gnn.loss_and_grad(gnn.combine(c.w, expected), c.train.graphs)
             expected = {k: expected[k] - c.cfg.eta * grads[k] for k in expected}
-        fedcore.finetune_sparse(c)
+        fedcore.finetune_sparse(c, c.w)
         assert max_rel_frob(c.s, expected) <= 1e-12
 
     def test_beta_zero_keeps_s_all_zero(self):
@@ -192,8 +191,18 @@ class TestFinetune:
         )
         c = clients[0]
         for _ in range(3):
-            fedcore.finetune_sparse(c)
+            fedcore.finetune_sparse(c, c.w)
         assert all(not v.any() for v in c.s.values())
+
+    def test_nan_private_channel_is_divergence(self):
+        # The sparsifier keeps NaN, so fine-tuning reports it instead of
+        # zeroing the private channel.
+        _, clients = make_clients(n_clients=1)
+        c = clients[0]
+        name = next(iter(c.s))
+        c.s[name][0, 0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceDetected):
+            fedcore.finetune_sparse(c, c.w)
 
     def test_sparsifier_postcondition_after_each_epoch(self):
         _, clients = make_clients(
@@ -202,7 +211,7 @@ class TestFinetune:
         c = clients[0]
         total = sum(v.size for v in c.s.values())
         for _ in range(4):
-            fedcore.finetune_sparse(c)
+            fedcore.finetune_sparse(c, c.w)
             nnz = sum(int(np.count_nonzero(v)) for v in c.s.values())
             assert nnz <= math.ceil(0.2 * total)
 
@@ -211,10 +220,10 @@ class TestCorrection:
     def test_fixed_point_when_w_equals_view(self):
         _, clients = make_clients(n_clients=1)
         c = clients[0]
-        c.w = gnn.clone_params(c.theta_view)
+        view = gnn.clone_params(c.w)
         c.h = {k: np.full_like(v, 0.25) for k, v in c.h.items()}
         before = gnn.clone_params(c.h)
-        fedcore.update_correction(c, steps=1)
+        fedcore.update_correction(c, view, steps=1)
         for k in before:
             assert np.array_equal(c.h[k], before[k])
 
@@ -223,9 +232,10 @@ class TestCorrection:
         for steps in (0, 1, 4):
             _, clients = make_clients(n_clients=1, eta=1.0)
             c = clients[0]
-            delta = {k: np.full_like(v, 0.5) for k, v in c.w.items()}
-            c.w = {k: c.theta_view[k] - delta[k] for k in c.w}
-            fedcore.update_correction(c, steps)
+            view = c.w
+            delta = {k: np.full_like(v, 0.5) for k, v in view.items()}
+            c.w = {k: view[k] - delta[k] for k in view}
+            fedcore.update_correction(c, view, steps)
             for k in delta:
                 expected = delta[k] / steps if steps else np.zeros_like(delta[k])
                 assert np.allclose(c.h[k], expected, atol=1e-15)
@@ -253,15 +263,16 @@ class TestCorrection:
             fedcore.run_round(server, clients)
         assert gnn.params_finite(server.theta)
         for c in clients:
-            assert all(gnn.params_finite(x) for x in (c.w, c.s, c.h, c.theta_view))
+            assert all(gnn.params_finite(x) for x in (c.w, c.s, c.h))
 
     def test_two_identical_rounds_accumulate(self):
         _, clients = make_clients(n_clients=1, eta=0.5)
         c = clients[0]
-        delta = {k: np.full_like(v, 0.2) for k, v in c.w.items()}
-        c.w = {k: c.theta_view[k] - delta[k] for k in c.w}
-        fedcore.update_correction(c, steps=1)
-        fedcore.update_correction(c, steps=1)
+        view = c.w
+        delta = {k: np.full_like(v, 0.2) for k, v in view.items()}
+        c.w = {k: view[k] - delta[k] for k in view}
+        fedcore.update_correction(c, view, steps=1)
+        fedcore.update_correction(c, view, steps=1)
         for k in delta:
             assert np.allclose(c.h[k], 2.0 * delta[k] / 0.5, atol=1e-12)
 
@@ -400,11 +411,15 @@ class TestRunRound:
             assert rec.wall_time == 0.0
 
     def test_skip_rounds_point_view_at_own_weights(self):
+        # A skipped round leaves each client on its own trained shared
+        # channel, which is the next round's view.
         theta0, clients = make_clients()
+        replay = copy.deepcopy(clients)
         server = make_server(theta0, p=0.0)
         fedcore.run_round(server, clients)
-        for c in clients:
-            assert max_rel_frob(c.theta_view, c.w) == 0.0
+        for c, r in zip(clients, replay):
+            fedcore.local_train_round(r, r.w)
+            assert max_rel_frob(c.w, r.w) == 0.0
 
     def test_communicated_round_syncs_every_client(self):
         theta0, clients = make_clients(n_clients=3, n_graphs=24)
@@ -412,8 +427,13 @@ class TestRunRound:
         server = make_server(theta0, p=1.0, rho=0.3, r_bits=32, tau_lowrank=0.0)
         rec = fedcore.run_round(server, clients)
         assert len(rec.participants) == 1
+        decoded = compress.decode_payload(
+            compress.encode_payload(
+                server.theta, server.cfg.downlink_scheme, r=32, tau_lowrank=0.0
+            )
+        )
         for c in clients:
-            assert max_rel_frob(c.theta_view, c.w) == 0.0
+            assert max_rel_frob(c.w, decoded) == 0.0
             assert max_rel_frob(c.w, server.theta) <= 1e-6
 
     def test_rho_sampling_count(self):
@@ -504,9 +524,7 @@ class TestBaselines:
             w=gnn.clone_params(base.w),
             s=gnn.zeros_like_params(base.w),
             h=gnn.zeros_like_params(base.w),
-            theta_view=gnn.clone_params(base.theta_view),
             train=base.train,
-            val=base.val,
             test=base.test,
             cfg=base.cfg,
             rng=np.random.default_rng(0),
@@ -525,19 +543,19 @@ class TestBaselines:
         _, grads = gnn.loss_and_grad(w0, c.train.graphs)
         plain = {k: w0[k] - c.cfg.eta * grads[k] for k in w0}
 
-        fedcore.local_train_round(c)  # mu = 0
+        fedcore.local_train_round(c, w0)  # mu = 0
         assert max_rel_frob(c.w, plain) <= 1e-12
 
         # theta = w reduces to the plain step regardless of mu.
         c.w = gnn.clone_params(w0)
         c.cfg = dataclasses.replace(c.cfg, alpha=3.0)
-        fedcore.local_train_round(c)
+        fedcore.local_train_round(c, w0)
         assert max_rel_frob(c.w, plain) <= 1e-12
 
         # Away from theta the pull is mu * (theta - w) per unit step.
         c.w = gnn.clone_params(w0)
-        c.theta_view = {k: v + 1.0 for k, v in w0.items()}
-        fedcore.local_train_round(c)
+        shifted = {k: v + 1.0 for k, v in w0.items()}
+        fedcore.local_train_round(c, shifted)
         expected = {k: plain[k] + c.cfg.eta * 3.0 for k in plain}
         assert max_rel_frob(c.w, expected) <= 1e-12
 

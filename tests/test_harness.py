@@ -296,6 +296,10 @@ class TestPersistence:
         path.write_bytes(blob[:4] + b"\x63\x00" + blob[6:])
         with pytest.raises(VersionMismatch):
             harness.load_checkpoint(path)
+        # Version 1 stored the round-start view and val split per client.
+        path.write_bytes(blob[:4] + b"\x01\x00" + blob[6:])
+        with pytest.raises(VersionMismatch):
+            harness.load_checkpoint(path)
 
     def test_run_and_persist_writes_standard_layout(self, tmp_path):
         cfg = small_cfg()
