@@ -6,14 +6,18 @@ Three schemes are supported for a named set of matrices:
 * ``quantized``: sign bit plus an r-bit magnitude level per element, scaled
   by the tensor's L2 norm.
 * ``lowrank_quantized``: singular-value truncation first, then quantized
-  left/right factors plus the retained singular values.
+  left/right factors; the left factor carries the singular values.
 
-Wire format (little-endian): magic ``CFP1``, version u16, scheme u8, tensor
-count u16; per tensor: name length u16 + UTF-8 name, rows u32, cols u32,
-then the scheme-specific body.  A body consisting of the single flag byte
-0xFF marks an all-zero tensor (quantized schemes only; a zero tensor has no
-L2 norm to quantize against).  The decoder refuses payloads that declare
-more than ``_MAX_WIRE_ELEMENTS`` values in total.
+Wire format version 2 (little-endian): magic ``CFP1``, version u16, scheme
+u8, tensor count u16; per tensor: name length u16 + UTF-8 name, rows u32,
+cols u32, then the scheme-specific body.  A quantized segment is bit width
+u8, norm f64, sign bits, then level bits; bit width 0 alone marks an
+all-zero tensor (a zero tensor has no L2 norm to quantize against).  A
+low-rank body is rank u16 followed by the left and right factor segments;
+rank 0 alone marks an all-zero matrix.  Matrices with a unit dimension
+travel as one quantized segment under both quantized schemes.  The decoder
+refuses payloads that declare more than ``_MAX_WIRE_ELEMENTS`` values in
+total.
 
 Only the shared channel and the correction term travel; the private sparse
 channel stays on its client, so no sparse encoding is defined here.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from . import linalg
 from .errors import BadBits, MalformedPayload, NonFiniteInput, ZeroVector
 
 MAGIC = b"CFP1"
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 SCHEME_DENSE = "dense"
 SCHEME_QUANTIZED = "quantized"
@@ -39,14 +43,10 @@ SCHEME_LOWRANK = "lowrank_quantized"
 _SCHEME_CODES = {SCHEME_DENSE: 0, SCHEME_QUANTIZED: 1, SCHEME_LOWRANK: 2}
 _SCHEME_NAMES = {v: k for k, v in _SCHEME_CODES.items()}
 
-_ZERO_BODY = 0xFF
-# Keeps the 0xFF zero-tensor marker distinguishable from the low byte of the
-# rank field in low-rank bodies.
-_MAX_WIRE_RANK = 0xFE
-# Zero-marker and low-rank bodies expand far beyond their wire size, so the
-# bytes that remain cannot bound what a payload decodes to; this cap (128 MiB
-# of float64) does.  Every other body is read only after the reader has
-# checked that its bytes are present.
+# Zero and low-rank bodies expand far beyond their wire size, so the bytes
+# that remain cannot bound what a payload decodes to; this cap (128 MiB of
+# float64) does.  Every other body is read only after the reader has checked
+# that its bytes are present.
 _MAX_WIRE_ELEMENTS = 1 << 24
 
 
@@ -64,22 +64,10 @@ class QuantizedVector:
     signs: np.ndarray  # uint8, 1 for negative coordinates
     levels: np.ndarray  # uint64 in [0, 2**r - 1]
 
-    def __len__(self) -> int:
-        return len(self.levels)
 
-
-def quantize(
-    x,
-    r: int,
-    mode: str = "deterministic",
-    rng: Optional[np.random.Generator] = None,
-) -> QuantizedVector:
-    """Quantize a nonzero vector to sign bits and r-bit magnitude levels.
-
-    Deterministic mode rounds ``2**r * |x_i| / ||x||`` to the nearest level;
-    stochastic mode rounds up or down with probabilities that make the
-    dequantized value unbiased.  The stochastic path draws from ``rng``.
-    """
+def quantize(x, r: int) -> QuantizedVector:
+    """Quantize a nonzero vector to sign bits and r-bit magnitude levels,
+    rounding ``2**r * |x_i| / ||x||`` to the nearest level."""
     if not 1 <= int(r) <= 32:
         raise BadBits(f"r must be in [1, 32], got {r}")
     r = int(r)
@@ -87,16 +75,7 @@ def quantize(
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ZeroVector("cannot quantize a zero (or empty) vector")
-    scaled = (float(2**r) * np.abs(vec)) / norm
-    if mode == "deterministic":
-        levels = np.rint(scaled)
-    elif mode == "stochastic":
-        if rng is None:
-            raise ValueError("stochastic quantization requires an rng stream")
-        low = np.floor(scaled)
-        levels = low + (rng.random(len(vec)) < (scaled - low))
-    else:
-        raise ValueError(f"unknown quantization mode {mode!r}")
+    levels = np.rint((float(2**r) * np.abs(vec)) / norm)
     levels = np.minimum(levels, float(2**r - 1)).astype(np.uint64)
     signs = (vec < 0).astype(np.uint8)  # exact zeros get sign bit 0
     return QuantizedVector(r=r, norm=norm, signs=signs, levels=levels)
@@ -120,16 +99,16 @@ def _unpack_levels(buf: bytes, n: int, r: int) -> np.ndarray:
 
 
 def _quant_segment(vec: np.ndarray, r: int) -> bytes:
-    """Quantized body for one flattened tensor, or the zero marker.
+    """Quantized body for one flattened tensor.
 
     ZeroVector covers both genuinely zero tensors and tensors so small that
     their norm underflows; both are legal model states and travel as the
-    marker byte.
+    single bit-width byte 0.
     """
     try:
         q = quantize(vec, r)
     except ZeroVector:
-        return bytes([_ZERO_BODY])
+        return b"\x00"
     sign_bytes = np.packbits(q.signs, bitorder="little").tobytes()
     return struct.pack("<Bd", q.r, q.norm) + sign_bytes + _pack_levels(q.levels, q.r)
 
@@ -154,22 +133,17 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def peek(self) -> int:
-        if self.pos >= len(self.blob):
-            raise MalformedPayload("truncated payload: expected a tensor body")
-        return self.blob[self.pos]
-
     def done(self) -> bool:
         return self.pos == len(self.blob)
 
 
 def _read_quant_segment(rd: _Reader, n: int) -> np.ndarray:
-    if rd.peek() == _ZERO_BODY:
-        rd.take(1)
+    (r,) = rd.unpack("<B")
+    if r == 0:
         return np.zeros(n)
-    (r, norm) = rd.unpack("<Bd")
-    if not 1 <= r <= 32:
+    if r > 32:
         raise MalformedPayload(f"quantized segment has invalid bit width {r}")
+    (norm,) = rd.unpack("<d")
     signs = np.unpackbits(
         np.frombuffer(rd.take((n + 7) // 8), dtype=np.uint8), bitorder="little", count=n
     )
@@ -181,17 +155,7 @@ def _read_quant_segment(rd: _Reader, n: int) -> np.ndarray:
 class CompressedPayload:
     """One serialized set of named tensors; ``blob`` is the wire image."""
 
-    kind: str
     blob: bytes
-
-    def to_bytes(self) -> bytes:
-        return self.blob
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "CompressedPayload":
-        """Validate a wire image and wrap it; raises MalformedPayload."""
-        kind = _validate_blob(blob)
-        return cls(kind=kind, blob=blob)
 
 
 def payload_bits(p: CompressedPayload) -> int:
@@ -229,30 +193,19 @@ def encode_payload(
             parts.append(_quant_segment(mat.ravel(), r))
         else:
             parts.append(_lowrank_body(mat, r, tau_lowrank))
-    return CompressedPayload(kind=scheme, blob=b"".join(parts))
+    return CompressedPayload(b"".join(parts))
 
 
 def _lowrank_body(mat: np.ndarray, r: int, tau: float) -> bytes:
     if min(mat.shape) == 1:
         return _quant_segment(mat.ravel(), r)
-    if not np.any(mat):
-        return bytes([_ZERO_BODY])
     dec = linalg.svd(mat)
-    _, rank = linalg.lowrank_truncate(dec, "relative", tau)
-    if rank == 0:
-        return bytes([_ZERO_BODY])
-    if rank > _MAX_WIRE_RANK:
-        raise ValueError(f"retained rank {rank} exceeds the wire format limit")
-    left = dec.u[:, :rank] * dec.sigma[:rank]
-    right = dec.v[:, :rank]
-    return b"".join(
-        [
-            struct.pack("<H", rank),
-            _quant_segment(left.ravel(), r),
-            _quant_segment(right.ravel(), r),
-            dec.sigma[:rank].astype("<f8").tobytes(),
-        ]
-    )
+    _, rank = linalg.lowrank_truncate(dec, "relative", tau)  # 0 for a zero matrix
+    body = struct.pack("<H", rank)
+    if rank:
+        body += _quant_segment((dec.u[:, :rank] * dec.sigma[:rank]).ravel(), r)
+        body += _quant_segment(dec.v[:, :rank].ravel(), r)
+    return body
 
 
 def _walk(blob: bytes) -> Iterator[Tuple[str, np.ndarray]]:
@@ -294,15 +247,13 @@ def _walk(blob: bytes) -> Iterator[Tuple[str, np.ndarray]]:
 def _read_lowrank_body(rd: _Reader, rows: int, cols: int) -> np.ndarray:
     if min(rows, cols) == 1:
         return _read_quant_segment(rd, rows * cols)
-    if rd.peek() == _ZERO_BODY:
-        rd.take(1)
-        return np.zeros(rows * cols)
     (rank,) = rd.unpack("<H")
-    if rank == 0 or rank > min(rows, cols):
+    if rank > min(rows, cols):
         raise MalformedPayload(f"invalid retained rank {rank} for {rows}x{cols}")
+    if rank == 0:
+        return np.zeros(rows * cols)
     left = _read_quant_segment(rd, rows * rank).reshape(rows, rank)
     right = _read_quant_segment(rd, cols * rank).reshape(cols, rank)
-    rd.take(8 * rank)  # singular values: informational, factors carry them
     return (left @ right.T).ravel()
 
 
@@ -310,9 +261,3 @@ def decode_payload(payload) -> Dict[str, np.ndarray]:
     """Reconstruct named matrices from a payload or raw wire bytes."""
     blob = payload.blob if isinstance(payload, CompressedPayload) else bytes(payload)
     return dict(_walk(blob))
-
-
-def _validate_blob(blob: bytes) -> str:
-    for _ in _walk(blob):
-        pass
-    return _SCHEME_NAMES[blob[6]]

@@ -125,8 +125,9 @@ def load_tu_dataset(dir_path) -> GraphDataset:
 
     The directory must contain ``<DS>_A.txt``, ``<DS>_graph_indicator.txt``
     and ``<DS>_graph_labels.txt``; node features come from
-    ``<DS>_node_attributes.txt`` when present, else from one-hot encoded
-    ``<DS>_node_labels.txt``, else a constant scalar feature.
+    ``<DS>_node_attributes.txt`` when present, else from
+    ``<DS>_node_labels.txt`` one-hot over its distinct labels, else a
+    constant scalar feature.
     """
     root = Path(dir_path)
     if not root.is_dir():
@@ -221,11 +222,10 @@ def load_tu_dataset(dir_path) -> GraphDataset:
             raise ParseError(
                 f"{node_labels_path.name}: {len(node_labels)} rows for {n_nodes} nodes"
             )
-        if min(node_labels) < 0:
-            raise ParseError(f"{node_labels_path.name}: node labels must be >= 0")
-        dim = max(node_labels) + 1
-        features = np.zeros((n_nodes, dim))
-        features[np.arange(n_nodes), node_labels] = 1.0
+        # One column per distinct label, as graph labels are remapped below.
+        distinct, column = np.unique(node_labels, return_inverse=True)
+        features = np.zeros((n_nodes, len(distinct)))
+        features[np.arange(n_nodes), column] = 1.0
     else:
         features = np.ones((n_nodes, 1))
 

@@ -170,8 +170,13 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     require(r.rounds >= 1, "run.rounds: must be >= 1")
     require(r.clients >= 1, "run.clients: must be >= 1")
     require(r.hidden >= 1, "run.hidden: must be >= 1")
-    for motif in cfg.data.motifs.split(","):
-        require(motif.strip() in graphdata.MOTIFS, f"data.motifs: unknown motif {motif!r}")
+    motifs = _motif_tuple(cfg)
+    for motif in motifs:
+        require(motif in graphdata.MOTIFS, f"data.motifs: unknown motif {motif!r}")
+    require(len(set(motifs)) == len(motifs), "data.motifs: each motif may appear once")
+    require(d.n_graphs >= len(motifs), f"data.n_graphs: must be >= the {len(motifs)} motifs")
+    for name, seed in dataclasses.asdict(cfg.seeds).items():
+        require(seed >= 0, f"seeds.{name}: must be >= 0")
     return cfg
 
 
@@ -204,8 +209,10 @@ def parse_config(path) -> ExperimentConfig:
     if env_seed is not None:
         try:
             base = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
+        except ValueError:
+            base = -1
+        if base < 0:
+            raise ConfigError(f"{SEED_ENV_VAR} must be a non-negative integer, got {env_seed!r}")
         cfg = with_base_seed(cfg, base)
     return _validate(cfg)
 

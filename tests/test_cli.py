@@ -36,6 +36,26 @@ class TestCli:
         assert cli.main(["run", str(cfg)]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    # Values the synthetic generator or numpy's RNG would refuse once the run
+    # started; the config check refuses them first and names the key.
+    @pytest.mark.parametrize(
+        "line, env_seed, named",
+        [
+            ("data.motifs = star,star", None, "data.motifs"),
+            ("data.n_graphs = 1", None, "data.n_graphs"),
+            ("seeds.init = -1", None, "seeds.init"),
+            ("", "-3", "CEFGL_SEED"),
+        ],
+        ids=["duplicate_motif", "n_graphs_below_motifs", "negative_seed", "negative_env_seed"],
+    )
+    def test_refused_config_exit_code(self, tmp_path, monkeypatch, capsys, line, env_seed, named):
+        if env_seed is not None:
+            monkeypatch.setenv("CEFGL_SEED", env_seed)
+        cfg = write_config(tmp_path, BASE_CONFIG + line + "\n")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+
     def test_missing_config_exit_code(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "none.cfg")]) == cli.EXIT_CONFIG
 

@@ -99,23 +99,6 @@ class TestQuantize:
         )
         assert np.array_equal(compress.dequantize(q), np.zeros(4))
 
-    def test_stochastic_mode_is_unbiased(self):
-        x = np.array([0.31, -0.7, 0.12, 0.05, -0.44, 0.29, 0.9, -0.1])
-        rng = np.random.default_rng(6)
-        draws = np.stack(
-            [
-                compress.dequantize(compress.quantize(x, 3, mode="stochastic", rng=rng))
-                for _ in range(10_000)
-            ]
-        )
-        mean = draws.mean(axis=0)
-        stderr = draws.std(axis=0) / np.sqrt(draws.shape[0])
-        assert np.all(np.abs(mean - x) <= 3.0 * stderr + 1e-12)
-
-    def test_stochastic_mode_requires_rng(self):
-        with pytest.raises(ValueError):
-            compress.quantize(np.ones(3), 4, mode="stochastic")
-
 
 class TestSparsify:
     """``fedcore.apply_sparsifier``'s mask rules on a single matrix."""
@@ -225,8 +208,10 @@ class TestPayloads:
         for scheme in ("quantized", "lowrank_quantized"):
             out = compress.decode_payload(compress.encode_payload(tensors, scheme, r=8))
             assert np.array_equal(out["z"], np.zeros((4, 4)))
-        p = compress.encode_payload({"z": np.zeros((4, 4))}, "quantized", r=8)
-        assert compress.payload_bits(p) == (HEADER_BYTES + tensor_meta_bytes("z") + 1) * 8
+        # The empty case of each body: bit width 0, or rank 0.
+        for scheme, body in (("quantized", 1), ("lowrank_quantized", 2)):
+            p = compress.encode_payload({"z": np.zeros((4, 4))}, scheme, r=8)
+            assert compress.payload_bits(p) == (HEADER_BYTES + tensor_meta_bytes("z") + body) * 8
 
     def test_lowrank_reconstruction_quality(self):
         rng = np.random.default_rng(11)
@@ -234,6 +219,25 @@ class TestPayloads:
         p = compress.encode_payload({"m": base}, "lowrank_quantized", r=32, tau_lowrank=1e-6)
         out = compress.decode_payload(p)["m"]
         assert np.linalg.norm(out - base) <= 1e-6 * np.linalg.norm(base)
+
+    def test_lowrank_bit_count_is_rank_and_factors(self):
+        rng = np.random.default_rng(11)
+        base = rng.normal(size=(8, 3)) @ rng.normal(size=(3, 6))  # exactly rank 3
+        p = compress.encode_payload({"m": base}, "lowrank_quantized", r=8, tau_lowrank=1e-6)
+        expected = (
+            HEADER_BYTES + tensor_meta_bytes("m") + 2 + quant_body_bytes(8 * 3, 8)
+            + quant_body_bytes(6 * 3, 8)
+        )
+        assert expected == 88
+        assert compress.payload_bits(p) == expected * 8
+
+    def test_lowrank_rank_above_255_roundtrips(self):
+        m = np.random.default_rng(13).normal(size=(260, 260))
+        p = compress.encode_payload({"m": m}, "lowrank_quantized", r=16, tau_lowrank=1e-6)
+        start = HEADER_BYTES + tensor_meta_bytes("m")
+        assert struct.unpack("<H", p.blob[start : start + 2]) == (260,)
+        out = compress.decode_payload(p)["m"]
+        assert np.linalg.norm(out - m) <= 1e-2 * np.linalg.norm(m)
 
     def test_lowrank_truncates_before_shipping(self):
         u, v = np.ones((6, 1)), np.ones((5, 1))
@@ -249,37 +253,38 @@ class TestPayloads:
         assert np.allclose(out, bias, atol=1e-9)
 
     def test_truncated_stream_is_malformed(self):
-        blob = compress.encode_payload({"x": np.ones((2, 2))}, "dense").to_bytes()
+        blob = compress.encode_payload({"x": np.ones((2, 2))}, "dense").blob
         for cut in (1, 8, len(blob) - 1):
             with pytest.raises(MalformedPayload):
                 compress.decode_payload(blob[:cut])
 
     def test_bad_magic_and_version(self):
-        blob = compress.encode_payload({"x": np.ones((1, 1))}, "dense").to_bytes()
+        blob = compress.encode_payload({"x": np.ones((1, 1))}, "dense").blob
         with pytest.raises(MalformedPayload):
             compress.decode_payload(b"XXXX" + blob[4:])
-        bad_version = blob[:4] + struct.pack("<H", 99) + blob[6:]
-        with pytest.raises(MalformedPayload):
-            compress.decode_payload(bad_version)
+        for version in (1, 99):
+            bad_version = blob[:4] + struct.pack("<H", version) + blob[6:]
+            with pytest.raises(MalformedPayload, match="version"):
+                compress.decode_payload(bad_version)
 
     def test_trailing_garbage_is_malformed(self):
-        blob = compress.encode_payload({"x": np.ones((1, 1))}, "dense").to_bytes()
+        blob = compress.encode_payload({"x": np.ones((1, 1))}, "dense").blob
         with pytest.raises(MalformedPayload):
             compress.decode_payload(blob + b"\x00")
 
     def test_oversized_declared_tensor_is_malformed(self):
         # 21 bytes declaring a (2**32-1) x (2**32-1) all-zero tensor.
-        blob = compress.MAGIC + struct.pack("<HBHH", 1, 1, 1, 1) + b"t"
-        blob += struct.pack("<II", 2**32 - 1, 2**32 - 1) + b"\xff"
+        blob = compress.MAGIC + struct.pack("<HBHH", compress.WIRE_VERSION, 1, 1, 1) + b"t"
+        blob += struct.pack("<II", 2**32 - 1, 2**32 - 1) + b"\x00"
         assert len(blob) == 21
-        with pytest.raises(MalformedPayload):
+        with pytest.raises(MalformedPayload, match="payload limit"):
             compress.decode_payload(blob)
         # The limit holds per payload: two tensors of just over half of it
         # each cannot add up past it.
         rows, cols = 2, compress._MAX_WIRE_ELEMENTS // 4 + 1
-        entry = struct.pack("<HII", 0, rows, cols) + b"\xff"
-        blob = compress.MAGIC + struct.pack("<HBH", 1, 1, 2) + entry * 2
-        with pytest.raises(MalformedPayload):
+        entry = struct.pack("<HII", 0, rows, cols) + b"\x00"
+        blob = compress.MAGIC + struct.pack("<HBH", compress.WIRE_VERSION, 1, 2) + entry * 2
+        with pytest.raises(MalformedPayload, match="payload limit"):
             compress.decode_payload(blob)
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -311,11 +316,7 @@ class TestPayloads:
                 tensors[f"t{i}"] = mat
             r = int(rng.integers(1, 33))
             payload = compress.encode_payload(tensors, scheme, r=r, tau_lowrank=0.01)
-            blob = payload.to_bytes()
-            rebuilt = compress.CompressedPayload.from_bytes(blob)
-            assert rebuilt.to_bytes() == blob
-            assert rebuilt.kind == scheme
-            decoded = compress.decode_payload(rebuilt)
+            decoded = compress.decode_payload(payload)
             assert list(decoded) == list(tensors)
             for name, mat in tensors.items():
                 assert decoded[name].shape == mat.shape

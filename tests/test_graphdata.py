@@ -101,6 +101,14 @@ class TestTuLoader:
         assert ds.graphs[0].edges == ()
         assert ds.graphs[0].label == 0  # labels remap to a dense 0-based range
 
+    def test_node_label_gaps_do_not_widen_features(self, tu_dir):
+        # One column per distinct label, not max(label) + 1 columns.
+        (tu_dir / "FIXTURE_node_labels.txt").write_text("0\n7\n7\n0\n7\n")
+        ds = graphdata.load_tu_dataset(tu_dir)
+        assert ds.feature_dim == 2
+        assert ds.graphs[0].features.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+        assert ds.graphs[1].features.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
     def test_attributes_take_precedence(self, tu_dir):
         rows = "\n".join("0.5, 1.5" for _ in range(5))
         (tu_dir / "FIXTURE_node_attributes.txt").write_text(rows + "\n")
