@@ -17,7 +17,7 @@ low-rank body is rank u16 followed by the left and right factor segments;
 rank 0 alone marks an all-zero matrix.  Matrices with a unit dimension
 travel as one quantized segment under both quantized schemes.  The decoder
 refuses payloads that declare more than ``_MAX_WIRE_ELEMENTS`` values in
-total.
+total and quantized segments whose norm is negative, infinite or NaN.
 
 Only the shared channel and the correction term travel; the private sparse
 channel stays on its client, so no sparse encoding is defined here.
@@ -25,6 +25,7 @@ channel stays on its client, so no sparse encoding is defined here.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
@@ -82,8 +83,12 @@ def quantize(x, r: int) -> QuantizedVector:
 
 
 def dequantize(q: QuantizedVector) -> np.ndarray:
-    """Reconstruct ``norm * sign_i * level_i / 2**r`` for each coordinate."""
-    magnitudes = q.norm * q.levels.astype(np.float64) / float(2**q.r)
+    """Reconstruct ``norm * sign_i * level_i / 2**r`` for each coordinate.
+
+    The level is scaled to [0, 1) before the norm multiplies it, so no
+    magnitude can overflow past a finite norm.
+    """
+    magnitudes = q.norm * (q.levels.astype(np.float64) / float(2**q.r))
     return np.where(q.signs == 1, -magnitudes, magnitudes)
 
 
@@ -144,6 +149,8 @@ def _read_quant_segment(rd: _Reader, n: int) -> np.ndarray:
     if r > 32:
         raise MalformedPayload(f"quantized segment has invalid bit width {r}")
     (norm,) = rd.unpack("<d")
+    if not 0.0 <= norm < math.inf:
+        raise MalformedPayload(f"quantized segment has invalid norm {norm!r}")
     signs = np.unpackbits(
         np.frombuffer(rd.take((n + 7) // 8), dtype=np.uint8), bitorder="little", count=n
     )

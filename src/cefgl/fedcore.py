@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import compress, gnn, linalg
 from .errors import DivergenceDetected, ShapeMismatch
 from .gnn import ModelParams
-from .graphdata import GraphDataset
+from .graphdata import GraphBatch, GraphDataset
 
 
 @dataclass
@@ -161,18 +161,19 @@ def lowrank_channel_step(
     return {k: w[k] - eta * (grads[k] - h[k]) + eta * alpha * (theta[k] - w[k]) for k in w}
 
 
-def _batches(c: ClientState) -> List[List]:
+def _batches(c: ClientState) -> Iterator[GraphBatch]:
+    """The steps of one epoch: the train split's cached batch, or with a
+    batch size below the split's a fresh batch per step in a permuted order."""
     graphs = c.train.graphs
     if not graphs:  # data-less clients sit rounds out
-        return []
+        return
     size = c.cfg.batch_size
     if size <= 0 or size >= len(graphs):
-        return [graphs]
+        yield c.train.batch
+        return
     order = c.rng.permutation(len(graphs))
-    return [
-        [graphs[i] for i in order[start : start + size]]
-        for start in range(0, len(order), size)
-    ]
+    for start in range(0, len(order), size):
+        yield GraphBatch([graphs[i] for i in order[start : start + size]])
 
 
 def _check_finite(params: ModelParams, who: str) -> None:

@@ -3,19 +3,21 @@
 The parameter record is a plain ordered dict of named float64 matrices; it
 is the unit that the federated protocol trains, compresses and aggregates.
 Layer stack: feature MLP, two message-passing layers (self plus neighbour
-sum), mean readout, linear head.
+sum), mean readout, linear head.  Every pass runs on a whole
+``graphdata.GraphBatch`` at once: one matmul per layer over the stacked
+nodes, one stacked adjacency matmul per node-count group.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .graphdata import Graph, GraphDataset
+from .graphdata import Graph, GraphBatch, GraphDataset
 
 ModelParams = Dict[str, np.ndarray]
 GradSet = Dict[str, np.ndarray]
@@ -91,84 +93,99 @@ def _relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def _forward_trace(p: ModelParams, g: Graph):
-    x = g.features
+def _self_plus_neighbours(batch: GraphBatch, x: np.ndarray) -> np.ndarray:
+    """Each node's row plus the sum of its neighbours' rows, one stacked
+    matmul per node-count group.  Adjacency is symmetric, so the backward
+    pass uses the same map."""
+    out = x.copy()
+    for grp in batch.groups:
+        block = x[grp.rows].reshape(len(grp.positions), grp.n, -1)
+        out[grp.rows] += np.matmul(grp.adj, block).reshape(-1, x.shape[1])
+    return out
+
+
+def _forward_trace(p: ModelParams, batch: GraphBatch):
+    x = batch.features
     if x.shape[1] != p["mlp_w"].shape[0]:
         raise ShapeMismatch(
             f"graph features have {x.shape[1]} columns, model expects "
             f"{p['mlp_w'].shape[0]}"
         )
-    a = g.adj
     z0 = x @ p["mlp_w"] + p["mlp_b"]
-    x0 = _relu(z0)
-    m1 = x0 + a @ x0
+    m1 = _self_plus_neighbours(batch, _relu(z0))
     z1 = m1 @ p["gnn1_w"] + p["gnn1_b"]
-    x1 = _relu(z1)
-    m2 = x1 + a @ x1
+    m2 = _self_plus_neighbours(batch, _relu(z1))
     z2 = m2 @ p["gnn2_w"] + p["gnn2_b"]
     x2 = _relu(z2)
-    pooled = x2.mean(axis=0)
-    logits = pooled @ p["head_w"] + p["head_b"][0]
-    return logits, (x, a, z0, x0, m1, z1, x1, m2, z2, x2, pooled)
+    pooled = np.empty((len(batch), x2.shape[1]))
+    for grp in batch.groups:
+        nodes = x2[grp.rows].reshape(len(grp.positions), grp.n, -1)
+        pooled[grp.positions] = nodes.mean(axis=1)
+    logits = pooled @ p["head_w"] + p["head_b"]
+    return logits, (x, z0, m1, z1, m2, z2, pooled)
 
 
 def forward(p: ModelParams, g: Graph) -> np.ndarray:
     """Class logits for one graph (length C)."""
-    logits, _ = _forward_trace(p, g)
-    return logits
+    logits, _ = _forward_trace(p, GraphBatch([g]))
+    return logits[0]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - math.log(np.exp(shifted).sum())
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def loss_and_grad(p: ModelParams, batch: Sequence[Graph]) -> Tuple[float, GradSet]:
-    """Mean cross-entropy over a batch and its gradients for every parameter."""
+def _summed_loss(log_probs: np.ndarray, labels: np.ndarray) -> float:
+    """Cross-entropy summed graph after graph in batch order, as a running
+    total from 0.0 would be (so a zero loss is +0.0, not -0.0)."""
+    picked = log_probs[np.arange(len(labels)), labels]
+    return 0.0 - float(np.cumsum(picked)[-1])
+
+
+def loss_and_grad(
+    p: ModelParams, batch: Union[GraphBatch, Sequence[Graph]]
+) -> Tuple[float, GradSet]:
+    """Mean cross-entropy over a batch and its gradients for every parameter.
+
+    ``batch`` is a ``GraphBatch``, or graphs to batch first.
+    """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    grads = zeros_like_params(p)
-    total = 0.0
+    if not isinstance(batch, GraphBatch):
+        batch = GraphBatch(batch)
+    logits, (x, z0, m1, z1, m2, z2, pooled) = _forward_trace(p, batch)
+    log_probs = _log_softmax(logits)
     inv_b = 1.0 / len(batch)
-    for g in batch:
-        logits, trace = _forward_trace(p, g)
-        x, a, z0, x0, m1, z1, x1, m2, z2, x2, pooled = trace
-        log_probs = _log_softmax(logits)
-        total -= log_probs[g.label]
-        dlogits = np.exp(log_probs)
-        dlogits[g.label] -= 1.0
-        dlogits *= inv_b
+    dlogits = np.exp(log_probs)
+    dlogits[np.arange(len(batch)), batch.labels] -= 1.0
+    dlogits *= inv_b
 
-        grads["head_w"] += np.outer(pooled, dlogits)
-        grads["head_b"] += dlogits[None, :]
-        dpooled = p["head_w"] @ dlogits
-        dx2 = np.broadcast_to(dpooled / g.n, x2.shape)
-        dz2 = np.where(z2 > 0, dx2, 0.0)
-        grads["gnn2_w"] += m2.T @ dz2
-        grads["gnn2_b"] += dz2.sum(axis=0, keepdims=True)
-        dm2 = dz2 @ p["gnn2_w"].T
-        dx1 = dm2 + a @ dm2  # adjacency is symmetric
-        dz1 = np.where(z1 > 0, dx1, 0.0)
-        grads["gnn1_w"] += m1.T @ dz1
-        grads["gnn1_b"] += dz1.sum(axis=0, keepdims=True)
-        dm1 = dz1 @ p["gnn1_w"].T
-        dx0 = dm1 + a @ dm1
-        dz0 = np.where(z0 > 0, dx0, 0.0)
-        grads["mlp_w"] += x.T @ dz0
-        grads["mlp_b"] += dz0.sum(axis=0, keepdims=True)
-    return total * inv_b, grads
+    grads: GradSet = {}
+    grads["head_w"] = pooled.T @ dlogits
+    grads["head_b"] = dlogits.sum(axis=0, keepdims=True)
+    dpooled = dlogits @ p["head_w"].T
+    # The mean readout passes 1/n of its graph's gradient to every node.
+    dx2 = (dpooled / batch.sizes[:, None])[batch.node_graph]
+    dz2 = np.where(z2 > 0, dx2, 0.0)
+    grads["gnn2_w"] = m2.T @ dz2
+    grads["gnn2_b"] = dz2.sum(axis=0, keepdims=True)
+    dx1 = _self_plus_neighbours(batch, dz2 @ p["gnn2_w"].T)
+    dz1 = np.where(z1 > 0, dx1, 0.0)
+    grads["gnn1_w"] = m1.T @ dz1
+    grads["gnn1_b"] = dz1.sum(axis=0, keepdims=True)
+    dx0 = _self_plus_neighbours(batch, dz1 @ p["gnn1_w"].T)
+    dz0 = np.where(z0 > 0, dx0, 0.0)
+    grads["mlp_w"] = x.T @ dz0
+    grads["mlp_b"] = dz0.sum(axis=0, keepdims=True)
+    return _summed_loss(log_probs, batch.labels) * inv_b, {k: grads[k] for k in p}
 
 
 def evaluate(p: ModelParams, data: GraphDataset) -> Tuple[float, float]:
     """(accuracy, mean cross-entropy loss); argmax ties go to the lowest class."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    hits = 0
-    total = 0.0
-    for g in data.graphs:
-        logits = forward(p, g)
-        log_probs = _log_softmax(logits)
-        total -= log_probs[g.label]
-        if int(np.argmax(logits)) == g.label:
-            hits += 1
-    return hits / len(data), total / len(data)
+    batch = data.batch
+    logits, _ = _forward_trace(p, batch)
+    hits = int(np.count_nonzero(np.argmax(logits, axis=1) == batch.labels))
+    return hits / len(data), _summed_loss(_log_softmax(logits), batch.labels) / len(data)

@@ -1,5 +1,5 @@
 """Graph classification datasets: TU-format ingestion, synthetic generation,
-train/val/test splitting and client partitioning.
+train/val/test splitting, client partitioning and size-grouped batches.
 
 Everything here is a pure function of its inputs and an explicit seed, so
 datasets and partitions are reproducible and safely shareable.
@@ -8,7 +8,8 @@ datasets and partitions are reproducible and safely shareable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -38,7 +39,6 @@ class Graph:
     edges: Tuple[Tuple[int, int], ...]
     features: np.ndarray
     label: int
-    adj: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -56,11 +56,62 @@ class Graph:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
         self.edges = tuple(canonical)
-        adj = np.zeros((self.n, self.n))
-        for i, j in canonical:
-            adj[i, j] = 1.0
-            adj[j, i] = 1.0
-        self.adj = adj
+
+
+@dataclass
+class SizeGroup:
+    """The graphs of one node count inside a batch.
+
+    Their nodes occupy ``rows`` of the batch's feature matrix, graph after
+    graph; ``positions`` are the graphs' places in batch order and ``adj``
+    holds one symmetric n x n adjacency matrix per graph.
+    """
+
+    n: int
+    positions: np.ndarray
+    rows: slice
+    adj: np.ndarray
+
+
+class GraphBatch:
+    """Graphs as one disjoint union, grouped by node count.
+
+    Grouping lets one stacked matmul per group do every neighbour sum while
+    adjacency storage stays the sum of n_i^2 over the graphs: nothing is
+    padded to the largest graph.  ``len`` is the number of graphs;
+    ``labels`` and ``sizes`` follow batch order, and ``node_graph`` gives
+    each feature row's graph position.
+    """
+
+    def __init__(self, graphs: Sequence[Graph]):
+        if not graphs:
+            raise ValueError("a batch needs at least one graph")
+        sizes = [g.n for g in graphs]
+        self.sizes = np.array(sizes)
+        self.labels = np.array([g.label for g in graphs], dtype=np.int64)
+        self.groups: List[SizeGroup] = []
+        blocks = []
+        start = 0
+        for n in sorted(set(sizes)):  # not np.unique, which imports numpy.ma
+            positions = np.flatnonzero(self.sizes == n)
+            members = [graphs[i] for i in positions]
+            k = len(members)
+            adj = np.zeros((k, n, n))
+            slot = np.repeat(np.arange(k), [len(g.edges) for g in members])
+            ends = np.array([e for g in members for e in g.edges], dtype=np.intp)
+            ends = ends.reshape(-1, 2)
+            adj[slot, ends[:, 0], ends[:, 1]] = 1.0
+            adj[slot, ends[:, 1], ends[:, 0]] = 1.0
+            self.groups.append(SizeGroup(n, positions, slice(start, start + k * n), adj))
+            blocks += [g.features for g in members]
+            start += k * n
+        self.features = np.concatenate(blocks)
+        self.node_graph = np.concatenate(
+            [np.repeat(grp.positions, grp.n) for grp in self.groups]
+        )
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 @dataclass
@@ -81,6 +132,18 @@ class GraphDataset:
 
     def __len__(self) -> int:
         return len(self.graphs)
+
+    @cached_property
+    def batch(self) -> GraphBatch:
+        """All graphs as one batch, built on first use; ``graphs`` must not
+        change after that."""
+        return GraphBatch(self.graphs)
+
+    def __getstate__(self):
+        # Pickles (checkpoints) carry the graphs only; the batch is rebuilt.
+        state = dict(self.__dict__)
+        state.pop("batch", None)
+        return state
 
     def labels(self) -> np.ndarray:
         return np.array([g.label for g in self.graphs], dtype=np.int64)

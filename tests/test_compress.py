@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cefgl import compress, fedcore
@@ -30,6 +30,14 @@ def _fuzz_seeds():
         compress.encode_payload(tensors, scheme, r=5, tau_lowrank=0.1).blob
         for scheme in ("dense", "quantized", "lowrank_quantized")
     ]
+
+
+def quantized_blob_with_norm(norm: float) -> bytes:
+    """A one-tensor quantized payload whose norm field is overwritten."""
+    blob = bytearray(compress.encode_payload({"x": np.array([[0.6, -0.8]])}, "quantized").blob)
+    offset = HEADER_BYTES + tensor_meta_bytes("x") + 1  # past the bit-width byte
+    blob[offset : offset + 8] = struct.pack("<d", norm)
+    return bytes(blob)
 
 
 @st.composite
@@ -287,14 +295,28 @@ class TestPayloads:
         with pytest.raises(MalformedPayload, match="payload limit"):
             compress.decode_payload(blob)
 
+    @pytest.mark.parametrize(
+        "norm", [math.nan, math.inf, -1e308], ids=["nan", "inf", "negative"]
+    )
+    def test_invalid_norm_is_malformed(self, norm):
+        assert compress.decode_payload(quantized_blob_with_norm(0.5))["x"].shape == (1, 2)
+        with pytest.raises(MalformedPayload, match="norm"):
+            compress.decode_payload(quantized_blob_with_norm(norm))
+
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(blob=hostile_blobs())
+    @example(blob=quantized_blob_with_norm(math.nan))
+    @example(blob=quantized_blob_with_norm(math.inf))
+    @example(blob=quantized_blob_with_norm(-1e308))
+    @example(blob=quantized_blob_with_norm(1e308))  # finite, but norm * level is not
     def test_decoder_fuzz_returns_or_raises_malformed(self, blob):
         try:
             decoded = compress.decode_payload(blob)
         except MalformedPayload:
             return
         assert all(v.ndim == 2 for v in decoded.values())
+        if blob[6] == 1:  # quantized scheme: every value is bounded by its norm
+            assert all(np.isfinite(v).all() for v in decoded.values())
 
     def test_non_finite_tensors_rejected(self):
         with pytest.raises(NonFiniteInput):

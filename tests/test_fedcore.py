@@ -131,6 +131,23 @@ class TestLocalSteps:
         assert max_rel_frob(c.w, expected) <= 1e-12
         del reference
 
+    def test_minibatches_follow_a_fresh_permutation_each_epoch(self):
+        # batch_size 3 over 16 train graphs: six steps per epoch, the last
+        # holding one graph, each gathered from the client RNG's permutation.
+        _, clients = make_clients(n_clients=1, alpha=0.0, local_epochs=2, batch_size=3)
+        c = clients[0]
+        graphs = c.train.graphs
+        rng = np.random.default_rng([0, 0])
+        expected = gnn.clone_params(c.w)
+        for _ in range(2):
+            order = rng.permutation(len(graphs))
+            for start in range(0, len(order), 3):
+                batch = [graphs[i] for i in order[start : start + 3]]
+                _, grads = gnn.loss_and_grad(expected, batch)
+                expected = {k: expected[k] - c.cfg.eta * grads[k] for k in expected}
+        assert fedcore.local_train_round(c, c.w) == 12
+        assert max_rel_frob(c.w, expected) <= 1e-12
+
     def test_zero_gradient_pulls_toward_global_view(self):
         # With zero gradients and correction the update is the linear
         # recurrence w <- w + eta*alpha*(theta - w).

@@ -205,6 +205,65 @@ class TestLossAndGrad:
             gnn.loss_and_grad(p, [])
 
 
+def mixed_graphs(rng, feature_dim=3):
+    """Node counts 1-9 with a 1-node edgeless graph first and equal sizes at
+    non-adjacent positions, so size groups interleave in batch order."""
+    sizes = [1, 5, 3, 9, 5, 2, 7, 3, 4, 6, 8, 5, 1]
+    graphs = [random_graph(rng, n, feature_dim, label=i % 3) for i, n in enumerate(sizes)]
+    graphs[0] = Graph(n=1, edges=(), features=rng.normal(size=(1, feature_dim)), label=2)
+    return graphs
+
+
+class TestBatch:
+    def test_batched_grads_are_mean_of_single_graph_grads(self):
+        rng = np.random.default_rng(21)
+        graphs = mixed_graphs(rng)
+        cfg = ArchConfig(feature_dim=3, hidden=5, classes=3)
+        p = gnn.init_params(cfg, seed=4)
+        p = {k: v + 0.1 * rng.normal(size=v.shape) for k, v in p.items()}
+        loss, grads = gnn.loss_and_grad(p, graphdata.GraphBatch(graphs))
+        singles = [gnn.loss_and_grad(p, [g]) for g in graphs]
+        assert abs(loss - np.mean([single[0] for single in singles])) <= 1e-12
+        assert list(grads) == list(p)
+        for k in p:
+            mean = np.mean([g[k] for _, g in singles], axis=0)
+            assert np.max(np.abs(grads[k] - mean)) <= 1e-12, k
+
+    def test_evaluate_matches_per_graph_loop(self):
+        rng = np.random.default_rng(22)
+        graphs = mixed_graphs(rng)
+        cfg = ArchConfig(feature_dim=3, hidden=4, classes=3)
+        p = gnn.init_params(cfg, seed=6)
+        acc, loss = gnn.evaluate(p, GraphDataset(graphs=graphs, num_classes=3, feature_dim=3))
+        hits, total = 0, 0.0
+        for g in graphs:
+            logits = gnn.forward(p, g)
+            total -= gnn._log_softmax(logits)[g.label]
+            hits += int(np.argmax(logits)) == g.label
+        assert acc == hits / len(graphs)
+        assert abs(loss - total / len(graphs)) <= 1e-12
+
+    def test_adjacency_is_not_padded(self):
+        rng = np.random.default_rng(23)
+        graphs = mixed_graphs(rng)
+        batch = graphdata.GraphBatch(graphs)
+        assert len(batch) == len(graphs)
+        assert sum(grp.adj.size for grp in batch.groups) == sum(g.n**2 for g in graphs)
+        assert batch.features.shape == (sum(g.n for g in graphs), 3)
+        for grp in batch.groups:
+            for slot, pos in enumerate(grp.positions):
+                g = graphs[pos]
+                assert g.n == grp.n
+                nodes = batch.features[grp.rows].reshape(-1, g.n, 3)
+                assert np.array_equal(nodes[slot], g.features)
+                owners = batch.node_graph[grp.rows].reshape(-1, g.n)
+                assert np.array_equal(owners[slot], np.full(g.n, pos))
+                expected = np.zeros((g.n, g.n))
+                for i, j in g.edges:
+                    expected[i, j] = expected[j, i] = 1.0
+                assert np.array_equal(grp.adj[slot], expected)
+
+
 class TestEvaluate:
     def test_argmax_ties_break_low(self):
         cfg = ArchConfig(feature_dim=2, hidden=3, classes=2)

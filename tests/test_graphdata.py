@@ -14,11 +14,13 @@ def tu_dir(tmp_path):
 
 
 def triangle_count(g: graphdata.Graph) -> int:
-    """Brute-force motif oracle over all node triples."""
+    """Brute-force motif oracle over all node triples (a < b < c, so every
+    pair is in the canonical (min, max) form that ``Graph.edges`` stores)."""
+    edges = set(g.edges)
     return sum(
         1
         for a, b, c in combinations(range(g.n), 3)
-        if g.adj[a, b] and g.adj[b, c] and g.adj[a, c]
+        if (a, b) in edges and (b, c) in edges and (a, c) in edges
     )
 
 
@@ -32,9 +34,13 @@ class TestGraph:
             graphdata.Graph(n=2, edges=((0, 2),), features=np.zeros((2, 1)), label=0)
 
     def test_adjacency_is_symmetric(self):
-        g = graphdata.Graph(n=3, edges=((0, 1), (1, 2)), features=np.zeros((3, 2)), label=0)
-        assert np.array_equal(g.adj, g.adj.T)
-        assert g.adj.sum() == 4
+        g = graphdata.Graph(n=3, edges=((1, 0), (1, 2)), features=np.zeros((3, 2)), label=0)
+        # One canonical (min, max) entry per undirected edge, whatever order
+        # it was given in; the adjacency a batch builds from them is symmetric.
+        assert g.edges == ((0, 1), (1, 2))
+        adj = graphdata.GraphBatch([g]).groups[0].adj[0]
+        assert np.array_equal(adj, adj.T)
+        assert adj.sum() == 4
 
 
 class TestTuLoader:

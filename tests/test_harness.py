@@ -286,6 +286,17 @@ class TestPersistence:
         for ref, got in zip(reference, first + resumed):
             assert ref.__dict__ == got.__dict__
 
+    def test_checkpoint_leaves_out_cached_batches(self, tmp_path):
+        server, clients, _ = harness.build_simulation(small_cfg(**{"run.rounds": 2}))
+        fedcore.run_round(server, clients)
+        assert all("batch" in vars(c.train) for c in clients)
+        harness.save_checkpoint((server, clients, 1), tmp_path / "ck.bin")
+        assert b"GraphBatch" not in (tmp_path / "ck.bin").read_bytes()
+        server2, clients2, _ = harness.load_checkpoint(tmp_path / "ck.bin")
+        assert not any("batch" in vars(c.train) for c in clients2)
+        fedcore.run_round(server2, clients2)  # the resumed run rebuilds them
+        assert all("batch" in vars(c.train) for c in clients2)
+
     def test_checkpoint_version_check(self, tmp_path):
         path = tmp_path / "ck.bin"
         harness.save_checkpoint({"x": 1}, path)
