@@ -17,7 +17,8 @@ low-rank body is rank u16 followed by the left and right factor segments;
 rank 0 alone marks an all-zero matrix.  Matrices with a unit dimension
 travel as one quantized segment under both quantized schemes.  The decoder
 refuses payloads that declare more than ``_MAX_WIRE_ELEMENTS`` values in
-total and quantized segments whose norm is negative, infinite or NaN.
+total, quantized segments whose norm is negative, infinite or NaN, and
+low-rank bodies whose factors multiply out past the float64 range.
 
 Only the shared channel and the correction term travel; the private sparse
 channel stays on its client, so no sparse encoding is defined here.
@@ -55,7 +56,8 @@ _MAX_WIRE_ELEMENTS = 1 << 24
 class QuantizedVector:
     """Norm-scaled fixed-point encoding of a real vector.
 
-    Levels are clamped to ``2**r - 1`` so each fits in exactly r bits on the
+    Levels are held as uint32, which holds every width up to the 32-bit cap.
+    They are clamped to ``2**r - 1`` so each fits in exactly r bits on the
     wire; a coordinate whose magnitude nearly equals the full norm therefore
     carries a saturation bias of at most ``norm / 2**r``.
     """
@@ -63,7 +65,7 @@ class QuantizedVector:
     r: int
     norm: float
     signs: np.ndarray  # uint8, 1 for negative coordinates
-    levels: np.ndarray  # uint64 in [0, 2**r - 1]
+    levels: np.ndarray  # uint32 in [0, 2**r - 1]
 
 
 def quantize(x, r: int) -> QuantizedVector:
@@ -77,7 +79,7 @@ def quantize(x, r: int) -> QuantizedVector:
     if norm == 0.0:
         raise ZeroVector("cannot quantize a zero (or empty) vector")
     levels = np.rint((float(2**r) * np.abs(vec)) / norm)
-    levels = np.minimum(levels, float(2**r - 1)).astype(np.uint64)
+    levels = np.minimum(levels, float(2**r - 1)).astype(np.uint32)
     signs = (vec < 0).astype(np.uint8)  # exact zeros get sign bit 0
     return QuantizedVector(r=r, norm=norm, signs=signs, levels=levels)
 
@@ -93,14 +95,22 @@ def dequantize(q: QuantizedVector) -> np.ndarray:
 
 
 def _pack_levels(levels: np.ndarray, r: int) -> bytes:
-    bits = ((levels[:, None] >> np.arange(r, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits.ravel(), bitorder="little").tobytes()
+    """Concatenate the low r bits of each level, least significant first.
+
+    Each level's four little-endian bytes unpack to 32 bits in that order,
+    so the wire bits are the first r columns of an n x 32 bit matrix.
+    """
+    bits = np.unpackbits(levels.astype("<u4").view(np.uint8), bitorder="little")
+    return np.packbits(bits.reshape(-1, 32)[:, :r], bitorder="little").tobytes()
 
 
 def _unpack_levels(buf: bytes, n: int, r: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little", count=n * r)
-    weights = np.uint64(1) << np.arange(r, dtype=np.uint64)
-    return (bits.reshape(n, r).astype(np.uint64) * weights).sum(axis=1)
+    """Inverse of ``_pack_levels``: widen each r-bit field to 32 bits."""
+    bits = np.zeros((n, 32), dtype=np.uint8)
+    bits[:, :r] = np.unpackbits(
+        np.frombuffer(buf, dtype=np.uint8), bitorder="little", count=n * r
+    ).reshape(n, r)
+    return np.packbits(bits, bitorder="little").view("<u4")
 
 
 def _quant_segment(vec: np.ndarray, r: int) -> bytes:
@@ -261,7 +271,12 @@ def _read_lowrank_body(rd: _Reader, rows: int, cols: int) -> np.ndarray:
         return np.zeros(rows * cols)
     left = _read_quant_segment(rd, rows * rank).reshape(rows, rank)
     right = _read_quant_segment(rd, cols * rank).reshape(cols, rank)
-    return (left @ right.T).ravel()
+    # Each factor is bounded by its finite norm, but their product is not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = left @ right.T
+    if not np.isfinite(product).all():
+        raise MalformedPayload(f"low-rank factors of a {rows}x{cols} matrix overflow")
+    return product.ravel()
 
 
 def decode_payload(payload) -> Dict[str, np.ndarray]:

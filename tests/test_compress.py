@@ -1,5 +1,8 @@
+import hashlib
 import math
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +41,45 @@ def quantized_blob_with_norm(norm: float) -> bytes:
     offset = HEADER_BYTES + tensor_meta_bytes("x") + 1  # past the bit-width byte
     blob[offset : offset + 8] = struct.pack("<d", norm)
     return bytes(blob)
+
+
+def lowrank_blob_with_norms(norm: float) -> bytes:
+    """A 4x3 rank-3 low-rank payload whose two factor norms are overwritten."""
+    mat = np.random.default_rng(41).normal(size=(4, 3))
+    blob = bytearray(compress.encode_payload({"m": mat}, "lowrank_quantized", r=4).blob)
+    rank_at = HEADER_BYTES + tensor_meta_bytes("m")
+    assert struct.unpack("<H", blob[rank_at : rank_at + 2]) == (3,)
+    left = rank_at + 2 + 1  # past the rank and the left factor's bit width
+    right = left + quant_body_bytes(4 * 3, 4)  # the right factor's norm
+    for offset in (left, right):
+        blob[offset : offset + 8] = struct.pack("<d", norm)
+    return bytes(blob)
+
+
+def reference_pack(levels: np.ndarray, r: int) -> bytes:
+    """Bit-by-bit level packing, the codec's first implementation: bit j of
+    level i is wire bit i*r + j, packed least significant bit first."""
+    levels = levels.astype(np.uint64)
+    bits = ((levels[:, None] >> np.arange(r, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
+    return np.packbits(bits.ravel(), bitorder="little").tobytes()
+
+
+# SHA-256 of one fixed payload under each scheme, taken from the bit-by-bit
+# codec.  The tensors are multiples of 1/8, so the sums of squares under the
+# quantizer's norms are exact in any order; the low-rank digests also pin the
+# last bits of numpy's SVD of "w".
+WIRE_TENSORS = {
+    "w": ((np.arange(30) * 7 % 11) - 5).reshape(6, 5) / 4.0,
+    "b": np.array([[0.5, -0.25, 0.125, 0.0, -1.0]]),
+    "z": np.zeros((2, 2)),
+}
+WIRE_DIGESTS = {
+    ("dense", 4): "b04d5007a85e785674ed2861afd62739136499eeafced1deabf396bc1ac62163",
+    ("quantized", 4): "1f245c5cb8621b35b5a9d25f9f5fa6aac3a82df5ff50fd17c3e6c75f9c9b7d9c",
+    ("quantized", 16): "993aca57fbd593e2dce65b324825b3cf843e602fb6a1265e29f695ecc6a95cf4",
+    ("lowrank_quantized", 4): "6bcc1abc4c03ea075097be3dcb7fcf073a97a7c2bbc72f36da18106d36c91b51",
+    ("lowrank_quantized", 16): "acb1dc4789f5c2edc3db545e8a5bc80604bb19048db3a55944e88acc1c623adc",
+}
 
 
 @st.composite
@@ -103,9 +145,22 @@ class TestQuantize:
 
     def test_all_zero_levels_dequantize_to_zeros(self):
         q = compress.QuantizedVector(
-            r=3, norm=2.0, signs=np.zeros(4, dtype=np.uint8), levels=np.zeros(4, dtype=np.uint64)
+            r=3, norm=2.0, signs=np.zeros(4, dtype=np.uint8), levels=np.zeros(4, dtype=np.uint32)
         )
         assert np.array_equal(compress.dequantize(q), np.zeros(4))
+
+
+class TestLevelPacking:
+    @pytest.mark.parametrize("r", range(1, 33))
+    def test_matches_bitwise_reference(self, r):
+        rng = np.random.default_rng(r)
+        for n in (1, 7, 8, 9, 1000):
+            levels = rng.integers(0, 2**r, size=n, dtype=np.uint64).astype(np.uint32)
+            levels[-1] = 2**r - 1  # a saturated level
+            packed = compress._pack_levels(levels, r)
+            assert packed == reference_pack(levels, r)
+            assert len(packed) == math.ceil(n * r / 8)
+            assert np.array_equal(compress._unpack_levels(packed, n, r), levels)
 
 
 class TestSparsify:
@@ -303,19 +358,44 @@ class TestPayloads:
         with pytest.raises(MalformedPayload, match="norm"):
             compress.decode_payload(quantized_blob_with_norm(norm))
 
+    def test_overflowing_lowrank_product_is_malformed(self):
+        assert np.isfinite(compress.decode_payload(lowrank_blob_with_norms(1.0))["m"]).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedPayload, match="overflow"):
+                compress.decode_payload(lowrank_blob_with_norms(1e200))
+
+    @pytest.mark.parametrize(("scheme", "r"), list(WIRE_DIGESTS))
+    def test_wire_bytes_are_pinned(self, scheme, r):
+        blob = compress.encode_payload(WIRE_TENSORS, scheme, r=r, tau_lowrank=0.1).blob
+        assert hashlib.sha256(blob).hexdigest() == WIRE_DIGESTS[scheme, r]
+
+    def test_decoder_memory_is_bounded(self):
+        # One 2**20-value segment at 32 bits: 4.2 MB of wire, 8 MiB decoded.
+        x = np.random.default_rng(14).normal(size=(1, 1 << 20))
+        payload = compress.encode_payload({"x": x}, "quantized", r=32)
+        tracemalloc.start()
+        try:
+            compress.decode_payload(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(blob=hostile_blobs())
     @example(blob=quantized_blob_with_norm(math.nan))
     @example(blob=quantized_blob_with_norm(math.inf))
     @example(blob=quantized_blob_with_norm(-1e308))
     @example(blob=quantized_blob_with_norm(1e308))  # finite, but norm * level is not
+    @example(blob=lowrank_blob_with_norms(1e200))  # finite, but left @ right.T is not
     def test_decoder_fuzz_returns_or_raises_malformed(self, blob):
         try:
             decoded = compress.decode_payload(blob)
         except MalformedPayload:
             return
         assert all(v.ndim == 2 for v in decoded.values())
-        if blob[6] == 1:  # quantized scheme: every value is bounded by its norm
+        if blob[6] in (1, 2):  # quantized schemes decode to finite values only
             assert all(np.isfinite(v).all() for v in decoded.values())
 
     def test_non_finite_tensors_rejected(self):
