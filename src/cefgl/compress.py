@@ -50,6 +50,7 @@ _SCHEME_NAMES = {v: k for k, v in _SCHEME_CODES.items()}
 # float64) does.  Every other body is read only after the reader has checked
 # that its bytes are present.
 _MAX_WIRE_ELEMENTS = 1 << 24
+_UNPACK_CHUNK = 1 << 16  # levels per step of _unpack_levels
 
 
 @dataclass
@@ -105,12 +106,23 @@ def _pack_levels(levels: np.ndarray, r: int) -> bytes:
 
 
 def _unpack_levels(buf: bytes, n: int, r: int) -> np.ndarray:
-    """Inverse of ``_pack_levels``: widen each r-bit field to 32 bits."""
-    bits = np.zeros((n, 32), dtype=np.uint8)
-    bits[:, :r] = np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8), bitorder="little", count=n * r
-    ).reshape(n, r)
-    return np.packbits(bits, bitorder="little").view("<u4")
+    """Inverse of ``_pack_levels``: widen each r-bit field to 32 bits.
+
+    Works ``_UNPACK_CHUNK`` levels at a time, so the bit matrices stay a few
+    MiB however long the segment is; the chunk is a multiple of 8 levels, so
+    each chunk's bits start on a byte boundary.
+    """
+    wire = np.frombuffer(buf, dtype=np.uint8)
+    levels = np.empty(n, dtype="<u4")
+    bits = np.zeros((min(n, _UNPACK_CHUNK), 32), dtype=np.uint8)
+    for start in range(0, n, _UNPACK_CHUNK):
+        m = min(_UNPACK_CHUNK, n - start)
+        first = start * r // 8
+        bits[:m, :r] = np.unpackbits(
+            wire[first : first + (m * r + 7) // 8], bitorder="little", count=m * r
+        ).reshape(m, r)
+        levels[start : start + m] = np.packbits(bits[:m], bitorder="little").view("<u4")
+    return levels
 
 
 def _quant_segment(vec: np.ndarray, r: int) -> bytes:

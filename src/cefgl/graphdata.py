@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import (
     BadRatios,
     BadSpec,
     IndexOutOfRange,
+    IoError,
     MissingFile,
     ParseError,
 )
@@ -49,11 +51,11 @@ class Graph:
         if not np.isfinite(feats).all():
             raise ValueError("node features must be finite")
         self.features = feats
-        canonical = [(min(i, j), max(i, j)) for i, j in self.edges]
+        canonical = [(i, j) if i <= j else (j, i) for i, j in self.edges]
         if len(set(canonical)) != len(canonical):
             raise ValueError("duplicate undirected edge")
         for i, j in canonical:
-            if not (0 <= i < self.n and 0 <= j < self.n):
+            if not (0 <= i and j < self.n):  # i <= j
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
         self.edges = tuple(canonical)
 
@@ -168,19 +170,57 @@ class ClientPartition:
 # TU-format loading
 
 
-def _read_lines(path: Path) -> List[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return [line.strip() for line in fh if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
+class _TuTable:
+    """One TU text file parsed as a table, one row per non-blank line.
 
+    The whole file goes through one ``np.loadtxt`` call.  Errors name the
+    physical line they point at; the per-line scan that finds it runs only
+    when that call has already failed.
+    """
 
-def _parse_int(token: str, path: Path, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise ParseError(f"{path.name}:{lineno}: expected an integer, got {token!r}") from exc
+    def __init__(self, path: Path, dtype, width: Optional[int], expected: str):
+        self.path = path
+        try:
+            self.text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
+        rows = list(filter(str.strip, self.text.split("\n")))
+        if not rows:
+            self.rows = np.empty((0, width or 0), dtype=dtype)
+            return
+        try:
+            self.rows = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            raise self._locate(dtype, width, expected)
+        if width is not None and self.rows.shape[1] != width:
+            raise self._locate(dtype, width, expected)
+
+    def _lines(self):
+        """(physical line number, line) for each non-blank line."""
+        return (
+            (lineno, line)
+            for lineno, line in enumerate(self.text.split("\n"), start=1)
+            if line.strip()
+        )
+
+    def _locate(self, dtype, width: Optional[int], expected: str) -> ParseError:
+        """The error for the first line that does not parse on its own or
+        whose field count differs from ``width`` (else from the first line's)."""
+        for lineno, line in self._lines():
+            where = f"{self.path.name}:{lineno}"
+            try:
+                fields = np.loadtxt([line], dtype=dtype, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                return ParseError(f"{where}: expected {expected}, got {line.strip()!r}")
+            if width is not None and fields.shape[1] != width:
+                return ParseError(f"{where}: expected {width} fields, got {line.strip()!r}")
+            width = fields.shape[1]
+        return ParseError(f"{self.path.name}: unreadable table")
+
+    def error(self, row: int, message: str, kind=ParseError) -> IoError:
+        """``kind`` naming the physical line of table row ``row``."""
+        lineno = next(islice(self._lines(), int(row), None))[0]
+        return kind(f"{self.path.name}:{lineno}: {message}")
 
 
 def load_tu_dataset(dir_path) -> GraphDataset:
@@ -191,6 +231,14 @@ def load_tu_dataset(dir_path) -> GraphDataset:
     ``<DS>_node_attributes.txt`` when present, else from
     ``<DS>_node_labels.txt`` one-hot over its distinct labels, else a
     constant scalar feature.
+
+    Every file is UTF-8 text with one record per line.  Blank and
+    whitespace-only lines are skipped; there is no comment syntax, so a
+    ``#`` line is a bad token.  Fields are separated by commas: ``i, j``
+    (1-based node ids) in ``A``, one integer per line in the indicator and
+    label files, and a fixed number of floats per line in the attributes.
+    Integers are plain decimal and must fit int64.  Errors name the file
+    and the physical line number, blank lines counted.
     """
     root = Path(dir_path)
     if not root.is_dir():
@@ -206,81 +254,67 @@ def load_tu_dataset(dir_path) -> GraphDataset:
             raise MissingFile(f"missing {p.name} in {root}")
         return p
 
-    indicator_path = required("graph_indicator")
-    labels_path = required("graph_labels")
-
-    node_graph: List[int] = []
-    for lineno, line in enumerate(_read_lines(indicator_path), start=1):
-        gid = _parse_int(line, indicator_path, lineno)
-        if gid < 1:
-            raise ParseError(f"{indicator_path.name}:{lineno}: graph ids are 1-based")
-        node_graph.append(gid)
-    if not node_graph:
-        raise ParseError(f"{indicator_path.name}:1: no nodes declared")
+    indicator = _TuTable(required("graph_indicator"), np.int64, 1, "a graph id")
+    node_graph = indicator.rows[:, 0]
     n_nodes = len(node_graph)
+    if not n_nodes:
+        raise ParseError(f"{indicator.path.name}:1: no nodes declared")
+    below = np.flatnonzero(node_graph < 1)
+    if below.size:
+        raise indicator.error(below[0], "graph ids are 1-based")
 
-    raw_labels = [
-        _parse_int(line, labels_path, lineno)
-        for lineno, line in enumerate(_read_lines(labels_path), start=1)
-    ]
+    labels_path = required("graph_labels")
+    raw_labels = _TuTable(labels_path, np.int64, 1, "an integer label").rows[:, 0]
     n_graphs = len(raw_labels)
-    if max(node_graph) > n_graphs:
+    if node_graph.max() > n_graphs:
         raise ParseError(
-            f"{indicator_path.name}: node assigned to graph {max(node_graph)} "
+            f"{indicator.path.name}: node assigned to graph {node_graph.max()} "
             f"but only {n_graphs} labels present"
         )
+    sizes = np.bincount(node_graph - 1, minlength=n_graphs)
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise ParseError(f"{labels_path.name}: graph {empty[0] + 1} has zero nodes")
+    # Nodes grouped graph by graph, in file order within a graph: a node's
+    # place in this order minus its graph's start is its local index.
+    order = np.argsort(node_graph, kind="stable")
+    place = np.empty(n_nodes, dtype=np.int64)
+    place[order] = np.arange(n_nodes)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
 
-    members: List[List[int]] = [[] for _ in range(n_graphs)]
-    for node, gid in enumerate(node_graph):
-        members[gid - 1].append(node)
-    for gid, mem in enumerate(members, start=1):
-        if not mem:
-            raise ParseError(f"{labels_path.name}: graph {gid} has zero nodes")
-    local_index = {}
-    for mem in members:
-        for pos, node in enumerate(mem):
-            local_index[node] = pos
-
-    edges_per_graph: List[set] = [set() for _ in range(n_graphs)]
-    edge_path = required("A")
-    for lineno, line in enumerate(_read_lines(edge_path), start=1):
-        pieces = line.split(",")
-        if len(pieces) != 2:
-            raise ParseError(f"{edge_path.name}:{lineno}: expected 'i, j'")
-        a = _parse_int(pieces[0].strip(), edge_path, lineno)
-        b = _parse_int(pieces[1].strip(), edge_path, lineno)
-        if not (1 <= a <= n_nodes and 1 <= b <= n_nodes):
-            raise IndexOutOfRange(f"{edge_path.name}:{lineno}: node id out of range")
-        ga, gb = node_graph[a - 1], node_graph[b - 1]
-        if ga != gb:
-            raise ParseError(f"{edge_path.name}:{lineno}: edge crosses graphs {ga} and {gb}")
-        la, lb = local_index[a - 1], local_index[b - 1]
-        if la != lb:
-            edges_per_graph[ga - 1].add((min(la, lb), max(la, lb)))
+    edge_file = _TuTable(required("A"), np.int64, 2, "'i, j'")
+    ends = edge_file.rows
+    outside = ((ends < 1) | (ends > n_nodes)).any(axis=1)
+    ends = np.where(outside[:, None], 1, ends) - 1
+    crossing = node_graph[ends[:, 0]] != node_graph[ends[:, 1]]
+    bad = np.flatnonzero(outside | crossing)
+    if bad.size:
+        row = bad[0]
+        if outside[row]:
+            raise edge_file.error(row, "node id out of range", IndexOutOfRange)
+        ga, gb = node_graph[ends[row]]
+        raise edge_file.error(row, f"edge crosses graphs {ga} and {gb}")
+    ends = place[ends[ends[:, 0] != ends[:, 1]]]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    # One sorted key per undirected edge: graph first, then local (lo, hi).
+    key = np.unique(lo * n_nodes + hi)
+    lo, hi = key // n_nodes, key % n_nodes
+    cuts = np.searchsorted(lo, starts).tolist()
+    offsets = np.repeat(starts[:-1], np.diff(cuts))
+    lo, hi = (lo - offsets).tolist(), (hi - offsets).tolist()
 
     attributes_path = root / f"{prefix}_node_attributes.txt"
     node_labels_path = root / f"{prefix}_node_labels.txt"
     if attributes_path.is_file():
-        rows = []
-        for lineno, line in enumerate(_read_lines(attributes_path), start=1):
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise ParseError(f"{attributes_path.name}:{lineno}: bad attribute row") from exc
-            if not all(math.isfinite(v) for v in row):
-                raise ParseError(f"{attributes_path.name}:{lineno}: non-finite attribute")
-            rows.append(row)
-        if len(rows) != n_nodes:
-            raise ParseError(f"{attributes_path.name}: {len(rows)} rows for {n_nodes} nodes")
-        widths = {len(row) for row in rows}
-        if len(widths) != 1:
-            raise ParseError(f"{attributes_path.name}: ragged attribute rows")
-        features = np.asarray(rows, dtype=np.float64)
+        attributes = _TuTable(attributes_path, np.float64, None, "a row of numbers")
+        features = attributes.rows
+        non_finite = np.flatnonzero(~np.isfinite(features).all(axis=1))
+        if non_finite.size:
+            raise attributes.error(non_finite[0], "non-finite attribute")
+        if len(features) != n_nodes:
+            raise ParseError(f"{attributes_path.name}: {len(features)} rows for {n_nodes} nodes")
     elif node_labels_path.is_file():
-        node_labels = [
-            _parse_int(line, node_labels_path, lineno)
-            for lineno, line in enumerate(_read_lines(node_labels_path), start=1)
-        ]
+        node_labels = _TuTable(node_labels_path, np.int64, 1, "an integer label").rows[:, 0]
         if len(node_labels) != n_nodes:
             raise ParseError(
                 f"{node_labels_path.name}: {len(node_labels)} rows for {n_nodes} nodes"
@@ -291,20 +325,19 @@ def load_tu_dataset(dir_path) -> GraphDataset:
         features[np.arange(n_nodes), column] = 1.0
     else:
         features = np.ones((n_nodes, 1))
+    features = features[order]
 
-    label_space = sorted(set(raw_labels))
-    remap = {lab: i for i, lab in enumerate(label_space)}
-    graphs = []
-    for gid in range(n_graphs):
-        mem = members[gid]
-        graphs.append(
-            Graph(
-                n=len(mem),
-                edges=tuple(sorted(edges_per_graph[gid])),
-                features=features[mem],
-                label=remap[raw_labels[gid]],
-            )
+    label_space, labels = np.unique(raw_labels, return_inverse=True)
+    starts = starts.tolist()
+    graphs = [
+        Graph(
+            n=starts[g + 1] - starts[g],
+            edges=tuple(zip(lo[cuts[g] : cuts[g + 1]], hi[cuts[g] : cuts[g + 1]])),
+            features=features[starts[g] : starts[g + 1]],
+            label=label,
         )
+        for g, label in enumerate(labels.tolist())
+    ]
     return GraphDataset(
         graphs=graphs,
         num_classes=len(label_space),

@@ -1,4 +1,5 @@
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,124 @@ from cefgl.graphdata import SynthSpec
 @pytest.fixture
 def tu_dir(tmp_path):
     return graphdata.write_tu_fixture(tmp_path / "fixture")
+
+
+def reference_load_tu(root: Path, prefix: str) -> graphdata.GraphDataset:
+    """The line-by-line loader that ``load_tu_dataset`` replaced, kept as the
+    reference for valid input (its refusals are covered by the tests)."""
+
+    def read(suffix):
+        with open(root / f"{prefix}_{suffix}.txt", "r", encoding="utf-8") as fh:
+            return [line.strip() for line in fh if line.strip()]
+
+    node_graph = [int(line) for line in read("graph_indicator")]
+    raw_labels = [int(line) for line in read("graph_labels")]
+    n_nodes = len(node_graph)
+    members = [[] for _ in raw_labels]
+    for node, gid in enumerate(node_graph):
+        members[gid - 1].append(node)
+    local_index = {}
+    for mem in members:
+        for pos, node in enumerate(mem):
+            local_index[node] = pos
+    edges_per_graph = [set() for _ in raw_labels]
+    for line in read("A"):
+        a, b = (int(piece.strip()) for piece in line.split(","))
+        la, lb = local_index[a - 1], local_index[b - 1]
+        if la != lb:
+            edges_per_graph[node_graph[a - 1] - 1].add((min(la, lb), max(la, lb)))
+    if (root / f"{prefix}_node_attributes.txt").is_file():
+        rows = [[float(tok) for tok in line.split(",")] for line in read("node_attributes")]
+        features = np.asarray(rows, dtype=np.float64)
+    elif (root / f"{prefix}_node_labels.txt").is_file():
+        node_labels = [int(line) for line in read("node_labels")]
+        distinct, column = np.unique(node_labels, return_inverse=True)
+        features = np.zeros((n_nodes, len(distinct)))
+        features[np.arange(n_nodes), column] = 1.0
+    else:
+        features = np.ones((n_nodes, 1))
+    label_space = sorted(set(raw_labels))
+    remap = {lab: i for i, lab in enumerate(label_space)}
+    graphs = [
+        graphdata.Graph(
+            n=len(mem),
+            edges=tuple(sorted(edges_per_graph[gid])),
+            features=features[mem],
+            label=remap[raw_labels[gid]],
+        )
+        for gid, mem in enumerate(members)
+    ]
+    return graphdata.GraphDataset(
+        graphs=graphs, num_classes=len(label_space), feature_dim=features.shape[1], name=prefix
+    )
+
+
+def write_random_tu(root: Path, seed: int, features: str) -> None:
+    """A valid TU directory in the awkward forms the format allows: graph ids
+    interleaved in the indicator, edges listed in one or both directions,
+    repeated and self-looped, gaps in the label values, blank,
+    whitespace-only and CRLF lines, and (for some seeds) no edges at all."""
+    rng = np.random.default_rng(seed)
+    n_graphs = int(rng.integers(1, 10))
+    node_graph = np.repeat(np.arange(1, n_graphs + 1), rng.integers(1, 7, size=n_graphs))
+    rng.shuffle(node_graph)
+    edges = []
+    if seed % 5:
+        for gid in range(1, n_graphs + 1):
+            nodes = np.flatnonzero(node_graph == gid) + 1
+            for a, b in rng.choice(nodes, size=(int(rng.integers(0, 8)), 2)):
+                edges += [(a, b)] * int(rng.integers(1, 3))
+                if rng.random() < 0.6:
+                    edges.append((b, a))
+        rng.shuffle(edges)
+    n_nodes = len(node_graph)
+    spaced = (", ", ",", " , ", "\t,  ")
+    files = {
+        "A": [f"{a}{spaced[rng.integers(4)]}{b}" for a, b in edges],
+        "graph_indicator": [str(g) for g in node_graph],
+        "graph_labels": [str(v) for v in rng.choice([-4, 0, 3, 9, 250], size=n_graphs)],
+    }
+    if features == "attributes":
+        values = rng.normal(scale=10.0, size=(n_nodes, int(rng.integers(1, 4))))
+        files["node_attributes"] = [
+            ", ".join(repr(float(v)) if rng.random() < 0.7 else f"{v:.3g}" for v in row)
+            for row in values
+        ]
+    elif features == "node_labels":
+        files["node_labels"] = [str(v) for v in rng.choice([-1, 2, 5, 17], size=n_nodes)]
+    root.mkdir()
+    for suffix, lines in files.items():
+        text = []
+        for line in lines:
+            text += [" \t", ""] * int(rng.random() < 0.2) + [line]
+        newline = "\r\n" if rng.random() < 0.5 else "\n"
+        (root / f"RAND_{suffix}.txt").write_bytes((newline.join(text) + newline).encode())
+
+
+# Malformed TU files, written over the fixture: (id, file, text, error, the
+# line the message names, or None where no single line is at fault).
+TU_REFUSALS = [
+    ("indicator-token", "graph_indicator", "1\n1\nx\n2\n2\n", ParseError, 3),
+    ("indicator-comment", "graph_indicator", "# ids\n1\n1\n1\n2\n2\n", ParseError, 1),
+    ("indicator-graph-0", "graph_indicator", "1\n1\n0\n2\n2\n", ParseError, 3),
+    ("indicator-non-utf8", "graph_indicator", b"1\n\xff\n", ParseError, None),
+    ("labels-token", "graph_labels", "1\ntwo\n", ParseError, 2),
+    ("labels-comment", "graph_labels", "#1\n2\n", ParseError, 1),
+    ("node-labels-token", "node_labels", "0\n0\n1.5\n1\n2\n", ParseError, 3),
+    ("node-labels-comment", "node_labels", "0\n# one\n0\n1\n1\n2\n", ParseError, 2),
+    ("edge-token", "A", "1, 2\n2, x\n", ParseError, 2),
+    ("edge-comment", "A", "# edges\n1, 2\n", ParseError, 1),
+    ("edge-1-field", "A", "1, 2\n3\n", ParseError, 2),
+    ("edge-3-fields", "A", "1, 2, 3\n", ParseError, 1),
+    ("edge-node-0", "A", "0, 1\n", IndexOutOfRange, 1),
+    ("edge-node-past-last", "A", "1, 2\n5, 6\n", IndexOutOfRange, 2),
+    ("edge-cross-graph", "A", "1, 2\n3, 4\n", ParseError, 2),
+    ("attributes-ragged", "node_attributes", "1, 2\n1, 2\n1, 2, 3\n1, 2\n1, 2\n", ParseError, 3),
+    ("attributes-nan", "node_attributes", "1\n1\nnan\n1\n1\n", ParseError, 3),
+    ("attributes-inf", "node_attributes", "1\n-inf\n1\n1\n1\n", ParseError, 2),
+    ("attributes-token", "node_attributes", "1\n1\n1\n1\none\n", ParseError, 5),
+    ("attributes-row-count", "node_attributes", "1\n1\n", ParseError, None),
+]
 
 
 def triangle_count(g: graphdata.Graph) -> int:
@@ -78,6 +197,61 @@ class TestTuLoader:
         (tu_dir / "FIXTURE_A.txt").write_text("1, 2\nbogus line\n")
         with pytest.raises(ParseError, match="FIXTURE_A.txt:2"):
             graphdata.load_tu_dataset(tu_dir)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            pytest.param(b"1, 2\n\n\n2, x\n", ParseError, id="blank-lines"),
+            pytest.param(b"1, 2\r\n\r\n  \r\n2, x\r\n", ParseError, id="crlf-lines"),
+            pytest.param(b"\n1, 2\n \t\n1, 9\n", IndexOutOfRange, id="out-of-range"),
+            pytest.param(b"1, 2\n\n\n1, 4\n", ParseError, id="cross-graph"),
+        ],
+    )
+    def test_errors_name_physical_lines(self, tu_dir, text, error):
+        # Blank lines count: the number is the line an editor shows.
+        (tu_dir / "FIXTURE_A.txt").write_bytes(text)
+        with pytest.raises(error, match="FIXTURE_A.txt:4:") as excinfo:
+            graphdata.load_tu_dataset(tu_dir)
+        assert excinfo.type is error
+
+    @pytest.mark.parametrize(
+        "suffix, text, error, line",
+        [pytest.param(*case[1:], id=case[0]) for case in TU_REFUSALS],
+    )
+    def test_malformed_files_are_refused(self, tu_dir, suffix, text, error, line):
+        path = tu_dir / f"FIXTURE_{suffix}.txt"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        named = f"FIXTURE_{suffix}.txt:{line}:" if line else f"FIXTURE_{suffix}.txt: "
+        with pytest.raises(error, match=named) as excinfo:
+            graphdata.load_tu_dataset(tu_dir)
+        assert excinfo.type is error
+
+    def test_ids_must_fit_int64(self, tu_dir):
+        # A refused token, not an out-of-range node: ids are parsed as int64.
+        (tu_dir / "FIXTURE_A.txt").write_text("1, 2\n1, 99999999999999999999\n")
+        with pytest.raises(ParseError, match="FIXTURE_A.txt:2:"):
+            graphdata.load_tu_dataset(tu_dir)
+
+    @pytest.mark.parametrize("features", ["attributes", "node_labels", "none"])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_matches_line_by_line_reference(self, tmp_path, seed, features):
+        root = tmp_path / "rand"
+        write_random_tu(root, seed, features)
+        got = graphdata.load_tu_dataset(root)
+        want = reference_load_tu(root, "RAND")
+        assert (got.name, got.num_classes, got.feature_dim) == (
+            want.name,
+            want.num_classes,
+            want.feature_dim,
+        )
+        assert len(got) == len(want)
+        for g, w in zip(got.graphs, want.graphs):
+            assert (g.n, g.edges, g.label) == (w.n, w.edges, w.label)
+            assert g.features.tobytes() == w.features.tobytes()
+            assert g.features.shape == w.features.shape
 
     def test_dangling_edge_endpoint(self, tu_dir):
         (tu_dir / "FIXTURE_A.txt").write_text("1, 99\n")
