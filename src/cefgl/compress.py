@@ -229,7 +229,7 @@ def _lowrank_body(mat: np.ndarray, r: int, tau: float) -> bytes:
     if min(mat.shape) == 1:
         return _quant_segment(mat.ravel(), r)
     dec = linalg.svd(mat)
-    _, rank = linalg.lowrank_truncate(dec, "relative", tau)  # 0 for a zero matrix
+    rank = linalg.retained_rank(dec, "relative", tau)  # 0 for a zero matrix
     body = struct.pack("<H", rank)
     if rank:
         body += _quant_segment((dec.u[:, :rank] * dec.sigma[:rank]).ravel(), r)

@@ -16,6 +16,16 @@ sections of a config file, as ``harness.parse_config`` fills them; its
 ``_validate`` is their one range check.  The private channel is sparsified
 by a mask on the parameters themselves and never travels.
 
+Both links carry differences from the last decoded broadcast, which the
+server holds as ``ServerState.theta`` and every client adopts on a
+communicated round; it starts as the initial model on both ends.  Uplinks
+carry ``w - theta`` and the correction term, the server merges them onto
+``theta``, and the downlink carries the merged model's difference from
+``theta``, a zero difference when no uplink arrived.  A quantizer's error
+scales with the norm of what it encodes, and these differences are far
+smaller than the models (DIANA, Mishchenko et al. 2019; EF21, Richtárik et
+al. 2021).
+
 Clients and the server are mutable state records; round operations mutate
 them in place and are deterministic given the states' RNG streams.  A
 client's global view is its shared channel as the round starts, passed to
@@ -115,7 +125,7 @@ class ClientState:
 
 @dataclass
 class ServerState:
-    theta: ModelParams
+    theta: ModelParams  # the last decoded broadcast, as every client holds it
     cfg: ServerConfig = field(default_factory=ServerConfig)
     eta: float = 0.01
     # Baselines: uplinks carry the shared channel only, densely, and the
@@ -230,16 +240,22 @@ def update_correction(c: ClientState, view: ModelParams, steps: int) -> ClientSt
 
 
 def client_uplink(
-    c: ClientState, r_bits: int, plain: bool = False
+    c: ClientState,
+    r_bits: int,
+    plain: bool = False,
+    anchor: Optional[ModelParams] = None,
 ) -> compress.CompressedPayload:
-    """Quantized payload of the shared channel and the correction term, or
-    with ``plain`` the dense shared channel alone (the baselines' uplink).
+    """Quantized payload of the shared channel's change since the last
+    broadcast, ``w - anchor``, and of the correction term; with ``plain``
+    the dense change alone (the baselines' uplink).
 
-    The private channel never leaves the client.
+    The anchor is the broadcast both ends hold; without one the shared
+    channel travels whole.  The private channel never leaves the client.
     """
+    delta = c.w if anchor is None else {k: c.w[k] - anchor[k] for k in c.w}
     if plain:
-        return compress.encode_payload(c.w, compress.SCHEME_DENSE)
-    tensors = {f"w.{k}": v for k, v in c.w.items()}
+        return compress.encode_payload(delta, compress.SCHEME_DENSE)
+    tensors = {f"w.{k}": v for k, v in delta.items()}
     tensors.update({f"h.{k}": v for k, v in c.h.items()})
     return compress.encode_payload(tensors, compress.SCHEME_QUANTIZED, r=r_bits)
 
@@ -253,13 +269,15 @@ class _AggregateStats:
 def _aggregate(
     payloads: Sequence[compress.CompressedPayload],
     sample_sizes: Sequence[int],
+    anchor: ModelParams,
     eta: float,
     tau_lowrank: float,
     plain: bool = False,
 ) -> Tuple[ModelParams, _AggregateStats]:
-    """Sample-size-weighted merge of shared channels minus eta times the
-    weighted correction terms, rank-truncated per weight matrix; with
-    ``plain``, the weighted mean of shared-channel-only payloads."""
+    """The anchor plus the sample-size-weighted mean of the uplinked
+    shared-channel changes, minus eta times the weighted correction terms,
+    rank-truncated per weight matrix; with ``plain``, the anchor plus the
+    weighted mean of change-only payloads, untruncated."""
     if len(payloads) == 0:
         raise ValueError("need at least one payload to aggregate")
     if len(payloads) != len(sample_sizes):
@@ -279,13 +297,13 @@ def _aggregate(
         return linalg.weighted_sum([(wt, d[name]) for wt, d in zip(weights, decoded)])
 
     if plain:
-        return {name: mean(name) for name in names}, _AggregateStats(None, None)
+        return {name: anchor[name] + mean(name) for name in names}, _AggregateStats(None, None)
     base = [n[len("w.") :] for n in names if n.startswith("w.")]
 
     theta: ModelParams = {}
     retained, full, kept_params, dense_params = 0, 0, 0, 0
     for key in base:
-        merged = mean(f"w.{key}") - eta * mean(f"h.{key}")
+        merged = anchor[key] + mean(f"w.{key}") - eta * mean(f"h.{key}")
         _check_finite({key: merged}, "server aggregation")
         rows, cols = merged.shape
         if min(rows, cols) == 1:
@@ -349,11 +367,12 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
 
     Coin first, then sampling, then dropout.  Survivors train both channels
     against their view (the shared channel as the round starts) and update
-    their correction terms.  On a communicated round they build their
-    uplinks, and the server aggregates, re-compresses and broadcasts to
-    every client, which adopt the decoded model as their shared channel; on
-    a skipped round nothing is encoded or billed and each client keeps its
-    own shared channel.
+    their correction terms.  On a communicated round they uplink their
+    changes since the last broadcast; the server merges them onto it,
+    encodes the merge's difference from it, and it and every client move
+    the broadcast by the decoded difference and adopt it as their shared
+    channel.  On a skipped round nothing is encoded or billed and each
+    client keeps its own shared channel.
     """
     cfg = server.cfg
     clients = sorted(clients, key=lambda c: c.id)
@@ -379,30 +398,36 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
 
     stats = _AggregateStats(rank_ratio=None, param_ratio=None)
     if communicate:
+        anchor = server.theta
         payloads = [
-            client_uplink(by_id[cid], cfg.r_bits, server.plain_average) for cid in survivors
+            client_uplink(by_id[cid], cfg.r_bits, server.plain_average, anchor)
+            for cid in survivors
         ]
         if payloads:
             sizes = [len(by_id[cid].train) for cid in survivors]
-            server.theta, stats = _aggregate(
-                payloads, sizes, server.eta, cfg.tau_lowrank, server.plain_average
+            merged, stats = _aggregate(
+                payloads, sizes, anchor, server.eta, cfg.tau_lowrank, server.plain_average
             )
+            delta = {k: merged[k] - anchor[k] for k in anchor}
+        else:  # nothing arrived: the broadcast is a zero delta
+            delta = gnn.zeros_like_params(anchor)
         downlink = compress.encode_payload(
-            server.theta,
+            delta,
             cfg.downlink_scheme,
             r=cfg.r_bits,
             tau_lowrank=cfg.tau_lowrank,
         )
         decoded = compress.decode_payload(downlink)
+        server.theta = {k: anchor[k] + decoded[k] for k in anchor}
         uplink_bits = sum(compress.payload_bits(p) for p in payloads)
         downlink_bits = len(clients) * compress.payload_bits(downlink)
         messages = len(survivors) + len(clients)
         for c in clients:
             if c.cfg.use_correction and c.cfg.proxskip_h and c.id in survivors:
                 scale = cfg.p / c.cfg.eta
-                c.h = {k: c.h[k] + scale * (decoded[k] - c.w[k]) for k in c.h}
+                c.h = {k: c.h[k] + scale * (server.theta[k] - c.w[k]) for k in c.h}
                 _check_finite(c.h, f"client {c.id} correction update")
-            c.w = gnn.clone_params(decoded)
+            c.w = gnn.clone_params(server.theta)
     else:
         uplink_bits = downlink_bits = messages = 0
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cefgl import cli, graphdata
@@ -137,3 +139,30 @@ class TestCli:
         same = (out_a / "rounds.jsonl").read_bytes() == (out_b / "rounds.jsonl").read_bytes()
         different = (out_a / "rounds.jsonl").read_bytes() != (out_c / "rounds.jsonl").read_bytes()
         assert same and different
+
+
+# Documented configs that 4-bit whole-model transfers blew up: the empty
+# config finished with train losses up to 2.4e221, and the other three
+# exited 3 at rounds 52, 33 and 97.  Each must train its 200 rounds.
+BOUNDED_CONFIGS = {
+    "defaults": "",
+    "no_cut_quantized_downlink": "client.cut_sparse = 0\nserver.downlink_scheme = quantized\n",
+    "proxskip_slow_link": (
+        "client.proxskip_h = true\nserver.bandwidth_mbps = 12.5\nserver.latency_ms = 7\n"
+    ),
+    "minibatch_epochs": (
+        "run.clients = 4\ndata.n_graphs = 40\nclient.batch_size = 3\nclient.local_epochs = 3\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", BOUNDED_CONFIGS.values(), ids=BOUNDED_CONFIGS.keys())
+def test_documented_config_trains_without_blowing_up(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.delenv("CEFGL_SEED", raising=False)
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_OK, capsys.readouterr().err
+    records = [json.loads(line) for line in (out / "rounds.jsonl").read_text().splitlines()]
+    assert len(records) == 200
+    worst = max(max(r["train_loss"]) for r in records)
+    assert worst < 10.0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cefgl import compress, fedcore
+from cefgl import compress, fedcore, linalg
 from cefgl.errors import BadBits, MalformedPayload, NonFiniteInput, ZeroVector
 from cefgl.fedcore import ClientConfig
 
@@ -292,6 +292,17 @@ class TestPayloads:
         p = compress.encode_payload({"m": base}, "lowrank_quantized", r=32, tau_lowrank=1e-6)
         out = compress.decode_payload(p)["m"]
         assert np.linalg.norm(out - base) <= 1e-6 * np.linalg.norm(base)
+
+    def test_lowrank_encoding_builds_no_reconstruction(self, monkeypatch):
+        # The encoder needs the retained rank and the factors, never the
+        # truncated matrix.
+        def rebuild(*args, **kwargs):
+            raise AssertionError("the encoder rebuilt a truncated matrix")
+
+        monkeypatch.setattr(linalg, "lowrank_truncate", rebuild)
+        x = np.random.default_rng(11).normal(size=(8, 6))
+        p = compress.encode_payload({"m": x}, "lowrank_quantized", r=8, tau_lowrank=0.1)
+        assert compress.decode_payload(p)["m"].shape == (8, 6)
 
     def test_lowrank_bit_count_is_rank_and_factors(self):
         rng = np.random.default_rng(11)

@@ -334,7 +334,7 @@ class TestAggregate:
         rng = np.random.default_rng(1)
         w = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3))}
         h = gnn.zeros_like_params(w)
-        theta, _ = fedcore._aggregate([self._dense_payload(w, h)], [10], 0.01, 0.0)
+        theta, _ = fedcore._aggregate([self._dense_payload(w, h)], [10], h, 0.01, 0.0)
         assert max_rel_frob(theta, w) <= 1e-8
 
     def test_two_equal_clients_average(self):
@@ -345,6 +345,7 @@ class TestAggregate:
         theta, _ = fedcore._aggregate(
             [self._dense_payload(w1, zero), self._dense_payload(w2, zero)],
             [7, 7],
+            zero,
             0.01,
             0.0,
         )
@@ -359,7 +360,7 @@ class TestAggregate:
         sizes = [2, 3, 5]
         payloads = [self._dense_payload(theta_prev, g) for g in grads]
         eta = 0.05
-        theta, _ = fedcore._aggregate(payloads, sizes, eta, 0.0)
+        theta, _ = fedcore._aggregate(payloads, sizes, gnn.zeros_like_params(theta_prev), eta, 0.0)
         mean_grad = sum(s * g["a"] for s, g in zip(sizes, grads)) / sum(sizes)
         assert np.allclose(theta["a"], theta_prev["a"] - eta * mean_grad, atol=1e-8)
 
@@ -367,7 +368,7 @@ class TestAggregate:
         bias = {"b": np.array([[0.4, -0.2, 0.6]])}
         zero = gnn.zeros_like_params(bias)
         theta, _ = fedcore._aggregate(
-            [self._dense_payload(bias, zero)], [1], 0.01, tau_lowrank=10.0
+            [self._dense_payload(bias, zero)], [1], zero, 0.01, tau_lowrank=10.0
         )
         assert np.allclose(theta["b"], bias["b"], atol=1e-12)
 
@@ -375,9 +376,28 @@ class TestAggregate:
         mat = {"a": np.diag([4.0, 1.0])}
         zero = gnn.zeros_like_params(mat)
         theta, _ = fedcore._aggregate(
-            [self._dense_payload(mat, zero)], [1], 0.01, tau_lowrank=0.5
+            [self._dense_payload(mat, zero)], [1], zero, 0.01, tau_lowrank=0.5
         )
         assert np.allclose(theta["a"], np.diag([4.0, 0.0]), atol=1e-10)
+
+    @pytest.mark.parametrize("plain", [False, True], ids=["merge", "plain"])
+    def test_nonzero_anchor_gives_weighted_mean(self, plain):
+        # Uplinks carry w_i - anchor; the merge adds the anchor back, so with
+        # no correction term and no truncation it is the weighted mean of w_i.
+        rng = np.random.default_rng(4)
+        anchor = {"a": rng.normal(size=(5, 4)), "b": rng.normal(size=(1, 4))}
+        ws = [{k: rng.normal(size=v.shape) for k, v in anchor.items()} for _ in range(3)]
+        sizes = [2, 3, 5]
+        deltas = [{k: w[k] - anchor[k] for k in w} for w in ws]
+        if plain:
+            payloads = [compress.encode_payload(d, "dense") for d in deltas]
+        else:
+            zero = gnn.zeros_like_params(anchor)
+            payloads = [self._dense_payload(d, zero) for d in deltas]
+        theta, _ = fedcore._aggregate(payloads, sizes, anchor, 0.05, 0.0, plain)
+        for k in anchor:
+            mean = sum(n * w[k] for n, w in zip(sizes, ws)) / sum(sizes)
+            assert np.allclose(theta[k], mean, rtol=0.0, atol=1e-12)
 
     def test_non_finite_merge_is_divergence(self):
         # w - eta * h overflows on the server, before any SVD sees it.
@@ -385,7 +405,7 @@ class TestAggregate:
         h = {"a": np.full((2, 2), -1e308)}
         payloads = [self._dense_payload(w, h)] * 2
         with np.errstate(over="ignore"), pytest.raises(DivergenceDetected):
-            fedcore._aggregate(payloads, [1, 1], 10.0, 0.0)
+            fedcore._aggregate(payloads, [1, 1], gnn.zeros_like_params(w), 10.0, 0.0)
 
 
 class TestDropout:
@@ -438,20 +458,31 @@ class TestRunRound:
             fedcore.local_train_round(r, r.w)
             assert max_rel_frob(c.w, r.w) == 0.0
 
-    def test_communicated_round_syncs_every_client(self):
+    def test_communicated_round_syncs_every_client(self, monkeypatch):
+        # The server and every client move from the previous broadcast by
+        # the decoded downlink delta, bit for bit, each into its own arrays.
         theta0, clients = make_clients(n_clients=3, n_graphs=24)
-        # ceil(3 * 0.3) = 1 sampled; r=32 keeps the broadcast near-lossless.
-        server = make_server(theta0, p=1.0, rho=0.3, r_bits=32, tau_lowrank=0.0)
+        server = make_server(theta0, p=1.0, rho=0.3)  # ceil(3 * 0.3) = 1 sampled
+        previous = gnn.clone_params(server.theta)
+        decoded = []
+        real = compress.decode_payload
+
+        def recording(payload):
+            decoded.append(real(payload))
+            return decoded[-1]
+
+        monkeypatch.setattr(compress, "decode_payload", recording)
         rec = fedcore.run_round(server, clients)
         assert len(rec.participants) == 1
-        decoded = compress.decode_payload(
-            compress.encode_payload(
-                server.theta, server.cfg.downlink_scheme, r=32, tau_lowrank=0.0
-            )
-        )
+        assert len(decoded) == 2  # one uplink, then the downlink
+        downlink = decoded[-1]
+        assert any(v.any() for v in downlink.values())
+        expected = {k: previous[k] + downlink[k] for k in previous}
         for c in clients:
-            assert max_rel_frob(c.w, decoded) == 0.0
-            assert max_rel_frob(c.w, server.theta) <= 1e-6
+            for k in expected:
+                assert np.array_equal(c.w[k], expected[k])
+                assert np.array_equal(server.theta[k], expected[k])
+                assert c.w[k] is not server.theta[k]
 
     def test_rho_sampling_count(self):
         theta0, clients = make_clients(n_clients=5, n_graphs=40)
@@ -617,6 +648,6 @@ class TestFedAvgReduction:
         for h in hs:
             tensors = {"w.a": theta_prev["a"], "h.a": h["a"]}
             payloads.append(compress.encode_payload(tensors, "dense"))
-        theta, _ = fedcore._aggregate(payloads, [1, 1], 0.1, 0.0)
+        theta, _ = fedcore._aggregate(payloads, [1, 1], gnn.zeros_like_params(theta_prev), 0.1, 0.0)
         expected = theta_prev["a"] - 0.1 * 0.5 * (hs[0]["a"] + hs[1]["a"])
         assert np.allclose(theta["a"], expected, atol=1e-8)

@@ -101,6 +101,17 @@ class TestLowrankTruncate:
         _, rank = linalg.lowrank_truncate(res, "absolute", 2.0)
         assert rank == 1  # strictly-greater rule drops the value equal to the cutoff
 
+    def test_retained_rank_is_the_truncation_rank(self):
+        # The encoder asks for the rank alone; it must agree with the rank
+        # lowrank_truncate rebuilds from.
+        rng = np.random.default_rng(12)
+        cutoffs = [("relative", 0.0), ("relative", 0.3), ("absolute", 1.0), ("absolute", 1e9)]
+        for mode, tau in cutoffs:
+            res = linalg.svd(rng.normal(size=(6, 4)))
+            _, rank = linalg.lowrank_truncate(res, mode, tau)
+            assert linalg.retained_rank(res, mode, tau) == rank
+        assert linalg.retained_rank(linalg.svd(np.zeros((3, 2))), "relative", 0.0) == 0
+
     def test_bad_arguments(self):
         res = linalg.svd(np.eye(2))
         with pytest.raises(ValueError):
