@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
@@ -182,9 +182,14 @@ def _read_quant_segment(rd: _Reader, n: int) -> np.ndarray:
 
 @dataclass
 class CompressedPayload:
-    """One serialized set of named tensors; ``blob`` is the wire image."""
+    """One serialized set of named tensors; ``blob`` is the wire image.
+
+    ``ranks`` maps each matrix that a low-rank body factored to the rank its
+    encoder kept, the number in that body's rank field.
+    """
 
     blob: bytes
+    ranks: Dict[str, int] = field(default_factory=dict, compare=False)
 
 
 def payload_bits(p: CompressedPayload) -> int:
@@ -208,6 +213,7 @@ def encode_payload(
     if scheme not in _SCHEME_CODES:
         raise ValueError(f"unknown scheme {scheme!r}")
     parts = [MAGIC, struct.pack("<HBH", WIRE_VERSION, _SCHEME_CODES[scheme], len(tensors))]
+    ranks: Dict[str, int] = {}
     for name, tensor in tensors.items():
         mat = linalg.as_matrix(tensor)
         if not np.isfinite(mat).all():
@@ -218,23 +224,22 @@ def encode_payload(
         parts.append(struct.pack("<II", mat.shape[0], mat.shape[1]))
         if scheme == SCHEME_DENSE:
             parts.append(mat.astype("<f8").tobytes())
-        elif scheme == SCHEME_QUANTIZED:
+        elif scheme == SCHEME_QUANTIZED or min(mat.shape) == 1:
             parts.append(_quant_segment(mat.ravel(), r))
         else:
-            parts.append(_lowrank_body(mat, r, tau_lowrank))
-    return CompressedPayload(b"".join(parts))
+            ranks[name], body = _lowrank_body(mat, r, tau_lowrank)
+            parts.append(body)
+    return CompressedPayload(b"".join(parts), ranks)
 
 
-def _lowrank_body(mat: np.ndarray, r: int, tau: float) -> bytes:
-    if min(mat.shape) == 1:
-        return _quant_segment(mat.ravel(), r)
+def _lowrank_body(mat: np.ndarray, r: int, tau: float) -> Tuple[int, bytes]:
     dec = linalg.svd(mat)
     rank = linalg.retained_rank(dec, "relative", tau)  # 0 for a zero matrix
     body = struct.pack("<H", rank)
     if rank:
         body += _quant_segment((dec.u[:, :rank] * dec.sigma[:rank]).ravel(), r)
         body += _quant_segment(dec.v[:, :rank].ravel(), r)
-    return body
+    return rank, body
 
 
 def _walk(blob: bytes) -> Iterator[Tuple[str, np.ndarray]]:

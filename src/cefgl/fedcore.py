@@ -1,15 +1,15 @@
 """Federated round state machines.
 
-Implements the dual-channel protocol: a shared low-rank channel trained with
-a drift-correction term, a private sparse channel fine-tuned against the
-global view, truncated-SVD aggregation, quantized transfers, probabilistic
-communication skipping, client sampling and dropout.  ``run_round`` is the
-only round function.  The weighted-average (FedAvg) and proximal (FedProx)
-baselines are settings of its knobs: no correction, no fine-tuning, p = 1,
-global-pull weight 0 (FedAvg) or the proximal weight (FedProx, whose step
-``w - eta*(g + mu*(w - theta))`` is the shared-channel step with h = 0), and
-``ServerState.plain_average`` for dense shared-channel uplinks merged by a
-plain sample-weighted mean.
+Implements the dual-channel protocol: a shared channel trained with a
+drift-correction term, a private sparse channel fine-tuned against the
+global view, truncated-SVD aggregation, quantized and low-rank transfers,
+probabilistic communication skipping, client sampling and dropout.
+``run_round`` is the only round function.  The weighted-average (FedAvg)
+and proximal (FedProx) baselines are settings of its knobs: no correction,
+no fine-tuning, p = 1, global-pull weight 0 (FedAvg) or the proximal weight
+(FedProx, whose step ``w - eta*(g + mu*(w - theta))`` is the shared-channel
+step with h = 0), and ``ServerState.plain_average`` for dense shared-channel
+uplinks merged by a plain sample-weighted mean.
 
 ``ClientConfig`` and ``ServerConfig`` are the ``client`` and ``server``
 sections of a config file, as ``harness.parse_config`` fills them; its
@@ -20,11 +20,12 @@ Both links carry differences from the last decoded broadcast, which the
 server holds as ``ServerState.theta`` and every client adopts on a
 communicated round; it starts as the initial model on both ends.  Uplinks
 carry ``w - theta`` and the correction term, the server merges them onto
-``theta``, and the downlink carries the merged model's difference from
-``theta``, a zero difference when no uplink arrived.  A quantizer's error
-scales with the norm of what it encodes, and these differences are far
-smaller than the models (DIANA, Mishchenko et al. 2019; EF21, Richtárik et
-al. 2021).
+``theta`` and truncates the merge per matrix, and the downlink carries the
+truncated merge's difference from ``theta``, a zero difference when no
+uplink arrived.  The low-rank coder factors that difference, so ``theta``
+itself is not rank-limited.  A quantizer's error scales with the norm of
+what it encodes, and these differences are far smaller than the models
+(DIANA, Mishchenko et al. 2019; EF21, Richtárik et al. 2021).
 
 Clients and the server are mutable state records; round operations mutate
 them in place and are deterministic given the states' RNG streams.  A
@@ -139,7 +140,11 @@ class ServerState:
 
 @dataclass
 class RoundRecord:
-    """Metrics for one round; bits are zero whenever communication is skipped."""
+    """Metrics for one round; bits are zero whenever communication is skipped.
+
+    The low-rank ratios are those of the downlinked difference, the matrices
+    that travel factored; they are None when no low-rank body was sent.
+    """
 
     t: int
     communicated: bool
@@ -240,30 +245,21 @@ def update_correction(c: ClientState, view: ModelParams, steps: int) -> ClientSt
 
 
 def client_uplink(
-    c: ClientState,
-    r_bits: int,
-    plain: bool = False,
-    anchor: Optional[ModelParams] = None,
+    c: ClientState, anchor: ModelParams, r_bits: int, plain: bool = False
 ) -> compress.CompressedPayload:
     """Quantized payload of the shared channel's change since the last
     broadcast, ``w - anchor``, and of the correction term; with ``plain``
     the dense change alone (the baselines' uplink).
 
-    The anchor is the broadcast both ends hold; without one the shared
-    channel travels whole.  The private channel never leaves the client.
+    The anchor is the broadcast both ends hold.  The private channel never
+    leaves the client.
     """
-    delta = c.w if anchor is None else {k: c.w[k] - anchor[k] for k in c.w}
+    delta = {k: c.w[k] - anchor[k] for k in c.w}
     if plain:
         return compress.encode_payload(delta, compress.SCHEME_DENSE)
     tensors = {f"w.{k}": v for k, v in delta.items()}
     tensors.update({f"h.{k}": v for k, v in c.h.items()})
     return compress.encode_payload(tensors, compress.SCHEME_QUANTIZED, r=r_bits)
-
-
-@dataclass
-class _AggregateStats:
-    rank_ratio: Optional[float]
-    param_ratio: Optional[float]
 
 
 def _aggregate(
@@ -273,7 +269,7 @@ def _aggregate(
     eta: float,
     tau_lowrank: float,
     plain: bool = False,
-) -> Tuple[ModelParams, _AggregateStats]:
+) -> ModelParams:
     """The anchor plus the sample-size-weighted mean of the uplinked
     shared-channel changes, minus eta times the weighted correction terms,
     rank-truncated per weight matrix; with ``plain``, the anchor plus the
@@ -297,29 +293,34 @@ def _aggregate(
         return linalg.weighted_sum([(wt, d[name]) for wt, d in zip(weights, decoded)])
 
     if plain:
-        return {name: anchor[name] + mean(name) for name in names}, _AggregateStats(None, None)
+        return {name: anchor[name] + mean(name) for name in names}
     base = [n[len("w.") :] for n in names if n.startswith("w.")]
 
     theta: ModelParams = {}
-    retained, full, kept_params, dense_params = 0, 0, 0, 0
     for key in base:
         merged = anchor[key] + mean(f"w.{key}") - eta * mean(f"h.{key}")
         _check_finite({key: merged}, "server aggregation")
-        rows, cols = merged.shape
-        if min(rows, cols) == 1:
+        if min(merged.shape) == 1:
             theta[key] = merged  # rank truncation is meaningless for bias rows
             continue
-        approx, rank = linalg.lowrank_truncate(linalg.svd(merged), "relative", tau_lowrank)
-        theta[key] = approx
-        retained += rank
-        full += min(rows, cols)
-        kept_params += rank * (rows + cols)
-        dense_params += rows * cols
-    stats = _AggregateStats(
-        rank_ratio=retained / full if full else None,
-        param_ratio=kept_params / dense_params if dense_params else None,
+        theta[key], _ = linalg.lowrank_truncate(linalg.svd(merged), "relative", tau_lowrank)
+    return theta
+
+
+def _lowrank_ratios(
+    payload: compress.CompressedPayload, tensors: ModelParams
+) -> Tuple[Optional[float], Optional[float]]:
+    """Retained-rank and retained-parameter fractions of the matrices that
+    ``payload`` factored; None for both when it factored none."""
+    if not payload.ranks:
+        return None, None
+    shapes = [tensors[name].shape for name in payload.ranks]
+    ranks = list(payload.ranks.values())
+    kept = sum(k * (rows + cols) for k, (rows, cols) in zip(ranks, shapes))
+    return (
+        sum(ranks) / sum(min(shape) for shape in shapes),
+        kept / sum(rows * cols for rows, cols in shapes),
     )
-    return theta, stats
 
 
 def dropout_filter(
@@ -396,16 +397,16 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
         if c.cfg.use_correction and not c.cfg.proxskip_h:
             update_correction(c, view, steps)
 
-    stats = _AggregateStats(rank_ratio=None, param_ratio=None)
+    rank_ratio = param_ratio = None
     if communicate:
         anchor = server.theta
         payloads = [
-            client_uplink(by_id[cid], cfg.r_bits, server.plain_average, anchor)
+            client_uplink(by_id[cid], anchor, cfg.r_bits, server.plain_average)
             for cid in survivors
         ]
         if payloads:
             sizes = [len(by_id[cid].train) for cid in survivors]
-            merged, stats = _aggregate(
+            merged = _aggregate(
                 payloads, sizes, anchor, server.eta, cfg.tau_lowrank, server.plain_average
             )
             delta = {k: merged[k] - anchor[k] for k in anchor}
@@ -417,6 +418,7 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
             r=cfg.r_bits,
             tau_lowrank=cfg.tau_lowrank,
         )
+        rank_ratio, param_ratio = _lowrank_ratios(downlink, delta)
         decoded = compress.decode_payload(downlink)
         server.theta = {k: anchor[k] + decoded[k] for k in anchor}
         uplink_bits = sum(compress.payload_bits(p) for p in payloads)
@@ -443,8 +445,8 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
         test_accuracy=accs,
         wall_time=_wall_time(cfg, uplink_bits + downlink_bits, messages),
         sparsity_ratio=density,
-        lowrank_rank_ratio=stats.rank_ratio,
-        lowrank_param_ratio=stats.param_ratio,
+        lowrank_rank_ratio=rank_ratio,
+        lowrank_param_ratio=param_ratio,
     )
     server.t += 1
     return record

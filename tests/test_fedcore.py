@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cefgl import compress, fedcore, gnn, graphdata, harness
+from cefgl import compress, fedcore, gnn, graphdata, harness, linalg
 from cefgl.errors import DivergenceDetected
 from cefgl.fedcore import ClientConfig, ClientState, ServerConfig, ServerState
 from cefgl.gnn import ArchConfig
@@ -297,7 +297,8 @@ class TestCorrection:
 class TestUplink:
     def test_payload_has_both_channels(self):
         _, clients = make_clients(n_clients=1)
-        payload = fedcore.client_uplink(clients[0], r_bits=8)
+        zero = gnn.zeros_like_params(clients[0].w)
+        payload = fedcore.client_uplink(clients[0], zero, r_bits=8)
         decoded = compress.decode_payload(payload)
         assert len(decoded) == 2 * len(clients[0].w)
         assert [k for k in decoded if k.startswith("w.")] == [
@@ -307,7 +308,7 @@ class TestUplink:
     def test_high_precision_uplink(self):
         _, clients = make_clients(n_clients=1)
         c = clients[0]
-        payload = fedcore.client_uplink(c, r_bits=32)
+        payload = fedcore.client_uplink(c, gnn.zeros_like_params(c.w), r_bits=32)
         decoded = compress.decode_payload(payload)
         for k, v in c.w.items():
             err = np.linalg.norm(decoded[f"w.{k}"] - v)
@@ -320,7 +321,9 @@ class TestUplink:
         tensors.update({f"h.{k}": v for k, v in c.h.items()})
         dense_bits = compress.payload_bits(compress.encode_payload(tensors, "dense"))
         for r in (4, 8, 16):
-            bits = compress.payload_bits(fedcore.client_uplink(c, r_bits=r))
+            bits = compress.payload_bits(
+                fedcore.client_uplink(c, gnn.zeros_like_params(c.w), r_bits=r)
+            )
             assert bits < dense_bits
 
 
@@ -334,7 +337,7 @@ class TestAggregate:
         rng = np.random.default_rng(1)
         w = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3))}
         h = gnn.zeros_like_params(w)
-        theta, _ = fedcore._aggregate([self._dense_payload(w, h)], [10], h, 0.01, 0.0)
+        theta = fedcore._aggregate([self._dense_payload(w, h)], [10], h, 0.01, 0.0)
         assert max_rel_frob(theta, w) <= 1e-8
 
     def test_two_equal_clients_average(self):
@@ -342,7 +345,7 @@ class TestAggregate:
         w1 = {"a": rng.normal(size=(4, 4))}
         w2 = {"a": rng.normal(size=(4, 4))}
         zero = gnn.zeros_like_params(w1)
-        theta, _ = fedcore._aggregate(
+        theta = fedcore._aggregate(
             [self._dense_payload(w1, zero), self._dense_payload(w2, zero)],
             [7, 7],
             zero,
@@ -360,14 +363,14 @@ class TestAggregate:
         sizes = [2, 3, 5]
         payloads = [self._dense_payload(theta_prev, g) for g in grads]
         eta = 0.05
-        theta, _ = fedcore._aggregate(payloads, sizes, gnn.zeros_like_params(theta_prev), eta, 0.0)
+        theta = fedcore._aggregate(payloads, sizes, gnn.zeros_like_params(theta_prev), eta, 0.0)
         mean_grad = sum(s * g["a"] for s, g in zip(sizes, grads)) / sum(sizes)
         assert np.allclose(theta["a"], theta_prev["a"] - eta * mean_grad, atol=1e-8)
 
     def test_bias_rows_bypass_truncation(self):
         bias = {"b": np.array([[0.4, -0.2, 0.6]])}
         zero = gnn.zeros_like_params(bias)
-        theta, _ = fedcore._aggregate(
+        theta = fedcore._aggregate(
             [self._dense_payload(bias, zero)], [1], zero, 0.01, tau_lowrank=10.0
         )
         assert np.allclose(theta["b"], bias["b"], atol=1e-12)
@@ -375,7 +378,7 @@ class TestAggregate:
     def test_weight_matrices_get_truncated(self):
         mat = {"a": np.diag([4.0, 1.0])}
         zero = gnn.zeros_like_params(mat)
-        theta, _ = fedcore._aggregate(
+        theta = fedcore._aggregate(
             [self._dense_payload(mat, zero)], [1], zero, 0.01, tau_lowrank=0.5
         )
         assert np.allclose(theta["a"], np.diag([4.0, 0.0]), atol=1e-10)
@@ -394,7 +397,7 @@ class TestAggregate:
         else:
             zero = gnn.zeros_like_params(anchor)
             payloads = [self._dense_payload(d, zero) for d in deltas]
-        theta, _ = fedcore._aggregate(payloads, sizes, anchor, 0.05, 0.0, plain)
+        theta = fedcore._aggregate(payloads, sizes, anchor, 0.05, 0.0, plain)
         for k in anchor:
             mean = sum(n * w[k] for n, w in zip(sizes, ws)) / sum(sizes)
             assert np.allclose(theta[k], mean, rtol=0.0, atol=1e-12)
@@ -536,18 +539,73 @@ class TestRunRound:
             rec = fedcore.run_round(server, clients)
             assert calls[before:] == (rec.participants if rec.communicated else [])
 
-    def test_communication_accounting_matches_wire_format(self):
+    def test_communication_accounting_matches_wire_format(self, monkeypatch):
+        self._check_accounting(monkeypatch, tau=0.0)
+
+    def test_communication_accounting_with_truncated_downlink(self, monkeypatch):
+        self._check_accounting(monkeypatch, tau=0.3)
+
+    def _check_accounting(self, monkeypatch, tau):
+        # The round bills exactly the payloads it encodes: one uplink per
+        # survivor and one downlink per client.
+        sent, shared = [], {}
+        real_encode, real_uplink = compress.encode_payload, fedcore.client_uplink
+
+        def recording(tensors, scheme, **kwargs):
+            sent.append((dict(tensors), real_encode(tensors, scheme, **kwargs)))
+            return sent[-1][1]
+
+        def snapshot(c, *args, **kwargs):
+            shared[c.id] = (c.w, c.h)
+            return real_uplink(c, *args, **kwargs)
+
+        monkeypatch.setattr(compress, "encode_payload", recording)
+        monkeypatch.setattr(fedcore, "client_uplink", snapshot)
         theta0, clients = make_clients(hidden=4)
-        server = make_server(theta0, p=1.0, r_bits=8, tau_lowrank=0.0)
+        server = make_server(theta0, p=1.0, r_bits=8, tau_lowrank=tau)
+        fedcore.run_round(server, clients)  # moves the broadcast off theta0
+        anchor = gnn.clone_params(server.theta)
+        # An idle client still holds the broadcast, so its change is zero.
+        clients[0].cfg = dataclasses.replace(clients[0].cfg, local_epochs=0)
+        sent.clear()
         rec = fedcore.run_round(server, clients)
-        expected_up = sum(
-            compress.payload_bits(fedcore.client_uplink(c, r_bits=8)) for c in clients
-        )
-        assert rec.uplink_bits == expected_up
-        down = compress.encode_payload(
-            server.theta, server.cfg.downlink_scheme, r=8, tau_lowrank=0.0
-        )
+        *uplinks, (delta, down) = sent
+        assert len(uplinks) == len(rec.participants) == len(clients)
+        up_bits = [compress.payload_bits(p) for _, p in uplinks]
+        assert up_bits[0] < up_bits[1]  # zero bodies cost one byte each
+        assert rec.uplink_bits == sum(up_bits)
         assert rec.downlink_bits == len(clients) * compress.payload_bits(down)
+
+        # Uplinks carry w - anchor and h; the downlink carries the merge's
+        # difference from the anchor (bias rows are never truncated), and
+        # everyone moves the anchor by its decoded value.
+        sizes = [len(c.train) for c in clients]
+        for c, (tensors, _) in zip(clients, uplinks):
+            w, h = shared[c.id]
+            for k in anchor:
+                assert np.array_equal(tensors[f"w.{k}"], w[k] - anchor[k])
+                assert np.array_equal(tensors[f"h.{k}"], h[k])
+        assert not any(v.any() for k, v in uplinks[0][0].items() if k.startswith("w."))
+        ups = [compress.decode_payload(p) for _, p in uplinks]
+        decoded = compress.decode_payload(down)
+        for k in anchor:
+            merged = sum(
+                n * (u[f"w.{k}"] - server.eta * u[f"h.{k}"]) for n, u in zip(sizes, ups)
+            ) / sum(sizes)
+            if tau == 0.0 or min(anchor[k].shape) == 1:
+                np.testing.assert_allclose(delta[k], merged, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(server.theta[k] - anchor[k], decoded[k], atol=1e-12)
+
+        # The low-rank ratios are those of the downlinked delta.
+        ranks = {
+            k: linalg.retained_rank(linalg.svd(v), "relative", tau)
+            for k, v in delta.items()
+            if min(v.shape) > 1
+        }
+        assert down.ranks == ranks
+        full = sum(min(delta[k].shape) for k in ranks)
+        assert rec.lowrank_rank_ratio == sum(ranks.values()) / full
+        assert (rec.lowrank_rank_ratio < 1.0) == (tau > 0.0)
 
 
 class TestBaselines:
@@ -648,6 +706,6 @@ class TestFedAvgReduction:
         for h in hs:
             tensors = {"w.a": theta_prev["a"], "h.a": h["a"]}
             payloads.append(compress.encode_payload(tensors, "dense"))
-        theta, _ = fedcore._aggregate(payloads, [1, 1], gnn.zeros_like_params(theta_prev), 0.1, 0.0)
+        theta = fedcore._aggregate(payloads, [1, 1], gnn.zeros_like_params(theta_prev), 0.1, 0.0)
         expected = theta_prev["a"] - 0.1 * 0.5 * (hs[0]["a"] + hs[1]["a"])
         assert np.allclose(theta["a"], expected, atol=1e-8)
