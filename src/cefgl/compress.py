@@ -20,8 +20,10 @@ refuses payloads that declare more than ``_MAX_WIRE_ELEMENTS`` values in
 total, quantized segments whose norm is negative, infinite or NaN, and
 low-rank bodies whose factors multiply out past the float64 range.
 
-Only the shared channel and the correction term travel; the private sparse
-channel stays on its client, so no sparse encoding is defined here.
+Only changes of the shared channel travel: up, each client's drift-corrected
+step, which folds in its correction term; down, the broadcast's change.  The
+private sparse channel stays on its client, so no sparse encoding is defined
+here.
 """
 
 from __future__ import annotations

@@ -18,9 +18,11 @@ by a mask on the parameters themselves and never travels.
 
 Both links carry differences from the last decoded broadcast, which the
 server holds as ``ServerState.theta`` and every client adopts on a
-communicated round; it starts as the initial model on both ends.  Uplinks
-carry ``w - theta`` and the correction term, the server merges them onto
-``theta`` and truncates the merge per matrix, and the downlink carries the
+communicated round; it starts as the initial model on both ends.  An
+uplink carries one tensor per parameter, the drift-corrected step
+``w - theta - eta * h`` (SCAFFOLD's server update, Karimireddy et al.
+2020, combined on the client); the server merges the steps onto ``theta``
+and truncates the merge per matrix, and the downlink carries the
 truncated merge's difference from ``theta``, a zero difference when no
 uplink arrived.  The low-rank coder factors that difference, so ``theta``
 itself is not rank-limited.  A quantizer's error scales with the norm of
@@ -128,9 +130,8 @@ class ClientState:
 class ServerState:
     theta: ModelParams  # the last decoded broadcast, as every client holds it
     cfg: ServerConfig = field(default_factory=ServerConfig)
-    eta: float = 0.01
-    # Baselines: uplinks carry the shared channel only, densely, and the
-    # server takes their sample-weighted mean without correction or truncation.
+    # Baselines: uplinks travel densely, and the server takes their
+    # sample-weighted mean without truncation.
     plain_average: bool = False
     t: int = 0
     coin_rng: np.random.Generator = field(default_factory=np.random.default_rng)
@@ -247,33 +248,31 @@ def update_correction(c: ClientState, view: ModelParams, steps: int) -> ClientSt
 def client_uplink(
     c: ClientState, anchor: ModelParams, r_bits: int, plain: bool = False
 ) -> compress.CompressedPayload:
-    """Quantized payload of the shared channel's change since the last
-    broadcast, ``w - anchor``, and of the correction term; with ``plain``
-    the dense change alone (the baselines' uplink).
+    """The shared channel's drift-corrected step since the last broadcast,
+    ``w - anchor - eta * h`` with the client's own eta, one tensor named
+    like each parameter: quantized, or with ``plain`` dense (the baselines'
+    uplink, whose correction term stays zero).
 
-    The anchor is the broadcast both ends hold.  The private channel never
-    leaves the client.
+    The server uses the change and the correction term only in this
+    combination, so they travel as one tensor.  The anchor is the broadcast
+    both ends hold.  The private channel never leaves the client.
     """
-    delta = {k: c.w[k] - anchor[k] for k in c.w}
+    eta = c.cfg.eta
+    step = {k: c.w[k] - anchor[k] - eta * c.h[k] for k in c.w}
     if plain:
-        return compress.encode_payload(delta, compress.SCHEME_DENSE)
-    tensors = {f"w.{k}": v for k, v in delta.items()}
-    tensors.update({f"h.{k}": v for k, v in c.h.items()})
-    return compress.encode_payload(tensors, compress.SCHEME_QUANTIZED, r=r_bits)
+        return compress.encode_payload(step, compress.SCHEME_DENSE)
+    return compress.encode_payload(step, compress.SCHEME_QUANTIZED, r=r_bits)
 
 
 def _aggregate(
     payloads: Sequence[compress.CompressedPayload],
     sample_sizes: Sequence[int],
     anchor: ModelParams,
-    eta: float,
     tau_lowrank: float,
     plain: bool = False,
 ) -> ModelParams:
-    """The anchor plus the sample-size-weighted mean of the uplinked
-    shared-channel changes, minus eta times the weighted correction terms,
-    rank-truncated per weight matrix; with ``plain``, the anchor plus the
-    weighted mean of change-only payloads, untruncated."""
+    """The anchor plus the sample-size-weighted mean of the uplinked steps,
+    rank-truncated per weight matrix; with ``plain`` untruncated."""
     if len(payloads) == 0:
         raise ValueError("need at least one payload to aggregate")
     if len(payloads) != len(sample_sizes):
@@ -289,21 +288,16 @@ def _aggregate(
         if list(d) != names:
             raise ShapeMismatch("payloads carry different tensor sets")
 
-    def mean(name: str) -> np.ndarray:
-        return linalg.weighted_sum([(wt, d[name]) for wt, d in zip(weights, decoded)])
-
-    if plain:
-        return {name: anchor[name] + mean(name) for name in names}
-    base = [n[len("w.") :] for n in names if n.startswith("w.")]
-
     theta: ModelParams = {}
-    for key in base:
-        merged = anchor[key] + mean(f"w.{key}") - eta * mean(f"h.{key}")
-        _check_finite({key: merged}, "server aggregation")
-        if min(merged.shape) == 1:
-            theta[key] = merged  # rank truncation is meaningless for bias rows
+    for name in names:
+        merged = anchor[name] + linalg.weighted_sum(
+            [(wt, d[name]) for wt, d in zip(weights, decoded)]
+        )
+        _check_finite({name: merged}, "server aggregation")
+        if plain or min(merged.shape) == 1:
+            theta[name] = merged  # rank truncation is meaningless for bias rows
             continue
-        theta[key], _ = linalg.lowrank_truncate(linalg.svd(merged), "relative", tau_lowrank)
+        theta[name], _ = linalg.lowrank_truncate(linalg.svd(merged), "relative", tau_lowrank)
     return theta
 
 
@@ -369,10 +363,10 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
     Coin first, then sampling, then dropout.  Survivors train both channels
     against their view (the shared channel as the round starts) and update
     their correction terms.  On a communicated round they uplink their
-    changes since the last broadcast; the server merges them onto it,
-    encodes the merge's difference from it, and it and every client move
-    the broadcast by the decoded difference and adopt it as their shared
-    channel.  On a skipped round nothing is encoded or billed and each
+    drift-corrected steps from the last broadcast; the server merges them
+    onto it, encodes the merge's difference from it, and it and every
+    client move the broadcast by the decoded difference and adopt it as
+    their shared channel.  On a skipped round nothing is encoded or billed and each
     client keeps its own shared channel.
     """
     cfg = server.cfg
@@ -406,9 +400,7 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
         ]
         if payloads:
             sizes = [len(by_id[cid].train) for cid in survivors]
-            merged = _aggregate(
-                payloads, sizes, anchor, server.eta, cfg.tau_lowrank, server.plain_average
-            )
+            merged = _aggregate(payloads, sizes, anchor, cfg.tau_lowrank, server.plain_average)
             delta = {k: merged[k] - anchor[k] for k in anchor}
         else:  # nothing arrived: the broadcast is a zero delta
             delta = gnn.zeros_like_params(anchor)

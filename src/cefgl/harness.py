@@ -331,7 +331,6 @@ def build_simulation(
     server = ServerState(
         theta=gnn.clone_params(theta0),
         cfg=server_cfg,
-        eta=c.eta,
         plain_average=baseline,
         coin_rng=np.random.default_rng(cfg.seeds.coin),
         sampling_rng=np.random.default_rng(cfg.seeds.sampling),

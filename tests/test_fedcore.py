@@ -83,6 +83,12 @@ def max_rel_frob(a, b):
     return out
 
 
+def step_payload(w, h, eta):
+    """A dense uplink of the drift-corrected step ``w - eta * h``, what a
+    client whose change from a zero anchor is ``w`` sends."""
+    return compress.encode_payload({k: w[k] - eta * h[k] for k in w}, "dense")
+
+
 class TestSparsifier:
     def test_threshold_postcondition(self):
         params = {"a": np.array([[0.5, -0.0005], [0.002, 0.0]])}
@@ -295,15 +301,29 @@ class TestCorrection:
 
 
 class TestUplink:
-    def test_payload_has_both_channels(self):
+    def test_payload_has_one_tensor_per_parameter(self):
         _, clients = make_clients(n_clients=1)
         zero = gnn.zeros_like_params(clients[0].w)
         payload = fedcore.client_uplink(clients[0], zero, r_bits=8)
         decoded = compress.decode_payload(payload)
-        assert len(decoded) == 2 * len(clients[0].w)
-        assert [k for k in decoded if k.startswith("w.")] == [
-            f"w.{k}" for k in clients[0].w
-        ]
+        assert list(decoded) == list(clients[0].w)
+
+    @pytest.mark.parametrize("r", [4, 8, 16])
+    def test_uplink_decodes_to_the_drift_corrected_step(self, r):
+        # The change and the correction term travel combined, named like the
+        # parameters; each decoded entry is off by at most 2**-r of its
+        # tensor's norm (rounding, or saturation of the largest entry).
+        _, clients = make_clients(n_clients=1, eta=0.05)
+        c = clients[0]
+        rng = np.random.default_rng(r)
+        anchor = {k: v + rng.normal(scale=0.1, size=v.shape) for k, v in c.w.items()}
+        c.h = {k: rng.normal(size=v.shape) for k, v in c.w.items()}
+        decoded = compress.decode_payload(fedcore.client_uplink(c, anchor, r_bits=r))
+        assert list(decoded) == list(c.w)
+        for k in c.w:
+            step = c.w[k] - anchor[k] - 0.05 * c.h[k]
+            bound = 2.0**-r * np.linalg.norm(step)
+            assert np.max(np.abs(decoded[k] - step)) <= bound, k
 
     def test_high_precision_uplink(self):
         _, clients = make_clients(n_clients=1)
@@ -311,15 +331,13 @@ class TestUplink:
         payload = fedcore.client_uplink(c, gnn.zeros_like_params(c.w), r_bits=32)
         decoded = compress.decode_payload(payload)
         for k, v in c.w.items():
-            err = np.linalg.norm(decoded[f"w.{k}"] - v)
+            err = np.linalg.norm(decoded[k] - v)
             assert err <= 1e-6 * max(np.linalg.norm(v), 1e-12)
 
     def test_quantized_uplink_is_smaller_than_dense(self):
         _, clients = make_clients(n_clients=1)
         c = clients[0]
-        tensors = {f"w.{k}": v for k, v in c.w.items()}
-        tensors.update({f"h.{k}": v for k, v in c.h.items()})
-        dense_bits = compress.payload_bits(compress.encode_payload(tensors, "dense"))
+        dense_bits = compress.payload_bits(compress.encode_payload(c.w, "dense"))
         for r in (4, 8, 16):
             bits = compress.payload_bits(
                 fedcore.client_uplink(c, gnn.zeros_like_params(c.w), r_bits=r)
@@ -328,16 +346,11 @@ class TestUplink:
 
 
 class TestAggregate:
-    def _dense_payload(self, w, h):
-        tensors = {f"w.{k}": v for k, v in w.items()}
-        tensors.update({f"h.{k}": v for k, v in h.items()})
-        return compress.encode_payload(tensors, "dense")
-
     def test_single_client_identity(self):
         rng = np.random.default_rng(1)
         w = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3))}
         h = gnn.zeros_like_params(w)
-        theta = fedcore._aggregate([self._dense_payload(w, h)], [10], h, 0.01, 0.0)
+        theta = fedcore._aggregate([step_payload(w, h, 0.01)], [10], h, 0.0)
         assert max_rel_frob(theta, w) <= 1e-8
 
     def test_two_equal_clients_average(self):
@@ -346,10 +359,9 @@ class TestAggregate:
         w2 = {"a": rng.normal(size=(4, 4))}
         zero = gnn.zeros_like_params(w1)
         theta = fedcore._aggregate(
-            [self._dense_payload(w1, zero), self._dense_payload(w2, zero)],
+            [step_payload(w1, zero, 0.01), step_payload(w2, zero, 0.01)],
             [7, 7],
             zero,
-            0.01,
             0.0,
         )
         assert np.allclose(theta["a"], 0.5 * (w1["a"] + w2["a"]), atol=1e-8)
@@ -361,9 +373,9 @@ class TestAggregate:
         theta_prev = {"a": rng.normal(size=(5, 4))}
         grads = [{"a": rng.normal(size=(5, 4))} for _ in range(3)]
         sizes = [2, 3, 5]
-        payloads = [self._dense_payload(theta_prev, g) for g in grads]
         eta = 0.05
-        theta = fedcore._aggregate(payloads, sizes, gnn.zeros_like_params(theta_prev), eta, 0.0)
+        payloads = [step_payload(theta_prev, g, eta) for g in grads]
+        theta = fedcore._aggregate(payloads, sizes, gnn.zeros_like_params(theta_prev), 0.0)
         mean_grad = sum(s * g["a"] for s, g in zip(sizes, grads)) / sum(sizes)
         assert np.allclose(theta["a"], theta_prev["a"] - eta * mean_grad, atol=1e-8)
 
@@ -371,7 +383,7 @@ class TestAggregate:
         bias = {"b": np.array([[0.4, -0.2, 0.6]])}
         zero = gnn.zeros_like_params(bias)
         theta = fedcore._aggregate(
-            [self._dense_payload(bias, zero)], [1], zero, 0.01, tau_lowrank=10.0
+            [step_payload(bias, zero, 0.01)], [1], zero, tau_lowrank=10.0
         )
         assert np.allclose(theta["b"], bias["b"], atol=1e-12)
 
@@ -379,7 +391,7 @@ class TestAggregate:
         mat = {"a": np.diag([4.0, 1.0])}
         zero = gnn.zeros_like_params(mat)
         theta = fedcore._aggregate(
-            [self._dense_payload(mat, zero)], [1], zero, 0.01, tau_lowrank=0.5
+            [step_payload(mat, zero, 0.01)], [1], zero, tau_lowrank=0.5
         )
         assert np.allclose(theta["a"], np.diag([4.0, 0.0]), atol=1e-10)
 
@@ -391,24 +403,20 @@ class TestAggregate:
         anchor = {"a": rng.normal(size=(5, 4)), "b": rng.normal(size=(1, 4))}
         ws = [{k: rng.normal(size=v.shape) for k, v in anchor.items()} for _ in range(3)]
         sizes = [2, 3, 5]
-        deltas = [{k: w[k] - anchor[k] for k in w} for w in ws]
-        if plain:
-            payloads = [compress.encode_payload(d, "dense") for d in deltas]
-        else:
-            zero = gnn.zeros_like_params(anchor)
-            payloads = [self._dense_payload(d, zero) for d in deltas]
-        theta = fedcore._aggregate(payloads, sizes, anchor, 0.05, 0.0, plain)
+        zero = gnn.zeros_like_params(anchor)
+        payloads = [step_payload({k: w[k] - anchor[k] for k in w}, zero, 0.05) for w in ws]
+        theta = fedcore._aggregate(payloads, sizes, anchor, 0.0, plain)
         for k in anchor:
             mean = sum(n * w[k] for n, w in zip(sizes, ws)) / sum(sizes)
             assert np.allclose(theta[k], mean, rtol=0.0, atol=1e-12)
 
     def test_non_finite_merge_is_divergence(self):
-        # w - eta * h overflows on the server, before any SVD sees it.
+        # The anchor plus the mean step overflows on the server, before any
+        # SVD sees it.
         w = {"a": np.full((2, 2), 1e308)}
-        h = {"a": np.full((2, 2), -1e308)}
-        payloads = [self._dense_payload(w, h)] * 2
+        payloads = [step_payload(w, gnn.zeros_like_params(w), 10.0)] * 2
         with np.errstate(over="ignore"), pytest.raises(DivergenceDetected):
-            fedcore._aggregate(payloads, [1, 1], gnn.zeros_like_params(w), 10.0, 0.0)
+            fedcore._aggregate(payloads, [1, 1], w, 0.0)
 
 
 class TestDropout:
@@ -561,37 +569,45 @@ class TestRunRound:
 
         monkeypatch.setattr(compress, "encode_payload", recording)
         monkeypatch.setattr(fedcore, "client_uplink", snapshot)
-        theta0, clients = make_clients(hidden=4)
+        theta0, clients = make_clients(n_clients=3, hidden=4)
         server = make_server(theta0, p=1.0, r_bits=8, tau_lowrank=tau)
         fedcore.run_round(server, clients)  # moves the broadcast off theta0
         anchor = gnn.clone_params(server.theta)
-        # An idle client still holds the broadcast, so its change is zero.
-        clients[0].cfg = dataclasses.replace(clients[0].cfg, local_epochs=0)
+        # Idle clients still hold the broadcast, so their change is zero:
+        # client 0 with its correction term cleared sends zero tensors, and
+        # client 1 sends -eta * h for the correction term it keeps.
+        for c in clients[:2]:
+            c.cfg = dataclasses.replace(c.cfg, local_epochs=0)
+        clients[0].h = gnn.zeros_like_params(anchor)
+        assert any(v.any() for v in clients[1].h.values())
         sent.clear()
         rec = fedcore.run_round(server, clients)
         *uplinks, (delta, down) = sent
         assert len(uplinks) == len(rec.participants) == len(clients)
         up_bits = [compress.payload_bits(p) for _, p in uplinks]
         assert up_bits[0] < up_bits[1]  # zero bodies cost one byte each
+        assert up_bits[0] < up_bits[2]
         assert rec.uplink_bits == sum(up_bits)
         assert rec.downlink_bits == len(clients) * compress.payload_bits(down)
 
-        # Uplinks carry w - anchor and h; the downlink carries the merge's
-        # difference from the anchor (bias rows are never truncated), and
-        # everyone moves the anchor by its decoded value.
+        # Uplinks carry w - anchor - eta * h, one tensor per parameter; the
+        # downlink carries the merge's difference from the anchor (bias rows
+        # are never truncated), and everyone moves the anchor by its decoded
+        # value.
         sizes = [len(c.train) for c in clients]
         for c, (tensors, _) in zip(clients, uplinks):
             w, h = shared[c.id]
+            assert list(tensors) == list(anchor)
             for k in anchor:
-                assert np.array_equal(tensors[f"w.{k}"], w[k] - anchor[k])
-                assert np.array_equal(tensors[f"h.{k}"], h[k])
-        assert not any(v.any() for k, v in uplinks[0][0].items() if k.startswith("w."))
+                assert np.array_equal(tensors[k], w[k] - anchor[k] - c.cfg.eta * h[k])
+        assert not any(v.any() for v in uplinks[0][0].values())
+        idle_h = shared[clients[1].id][1]
+        for k in anchor:
+            assert np.array_equal(uplinks[1][0][k], -clients[1].cfg.eta * idle_h[k])
         ups = [compress.decode_payload(p) for _, p in uplinks]
         decoded = compress.decode_payload(down)
         for k in anchor:
-            merged = sum(
-                n * (u[f"w.{k}"] - server.eta * u[f"h.{k}"]) for n, u in zip(sizes, ups)
-            ) / sum(sizes)
+            merged = sum(n * u[k] for n, u in zip(sizes, ups)) / sum(sizes)
             if tau == 0.0 or min(anchor[k].shape) == 1:
                 np.testing.assert_allclose(delta[k], merged, rtol=0, atol=1e-12)
             np.testing.assert_allclose(server.theta[k] - anchor[k], decoded[k], atol=1e-12)
@@ -702,10 +718,7 @@ class TestFedAvgReduction:
         rng = np.random.default_rng(9)
         theta_prev = {"a": rng.normal(size=(4, 4))}
         hs = [{"a": rng.normal(size=(4, 4))} for _ in range(2)]
-        payloads = []
-        for h in hs:
-            tensors = {"w.a": theta_prev["a"], "h.a": h["a"]}
-            payloads.append(compress.encode_payload(tensors, "dense"))
-        theta = fedcore._aggregate(payloads, [1, 1], gnn.zeros_like_params(theta_prev), 0.1, 0.0)
+        payloads = [step_payload(theta_prev, h, 0.1) for h in hs]
+        theta = fedcore._aggregate(payloads, [1, 1], gnn.zeros_like_params(theta_prev), 0.0)
         expected = theta_prev["a"] - 0.1 * 0.5 * (hs[0]["a"] + hs[1]["a"])
         assert np.allclose(theta["a"], expected, atol=1e-8)

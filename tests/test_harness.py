@@ -297,6 +297,16 @@ class TestPersistence:
         fedcore.run_round(server2, clients2)  # the resumed run rebuilds them
         assert all("batch" in vars(c.train) for c in clients2)
 
+    def test_checkpoint_with_a_server_eta_still_resumes(self, tmp_path):
+        # Older version-2 checkpoints hold a server-side eta, which the merge
+        # no longer reads; they load and run on.
+        server, clients, _ = harness.build_simulation(small_cfg(**{"run.rounds": 2}))
+        fedcore.run_round(server, clients)
+        vars(server)["eta"] = 0.02
+        harness.save_checkpoint((server, clients, 1), tmp_path / "ck.bin")
+        server2, clients2, _ = harness.load_checkpoint(tmp_path / "ck.bin")
+        assert fedcore.run_round(server2, clients2).t == 1
+
     def test_checkpoint_version_check(self, tmp_path):
         path = tmp_path / "ck.bin"
         harness.save_checkpoint({"x": 1}, path)
