@@ -5,7 +5,8 @@ is the unit that the federated protocol trains, compresses and aggregates.
 Layer stack: feature MLP, two message-passing layers (self plus neighbour
 sum), mean readout, linear head.  Every pass runs on a whole
 ``graphdata.GraphBatch`` at once: one matmul per layer over the stacked
-nodes, one stacked adjacency matmul per node-count group.
+nodes, one stacked adjacency matmul per node-count group, and one
+``np.add.reduceat`` over the graph-contiguous node rows for the readout.
 """
 
 from __future__ import annotations
@@ -117,10 +118,8 @@ def _forward_trace(p: ModelParams, batch: GraphBatch):
     m2 = _self_plus_neighbours(batch, _relu(z1))
     z2 = m2 @ p["gnn2_w"] + p["gnn2_b"]
     x2 = _relu(z2)
-    pooled = np.empty((len(batch), x2.shape[1]))
-    for grp in batch.groups:
-        nodes = x2[grp.rows].reshape(len(grp.positions), grp.n, -1)
-        pooled[grp.positions] = nodes.mean(axis=1)
+    sums = np.add.reduceat(x2, batch.row_starts, axis=0)
+    pooled = (sums / batch.row_counts[:, None])[batch.row_order]
     logits = pooled @ p["head_w"] + p["head_b"]
     return logits, (x, z0, m1, z1, m2, z2, pooled)
 

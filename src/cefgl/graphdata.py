@@ -82,7 +82,11 @@ class GraphBatch:
     adjacency storage stays the sum of n_i^2 over the graphs: nothing is
     padded to the largest graph.  ``len`` is the number of graphs;
     ``labels`` and ``sizes`` follow batch order, and ``node_graph`` gives
-    each feature row's graph position.
+    each feature row's graph position.  Each graph's nodes are contiguous
+    rows: ``row_starts`` and ``row_counts`` give each graph's first row and
+    node count, graphs in row order, and ``row_order[i]`` is the row-order
+    index of the graph at batch position i, so one ``np.add.reduceat``
+    over the rows sums every graph's nodes.
     """
 
     def __init__(self, graphs: Sequence[Graph]):
@@ -111,6 +115,12 @@ class GraphBatch:
         self.node_graph = np.concatenate(
             [np.repeat(grp.positions, grp.n) for grp in self.groups]
         )
+        self.row_starts = np.concatenate(
+            [np.arange(grp.rows.start, grp.rows.stop, grp.n) for grp in self.groups]
+        )
+        self.row_counts = self.sizes[self.node_graph[self.row_starts]]
+        self.row_order = np.empty(len(sizes), dtype=np.intp)
+        self.row_order[self.node_graph[self.row_starts]] = np.arange(len(sizes))
 
     def __len__(self) -> int:
         return len(self.labels)
