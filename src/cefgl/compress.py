@@ -97,14 +97,22 @@ def dequantize(q: QuantizedVector) -> np.ndarray:
     return np.where(q.signs == 1, -magnitudes, magnitudes)
 
 
+def _level_bytes(r: int) -> int:
+    """Bytes of the narrowest unsigned integer that holds an r-bit level."""
+    return 1 if r <= 8 else 2 if r <= 16 else 4
+
+
 def _pack_levels(levels: np.ndarray, r: int) -> bytes:
     """Concatenate the low r bits of each level, least significant first.
 
-    Each level's four little-endian bytes unpack to 32 bits in that order,
-    so the wire bits are the first r columns of an n x 32 bit matrix.
+    Each level's w little-endian bytes (w = 1, 2 or 4, the narrowest that
+    holds r bits) unpack to 8w bits in that order, so the wire bits are the
+    first r columns of an n x 8w bit matrix.
     """
-    bits = np.unpackbits(levels.astype("<u4").view(np.uint8), bitorder="little")
-    return np.packbits(bits.reshape(-1, 32)[:, :r], bitorder="little").tobytes()
+    w = _level_bytes(r)
+    raw = levels.astype(f"<u{w}").view(np.uint8)
+    bits = np.unpackbits(raw, bitorder="little").reshape(-1, 8 * w)
+    return np.packbits(bits[:, :r], bitorder="little").tobytes()
 
 
 def _unpack_levels(buf: bytes, n: int, r: int) -> np.ndarray:
@@ -114,17 +122,18 @@ def _unpack_levels(buf: bytes, n: int, r: int) -> np.ndarray:
     MiB however long the segment is; the chunk is a multiple of 8 levels, so
     each chunk's bits start on a byte boundary.
     """
+    w = _level_bytes(r)
     wire = np.frombuffer(buf, dtype=np.uint8)
-    levels = np.empty(n, dtype="<u4")
-    bits = np.zeros((min(n, _UNPACK_CHUNK), 32), dtype=np.uint8)
+    levels = np.empty(n, dtype=f"<u{w}")
+    bits = np.zeros((min(n, _UNPACK_CHUNK), 8 * w), dtype=np.uint8)
     for start in range(0, n, _UNPACK_CHUNK):
         m = min(_UNPACK_CHUNK, n - start)
         first = start * r // 8
         bits[:m, :r] = np.unpackbits(
             wire[first : first + (m * r + 7) // 8], bitorder="little", count=m * r
         ).reshape(m, r)
-        levels[start : start + m] = np.packbits(bits[:m], bitorder="little").view("<u4")
-    return levels
+        levels[start : start + m] = np.packbits(bits[:m], bitorder="little").view(f"<u{w}")
+    return levels.astype(np.uint32, copy=False)
 
 
 def _quant_segment(vec: np.ndarray, r: int) -> bytes:
