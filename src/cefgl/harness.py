@@ -428,8 +428,37 @@ def _record_to_dict(rec: RoundRecord) -> dict:
     return dataclasses.asdict(rec)
 
 
-def _record_from_dict(d: dict) -> RoundRecord:
-    return RoundRecord(**d)
+def _record_from_dict(d) -> RoundRecord:
+    """The record one rounds.jsonl line holds; TypeError if it is not an
+    object with RoundRecord's keys and values of the types they are written
+    with (the per-client lists non-empty)."""
+    if not isinstance(d, dict):
+        raise TypeError(f"expected a JSON object, got {type(d).__name__}")
+    rec = RoundRecord(**d)
+
+    def num(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    def ints(vs):
+        return isinstance(vs, list) and all(num(v) and isinstance(v, int) for v in vs)
+
+    def nums(vs):
+        return isinstance(vs, list) and len(vs) > 0 and all(map(num, vs))
+
+    fits = (
+        ints([rec.t, rec.uplink_bits, rec.downlink_bits])
+        and isinstance(rec.communicated, bool)
+        and ints(rec.participants)
+        and ints(rec.dropped)
+        and nums(rec.train_loss)
+        and nums(rec.test_accuracy)
+        and num(rec.wall_time)
+        and num(rec.sparsity_ratio)
+        and all(v is None or num(v) for v in (rec.lowrank_rank_ratio, rec.lowrank_param_ratio))
+    )
+    if not fits:
+        raise TypeError("a field holds a value of the wrong type")
+    return rec
 
 
 CSV_COLUMNS = [
@@ -481,33 +510,60 @@ def emit_metrics(summary: RunSummary, sink) -> Path:
     return out
 
 
+def _read_utf8(path: Path) -> str:
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise IoError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+
+
+_CHECKED_COLUMNS = ("round", "communicated", "uplink_bits", "downlink_bits", "mean_acc")
+
+
 def load_summary(directory) -> RunSummary:
-    """Rebuild a RunSummary from rounds.jsonl, cross-checking summary.csv."""
+    """Rebuild a RunSummary from rounds.jsonl, cross-checking summary.csv.
+
+    A file that is not UTF-8, a rounds.jsonl line that is not a round
+    record, a summary.csv without a checked column, or a disagreement
+    between the two raises IoError naming the file and, where one line is at
+    fault, its physical line number.
+    """
     root = Path(directory)
     jsonl = root / "rounds.jsonl"
     if not jsonl.is_file():
         raise IoError(f"{jsonl} does not exist")
     records = []
-    for line in jsonl.read_text().splitlines():
+    for lineno, line in enumerate(_read_utf8(jsonl).split("\n"), start=1):
         if line.strip():
-            records.append(_record_from_dict(json.loads(line)))
+            try:
+                records.append(_record_from_dict(json.loads(line)))
+            except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+                raise IoError(f"{jsonl}:{lineno}: not a round record ({exc})") from exc
     if not records:
         raise IoError(f"{jsonl} holds no round records")
     summary = RunSummary(records=records, partition_hash="")
     csv_path = root / "summary.csv"
     if csv_path.is_file():
-        with open(csv_path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(io.StringIO(_read_utf8(csv_path), newline=""))
+        try:
+            header = reader.fieldnames or []
+            rows = list(reader)
+        except csv.Error as exc:
+            raise IoError(f"{csv_path}:{reader.line_num}: {exc}") from exc
+        missing = [col for col in _CHECKED_COLUMNS if col not in header]
+        if missing:
+            raise IoError(f"{csv_path}:1: no {missing[0]!r} column")
         if len(rows) != len(records):
-            raise IoError(
-                f"summary.csv has {len(rows)} rows but rounds.jsonl has {len(records)}"
-            )
-        for row, rec in zip(rows, records):
+            raise IoError(f"{csv_path} has {len(rows)} rows but {jsonl} has {len(records)}")
+        for lineno, (row, rec) in enumerate(zip(rows, records), start=2):
             expect = _csv_row(rec)
-            for col in ("round", "communicated", "uplink_bits", "downlink_bits", "mean_acc"):
+            for col in _CHECKED_COLUMNS:
                 if str(expect[col]) != row[col]:
                     raise IoError(
-                        f"summary.csv disagrees with rounds.jsonl at round {rec.t} ({col})"
+                        f"{csv_path}:{lineno}: disagrees with rounds.jsonl at round "
+                        f"{rec.t} ({col})"
                     )
     return summary
 

@@ -86,6 +86,49 @@ class TestCli:
     def test_inspect_missing_dir_exit_code(self, tmp_path):
         assert cli.main(["inspect", str(tmp_path / "nowhere")]) == cli.EXIT_IO
 
+    # Each breakage rewrites one file of a finished run; the message names
+    # the file and the line at fault.
+    @pytest.mark.parametrize(
+        "breakage, named",
+        [
+            ("non_json", "rounds.jsonl:2"),
+            ("non_utf8", "rounds.jsonl:3"),
+            ("not_an_object", "rounds.jsonl:1"),
+            ("missing_key", "rounds.jsonl:2"),
+            ("unknown_key", "rounds.jsonl:3"),
+            ("wrong_type", "rounds.jsonl:1"),
+            ("csv_missing_column", "summary.csv:1"),
+        ],
+    )
+    def test_inspect_malformed_run_exit_code(self, tmp_path, capsys, breakage, named):
+        out = tmp_path / "out"
+        assert cli.main(["run", str(write_config(tmp_path)), "--out", str(out)]) == cli.EXIT_OK
+        jsonl = out / "rounds.jsonl"
+        lines = jsonl.read_bytes().split(b"\n")
+        records = [json.loads(line) for line in lines if line]
+        if breakage == "non_json":
+            lines[1] = lines[1][:-1]
+        elif breakage == "non_utf8":
+            lines[2] += b"\xff"
+        elif breakage == "not_an_object":
+            lines[0] = b"[1, 2]"
+        elif breakage == "missing_key":
+            del records[1]["wall_time"]
+            lines[1] = json.dumps(records[1]).encode()
+        elif breakage == "unknown_key":
+            lines[2] = json.dumps(dict(records[2], extra=1)).encode()
+        elif breakage == "wrong_type":
+            lines[0] = json.dumps(dict(records[0], test_accuracy=[])).encode()
+        if breakage == "csv_missing_column":
+            csv_path = out / "summary.csv"
+            csv_path.write_text(csv_path.read_text().replace("uplink_bits", "uplink", 1))
+        else:
+            jsonl.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert cli.main(["inspect", str(out)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "i/o error" in err and named in err
+
     def test_sweep_writes_per_value_dirs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "sweep"
