@@ -262,6 +262,13 @@ class TestBatch:
                 for i, j in g.edges:
                     expected[i, j] = expected[j, i] = 1.0
                 assert np.array_equal(grp.adj[slot], expected)
+        # The readout's view: each graph's rows start where row_starts says,
+        # in row order, and row_order maps batch positions into it.
+        assert np.array_equal(np.sort(batch.row_order), np.arange(len(graphs)))
+        for pos, g in enumerate(graphs):
+            first = batch.row_starts[batch.row_order[pos]]
+            assert batch.row_counts[batch.row_order[pos]] == g.n
+            assert np.array_equal(batch.features[first : first + g.n], g.features)
 
 
 class TestEvaluate:
