@@ -257,8 +257,7 @@ def client_uplink(
     combination, so they travel as one tensor.  The anchor is the broadcast
     both ends hold.  The private channel never leaves the client.
     """
-    eta = c.cfg.eta
-    step = {k: c.w[k] - anchor[k] - eta * c.h[k] for k in c.w}
+    step = {k: c.w[k] - anchor[k] - c.cfg.eta * c.h[k] for k in c.w}
     if plain:
         return compress.encode_payload(step, compress.SCHEME_DENSE)
     return compress.encode_payload(step, compress.SCHEME_QUANTIZED, r=r_bits)
@@ -294,8 +293,9 @@ def _aggregate(
             [(wt, d[name]) for wt, d in zip(weights, decoded)]
         )
         _check_finite({name: merged}, "server aggregation")
+        # The baselines merge untruncated; truncation is meaningless for bias rows.
         if plain or min(merged.shape) == 1:
-            theta[name] = merged  # rank truncation is meaningless for bias rows
+            theta[name] = merged
             continue
         theta[name], _ = linalg.lowrank_truncate(linalg.svd(merged), "relative", tau_lowrank)
     return theta
@@ -366,8 +366,8 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
     drift-corrected steps from the last broadcast; the server merges them
     onto it, encodes the merge's difference from it, and it and every
     client move the broadcast by the decoded difference and adopt it as
-    their shared channel.  On a skipped round nothing is encoded or billed and each
-    client keeps its own shared channel.
+    their shared channel.  On a skipped round nothing is encoded or billed
+    and each client keeps its own shared channel.
     """
     cfg = server.cfg
     clients = sorted(clients, key=lambda c: c.id)
