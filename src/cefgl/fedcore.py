@@ -343,9 +343,9 @@ def _round_metrics(clients: Sequence[ClientState]) -> Tuple[List[float], List[fl
     losses, accs, density = [], [], []
     for c in clients:
         personalized = gnn.combine(c.w, c.s)
-        held_out = c.test if len(c.test) else c.train
-        train_loss = gnn.evaluate(personalized, c.train)[1] if len(c.train) else 0.0
-        acc = gnn.evaluate(personalized, held_out)[0] if len(held_out) else 0.0
+        acc, train_loss = gnn.evaluate(personalized, c.train) if len(c.train) else (0.0, 0.0)
+        if len(c.test):
+            acc = gnn.evaluate(personalized, c.test)[0]
         losses.append(train_loss)
         accs.append(acc)
         total = sum(v.size for v in c.s.values())

@@ -4,9 +4,11 @@ The parameter record is a plain ordered dict of named float64 matrices; it
 is the unit that the federated protocol trains, compresses and aggregates.
 Layer stack: feature MLP, two message-passing layers (self plus neighbour
 sum), mean readout, linear head.  Every pass runs on a whole
-``graphdata.GraphBatch`` at once: one matmul per layer over the stacked
-nodes, one stacked adjacency matmul per node-count group, and one
-``np.add.reduceat`` over the graph-contiguous node rows for the readout.
+``graphdata.GraphBatch`` at once, in the batch's node-count order: one
+matmul per layer over the stacked nodes, one stacked adjacency matmul per
+node-count group, and one ``np.add.reduceat`` over the graphs' consecutive
+node rows for the readout.  Losses and gradients are means over the batch,
+so its order does not matter to callers.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def _self_plus_neighbours(batch: GraphBatch, x: np.ndarray) -> np.ndarray:
     pass uses the same map."""
     out = x.copy()
     for grp in batch.groups:
-        block = x[grp.rows].reshape(len(grp.positions), grp.n, -1)
+        block = x[grp.rows].reshape(-1, grp.n, x.shape[1])
         out[grp.rows] += np.matmul(grp.adj, block).reshape(-1, x.shape[1])
     return out
 
@@ -118,16 +120,9 @@ def _forward_trace(p: ModelParams, batch: GraphBatch):
     m2 = _self_plus_neighbours(batch, _relu(z1))
     z2 = m2 @ p["gnn2_w"] + p["gnn2_b"]
     x2 = _relu(z2)
-    sums = np.add.reduceat(x2, batch.row_starts, axis=0)
-    pooled = (sums / batch.row_counts[:, None])[batch.row_order]
+    pooled = np.add.reduceat(x2, batch.starts, axis=0) / batch.sizes[:, None]
     logits = pooled @ p["head_w"] + p["head_b"]
     return logits, (x, z0, m1, z1, m2, z2, pooled)
-
-
-def forward(p: ModelParams, g: Graph) -> np.ndarray:
-    """Class logits for one graph (length C)."""
-    logits, _ = _forward_trace(p, GraphBatch([g]))
-    return logits[0]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -136,8 +131,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _summed_loss(log_probs: np.ndarray, labels: np.ndarray) -> float:
-    """Cross-entropy summed graph after graph in batch order, as a running
-    total from 0.0 would be (so a zero loss is +0.0, not -0.0)."""
+    """Cross-entropy summed graph after graph in batch (node-count) order,
+    as a running total from 0.0 would be (so a zero loss is +0.0, not -0.0)."""
     picked = log_probs[np.arange(len(labels)), labels]
     return 0.0 - float(np.cumsum(picked)[-1])
 
@@ -165,7 +160,7 @@ def loss_and_grad(
     grads["head_b"] = dlogits.sum(axis=0, keepdims=True)
     dpooled = dlogits @ p["head_w"].T
     # The mean readout passes 1/n of its graph's gradient to every node.
-    dx2 = (dpooled / batch.sizes[:, None])[batch.node_graph]
+    dx2 = np.repeat(dpooled / batch.sizes[:, None], batch.sizes, axis=0)
     dz2 = np.where(z2 > 0, dx2, 0.0)
     grads["gnn2_w"] = m2.T @ dz2
     grads["gnn2_b"] = dz2.sum(axis=0, keepdims=True)

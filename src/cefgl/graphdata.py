@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import groupby, islice
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -64,43 +64,41 @@ class Graph:
 class SizeGroup:
     """The graphs of one node count inside a batch.
 
-    Their nodes occupy ``rows`` of the batch's feature matrix, graph after
-    graph; ``positions`` are the graphs' places in batch order and ``adj``
-    holds one symmetric n x n adjacency matrix per graph.
+    They are consecutive in batch order, so their nodes occupy ``rows`` of
+    the batch's feature matrix, graph after graph; ``adj`` holds one
+    symmetric n x n adjacency matrix per graph.
     """
 
     n: int
-    positions: np.ndarray
     rows: slice
     adj: np.ndarray
 
 
 class GraphBatch:
-    """Graphs as one disjoint union, grouped by node count.
+    """Graphs as one disjoint union, sorted stably by node count.
 
-    Grouping lets one stacked matmul per group do every neighbour sum while
+    Batch order is the input order sorted by node count, equal counts kept
+    in input order, so each node count's graphs form one ``SizeGroup`` run
+    and one stacked matmul per group does every neighbour sum, while
     adjacency storage stays the sum of n_i^2 over the graphs: nothing is
     padded to the largest graph.  ``len`` is the number of graphs;
-    ``labels`` and ``sizes`` follow batch order, and ``node_graph`` gives
-    each feature row's graph position.  Each graph's nodes are contiguous
-    rows: ``row_starts`` and ``row_counts`` give each graph's first row and
-    node count, graphs in row order, and ``row_order[i]`` is the row-order
-    index of the graph at batch position i, so one ``np.add.reduceat``
-    over the rows sums every graph's nodes.
+    ``labels`` and ``sizes`` follow batch order, and each graph's nodes are
+    the ``sizes[i]`` consecutive feature rows from ``starts[i]``, so one
+    ``np.add.reduceat`` over the rows sums every graph's nodes.
     """
 
     def __init__(self, graphs: Sequence[Graph]):
         if not graphs:
             raise ValueError("a batch needs at least one graph")
-        sizes = [g.n for g in graphs]
-        self.sizes = np.array(sizes)
+        graphs = sorted(graphs, key=lambda g: g.n)  # stable
+        self.sizes = np.array([g.n for g in graphs])
         self.labels = np.array([g.label for g in graphs], dtype=np.int64)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.features = np.concatenate([g.features for g in graphs])
         self.groups: List[SizeGroup] = []
-        blocks = []
         start = 0
-        for n in sorted(set(sizes)):  # not np.unique, which imports numpy.ma
-            positions = np.flatnonzero(self.sizes == n)
-            members = [graphs[i] for i in positions]
+        for n, run in groupby(graphs, key=lambda g: g.n):
+            members = list(run)
             k = len(members)
             adj = np.zeros((k, n, n))
             slot = np.repeat(np.arange(k), [len(g.edges) for g in members])
@@ -108,19 +106,8 @@ class GraphBatch:
             ends = ends.reshape(-1, 2)
             adj[slot, ends[:, 0], ends[:, 1]] = 1.0
             adj[slot, ends[:, 1], ends[:, 0]] = 1.0
-            self.groups.append(SizeGroup(n, positions, slice(start, start + k * n), adj))
-            blocks += [g.features for g in members]
+            self.groups.append(SizeGroup(n, slice(start, start + k * n), adj))
             start += k * n
-        self.features = np.concatenate(blocks)
-        self.node_graph = np.concatenate(
-            [np.repeat(grp.positions, grp.n) for grp in self.groups]
-        )
-        self.row_starts = np.concatenate(
-            [np.arange(grp.rows.start, grp.rows.stop, grp.n) for grp in self.groups]
-        )
-        self.row_counts = self.sizes[self.node_graph[self.row_starts]]
-        self.row_order = np.empty(len(sizes), dtype=np.intp)
-        self.row_order[self.node_graph[self.row_starts]] = np.arange(len(sizes))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -265,29 +252,29 @@ def load_tu_dataset(dir_path) -> GraphDataset:
         return p
 
     indicator = _TuTable(required("graph_indicator"), np.int64, 1, "a graph id")
-    node_graph = indicator.rows[:, 0]
-    n_nodes = len(node_graph)
+    graph_id = indicator.rows[:, 0]
+    n_nodes = len(graph_id)
     if not n_nodes:
         raise ParseError(f"{indicator.path.name}:1: no nodes declared")
-    below = np.flatnonzero(node_graph < 1)
+    below = np.flatnonzero(graph_id < 1)
     if below.size:
         raise indicator.error(below[0], "graph ids are 1-based")
 
     labels_path = required("graph_labels")
     raw_labels = _TuTable(labels_path, np.int64, 1, "an integer label").rows[:, 0]
     n_graphs = len(raw_labels)
-    if node_graph.max() > n_graphs:
+    if graph_id.max() > n_graphs:
         raise ParseError(
-            f"{indicator.path.name}: node assigned to graph {node_graph.max()} "
+            f"{indicator.path.name}: node assigned to graph {graph_id.max()} "
             f"but only {n_graphs} labels present"
         )
-    sizes = np.bincount(node_graph - 1, minlength=n_graphs)
+    sizes = np.bincount(graph_id - 1, minlength=n_graphs)
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
         raise ParseError(f"{labels_path.name}: graph {empty[0] + 1} has zero nodes")
     # Nodes grouped graph by graph, in file order within a graph: a node's
     # place in this order minus its graph's start is its local index.
-    order = np.argsort(node_graph, kind="stable")
+    order = np.argsort(graph_id, kind="stable")
     place = np.empty(n_nodes, dtype=np.int64)
     place[order] = np.arange(n_nodes)
     starts = np.concatenate(([0], np.cumsum(sizes)))
@@ -296,13 +283,13 @@ def load_tu_dataset(dir_path) -> GraphDataset:
     ends = edge_file.rows
     outside = ((ends < 1) | (ends > n_nodes)).any(axis=1)
     ends = np.where(outside[:, None], 1, ends) - 1
-    crossing = node_graph[ends[:, 0]] != node_graph[ends[:, 1]]
+    crossing = graph_id[ends[:, 0]] != graph_id[ends[:, 1]]
     bad = np.flatnonzero(outside | crossing)
     if bad.size:
         row = bad[0]
         if outside[row]:
             raise edge_file.error(row, "node id out of range", IndexOutOfRange)
-        ga, gb = node_graph[ends[row]]
+        ga, gb = graph_id[ends[row]]
         raise edge_file.error(row, f"edge crosses graphs {ga} and {gb}")
     ends = place[ends[ends[:, 0] != ends[:, 1]]]
     lo, hi = ends.min(axis=1), ends.max(axis=1)

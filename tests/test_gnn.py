@@ -20,6 +20,12 @@ def random_graph(rng, n_nodes, feature_dim, label=0):
     )
 
 
+def logits_of(p, g):
+    """Class logits for one graph (length C), from a one-graph batch."""
+    logits, _ = gnn._forward_trace(p, graphdata.GraphBatch([g]))
+    return logits[0]
+
+
 def numeric_grads(p, batch, eps=1e-5):
     """Central finite differences over every parameter entry."""
     out = {}
@@ -98,7 +104,7 @@ class TestForward:
         p = gnn.zeros_like_params(gnn.init_params(cfg, seed=0))
         p["head_b"] = np.array([[0.25, -0.5]])
         g = Graph(n=1, edges=(), features=np.zeros((1, 2)), label=0)
-        assert np.array_equal(gnn.forward(p, g), [0.25, -0.5])
+        assert np.array_equal(logits_of(p, g), [0.25, -0.5])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(13)
@@ -106,7 +112,7 @@ class TestForward:
         p = gnn.init_params(cfg, seed=2)
         for _ in range(20):
             g = random_graph(rng, 6, 3)
-            base = gnn.forward(p, g)
+            base = logits_of(p, g)
             perm = rng.permutation(6)
             inv = np.argsort(perm)
             permuted = Graph(
@@ -115,7 +121,7 @@ class TestForward:
                 features=g.features[perm],
                 label=g.label,
             )
-            assert np.max(np.abs(gnn.forward(p, permuted) - base)) <= 1e-10
+            assert np.max(np.abs(logits_of(p, permuted) - base)) <= 1e-10
 
     def test_edges_change_logits(self):
         cfg = ArchConfig(feature_dim=2, hidden=4, classes=2)
@@ -123,14 +129,14 @@ class TestForward:
         feats = np.array([[1.0, -0.5], [0.3, 0.8]])
         disconnected = Graph(n=2, edges=(), features=feats, label=0)
         connected = Graph(n=2, edges=((0, 1),), features=feats, label=0)
-        assert not np.allclose(gnn.forward(p, disconnected), gnn.forward(p, connected))
+        assert not np.allclose(logits_of(p, disconnected), logits_of(p, connected))
 
     def test_feature_width_mismatch(self):
         cfg = ArchConfig(feature_dim=3, hidden=4, classes=2)
         p = gnn.init_params(cfg, seed=0)
         g = Graph(n=2, edges=(), features=np.zeros((2, 2)), label=0)
         with pytest.raises(ShapeMismatch):
-            gnn.forward(p, g)
+            logits_of(p, g)
 
 
 class TestLossAndGrad:
@@ -176,7 +182,7 @@ class TestLossAndGrad:
             g = random_graph(rng, 4, 2, label=int(rng.integers(0, 4)))
             loss, _ = gnn.loss_and_grad(p, [g])
             assert loss >= 0.0
-            probs = np.exp(gnn._log_softmax(gnn.forward(p, g)))
+            probs = np.exp(gnn._log_softmax(logits_of(p, g)))
             assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_sum_channel_gradients_match_combined(self):
@@ -207,7 +213,7 @@ class TestLossAndGrad:
 
 def mixed_graphs(rng, feature_dim=3):
     """Node counts 1-9 with a 1-node edgeless graph first and equal sizes at
-    non-adjacent positions, so size groups interleave in batch order."""
+    non-adjacent positions, so size groups interleave in input order."""
     sizes = [1, 5, 3, 9, 5, 2, 7, 3, 4, 6, 8, 5, 1]
     graphs = [random_graph(rng, n, feature_dim, label=i % 3) for i, n in enumerate(sizes)]
     graphs[0] = Graph(n=1, edges=(), features=rng.normal(size=(1, feature_dim)), label=2)
@@ -237,7 +243,7 @@ class TestBatch:
         acc, loss = gnn.evaluate(p, GraphDataset(graphs=graphs, num_classes=3, feature_dim=3))
         hits, total = 0, 0.0
         for g in graphs:
-            logits = gnn.forward(p, g)
+            logits = logits_of(p, g)
             total -= gnn._log_softmax(logits)[g.label]
             hits += int(np.argmax(logits)) == g.label
         assert acc == hits / len(graphs)
@@ -247,28 +253,30 @@ class TestBatch:
         rng = np.random.default_rng(23)
         graphs = mixed_graphs(rng)
         batch = graphdata.GraphBatch(graphs)
+        # Batch order is a stable node-count sort: equal sizes keep their
+        # input order.
+        order = sorted(range(len(graphs)), key=lambda i: graphs[i].n)
         assert len(batch) == len(graphs)
+        assert np.array_equal(batch.sizes, [graphs[i].n for i in order])
+        assert np.array_equal(batch.labels, [graphs[i].label for i in order])
         assert sum(grp.adj.size for grp in batch.groups) == sum(g.n**2 for g in graphs)
         assert batch.features.shape == (sum(g.n for g in graphs), 3)
+        assert [grp.n for grp in batch.groups] == sorted({g.n for g in graphs})
+        first = 0  # batch position of the group's first graph
         for grp in batch.groups:
-            for slot, pos in enumerate(grp.positions):
-                g = graphs[pos]
-                assert g.n == grp.n
-                nodes = batch.features[grp.rows].reshape(-1, g.n, 3)
-                assert np.array_equal(nodes[slot], g.features)
-                owners = batch.node_graph[grp.rows].reshape(-1, g.n)
-                assert np.array_equal(owners[slot], np.full(g.n, pos))
+            k = len(grp.adj)
+            assert np.all(batch.sizes[first : first + k] == grp.n)
+            assert grp.rows == slice(batch.starts[first], batch.starts[first] + k * grp.n)
+            for slot in range(k):
+                g = graphs[order[first + slot]]
+                start = batch.starts[first + slot]
+                assert np.array_equal(batch.features[start : start + g.n], g.features)
                 expected = np.zeros((g.n, g.n))
                 for i, j in g.edges:
                     expected[i, j] = expected[j, i] = 1.0
                 assert np.array_equal(grp.adj[slot], expected)
-        # The readout's view: each graph's rows start where row_starts says,
-        # in row order, and row_order maps batch positions into it.
-        assert np.array_equal(np.sort(batch.row_order), np.arange(len(graphs)))
-        for pos, g in enumerate(graphs):
-            first = batch.row_starts[batch.row_order[pos]]
-            assert batch.row_counts[batch.row_order[pos]] == g.n
-            assert np.array_equal(batch.features[first : first + g.n], g.features)
+            first += k
+        assert first == len(graphs)
 
 
 class TestEvaluate:
