@@ -8,17 +8,22 @@ Three schemes are supported for a named set of matrices:
 * ``lowrank_quantized``: singular-value truncation first, then quantized
   left/right factors; the left factor carries the singular values.
 
-Wire format version 2 (little-endian): magic ``CFP1``, version u16, scheme
+Wire format version 3 (little-endian): magic ``CFP1``, version u16, scheme
 u8, tensor count u16; per tensor: name length u16 + UTF-8 name, rows u32,
 cols u32, then the scheme-specific body.  A quantized segment is bit width
 u8, norm f64, sign bits, then level bits; bit width 0 alone marks an
 all-zero tensor (a zero tensor has no L2 norm to quantize against).  A
 low-rank body is rank u16 followed by the left and right factor segments;
-rank 0 alone marks an all-zero matrix.  Matrices with a unit dimension
-travel as one quantized segment under both quantized schemes.  The decoder
-refuses payloads that declare more than ``_MAX_WIRE_ELEMENTS`` values in
-total, quantized segments whose norm is negative, infinite or NaN, and
-low-rank bodies whose factors multiply out past the float64 range.
+rank 0 alone marks an all-zero matrix.  Factors of rank k travel only when
+they hold fewer values than the matrix, k * (rows + cols) < rows * cols,
+and their body is also the shorter one; otherwise the rank field holds
+``PLAIN_RANK`` (0xFFFF, never a legal rank under the value cap) and one
+quantized segment of the whole matrix follows.  Matrices
+with a unit dimension travel as one quantized segment under both quantized
+schemes.  The decoder refuses payloads that declare more than
+``_MAX_WIRE_ELEMENTS`` values in total, quantized segments whose norm is
+negative, infinite or NaN, and low-rank bodies whose factors would not be
+smaller than the matrix or multiply out past the float64 range.
 
 Only changes of the shared channel travel: up, each client's drift-corrected
 step, which folds in its correction term; down, the broadcast's change.  The
@@ -39,7 +44,9 @@ from . import linalg
 from .errors import BadBits, MalformedPayload, NonFiniteInput, ZeroVector
 
 MAGIC = b"CFP1"
-WIRE_VERSION = 2
+WIRE_VERSION = 3
+# Rank field of a low-rank body that holds the plain quantized matrix.
+PLAIN_RANK = 0xFFFF
 
 SCHEME_DENSE = "dense"
 SCHEME_QUANTIZED = "quantized"
@@ -195,8 +202,8 @@ def _read_quant_segment(rd: _Reader, n: int) -> np.ndarray:
 class CompressedPayload:
     """One serialized set of named tensors; ``blob`` is the wire image.
 
-    ``ranks`` maps each matrix that a low-rank body factored to the rank its
-    encoder kept, the number in that body's rank field.
+    ``ranks`` maps each matrix that travelled in a low-rank body to the rank
+    its encoder kept; a plain body counts as full rank, min(rows, cols).
     """
 
     blob: bytes
@@ -217,9 +224,11 @@ def encode_payload(
     """Serialize named matrices under one compression scheme.
 
     ``lowrank_quantized`` truncates each matrix with a relative singular
-    value cutoff of ``tau_lowrank`` and ships quantized factors; matrices
-    with a unit dimension (bias rows) skip the factorization and travel as a
-    plain quantized segment.
+    value cutoff of ``tau_lowrank`` and ships quantized factors when their
+    body is shorter than the plain quantized matrix, which it ships behind
+    the ``PLAIN_RANK`` marker otherwise; matrices with a unit dimension
+    (bias rows) skip the factorization and travel as a plain quantized
+    segment.
     """
     if scheme not in _SCHEME_CODES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -244,13 +253,19 @@ def encode_payload(
 
 
 def _lowrank_body(mat: np.ndarray, r: int, tau: float) -> Tuple[int, bytes]:
+    """Rank field plus factors, or ``PLAIN_RANK`` plus the plain segment,
+    whichever is shorter; a plain body reports full rank."""
     dec = linalg.svd(mat)
     rank = linalg.retained_rank(dec, "relative", tau)  # 0 for a zero matrix
-    body = struct.pack("<H", rank)
-    if rank:
-        body += _quant_segment((dec.u[:, :rank] * dec.sigma[:rank]).ravel(), r)
-        body += _quant_segment(dec.v[:, :rank].ravel(), r)
-    return rank, body
+    plain = struct.pack("<H", PLAIN_RANK) + _quant_segment(mat.ravel(), r)
+    if rank * sum(mat.shape) < mat.size:  # else the factors cannot be shorter
+        body = struct.pack("<H", rank)
+        if rank:
+            body += _quant_segment((dec.u[:, :rank] * dec.sigma[:rank]).ravel(), r)
+            body += _quant_segment(dec.v[:, :rank].ravel(), r)
+        if len(body) < len(plain):
+            return rank, body
+    return min(mat.shape), plain
 
 
 def _walk(blob: bytes) -> Iterator[Tuple[str, np.ndarray]]:
@@ -272,7 +287,7 @@ def _walk(blob: bytes) -> Iterator[Tuple[str, np.ndarray]]:
             raise MalformedPayload("tensor name is not valid UTF-8") from exc
         rows, cols = rd.unpack("<II")
         n = rows * cols
-        declared += n  # low-rank factors hold rank * (rows + cols) <= 2n values
+        declared += n  # low-rank factors hold rank * (rows + cols) < n values
         if declared > _MAX_WIRE_ELEMENTS:
             raise MalformedPayload(
                 f"tensor {name!r} declares {rows}x{cols} values, past the "
@@ -293,7 +308,9 @@ def _read_lowrank_body(rd: _Reader, rows: int, cols: int) -> np.ndarray:
     if min(rows, cols) == 1:
         return _read_quant_segment(rd, rows * cols)
     (rank,) = rd.unpack("<H")
-    if rank > min(rows, cols):
+    if rank == PLAIN_RANK:
+        return _read_quant_segment(rd, rows * cols)
+    if rank * (rows + cols) >= rows * cols:
         raise MalformedPayload(f"invalid retained rank {rank} for {rows}x{cols}")
     if rank == 0:
         return np.zeros(rows * cols)

@@ -143,8 +143,10 @@ class ServerState:
 class RoundRecord:
     """Metrics for one round; bits are zero whenever communication is skipped.
 
-    The low-rank ratios are those of the downlinked difference, the matrices
-    that travel factored; they are None when no low-rank body was sent.
+    The low-rank ratios are those of the downlinked difference's factorable
+    matrices (no unit dimension), where a matrix sent plain counts as full
+    rank and rows * cols values; they are None when no low-rank body was
+    sent.
     """
 
     t: int
@@ -304,13 +306,16 @@ def _aggregate(
 def _lowrank_ratios(
     payload: compress.CompressedPayload, tensors: ModelParams
 ) -> Tuple[Optional[float], Optional[float]]:
-    """Retained-rank and retained-parameter fractions of the matrices that
-    ``payload`` factored; None for both when it factored none."""
+    """Retained-rank and sent-value fractions of the factorable matrices in
+    ``payload``; None for both when it has none.
+
+    A matrix sent as factors counts k * (rows + cols) values, one sent plain
+    counts rows * cols, so the value fraction never exceeds 1."""
     if not payload.ranks:
         return None, None
     shapes = [tensors[name].shape for name in payload.ranks]
     ranks = list(payload.ranks.values())
-    kept = sum(k * (rows + cols) for k, (rows, cols) in zip(ranks, shapes))
+    kept = sum(min(k * (rows + cols), rows * cols) for k, (rows, cols) in zip(ranks, shapes))
     return (
         sum(ranks) / sum(min(shape) for shape in shapes),
         kept / sum(rows * cols for rows, cols in shapes),

@@ -25,10 +25,22 @@ def quant_body_bytes(n: int, r: int) -> int:
     return 1 + 8 + (n + 7) // 8 + (n * r + 7) // 8
 
 
+def rank1(rows: int, cols: int, seed: int) -> np.ndarray:
+    """A rank-1 matrix, whose factors are far smaller than it."""
+    rng = np.random.default_rng(seed)
+    return np.outer(rng.normal(size=rows), rng.normal(size=cols))
+
+
 def _fuzz_seeds():
-    """Valid wire images of every scheme, with bias rows and a zero tensor."""
+    """Valid wire images of every scheme, with bias rows, a zero tensor, and
+    low-rank bodies both factored ("f") and plain ("w")."""
     rng = np.random.default_rng(40)
-    tensors = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3)), "z": np.zeros((2, 2))}
+    tensors = {
+        "w": rng.normal(size=(4, 3)),
+        "f": rank1(8, 6, 42),
+        "b": rng.normal(size=(1, 3)),
+        "z": np.zeros((2, 2)),
+    }
     return [
         compress.encode_payload(tensors, scheme, r=5, tau_lowrank=0.1).blob
         for scheme in ("dense", "quantized", "lowrank_quantized")
@@ -44,13 +56,13 @@ def quantized_blob_with_norm(norm: float) -> bytes:
 
 
 def lowrank_blob_with_norms(norm: float) -> bytes:
-    """A 4x3 rank-3 low-rank payload whose two factor norms are overwritten."""
-    mat = np.random.default_rng(41).normal(size=(4, 3))
-    blob = bytearray(compress.encode_payload({"m": mat}, "lowrank_quantized", r=4).blob)
+    """An 8x6 rank-1 low-rank payload whose two factor norms are overwritten."""
+    p = compress.encode_payload({"m": rank1(8, 6, 41)}, "lowrank_quantized", r=4, tau_lowrank=1e-6)
+    blob = bytearray(p.blob)
     rank_at = HEADER_BYTES + tensor_meta_bytes("m")
-    assert struct.unpack("<H", blob[rank_at : rank_at + 2]) == (3,)
+    assert struct.unpack("<H", blob[rank_at : rank_at + 2]) == (1,)
     left = rank_at + 2 + 1  # past the rank and the left factor's bit width
-    right = left + quant_body_bytes(4 * 3, 4)  # the right factor's norm
+    right = left + quant_body_bytes(8 * 1, 4)  # the right factor's norm
     for offset in (left, right):
         blob[offset : offset + 8] = struct.pack("<d", norm)
     return bytes(blob)
@@ -64,22 +76,26 @@ def reference_pack(levels: np.ndarray, r: int) -> bytes:
     return np.packbits(bits.ravel(), bitorder="little").tobytes()
 
 
-# SHA-256 of one fixed payload under each scheme, taken from the bit-by-bit
-# codec.  The tensors are multiples of 1/8, so the sums of squares under the
-# quantizer's norms are exact in any order; the low-rank digests also pin the
-# last bits of numpy's SVD of "w".
+# SHA-256 of one fixed payload under each scheme.  The dense and quantized
+# digests are the bit-by-bit codec's under wire version 2 with the version
+# field set to 3.  The tensors are multiples of 1/8, so the sums of squares
+# under the quantizer's norms are exact in any order.  "w" has full rank, so
+# the low-rank payloads carry it as a plain body; the rank-1 payload pins the
+# factor layout and the last bits of numpy's SVD of its matrix.
 WIRE_TENSORS = {
     "w": ((np.arange(30) * 7 % 11) - 5).reshape(6, 5) / 4.0,
     "b": np.array([[0.5, -0.25, 0.125, 0.0, -1.0]]),
     "z": np.zeros((2, 2)),
 }
 WIRE_DIGESTS = {
-    ("dense", 4): "b04d5007a85e785674ed2861afd62739136499eeafced1deabf396bc1ac62163",
-    ("quantized", 4): "1f245c5cb8621b35b5a9d25f9f5fa6aac3a82df5ff50fd17c3e6c75f9c9b7d9c",
-    ("quantized", 16): "993aca57fbd593e2dce65b324825b3cf843e602fb6a1265e29f695ecc6a95cf4",
-    ("lowrank_quantized", 4): "6bcc1abc4c03ea075097be3dcb7fcf073a97a7c2bbc72f36da18106d36c91b51",
-    ("lowrank_quantized", 16): "acb1dc4789f5c2edc3db545e8a5bc80604bb19048db3a55944e88acc1c623adc",
+    ("dense", 4): "a7cc06629e41a8e9f52de92f210cef8bfa2a80a960bddd84b10c9a200315aa75",
+    ("quantized", 4): "07c2dfb81e9726afcf9152ea9b03cfb92ab4ae13a5172db04642e0a85e2dc95c",
+    ("quantized", 16): "c3f27c16417bd85cb015b74068dc385e244e8dedaf454d1bb00251ee1fbc7df8",
+    ("lowrank_quantized", 4): "f0ac7fdd1d662676ce4574f8d1c9e60c2dad107e4f19dbfd9970e9a991ac5cb8",
+    ("lowrank_quantized", 16): "d1825f664e0d7a88e5d48365125b1af825e65843611777dd93db8b70ec36bbc4",
 }
+WIRE_RANK1 = np.outer([1.0, -0.5, 0.25, 2.0, -1.0, 0.75], [0.5, 1.0, -0.25, 0.125, -2.0])
+WIRE_RANK1_DIGEST = "45cc231e58a78ad6467527158080795afa9329e24144b4cf1af35f0dbe27c949"
 
 
 @st.composite
@@ -305,23 +321,54 @@ class TestPayloads:
         assert compress.decode_payload(p)["m"].shape == (8, 6)
 
     def test_lowrank_bit_count_is_rank_and_factors(self):
+        # At rank 2 the factors (52 bytes) beat the plain body (65 bytes); at
+        # rank 3 they would not (68 bytes).
         rng = np.random.default_rng(11)
-        base = rng.normal(size=(8, 3)) @ rng.normal(size=(3, 6))  # exactly rank 3
+        base = rng.normal(size=(8, 2)) @ rng.normal(size=(2, 6))  # exactly rank 2
         p = compress.encode_payload({"m": base}, "lowrank_quantized", r=8, tau_lowrank=1e-6)
         expected = (
-            HEADER_BYTES + tensor_meta_bytes("m") + 2 + quant_body_bytes(8 * 3, 8)
-            + quant_body_bytes(6 * 3, 8)
+            HEADER_BYTES + tensor_meta_bytes("m") + 2 + quant_body_bytes(8 * 2, 8)
+            + quant_body_bytes(6 * 2, 8)
         )
-        assert expected == 88
+        assert expected == 72
         assert compress.payload_bits(p) == expected * 8
 
     def test_lowrank_rank_above_255_roundtrips(self):
-        m = np.random.default_rng(13).normal(size=(260, 260))
+        # Rank 260 of 600x600 pays: 260 * 1200 factor values < 360000.
+        rng = np.random.default_rng(13)
+        m = rng.normal(size=(600, 260)) @ rng.normal(size=(260, 600))
         p = compress.encode_payload({"m": m}, "lowrank_quantized", r=16, tau_lowrank=1e-6)
         start = HEADER_BYTES + tensor_meta_bytes("m")
         assert struct.unpack("<H", p.blob[start : start + 2]) == (260,)
+        assert p.ranks == {"m": 260}
         out = compress.decode_payload(p)["m"]
         assert np.linalg.norm(out - m) <= 1e-2 * np.linalg.norm(m)
+
+    def test_lowrank_full_rank_matrix_travels_plain(self):
+        # Rank 6 of 8x6 would need 84 factor values for 48 entries, so the
+        # body is the plain marker and then the quantized scheme's segment.
+        m = np.random.default_rng(15).normal(size=(8, 6))
+        p = compress.encode_payload({"m": m}, "lowrank_quantized", r=4, tau_lowrank=1e-4)
+        q = compress.encode_payload({"m": m}, "quantized", r=4)
+        start = HEADER_BYTES + tensor_meta_bytes("m")
+        assert p.blob[start : start + 2] == struct.pack("<H", 0xFFFF)
+        assert p.blob[start + 2 :] == q.blob[start:]
+        assert np.array_equal(compress.decode_payload(p)["m"], compress.decode_payload(q)["m"])
+        assert p.ranks == {"m": 6}
+
+    def test_factored_body_that_does_not_pay_is_malformed(self):
+        # Rank 3 of 4x3 would be 21 factor values for 12 entries; the encoder
+        # never writes it, so the decoder refuses it.
+        segment = compress._quant_segment(np.ones(12), 4)  # 4x3 left, 3x3 right
+        entry = struct.pack("<H", 1) + b"m" + struct.pack("<IIH", 4, 3, 3)
+        head = compress.MAGIC + struct.pack("<HBH", compress.WIRE_VERSION, 2, 1)
+        blob = head + entry + segment + compress._quant_segment(np.ones(9), 4)
+        with pytest.raises(MalformedPayload, match="rank 3"):
+            compress.decode_payload(blob)
+        # The same body at rank 1 of 8x6 is a valid factored one.
+        entry = struct.pack("<H", 1) + b"m" + struct.pack("<IIH", 8, 6, 1)
+        body = compress._quant_segment(np.ones(8), 4) + compress._quant_segment(np.ones(6), 4)
+        assert compress.decode_payload(head + entry + body)["m"].shape == (8, 6)
 
     def test_lowrank_truncates_before_shipping(self):
         u, v = np.ones((6, 1)), np.ones((5, 1))
@@ -346,7 +393,7 @@ class TestPayloads:
         blob = compress.encode_payload({"x": np.ones((1, 1))}, "dense").blob
         with pytest.raises(MalformedPayload):
             compress.decode_payload(b"XXXX" + blob[4:])
-        for version in (1, 99):
+        for version in (1, 2, 99):
             bad_version = blob[:4] + struct.pack("<H", version) + blob[6:]
             with pytest.raises(MalformedPayload, match="version"):
                 compress.decode_payload(bad_version)
@@ -391,6 +438,11 @@ class TestPayloads:
         blob = compress.encode_payload(WIRE_TENSORS, scheme, r=r, tau_lowrank=0.1).blob
         assert hashlib.sha256(blob).hexdigest() == WIRE_DIGESTS[scheme, r]
 
+    def test_factored_wire_bytes_are_pinned(self):
+        p = compress.encode_payload({"f": WIRE_RANK1}, "lowrank_quantized", r=16, tau_lowrank=0.1)
+        assert p.ranks == {"f": 1}
+        assert hashlib.sha256(p.blob).hexdigest() == WIRE_RANK1_DIGEST
+
     def test_decoder_memory_is_bounded(self):
         # One 2**20-value segment at 32 bits: 4.2 MB of wire, 8 MiB decoded.
         x = np.random.default_rng(14).normal(size=(1, 1 << 20))
@@ -432,14 +484,22 @@ class TestPayloads:
             for i in range(int(rng.integers(1, 4))):
                 rows = int(rng.integers(1, 9))
                 cols = int(rng.integers(1, 9))
-                if rng.random() < 0.15:
+                draw = rng.random()
+                if draw < 0.15:
                     mat = np.zeros((rows, cols))
+                elif draw < 0.35:
+                    mat = np.outer(rng.normal(size=rows), rng.normal(size=cols))
                 else:
                     mat = rng.normal(size=(rows, cols))
                 tensors[f"t{i}"] = mat
             r = int(rng.integers(1, 33))
             payload = compress.encode_payload(tensors, scheme, r=r, tau_lowrank=0.01)
             decoded = compress.decode_payload(payload)
+            if scheme == "lowrank_quantized":
+                # A low-rank body costs at most the rank field over a plain one.
+                plain = compress.encode_payload(tensors, "quantized", r=r)
+                factorable = sum(min(m.shape) > 1 for m in tensors.values())
+                assert len(payload.blob) <= len(plain.blob) + 2 * factorable
             assert list(decoded) == list(tensors)
             for name, mat in tensors.items():
                 assert decoded[name].shape == mat.shape

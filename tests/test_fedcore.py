@@ -548,12 +548,14 @@ class TestRunRound:
             assert calls[before:] == (rec.participants if rec.communicated else [])
 
     def test_communication_accounting_matches_wire_format(self, monkeypatch):
-        self._check_accounting(monkeypatch, tau=0.0)
+        self._check_accounting(monkeypatch, tau=0.0, hidden=4)
 
     def test_communication_accounting_with_truncated_downlink(self, monkeypatch):
-        self._check_accounting(monkeypatch, tau=0.3)
+        # At hidden 4 no truncated matrix has factors shorter than itself;
+        # at hidden 8 the downlink mixes factored and plain bodies.
+        self._check_accounting(monkeypatch, tau=0.3, hidden=8)
 
-    def _check_accounting(self, monkeypatch, tau):
+    def _check_accounting(self, monkeypatch, tau, hidden):
         # The round bills exactly the payloads it encodes: one uplink per
         # survivor and one downlink per client.
         sent, shared = [], {}
@@ -569,7 +571,7 @@ class TestRunRound:
 
         monkeypatch.setattr(compress, "encode_payload", recording)
         monkeypatch.setattr(fedcore, "client_uplink", snapshot)
-        theta0, clients = make_clients(n_clients=3, hidden=4)
+        theta0, clients = make_clients(n_clients=3, hidden=hidden)
         server = make_server(theta0, p=1.0, r_bits=8, tau_lowrank=tau)
         fedcore.run_round(server, clients)  # moves the broadcast off theta0
         anchor = gnn.clone_params(server.theta)
@@ -612,15 +614,26 @@ class TestRunRound:
                 np.testing.assert_allclose(delta[k], merged, rtol=0, atol=1e-12)
             np.testing.assert_allclose(server.theta[k] - anchor[k], decoded[k], atol=1e-12)
 
-        # The low-rank ratios are those of the downlinked delta.
-        ranks = {
-            k: linalg.retained_rank(linalg.svd(v), "relative", tau)
-            for k, v in delta.items()
-            if min(v.shape) > 1
-        }
+        # The low-rank ratios are those of the downlinked delta: rank k of an
+        # m x n matrix travels as factors when they are the shorter body, and
+        # otherwise the matrix travels plain and counts as full rank.
+        def segment(n):
+            return 1 + 8 + (n + 7) // 8 + (n * 8 + 7) // 8  # r_bits = 8
+
+        ranks, values = {}, 0
+        for k, v in delta.items():
+            if min(v.shape) == 1:
+                continue
+            (m, n), rank = v.shape, linalg.retained_rank(linalg.svd(v), "relative", tau)
+            shorter = segment(rank * m) + segment(rank * n) < segment(m * n)
+            pays = rank * (m + n) < m * n and shorter
+            ranks[k] = rank if pays else min(m, n)
+            values += rank * (m + n) if pays else m * n
         assert down.ranks == ranks
         full = sum(min(delta[k].shape) for k in ranks)
         assert rec.lowrank_rank_ratio == sum(ranks.values()) / full
+        assert rec.lowrank_param_ratio == values / sum(delta[k].size for k in ranks)
+        assert rec.lowrank_param_ratio <= 1.0
         assert (rec.lowrank_rank_ratio < 1.0) == (tau > 0.0)
 
 
