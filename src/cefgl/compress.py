@@ -3,27 +3,44 @@
 Three schemes are supported for a named set of matrices:
 
 * ``dense``: raw 64-bit values.
-* ``quantized``: sign bit plus an r-bit magnitude level per element, scaled
-  by the tensor's L2 norm.
+* ``quantized``: an r-bit magnitude level per element, scaled by the
+  tensor's L2 norm, plus a sign bit per nonzero level; the levels travel
+  Golomb-Rice coded, which loses nothing.
 * ``lowrank_quantized``: singular-value truncation first, then quantized
   left/right factors; the left factor carries the singular values.
 
-Wire format version 3 (little-endian): magic ``CFP1``, version u16, scheme
+Wire format version 4 (little-endian): magic ``CFP1``, version u16, scheme
 u8, tensor count u16; per tensor: name length u16 + UTF-8 name, rows u32,
-cols u32, then the scheme-specific body.  A quantized segment is bit width
-u8, norm f64, sign bits, then level bits; bit width 0 alone marks an
-all-zero tensor (a zero tensor has no L2 norm to quantize against).  A
-low-rank body is rank u16 followed by the left and right factor segments;
-rank 0 alone marks an all-zero matrix.  Factors of rank k travel only when
-they hold fewer values than the matrix, k * (rows + cols) < rows * cols,
-and their body is also the shorter one; otherwise the rank field holds
-``PLAIN_RANK`` (0xFFFF, never a legal rank under the value cap) and one
-quantized segment of the whole matrix follows.  Matrices
-with a unit dimension travel as one quantized segment under both quantized
-schemes.  The decoder refuses payloads that declare more than
-``_MAX_WIRE_ELEMENTS`` values in total, quantized segments whose norm is
-negative, infinite or NaN, and low-rank bodies whose factors would not be
-smaller than the matrix or multiply out past the float64 range.
+cols u32, then the scheme-specific body.  Bit streams are packed least
+significant bit first and padded to whole bytes.
+
+A quantized segment of n values is bit width r u8, norm f64, then a body
+byte; bit width 0 alone marks an all-zero tensor (a zero tensor has no L2
+norm to quantize against).  In a Rice body the body byte is the Rice
+parameter k < r, the least k that minimises the level bits.  Then come the
+unary stream's length in bytes u32, the unary stream (per level,
+``level >> k`` zero bits and a 1), the low k bits of each level, and one
+sign bit per nonzero level.  Where the fixed-width body is no longer, the
+body byte is ``_FIXED`` (0xFF) and n sign bits and n r-bit levels follow.
+So a segment is never more than one byte longer than its fixed-width levels
+alone would make it, and both bodies decode to the same values.
+
+A low-rank body is rank u16 followed by the left and right factor
+segments; rank 0 alone marks an all-zero matrix.  Factors of rank k travel
+only when they hold fewer values than the matrix, k * (rows + cols) <
+rows * cols, and their body is also the shorter one; otherwise the rank
+field holds ``PLAIN_RANK`` (0xFFFF, never a legal rank under the value cap)
+and one quantized segment of the whole matrix follows, so a low-rank body
+is never more than two bytes longer than the matrix's quantized segment.
+Matrices with a unit dimension travel as one quantized segment under both
+quantized schemes.
+
+The decoder refuses payloads that declare more than ``_MAX_WIRE_ELEMENTS``
+values in total; quantized segments whose norm is negative, infinite or
+NaN; Rice bodies whose parameter is not below r, whose unary stream does
+not hold exactly one terminator per level, or whose levels reach 2**r; and
+low-rank bodies whose factors would not be smaller than the matrix or
+multiply out past the float64 range.
 
 Only changes of the shared channel travel: up, each client's drift-corrected
 step, which folds in its correction term; down, the broadcast's change.  The
@@ -44,9 +61,11 @@ from . import linalg
 from .errors import BadBits, MalformedPayload, NonFiniteInput, ZeroVector
 
 MAGIC = b"CFP1"
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 # Rank field of a low-rank body that holds the plain quantized matrix.
 PLAIN_RANK = 0xFFFF
+# Rice-parameter byte of a quantized segment that holds fixed-width levels.
+_FIXED = 0xFF
 
 SCHEME_DENSE = "dense"
 SCHEME_QUANTIZED = "quantized"
@@ -59,7 +78,10 @@ _SCHEME_NAMES = {v: k for k, v in _SCHEME_CODES.items()}
 # float64) does.  Every other body is read only after the reader has checked
 # that its bytes are present.
 _MAX_WIRE_ELEMENTS = 1 << 24
-_UNPACK_CHUNK = 1 << 16  # levels per step of _unpack_levels
+_UNPACK_CHUNK = 1 << 16  # levels per step of _unpack_levels; bytes of _read_unary
+# Below this many levels, one n x 32 bit matrix packs them in fewer numpy
+# calls than the word loop does.
+_FEW_LEVELS = 1 << 11
 
 
 @dataclass
@@ -74,7 +96,7 @@ class QuantizedVector:
 
     r: int
     norm: float
-    signs: np.ndarray  # uint8, 1 for negative coordinates
+    signs: np.ndarray  # uint8, 1 for negative coordinates of nonzero level
     levels: np.ndarray  # uint32 in [0, 2**r - 1]
 
 
@@ -85,12 +107,16 @@ def quantize(x, r: int) -> QuantizedVector:
         raise BadBits(f"r must be in [1, 32], got {r}")
     r = int(r)
     vec = np.asarray(x, dtype=np.float64).ravel()
-    norm = float(np.linalg.norm(vec))
+    norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's own sum, without its checks
     if norm == 0.0:
         raise ZeroVector("cannot quantize a zero (or empty) vector")
-    levels = np.rint((float(2**r) * np.abs(vec)) / norm)
-    levels = np.minimum(levels, float(2**r - 1)).astype(np.uint32)
-    signs = (vec < 0).astype(np.uint8)  # exact zeros get sign bit 0
+    scaled = np.abs(vec)  # then 2**r * |x_i| / ||x||, rounded, in place
+    scaled *= float(2**r)
+    scaled /= norm
+    np.rint(scaled, out=scaled)
+    levels = np.minimum(scaled, float(2**r - 1), out=scaled).astype(np.uint32)
+    # A level 0 gets sign bit 0, so it decodes to +0.0 and need not travel.
+    signs = ((vec < 0) & (levels != 0)).astype(np.uint8)
     return QuantizedVector(r=r, norm=norm, signs=signs, levels=levels)
 
 
@@ -104,47 +130,95 @@ def dequantize(q: QuantizedVector) -> np.ndarray:
     return np.where(q.signs == 1, -magnitudes, magnitudes)
 
 
-def _level_bytes(r: int) -> int:
-    """Bytes of the narrowest unsigned integer that holds an r-bit level."""
-    return 1 if r <= 8 else 2 if r <= 16 else 4
-
-
 def _pack_levels(levels: np.ndarray, r: int) -> bytes:
     """Concatenate the low r bits of each level, least significant first.
 
-    Each level's w little-endian bytes (w = 1, 2 or 4, the narrowest that
-    holds r bits) unpack to 8w bits in that order, so the wire bits are the
-    first r columns of an n x 8w bit matrix.
+    A width of 8, 16 or 32 bits is a plain little-endian cast.  Fewer than
+    ``_FEW_LEVELS`` levels are the first r columns of their n x 32 bit
+    matrix.  Otherwise each octet of levels fills exactly r bytes: its
+    levels are ORed at bit offsets 0, r, ..., 7r into little-endian uint64
+    words, and the first r bytes of those words are cut out.  The last
+    octet is padded with zero levels.
     """
-    w = _level_bytes(r)
-    raw = levels.astype(f"<u{w}").view(np.uint8)
-    bits = np.unpackbits(raw, bitorder="little").reshape(-1, 8 * w)
-    return np.packbits(bits[:, :r], bitorder="little").tobytes()
+    n = levels.size
+    if r in (8, 16, 32):
+        return levels.astype(f"<u{r // 8}").tobytes()
+    if n < _FEW_LEVELS:
+        bits = np.unpackbits(levels.astype("<u4").view(np.uint8), bitorder="little")
+        return np.packbits(bits.reshape(n, 32)[:, :r], bitorder="little").tobytes()
+    rows = -(-n // 8)
+    octets = np.zeros(8 * rows, dtype=np.uint64)
+    np.bitwise_and(levels, (1 << r) - 1, out=octets[:n])
+    octets = octets.reshape(rows, 8)
+    words = np.zeros((rows, (8 * r + 63) // 64), dtype="<u8")
+    for j in range(8):
+        w, s = divmod(j * r, 64)
+        words[:, w] |= octets[:, j] << np.uint64(s)
+        if s + r > 64:  # the level straddles two words
+            words[:, w + 1] |= octets[:, j] >> np.uint64(64 - s)
+    return words.view(np.uint8)[:, :r].tobytes()[: (n * r + 7) // 8]
 
 
 def _unpack_levels(buf: bytes, n: int, r: int) -> np.ndarray:
     """Inverse of ``_pack_levels``: widen each r-bit field to 32 bits.
 
-    Works ``_UNPACK_CHUNK`` levels at a time, so the bit matrices stay a few
-    MiB however long the segment is; the chunk is a multiple of 8 levels, so
-    each chunk's bits start on a byte boundary.
+    Takes the same three routes.  The word route works ``_UNPACK_CHUNK``
+    levels at a time, so its matrices stay a few MiB however long the
+    segment is; the chunk is a multiple of 8 levels, so each chunk starts
+    on a byte boundary.
     """
-    w = _level_bytes(r)
+    if r in (8, 16, 32):
+        return np.frombuffer(buf, dtype=f"<u{r // 8}").astype(np.uint32)
     wire = np.frombuffer(buf, dtype=np.uint8)
-    levels = np.empty(n, dtype=f"<u{w}")
-    bits = np.zeros((min(n, _UNPACK_CHUNK), 8 * w), dtype=np.uint8)
+    if n < _FEW_LEVELS:
+        bits = np.zeros((n, 32), dtype=np.uint8)
+        bits[:, :r] = np.unpackbits(wire, bitorder="little", count=n * r).reshape(n, r)
+        return np.packbits(bits, bitorder="little").view("<u4").ravel().astype(np.uint32)
+    levels = np.empty(n, dtype=np.uint32)
+    mask = np.uint64((1 << r) - 1)
     for start in range(0, n, _UNPACK_CHUNK):
         m = min(_UNPACK_CHUNK, n - start)
+        rows = -(-m // 8)
         first = start * r // 8
-        bits[:m, :r] = np.unpackbits(
-            wire[first : first + (m * r + 7) // 8], bitorder="little", count=m * r
-        ).reshape(m, r)
-        levels[start : start + m] = np.packbits(bits[:m], bitorder="little").view(f"<u{w}")
-    return levels.astype(np.uint32, copy=False)
+        part = wire[first : first + (m * r + 7) // 8]
+        octet_bytes = np.zeros(rows * r, dtype=np.uint8)
+        octet_bytes[: part.size] = part
+        raw = np.zeros((rows, 8 * ((8 * r + 63) // 64)), dtype=np.uint8)
+        raw[:, :r] = octet_bytes.reshape(rows, r)
+        words = raw.view("<u8")
+        octets = np.empty((rows, 8), dtype=np.uint64)
+        for j in range(8):
+            w, s = divmod(j * r, 64)
+            octets[:, j] = words[:, w] >> np.uint64(s)
+            if s + r > 64:
+                octets[:, j] |= words[:, w + 1] << np.uint64(64 - s)
+        levels[start : start + m] = (octets.reshape(-1)[:m] & mask).astype(np.uint32)
+    return levels
+
+
+def _rice_parameter(levels: np.ndarray, r: int) -> Tuple[int, int]:
+    """The least k in [0, r) that minimises the Rice code's level bits,
+    n * k remainder bits plus S_k + n unary bits with S_k = sum(levels >> k),
+    and that S_k.
+
+    With m the mean level and k0 = floor(log2(floor(m))), only k0 - 1, k0
+    and k0 + 1 can win.  The bit count is convex in k.  It rises from k0 + 1
+    on, since S_k < n once 2**k > m; it falls up to k0 - 1, since S_k > 2 n
+    once 2**k <= m / 4.
+    """
+    n = levels.size
+    k0 = (int(levels.sum(dtype=np.uint64)) // n).bit_length() - 1
+    best = None
+    for k in range(max(k0 - 1, 0), min(k0 + 2, r)):
+        quotient_sum = int((levels >> k).sum(dtype=np.uint64))
+        if best is None or n * k + quotient_sum < n * best[0] + best[1]:
+            best = (k, quotient_sum)
+    return best
 
 
 def _quant_segment(vec: np.ndarray, r: int) -> bytes:
-    """Quantized body for one flattened tensor.
+    """Quantized body for one flattened tensor: the Rice body, or the
+    fixed-width body behind ``_FIXED`` when that is shorter.
 
     ZeroVector covers both genuinely zero tensors and tensors so small that
     their norm underflows; both are legal model states and travel as the
@@ -154,8 +228,28 @@ def _quant_segment(vec: np.ndarray, r: int) -> bytes:
         q = quantize(vec, r)
     except ZeroVector:
         return b"\x00"
-    sign_bytes = np.packbits(q.signs, bitorder="little").tobytes()
-    return struct.pack("<Bd", q.r, q.norm) + sign_bytes + _pack_levels(q.levels, q.r)
+    head = struct.pack("<Bd", q.r, q.norm)
+    n = q.levels.size
+    k, quotient_sum = _rice_parameter(q.levels, q.r)
+    unary_bits = quotient_sum + n
+    signed = int(np.count_nonzero(q.levels))
+    rice_bytes = 4 + (unary_bits + 7) // 8 + (n * k + 7) // 8 + (signed + 7) // 8
+    if rice_bytes >= (n + 7) // 8 + (n * q.r + 7) // 8:
+        return b"".join([head, bytes([_FIXED]), _pack_bits(q.signs), _pack_levels(q.levels, q.r)])
+    # Level i's terminator follows its quotient and those before it.
+    ends = np.cumsum(q.levels >> k, dtype=np.int64)
+    ends += np.arange(n)
+    unary = np.zeros(unary_bits, dtype=np.uint8)
+    unary[ends] = 1
+    unary_bytes = _pack_bits(unary)
+    remainders = _pack_levels(q.levels, k) if k else b""
+    rice_head = struct.pack("<BI", k, len(unary_bytes))
+    signs = _pack_bits(q.signs[q.levels != 0])
+    return b"".join([head, rice_head, unary_bytes, remainders, signs])
+
+
+def _pack_bits(bits: np.ndarray) -> bytes:
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 class _Reader:
@@ -178,6 +272,11 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def bits(self, count: int) -> np.ndarray:
+        """The next ``count`` bits, as packed by ``_pack_bits``."""
+        wire = np.frombuffer(self.take((count + 7) // 8), dtype=np.uint8)
+        return np.unpackbits(wire, bitorder="little", count=count)
+
     def done(self) -> bool:
         return self.pos == len(self.blob)
 
@@ -188,14 +287,61 @@ def _read_quant_segment(rd: _Reader, n: int) -> np.ndarray:
         return np.zeros(n)
     if r > 32:
         raise MalformedPayload(f"quantized segment has invalid bit width {r}")
-    (norm,) = rd.unpack("<d")
+    norm, k = rd.unpack("<dB")
     if not 0.0 <= norm < math.inf:
         raise MalformedPayload(f"quantized segment has invalid norm {norm!r}")
-    signs = np.unpackbits(
-        np.frombuffer(rd.take((n + 7) // 8), dtype=np.uint8), bitorder="little", count=n
-    )
-    levels = _unpack_levels(rd.take((n * r + 7) // 8), n, r)
+    if k == _FIXED:
+        signs = rd.bits(n)
+        levels = _unpack_levels(rd.take((n * r + 7) // 8), n, r)
+    else:
+        levels = _read_rice_levels(rd, n, r, k)
+        nonzero = levels != 0
+        signs = np.zeros(n, dtype=np.uint8)
+        signs[nonzero] = rd.bits(int(np.count_nonzero(nonzero)))
     return dequantize(QuantizedVector(r=r, norm=norm, signs=signs, levels=levels))
+
+
+def _read_rice_levels(rd: _Reader, n: int, r: int, k: int) -> np.ndarray:
+    """Levels of a Rice body; refuses any level of 2**r or more, so that
+    each decoded magnitude stays within the segment's norm."""
+    if k >= r:
+        raise MalformedPayload(f"Rice parameter {k} is not below the bit width {r}")
+    (length,) = rd.unpack("<I")
+    quotients = _read_unary(rd.take(length), n)
+    if int(quotients.max(initial=0)) >> (r - k):
+        raise MalformedPayload(f"Rice-coded level does not fit in {r} bits")
+    levels = (quotients << k).astype(np.uint32)
+    if k:
+        levels |= _unpack_levels(rd.take((n * k + 7) // 8), n, k)
+    return levels
+
+
+def _read_unary(buf: bytes, n: int) -> np.ndarray:
+    """The n quotients of a unary stream, each the count of 0 bits before
+    its terminating 1 bit.
+
+    Reads ``_UNPACK_CHUNK`` bytes at a time, so a long run of zeros costs
+    no more memory than a short one.  The stream must hold exactly n
+    terminators and end in the byte of the last one.
+    """
+    wire = np.frombuffer(buf, dtype=np.uint8)
+    if 8 * wire.size < n:
+        raise MalformedPayload(f"unary stream of {wire.size} bytes cannot hold {n} levels")
+    ends = np.empty(n, dtype=np.int64)
+    found = 0
+    for start in range(0, wire.size, _UNPACK_CHUNK):
+        bits = np.unpackbits(wire[start : start + _UNPACK_CHUNK], bitorder="little")
+        at = np.flatnonzero(bits.view(bool))
+        if found + at.size > n:
+            raise MalformedPayload(f"unary stream holds more than {n} terminators")
+        np.add(at, 8 * start, out=ends[found : found + at.size])
+        found += at.size
+    if found < n:
+        raise MalformedPayload(f"unary stream holds {found} of {n} terminators")
+    if wire.size != (int(ends[-1]) // 8 + 1 if n else 0):
+        raise MalformedPayload("unary stream runs past its last terminator")
+    ends[1:] -= ends[:-1] + 1  # terminator positions to quotients
+    return ends
 
 
 @dataclass

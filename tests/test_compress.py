@@ -21,8 +21,44 @@ def tensor_meta_bytes(name: str) -> int:
     return 2 + len(name.encode()) + 4 + 4
 
 
-def quant_body_bytes(n: int, r: int) -> int:
-    return 1 + 8 + (n + 7) // 8 + (n * r + 7) // 8
+def fixed_segment_bytes(n: int, r: int) -> int:
+    """Bit width, norm, the fixed-width marker, n sign bits, n r-bit levels."""
+    return 1 + 8 + 1 + (n + 7) // 8 + (n * r + 7) // 8
+
+
+def rice_segment_bytes(levels: np.ndarray, r: int) -> int:
+    """Bit width, norm, Rice parameter, unary length, unary stream, k-bit
+    remainders and the signs of nonzero levels, where k is the least of
+    those with the fewest level bits, found by trying every k below r."""
+    n, wide = levels.size, levels.astype(np.int64)
+    cost = [n * k + int((wide >> k).sum()) for k in range(r)]
+    k = cost.index(min(cost))
+    unary = int((wide >> k).sum()) + n
+    signs = int(np.count_nonzero(levels))
+    return 1 + 8 + 1 + 4 + (unary + 7) // 8 + (n * k + 7) // 8 + (signs + 7) // 8
+
+
+def segment_bytes(x, r: int) -> int:
+    """Length of the quantized segment of x: the shorter of the two bodies,
+    or the one zero byte of a zero tensor."""
+    try:
+        levels = compress.quantize(x, r).levels
+    except ZeroVector:
+        return 1
+    return min(rice_segment_bytes(levels, r), fixed_segment_bytes(levels.size, r))
+
+
+def quantized_blob(n: int, segment: bytes) -> bytes:
+    """A one-tensor 1 x n quantized payload around a hand-built segment."""
+    head = compress.MAGIC + struct.pack("<HBH", compress.WIRE_VERSION, 1, 1)
+    return head + struct.pack("<H", 1) + b"x" + struct.pack("<II", 1, n) + segment
+
+
+def rice_segment(r: int, k: int, unary: bytes, rest: bytes = b"", length=None) -> bytes:
+    """A Rice body of norm 1: its header, the unary stream, then ``rest``
+    (remainders and signs); ``length`` overrides the unary length field."""
+    length = len(unary) if length is None else length
+    return struct.pack("<BdBI", r, 1.0, k, length) + unary + rest
 
 
 def rank1(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -31,18 +67,24 @@ def rank1(rows: int, cols: int, seed: int) -> np.ndarray:
     return np.outer(rng.normal(size=rows), rng.normal(size=cols))
 
 
-def _fuzz_seeds():
-    """Valid wire images of every scheme, with bias rows, a zero tensor, and
-    low-rank bodies both factored ("f") and plain ("w")."""
+def _fuzz_tensors():
+    """Bias rows, a zero tensor, low-rank bodies both factored ("f") and
+    plain ("w"), and quantized segments both Rice-coded ("g") and
+    fixed-width (the others)."""
     rng = np.random.default_rng(40)
-    tensors = {
+    return {
         "w": rng.normal(size=(4, 3)),
         "f": rank1(8, 6, 42),
         "b": rng.normal(size=(1, 3)),
         "z": np.zeros((2, 2)),
+        "g": rng.normal(size=(1, 256)),
     }
+
+
+def _fuzz_seeds():
+    """Valid wire images of ``_fuzz_tensors`` under every scheme."""
     return [
-        compress.encode_payload(tensors, scheme, r=5, tau_lowrank=0.1).blob
+        compress.encode_payload(_fuzz_tensors(), scheme, r=5, tau_lowrank=0.1).blob
         for scheme in ("dense", "quantized", "lowrank_quantized")
     ]
 
@@ -62,7 +104,7 @@ def lowrank_blob_with_norms(norm: float) -> bytes:
     rank_at = HEADER_BYTES + tensor_meta_bytes("m")
     assert struct.unpack("<H", blob[rank_at : rank_at + 2]) == (1,)
     left = rank_at + 2 + 1  # past the rank and the left factor's bit width
-    right = left + quant_body_bytes(8 * 1, 4)  # the right factor's norm
+    right = left + fixed_segment_bytes(8 * 1, 4)  # the right factor's norm
     for offset in (left, right):
         blob[offset : offset + 8] = struct.pack("<d", norm)
     return bytes(blob)
@@ -76,26 +118,29 @@ def reference_pack(levels: np.ndarray, r: int) -> bytes:
     return np.packbits(bits.ravel(), bitorder="little").tobytes()
 
 
-# SHA-256 of one fixed payload under each scheme.  The dense and quantized
-# digests are the bit-by-bit codec's under wire version 2 with the version
-# field set to 3.  The tensors are multiples of 1/8, so the sums of squares
-# under the quantizer's norms are exact in any order.  "w" has full rank, so
-# the low-rank payloads carry it as a plain body; the rank-1 payload pins the
-# factor layout and the last bits of numpy's SVD of its matrix.
+# SHA-256 of one fixed payload under each scheme.  Each payload decodes to
+# values equal to wire version 3's (a negative coordinate of level 0 is now
+# +0.0, not -0.0), and the dense one differs from it only in the version
+# field.  The tensors are multiples of 1/8, so the sums of squares under the
+# quantizer's norms are exact in any order.  "w" has full rank, so the
+# low-rank payloads carry it as a plain body; the rank-1 payload pins the
+# factor layout and the last bits of numpy's SVD of its matrix.  "g" is the
+# one Rice-coded segment (k = 1 at r = 4, k = 12 at r = 16).
 WIRE_TENSORS = {
     "w": ((np.arange(30) * 7 % 11) - 5).reshape(6, 5) / 4.0,
     "b": np.array([[0.5, -0.25, 0.125, 0.0, -1.0]]),
     "z": np.zeros((2, 2)),
+    "g": ((np.arange(64) * 5 % 17) - 8).reshape(1, 64) / 8.0,
 }
 WIRE_DIGESTS = {
-    ("dense", 4): "a7cc06629e41a8e9f52de92f210cef8bfa2a80a960bddd84b10c9a200315aa75",
-    ("quantized", 4): "07c2dfb81e9726afcf9152ea9b03cfb92ab4ae13a5172db04642e0a85e2dc95c",
-    ("quantized", 16): "c3f27c16417bd85cb015b74068dc385e244e8dedaf454d1bb00251ee1fbc7df8",
-    ("lowrank_quantized", 4): "f0ac7fdd1d662676ce4574f8d1c9e60c2dad107e4f19dbfd9970e9a991ac5cb8",
-    ("lowrank_quantized", 16): "d1825f664e0d7a88e5d48365125b1af825e65843611777dd93db8b70ec36bbc4",
+    ("dense", 4): "e5557e402ec985762b908481e100ff9e19dcfa51f45cefac1a80b5822724b374",
+    ("quantized", 4): "b8d39f1d07dc6035d1313f8f640ae105863b7c42b308ba40d394d6ae4ff81422",
+    ("quantized", 16): "704b6570bce1d26c0a23b61f722955ec81c95949a17b86d65a38ca4826aabefa",
+    ("lowrank_quantized", 4): "12ac0bdac5ed58bdf2de3a12e3d36dd6ec7034e18354dd27811960a34a4013b5",
+    ("lowrank_quantized", 16): "e1c8dfe97bf06e790356ad89faff66682d9a3f33e3a65aab227a8e1ceeb10502",
 }
 WIRE_RANK1 = np.outer([1.0, -0.5, 0.25, 2.0, -1.0, 0.75], [0.5, 1.0, -0.25, 0.125, -2.0])
-WIRE_RANK1_DIGEST = "45cc231e58a78ad6467527158080795afa9329e24144b4cf1af35f0dbe27c949"
+WIRE_RANK1_DIGEST = "6de6a70408c9e680609df93e8962e288d4fb440cf89954ab706a5920bbf8f5d5"
 
 
 @st.composite
@@ -120,6 +165,10 @@ class TestQuantize:
         q = compress.quantize(np.array([-3.0, 4.0]), r=2)
         assert np.array_equal(compress.dequantize(q), [-2.5, 3.75])
         assert list(q.signs) == [1, 0]
+        # A negative coordinate that rounds to level 0 has no sign: +0.0.
+        q = compress.quantize(np.array([-0.01, 4.0]), r=2)
+        assert list(q.levels) == [0, 3] and list(q.signs) == [0, 0]
+        assert not np.signbit(compress.dequantize(q)).any()
 
     def test_full_scale_coordinate_saturates(self):
         # A coordinate equal to the norm hits level 2**r, which is clamped
@@ -170,7 +219,7 @@ class TestLevelPacking:
     @pytest.mark.parametrize("r", range(1, 33))
     def test_matches_bitwise_reference(self, r):
         rng = np.random.default_rng(r)
-        for n in (1, 7, 8, 9, 1000):
+        for n in (1, 7, 8, 9, 1000, compress._FEW_LEVELS + 9):
             levels = rng.integers(0, 2**r, size=n, dtype=np.uint64).astype(np.uint32)
             levels[-1] = 2**r - 1  # a saturated level
             packed = compress._pack_levels(levels, r)
@@ -187,6 +236,84 @@ class TestLevelPacking:
             levels[::997] = 2**r - 1  # saturated levels on both sides of each boundary
             packed = compress._pack_levels(levels, r)
             assert np.array_equal(compress._unpack_levels(packed, n, r), levels)
+
+
+class TestRiceCoding:
+    @pytest.mark.parametrize("r", range(1, 33))
+    def test_quantized_coding_is_lossless(self, r):
+        rng = np.random.default_rng(200 + r)
+        saturated = np.zeros(13)
+        saturated[[2, 11]] = [-1.0, 1e-9]  # level 2**r - 1, a tiny value, zeros
+        cases = [rng.normal(size=n) for n in (1, 7, 9, 1000)]
+        cases += [rng.standard_cauchy(size=999), saturated]
+        if r <= 5:  # every level rounds to zero, half of them from below
+            cases.append(np.resize([1.0, -1.0], 4 ** (r + 1) + 1))
+        for x in cases:
+            out = compress.decode_payload(
+                compress.encode_payload({"x": x.reshape(1, -1)}, "quantized", r=r)
+            )["x"].ravel()
+            ref = compress.dequantize(compress.quantize(x, r))
+            assert np.array_equal(out, ref)
+            assert np.array_equal(np.signbit(out), np.signbit(ref))
+        assert compress.quantize(saturated, r).levels[2] == 2**r - 1
+        # All-zero levels under a nonzero norm, in the shortest Rice body.
+        n = 13
+        unary = bytes([0xFF, 0x1F])  # 13 lone terminators
+        out = compress.decode_payload(quantized_blob(n, rice_segment(r, 0, unary)))["x"]
+        assert np.array_equal(out, np.zeros((1, n))) and not np.signbit(out).any()
+
+    @pytest.mark.parametrize("chunk", [8, 16])
+    def test_decoding_crosses_chunk_boundaries(self, monkeypatch, chunk):
+        # Small chunks put many boundaries inside each unary stream and
+        # remainder block; the result must not depend on the chunk.
+        monkeypatch.setattr(compress, "_UNPACK_CHUNK", chunk)
+        rng = np.random.default_rng(300)
+        for r in (3, 7, 16, 29):
+            x = rng.normal(size=1001)
+            p = compress.encode_payload({"x": x.reshape(1, -1)}, "quantized", r=r)
+            out = compress.decode_payload(p)["x"].ravel()
+            assert np.array_equal(out, compress.dequantize(compress.quantize(x, r)))
+
+    def test_rice_body_layout(self):
+        # Levels 0, 3 and 5 at r = 4 and k = 1: quotients 0, 1, 2 are the
+        # unary codes 1, 01, 001; remainders 0, 1, 1; signs of 3 and 5 only.
+        seg = rice_segment(4, 1, bytes([0b100101]), bytes([0b110, 0b01]))
+        out = compress.decode_payload(quantized_blob(3, seg))["x"]
+        assert out.tolist() == [[0.0, -3 / 16, 5 / 16]]
+
+    @pytest.mark.parametrize(
+        ("r", "n", "segment", "match"),
+        [
+            (4, 3, rice_segment(4, 4, bytes([0b100101]), bytes([0b110, 1])), "Rice parameter"),
+            (4, 3, rice_segment(4, 200, bytes([0b100101]), bytes([0b110, 1])), "Rice parameter"),
+            (4, 3, rice_segment(4, 1, bytes([0b101]), bytes([0b110, 1])), "terminators"),
+            (4, 3, rice_segment(4, 1, b"", bytes([0b110, 1])), "cannot hold"),
+            (4, 3, rice_segment(4, 1, bytes([0b100101, 1]), bytes([0b110, 1])), "more than"),
+            (4, 3, rice_segment(4, 1, bytes([0b100101, 0]), bytes([0b110, 1])), "runs past"),
+            (4, 3, rice_segment(4, 1, bytes([0b100101]), length=1000), "truncated"),
+            (4, 3, rice_segment(4, 1, bytes([0b100101]), bytes([0b110])), "truncated"),
+            # Quotient 8 at k = 1 is level 16 = 2**4.
+            (4, 3, rice_segment(4, 1, bytes([0b101, 0b1000]), bytes([0, 3])), "fit in 4 bits"),
+            # Quotient 2 at k = 31 is level 2**32, which a uint32 shift would wrap to 0.
+            (32, 1, rice_segment(32, 31, bytes([0b100]), bytes([0, 0, 0, 0, 1])), "fit in 32"),
+        ],
+        ids=[
+            "k-equals-r", "k-above-32", "too-few-terminators", "empty-unary",
+            "extra-terminator", "trailing-unary-byte", "length-past-payload",
+            "missing-sign-byte", "level-2-pow-r", "level-2-pow-32",
+        ],
+    )
+    def test_hostile_rice_body_is_malformed(self, r, n, segment, match):
+        with pytest.raises(MalformedPayload, match=match):
+            compress.decode_payload(quantized_blob(n, segment))
+
+    def test_fuzz_seeds_hold_both_bodies(self):
+        kinds = {
+            name: compress._quant_segment(t.ravel(), 5)[9:10]  # k or the marker
+            for name, t in _fuzz_tensors().items()
+        }
+        assert kinds["g"] not in (b"", b"\xff")
+        assert kinds["w"] == kinds["b"] == b"\xff"
 
 
 class TestSparsify:
@@ -259,10 +386,17 @@ class TestPayloads:
     def test_quantized_bit_count_n1024(self):
         x = np.random.default_rng(8).normal(size=(32, 32))
         p = compress.encode_payload({"t": x}, "quantized", r=4)
-        expected = HEADER_BYTES + tensor_meta_bytes("t") + quant_body_bytes(1024, 4)
+        expected = HEADER_BYTES + tensor_meta_bytes("t") + segment_bytes(x, 4)
         assert compress.payload_bits(p) == expected * 8
-        # Per-element cost is 1 sign + 4 level bits for n divisible by 8.
-        assert quant_body_bytes(1024, 4) * 8 == 8 + 64 + 1024 * 5
+        # Levels are about |x| / 2 here, so k = 0 and each level costs its
+        # value plus one unary bit, and a sign bit if it is nonzero.
+        levels = compress.quantize(x, 4).levels
+        unary, signs = int(levels.sum()) + 1024, int(np.count_nonzero(levels))
+        assert (unary, signs) == (1348, 321)
+        assert segment_bytes(x, 4) == 1 + 8 + 1 + 4 + 169 + 41 == 224
+        # The fixed-width body would cost 1 sign + 4 level bits per element.
+        assert fixed_segment_bytes(1024, 4) * 8 == 8 + 64 + 8 + 1024 * 5
+        assert segment_bytes(x, 4) < fixed_segment_bytes(1024, 4)
 
     def test_empty_payload_is_header_only(self):
         p = compress.encode_payload({}, "dense")
@@ -321,16 +455,16 @@ class TestPayloads:
         assert compress.decode_payload(p)["m"].shape == (8, 6)
 
     def test_lowrank_bit_count_is_rank_and_factors(self):
-        # At rank 2 the factors (52 bytes) beat the plain body (65 bytes); at
-        # rank 3 they would not (68 bytes).
+        # At rank 2 the factors (54 bytes) beat the plain body (66 bytes); at
+        # rank 3 they would not (70 bytes).  Segments this short are fixed-width.
         rng = np.random.default_rng(11)
         base = rng.normal(size=(8, 2)) @ rng.normal(size=(2, 6))  # exactly rank 2
         p = compress.encode_payload({"m": base}, "lowrank_quantized", r=8, tau_lowrank=1e-6)
         expected = (
-            HEADER_BYTES + tensor_meta_bytes("m") + 2 + quant_body_bytes(8 * 2, 8)
-            + quant_body_bytes(6 * 2, 8)
+            HEADER_BYTES + tensor_meta_bytes("m") + 2 + fixed_segment_bytes(8 * 2, 8)
+            + fixed_segment_bytes(6 * 2, 8)
         )
-        assert expected == 72
+        assert expected == 74
         assert compress.payload_bits(p) == expected * 8
 
     def test_lowrank_rank_above_255_roundtrips(self):
@@ -393,7 +527,7 @@ class TestPayloads:
         blob = compress.encode_payload({"x": np.ones((1, 1))}, "dense").blob
         with pytest.raises(MalformedPayload):
             compress.decode_payload(b"XXXX" + blob[4:])
-        for version in (1, 2, 99):
+        for version in (1, 2, 3, 99):
             bad_version = blob[:4] + struct.pack("<H", version) + blob[6:]
             with pytest.raises(MalformedPayload, match="version"):
                 compress.decode_payload(bad_version)
@@ -444,16 +578,28 @@ class TestPayloads:
         assert hashlib.sha256(p.blob).hexdigest() == WIRE_RANK1_DIGEST
 
     def test_decoder_memory_is_bounded(self):
-        # One 2**20-value segment at 32 bits: 4.2 MB of wire, 8 MiB decoded.
-        x = np.random.default_rng(14).normal(size=(1, 1 << 20))
-        payload = compress.encode_payload({"x": x}, "quantized", r=32)
-        tracemalloc.start()
-        try:
-            compress.decode_payload(payload)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40 * 2**20
+        n = 1 << 20
+        # A 2**20-value fixed-width segment at 32 bits: 4.3 MB of wire, 8 MiB
+        # decoded.  The encoder writes no such body for this many values,
+        # since their levels cannot spread over all 32 bits.
+        raw = np.random.default_rng(14).integers(0, 256, size=n // 8 * 33, dtype=np.uint8)
+        fixed = quantized_blob(n, struct.pack("<BdB", 32, 1.0, 0xFF) + raw.tobytes())
+        # The encoder's 2**20-value segment at 32 bits, a Rice body.
+        x = np.random.default_rng(14).normal(size=(1, n))
+        rice = compress.encode_payload({"x": x}, "quantized", r=32).blob
+        assert rice[HEADER_BYTES + tensor_meta_bytes("x") + 9] != 0xFF
+        # Two levels after a run of 2**26 zero bits: 8 MiB of unary stream,
+        # which would be 64 MiB as one bit array.
+        long_run = quantized_blob(2, rice_segment(32, 0, bytes(1 << 23) + b"\x03", b"\x00"))
+        for blob in (fixed, rice, long_run):
+            tracemalloc.start()
+            try:
+                out = compress.decode_payload(blob)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 40 * 2**20
+        assert out["x"].tolist() == [[2.0**26 / 2.0**32, 0.0]]
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(blob=hostile_blobs())
@@ -476,6 +622,16 @@ class TestPayloads:
             compress.encode_payload({"x": np.array([[np.nan]])}, "dense")
 
     def test_codec_fuzz_roundtrip(self):
+        def fixed_width_bytes(tensors, r):
+            """A quantized payload with every level at r bits, as wire
+            version 3 wrote it: no marker, and a zero tensor in one byte."""
+            total = HEADER_BYTES
+            for name, mat in tensors.items():
+                n = mat.size
+                body = 1 + 8 + (n + 7) // 8 + (n * r + 7) // 8 if mat.any() else 1
+                total += tensor_meta_bytes(name) + body
+            return total
+
         rng = np.random.default_rng(12)
         schemes = ("dense", "quantized", "lowrank_quantized")
         for trial in range(1000):
@@ -495,6 +651,10 @@ class TestPayloads:
             r = int(rng.integers(1, 33))
             payload = compress.encode_payload(tensors, scheme, r=r, tau_lowrank=0.01)
             decoded = compress.decode_payload(payload)
+            if scheme == "quantized":
+                # Each segment costs at most one byte over fixed-width levels.
+                segments = sum(bool(m.any()) for m in tensors.values())
+                assert len(payload.blob) <= fixed_width_bytes(tensors, r) + segments
             if scheme == "lowrank_quantized":
                 # A low-rank body costs at most the rank field over a plain one.
                 plain = compress.encode_payload(tensors, "quantized", r=r)

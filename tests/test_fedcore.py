@@ -10,6 +10,7 @@ from cefgl.errors import DivergenceDetected
 from cefgl.fedcore import ClientConfig, ClientState, ServerConfig, ServerState
 from cefgl.gnn import ArchConfig
 from cefgl.graphdata import SynthSpec
+from test_compress import segment_bytes
 
 
 def make_clients(n_clients=2, n_graphs=20, seed=0, hidden=4, noise=0.4, **cfg_kwargs):
@@ -616,16 +617,17 @@ class TestRunRound:
 
         # The low-rank ratios are those of the downlinked delta: rank k of an
         # m x n matrix travels as factors when they are the shorter body, and
-        # otherwise the matrix travels plain and counts as full rank.
-        def segment(n):
-            return 1 + 8 + (n + 7) // 8 + (n * 8 + 7) // 8  # r_bits = 8
-
+        # otherwise the matrix travels plain and counts as full rank.  Segment
+        # lengths depend on the levels (r_bits = 8), so each is measured on
+        # the vector it codes.
         ranks, values = {}, 0
         for k, v in delta.items():
             if min(v.shape) == 1:
                 continue
-            (m, n), rank = v.shape, linalg.retained_rank(linalg.svd(v), "relative", tau)
-            shorter = segment(rank * m) + segment(rank * n) < segment(m * n)
+            (m, n), dec = v.shape, linalg.svd(v)
+            rank = linalg.retained_rank(dec, "relative", tau)
+            factors = [dec.u[:, :rank] * dec.sigma[:rank], dec.v[:, :rank]] if rank else []
+            shorter = sum(segment_bytes(f, 8) for f in factors) < segment_bytes(v, 8)
             pays = rank * (m + n) < m * n and shorter
             ranks[k] = rank if pays else min(m, n)
             values += rank * (m + n) if pays else m * n
