@@ -18,12 +18,13 @@ A quantized segment of n values is bit width r u8, norm f64, then a body
 byte; bit width 0 alone marks an all-zero tensor (a zero tensor has no L2
 norm to quantize against).  In a Rice body the body byte is the Rice
 parameter k < r, the least k that minimises the level bits.  Then come the
-unary stream's length in bytes u32, the unary stream (per level,
-``level >> k`` zero bits and a 1), the low k bits of each level, and one
-sign bit per nonzero level.  Where the fixed-width body is no longer, the
-body byte is ``_FIXED`` (0xFF) and n sign bits and n r-bit levels follow.
-So a segment is never more than one byte longer than its fixed-width levels
-alone would make it, and both bodies decode to the same values.
+unary stream (per level, ``level >> k`` zero bits and a 1, padded with 0
+bits to the end of the byte that holds the last 1), the low k bits of each
+level, and one sign bit per nonzero level.  Where the fixed-width body is no
+longer, the body byte is ``_FIXED`` (0xFF) and n sign bits and n r-bit
+levels follow.  So a segment is never more than one byte longer than its
+fixed-width levels alone would make it, and both bodies decode to the same
+values.
 
 A low-rank body is rank u16 followed by the left and right factor
 segments; rank 0 alone marks an all-zero matrix.  Factors of rank k travel
@@ -37,8 +38,9 @@ quantized schemes.
 
 The decoder refuses payloads that declare more than ``_MAX_WIRE_ELEMENTS``
 values in total; quantized segments whose norm is negative, infinite or
-NaN; Rice bodies whose parameter is not below r, whose unary stream does
-not hold exactly one terminator per level, or whose levels reach 2**r; and
+NaN; Rice bodies whose parameter is not below r, whose unary stream runs
+out of bytes or has bits set after its last terminator, or whose levels
+reach 2**r; and
 low-rank bodies whose factors would not be smaller than the matrix or
 multiply out past the float64 range.
 
@@ -78,10 +80,7 @@ _SCHEME_NAMES = {v: k for k, v in _SCHEME_CODES.items()}
 # float64) does.  Every other body is read only after the reader has checked
 # that its bytes are present.
 _MAX_WIRE_ELEMENTS = 1 << 24
-_UNPACK_CHUNK = 1 << 16  # levels per step of _unpack_levels; bytes of _read_unary
-# Below this many levels, one n x 32 bit matrix packs them in fewer numpy
-# calls than the word loop does.
-_FEW_LEVELS = 1 << 11
+_UNPACK_CHUNK = 1 << 16  # levels per step of _unpack_levels; bytes of _Reader.unary
 
 
 @dataclass
@@ -133,19 +132,15 @@ def dequantize(q: QuantizedVector) -> np.ndarray:
 def _pack_levels(levels: np.ndarray, r: int) -> bytes:
     """Concatenate the low r bits of each level, least significant first.
 
-    A width of 8, 16 or 32 bits is a plain little-endian cast.  Fewer than
-    ``_FEW_LEVELS`` levels are the first r columns of their n x 32 bit
-    matrix.  Otherwise each octet of levels fills exactly r bytes: its
-    levels are ORed at bit offsets 0, r, ..., 7r into little-endian uint64
-    words, and the first r bytes of those words are cut out.  The last
-    octet is padded with zero levels.
+    A width of 8, 16 or 32 bits is a plain little-endian cast.  Otherwise
+    each octet of levels fills exactly r bytes: its levels are ORed at bit
+    offsets 0, r, ..., 7r into little-endian uint64 words, and the first r
+    bytes of those words are cut out.  The last octet is padded with zero
+    levels.
     """
     n = levels.size
     if r in (8, 16, 32):
         return levels.astype(f"<u{r // 8}").tobytes()
-    if n < _FEW_LEVELS:
-        bits = np.unpackbits(levels.astype("<u4").view(np.uint8), bitorder="little")
-        return np.packbits(bits.reshape(n, 32)[:, :r], bitorder="little").tobytes()
     rows = -(-n // 8)
     octets = np.zeros(8 * rows, dtype=np.uint64)
     np.bitwise_and(levels, (1 << r) - 1, out=octets[:n])
@@ -162,7 +157,7 @@ def _pack_levels(levels: np.ndarray, r: int) -> bytes:
 def _unpack_levels(buf: bytes, n: int, r: int) -> np.ndarray:
     """Inverse of ``_pack_levels``: widen each r-bit field to 32 bits.
 
-    Takes the same three routes.  The word route works ``_UNPACK_CHUNK``
+    Takes the same two routes.  The word route works ``_UNPACK_CHUNK``
     levels at a time, so its matrices stay a few MiB however long the
     segment is; the chunk is a multiple of 8 levels, so each chunk starts
     on a byte boundary.
@@ -170,10 +165,6 @@ def _unpack_levels(buf: bytes, n: int, r: int) -> np.ndarray:
     if r in (8, 16, 32):
         return np.frombuffer(buf, dtype=f"<u{r // 8}").astype(np.uint32)
     wire = np.frombuffer(buf, dtype=np.uint8)
-    if n < _FEW_LEVELS:
-        bits = np.zeros((n, 32), dtype=np.uint8)
-        bits[:, :r] = np.unpackbits(wire, bitorder="little", count=n * r).reshape(n, r)
-        return np.packbits(bits, bitorder="little").view("<u4").ravel().astype(np.uint32)
     levels = np.empty(n, dtype=np.uint32)
     mask = np.uint64((1 << r) - 1)
     for start in range(0, n, _UNPACK_CHUNK):
@@ -208,9 +199,13 @@ def _rice_parameter(levels: np.ndarray, r: int) -> Tuple[int, int]:
     """
     n = levels.size
     k0 = (int(levels.sum(dtype=np.uint64)) // n).bit_length() - 1
+    first = max(k0 - 1, 0)
+    quotients = levels >> first
     best = None
-    for k in range(max(k0 - 1, 0), min(k0 + 2, r)):
-        quotient_sum = int((levels >> k).sum(dtype=np.uint64))
+    for k in range(first, min(k0 + 2, r)):
+        if k > first:
+            quotients >>= 1
+        quotient_sum = int(quotients.sum(dtype=np.uint64))
         if best is None or n * k + quotient_sum < n * best[0] + best[1]:
             best = (k, quotient_sum)
     return best
@@ -232,20 +227,21 @@ def _quant_segment(vec: np.ndarray, r: int) -> bytes:
     n = q.levels.size
     k, quotient_sum = _rice_parameter(q.levels, q.r)
     unary_bits = quotient_sum + n
-    signed = int(np.count_nonzero(q.levels))
-    rice_bytes = 4 + (unary_bits + 7) // 8 + (n * k + 7) // 8 + (signed + 7) // 8
+    nonzero = q.levels != 0
+    signed = int(np.count_nonzero(nonzero))
+    rice_bytes = (unary_bits + 7) // 8 + (n * k + 7) // 8 + (signed + 7) // 8
     if rice_bytes >= (n + 7) // 8 + (n * q.r + 7) // 8:
         return b"".join([head, bytes([_FIXED]), _pack_bits(q.signs), _pack_levels(q.levels, q.r)])
-    # Level i's terminator follows its quotient and those before it.
-    ends = np.cumsum(q.levels >> k, dtype=np.int64)
-    ends += np.arange(n)
+    # Level i's terminator follows its own and the earlier levels' codes.
+    ends = (q.levels >> k).astype(np.int64)
+    ends += 1
+    np.cumsum(ends, out=ends)
+    ends -= 1
     unary = np.zeros(unary_bits, dtype=np.uint8)
     unary[ends] = 1
-    unary_bytes = _pack_bits(unary)
     remainders = _pack_levels(q.levels, k) if k else b""
-    rice_head = struct.pack("<BI", k, len(unary_bytes))
-    signs = _pack_bits(q.signs[q.levels != 0])
-    return b"".join([head, rice_head, unary_bytes, remainders, signs])
+    signs = _pack_bits(q.signs[nonzero])
+    return b"".join([head, bytes([k]), _pack_bits(unary), remainders, signs])
 
 
 def _pack_bits(bits: np.ndarray) -> bytes:
@@ -277,6 +273,43 @@ class _Reader:
         wire = np.frombuffer(self.take((count + 7) // 8), dtype=np.uint8)
         return np.unpackbits(wire, bitorder="little", count=count)
 
+    def unary(self, n: int) -> np.ndarray:
+        """The next n unary codes as quotients, each the count of 0 bits
+        before its terminating 1 bit.  The stream ends with the byte that
+        holds the n-th 1, whose later bits must be 0.
+
+        The stream has no length field, so it is scanned in chunks, each
+        twice as long as the one before and at most ``_UNPACK_CHUNK``
+        bytes, so a long run of zeros costs no more memory than a short
+        one.  The first chunk holds four bits per code, which covers every
+        stream the encoder writes below that cap: its k keeps the sum of
+        the quotients below 3 n.
+        """
+        if 8 * (len(self.blob) - self.pos) < n:
+            raise MalformedPayload(
+                f"{len(self.blob) - self.pos} bytes cannot hold {n} unary codes"
+            )
+        wire = np.frombuffer(self.blob, dtype=np.uint8)
+        ends = np.empty(n, dtype=np.int64)
+        found, start, step = 0, self.pos, (n + 1) // 2
+        while found < n:
+            if start >= wire.size:
+                raise MalformedPayload(f"unary stream holds {found} of {n} terminators")
+            step = min(step, _UNPACK_CHUNK)
+            bits = np.unpackbits(wire[start : start + step], bitorder="little")
+            at = np.flatnonzero(bits.view(bool))[: n - found]
+            np.add(at, 8 * (start - self.pos), out=ends[found : found + at.size])
+            found += at.size
+            start += step
+            step *= 2
+        if n:
+            last_byte, last_bit = divmod(int(ends[-1]), 8)
+            if wire[self.pos + last_byte] >> (last_bit + 1):
+                raise MalformedPayload("unary stream has bits set after its last terminator")
+            self.pos += last_byte + 1
+        ends[1:] -= ends[:-1] + 1  # terminator positions to quotients
+        return ends
+
     def done(self) -> bool:
         return self.pos == len(self.blob)
 
@@ -306,42 +339,13 @@ def _read_rice_levels(rd: _Reader, n: int, r: int, k: int) -> np.ndarray:
     each decoded magnitude stays within the segment's norm."""
     if k >= r:
         raise MalformedPayload(f"Rice parameter {k} is not below the bit width {r}")
-    (length,) = rd.unpack("<I")
-    quotients = _read_unary(rd.take(length), n)
+    quotients = rd.unary(n)
     if int(quotients.max(initial=0)) >> (r - k):
         raise MalformedPayload(f"Rice-coded level does not fit in {r} bits")
     levels = (quotients << k).astype(np.uint32)
     if k:
         levels |= _unpack_levels(rd.take((n * k + 7) // 8), n, k)
     return levels
-
-
-def _read_unary(buf: bytes, n: int) -> np.ndarray:
-    """The n quotients of a unary stream, each the count of 0 bits before
-    its terminating 1 bit.
-
-    Reads ``_UNPACK_CHUNK`` bytes at a time, so a long run of zeros costs
-    no more memory than a short one.  The stream must hold exactly n
-    terminators and end in the byte of the last one.
-    """
-    wire = np.frombuffer(buf, dtype=np.uint8)
-    if 8 * wire.size < n:
-        raise MalformedPayload(f"unary stream of {wire.size} bytes cannot hold {n} levels")
-    ends = np.empty(n, dtype=np.int64)
-    found = 0
-    for start in range(0, wire.size, _UNPACK_CHUNK):
-        bits = np.unpackbits(wire[start : start + _UNPACK_CHUNK], bitorder="little")
-        at = np.flatnonzero(bits.view(bool))
-        if found + at.size > n:
-            raise MalformedPayload(f"unary stream holds more than {n} terminators")
-        np.add(at, 8 * start, out=ends[found : found + at.size])
-        found += at.size
-    if found < n:
-        raise MalformedPayload(f"unary stream holds {found} of {n} terminators")
-    if wire.size != (int(ends[-1]) // 8 + 1 if n else 0):
-        raise MalformedPayload("unary stream runs past its last terminator")
-    ends[1:] -= ends[:-1] + 1  # terminator positions to quotients
-    return ends
 
 
 @dataclass

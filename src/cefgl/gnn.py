@@ -67,7 +67,9 @@ def init_params(cfg: ArchConfig, seed: int) -> ModelParams:
 
 
 def zeros_like_params(p: ModelParams) -> ModelParams:
-    return {k: np.zeros_like(v) for k, v in p.items()}
+    # np.zeros takes pages the allocator already zeroed; zeros_like writes
+    # every byte.
+    return {k: np.zeros(v.shape, dtype=v.dtype) for k, v in p.items()}
 
 
 def clone_params(p: ModelParams) -> ModelParams:

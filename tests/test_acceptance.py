@@ -127,9 +127,9 @@ def test_c03_compression_accounting():
         meta = (2 + 1 + 4 + 4) * 8
         # Every |x| < 1 while ||x|| is about 37, so each level rounds to 0:
         # a Rice body with k = 0 codes each as one terminator bit, after the
-        # bit width, norm, k and unary length, with no remainder or sign bits.
+        # bit width, norm and k, with no remainder or sign bits.
         assert not compress.quantize(x, 4).levels.any()
-        expected_quantized = header + meta + 8 + 64 + 8 + 32 + n
+        expected_quantized = header + meta + 8 + 64 + 8 + n
         expected_dense = header + meta + n * 64
         assert compress.payload_bits(quantized) == expected_quantized
         assert compress.payload_bits(dense) == expected_dense

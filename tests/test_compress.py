@@ -27,15 +27,15 @@ def fixed_segment_bytes(n: int, r: int) -> int:
 
 
 def rice_segment_bytes(levels: np.ndarray, r: int) -> int:
-    """Bit width, norm, Rice parameter, unary length, unary stream, k-bit
-    remainders and the signs of nonzero levels, where k is the least of
-    those with the fewest level bits, found by trying every k below r."""
+    """Bit width, norm, Rice parameter, unary stream, k-bit remainders and
+    the signs of nonzero levels, where k is the least of those with the
+    fewest level bits, found by trying every k below r."""
     n, wide = levels.size, levels.astype(np.int64)
     cost = [n * k + int((wide >> k).sum()) for k in range(r)]
     k = cost.index(min(cost))
     unary = int((wide >> k).sum()) + n
     signs = int(np.count_nonzero(levels))
-    return 1 + 8 + 1 + 4 + (unary + 7) // 8 + (n * k + 7) // 8 + (signs + 7) // 8
+    return 1 + 8 + 1 + (unary + 7) // 8 + (n * k + 7) // 8 + (signs + 7) // 8
 
 
 def segment_bytes(x, r: int) -> int:
@@ -54,11 +54,10 @@ def quantized_blob(n: int, segment: bytes) -> bytes:
     return head + struct.pack("<H", 1) + b"x" + struct.pack("<II", 1, n) + segment
 
 
-def rice_segment(r: int, k: int, unary: bytes, rest: bytes = b"", length=None) -> bytes:
+def rice_segment(r: int, k: int, unary: bytes, rest: bytes = b"") -> bytes:
     """A Rice body of norm 1: its header, the unary stream, then ``rest``
-    (remainders and signs); ``length`` overrides the unary length field."""
-    length = len(unary) if length is None else length
-    return struct.pack("<BdBI", r, 1.0, k, length) + unary + rest
+    (remainders and signs)."""
+    return struct.pack("<BdB", r, 1.0, k) + unary + rest
 
 
 def rank1(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -69,8 +68,8 @@ def rank1(rows: int, cols: int, seed: int) -> np.ndarray:
 
 def _fuzz_tensors():
     """Bias rows, a zero tensor, low-rank bodies both factored ("f") and
-    plain ("w"), and quantized segments both Rice-coded ("g") and
-    fixed-width (the others)."""
+    plain ("w"), and quantized segments both Rice-coded ("g", "w") and
+    fixed-width ("b")."""
     rng = np.random.default_rng(40)
     return {
         "w": rng.normal(size=(4, 3)),
@@ -124,8 +123,9 @@ def reference_pack(levels: np.ndarray, r: int) -> bytes:
 # field.  The tensors are multiples of 1/8, so the sums of squares under the
 # quantizer's norms are exact in any order.  "w" has full rank, so the
 # low-rank payloads carry it as a plain body; the rank-1 payload pins the
-# factor layout and the last bits of numpy's SVD of its matrix.  "g" is the
-# one Rice-coded segment (k = 1 at r = 4, k = 12 at r = 16).
+# factor layout and the last bits of numpy's SVD of its matrix.  "w" and "g"
+# are Rice-coded (k = 1 at r = 4; k = 13 and 12 at r = 16), "b" and the
+# rank-1 factors fixed-width.
 WIRE_TENSORS = {
     "w": ((np.arange(30) * 7 % 11) - 5).reshape(6, 5) / 4.0,
     "b": np.array([[0.5, -0.25, 0.125, 0.0, -1.0]]),
@@ -134,10 +134,10 @@ WIRE_TENSORS = {
 }
 WIRE_DIGESTS = {
     ("dense", 4): "e5557e402ec985762b908481e100ff9e19dcfa51f45cefac1a80b5822724b374",
-    ("quantized", 4): "b8d39f1d07dc6035d1313f8f640ae105863b7c42b308ba40d394d6ae4ff81422",
-    ("quantized", 16): "704b6570bce1d26c0a23b61f722955ec81c95949a17b86d65a38ca4826aabefa",
-    ("lowrank_quantized", 4): "12ac0bdac5ed58bdf2de3a12e3d36dd6ec7034e18354dd27811960a34a4013b5",
-    ("lowrank_quantized", 16): "e1c8dfe97bf06e790356ad89faff66682d9a3f33e3a65aab227a8e1ceeb10502",
+    ("quantized", 4): "58f12a799a618ef192fa7468718d6df29db5cba264438f614ec95307c69ef259",
+    ("quantized", 16): "127260330852152791cd363bc7119f106eb1db723986ec4e549ce384a7f30547",
+    ("lowrank_quantized", 4): "5d63ff0399a82ac09842ec862b1920127905f429a5326885c3fea1ac781e7f6e",
+    ("lowrank_quantized", 16): "812be720b1ba5b9f59832448da710949ec3898aa0672ad278acc75631da8b93e",
 }
 WIRE_RANK1 = np.outer([1.0, -0.5, 0.25, 2.0, -1.0, 0.75], [0.5, 1.0, -0.25, 0.125, -2.0])
 WIRE_RANK1_DIGEST = "6de6a70408c9e680609df93e8962e288d4fb440cf89954ab706a5920bbf8f5d5"
@@ -219,7 +219,7 @@ class TestLevelPacking:
     @pytest.mark.parametrize("r", range(1, 33))
     def test_matches_bitwise_reference(self, r):
         rng = np.random.default_rng(r)
-        for n in (1, 7, 8, 9, 1000, compress._FEW_LEVELS + 9):
+        for n in (1, 7, 8, 9, 1000):
             levels = rng.integers(0, 2**r, size=n, dtype=np.uint64).astype(np.uint32)
             levels[-1] = 2**r - 1  # a saturated level
             packed = compress._pack_levels(levels, r)
@@ -255,6 +255,9 @@ class TestRiceCoding:
             ref = compress.dequantize(compress.quantize(x, r))
             assert np.array_equal(out, ref)
             assert np.array_equal(np.signbit(out), np.signbit(ref))
+            # The decoder's first chunk, four bits per level, holds the stream.
+            _, quotient_sum = compress._rice_parameter(compress.quantize(x, r).levels, r)
+            assert quotient_sum < 3 * x.size
         assert compress.quantize(saturated, r).levels[2] == 2**r - 1
         # All-zero levels under a nonzero norm, in the shortest Rice body.
         n = 13
@@ -286,11 +289,13 @@ class TestRiceCoding:
         [
             (4, 3, rice_segment(4, 4, bytes([0b100101]), bytes([0b110, 1])), "Rice parameter"),
             (4, 3, rice_segment(4, 200, bytes([0b100101]), bytes([0b110, 1])), "Rice parameter"),
-            (4, 3, rice_segment(4, 1, bytes([0b101]), bytes([0b110, 1])), "terminators"),
-            (4, 3, rice_segment(4, 1, b"", bytes([0b110, 1])), "cannot hold"),
-            (4, 3, rice_segment(4, 1, bytes([0b100101, 1]), bytes([0b110, 1])), "more than"),
-            (4, 3, rice_segment(4, 1, bytes([0b100101, 0]), bytes([0b110, 1])), "runs past"),
-            (4, 3, rice_segment(4, 1, bytes([0b100101]), length=1000), "truncated"),
+            # Two terminators, then the payload ends.
+            (4, 3, rice_segment(4, 1, bytes([0b101, 0])), "2 of 3 terminators"),
+            # A long zero run that never ends, past the first chunks.
+            (4, 3, rice_segment(4, 1, bytes([0b101]) + bytes(1000)), "2 of 3 terminators"),
+            (4, 9, rice_segment(4, 1, b""), "cannot hold"),
+            # A fourth 1 bit after the third terminator, in the same byte.
+            (4, 3, rice_segment(4, 1, bytes([0b1100101]), bytes([0b110, 1])), "after its last"),
             (4, 3, rice_segment(4, 1, bytes([0b100101]), bytes([0b110])), "truncated"),
             # Quotient 8 at k = 1 is level 16 = 2**4.
             (4, 3, rice_segment(4, 1, bytes([0b101, 0b1000]), bytes([0, 3])), "fit in 4 bits"),
@@ -298,9 +303,9 @@ class TestRiceCoding:
             (32, 1, rice_segment(32, 31, bytes([0b100]), bytes([0, 0, 0, 0, 1])), "fit in 32"),
         ],
         ids=[
-            "k-equals-r", "k-above-32", "too-few-terminators", "empty-unary",
-            "extra-terminator", "trailing-unary-byte", "length-past-payload",
-            "missing-sign-byte", "level-2-pow-r", "level-2-pow-32",
+            "k-equals-r", "k-above-32", "too-few-terminators", "endless-zero-run",
+            "empty-unary", "bit-after-last-terminator", "missing-sign-byte",
+            "level-2-pow-r", "level-2-pow-32",
         ],
     )
     def test_hostile_rice_body_is_malformed(self, r, n, segment, match):
@@ -313,7 +318,7 @@ class TestRiceCoding:
             for name, t in _fuzz_tensors().items()
         }
         assert kinds["g"] not in (b"", b"\xff")
-        assert kinds["w"] == kinds["b"] == b"\xff"
+        assert kinds["b"] == b"\xff"
 
 
 class TestSparsify:
@@ -393,7 +398,7 @@ class TestPayloads:
         levels = compress.quantize(x, 4).levels
         unary, signs = int(levels.sum()) + 1024, int(np.count_nonzero(levels))
         assert (unary, signs) == (1348, 321)
-        assert segment_bytes(x, 4) == 1 + 8 + 1 + 4 + 169 + 41 == 224
+        assert segment_bytes(x, 4) == 1 + 8 + 1 + 169 + 41 == 220
         # The fixed-width body would cost 1 sign + 4 level bits per element.
         assert fixed_segment_bytes(1024, 4) * 8 == 8 + 64 + 8 + 1024 * 5
         assert segment_bytes(x, 4) < fixed_segment_bytes(1024, 4)
@@ -455,16 +460,19 @@ class TestPayloads:
         assert compress.decode_payload(p)["m"].shape == (8, 6)
 
     def test_lowrank_bit_count_is_rank_and_factors(self):
-        # At rank 2 the factors (54 bytes) beat the plain body (66 bytes); at
-        # rank 3 they would not (70 bytes).  Segments this short are fixed-width.
+        # At rank 2 the factors' body (53 bytes) beats the plain one (56
+        # bytes).  The left factor's segment is Rice-coded, one byte under
+        # its fixed-width body; the right factor's is fixed-width.
         rng = np.random.default_rng(11)
         base = rng.normal(size=(8, 2)) @ rng.normal(size=(2, 6))  # exactly rank 2
         p = compress.encode_payload({"m": base}, "lowrank_quantized", r=8, tau_lowrank=1e-6)
-        expected = (
-            HEADER_BYTES + tensor_meta_bytes("m") + 2 + fixed_segment_bytes(8 * 2, 8)
-            + fixed_segment_bytes(6 * 2, 8)
-        )
-        assert expected == 74
+        dec = linalg.svd(base)
+        left, right = dec.u[:, :2] * dec.sigma[:2], dec.v[:, :2]
+        assert segment_bytes(left, 8) == fixed_segment_bytes(8 * 2, 8) - 1 == 27
+        assert segment_bytes(right, 8) == fixed_segment_bytes(6 * 2, 8) == 24
+        assert 2 + segment_bytes(base, 8) == 56
+        expected = HEADER_BYTES + tensor_meta_bytes("m") + 2 + 27 + 24
+        assert expected == 73
         assert compress.payload_bits(p) == expected * 8
 
     def test_lowrank_rank_above_255_roundtrips(self):
