@@ -67,9 +67,7 @@ def init_params(cfg: ArchConfig, seed: int) -> ModelParams:
 
 
 def zeros_like_params(p: ModelParams) -> ModelParams:
-    # np.zeros takes pages the allocator already zeroed; zeros_like writes
-    # every byte.
-    return {k: np.zeros(v.shape, dtype=v.dtype) for k, v in p.items()}
+    return {k: np.zeros_like(v) for k, v in p.items()}
 
 
 def clone_params(p: ModelParams) -> ModelParams:

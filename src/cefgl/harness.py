@@ -310,6 +310,11 @@ def build_simulation(
         downlink_scheme=compress.SCHEME_DENSE if baseline else s.downlink_scheme,
     )
     ratios = (cfg.data.train_frac, cfg.data.val_frac, cfg.data.test_frac)
+    # Every client starts from the same arrays, read-only: each step and
+    # each downlink rebinds a client's channels to new arrays.
+    zeros = gnn.zeros_like_params(theta0)
+    for v in (*theta0.values(), *zeros.values()):
+        v.setflags(write=False)
     clients = []
     for cid in range(cfg.run.clients):
         source = pool[cid] if cfg.data.partition == graphdata.MODE_CROSS_DATASET else pool[0]
@@ -319,9 +324,9 @@ def build_simulation(
         clients.append(
             ClientState(
                 id=cid,
-                w=gnn.clone_params(theta0),
-                s=gnn.zeros_like_params(theta0),
-                h=gnn.zeros_like_params(theta0),
+                w=dict(theta0),
+                s=dict(zeros),
+                h=dict(zeros),
                 train=train,
                 test=test,
                 cfg=client_cfg,

@@ -125,6 +125,21 @@ class TestRunExperiment:
         assert len(summary.records) == 1
         assert summary.records[0].communicated
 
+    def test_clients_start_from_shared_read_only_arrays(self):
+        server, clients, _ = harness.build_simulation(small_cfg(**{"server.p": 1.0}))
+        for c in clients:
+            for k in c.w:
+                assert c.w[k] is clients[0].w[k] and not c.w[k].flags.writeable
+                assert c.s[k] is c.h[k] and not c.s[k].any()
+                assert np.array_equal(server.theta[k], c.w[k]) and server.theta[k].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            clients[1].h["head_b"][0, 0] = 1.0
+        # The downlink gives every client its own writable arrays.
+        fedcore.run_round(server, clients)
+        for k in clients[0].w:
+            assert clients[0].w[k] is not clients[1].w[k]
+            assert all(c.w[k].flags.writeable for c in clients)
+
     def test_repeat_runs_identical(self):
         a = harness.run_experiment(small_cfg())
         b = harness.run_experiment(small_cfg())
