@@ -9,40 +9,35 @@ Three schemes are supported for a named set of matrices:
 * ``lowrank_quantized``: singular-value truncation first, then quantized
   left/right factors; the left factor carries the singular values.
 
-Wire format version 4 (little-endian): magic ``CFP1``, version u16, scheme
-u8, tensor count u16; per tensor: name length u16 + UTF-8 name, rows u32,
-cols u32, then the scheme-specific body.  Bit streams are packed least
-significant bit first and padded to whole bytes.
+Wire format version 5 (little-endian): magic ``CFP1``, version u16, tensor
+count u16; per tensor: name length u16 + UTF-8 name, rows u32, cols u32,
+then a body whose first byte says what it holds, so only the encoder knows
+the scheme.  Bit streams are packed least significant bit first and padded
+to whole bytes.
 
-A quantized segment of n values is bit width r u8, norm f64, then a body
-byte; bit width 0 alone marks an all-zero tensor (a zero tensor has no L2
-norm to quantize against).  In a Rice body the body byte is the Rice
-parameter k < r, the least k that minimises the level bits.  Then come the
-unary stream (per level, ``level >> k`` zero bits and a 1, padded with 0
-bits to the end of the byte that holds the last 1), the low k bits of each
-level, and one sign bit per nonzero level.  Where the fixed-width body is no
-longer, the body byte is ``_FIXED`` (0xFF) and n sign bits and n r-bit
-levels follow.  So a segment is never more than one byte longer than its
-fixed-width levels alone would make it, and both bodies decode to the same
-values.
+* **0**: an all-zero tensor (a zero tensor has no L2 norm to quantize
+  against).
+* **1..32**: a quantized segment of bit width r: norm f64, then the Rice
+  parameter k <= r u8, the unary stream (per level, ``level >> k`` zero
+  bits and a 1, padded with 0 bits to the end of the byte that holds the
+  last 1), the low k bits of each level, and one sign bit per nonzero
+  level.  At k = r every quotient is 0 and no unary stream travels.  The
+  encoder writes the least k < r that minimises the level bits, or k = r
+  where that is no longer.
+* **0xFE**: low-rank factors: rank u16, then the left (rows x rank) and
+  right (cols x rank) factors, each a segment of the two kinds above.
+  Factors of rank k travel only when they hold fewer values than the
+  matrix, 0 < k * (rows + cols) < rows * cols, and their body is also the
+  shorter one; otherwise the matrix travels as one quantized segment.
+  Matrices with a unit dimension are never factored.
+* **0xFF**: ``rows * cols`` float64 values.
 
-A low-rank body is rank u16 followed by the left and right factor
-segments; rank 0 alone marks an all-zero matrix.  Factors of rank k travel
-only when they hold fewer values than the matrix, k * (rows + cols) <
-rows * cols, and their body is also the shorter one; otherwise the rank
-field holds ``PLAIN_RANK`` (0xFFFF, never a legal rank under the value cap)
-and one quantized segment of the whole matrix follows, so a low-rank body
-is never more than two bytes longer than the matrix's quantized segment.
-Matrices with a unit dimension travel as one quantized segment under both
-quantized schemes.
-
-The decoder refuses payloads that declare more than ``_MAX_WIRE_ELEMENTS``
-values in total; quantized segments whose norm is negative, infinite or
-NaN; Rice bodies whose parameter is not below r, whose unary stream runs
-out of bytes or has bits set after its last terminator, or whose levels
-reach 2**r; and
-low-rank bodies whose factors would not be smaller than the matrix or
-multiply out past the float64 range.
+The decoder refuses any other first byte; payloads that declare more than
+``_MAX_WIRE_ELEMENTS`` values in total; quantized segments whose norm is
+negative, infinite or NaN, whose k is above r, whose unary stream runs out
+of bytes or has bits set after its last terminator, or whose levels reach
+2**r; low-rank bodies whose rank breaks the bound above or whose factors
+multiply out past the float64 range; and dense bodies holding NaN or Inf.
 
 Only changes of the shared channel travel: up, each client's drift-corrected
 step, which folds in its correction term; down, the broadcast's change.  The
@@ -63,17 +58,15 @@ from . import linalg
 from .errors import BadBits, MalformedPayload, NonFiniteInput, ZeroVector
 
 MAGIC = b"CFP1"
-WIRE_VERSION = 4
-# Rank field of a low-rank body that holds the plain quantized matrix.
-PLAIN_RANK = 0xFFFF
-# Rice-parameter byte of a quantized segment that holds fixed-width levels.
-_FIXED = 0xFF
+WIRE_VERSION = 5
+# First bytes of a factored and a dense body; 0..32 start a quantized one.
+_FACTORS = 0xFE
+_DENSE = 0xFF
 
 SCHEME_DENSE = "dense"
 SCHEME_QUANTIZED = "quantized"
 SCHEME_LOWRANK = "lowrank_quantized"
-_SCHEME_CODES = {SCHEME_DENSE: 0, SCHEME_QUANTIZED: 1, SCHEME_LOWRANK: 2}
-_SCHEME_NAMES = {v: k for k, v in _SCHEME_CODES.items()}
+_SCHEMES = (SCHEME_DENSE, SCHEME_QUANTIZED, SCHEME_LOWRANK)
 
 # Zero and low-rank bodies expand far beyond their wire size, so the bytes
 # that remain cannot bound what a payload decodes to; this cap (128 MiB of
@@ -212,8 +205,9 @@ def _rice_parameter(levels: np.ndarray, r: int) -> Tuple[int, int]:
 
 
 def _quant_segment(vec: np.ndarray, r: int) -> bytes:
-    """Quantized body for one flattened tensor: the Rice body, or the
-    fixed-width body behind ``_FIXED`` when that is shorter.
+    """Quantized segment of one flattened tensor under the best Rice
+    parameter k < r, or under k = r, without a unary stream, when that is
+    no longer.
 
     ZeroVector covers both genuinely zero tensors and tensors so small that
     their norm underflows; both are legal model states and travel as the
@@ -223,25 +217,23 @@ def _quant_segment(vec: np.ndarray, r: int) -> bytes:
         q = quantize(vec, r)
     except ZeroVector:
         return b"\x00"
-    head = struct.pack("<Bd", q.r, q.norm)
     n = q.levels.size
     k, quotient_sum = _rice_parameter(q.levels, q.r)
     unary_bits = quotient_sum + n
-    nonzero = q.levels != 0
-    signed = int(np.count_nonzero(nonzero))
-    rice_bytes = (unary_bits + 7) // 8 + (n * k + 7) // 8 + (signed + 7) // 8
-    if rice_bytes >= (n + 7) // 8 + (n * q.r + 7) // 8:
-        return b"".join([head, bytes([_FIXED]), _pack_bits(q.signs), _pack_levels(q.levels, q.r)])
-    # Level i's terminator follows its own and the earlier levels' codes.
-    ends = (q.levels >> k).astype(np.int64)
-    ends += 1
-    np.cumsum(ends, out=ends)
-    ends -= 1
-    unary = np.zeros(unary_bits, dtype=np.uint8)
-    unary[ends] = 1
+    if (unary_bits + 7) // 8 + (n * k + 7) // 8 >= (n * q.r + 7) // 8:
+        k, unary = q.r, b""
+    else:
+        # Level i's terminator follows its own and the earlier levels' codes.
+        ends = (q.levels >> k).astype(np.int64)
+        ends += 1
+        np.cumsum(ends, out=ends)
+        ends -= 1
+        bits = np.zeros(unary_bits, dtype=np.uint8)
+        bits[ends] = 1
+        unary = _pack_bits(bits)
     remainders = _pack_levels(q.levels, k) if k else b""
-    signs = _pack_bits(q.signs[nonzero])
-    return b"".join([head, bytes([k]), _pack_bits(unary), remainders, signs])
+    signs = _pack_bits(q.signs[q.levels != 0])
+    return b"".join([struct.pack("<BdB", q.r, q.norm, k), unary, remainders, signs])
 
 
 def _pack_bits(bits: np.ndarray) -> bytes:
@@ -314,31 +306,53 @@ class _Reader:
         return self.pos == len(self.blob)
 
 
-def _read_quant_segment(rd: _Reader, n: int) -> np.ndarray:
-    (r,) = rd.unpack("<B")
+def _read_body(rd: _Reader, rows: int, cols: int) -> np.ndarray:
+    """The flattened values of one tensor body, by its first byte."""
+    n = rows * cols
+    (tag,) = rd.unpack("<B")
+    if tag == _DENSE:
+        values = np.frombuffer(rd.take(8 * n), dtype="<f8").astype(np.float64)
+        if not np.isfinite(values).all():
+            raise MalformedPayload("dense body holds NaN or Inf")
+        return values
+    if tag != _FACTORS:
+        return _read_segment(rd, n, tag)
+    (rank,) = rd.unpack("<H")
+    if not 0 < rank * (rows + cols) < n:
+        raise MalformedPayload(f"invalid retained rank {rank} for {rows}x{cols}")
+    left = _read_segment(rd, rows * rank, *rd.unpack("<B")).reshape(rows, rank)
+    right = _read_segment(rd, cols * rank, *rd.unpack("<B")).reshape(cols, rank)
+    # Each factor is bounded by its finite norm, but their product is not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = left @ right.T
+    if not np.isfinite(product).all():
+        raise MalformedPayload(f"low-rank factors of a {rows}x{cols} matrix overflow")
+    return product.ravel()
+
+
+def _read_segment(rd: _Reader, n: int, r: int) -> np.ndarray:
+    """The values of a quantized segment whose first byte, r, is read."""
     if r == 0:
         return np.zeros(n)
     if r > 32:
-        raise MalformedPayload(f"quantized segment has invalid bit width {r}")
+        raise MalformedPayload(f"invalid body byte {r}")
     norm, k = rd.unpack("<dB")
     if not 0.0 <= norm < math.inf:
         raise MalformedPayload(f"quantized segment has invalid norm {norm!r}")
-    if k == _FIXED:
-        signs = rd.bits(n)
-        levels = _unpack_levels(rd.take((n * r + 7) // 8), n, r)
-    else:
-        levels = _read_rice_levels(rd, n, r, k)
-        nonzero = levels != 0
-        signs = np.zeros(n, dtype=np.uint8)
-        signs[nonzero] = rd.bits(int(np.count_nonzero(nonzero)))
+    levels = _read_rice_levels(rd, n, r, k)
+    nonzero = levels != 0
+    signs = np.zeros(n, dtype=np.uint8)
+    signs[nonzero] = rd.bits(int(np.count_nonzero(nonzero)))
     return dequantize(QuantizedVector(r=r, norm=norm, signs=signs, levels=levels))
 
 
 def _read_rice_levels(rd: _Reader, n: int, r: int, k: int) -> np.ndarray:
-    """Levels of a Rice body; refuses any level of 2**r or more, so that
-    each decoded magnitude stays within the segment's norm."""
-    if k >= r:
-        raise MalformedPayload(f"Rice parameter {k} is not below the bit width {r}")
+    """Levels under Rice parameter k; refuses any level of 2**r or more, so
+    that each decoded magnitude stays within the segment's norm."""
+    if k > r:
+        raise MalformedPayload(f"Rice parameter {k} is above the bit width {r}")
+    if k == r:  # every quotient is 0, so no unary stream travels
+        return _unpack_levels(rd.take((n * r + 7) // 8), n, r)
     quotients = rd.unary(n)
     if int(quotients.max(initial=0)) >> (r - k):
         raise MalformedPayload(f"Rice-coded level does not fit in {r} bits")
@@ -352,8 +366,9 @@ def _read_rice_levels(rd: _Reader, n: int, r: int, k: int) -> np.ndarray:
 class CompressedPayload:
     """One serialized set of named tensors; ``blob`` is the wire image.
 
-    ``ranks`` maps each matrix that travelled in a low-rank body to the rank
-    its encoder kept; a plain body counts as full rank, min(rows, cols).
+    ``ranks`` maps each matrix that the low-rank scheme could factor to the
+    rank its encoder kept; a plain matrix counts as full rank, min(rows,
+    cols), and a zero one as 0.
     """
 
     blob: bytes
@@ -375,14 +390,13 @@ def encode_payload(
 
     ``lowrank_quantized`` truncates each matrix with a relative singular
     value cutoff of ``tau_lowrank`` and ships quantized factors when their
-    body is shorter than the plain quantized matrix, which it ships behind
-    the ``PLAIN_RANK`` marker otherwise; matrices with a unit dimension
-    (bias rows) skip the factorization and travel as a plain quantized
-    segment.
+    body is shorter than the plain quantized matrix, which it ships
+    otherwise; matrices with a unit dimension (bias rows) skip the
+    factorization and travel as a plain quantized segment.
     """
-    if scheme not in _SCHEME_CODES:
+    if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    parts = [MAGIC, struct.pack("<HBH", WIRE_VERSION, _SCHEME_CODES[scheme], len(tensors))]
+    parts = [MAGIC, struct.pack("<HH", WIRE_VERSION, len(tensors))]
     ranks: Dict[str, int] = {}
     for name, tensor in tensors.items():
         mat = linalg.as_matrix(tensor)
@@ -393,7 +407,7 @@ def encode_payload(
         parts.append(encoded_name)
         parts.append(struct.pack("<II", mat.shape[0], mat.shape[1]))
         if scheme == SCHEME_DENSE:
-            parts.append(mat.astype("<f8").tobytes())
+            parts.append(bytes([_DENSE]) + mat.astype("<f8").tobytes())
         elif scheme == SCHEME_QUANTIZED or min(mat.shape) == 1:
             parts.append(_quant_segment(mat.ravel(), r))
         else:
@@ -403,16 +417,17 @@ def encode_payload(
 
 
 def _lowrank_body(mat: np.ndarray, r: int, tau: float) -> Tuple[int, bytes]:
-    """Rank field plus factors, or ``PLAIN_RANK`` plus the plain segment,
-    whichever is shorter; a plain body reports full rank."""
+    """The factors' body or the plain segment, whichever is shorter, and the
+    rank it carries; a cutoff that keeps no triple sends a zero tensor."""
     dec = linalg.svd(mat)
-    rank = linalg.retained_rank(dec, "relative", tau)  # 0 for a zero matrix
-    plain = struct.pack("<H", PLAIN_RANK) + _quant_segment(mat.ravel(), r)
+    rank = linalg.retained_rank(dec, tau)  # 0 for a zero matrix
+    if rank == 0:
+        return 0, b"\x00"
+    plain = _quant_segment(mat.ravel(), r)
     if rank * sum(mat.shape) < mat.size:  # else the factors cannot be shorter
-        body = struct.pack("<H", rank)
-        if rank:
-            body += _quant_segment((dec.u[:, :rank] * dec.sigma[:rank]).ravel(), r)
-            body += _quant_segment(dec.v[:, :rank].ravel(), r)
+        body = struct.pack("<BH", _FACTORS, rank)
+        body += _quant_segment((dec.u[:, :rank] * dec.sigma[:rank]).ravel(), r)
+        body += _quant_segment(dec.v[:, :rank].ravel(), r)
         if len(body) < len(plain):
             return rank, body
     return min(mat.shape), plain
@@ -422,12 +437,9 @@ def _walk(blob: bytes) -> Iterator[Tuple[str, np.ndarray]]:
     rd = _Reader(blob)
     if rd.take(4) != MAGIC:
         raise MalformedPayload("bad magic")
-    version, scheme_code, count = rd.unpack("<HBH")
+    version, count = rd.unpack("<HH")
     if version != WIRE_VERSION:
         raise MalformedPayload(f"unsupported payload version {version}")
-    if scheme_code not in _SCHEME_NAMES:
-        raise MalformedPayload(f"unknown scheme code {scheme_code}")
-    scheme = _SCHEME_NAMES[scheme_code]
     declared = 0
     for _ in range(count):
         (name_len,) = rd.unpack("<H")
@@ -436,42 +448,15 @@ def _walk(blob: bytes) -> Iterator[Tuple[str, np.ndarray]]:
         except UnicodeDecodeError as exc:
             raise MalformedPayload("tensor name is not valid UTF-8") from exc
         rows, cols = rd.unpack("<II")
-        n = rows * cols
-        declared += n  # low-rank factors hold rank * (rows + cols) < n values
+        declared += rows * cols  # low-rank factors hold fewer values
         if declared > _MAX_WIRE_ELEMENTS:
             raise MalformedPayload(
                 f"tensor {name!r} declares {rows}x{cols} values, past the "
                 f"{_MAX_WIRE_ELEMENTS}-value payload limit"
             )
-        if scheme == SCHEME_DENSE:
-            values = np.frombuffer(rd.take(8 * n), dtype="<f8").astype(np.float64)
-        elif scheme == SCHEME_QUANTIZED:
-            values = _read_quant_segment(rd, n)
-        else:
-            values = _read_lowrank_body(rd, rows, cols)
-        yield name, values.reshape(rows, cols)
+        yield name, _read_body(rd, rows, cols).reshape(rows, cols)
     if not rd.done():
         raise MalformedPayload(f"{len(blob) - rd.pos} trailing bytes after last tensor")
-
-
-def _read_lowrank_body(rd: _Reader, rows: int, cols: int) -> np.ndarray:
-    if min(rows, cols) == 1:
-        return _read_quant_segment(rd, rows * cols)
-    (rank,) = rd.unpack("<H")
-    if rank == PLAIN_RANK:
-        return _read_quant_segment(rd, rows * cols)
-    if rank * (rows + cols) >= rows * cols:
-        raise MalformedPayload(f"invalid retained rank {rank} for {rows}x{cols}")
-    if rank == 0:
-        return np.zeros(rows * cols)
-    left = _read_quant_segment(rd, rows * rank).reshape(rows, rank)
-    right = _read_quant_segment(rd, cols * rank).reshape(cols, rank)
-    # Each factor is bounded by its finite norm, but their product is not.
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = left @ right.T
-    if not np.isfinite(product).all():
-        raise MalformedPayload(f"low-rank factors of a {rows}x{cols} matrix overflow")
-    return product.ravel()
 
 
 def decode_payload(payload) -> Dict[str, np.ndarray]:

@@ -299,7 +299,7 @@ def _aggregate(
         if plain or min(merged.shape) == 1:
             theta[name] = merged
             continue
-        theta[name], _ = linalg.lowrank_truncate(linalg.svd(merged), "relative", tau_lowrank)
+        theta[name], _ = linalg.lowrank_truncate(linalg.svd(merged), tau_lowrank)
     return theta
 
 
@@ -418,6 +418,9 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
         rank_ratio, param_ratio = _lowrank_ratios(downlink, delta)
         decoded = compress.decode_payload(downlink)
         server.theta = {k: anchor[k] + decoded[k] for k in anchor}
+        # Every client adopts these arrays, read-only: each step rebinds c.w.
+        for v in server.theta.values():
+            v.setflags(write=False)
         uplink_bits = sum(compress.payload_bits(p) for p in payloads)
         downlink_bits = len(clients) * compress.payload_bits(downlink)
         messages = len(survivors) + len(clients)
@@ -426,7 +429,7 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
                 scale = cfg.p / c.cfg.eta
                 c.h = {k: c.h[k] + scale * (server.theta[k] - c.w[k]) for k in c.h}
                 _check_finite(c.h, f"client {c.id} correction update")
-            c.w = gnn.clone_params(server.theta)
+            c.w = dict(server.theta)
     else:
         uplink_bits = downlink_bits = messages = 0
 

@@ -310,8 +310,8 @@ def build_simulation(
         downlink_scheme=compress.SCHEME_DENSE if baseline else s.downlink_scheme,
     )
     ratios = (cfg.data.train_frac, cfg.data.val_frac, cfg.data.test_frac)
-    # Every client starts from the same arrays, read-only: each step and
-    # each downlink rebinds a client's channels to new arrays.
+    # The server and every client start from the same arrays, read-only:
+    # each step and each downlink rebinds a party's channels to new arrays.
     zeros = gnn.zeros_like_params(theta0)
     for v in (*theta0.values(), *zeros.values()):
         v.setflags(write=False)
@@ -334,7 +334,7 @@ def build_simulation(
             )
         )
     server = ServerState(
-        theta=gnn.clone_params(theta0),
+        theta=dict(theta0),
         cfg=server_cfg,
         plain_average=baseline,
         coin_rng=np.random.default_rng(cfg.seeds.coin),

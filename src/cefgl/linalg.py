@@ -55,28 +55,22 @@ def svd(a) -> SvdResult:
     return SvdResult(u=np.ascontiguousarray(u), sigma=s, v=np.ascontiguousarray(vh.T))
 
 
-def retained_rank(s: SvdResult, threshold_mode: str = "relative", tau: float = 0.0) -> int:
-    """Number of singular triples strictly above the cutoff.
-
-    The cutoff is ``tau * sigma_1`` in relative mode or ``tau`` in absolute
-    mode.  sigma is non-increasing, so the survivors are the leading triples.
+def retained_rank(s: SvdResult, tau: float = 0.0) -> int:
+    """Number of singular triples strictly above the relative cutoff
+    ``tau * sigma_1``.  sigma is non-increasing, so the survivors are the
+    leading triples.
     """
-    if threshold_mode not in ("relative", "absolute"):
-        raise ValueError(f"unknown threshold_mode {threshold_mode!r}")
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    cutoff = tau * s.sigma[0] if threshold_mode == "relative" else tau
-    return int(np.count_nonzero(s.sigma > cutoff))
+    return int(np.count_nonzero(s.sigma > tau * s.sigma[0]))
 
 
-def lowrank_truncate(
-    s: SvdResult, threshold_mode: str = "relative", tau: float = 0.0
-) -> Tuple[Matrix, int]:
+def lowrank_truncate(s: SvdResult, tau: float = 0.0) -> Tuple[Matrix, int]:
     """Rebuild the matrix from the triples ``retained_rank`` keeps.
 
     Returns the reconstruction and the retained rank.
     """
-    rank = retained_rank(s, threshold_mode, tau)
+    rank = retained_rank(s, tau)
     if rank == 0:
         return np.zeros((s.u.shape[0], s.v.shape[0])), 0
     approx = (s.u[:, :rank] * s.sigma[:rank]) @ s.v[:, :rank].T

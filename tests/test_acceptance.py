@@ -123,14 +123,14 @@ def test_c03_compression_accounting():
         x = np.random.default_rng(1003).uniform(-1.0, 1.0, size=(64, 64))
         quantized = compress.encode_payload({"t": x}, "quantized", r=4)
         dense = compress.encode_payload({"t": x}, "dense")
-        header = (4 + 2 + 1 + 2) * 8
+        header = (4 + 2 + 2) * 8  # magic, version, tensor count
         meta = (2 + 1 + 4 + 4) * 8
         # Every |x| < 1 while ||x|| is about 37, so each level rounds to 0:
         # a Rice body with k = 0 codes each as one terminator bit, after the
         # bit width, norm and k, with no remainder or sign bits.
         assert not compress.quantize(x, 4).levels.any()
         expected_quantized = header + meta + 8 + 64 + 8 + n
-        expected_dense = header + meta + n * 64
+        expected_dense = header + meta + 8 + n * 64  # the 0xFF tag, values
         assert compress.payload_bits(quantized) == expected_quantized
         assert compress.payload_bits(dense) == expected_dense
         ratio = compress.payload_bits(quantized) / compress.payload_bits(dense)
@@ -143,11 +143,9 @@ def test_c04_tsvd_eckart_young():
         for _ in range(500):
             a = rng.uniform(-1.0, 1.0, size=(8, 6))
             res = linalg.svd(a)
-            mode = "relative" if rng.random() < 0.5 else "absolute"
             tau = float(rng.uniform(0.0, 1.1))
-            approx, rank = linalg.lowrank_truncate(res, mode, tau)
-            cutoff = tau * res.sigma[0] if mode == "relative" else tau
-            assert rank == int(np.count_nonzero(res.sigma > cutoff))
+            approx, rank = linalg.lowrank_truncate(res, tau)
+            assert rank == int(np.count_nonzero(res.sigma > tau * res.sigma[0]))
             expected_err = float(np.sqrt(np.sum(res.sigma[rank:] ** 2)))
             assert abs(np.linalg.norm(a - approx) - expected_err) <= 1e-8
 

@@ -14,16 +14,18 @@ from cefgl.errors import BadBits, MalformedPayload, NonFiniteInput, ZeroVector
 from cefgl.fedcore import ClientConfig
 
 # Wire-format accounting used to derive expected byte counts independently.
-HEADER_BYTES = 4 + 2 + 1 + 2  # magic, version, scheme, tensor count
+HEADER_BYTES = 4 + 2 + 2  # magic, version, tensor count
 
 
 def tensor_meta_bytes(name: str) -> int:
     return 2 + len(name.encode()) + 4 + 4
 
 
-def fixed_segment_bytes(n: int, r: int) -> int:
-    """Bit width, norm, the fixed-width marker, n sign bits, n r-bit levels."""
-    return 1 + 8 + 1 + (n + 7) // 8 + (n * r + 7) // 8
+def plain_segment_bytes(levels: np.ndarray, r: int) -> int:
+    """Bit width, norm, k = r, the r-bit levels and the signs of nonzero
+    levels."""
+    n, signs = levels.size, int(np.count_nonzero(levels))
+    return 1 + 8 + 1 + (n * r + 7) // 8 + (signs + 7) // 8
 
 
 def rice_segment_bytes(levels: np.ndarray, r: int) -> int:
@@ -39,19 +41,24 @@ def rice_segment_bytes(levels: np.ndarray, r: int) -> int:
 
 
 def segment_bytes(x, r: int) -> int:
-    """Length of the quantized segment of x: the shorter of the two bodies,
-    or the one zero byte of a zero tensor."""
+    """Length of the quantized segment of x: the shorter of k < r and
+    k = r, or the one zero byte of a zero tensor."""
     try:
         levels = compress.quantize(x, r).levels
     except ZeroVector:
         return 1
-    return min(rice_segment_bytes(levels, r), fixed_segment_bytes(levels.size, r))
+    return min(rice_segment_bytes(levels, r), plain_segment_bytes(levels, r))
+
+
+def tensor_blob(rows: int, cols: int, body: bytes) -> bytes:
+    """A one-tensor payload around a hand-built body."""
+    head = compress.MAGIC + struct.pack("<HH", compress.WIRE_VERSION, 1)
+    return head + struct.pack("<H", 1) + b"x" + struct.pack("<II", rows, cols) + body
 
 
 def quantized_blob(n: int, segment: bytes) -> bytes:
-    """A one-tensor 1 x n quantized payload around a hand-built segment."""
-    head = compress.MAGIC + struct.pack("<HBH", compress.WIRE_VERSION, 1, 1)
-    return head + struct.pack("<H", 1) + b"x" + struct.pack("<II", 1, n) + segment
+    """A one-tensor 1 x n payload around a hand-built segment."""
+    return tensor_blob(1, n, segment)
 
 
 def rice_segment(r: int, k: int, unary: bytes, rest: bytes = b"") -> bytes:
@@ -68,8 +75,8 @@ def rank1(rows: int, cols: int, seed: int) -> np.ndarray:
 
 def _fuzz_tensors():
     """Bias rows, a zero tensor, low-rank bodies both factored ("f") and
-    plain ("w"), and quantized segments both Rice-coded ("g", "w") and
-    fixed-width ("b")."""
+    plain ("w"), and quantized segments at both k < r ("g", "w") and k = r
+    ("b")."""
     rng = np.random.default_rng(40)
     return {
         "w": rng.normal(size=(4, 3)),
@@ -98,12 +105,13 @@ def quantized_blob_with_norm(norm: float) -> bytes:
 
 def lowrank_blob_with_norms(norm: float) -> bytes:
     """An 8x6 rank-1 low-rank payload whose two factor norms are overwritten."""
-    p = compress.encode_payload({"m": rank1(8, 6, 41)}, "lowrank_quantized", r=4, tau_lowrank=1e-6)
+    p = compress.encode_payload({"m": rank1(8, 6, 41)}, "lowrank_quantized", r=8, tau_lowrank=1e-6)
     blob = bytearray(p.blob)
-    rank_at = HEADER_BYTES + tensor_meta_bytes("m")
-    assert struct.unpack("<H", blob[rank_at : rank_at + 2]) == (1,)
-    left = rank_at + 2 + 1  # past the rank and the left factor's bit width
-    right = left + fixed_segment_bytes(8 * 1, 4)  # the right factor's norm
+    body = HEADER_BYTES + tensor_meta_bytes("m")
+    assert struct.unpack("<BH", blob[body : body + 3]) == (0xFE, 1)
+    left = body + 3 + 1  # past the tag, the rank and the left factor's bit width
+    dec = linalg.svd(rank1(8, 6, 41))
+    right = left + segment_bytes(dec.u[:, :1] * dec.sigma[:1], 8)  # the right factor's norm
     for offset in (left, right):
         blob[offset : offset + 8] = struct.pack("<d", norm)
     return bytes(blob)
@@ -117,15 +125,16 @@ def reference_pack(levels: np.ndarray, r: int) -> bytes:
     return np.packbits(bits.ravel(), bitorder="little").tobytes()
 
 
-# SHA-256 of one fixed payload under each scheme.  Each payload decodes to
-# values equal to wire version 3's (a negative coordinate of level 0 is now
-# +0.0, not -0.0), and the dense one differs from it only in the version
-# field.  The tensors are multiples of 1/8, so the sums of squares under the
-# quantizer's norms are exact in any order.  "w" has full rank, so the
-# low-rank payloads carry it as a plain body; the rank-1 payload pins the
-# factor layout and the last bits of numpy's SVD of its matrix.  "w" and "g"
-# are Rice-coded (k = 1 at r = 4; k = 13 and 12 at r = 16), "b" and the
-# rank-1 factors fixed-width.
+# SHA-256 of one fixed payload under each scheme, re-pinned for wire
+# version 5.  Each payload decodes to values equal to wire version 4's, sign
+# bits included; the dense one differs from it only in the version field,
+# the missing scheme byte and a tag byte per tensor.  The tensors are
+# multiples of 1/8, so the sums of squares under the quantizer's norms are
+# exact in any order.  "w" has full rank, so it travels plain and each
+# low-rank payload equals the quantized one at its r; the rank-1 payload
+# pins the factor layout and the last bits of numpy's SVD of its matrix.
+# "w" and "g" are Rice-coded (k = 1 at r = 4; k = 13 and 12 at r = 16), "b"
+# and the rank-1 factors at k = r.
 WIRE_TENSORS = {
     "w": ((np.arange(30) * 7 % 11) - 5).reshape(6, 5) / 4.0,
     "b": np.array([[0.5, -0.25, 0.125, 0.0, -1.0]]),
@@ -133,14 +142,14 @@ WIRE_TENSORS = {
     "g": ((np.arange(64) * 5 % 17) - 8).reshape(1, 64) / 8.0,
 }
 WIRE_DIGESTS = {
-    ("dense", 4): "e5557e402ec985762b908481e100ff9e19dcfa51f45cefac1a80b5822724b374",
-    ("quantized", 4): "58f12a799a618ef192fa7468718d6df29db5cba264438f614ec95307c69ef259",
-    ("quantized", 16): "127260330852152791cd363bc7119f106eb1db723986ec4e549ce384a7f30547",
-    ("lowrank_quantized", 4): "5d63ff0399a82ac09842ec862b1920127905f429a5326885c3fea1ac781e7f6e",
-    ("lowrank_quantized", 16): "812be720b1ba5b9f59832448da710949ec3898aa0672ad278acc75631da8b93e",
+    ("dense", 4): "8532106d3dc5287a3eb2bea6119aa6e4fdf59cdfd940d5111b468f56ec45c26f",
+    ("quantized", 4): "81cca2daad30ffda29c7e793e90da5373e9d001d0574562a8f961d4aac083954",
+    ("quantized", 16): "eee81f113dbce4bfe4b80841d9bcf8a7fee4372ead891bdd4f558d0b272d66fa",
+    ("lowrank_quantized", 4): "81cca2daad30ffda29c7e793e90da5373e9d001d0574562a8f961d4aac083954",
+    ("lowrank_quantized", 16): "eee81f113dbce4bfe4b80841d9bcf8a7fee4372ead891bdd4f558d0b272d66fa",
 }
 WIRE_RANK1 = np.outer([1.0, -0.5, 0.25, 2.0, -1.0, 0.75], [0.5, 1.0, -0.25, 0.125, -2.0])
-WIRE_RANK1_DIGEST = "6de6a70408c9e680609df93e8962e288d4fb440cf89954ab706a5920bbf8f5d5"
+WIRE_RANK1_DIGEST = "0f881b607496e6b778dbd62021b5b42163a971bbffc8194eae82b2409627d7f4"
 
 
 @st.composite
@@ -287,7 +296,7 @@ class TestRiceCoding:
     @pytest.mark.parametrize(
         ("r", "n", "segment", "match"),
         [
-            (4, 3, rice_segment(4, 4, bytes([0b100101]), bytes([0b110, 1])), "Rice parameter"),
+            (4, 3, rice_segment(4, 5, bytes([0b100101]), bytes([0b110, 1])), "Rice parameter"),
             (4, 3, rice_segment(4, 200, bytes([0b100101]), bytes([0b110, 1])), "Rice parameter"),
             # Two terminators, then the payload ends.
             (4, 3, rice_segment(4, 1, bytes([0b101, 0])), "2 of 3 terminators"),
@@ -303,7 +312,7 @@ class TestRiceCoding:
             (32, 1, rice_segment(32, 31, bytes([0b100]), bytes([0, 0, 0, 0, 1])), "fit in 32"),
         ],
         ids=[
-            "k-equals-r", "k-above-32", "too-few-terminators", "endless-zero-run",
+            "k-above-r", "k-above-32", "too-few-terminators", "endless-zero-run",
             "empty-unary", "bit-after-last-terminator", "missing-sign-byte",
             "level-2-pow-r", "level-2-pow-32",
         ],
@@ -313,12 +322,29 @@ class TestRiceCoding:
             compress.decode_payload(quantized_blob(n, segment))
 
     def test_fuzz_seeds_hold_both_bodies(self):
-        kinds = {
-            name: compress._quant_segment(t.ravel(), 5)[9:10]  # k or the marker
-            for name, t in _fuzz_tensors().items()
-        }
-        assert kinds["g"] not in (b"", b"\xff")
-        assert kinds["b"] == b"\xff"
+        tensors = _fuzz_tensors()
+        k = {name: compress._quant_segment(tensors[name].ravel(), 5)[9] for name in "gb"}
+        assert k["g"] < 5 and k["b"] == 5
+
+    @pytest.mark.parametrize("r", [1, 8, 16, 32])
+    def test_k_equal_to_r_is_lossless(self, r):
+        # A hand-built k = r segment: r-bit levels, no unary stream, and
+        # the signs of the nonzero levels.
+        rng = np.random.default_rng(400 + r)
+        levels = rng.integers(0, 2**r, size=29, dtype=np.uint64).astype(np.uint32)
+        levels[[0, 1]] = [0, 2**r - 1]
+        signs = rng.integers(0, 2, size=29, dtype=np.uint8) * (levels != 0)
+        segment = struct.pack("<BdB", r, 3.0, r) + reference_pack(levels, r)
+        segment += np.packbits(signs[levels != 0], bitorder="little").tobytes()
+        out = compress.decode_payload(quantized_blob(29, segment))["x"].ravel()
+        ref = compress.dequantize(compress.QuantizedVector(r=r, norm=3.0, signs=signs, levels=levels))
+        assert np.array_equal(out, ref)
+        # The encoder's k = r segment of two large levels, (0.6, 0.8) * 2**r.
+        x = np.array([[3.0, -4.0]])
+        p = compress.encode_payload({"x": x}, "quantized", r=r)
+        assert p.blob[HEADER_BYTES + tensor_meta_bytes("x") + 9] == r
+        out = compress.decode_payload(p)["x"].ravel()
+        assert np.array_equal(out, compress.dequantize(compress.quantize(x, r)))
 
 
 class TestSparsify:
@@ -385,7 +411,7 @@ class TestSparsify:
 class TestPayloads:
     def test_dense_bit_count(self):
         p = compress.encode_payload({"a": np.ones((2, 2))}, "dense")
-        expected = HEADER_BYTES + tensor_meta_bytes("a") + 4 * 8
+        expected = HEADER_BYTES + tensor_meta_bytes("a") + 1 + 4 * 8  # tag, values
         assert compress.payload_bits(p) == expected * 8
 
     def test_quantized_bit_count_n1024(self):
@@ -399,9 +425,9 @@ class TestPayloads:
         unary, signs = int(levels.sum()) + 1024, int(np.count_nonzero(levels))
         assert (unary, signs) == (1348, 321)
         assert segment_bytes(x, 4) == 1 + 8 + 1 + 169 + 41 == 220
-        # The fixed-width body would cost 1 sign + 4 level bits per element.
-        assert fixed_segment_bytes(1024, 4) * 8 == 8 + 64 + 8 + 1024 * 5
-        assert segment_bytes(x, 4) < fixed_segment_bytes(1024, 4)
+        # At k = r each level costs 4 bits and the signs are the same.
+        assert plain_segment_bytes(levels, 4) == 1 + 8 + 1 + 512 + 41
+        assert segment_bytes(x, 4) < plain_segment_bytes(levels, 4)
 
     def test_empty_payload_is_header_only(self):
         p = compress.encode_payload({}, "dense")
@@ -436,10 +462,12 @@ class TestPayloads:
         for scheme in ("quantized", "lowrank_quantized"):
             out = compress.decode_payload(compress.encode_payload(tensors, scheme, r=8))
             assert np.array_equal(out["z"], np.zeros((4, 4)))
-        # The empty case of each body: bit width 0, or rank 0.
-        for scheme, body in (("quantized", 1), ("lowrank_quantized", 2)):
+        # A zero tensor is the one body byte 0 under both schemes.
+        for scheme in ("quantized", "lowrank_quantized"):
             p = compress.encode_payload({"z": np.zeros((4, 4))}, scheme, r=8)
-            assert compress.payload_bits(p) == (HEADER_BYTES + tensor_meta_bytes("z") + body) * 8
+            assert compress.payload_bits(p) == (HEADER_BYTES + tensor_meta_bytes("z") + 1) * 8
+            assert p.blob[-1] == 0
+        assert compress.encode_payload({"z": np.zeros((4, 4))}, "lowrank_quantized").ranks == {"z": 0}
 
     def test_lowrank_reconstruction_quality(self):
         rng = np.random.default_rng(11)
@@ -460,20 +488,22 @@ class TestPayloads:
         assert compress.decode_payload(p)["m"].shape == (8, 6)
 
     def test_lowrank_bit_count_is_rank_and_factors(self):
-        # At rank 2 the factors' body (53 bytes) beats the plain one (56
+        # At rank 2 the factors' body (59 bytes) beats the plain segment (65
         # bytes).  The left factor's segment is Rice-coded, one byte under
-        # its fixed-width body; the right factor's is fixed-width.
+        # its k = r body; the right factor's is at k = r.
         rng = np.random.default_rng(11)
-        base = rng.normal(size=(8, 2)) @ rng.normal(size=(2, 6))  # exactly rank 2
+        base = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 6))  # exactly rank 2
         p = compress.encode_payload({"m": base}, "lowrank_quantized", r=8, tau_lowrank=1e-6)
         dec = linalg.svd(base)
         left, right = dec.u[:, :2] * dec.sigma[:2], dec.v[:, :2]
-        assert segment_bytes(left, 8) == fixed_segment_bytes(8 * 2, 8) - 1 == 27
-        assert segment_bytes(right, 8) == fixed_segment_bytes(6 * 2, 8) == 24
-        assert 2 + segment_bytes(base, 8) == 56
-        expected = HEADER_BYTES + tensor_meta_bytes("m") + 2 + 27 + 24
-        assert expected == 73
+        levels = {name: compress.quantize(m, 8).levels for name, m in (("l", left), ("r", right))}
+        assert segment_bytes(left, 8) == plain_segment_bytes(levels["l"], 8) - 1 == 32
+        assert segment_bytes(right, 8) == plain_segment_bytes(levels["r"], 8) == 24
+        assert segment_bytes(base, 8) == 65
+        expected = HEADER_BYTES + tensor_meta_bytes("m") + 3 + 32 + 24  # tag and rank, factors
+        assert expected == 78
         assert compress.payload_bits(p) == expected * 8
+        assert p.ranks == {"m": 2}
 
     def test_lowrank_rank_above_255_roundtrips(self):
         # Rank 260 of 600x600 pays: 260 * 1200 factor values < 360000.
@@ -481,36 +511,52 @@ class TestPayloads:
         m = rng.normal(size=(600, 260)) @ rng.normal(size=(260, 600))
         p = compress.encode_payload({"m": m}, "lowrank_quantized", r=16, tau_lowrank=1e-6)
         start = HEADER_BYTES + tensor_meta_bytes("m")
-        assert struct.unpack("<H", p.blob[start : start + 2]) == (260,)
+        assert struct.unpack("<BH", p.blob[start : start + 3]) == (0xFE, 260)
         assert p.ranks == {"m": 260}
         out = compress.decode_payload(p)["m"]
         assert np.linalg.norm(out - m) <= 1e-2 * np.linalg.norm(m)
 
     def test_lowrank_full_rank_matrix_travels_plain(self):
         # Rank 6 of 8x6 would need 84 factor values for 48 entries, so the
-        # body is the plain marker and then the quantized scheme's segment.
+        # body is the quantized scheme's segment, and so is the payload.
         m = np.random.default_rng(15).normal(size=(8, 6))
         p = compress.encode_payload({"m": m}, "lowrank_quantized", r=4, tau_lowrank=1e-4)
         q = compress.encode_payload({"m": m}, "quantized", r=4)
-        start = HEADER_BYTES + tensor_meta_bytes("m")
-        assert p.blob[start : start + 2] == struct.pack("<H", 0xFFFF)
-        assert p.blob[start + 2 :] == q.blob[start:]
-        assert np.array_equal(compress.decode_payload(p)["m"], compress.decode_payload(q)["m"])
+        assert p.blob == q.blob
         assert p.ranks == {"m": 6}
 
     def test_factored_body_that_does_not_pay_is_malformed(self):
         # Rank 3 of 4x3 would be 21 factor values for 12 entries; the encoder
         # never writes it, so the decoder refuses it.
-        segment = compress._quant_segment(np.ones(12), 4)  # 4x3 left, 3x3 right
-        entry = struct.pack("<H", 1) + b"m" + struct.pack("<IIH", 4, 3, 3)
-        head = compress.MAGIC + struct.pack("<HBH", compress.WIRE_VERSION, 2, 1)
-        blob = head + entry + segment + compress._quant_segment(np.ones(9), 4)
+        factors = compress._quant_segment(np.ones(12), 4) + compress._quant_segment(np.ones(9), 4)
         with pytest.raises(MalformedPayload, match="rank 3"):
-            compress.decode_payload(blob)
-        # The same body at rank 1 of 8x6 is a valid factored one.
-        entry = struct.pack("<H", 1) + b"m" + struct.pack("<IIH", 8, 6, 1)
+            compress.decode_payload(tensor_blob(4, 3, struct.pack("<BH", 0xFE, 3) + factors))
+        # A rank-1 body of 8x6 is a valid factored one.
         body = compress._quant_segment(np.ones(8), 4) + compress._quant_segment(np.ones(6), 4)
-        assert compress.decode_payload(head + entry + body)["m"].shape == (8, 6)
+        blob = tensor_blob(8, 6, struct.pack("<BH", 0xFE, 1) + body)
+        assert compress.decode_payload(blob)["x"].shape == (8, 6)
+
+    @pytest.mark.parametrize(
+        ("rows", "cols", "body", "match"),
+        [
+            (1, 3, bytes([33]), "invalid body byte 33"),
+            (1, 3, bytes([0xFD]), "invalid body byte 253"),
+            (4, 4, struct.pack("<BH", 0xFE, 0), "rank 0"),
+            # Factors of a 1 x n matrix never hold fewer values than it.
+            (1, 8, struct.pack("<BH", 0xFE, 1) + bytes(2), "rank 1 for 1x8"),
+            # A factor is a quantized segment, never factors again.
+            (8, 6, struct.pack("<BHB", 0xFE, 1, 0xFE) + bytes(8), "invalid body byte 254"),
+            (1, 3, b"\xff" + bytes(23), "truncated"),
+            (1, 3, b"\xff" + struct.pack("<3d", 1.0, math.nan, 2.0), "NaN or Inf"),
+        ],
+        ids=[
+            "byte-33", "byte-0xFD", "rank-0", "factors-of-1xn", "nested-factors",
+            "dense-cut-short", "dense-nan",
+        ],
+    )
+    def test_hostile_body_is_malformed(self, rows, cols, body, match):
+        with pytest.raises(MalformedPayload, match=match):
+            compress.decode_payload(tensor_blob(rows, cols, body))
 
     def test_lowrank_truncates_before_shipping(self):
         u, v = np.ones((6, 1)), np.ones((5, 1))
@@ -535,7 +581,7 @@ class TestPayloads:
         blob = compress.encode_payload({"x": np.ones((1, 1))}, "dense").blob
         with pytest.raises(MalformedPayload):
             compress.decode_payload(b"XXXX" + blob[4:])
-        for version in (1, 2, 3, 99):
+        for version in (1, 2, 3, 4, 99):
             bad_version = blob[:4] + struct.pack("<H", version) + blob[6:]
             with pytest.raises(MalformedPayload, match="version"):
                 compress.decode_payload(bad_version)
@@ -546,17 +592,16 @@ class TestPayloads:
             compress.decode_payload(blob + b"\x00")
 
     def test_oversized_declared_tensor_is_malformed(self):
-        # 21 bytes declaring a (2**32-1) x (2**32-1) all-zero tensor.
-        blob = compress.MAGIC + struct.pack("<HBHH", compress.WIRE_VERSION, 1, 1, 1) + b"t"
-        blob += struct.pack("<II", 2**32 - 1, 2**32 - 1) + b"\x00"
-        assert len(blob) == 21
+        # 20 bytes declaring a (2**32-1) x (2**32-1) all-zero tensor.
+        blob = tensor_blob(2**32 - 1, 2**32 - 1, b"\x00")
+        assert len(blob) == 20
         with pytest.raises(MalformedPayload, match="payload limit"):
             compress.decode_payload(blob)
         # The limit holds per payload: two tensors of just over half of it
         # each cannot add up past it.
         rows, cols = 2, compress._MAX_WIRE_ELEMENTS // 4 + 1
         entry = struct.pack("<HII", 0, rows, cols) + b"\x00"
-        blob = compress.MAGIC + struct.pack("<HBH", compress.WIRE_VERSION, 1, 2) + entry * 2
+        blob = compress.MAGIC + struct.pack("<HH", compress.WIRE_VERSION, 2) + entry * 2
         with pytest.raises(MalformedPayload, match="payload limit"):
             compress.decode_payload(blob)
 
@@ -587,15 +632,17 @@ class TestPayloads:
 
     def test_decoder_memory_is_bounded(self):
         n = 1 << 20
-        # A 2**20-value fixed-width segment at 32 bits: 4.3 MB of wire, 8 MiB
-        # decoded.  The encoder writes no such body for this many values,
-        # since their levels cannot spread over all 32 bits.
-        raw = np.random.default_rng(14).integers(0, 256, size=n // 8 * 33, dtype=np.uint8)
-        fixed = quantized_blob(n, struct.pack("<BdB", 32, 1.0, 0xFF) + raw.tobytes())
-        # The encoder's 2**20-value segment at 32 bits, a Rice body.
+        # A 2**20-value segment at k = r = 32 of nonzero levels: 4.3 MB of
+        # wire, 8 MiB decoded.  The encoder writes no such body for this many
+        # values, since their levels cannot spread over all 32 bits.
+        rng = np.random.default_rng(14)
+        levels = rng.integers(1, 2**32, size=n, dtype=np.uint64).astype("<u4").tobytes()
+        signs = rng.integers(0, 256, size=n // 8, dtype=np.uint8).tobytes()
+        fixed = quantized_blob(n, struct.pack("<BdB", 32, 1.0, 32) + levels + signs)
+        # The encoder's 2**20-value segment at 32 bits, at k < r.
         x = np.random.default_rng(14).normal(size=(1, n))
         rice = compress.encode_payload({"x": x}, "quantized", r=32).blob
-        assert rice[HEADER_BYTES + tensor_meta_bytes("x") + 9] != 0xFF
+        assert rice[HEADER_BYTES + tensor_meta_bytes("x") + 9] < 32
         # Two levels after a run of 2**26 zero bits: 8 MiB of unary stream,
         # which would be 64 MiB as one bit array.
         long_run = quantized_blob(2, rice_segment(32, 0, bytes(1 << 23) + b"\x03", b"\x00"))
@@ -621,9 +668,7 @@ class TestPayloads:
             decoded = compress.decode_payload(blob)
         except MalformedPayload:
             return
-        assert all(v.ndim == 2 for v in decoded.values())
-        if blob[6] in (1, 2):  # quantized schemes decode to finite values only
-            assert all(np.isfinite(v).all() for v in decoded.values())
+        assert all(v.ndim == 2 and np.isfinite(v).all() for v in decoded.values())
 
     def test_non_finite_tensors_rejected(self):
         with pytest.raises(NonFiniteInput):
@@ -664,10 +709,9 @@ class TestPayloads:
                 segments = sum(bool(m.any()) for m in tensors.values())
                 assert len(payload.blob) <= fixed_width_bytes(tensors, r) + segments
             if scheme == "lowrank_quantized":
-                # A low-rank body costs at most the rank field over a plain one.
+                # Factors travel only where they are shorter than the plain body.
                 plain = compress.encode_payload(tensors, "quantized", r=r)
-                factorable = sum(min(m.shape) > 1 for m in tensors.values())
-                assert len(payload.blob) <= len(plain.blob) + 2 * factorable
+                assert len(payload.blob) <= len(plain.blob)
             assert list(decoded) == list(tensors)
             for name, mat in tensors.items():
                 assert decoded[name].shape == mat.shape

@@ -472,7 +472,8 @@ class TestRunRound:
 
     def test_communicated_round_syncs_every_client(self, monkeypatch):
         # The server and every client move from the previous broadcast by
-        # the decoded downlink delta, bit for bit, each into its own arrays.
+        # the decoded downlink delta, bit for bit, into one read-only set of
+        # arrays that they all share.
         theta0, clients = make_clients(n_clients=3, n_graphs=24)
         server = make_server(theta0, p=1.0, rho=0.3)  # ceil(3 * 0.3) = 1 sampled
         previous = gnn.clone_params(server.theta)
@@ -494,7 +495,11 @@ class TestRunRound:
             for k in expected:
                 assert np.array_equal(c.w[k], expected[k])
                 assert np.array_equal(server.theta[k], expected[k])
-                assert c.w[k] is not server.theta[k]
+                assert c.w[k] is server.theta[k] and not c.w[k].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            clients[0].w["head_b"][0, 0] = 1.0
+        # Nothing writes the shared arrays in place, so a second round runs.
+        fedcore.run_round(server, clients)
 
     def test_rho_sampling_count(self):
         theta0, clients = make_clients(n_clients=5, n_graphs=40)
@@ -625,7 +630,7 @@ class TestRunRound:
             if min(v.shape) == 1:
                 continue
             (m, n), dec = v.shape, linalg.svd(v)
-            rank = linalg.retained_rank(dec, "relative", tau)
+            rank = linalg.retained_rank(dec, tau)
             factors = [dec.u[:, :rank] * dec.sigma[:rank], dec.v[:, :rank]] if rank else []
             shorter = sum(segment_bytes(f, 8) for f in factors) < segment_bytes(v, 8)
             pays = rank * (m + n) < m * n and shorter

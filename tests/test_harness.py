@@ -129,16 +129,17 @@ class TestRunExperiment:
         server, clients, _ = harness.build_simulation(small_cfg(**{"server.p": 1.0}))
         for c in clients:
             for k in c.w:
-                assert c.w[k] is clients[0].w[k] and not c.w[k].flags.writeable
+                assert c.w[k] is server.theta[k] and not c.w[k].flags.writeable
                 assert c.s[k] is c.h[k] and not c.s[k].any()
-                assert np.array_equal(server.theta[k], c.w[k]) and server.theta[k].flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             clients[1].h["head_b"][0, 0] = 1.0
-        # The downlink gives every client its own writable arrays.
+        # Every party adopts the downlinked broadcast's arrays, read-only too.
         fedcore.run_round(server, clients)
-        for k in clients[0].w:
-            assert clients[0].w[k] is not clients[1].w[k]
-            assert all(c.w[k].flags.writeable for c in clients)
+        for c in clients:
+            for k in c.w:
+                assert c.w[k] is server.theta[k] and not c.w[k].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            clients[0].w["head_b"][0, 0] = 1.0
 
     def test_repeat_runs_identical(self):
         a = harness.run_experiment(small_cfg())
@@ -189,7 +190,10 @@ class TestRunExperiment:
             )
             summary = harness.run_experiment(cfg)
             assert [r.communicated for r in summary.records] == [True] * 6
-            assert summary.total_uplink_bits + summary.total_downlink_bits == 121152
+            # 24 dense payloads of 8 tensors, each 638 bytes: wire version 5
+            # dropped the scheme byte and gave each dense body a tag byte,
+            # 7 bytes more per payload than version 4's 121152 bits in total.
+            assert summary.total_uplink_bits + summary.total_downlink_bits == 122496
 
     def test_separable_task_reaches_high_accuracy(self):
         # Establish the task with the plain-averaging oracle first, then

@@ -63,19 +63,19 @@ class TestSvd:
 class TestLowrankTruncate:
     def test_tau_zero_is_full_reconstruction(self):
         a = np.random.default_rng(2).uniform(-1, 1, size=(5, 4))
-        approx, rank = linalg.lowrank_truncate(linalg.svd(a), "relative", 0.0)
+        approx, rank = linalg.lowrank_truncate(linalg.svd(a), 0.0)
         assert np.linalg.norm(approx - a) <= 1e-8
         assert rank == 4
 
-    def test_absolute_cutoff_can_zero_everything(self):
-        approx, rank = linalg.lowrank_truncate(linalg.svd(np.eye(3)), "absolute", 1.5)
+    def test_cutoff_at_sigma_one_zeroes_everything(self):
+        approx, rank = linalg.lowrank_truncate(linalg.svd(np.eye(3)), 1.0)
         assert rank == 0
         assert np.array_equal(approx, np.zeros((3, 3)))
 
     def test_relative_cutoff_on_diagonal(self):
         # Cutoff 0.5 * 4 = 2 keeps only the leading singular value; the
         # discarded tail contributes a Frobenius error of exactly 1.
-        approx, rank = linalg.lowrank_truncate(linalg.svd(np.diag([4.0, 1.0])), "relative", 0.5)
+        approx, rank = linalg.lowrank_truncate(linalg.svd(np.diag([4.0, 1.0])), 0.5)
         assert rank == 1
         assert np.allclose(approx, np.diag([4.0, 0.0]), atol=1e-12)
         assert abs(np.linalg.norm(approx - np.diag([4.0, 1.0])) - 1.0) <= 1e-8
@@ -85,11 +85,10 @@ class TestLowrankTruncate:
         for _ in range(200):
             a = rng.uniform(-1.0, 1.0, size=(8, 6))
             res = linalg.svd(a)
-            mode = "relative" if rng.random() < 0.5 else "absolute"
             tau = float(rng.uniform(0.0, 1.2))
-            approx, rank = linalg.lowrank_truncate(res, mode, tau)
+            approx, rank = linalg.lowrank_truncate(res, tau)
             sigma_ref = reference_singular_values(a)
-            cutoff = tau * sigma_ref[0] if mode == "relative" else tau
+            cutoff = tau * sigma_ref[0]
             rank_lo = int(np.count_nonzero(sigma_ref > cutoff + 1e-9))
             rank_hi = int(np.count_nonzero(sigma_ref > cutoff - 1e-9))
             assert rank_lo <= rank <= rank_hi
@@ -97,27 +96,24 @@ class TestLowrankTruncate:
             assert abs(np.linalg.norm(a - approx) - expected_err) <= 1e-8
 
     def test_rank_matches_strict_threshold_rule(self):
-        res = linalg.svd(np.diag([3.0, 2.0, 1.0]))
-        _, rank = linalg.lowrank_truncate(res, "absolute", 2.0)
+        res = linalg.svd(np.diag([4.0, 2.0, 1.0]))
+        _, rank = linalg.lowrank_truncate(res, 0.5)  # cutoff 0.5 * 4 = 2
         assert rank == 1  # strictly-greater rule drops the value equal to the cutoff
 
     def test_retained_rank_is_the_truncation_rank(self):
         # The encoder asks for the rank alone; it must agree with the rank
         # lowrank_truncate rebuilds from.
         rng = np.random.default_rng(12)
-        cutoffs = [("relative", 0.0), ("relative", 0.3), ("absolute", 1.0), ("absolute", 1e9)]
-        for mode, tau in cutoffs:
+        for tau in (0.0, 0.3, 0.6, 1.0):
             res = linalg.svd(rng.normal(size=(6, 4)))
-            _, rank = linalg.lowrank_truncate(res, mode, tau)
-            assert linalg.retained_rank(res, mode, tau) == rank
-        assert linalg.retained_rank(linalg.svd(np.zeros((3, 2))), "relative", 0.0) == 0
+            _, rank = linalg.lowrank_truncate(res, tau)
+            assert linalg.retained_rank(res, tau) == rank
+        assert linalg.retained_rank(linalg.svd(np.zeros((3, 2))), 0.0) == 0
 
     def test_bad_arguments(self):
         res = linalg.svd(np.eye(2))
         with pytest.raises(ValueError):
-            linalg.lowrank_truncate(res, "nonsense", 0.1)
-        with pytest.raises(ValueError):
-            linalg.lowrank_truncate(res, "relative", -0.1)
+            linalg.lowrank_truncate(res, -0.1)
 
 
 class TestWeightedSum:
