@@ -84,11 +84,11 @@ def _cmd_inspect(args) -> int:
     print(f"final acc:         {summary.final_acc_mean:.4f} ± {summary.final_acc_std:.4f}")
     print(f"uplink bits:       {summary.total_uplink_bits}")
     print(f"downlink bits:     {summary.total_downlink_bits}")
-    ranks = [r for r in summary.lowrank_rank_trajectory() if r is not None]
-    params = [r for r in summary.lowrank_param_trajectory() if r is not None]
+    ranks = [r.lowrank_rank_ratio for r in summary.records if r.lowrank_rank_ratio is not None]
+    params = [r.lowrank_param_ratio for r in summary.records if r.lowrank_param_ratio is not None]
     if ranks:
         print(f"low-rank ratio:    rank {np.mean(ranks):.4f}, params {np.mean(params):.4f}")
-    print(f"sparsity ratio:    {np.mean(summary.sparsity_trajectory()):.4f}")
+    print(f"sparsity ratio:    {np.mean([r.sparsity_ratio for r in summary.records]):.4f}")
     print(f"wall time (model): {sum(r.wall_time for r in summary.records):.3f} s")
     print(f"total bits:        {total_bits}")
     print("consistency:       rounds.jsonl and summary.csv agree")

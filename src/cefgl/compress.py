@@ -419,15 +419,15 @@ def encode_payload(
 def _lowrank_body(mat: np.ndarray, r: int, tau: float) -> Tuple[int, bytes]:
     """The factors' body or the plain segment, whichever is shorter, and the
     rank it carries; a cutoff that keeps no triple sends a zero tensor."""
-    dec = linalg.svd(mat)
-    rank = linalg.retained_rank(dec, tau)  # 0 for a zero matrix
+    left, right = linalg.lowrank_truncate(linalg.svd(mat), tau)
+    rank = left.shape[1]  # 0 for a zero matrix
     if rank == 0:
         return 0, b"\x00"
     plain = _quant_segment(mat.ravel(), r)
     if rank * sum(mat.shape) < mat.size:  # else the factors cannot be shorter
         body = struct.pack("<BH", _FACTORS, rank)
-        body += _quant_segment((dec.u[:, :rank] * dec.sigma[:rank]).ravel(), r)
-        body += _quant_segment(dec.v[:, :rank].ravel(), r)
+        body += _quant_segment(left.ravel(), r)
+        body += _quant_segment(right.ravel(), r)
         if len(body) < len(plain):
             return rank, body
     return min(mat.shape), plain

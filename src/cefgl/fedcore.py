@@ -2,14 +2,14 @@
 
 Implements the dual-channel protocol: a shared channel trained with a
 drift-correction term, a private sparse channel fine-tuned against the
-global view, truncated-SVD aggregation, quantized and low-rank transfers,
+global view, sample-weighted aggregation, quantized and low-rank transfers,
 probabilistic communication skipping, client sampling and dropout.
 ``run_round`` is the only round function.  The weighted-average (FedAvg)
 and proximal (FedProx) baselines are settings of its knobs: no correction,
 no fine-tuning, p = 1, global-pull weight 0 (FedAvg) or the proximal weight
 (FedProx, whose step ``w - eta*(g + mu*(w - theta))`` is the shared-channel
 step with h = 0), and ``ServerState.plain_average`` for dense shared-channel
-uplinks merged by a plain sample-weighted mean.
+uplinks.
 
 ``ClientConfig`` and ``ServerConfig`` are the ``client`` and ``server``
 sections of a config file, as ``harness.parse_config`` fills them; its
@@ -21,13 +21,14 @@ server holds as ``ServerState.theta`` and every client adopts on a
 communicated round; it starts as the initial model on both ends.  An
 uplink carries one tensor per parameter, the drift-corrected step
 ``w - theta - eta * h`` (SCAFFOLD's server update, Karimireddy et al.
-2020, combined on the client); the server merges the steps onto ``theta``
-and truncates the merge per matrix, and the downlink carries the
-truncated merge's difference from ``theta``, a zero difference when no
-uplink arrived.  The low-rank coder factors that difference, so ``theta``
-itself is not rank-limited.  A quantizer's error scales with the norm of
-what it encodes, and these differences are far smaller than the models
-(DIANA, Mishchenko et al. 2019; EF21, Richtárik et al. 2021).
+2020, combined on the client); the server takes the steps' sample-weighted
+mean, and the downlink carries that mean, a zero difference when no uplink
+arrived.  The low-rank downlink coder is the one place that truncates: it
+cuts each weight matrix of the difference at the relative singular-value
+cutoff ``tau_lowrank`` where it sends factors, so ``theta`` itself is not
+rank-limited.  A quantizer's error scales with the norm of what it
+encodes, and these differences are far smaller than the models (DIANA,
+Mishchenko et al. 2019; EF21, Richtárik et al. 2021).
 
 Clients and the server are mutable state records; round operations mutate
 them in place and are deterministic given the states' RNG streams.  A
@@ -130,8 +131,7 @@ class ClientState:
 class ServerState:
     theta: ModelParams  # the last decoded broadcast, as every client holds it
     cfg: ServerConfig = field(default_factory=ServerConfig)
-    # Baselines: uplinks travel densely, and the server takes their
-    # sample-weighted mean without truncation.
+    # Baselines: uplinks travel densely.
     plain_average: bool = False
     t: int = 0
     coin_rng: np.random.Generator = field(default_factory=np.random.default_rng)
@@ -266,14 +266,9 @@ def client_uplink(
 
 
 def _aggregate(
-    payloads: Sequence[compress.CompressedPayload],
-    sample_sizes: Sequence[int],
-    anchor: ModelParams,
-    tau_lowrank: float,
-    plain: bool = False,
+    payloads: Sequence[compress.CompressedPayload], sample_sizes: Sequence[int]
 ) -> ModelParams:
-    """The anchor plus the sample-size-weighted mean of the uplinked steps,
-    rank-truncated per weight matrix; with ``plain`` untruncated."""
+    """The sample-size-weighted mean of the uplinked steps."""
     if len(payloads) == 0:
         raise ValueError("need at least one payload to aggregate")
     if len(payloads) != len(sample_sizes):
@@ -289,18 +284,12 @@ def _aggregate(
         if list(d) != names:
             raise ShapeMismatch("payloads carry different tensor sets")
 
-    theta: ModelParams = {}
-    for name in names:
-        merged = anchor[name] + linalg.weighted_sum(
-            [(wt, d[name]) for wt, d in zip(weights, decoded)]
-        )
-        _check_finite({name: merged}, "server aggregation")
-        # The baselines merge untruncated; truncation is meaningless for bias rows.
-        if plain or min(merged.shape) == 1:
-            theta[name] = merged
-            continue
-        theta[name], _ = linalg.lowrank_truncate(linalg.svd(merged), tau_lowrank)
-    return theta
+    step = {
+        name: linalg.weighted_sum([(wt, d[name]) for wt, d in zip(weights, decoded)])
+        for name in names
+    }
+    _check_finite(step, "server aggregation")
+    return step
 
 
 def _lowrank_ratios(
@@ -368,11 +357,11 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
     Coin first, then sampling, then dropout.  Survivors train both channels
     against their view (the shared channel as the round starts) and update
     their correction terms.  On a communicated round they uplink their
-    drift-corrected steps from the last broadcast; the server merges them
-    onto it, encodes the merge's difference from it, and it and every
-    client move the broadcast by the decoded difference and adopt it as
-    their shared channel.  On a skipped round nothing is encoded or billed
-    and each client keeps its own shared channel.
+    drift-corrected steps from the last broadcast; the server encodes their
+    weighted mean, and it and every client move the broadcast by the
+    decoded mean and adopt it as their shared channel.  On a skipped round
+    nothing is encoded or billed and each client keeps its own shared
+    channel.
     """
     cfg = server.cfg
     clients = sorted(clients, key=lambda c: c.id)
@@ -404,9 +393,7 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
             for cid in survivors
         ]
         if payloads:
-            sizes = [len(by_id[cid].train) for cid in survivors]
-            merged = _aggregate(payloads, sizes, anchor, cfg.tau_lowrank, server.plain_average)
-            delta = {k: merged[k] - anchor[k] for k in anchor}
+            delta = _aggregate(payloads, [len(by_id[cid].train) for cid in survivors])
         else:  # nothing arrived: the broadcast is a zero delta
             delta = gnn.zeros_like_params(anchor)
         downlink = compress.encode_payload(
@@ -417,7 +404,9 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
         )
         rank_ratio, param_ratio = _lowrank_ratios(downlink, delta)
         decoded = compress.decode_payload(downlink)
-        server.theta = {k: anchor[k] + decoded[k] for k in anchor}
+        with np.errstate(over="ignore"):  # an overflow is reported as divergence
+            server.theta = {k: anchor[k] + decoded[k] for k in anchor}
+        _check_finite(server.theta, "server aggregation")
         # Every client adopts these arrays, read-only: each step rebinds c.w.
         for v in server.theta.values():
             v.setflags(write=False)

@@ -21,7 +21,7 @@ import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -366,15 +366,6 @@ class RunSummary:
         self.total_uplink_bits = sum(r.uplink_bits for r in self.records)
         self.total_downlink_bits = sum(r.downlink_bits for r in self.records)
 
-    def lowrank_rank_trajectory(self) -> List[Optional[float]]:
-        return [r.lowrank_rank_ratio for r in self.records]
-
-    def lowrank_param_trajectory(self) -> List[Optional[float]]:
-        return [r.lowrank_param_ratio for r in self.records]
-
-    def sparsity_trajectory(self) -> List[float]:
-        return [r.sparsity_ratio for r in self.records]
-
 
 def _execute(cfg: ExperimentConfig):
     started = time.perf_counter()
@@ -427,10 +418,6 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: Sequence) -> List[RunSum
 
 # ---------------------------------------------------------------------------
 # Persistence
-
-
-def _record_to_dict(rec: RoundRecord) -> dict:
-    return dataclasses.asdict(rec)
 
 
 def _record_from_dict(d) -> RoundRecord:
@@ -502,7 +489,7 @@ def emit_metrics(summary: RunSummary, sink) -> Path:
     out = Path(sink)
     out.mkdir(parents=True, exist_ok=True)
     lines = [
-        json.dumps(_record_to_dict(rec), sort_keys=True, separators=(",", ":"))
+        json.dumps(dataclasses.asdict(rec), sort_keys=True, separators=(",", ":"))
         for rec in summary.records
     ]
     (out / "rounds.jsonl").write_text("\n".join(lines) + "\n")

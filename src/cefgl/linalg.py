@@ -65,16 +65,13 @@ def retained_rank(s: SvdResult, tau: float = 0.0) -> int:
     return int(np.count_nonzero(s.sigma > tau * s.sigma[0]))
 
 
-def lowrank_truncate(s: SvdResult, tau: float = 0.0) -> Tuple[Matrix, int]:
-    """Rebuild the matrix from the triples ``retained_rank`` keeps.
-
-    Returns the reconstruction and the retained rank.
+def lowrank_truncate(s: SvdResult, tau: float = 0.0) -> Tuple[Matrix, Matrix]:
+    """The factors of the triples ``retained_rank`` keeps: ``u_k * sigma_k``
+    (rows x k) and ``v_k`` (cols x k), whose product ``left @ right.T`` is
+    the truncated matrix; k is 0 when no triple survives.
     """
     rank = retained_rank(s, tau)
-    if rank == 0:
-        return np.zeros((s.u.shape[0], s.v.shape[0])), 0
-    approx = (s.u[:, :rank] * s.sigma[:rank]) @ s.v[:, :rank].T
-    return np.ascontiguousarray(approx), rank
+    return s.u[:, :rank] * s.sigma[:rank], s.v[:, :rank].copy()
 
 
 def weighted_sum(terms: Sequence[Tuple[float, Matrix]]) -> Matrix:

@@ -144,7 +144,8 @@ def test_c04_tsvd_eckart_young():
             a = rng.uniform(-1.0, 1.0, size=(8, 6))
             res = linalg.svd(a)
             tau = float(rng.uniform(0.0, 1.1))
-            approx, rank = linalg.lowrank_truncate(res, tau)
+            left, right = linalg.lowrank_truncate(res, tau)
+            approx, rank = left @ right.T, left.shape[1]
             assert rank == int(np.count_nonzero(res.sigma > tau * res.sigma[0]))
             expected_err = float(np.sqrt(np.sum(res.sigma[rank:] ** 2)))
             assert abs(np.linalg.norm(a - approx) - expected_err) <= 1e-8

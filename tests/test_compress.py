@@ -477,14 +477,22 @@ class TestPayloads:
         assert np.linalg.norm(out - base) <= 1e-6 * np.linalg.norm(base)
 
     def test_lowrank_encoding_builds_no_reconstruction(self, monkeypatch):
-        # The encoder needs the retained rank and the factors, never the
-        # truncated matrix.
-        def rebuild(*args, **kwargs):
-            raise AssertionError("the encoder rebuilt a truncated matrix")
+        # The encoder truncates once and gets the factors, (rows, k) and
+        # (cols, k), never the truncated rows x cols matrix.
+        shapes = []
+        real = linalg.lowrank_truncate
 
-        monkeypatch.setattr(linalg, "lowrank_truncate", rebuild)
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            shapes.append([f.shape for f in out])
+            return out
+
+        monkeypatch.setattr(linalg, "lowrank_truncate", spy)
         x = np.random.default_rng(11).normal(size=(8, 6))
-        p = compress.encode_payload({"m": x}, "lowrank_quantized", r=8, tau_lowrank=0.1)
+        p = compress.encode_payload({"m": x}, "lowrank_quantized", r=8, tau_lowrank=0.3)
+        k = linalg.retained_rank(linalg.svd(x), 0.3)
+        assert 0 < k < 6
+        assert shapes == [[(8, k), (6, k)]]
         assert compress.decode_payload(p)["m"].shape == (8, 6)
 
     def test_lowrank_bit_count_is_rank_and_factors(self):

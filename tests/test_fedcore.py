@@ -351,7 +351,7 @@ class TestAggregate:
         rng = np.random.default_rng(1)
         w = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3))}
         h = gnn.zeros_like_params(w)
-        theta = fedcore._aggregate([step_payload(w, h, 0.01)], [10], h, 0.0)
+        theta = fedcore._aggregate([step_payload(w, h, 0.01)], [10])
         assert max_rel_frob(theta, w) <= 1e-8
 
     def test_two_equal_clients_average(self):
@@ -360,64 +360,52 @@ class TestAggregate:
         w2 = {"a": rng.normal(size=(4, 4))}
         zero = gnn.zeros_like_params(w1)
         theta = fedcore._aggregate(
-            [step_payload(w1, zero, 0.01), step_payload(w2, zero, 0.01)],
-            [7, 7],
-            zero,
-            0.0,
+            [step_payload(w1, zero, 0.01), step_payload(w2, zero, 0.01)], [7, 7]
         )
         assert np.allclose(theta["a"], 0.5 * (w1["a"] + w2["a"]), atol=1e-8)
 
     def test_gradient_descent_identity(self):
         # When every client reports w_i = theta_prev and h_i = grad_i, the
-        # pre-truncation aggregate is theta_prev - eta * weighted mean grad.
+        # aggregate is theta_prev - eta * weighted mean grad.
         rng = np.random.default_rng(3)
         theta_prev = {"a": rng.normal(size=(5, 4))}
         grads = [{"a": rng.normal(size=(5, 4))} for _ in range(3)]
         sizes = [2, 3, 5]
         eta = 0.05
         payloads = [step_payload(theta_prev, g, eta) for g in grads]
-        theta = fedcore._aggregate(payloads, sizes, gnn.zeros_like_params(theta_prev), 0.0)
+        theta = fedcore._aggregate(payloads, sizes)
         mean_grad = sum(s * g["a"] for s, g in zip(sizes, grads)) / sum(sizes)
         assert np.allclose(theta["a"], theta_prev["a"] - eta * mean_grad, atol=1e-8)
 
-    def test_bias_rows_bypass_truncation(self):
-        bias = {"b": np.array([[0.4, -0.2, 0.6]])}
-        zero = gnn.zeros_like_params(bias)
-        theta = fedcore._aggregate(
-            [step_payload(bias, zero, 0.01)], [1], zero, tau_lowrank=10.0
-        )
-        assert np.allclose(theta["b"], bias["b"], atol=1e-12)
-
-    def test_weight_matrices_get_truncated(self):
-        mat = {"a": np.diag([4.0, 1.0])}
-        zero = gnn.zeros_like_params(mat)
-        theta = fedcore._aggregate(
-            [step_payload(mat, zero, 0.01)], [1], zero, tau_lowrank=0.5
-        )
-        assert np.allclose(theta["a"], np.diag([4.0, 0.0]), atol=1e-10)
-
-    @pytest.mark.parametrize("plain", [False, True], ids=["merge", "plain"])
-    def test_nonzero_anchor_gives_weighted_mean(self, plain):
-        # Uplinks carry w_i - anchor; the merge adds the anchor back, so with
-        # no correction term and no truncation it is the weighted mean of w_i.
+    def test_nonzero_anchor_gives_weighted_mean(self):
+        # Uplinks carry w_i - anchor, so with no correction term the anchor
+        # plus the aggregate is the weighted mean of w_i.
         rng = np.random.default_rng(4)
         anchor = {"a": rng.normal(size=(5, 4)), "b": rng.normal(size=(1, 4))}
         ws = [{k: rng.normal(size=v.shape) for k, v in anchor.items()} for _ in range(3)]
         sizes = [2, 3, 5]
         zero = gnn.zeros_like_params(anchor)
         payloads = [step_payload({k: w[k] - anchor[k] for k in w}, zero, 0.05) for w in ws]
-        theta = fedcore._aggregate(payloads, sizes, anchor, 0.0, plain)
+        step = fedcore._aggregate(payloads, sizes)
         for k in anchor:
             mean = sum(n * w[k] for n, w in zip(sizes, ws)) / sum(sizes)
-            assert np.allclose(theta[k], mean, rtol=0.0, atol=1e-12)
+            assert np.allclose(anchor[k] + step[k], mean, rtol=0.0, atol=1e-12)
 
     def test_non_finite_merge_is_divergence(self):
-        # The anchor plus the mean step overflows on the server, before any
-        # SVD sees it.
-        w = {"a": np.full((2, 2), 1e308)}
-        payloads = [step_payload(w, gnn.zeros_like_params(w), 10.0)] * 2
-        with np.errstate(over="ignore"), pytest.raises(DivergenceDetected):
-            fedcore._aggregate(payloads, [1, 1], w, 0.0)
+        # The mean step is finite, but the broadcast plus it overflows: the
+        # round reports divergence before any client adopts the broadcast,
+        # and raises no RuntimeWarning (the test settings make one an error).
+        theta0, clients = make_clients(
+            eta=1.0, local_epochs=0, finetune_epochs=0, use_correction=False
+        )
+        huge = {k: np.full(v.shape, 1e308) for k, v in theta0.items()}
+        server = make_server(huge, **FEDAVG_SERVER)
+        for c in clients:
+            c.w = dict(huge)
+            c.h = {k: -v for k, v in huge.items()}  # each step is 1e308
+        with pytest.raises(DivergenceDetected, match="server aggregation"):
+            fedcore.run_round(server, clients)
+        assert all(c.w[k] is huge[k] for c in clients for k in huge)
 
 
 class TestDropout:
@@ -517,6 +505,33 @@ class TestRunRound:
         assert max_rel_frob(server.theta, before) == 0.0
         assert rec.uplink_bits == 0 and rec.downlink_bits > 0
 
+    def test_one_svd_per_factorable_downlinked_matrix(self, monkeypatch):
+        # The low-rank downlink encoder is the only place that decomposes a
+        # matrix: the merge takes none, and the encoder one per downlinked
+        # matrix without a unit dimension.
+        calls = []
+        real_svd, real_aggregate = linalg.svd, fedcore._aggregate
+
+        def counting_svd(a):
+            calls.append(np.shape(a))
+            return real_svd(a)
+
+        def aggregate(*args):
+            before = len(calls)
+            out = real_aggregate(*args)
+            assert len(calls) == before, "the merge ran an SVD"
+            return out
+
+        monkeypatch.setattr(linalg, "svd", counting_svd)
+        monkeypatch.setattr(fedcore, "_aggregate", aggregate)
+        theta0, clients = make_clients(n_clients=3)
+        server = make_server(theta0, p=1.0, r_bits=8, tau_lowrank=0.3)
+        rec = fedcore.run_round(server, clients)
+        assert rec.communicated and rec.participants == [0, 1, 2]
+        factorable = [v.shape for v in theta0.values() if min(v.shape) > 1]
+        assert len(factorable) == 4
+        assert calls == factorable
+
     def test_determinism(self):
         records = []
         for _ in range(2):
@@ -599,9 +614,8 @@ class TestRunRound:
         assert rec.downlink_bits == len(clients) * compress.payload_bits(down)
 
         # Uplinks carry w - anchor - eta * h, one tensor per parameter; the
-        # downlink carries the merge's difference from the anchor (bias rows
-        # are never truncated), and everyone moves the anchor by its decoded
-        # value.
+        # downlink encoder receives their weighted mean, uncut at any tau,
+        # and everyone moves the anchor by its decoded value.
         sizes = [len(c.train) for c in clients]
         for c, (tensors, _) in zip(clients, uplinks):
             w, h = shared[c.id]
@@ -616,8 +630,7 @@ class TestRunRound:
         decoded = compress.decode_payload(down)
         for k in anchor:
             merged = sum(n * u[k] for n, u in zip(sizes, ups)) / sum(sizes)
-            if tau == 0.0 or min(anchor[k].shape) == 1:
-                np.testing.assert_allclose(delta[k], merged, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(delta[k], merged, rtol=0, atol=1e-12)
             np.testing.assert_allclose(server.theta[k] - anchor[k], decoded[k], atol=1e-12)
 
         # The low-rank ratios are those of the downlinked delta: rank k of an
@@ -734,11 +747,11 @@ class TestFedAvgReduction:
 
     def test_correction_term_fixed_point_aggregate(self):
         # With w_i = view and constant h_i, aggregation returns
-        # theta_prev - eta * weighted mean of h (no truncation at tau=0).
+        # theta_prev - eta * weighted mean of h.
         rng = np.random.default_rng(9)
         theta_prev = {"a": rng.normal(size=(4, 4))}
         hs = [{"a": rng.normal(size=(4, 4))} for _ in range(2)]
         payloads = [step_payload(theta_prev, h, 0.1) for h in hs]
-        theta = fedcore._aggregate(payloads, [1, 1], gnn.zeros_like_params(theta_prev), 0.0)
+        theta = fedcore._aggregate(payloads, [1, 1])
         expected = theta_prev["a"] - 0.1 * 0.5 * (hs[0]["a"] + hs[1]["a"])
         assert np.allclose(theta["a"], expected, atol=1e-8)

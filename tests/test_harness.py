@@ -252,7 +252,9 @@ class TestSweep:
     def test_tau_sweep_lowers_lowrank_ratio(self):
         cfg = small_cfg(**{"run.rounds": 6, "server.p": 1.0, "run.hidden": 8})
         zero, heavy = harness.run_sweep(cfg, "tau_lowrank", [0.0, 0.01])
-        mean_ratio = lambda s: np.mean([r for r in s.lowrank_rank_trajectory() if r is not None])
+        mean_ratio = lambda s: np.mean(
+            [r.lowrank_rank_ratio for r in s.records if r.lowrank_rank_ratio is not None]
+        )
         assert mean_ratio(heavy) <= mean_ratio(zero)
         assert mean_ratio(zero) == 1.0
 

@@ -60,22 +60,30 @@ class TestSvd:
             assert np.max(np.abs(sa - st)) <= 1e-10
 
 
+def truncate(res, tau):
+    """The truncated matrix and its rank, rebuilt from the kept factors."""
+    left, right = linalg.lowrank_truncate(res, tau)
+    rank = left.shape[1]
+    assert left.shape == (res.u.shape[0], rank) and right.shape == (res.v.shape[0], rank)
+    return left @ right.T, rank
+
+
 class TestLowrankTruncate:
     def test_tau_zero_is_full_reconstruction(self):
         a = np.random.default_rng(2).uniform(-1, 1, size=(5, 4))
-        approx, rank = linalg.lowrank_truncate(linalg.svd(a), 0.0)
+        approx, rank = truncate(linalg.svd(a), 0.0)
         assert np.linalg.norm(approx - a) <= 1e-8
         assert rank == 4
 
     def test_cutoff_at_sigma_one_zeroes_everything(self):
-        approx, rank = linalg.lowrank_truncate(linalg.svd(np.eye(3)), 1.0)
+        approx, rank = truncate(linalg.svd(np.eye(3)), 1.0)
         assert rank == 0
         assert np.array_equal(approx, np.zeros((3, 3)))
 
     def test_relative_cutoff_on_diagonal(self):
         # Cutoff 0.5 * 4 = 2 keeps only the leading singular value; the
         # discarded tail contributes a Frobenius error of exactly 1.
-        approx, rank = linalg.lowrank_truncate(linalg.svd(np.diag([4.0, 1.0])), 0.5)
+        approx, rank = truncate(linalg.svd(np.diag([4.0, 1.0])), 0.5)
         assert rank == 1
         assert np.allclose(approx, np.diag([4.0, 0.0]), atol=1e-12)
         assert abs(np.linalg.norm(approx - np.diag([4.0, 1.0])) - 1.0) <= 1e-8
@@ -86,7 +94,7 @@ class TestLowrankTruncate:
             a = rng.uniform(-1.0, 1.0, size=(8, 6))
             res = linalg.svd(a)
             tau = float(rng.uniform(0.0, 1.2))
-            approx, rank = linalg.lowrank_truncate(res, tau)
+            approx, rank = truncate(res, tau)
             sigma_ref = reference_singular_values(a)
             cutoff = tau * sigma_ref[0]
             rank_lo = int(np.count_nonzero(sigma_ref > cutoff + 1e-9))
@@ -97,16 +105,16 @@ class TestLowrankTruncate:
 
     def test_rank_matches_strict_threshold_rule(self):
         res = linalg.svd(np.diag([4.0, 2.0, 1.0]))
-        _, rank = linalg.lowrank_truncate(res, 0.5)  # cutoff 0.5 * 4 = 2
+        _, rank = truncate(res, 0.5)  # cutoff 0.5 * 4 = 2
         assert rank == 1  # strictly-greater rule drops the value equal to the cutoff
 
     def test_retained_rank_is_the_truncation_rank(self):
-        # The encoder asks for the rank alone; it must agree with the rank
-        # lowrank_truncate rebuilds from.
+        # retained_rank is the one cutoff rule; the factors lowrank_truncate
+        # keeps must have that many columns.
         rng = np.random.default_rng(12)
         for tau in (0.0, 0.3, 0.6, 1.0):
             res = linalg.svd(rng.normal(size=(6, 4)))
-            _, rank = linalg.lowrank_truncate(res, tau)
+            _, rank = truncate(res, tau)
             assert linalg.retained_rank(res, tau) == rank
         assert linalg.retained_rank(linalg.svd(np.zeros((3, 2))), 0.0) == 0
 
