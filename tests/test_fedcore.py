@@ -377,9 +377,12 @@ class TestAggregate:
         mean_grad = sum(s * g["a"] for s, g in zip(sizes, grads)) / sum(sizes)
         assert np.allclose(theta["a"], theta_prev["a"] - eta * mean_grad, atol=1e-8)
 
-    def test_nonzero_anchor_gives_weighted_mean(self):
+    @pytest.mark.parametrize("merge", [True, False], ids=["merge", "plain"])
+    def test_nonzero_anchor_gives_weighted_mean(self, merge):
         # Uplinks carry w_i - anchor, so with no correction term the anchor
-        # plus the aggregate is the weighted mean of w_i.
+        # plus the aggregate is the weighted mean of w_i: both the plain
+        # aggregate and the merge a client applies, the anchor plus the
+        # aggregate decoded from a dense downlink.
         rng = np.random.default_rng(4)
         anchor = {"a": rng.normal(size=(5, 4)), "b": rng.normal(size=(1, 4))}
         ws = [{k: rng.normal(size=v.shape) for k, v in anchor.items()} for _ in range(3)]
@@ -387,6 +390,8 @@ class TestAggregate:
         zero = gnn.zeros_like_params(anchor)
         payloads = [step_payload({k: w[k] - anchor[k] for k in w}, zero, 0.05) for w in ws]
         step = fedcore._aggregate(payloads, sizes)
+        if merge:
+            step = compress.decode_payload(compress.encode_payload(step, "dense"))
         for k in anchor:
             mean = sum(n * w[k] for n, w in zip(sizes, ws)) / sum(sizes)
             assert np.allclose(anchor[k] + step[k], mean, rtol=0.0, atol=1e-12)
