@@ -4,12 +4,9 @@ Implements the dual-channel protocol: a shared channel trained with a
 drift-correction term, a private sparse channel fine-tuned against the
 global view, sample-weighted aggregation, quantized and low-rank transfers,
 probabilistic communication skipping, client sampling and dropout.
-``run_round`` is the only round function.  The weighted-average (FedAvg)
-and proximal (FedProx) baselines are settings of its knobs: no correction,
-no fine-tuning, p = 1, global-pull weight 0 (FedAvg) or the proximal weight
-(FedProx, whose step ``w - eta*(g + mu*(w - theta))`` is the shared-channel
-step with h = 0), and ``ServerState.plain_average`` for dense shared-channel
-uplinks.
+``run_round`` is the only round function; the weighted-average (FedAvg)
+and proximal (FedProx) baselines are settings of its knobs, which
+``preset`` resolves from ``run.algorithm``.
 
 ``ClientConfig`` and ``ServerConfig`` are the ``client`` and ``server``
 sections of a config file, as ``harness.parse_config`` fills them; its
@@ -39,7 +36,7 @@ the round's steps and never stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,6 +78,24 @@ class ServerConfig:
     dropout_b: float = 0.0
     bandwidth_mbps: float = 100.0
     latency_ms: float = 20.0
+
+
+def preset(
+    algorithm: str, client_cfg: ClientConfig, server_cfg: ServerConfig
+) -> Tuple[ClientConfig, ServerConfig, str]:
+    """Copies of the sections as ``run.algorithm`` runs them, and its uplink scheme.
+
+    FedProx's step ``w - eta*(g + mu*(w - theta))`` is the shared-channel
+    step with h = 0 and alpha = ``mu_prox``; FedAvg's has no pull.
+    """
+    if algorithm == "cefgl":
+        return replace(client_cfg), replace(server_cfg), compress.SCHEME_QUANTIZED
+    alpha = {"fedavg": 0.0, "fedprox": client_cfg.mu_prox}[algorithm]
+    return (
+        replace(client_cfg, alpha=alpha, finetune_epochs=0, use_correction=False),
+        replace(server_cfg, p=1.0, downlink_scheme=compress.SCHEME_DENSE),
+        compress.SCHEME_DENSE,
+    )
 
 
 def apply_sparsifier(params: ModelParams, cfg: ClientConfig) -> ModelParams:
@@ -131,8 +146,7 @@ class ClientState:
 class ServerState:
     theta: ModelParams  # the last decoded broadcast, as every client holds it
     cfg: ServerConfig = field(default_factory=ServerConfig)
-    # Baselines: uplinks travel densely.
-    plain_average: bool = False
+    uplink_scheme: str = compress.SCHEME_QUANTIZED  # set by ``preset``
     t: int = 0
     coin_rng: np.random.Generator = field(default_factory=np.random.default_rng)
     sampling_rng: np.random.Generator = field(default_factory=np.random.default_rng)
@@ -248,21 +262,18 @@ def update_correction(c: ClientState, view: ModelParams, steps: int) -> ClientSt
 
 
 def client_uplink(
-    c: ClientState, anchor: ModelParams, r_bits: int, plain: bool = False
+    c: ClientState, anchor: ModelParams, scheme: str, r_bits: int
 ) -> compress.CompressedPayload:
     """The shared channel's drift-corrected step since the last broadcast,
     ``w - anchor - eta * h`` with the client's own eta, one tensor named
-    like each parameter: quantized, or with ``plain`` dense (the baselines'
-    uplink, whose correction term stays zero).
+    like each parameter, encoded under ``scheme``.
 
     The server uses the change and the correction term only in this
     combination, so they travel as one tensor.  The anchor is the broadcast
     both ends hold.  The private channel never leaves the client.
     """
     step = {k: c.w[k] - anchor[k] - c.cfg.eta * c.h[k] for k in c.w}
-    if plain:
-        return compress.encode_payload(step, compress.SCHEME_DENSE)
-    return compress.encode_payload(step, compress.SCHEME_QUANTIZED, r=r_bits)
+    return compress.encode_payload(step, scheme, r=r_bits)
 
 
 def _aggregate(
@@ -389,7 +400,7 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
     if communicate:
         anchor = server.theta
         payloads = [
-            client_uplink(by_id[cid], anchor, cfg.r_bits, server.plain_average)
+            client_uplink(by_id[cid], anchor, server.uplink_scheme, cfg.r_bits)
             for cid in survivors
         ]
         if payloads:

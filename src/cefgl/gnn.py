@@ -70,10 +70,6 @@ def zeros_like_params(p: ModelParams) -> ModelParams:
     return {k: np.zeros_like(v) for k, v in p.items()}
 
 
-def clone_params(p: ModelParams) -> ModelParams:
-    return {k: v.copy() for k, v in p.items()}
-
-
 def params_finite(p: ModelParams) -> bool:
     return all(np.isfinite(v).all() for v in p.values())
 

@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import compress, fedcore, gnn, graphdata
+from . import fedcore, gnn, graphdata
 from .errors import ConfigError, IoError, VersionMismatch
 from .fedcore import ClientConfig, ClientState, RoundRecord, ServerConfig, ServerState
 
@@ -167,6 +167,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     require(s.latency_ms >= 0, "server.latency_ms: must be >= 0")
     require(r.algorithm in ALGORITHMS, f"run.algorithm: unknown algorithm {r.algorithm!r}")
     require(r.ablation in ABLATIONS, f"run.ablation: unknown ablation {r.ablation!r}")
+    require(
+        r.algorithm == "cefgl" or r.ablation == "full",
+        f"run.ablation: {r.ablation} applies to cefgl only; {r.algorithm} runs full",
+    )
     require(r.rounds >= 1, "run.rounds: must be >= 1")
     require(r.clients >= 1, "run.clients: must be >= 1")
     require(r.hidden >= 1, "run.hidden: must be >= 1")
@@ -288,27 +292,15 @@ def build_simulation(
         classes=pool[0].num_classes,
     )
     theta0 = gnn.init_params(arch, cfg.seeds.init)
+    client_cfg, server_cfg, uplink = fedcore.preset(cfg.run.algorithm, cfg.client, cfg.server)
+    # An ablation switches off one channel of cefgl.  _validate refuses them
+    # for the baselines, where w_only is full and s_only trains nothing.
     if cfg.run.ablation == "s_only":
         theta0 = gnn.zeros_like_params(theta0)
-
-    c, s = cfg.client, cfg.server
-    baseline = cfg.run.algorithm != "cefgl"
-    # The baselines are presets of the one round pipeline: FedProx's step is
-    # the shared-channel step with the correction term at zero and the
-    # global pull weighted by mu_prox; FedAvg's has no pull.  They always
-    # communicate (even under s_only) and never fine-tune a private channel.
-    client_cfg = dataclasses.replace(
-        c,
-        alpha={"cefgl": c.alpha, "fedavg": 0.0, "fedprox": c.mu_prox}[cfg.run.algorithm],
-        local_epochs=0 if cfg.run.ablation == "s_only" else c.local_epochs,
-        finetune_epochs=0 if baseline or cfg.run.ablation == "w_only" else c.finetune_epochs,
-        use_correction=c.use_correction and not baseline,
-    )
-    server_cfg = dataclasses.replace(
-        s,
-        p=1.0 if baseline else 0.0 if cfg.run.ablation == "s_only" else s.p,
-        downlink_scheme=compress.SCHEME_DENSE if baseline else s.downlink_scheme,
-    )
+        client_cfg.local_epochs = 0
+        server_cfg.p = 0.0
+    elif cfg.run.ablation == "w_only":
+        client_cfg.finetune_epochs = 0
     ratios = (cfg.data.train_frac, cfg.data.val_frac, cfg.data.test_frac)
     # The server and every client start from the same arrays, read-only:
     # each step and each downlink rebinds a party's channels to new arrays.
@@ -336,7 +328,7 @@ def build_simulation(
     server = ServerState(
         theta=dict(theta0),
         cfg=server_cfg,
-        plain_average=baseline,
+        uplink_scheme=uplink,
         coin_rng=np.random.default_rng(cfg.seeds.coin),
         sampling_rng=np.random.default_rng(cfg.seeds.sampling),
         dropout_rng=np.random.default_rng(cfg.seeds.dropout),
@@ -354,10 +346,10 @@ class RunSummary:
 
     records: List[RoundRecord]
     partition_hash: str
-    final_acc_mean: float = 0.0
-    final_acc_std: float = 0.0
-    total_uplink_bits: int = 0
-    total_downlink_bits: int = 0
+    final_acc_mean: float = field(init=False)
+    final_acc_std: float = field(init=False)
+    total_uplink_bits: int = field(init=False)
+    total_downlink_bits: int = field(init=False)
 
     def __post_init__(self):
         last = self.records[-1]

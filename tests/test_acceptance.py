@@ -15,6 +15,7 @@ from cefgl import compress, fedcore, gnn, graphdata, harness, linalg
 from cefgl.errors import IndexOutOfRange, MissingFile, ParseError
 from cefgl.gnn import ArchConfig
 from cefgl.graphdata import SynthSpec
+from helpers import clone_params, plain_fedavg_reference
 
 
 @contextmanager
@@ -189,9 +190,8 @@ def _reduction_clients(seed):
     part = graphdata.partition_clients([ds], 2, graphdata.MODE_IID, seed=seed)
     arch = ArchConfig(feature_dim=3, hidden=4, classes=2)
     theta0 = gnn.init_params(arch, seed=seed + 1)
-    cfg = fedcore.ClientConfig(
-        alpha=0.0, nu=0.0, finetune_epochs=0, use_correction=False
-    )
+    # FedAvg's client settings; the server below keeps cefgl's quantized links.
+    cfg, _, _ = fedcore.preset("fedavg", fedcore.ClientConfig(nu=0.0), fedcore.ServerConfig())
     clients = []
     for cid in range(2):
         local = ds.subset(part.assignments[cid])
@@ -199,7 +199,7 @@ def _reduction_clients(seed):
         clients.append(
             fedcore.ClientState(
                 id=cid,
-                w=gnn.clone_params(theta0),
+                w=clone_params(theta0),
                 s=gnn.zeros_like_params(theta0),
                 h=gnn.zeros_like_params(theta0),
                 train=train,
@@ -211,36 +211,17 @@ def _reduction_clients(seed):
     return theta0, clients
 
 
-def _plain_averaging(theta0, clients, rounds):
-    """Reference FedAvg: full-batch SGD from theta on every client, then the
-    sample-size-weighted mean; no coin, codec or round records."""
-    theta = gnn.clone_params(theta0)
-    total = sum(len(c.train) for c in clients)
-    history = []
-    for _ in range(rounds):
-        local = []
-        for c in clients:
-            w = gnn.clone_params(theta)
-            for _ in range(c.cfg.local_epochs):
-                _, grads = gnn.loss_and_grad(w, c.train.graphs)
-                w = {k: w[k] - c.cfg.eta * grads[k] for k in w}
-            local.append((len(c.train) / total, w))
-        theta = {k: sum(wt * w[k] for wt, w in local) for k in theta}
-        history.append(theta)
-    return history
-
-
 def test_c06_fedavg_reduction_oracle():
     with criterion(6, "neutralized pipeline tracks plain averaging per round"):
         theta0, ours = _reduction_clients(77)
         ours_server = fedcore.ServerState(
-            theta=gnn.clone_params(theta0),
+            theta=clone_params(theta0),
             cfg=fedcore.ServerConfig(p=1.0, rho=1.0, tau_lowrank=0.0, r_bits=32),
             coin_rng=np.random.default_rng(5),
             sampling_rng=np.random.default_rng(6),
             dropout_rng=np.random.default_rng(7),
         )
-        reference = _plain_averaging(theta0, ours, rounds=20)
+        reference = plain_fedavg_reference(theta0, ours, rounds=20)
         for t, ref_theta in enumerate(reference):
             fedcore.run_round(ours_server, ours)
             for key in ours_server.theta:

@@ -47,8 +47,15 @@ class TestCli:
             ("data.n_graphs = 1", None, "data.n_graphs"),
             ("seeds.init = -1", None, "seeds.init"),
             ("", "-3", "CEFGL_SEED"),
+            ("run.algorithm = fedavg\nrun.ablation = s_only", None, "run.ablation"),
         ],
-        ids=["duplicate_motif", "n_graphs_below_motifs", "negative_seed", "negative_env_seed"],
+        ids=[
+            "duplicate_motif",
+            "n_graphs_below_motifs",
+            "negative_seed",
+            "negative_env_seed",
+            "baseline_ablation",
+        ],
     )
     def test_refused_config_exit_code(self, tmp_path, monkeypatch, capsys, line, env_seed, named):
         if env_seed is not None:

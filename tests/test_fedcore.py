@@ -10,17 +10,20 @@ from cefgl.errors import DivergenceDetected
 from cefgl.fedcore import ClientConfig, ClientState, ServerConfig, ServerState
 from cefgl.gnn import ArchConfig
 from cefgl.graphdata import SynthSpec
+from helpers import clone_params, plain_fedavg_reference
 from test_compress import segment_bytes
 
 
-def make_clients(n_clients=2, n_graphs=20, seed=0, hidden=4, noise=0.4, **cfg_kwargs):
+def make_clients(
+    n_clients=2, n_graphs=20, seed=0, hidden=4, noise=0.4, algorithm="cefgl", **cfg_kwargs
+):
     ds = graphdata.synth_generate(
         SynthSpec(n_graphs=n_graphs, feature_dim=3, noise=noise), seed=seed
     )
     part = graphdata.partition_clients([ds], n_clients, graphdata.MODE_IID, seed=seed)
     arch = ArchConfig(feature_dim=3, hidden=hidden, classes=ds.num_classes)
     theta0 = gnn.init_params(arch, seed=seed + 1)
-    cfg = ClientConfig(**cfg_kwargs)
+    cfg, _, _ = fedcore.preset(algorithm, ClientConfig(**cfg_kwargs), ServerConfig())
     clients = []
     for cid in range(n_clients):
         local = ds.subset(part.assignments[cid])
@@ -28,7 +31,7 @@ def make_clients(n_clients=2, n_graphs=20, seed=0, hidden=4, noise=0.4, **cfg_kw
         clients.append(
             ClientState(
                 id=cid,
-                w=gnn.clone_params(theta0),
+                w=clone_params(theta0),
                 s=gnn.zeros_like_params(theta0),
                 h=gnn.zeros_like_params(theta0),
                 train=train,
@@ -40,40 +43,16 @@ def make_clients(n_clients=2, n_graphs=20, seed=0, hidden=4, noise=0.4, **cfg_kw
     return theta0, clients
 
 
-def make_server(theta0, seed=0, plain_average=False, **cfg_kwargs):
+def make_server(theta0, seed=0, algorithm="cefgl", **cfg_kwargs):
+    _, cfg, uplink = fedcore.preset(algorithm, ClientConfig(), ServerConfig(**cfg_kwargs))
     return ServerState(
-        theta=gnn.clone_params(theta0),
-        cfg=ServerConfig(**cfg_kwargs),
-        plain_average=plain_average,
+        theta=clone_params(theta0),
+        cfg=cfg,
+        uplink_scheme=uplink,
         coin_rng=np.random.default_rng(seed + 10),
         sampling_rng=np.random.default_rng(seed + 11),
         dropout_rng=np.random.default_rng(seed + 12),
     )
-
-
-# The FedAvg preset of run_round, as build_simulation resolves it.
-FEDAVG_CLIENT = dict(alpha=0.0, finetune_epochs=0, use_correction=False)
-FEDAVG_SERVER = dict(p=1.0, downlink_scheme=compress.SCHEME_DENSE, plain_average=True)
-
-
-def plain_fedavg_reference(theta0, clients, rounds):
-    """Global model after each round of plain weighted averaging: every
-    client runs full-batch SGD from theta, and the server takes the
-    sample-size-weighted mean.  No coin, codec or records."""
-    theta = gnn.clone_params(theta0)
-    total = sum(len(c.train) for c in clients)
-    history = []
-    for _ in range(rounds):
-        local = []
-        for c in clients:
-            w = gnn.clone_params(theta)
-            for _ in range(c.cfg.local_epochs):
-                _, grads = gnn.loss_and_grad(w, c.train.graphs)
-                w = {k: w[k] - c.cfg.eta * grads[k] for k in w}
-            local.append((len(c.train) / total, w))
-        theta = {k: sum(wt * w[k] for wt, w in local) for k in theta}
-        history.append(theta)
-    return history
 
 
 def max_rel_frob(a, b):
@@ -129,8 +108,8 @@ class TestLocalSteps:
         # Single-machine oracle: same batches, same eta, no pull, no correction.
         _, clients = make_clients(n_clients=1, alpha=0.0, local_epochs=3)
         c = clients[0]
-        reference = gnn.clone_params(c.w)
-        expected = gnn.clone_params(c.w)
+        reference = clone_params(c.w)
+        expected = clone_params(c.w)
         for _ in range(3):
             _, grads = gnn.loss_and_grad(expected, c.train.graphs)
             expected = {k: expected[k] - c.cfg.eta * grads[k] for k in expected}
@@ -145,7 +124,7 @@ class TestLocalSteps:
         c = clients[0]
         graphs = c.train.graphs
         rng = np.random.default_rng([0, 0])
-        expected = gnn.clone_params(c.w)
+        expected = clone_params(c.w)
         for _ in range(2):
             order = rng.permutation(len(graphs))
             for start in range(0, len(order), 3):
@@ -188,7 +167,7 @@ class TestFinetune:
     def test_zero_epochs_leaves_s_untouched(self):
         _, clients = make_clients(n_clients=1, finetune_epochs=0)
         c = clients[0]
-        before = gnn.clone_params(c.s)
+        before = clone_params(c.s)
         fedcore.finetune_sparse(c, c.w)
         for k in before:
             assert np.array_equal(c.s[k], before[k])
@@ -244,9 +223,9 @@ class TestCorrection:
     def test_fixed_point_when_w_equals_view(self):
         _, clients = make_clients(n_clients=1)
         c = clients[0]
-        view = gnn.clone_params(c.w)
+        view = clone_params(c.w)
         c.h = {k: np.full_like(v, 0.25) for k, v in c.h.items()}
-        before = gnn.clone_params(c.h)
+        before = clone_params(c.h)
         fedcore.update_correction(c, view, steps=1)
         for k in before:
             assert np.array_equal(c.h[k], before[k])
@@ -305,7 +284,7 @@ class TestUplink:
     def test_payload_has_one_tensor_per_parameter(self):
         _, clients = make_clients(n_clients=1)
         zero = gnn.zeros_like_params(clients[0].w)
-        payload = fedcore.client_uplink(clients[0], zero, r_bits=8)
+        payload = fedcore.client_uplink(clients[0], zero, "quantized", r_bits=8)
         decoded = compress.decode_payload(payload)
         assert list(decoded) == list(clients[0].w)
 
@@ -319,7 +298,7 @@ class TestUplink:
         rng = np.random.default_rng(r)
         anchor = {k: v + rng.normal(scale=0.1, size=v.shape) for k, v in c.w.items()}
         c.h = {k: rng.normal(size=v.shape) for k, v in c.w.items()}
-        decoded = compress.decode_payload(fedcore.client_uplink(c, anchor, r_bits=r))
+        decoded = compress.decode_payload(fedcore.client_uplink(c, anchor, "quantized", r_bits=r))
         assert list(decoded) == list(c.w)
         for k in c.w:
             step = c.w[k] - anchor[k] - 0.05 * c.h[k]
@@ -329,7 +308,7 @@ class TestUplink:
     def test_high_precision_uplink(self):
         _, clients = make_clients(n_clients=1)
         c = clients[0]
-        payload = fedcore.client_uplink(c, gnn.zeros_like_params(c.w), r_bits=32)
+        payload = fedcore.client_uplink(c, gnn.zeros_like_params(c.w), "quantized", r_bits=32)
         decoded = compress.decode_payload(payload)
         for k, v in c.w.items():
             err = np.linalg.norm(decoded[k] - v)
@@ -341,7 +320,7 @@ class TestUplink:
         dense_bits = compress.payload_bits(compress.encode_payload(c.w, "dense"))
         for r in (4, 8, 16):
             bits = compress.payload_bits(
-                fedcore.client_uplink(c, gnn.zeros_like_params(c.w), r_bits=r)
+                fedcore.client_uplink(c, gnn.zeros_like_params(c.w), "quantized", r_bits=r)
             )
             assert bits < dense_bits
 
@@ -404,7 +383,7 @@ class TestAggregate:
             eta=1.0, local_epochs=0, finetune_epochs=0, use_correction=False
         )
         huge = {k: np.full(v.shape, 1e308) for k, v in theta0.items()}
-        server = make_server(huge, **FEDAVG_SERVER)
+        server = make_server(huge, algorithm="fedavg")
         for c in clients:
             c.w = dict(huge)
             c.h = {k: -v for k, v in huge.items()}  # each step is 1e308
@@ -469,7 +448,7 @@ class TestRunRound:
         # arrays that they all share.
         theta0, clients = make_clients(n_clients=3, n_graphs=24)
         server = make_server(theta0, p=1.0, rho=0.3)  # ceil(3 * 0.3) = 1 sampled
-        previous = gnn.clone_params(server.theta)
+        previous = clone_params(server.theta)
         decoded = []
         real = compress.decode_payload
 
@@ -503,7 +482,7 @@ class TestRunRound:
     def test_zero_survivor_round_keeps_theta(self):
         theta0, clients = make_clients()
         server = make_server(theta0, p=1.0, dropout_a=1e6, dropout_b=1e-3)  # drops everyone
-        before = gnn.clone_params(server.theta)
+        before = clone_params(server.theta)
         rec = fedcore.run_round(server, clients)
         assert rec.communicated
         assert rec.participants == []
@@ -600,7 +579,7 @@ class TestRunRound:
         theta0, clients = make_clients(n_clients=3, hidden=hidden)
         server = make_server(theta0, p=1.0, r_bits=8, tau_lowrank=tau)
         fedcore.run_round(server, clients)  # moves the broadcast off theta0
-        anchor = gnn.clone_params(server.theta)
+        anchor = clone_params(server.theta)
         # Idle clients still hold the broadcast, so their change is zero:
         # client 0 with its correction term cleared sends zero tensors, and
         # client 1 sends -eta * h for the correction term it keeps.
@@ -664,8 +643,8 @@ class TestRunRound:
 
 class TestBaselines:
     def test_single_client_fedavg_theta_is_client_w(self):
-        theta0, clients = make_clients(n_clients=1, **FEDAVG_CLIENT)
-        server = make_server(theta0, **FEDAVG_SERVER)
+        theta0, clients = make_clients(n_clients=1, algorithm="fedavg")
+        server = make_server(theta0, algorithm="fedavg")
         fedcore.run_round(server, clients)
         # After the round the client was reset to theta, so replay one epoch.
         theta1, replay = make_clients(n_clients=1)
@@ -677,11 +656,11 @@ class TestBaselines:
         assert max_rel_frob(server.theta, replay[0].w) <= 1e-12
 
     def test_identical_clients_are_symmetric(self):
-        theta0, clients = make_clients(n_clients=1, n_graphs=10, **FEDAVG_CLIENT)
+        theta0, clients = make_clients(n_clients=1, n_graphs=10, algorithm="fedavg")
         base = clients[0]
         twin = ClientState(
             id=1,
-            w=gnn.clone_params(base.w),
+            w=clone_params(base.w),
             s=gnn.zeros_like_params(base.w),
             h=gnn.zeros_like_params(base.w),
             train=base.train,
@@ -689,17 +668,17 @@ class TestBaselines:
             cfg=base.cfg,
             rng=np.random.default_rng(0),
         )
-        server = make_server(theta0, **FEDAVG_SERVER)
+        server = make_server(theta0, algorithm="fedavg")
         fedcore.run_round(server, [base, twin])
         assert max_rel_frob(base.w, twin.w) == 0.0
 
     def test_fedprox_step_examples(self):
         # FedProx's step w - eta*(g + mu*(w - theta)) is the shared-channel
-        # step with h = 0 and alpha = mu.
-        _, clients = make_clients(n_clients=1, **FEDAVG_CLIENT)
+        # step with h = 0 and alpha = mu; the fedavg preset is mu = 0.
+        _, clients = make_clients(n_clients=1, algorithm="fedavg", mu_prox=3.0)
         c = clients[0]
 
-        w0 = gnn.clone_params(c.w)
+        w0 = clone_params(c.w)
         _, grads = gnn.loss_and_grad(w0, c.train.graphs)
         plain = {k: w0[k] - c.cfg.eta * grads[k] for k in w0}
 
@@ -707,17 +686,29 @@ class TestBaselines:
         assert max_rel_frob(c.w, plain) <= 1e-12
 
         # theta = w reduces to the plain step regardless of mu.
-        c.w = gnn.clone_params(w0)
-        c.cfg = dataclasses.replace(c.cfg, alpha=3.0)
+        c.w = clone_params(w0)
+        c.cfg, _, _ = fedcore.preset("fedprox", c.cfg, ServerConfig())
+        assert c.cfg.alpha == 3.0
         fedcore.local_train_round(c, w0)
         assert max_rel_frob(c.w, plain) <= 1e-12
 
         # Away from theta the pull is mu * (theta - w) per unit step.
-        c.w = gnn.clone_params(w0)
+        c.w = clone_params(w0)
         shifted = {k: v + 1.0 for k, v in w0.items()}
         fedcore.local_train_round(c, shifted)
         expected = {k: plain[k] + c.cfg.eta * 3.0 for k in plain}
         assert max_rel_frob(c.w, expected) <= 1e-12
+
+
+    def test_preset_returns_copies(self):
+        # build_simulation sets the ablations on the preset's records, so
+        # they must not be the config's sections.
+        client, server = ClientConfig(mu_prox=0.3), ServerConfig()
+        for algorithm in harness.ALGORITHMS:
+            client_cfg, server_cfg, _ = fedcore.preset(algorithm, client, server)
+            assert client_cfg is not client and server_cfg is not server
+            client_cfg.local_epochs, server_cfg.p = 7, 0.0
+        assert (client, server) == (ClientConfig(mu_prox=0.3), ServerConfig())
 
 
 class TestVariantKnobs:
@@ -737,10 +728,10 @@ class TestFedAvgReduction:
         # Oracle equivalence: the full pipeline with the personalization and
         # compression knobs neutralized, and the FedAvg preset, must track
         # plain weighted averaging.
-        kwargs = dict(n_clients=3, n_graphs=26, seed=21, nu=0.0, **FEDAVG_CLIENT)
+        kwargs = dict(n_clients=3, n_graphs=26, seed=21, nu=0.0, algorithm="fedavg")
         setups = {
             "neutral": dict(p=1.0, rho=1.0, tau_lowrank=0.0, r_bits=32),
-            "fedavg": FEDAVG_SERVER,
+            "fedavg": dict(algorithm="fedavg"),
         }
         for name, server_kwargs in setups.items():
             theta0, clients = make_clients(**kwargs)
