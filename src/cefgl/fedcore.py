@@ -6,7 +6,7 @@ global view, sample-weighted aggregation, quantized and low-rank transfers,
 probabilistic communication skipping, client sampling and dropout.
 ``run_round`` is the only round function; the weighted-average (FedAvg)
 and proximal (FedProx) baselines are settings of its knobs, which
-``preset`` resolves from ``run.algorithm``.
+``preset`` resolves from ``run.algorithm``, both links' schemes included.
 
 ``ClientConfig`` and ``ServerConfig`` are the ``client`` and ``server``
 sections of a config file, as ``harness.parse_config`` fills them; its
@@ -22,10 +22,11 @@ uplink carries one tensor per parameter, the drift-corrected step
 mean, and the downlink carries that mean, a zero difference when no uplink
 arrived.  The low-rank downlink coder is the one place that truncates: it
 cuts each weight matrix of the difference at the relative singular-value
-cutoff ``tau_lowrank`` where it sends factors, so ``theta`` itself is not
-rank-limited.  A quantizer's error scales with the norm of what it
-encodes, and these differences are far smaller than the models (DIANA,
-Mishchenko et al. 2019; EF21, Richtárik et al. 2021).
+cutoff ``tau_lowrank`` where it sends factors (at 0, a full-rank matrix
+travels as one quantized segment), so ``theta`` is not rank-limited.  A
+quantizer's error scales with the norm of what it encodes, and these
+differences are far smaller than the models (DIANA, Mishchenko et al.
+2019; EF21, Richtárik et al. 2021).
 
 Clients and the server are mutable state records; round operations mutate
 them in place and are deterministic given the states' RNG streams.  A
@@ -73,29 +74,29 @@ class ServerConfig:
     rho: float = 1.0
     tau_lowrank: float = 0.0001
     r_bits: int = 4
-    downlink_scheme: str = compress.SCHEME_LOWRANK
     dropout_a: float = 0.0  # Beta(a, b) drop rate; both zero disables dropout
     dropout_b: float = 0.0
     bandwidth_mbps: float = 100.0
     latency_ms: float = 20.0
 
 
+ALGORITHMS = ("cefgl", "fedavg", "fedprox")
+
+
 def preset(
     algorithm: str, client_cfg: ClientConfig, server_cfg: ServerConfig
-) -> Tuple[ClientConfig, ServerConfig, str]:
-    """Copies of the sections as ``run.algorithm`` runs them, and its uplink scheme.
+) -> Tuple[ClientConfig, ServerConfig, str, str]:
+    """Copies of the sections as ``run.algorithm`` runs them, then its two links' schemes.
 
     FedProx's step ``w - eta*(g + mu*(w - theta))`` is the shared-channel
     step with h = 0 and alpha = ``mu_prox``; FedAvg's has no pull.
     """
     if algorithm == "cefgl":
-        return replace(client_cfg), replace(server_cfg), compress.SCHEME_QUANTIZED
+        up, down = compress.SCHEME_QUANTIZED, compress.SCHEME_LOWRANK
+        return replace(client_cfg), replace(server_cfg), up, down
     alpha = {"fedavg": 0.0, "fedprox": client_cfg.mu_prox}[algorithm]
-    return (
-        replace(client_cfg, alpha=alpha, finetune_epochs=0, use_correction=False),
-        replace(server_cfg, p=1.0, downlink_scheme=compress.SCHEME_DENSE),
-        compress.SCHEME_DENSE,
-    )
+    client_cfg = replace(client_cfg, alpha=alpha, finetune_epochs=0, use_correction=False)
+    return client_cfg, replace(server_cfg, p=1.0), compress.SCHEME_DENSE, compress.SCHEME_DENSE
 
 
 def apply_sparsifier(params: ModelParams, cfg: ClientConfig) -> ModelParams:
@@ -146,7 +147,8 @@ class ClientState:
 class ServerState:
     theta: ModelParams  # the last decoded broadcast, as every client holds it
     cfg: ServerConfig = field(default_factory=ServerConfig)
-    uplink_scheme: str = compress.SCHEME_QUANTIZED  # set by ``preset``
+    uplink_scheme: str = compress.SCHEME_QUANTIZED  # both set by ``preset``
+    downlink_scheme: str = compress.SCHEME_LOWRANK
     t: int = 0
     coin_rng: np.random.Generator = field(default_factory=np.random.default_rng)
     sampling_rng: np.random.Generator = field(default_factory=np.random.default_rng)
@@ -409,7 +411,7 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
             delta = gnn.zeros_like_params(anchor)
         downlink = compress.encode_payload(
             delta,
-            cfg.downlink_scheme,
+            server.downlink_scheme,
             r=cfg.r_bits,
             tau_lowrank=cfg.tau_lowrank,
         )

@@ -27,15 +27,14 @@ import numpy as np
 
 from . import fedcore, gnn, graphdata
 from .errors import ConfigError, IoError, VersionMismatch
-from .fedcore import ClientConfig, ClientState, RoundRecord, ServerConfig, ServerState
+from .fedcore import ALGORITHMS, ClientConfig, ClientState, RoundRecord, ServerConfig, ServerState
 
 log = logging.getLogger("cefgl")
 
 SEED_ENV_VAR = "CEFGL_SEED"
 CHECKPOINT_MAGIC = b"CFCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
-ALGORITHMS = ("cefgl", "fedavg", "fedprox")
 ABLATIONS = ("full", "w_only", "s_only")
 SWEEP_AXES = {
     "tau_lowrank": ("server", "tau_lowrank"),
@@ -154,10 +153,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     require(0.0 < s.rho <= 1.0, "server.rho: must be within (0, 1]")
     require(s.tau_lowrank >= 0, "server.tau_lowrank: must be >= 0")
     require(1 <= s.r_bits <= 32, "server.r_bits: must be within [1, 32]")
-    require(
-        s.downlink_scheme in ("dense", "quantized", "lowrank_quantized"),
-        f"server.downlink_scheme: {s.downlink_scheme!r}",
-    )
     require(s.dropout_a >= 0 and s.dropout_b >= 0, "server.dropout_a/b: must be >= 0")
     require(
         (s.dropout_a > 0) == (s.dropout_b > 0),
@@ -292,21 +287,23 @@ def build_simulation(
         classes=pool[0].num_classes,
     )
     theta0 = gnn.init_params(arch, cfg.seeds.init)
-    client_cfg, server_cfg, uplink = fedcore.preset(cfg.run.algorithm, cfg.client, cfg.server)
-    # An ablation switches off one channel of cefgl.  _validate refuses them
-    # for the baselines, where w_only is full and s_only trains nothing.
-    if cfg.run.ablation == "s_only":
-        theta0 = gnn.zeros_like_params(theta0)
-        client_cfg.local_epochs = 0
-        server_cfg.p = 0.0
-    elif cfg.run.ablation == "w_only":
-        client_cfg.finetune_epochs = 0
-    ratios = (cfg.data.train_frac, cfg.data.val_frac, cfg.data.test_frac)
     # The server and every client start from the same arrays, read-only:
     # each step and each downlink rebinds a party's channels to new arrays.
     zeros = gnn.zeros_like_params(theta0)
     for v in (*theta0.values(), *zeros.values()):
         v.setflags(write=False)
+    shared, private = theta0, zeros
+    client_cfg, server_cfg, up, down = fedcore.preset(cfg.run.algorithm, cfg.client, cfg.server)
+    # An ablation switches off one channel of cefgl; under s_only the private
+    # one starts from the initial model.  _validate refuses ablations for the
+    # baselines, where w_only is full and s_only trains nothing.
+    if cfg.run.ablation == "s_only":
+        shared, private = zeros, theta0
+        client_cfg.local_epochs = 0
+        server_cfg.p = 0.0
+    elif cfg.run.ablation == "w_only":
+        client_cfg.finetune_epochs = 0
+    ratios = (cfg.data.train_frac, cfg.data.val_frac, cfg.data.test_frac)
     clients = []
     for cid in range(cfg.run.clients):
         source = pool[cid] if cfg.data.partition == graphdata.MODE_CROSS_DATASET else pool[0]
@@ -316,8 +313,8 @@ def build_simulation(
         clients.append(
             ClientState(
                 id=cid,
-                w=dict(theta0),
-                s=dict(zeros),
+                w=dict(shared),
+                s=dict(private),
                 h=dict(zeros),
                 train=train,
                 test=test,
@@ -326,9 +323,10 @@ def build_simulation(
             )
         )
     server = ServerState(
-        theta=dict(theta0),
+        theta=dict(shared),
         cfg=server_cfg,
-        uplink_scheme=uplink,
+        uplink_scheme=up,
+        downlink_scheme=down,
         coin_rng=np.random.default_rng(cfg.seeds.coin),
         sampling_rng=np.random.default_rng(cfg.seeds.sampling),
         dropout_rng=np.random.default_rng(cfg.seeds.dropout),

@@ -191,7 +191,7 @@ def _reduction_clients(seed):
     arch = ArchConfig(feature_dim=3, hidden=4, classes=2)
     theta0 = gnn.init_params(arch, seed=seed + 1)
     # FedAvg's client settings; the server below keeps cefgl's quantized links.
-    cfg, _, _ = fedcore.preset("fedavg", fedcore.ClientConfig(nu=0.0), fedcore.ServerConfig())
+    cfg, *_ = fedcore.preset("fedavg", fedcore.ClientConfig(nu=0.0), fedcore.ServerConfig())
     clients = []
     for cid in range(2):
         local = ds.subset(part.assignments[cid])

@@ -48,6 +48,7 @@ class TestCli:
             ("seeds.init = -1", None, "seeds.init"),
             ("", "-3", "CEFGL_SEED"),
             ("run.algorithm = fedavg\nrun.ablation = s_only", None, "run.ablation"),
+            ("server.downlink_scheme = quantized", None, "server.downlink_scheme"),
         ],
         ids=[
             "duplicate_motif",
@@ -55,6 +56,7 @@ class TestCli:
             "negative_seed",
             "negative_env_seed",
             "baseline_ablation",
+            "removed_downlink_scheme",
         ],
     )
     def test_refused_config_exit_code(self, tmp_path, monkeypatch, capsys, line, env_seed, named):
@@ -193,10 +195,11 @@ class TestCli:
 
 # Documented configs that 4-bit whole-model transfers blew up: the empty
 # config finished with train losses up to 2.4e221, and the other three
-# exited 3 at rounds 52, 33 and 97.  Each must train its 200 rounds.
+# exited 3 at rounds 52, 33 and 97.  Each must train its 200 rounds.  The
+# second ran with a quantized downlink, which server.tau_lowrank = 0 is.
 BOUNDED_CONFIGS = {
     "defaults": "",
-    "no_cut_quantized_downlink": "client.cut_sparse = 0\nserver.downlink_scheme = quantized\n",
+    "no_cut_tau_lowrank_zero": "client.cut_sparse = 0\nserver.tau_lowrank = 0\n",
     "proxskip_slow_link": (
         "client.proxskip_h = true\nserver.bandwidth_mbps = 12.5\nserver.latency_ms = 7\n"
     ),

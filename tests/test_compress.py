@@ -533,6 +533,25 @@ class TestPayloads:
         assert p.blob == q.blob
         assert p.ranks == {"m": 6}
 
+    @pytest.mark.parametrize("r", [1, 4, 16, 32])
+    def test_zero_cutoff_is_the_quantized_scheme(self, r):
+        # At tau_lowrank = 0 a full-rank matrix keeps every singular triple
+        # and travels plain, a bias row skips the factorization and a zero
+        # matrix is one zero byte on both schemes, so the low-rank downlink
+        # at cutoff 0 is the quantized one; no separate scheme knob is needed.
+        rng = np.random.default_rng(r)
+        tensors = {
+            "wide": rng.normal(size=(6, 9)),
+            "tall": rng.normal(size=(12, 4)),
+            "square": rng.normal(size=(5, 5)),
+            "bias": rng.normal(size=(1, 7)),
+            "zero": np.zeros((4, 3)),
+        }
+        low = compress.encode_payload(tensors, "lowrank_quantized", r=r, tau_lowrank=0.0)
+        plain = compress.encode_payload(tensors, "quantized", r=r)
+        assert low.blob == plain.blob
+        assert low.ranks == {"wide": 6, "tall": 4, "square": 5, "zero": 0}
+
     def test_factored_body_that_does_not_pay_is_malformed(self):
         # Rank 3 of 4x3 would be 21 factor values for 12 entries; the encoder
         # never writes it, so the decoder refuses it.

@@ -23,7 +23,7 @@ def make_clients(
     part = graphdata.partition_clients([ds], n_clients, graphdata.MODE_IID, seed=seed)
     arch = ArchConfig(feature_dim=3, hidden=hidden, classes=ds.num_classes)
     theta0 = gnn.init_params(arch, seed=seed + 1)
-    cfg, _, _ = fedcore.preset(algorithm, ClientConfig(**cfg_kwargs), ServerConfig())
+    cfg, *_ = fedcore.preset(algorithm, ClientConfig(**cfg_kwargs), ServerConfig())
     clients = []
     for cid in range(n_clients):
         local = ds.subset(part.assignments[cid])
@@ -44,11 +44,14 @@ def make_clients(
 
 
 def make_server(theta0, seed=0, algorithm="cefgl", **cfg_kwargs):
-    _, cfg, uplink = fedcore.preset(algorithm, ClientConfig(), ServerConfig(**cfg_kwargs))
+    _, cfg, uplink, downlink = fedcore.preset(
+        algorithm, ClientConfig(), ServerConfig(**cfg_kwargs)
+    )
     return ServerState(
         theta=clone_params(theta0),
         cfg=cfg,
         uplink_scheme=uplink,
+        downlink_scheme=downlink,
         coin_rng=np.random.default_rng(seed + 10),
         sampling_rng=np.random.default_rng(seed + 11),
         dropout_rng=np.random.default_rng(seed + 12),
@@ -687,7 +690,7 @@ class TestBaselines:
 
         # theta = w reduces to the plain step regardless of mu.
         c.w = clone_params(w0)
-        c.cfg, _, _ = fedcore.preset("fedprox", c.cfg, ServerConfig())
+        c.cfg, *_ = fedcore.preset("fedprox", c.cfg, ServerConfig())
         assert c.cfg.alpha == 3.0
         fedcore.local_train_round(c, w0)
         assert max_rel_frob(c.w, plain) <= 1e-12
@@ -700,12 +703,25 @@ class TestBaselines:
         assert max_rel_frob(c.w, expected) <= 1e-12
 
 
+    def test_preset_sets_both_links(self):
+        # cefgl quantizes its uplinks and sends a low-rank downlink; the
+        # baselines send both links dense.
+        links = {
+            algorithm: fedcore.preset(algorithm, ClientConfig(), ServerConfig())[2:]
+            for algorithm in fedcore.ALGORITHMS
+        }
+        assert links == {
+            "cefgl": (compress.SCHEME_QUANTIZED, compress.SCHEME_LOWRANK),
+            "fedavg": (compress.SCHEME_DENSE, compress.SCHEME_DENSE),
+            "fedprox": (compress.SCHEME_DENSE, compress.SCHEME_DENSE),
+        }
+
     def test_preset_returns_copies(self):
         # build_simulation sets the ablations on the preset's records, so
         # they must not be the config's sections.
         client, server = ClientConfig(mu_prox=0.3), ServerConfig()
-        for algorithm in harness.ALGORITHMS:
-            client_cfg, server_cfg, _ = fedcore.preset(algorithm, client, server)
+        for algorithm in fedcore.ALGORITHMS:
+            client_cfg, server_cfg, *_ = fedcore.preset(algorithm, client, server)
             assert client_cfg is not client and server_cfg is not server
             client_cfg.local_epochs, server_cfg.p = 7, 0.0
         assert (client, server) == (ClientConfig(mu_prox=0.3), ServerConfig())

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ OUT_OF_RANGE = [
     ("server.rho = 0", "server.rho"),
     ("server.tau_lowrank = -1", "server.tau_lowrank"),
     ("server.r_bits = 33", "server.r_bits"),
+    # No longer a key at all: refused as unknown, still by its name.
     ("server.downlink_scheme = zip", "server.downlink_scheme"),
     ("server.dropout_a = -1", "server.dropout_a/b"),
     ("server.dropout_b = -1", "server.dropout_a/b"),
@@ -103,6 +105,11 @@ class TestParseConfig:
             harness.parse_config(path)
         path.write_text("nonsense.p = 1\n")
         with pytest.raises(ConfigError, match="nonsense"):
+            harness.parse_config(path)
+        # The preset picks the downlink's scheme; server.tau_lowrank = 0 is
+        # the quantized downlink.
+        path.write_text("server.downlink_scheme = quantized\n")
+        with pytest.raises(ConfigError, match="unknown key 'server.downlink_scheme'"):
             harness.parse_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -231,7 +238,6 @@ class TestSweep:
                 "run.hidden": 64,
                 "server.p": 1.0,
                 "server.tau_lowrank": 0.0,
-                "server.downlink_scheme": "quantized",
             }
         )
         four, thirtytwo = harness.run_sweep(cfg, "r_bits", [4, 32])
@@ -319,16 +325,6 @@ class TestPersistence:
         fedcore.run_round(server2, clients2)  # the resumed run rebuilds them
         assert all("batch" in vars(c.train) for c in clients2)
 
-    def test_checkpoint_with_a_server_eta_still_resumes(self, tmp_path):
-        # Older version-2 checkpoints hold a server-side eta, which the merge
-        # no longer reads; they load and run on.
-        server, clients, _ = harness.build_simulation(small_cfg(**{"run.rounds": 2}))
-        fedcore.run_round(server, clients)
-        vars(server)["eta"] = 0.02
-        harness.save_checkpoint((server, clients, 1), tmp_path / "ck.bin")
-        server2, clients2, _ = harness.load_checkpoint(tmp_path / "ck.bin")
-        assert fedcore.run_round(server2, clients2).t == 1
-
     def test_checkpoint_version_check(self, tmp_path):
         path = tmp_path / "ck.bin"
         harness.save_checkpoint({"x": 1}, path)
@@ -340,9 +336,12 @@ class TestPersistence:
         with pytest.raises(VersionMismatch):
             harness.load_checkpoint(path)
         # Version 1 stored the round-start view and val split per client.
-        path.write_bytes(blob[:4] + b"\x01\x00" + blob[6:])
-        with pytest.raises(VersionMismatch):
-            harness.load_checkpoint(path)
+        # A version-2 server state may lack a link-scheme field, which
+        # unpickling would fill from the class default without a word.
+        for old in (1, 2):
+            path.write_bytes(blob[:4] + struct.pack("<H", old) + blob[6:])
+            with pytest.raises(VersionMismatch, match=f"version {old} "):
+                harness.load_checkpoint(path)
 
     def test_run_and_persist_writes_standard_layout(self, tmp_path):
         cfg = small_cfg()
@@ -375,3 +374,19 @@ class TestAblations:
             assert not rec.communicated
         assert all(not v.any() for c in clients for v in c.w.values())
         assert all(not v.any() for v in server.theta.values())
+
+    def test_s_only_trains_the_private_channel_from_the_initial_model(self):
+        # With both channels at zero every ReLU gradient is zero and only
+        # head_b could move.  With no L1 term and no cut, every move of s is
+        # a gradient step.
+        overrides = {"run.rounds": 3, "client.nu": 0.0, "client.cut_sparse": 0.0}
+        _, full, _ = harness.build_simulation(small_cfg(**overrides))
+        server, clients, _ = harness.build_simulation(
+            small_cfg(**dict(overrides, **{"run.ablation": "s_only"}))
+        )
+        start = [dict(c.s) for c in clients]
+        assert all(np.array_equal(s[k], full[0].w[k]) for s in start for k in s)
+        for _ in range(3):
+            fedcore.run_round(server, clients)
+        moved = {k for c, s in zip(clients, start) for k in s if not np.array_equal(c.s[k], s[k])}
+        assert moved - {"head_b"}
