@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cefgl import compress, fedcore, linalg
+from cefgl import compress, fedcore, gnn, linalg
 from cefgl.errors import BadBits, MalformedPayload, NonFiniteInput, ZeroVector
 from cefgl.fedcore import ClientConfig
 
@@ -150,6 +150,55 @@ WIRE_DIGESTS = {
 }
 WIRE_RANK1 = np.outer([1.0, -0.5, 0.25, 2.0, -1.0, 0.75], [0.5, 1.0, -0.25, 0.125, -2.0])
 WIRE_RANK1_DIGEST = "0f881b607496e6b778dbd62021b5b42163a971bbffc8194eae82b2409627d7f4"
+
+
+# One SHA-256 over a seeded batch of 33 payloads (2.4 MB), pinned from the
+# per-segment coder that preceded the one-pass coder, so the codec is
+# checked byte for byte far beyond WIRE_DIGESTS' small payloads.  Shapes
+# run from 1x1 to 128x128 and hold zero tensors, rank-1 and rank-3
+# matrices, and tensors whose norm a few outliers hold.  The segments meet
+# Rice parameter k = 0 (at r = 2, 4 and 7), 0 < k < r (from r = 4 up) and
+# k = r (at every r).  Every r runs under all three schemes, and the model
+# steps have the shapes of the skew (hidden 8, 3 features) and wide (hidden
+# 128, 8 features) benchmark workloads.
+WIDE_GOLDEN_BITS = (1, 2, 4, 7, 16, 31, 32)
+WIDE_GOLDEN_SHAPES = [
+    (1, 1), (1, 7), (9, 1), (3, 5), (8, 8), (16, 31), (33, 17), (64, 128), (128, 128)
+]
+WIDE_GOLDEN_DIGEST = "603d06b4357ac8477d604e822edd657cf90d4631863eb2f95891d2cf60d1ad41"
+
+
+def wide_golden_payloads():
+    rng = np.random.default_rng(19)
+    for r in WIDE_GOLDEN_BITS:
+        tensors = {}
+        for i, (rows, cols) in enumerate(WIDE_GOLDEN_SHAPES):
+            kind = (i + r) % 5
+            if kind == 0:
+                mat = np.zeros((rows, cols))
+            elif kind == 1:
+                mat = np.outer(rng.normal(size=rows), rng.normal(size=cols))
+            elif kind == 2:
+                mat = rng.normal(size=(rows, 3)) @ rng.normal(size=(3, cols))
+            elif kind == 3:  # a few outliers hold the norm, so most levels are 0
+                mat = rng.standard_cauchy(size=(rows, cols))
+            else:
+                mat = rng.normal(scale=10.0 ** rng.integers(-6, 4), size=(rows, cols))
+            tensors[f"t{i}"] = mat
+        for scheme in ("dense", "quantized", "lowrank_quantized"):
+            yield compress.encode_payload(tensors, scheme, r=r, tau_lowrank=0.05).blob
+    for features, hidden in ((3, 8), (8, 128)):
+        arch = gnn.ArchConfig(feature_dim=features, hidden=hidden, classes=3)
+        step = {
+            k: v - w
+            for (k, v), w in zip(
+                gnn.init_params(arch, seed=1).items(), gnn.init_params(arch, seed=2).values()
+            )
+        }
+        step["mlp_b"] = 1e-3 * rng.normal(size=step["mlp_b"].shape)
+        for scheme in ("dense", "quantized", "lowrank_quantized"):
+            for r in (4, 16):
+                yield compress.encode_payload(step, scheme, r=r, tau_lowrank=1e-4).blob
 
 
 @st.composite
@@ -651,6 +700,12 @@ class TestPayloads:
     def test_wire_bytes_are_pinned(self, scheme, r):
         blob = compress.encode_payload(WIRE_TENSORS, scheme, r=r, tau_lowrank=0.1).blob
         assert hashlib.sha256(blob).hexdigest() == WIRE_DIGESTS[scheme, r]
+
+    def test_wide_wire_golden(self):
+        digest = hashlib.sha256()
+        for blob in wide_golden_payloads():
+            digest.update(blob)
+        assert digest.hexdigest() == WIDE_GOLDEN_DIGEST
 
     def test_factored_wire_bytes_are_pinned(self):
         p = compress.encode_payload({"f": WIRE_RANK1}, "lowrank_quantized", r=16, tau_lowrank=0.1)
