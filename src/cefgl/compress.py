@@ -32,12 +32,20 @@ to whole bytes.
   Matrices with a unit dimension are never factored.
 * **0xFF**: ``rows * cols`` float64 values.
 
-The decoder refuses any other first byte; payloads that declare more than
-``_MAX_WIRE_ELEMENTS`` values in total; quantized segments whose norm is
-negative, infinite or NaN, whose k is above r, whose unary stream runs out
-of bytes or has bits set after its last terminator, or whose levels reach
-2**r; low-rank bodies whose rank breaks the bound above or whose factors
-multiply out past the float64 range; and dense bodies holding NaN or Inf.
+The encoder codes the quantized segments of a payload, low-rank factor
+candidates included, together: one pass scales, rounds and signs their
+values, picks their Rice parameters and packs their streams, a pass taking
+at most ``_PASS_VALUES`` values.  The decoder reads the segments one by one,
+as only each one's levels tell where the next begins, then range-checks,
+dequantizes and signs them in the same passes.
+
+The decoder refuses any other first byte; a tensor name that appears twice;
+payloads that declare more than ``_MAX_WIRE_ELEMENTS`` values in total;
+quantized segments whose norm is negative, infinite or NaN, whose k is above
+r, whose unary stream runs out of bytes or has bits set after its last
+terminator, or whose levels reach 2**r; low-rank bodies whose rank breaks
+the bound above or whose factors multiply out past the float64 range; and
+dense bodies holding NaN or Inf.
 
 Only changes of the shared channel travel: up, each client's drift-corrected
 step, which folds in its correction term; down, the broadcast's change.  The
@@ -47,10 +55,12 @@ here.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -95,41 +105,82 @@ class QuantizedVector:
 def quantize(x, r: int) -> QuantizedVector:
     """Quantize a nonzero vector to sign bits and r-bit magnitude levels,
     rounding ``2**r * |x_i| / ||x||`` to the nearest level."""
-    if not 1 <= int(r) <= 32:
-        raise BadBits(f"r must be in [1, 32], got {r}")
-    r = int(r)
+    r = _check_bits(r)
     vec = np.asarray(x, dtype=np.float64).ravel()
     norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's own sum, without its checks
     if norm == 0.0:
         raise ZeroVector("cannot quantize a zero (or empty) vector")
-    scaled = np.abs(vec)  # then 2**r * |x_i| / ||x||, rounded, in place
-    scaled *= float(2**r)
-    scaled /= norm
-    np.rint(scaled, out=scaled)
-    levels = np.minimum(scaled, float(2**r - 1), out=scaled).astype(np.uint32)
+    levels = _levels(np.abs(vec), [0, vec.size], [norm], r)
     # A level 0 gets sign bit 0, so it decodes to +0.0 and need not travel.
     signs = ((vec < 0) & (levels != 0)).astype(np.uint8)
     return QuantizedVector(r=r, norm=norm, signs=signs, levels=levels)
 
 
 def dequantize(q: QuantizedVector) -> np.ndarray:
-    """Reconstruct ``norm * sign_i * level_i / 2**r`` for each coordinate.
+    """Reconstruct ``norm * sign_i * level_i / 2**r`` for each coordinate."""
+    return _dequantize(q.levels, [0, q.levels.size], [q.r], [q.norm], np.flatnonzero(q.signs))
+
+
+def _check_bits(r) -> int:
+    if not 1 <= int(r) <= 32:
+        raise BadBits(f"r must be in [1, 32], got {r}")
+    return int(r)
+
+
+def _levels(magnitudes: np.ndarray, bounds: Sequence[int], norms: Sequence[float], r: int):
+    """``2**r * |x_i| / ||x||`` rounded to the nearest level and clamped to
+    ``2**r - 1``, for consecutive segments of ``magnitudes`` (segment s
+    spans ``bounds[s]:bounds[s + 1]`` and has norm ``norms[s]``), which are
+    scaled in place."""
+    magnitudes *= float(2**r)
+    for start, stop, norm in zip(bounds, bounds[1:], norms):
+        magnitudes[start:stop] /= norm
+    np.rint(magnitudes, out=magnitudes)
+    return np.minimum(magnitudes, float(2**r - 1), out=magnitudes).astype(np.uint32)
+
+
+def _dequantize(
+    levels: np.ndarray,
+    bounds: Sequence[int],
+    widths: Sequence[int],
+    norms: Sequence[float],
+    negative: np.ndarray,
+) -> np.ndarray:
+    """``norm * sign * level / 2**r`` for consecutive segments of ``levels``
+    (segment s spans ``bounds[s]:bounds[s + 1]``, with bit width
+    ``widths[s]`` and norm ``norms[s]``); ``negative`` indexes the values
+    that take a minus sign.
 
     The level is scaled to [0, 1) before the norm multiplies it, so no
     magnitude can overflow past a finite norm.
     """
-    magnitudes = q.norm * (q.levels.astype(np.float64) / float(2**q.r))
-    return np.where(q.signs == 1, -magnitudes, magnitudes)
+    values = levels.astype(np.float64)
+    for start, stop, r, norm in zip(bounds, bounds[1:], widths, norms):
+        values[start:stop] /= float(2**r)
+        values[start:stop] *= norm
+    values[negative] *= -1.0
+    return values
+
+
+@functools.lru_cache(maxsize=None)
+def _octet_fields(r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where the 8 r-bit fields of an octet of levels sit in its uint64
+    words: each field's word and bit offset in it, the first field of each
+    word, and the fields that straddle into the next word."""
+    offsets = np.arange(8) * r
+    word, shift = offsets // 64, (offsets % 64).astype(np.uint64)
+    firsts = np.flatnonzero(np.diff(word, prepend=-1))
+    return word, shift, firsts, np.flatnonzero(shift + r > 64)
 
 
 def _pack_levels(levels: np.ndarray, r: int) -> bytes:
     """Concatenate the low r bits of each level, least significant first.
 
     A width of 8, 16 or 32 bits is a plain little-endian cast.  Otherwise
-    each octet of levels fills exactly r bytes: its levels are ORed at bit
-    offsets 0, r, ..., 7r into little-endian uint64 words, and the first r
-    bytes of those words are cut out.  The last octet is padded with zero
-    levels.
+    each octet of levels fills exactly r bytes: its levels are shifted to
+    bit offsets 0, r, ..., 7r, ORed into little-endian uint64 words, and the
+    first r bytes of those words are cut out.  The last octet is padded with
+    zero levels.
     """
     n = levels.size
     if r in (8, 16, 32):
@@ -138,12 +189,11 @@ def _pack_levels(levels: np.ndarray, r: int) -> bytes:
     octets = np.zeros(8 * rows, dtype=np.uint64)
     np.bitwise_and(levels, (1 << r) - 1, out=octets[:n])
     octets = octets.reshape(rows, 8)
+    word, shift, firsts, straddle = _octet_fields(r)
     words = np.zeros((rows, (8 * r + 63) // 64), dtype="<u8")
-    for j in range(8):
-        w, s = divmod(j * r, 64)
-        words[:, w] |= octets[:, j] << np.uint64(s)
-        if s + r > 64:  # the level straddles two words
-            words[:, w + 1] |= octets[:, j] >> np.uint64(64 - s)
+    words[:, word[firsts]] = np.bitwise_or.reduceat(octets << shift, firsts, axis=1)
+    if straddle.size:
+        words[:, word[straddle] + 1] |= octets[:, straddle] >> (64 - shift[straddle])
     return words.view(np.uint8)[:, :r].tobytes()[: (n * r + 7) // 8]
 
 
@@ -160,6 +210,7 @@ def _unpack_levels(buf: bytes, n: int, r: int) -> np.ndarray:
     wire = np.frombuffer(buf, dtype=np.uint8)
     levels = np.empty(n, dtype=np.uint32)
     mask = np.uint64((1 << r) - 1)
+    word, shift, _, straddle = _octet_fields(r)
     for start in range(0, n, _UNPACK_CHUNK):
         m = min(_UNPACK_CHUNK, n - start)
         rows = -(-m // 8)
@@ -170,74 +221,158 @@ def _unpack_levels(buf: bytes, n: int, r: int) -> np.ndarray:
         raw = np.zeros((rows, 8 * ((8 * r + 63) // 64)), dtype=np.uint8)
         raw[:, :r] = octet_bytes.reshape(rows, r)
         words = raw.view("<u8")
-        octets = np.empty((rows, 8), dtype=np.uint64)
-        for j in range(8):
-            w, s = divmod(j * r, 64)
-            octets[:, j] = words[:, w] >> np.uint64(s)
-            if s + r > 64:
-                octets[:, j] |= words[:, w + 1] << np.uint64(64 - s)
+        octets = words[:, word] >> shift
+        if straddle.size:
+            octets[:, straddle] |= words[:, word[straddle] + 1] << (64 - shift[straddle])
         levels[start : start + m] = (octets.reshape(-1)[:m] & mask).astype(np.uint32)
     return levels
 
 
-def _rice_parameter(levels: np.ndarray, r: int) -> Tuple[int, int]:
-    """The least k in [0, r) that minimises the Rice code's level bits,
-    n * k remainder bits plus S_k + n unary bits with S_k = sum(levels >> k),
-    and that S_k.
+def _rice_parameters(levels: np.ndarray, bounds: Sequence[int], r: int) -> List[Tuple[int, int]]:
+    """For each segment of ``levels`` (segment s spans
+    ``bounds[s]:bounds[s + 1]``), the least k in [0, r) that minimises the
+    Rice code's level bits, n * k remainder bits plus S_k + n unary bits
+    with S_k = sum(levels >> k), and that S_k.
 
     With m the mean level and k0 = floor(log2(floor(m))), only k0 - 1, k0
     and k0 + 1 can win.  The bit count is convex in k.  It rises from k0 + 1
     on, since S_k < n once 2**k > m; it falls up to k0 - 1, since S_k > 2 n
-    once 2**k <= m / 4.
+    once 2**k <= m / 4.  Each of the sums is taken for every segment at once.
     """
-    n = levels.size
-    k0 = (int(levels.sum(dtype=np.uint64)) // n).bit_length() - 1
-    first = max(k0 - 1, 0)
-    quotients = levels >> first
-    best = None
-    for k in range(first, min(k0 + 2, r)):
-        if k > first:
-            quotients >>= 1
-        quotient_sum = int(quotients.sum(dtype=np.uint64))
-        if best is None or n * k + quotient_sum < n * best[0] + best[1]:
-            best = (k, quotient_sum)
+    starts = bounds[:-1]
+    sizes = [stop - start for start, stop in zip(bounds, bounds[1:])]
+    totals = np.add.reduceat(levels, starts, dtype=np.uint64).tolist()
+    k0s = [(total // n).bit_length() - 1 for total, n in zip(totals, sizes)]
+    firsts = [max(k0 - 1, 0) for k0 in k0s]
+    quotients = np.empty_like(levels)
+    for start, stop, first in zip(bounds, bounds[1:], firsts):
+        np.right_shift(levels[start:stop], first, out=quotients[start:stop])
+    sums = [np.add.reduceat(quotients, starts, dtype=np.uint64).tolist()]
+    for _ in range(2):
+        quotients >>= 1
+        sums.append(np.add.reduceat(quotients, starts, dtype=np.uint64).tolist())
+    best = []
+    for seg, (n, k0, first) in enumerate(zip(sizes, k0s, firsts)):
+        choice = None
+        for k in range(first, min(k0 + 2, r)):
+            quotient_sum = sums[k - first][seg]
+            if choice is None or n * k + quotient_sum < n * choice[0] + choice[1]:
+                choice = (k, quotient_sum)
+        best.append(choice)
     return best
 
 
-def _quant_segment(vec: np.ndarray, r: int) -> bytes:
-    """Quantized segment of one flattened tensor under the best Rice
-    parameter k < r, or under k = r, without a unary stream, when that is
-    no longer.
+# Zero levels that fill a segment's last octet, and zero bits that fill a
+# stream's last byte.
+_PAD_LEVELS = np.zeros(7, dtype=np.uint32)
+_PAD_BITS = np.zeros(7, dtype=bool)
+_PAD_LEVELS.setflags(write=False)
+_PAD_BITS.setflags(write=False)
+# Values per coding pass.  A pass's temporaries grow with its values, so a
+# cap keeps them near those of one large tensor.
+_PASS_VALUES = 1 << 14
 
-    ZeroVector covers both genuinely zero tensors and tensors so small that
-    their norm underflows; both are legal model states and travel as the
-    single bit-width byte 0.
+
+def _passes(sizes: Sequence[int]) -> List[List[int]]:
+    """Segment indices grouped into coding passes, smallest segments first;
+    a pass holds at most ``_PASS_VALUES`` values unless one segment does."""
+    passes, total = [], 0
+    for i in sorted(range(len(sizes)), key=sizes.__getitem__):
+        if not passes or total + sizes[i] > _PASS_VALUES:
+            passes.append([])
+            total = 0
+        passes[-1].append(i)
+        total += sizes[i]
+    return passes
+
+
+def _quant_segments(vecs: Sequence[np.ndarray], r: int) -> List[bytes]:
+    """The quantized segments of flattened tensors at bit width r.
+
+    Each segment has its own norm and the best Rice parameter k < r, or
+    k = r, without a unary stream, when that is no longer.  ZeroVector's
+    case, a genuinely zero tensor or one so small that its norm underflows,
+    is a legal model state and travels as the single bit-width byte 0.  The
+    others are coded together, in as few passes as ``_passes`` allows.
     """
-    try:
-        q = quantize(vec, r)
-    except ZeroVector:
-        return b"\x00"
-    n = q.levels.size
-    k, quotient_sum = _rice_parameter(q.levels, q.r)
-    unary_bits = quotient_sum + n
-    if (unary_bits + 7) // 8 + (n * k + 7) // 8 >= (n * q.r + 7) // 8:
-        k, unary = q.r, b""
-    else:
-        # Level i's terminator follows its own and the earlier levels' codes.
-        ends = (q.levels >> k).astype(np.int64)
-        ends += 1
-        np.cumsum(ends, out=ends)
-        ends -= 1
-        bits = np.zeros(unary_bits, dtype=np.uint8)
-        bits[ends] = 1
-        unary = _pack_bits(bits)
-    remainders = _pack_levels(q.levels, k) if k else b""
-    signs = _pack_bits(q.signs[q.levels != 0])
-    return b"".join([struct.pack("<BdB", q.r, q.norm, k), unary, remainders, signs])
+    if not vecs:
+        return []
+    r = _check_bits(r)
+    norms = [math.sqrt(v.dot(v)) for v in vecs]  # as quantize takes it, per tensor
+    out = [b"\x00"] * len(vecs)
+    live = [i for i, norm in enumerate(norms) if norm != 0.0]
+    for batch in _passes([vecs[i].size for i in live]):
+        picked = [live[j] for j in batch]
+        coded = _code_pass([vecs[i] for i in picked], [norms[i] for i in picked], r)
+        for i, segment in zip(picked, coded):
+            out[i] = segment
+    return out
 
 
-def _pack_bits(bits: np.ndarray) -> bytes:
-    return np.packbits(bits, bitorder="little").tobytes()
+def _code_pass(vecs: Sequence[np.ndarray], norms: Sequence[float], r: int) -> List[bytes]:
+    """Nonzero flattened tensors coded in one pass over their concatenated
+    values: each divides by its own norm, the scaling, rounding, sign bits
+    and Rice sums run once for all, the unary and sign streams of every
+    segment are packed together and the remainders once per width.  Each
+    stream starts on a byte boundary."""
+    sizes = [v.size for v in vecs]
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    values = np.concatenate(vecs)
+    negative = values < 0
+    levels = _levels(np.abs(values, out=values), bounds, norms, r)
+    del values
+    nonzero = levels != 0
+    counts = [int(np.count_nonzero(nonzero[a:b])) for a, b in zip(bounds, bounds[1:])]
+    signs = negative[nonzero]
+
+    ks, unary_bits = [], []
+    for n, (k, quotient_sum) in zip(sizes, _rice_parameters(levels, bounds, r)):
+        unary = quotient_sum + n
+        if (unary + 7) // 8 + (n * k + 7) // 8 >= (n * r + 7) // 8:
+            k, unary = r, 0
+        ks.append(k)
+        unary_bits.append(unary)
+    # Level i's terminator follows its own and the earlier levels' codes.
+    rice = [seg for seg, k in enumerate(ks) if k < r]
+    ends = np.empty(sum(sizes[seg] for seg in rice), dtype=np.int64)
+    at = 0
+    for seg in rice:
+        part = levels[bounds[seg] : bounds[seg + 1]]
+        np.right_shift(part, ks[seg], out=ends[at : at + sizes[seg]])
+        at += sizes[seg]
+    ends += 1
+    np.cumsum(ends, out=ends)
+    ends -= 1
+    unary = np.zeros(sum(unary_bits), dtype=bool)
+    unary[ends] = True
+    del ends
+
+    pieces, u, c = [], 0, 0
+    for ub, count in zip(unary_bits, counts):
+        pieces += [unary[u : u + ub], _PAD_BITS[: -ub % 8]]
+        pieces += [signs[c : c + count], _PAD_BITS[: -count % 8]]
+        u, c = u + ub, c + count
+    streams = np.packbits(np.concatenate(pieces), bitorder="little").tobytes()
+
+    remainders = [b""] * len(ks)
+    for width in sorted(set(ks) - {0}):
+        group = [seg for seg, k in enumerate(ks) if k == width]
+        parts = []
+        for seg in group:
+            parts += [levels[bounds[seg] : bounds[seg + 1]], _PAD_LEVELS[: -sizes[seg] % 8]]
+        packed = _pack_levels(np.concatenate(parts) if len(group) > 1 else parts[0], width)
+        at = 0
+        for seg in group:
+            remainders[seg] = packed[at : at + (sizes[seg] * width + 7) // 8]
+            at += (sizes[seg] + 7) // 8 * width
+
+    out, at = [], 0
+    for norm, k, ub, count, rem in zip(norms, ks, unary_bits, counts, remainders):
+        u, g = (ub + 7) // 8, (count + 7) // 8
+        head = struct.pack("<BdB", r, norm, k)
+        out.append(b"".join([head, streams[at : at + u], rem, streams[at + u : at + u + g]]))
+        at += u + g
+    return out
 
 
 class _Reader:
@@ -259,11 +394,6 @@ class _Reader:
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def bits(self, count: int) -> np.ndarray:
-        """The next ``count`` bits, as packed by ``_pack_bits``."""
-        wire = np.frombuffer(self.take((count + 7) // 8), dtype=np.uint8)
-        return np.unpackbits(wire, bitorder="little", count=count)
 
     def unary(self, n: int) -> np.ndarray:
         """The next n unary codes as quotients, each the count of 0 bits
@@ -306,8 +436,89 @@ class _Reader:
         return self.pos == len(self.blob)
 
 
-def _read_body(rd: _Reader, rows: int, cols: int) -> np.ndarray:
-    """The flattened values of one tensor body, by its first byte."""
+class _Segments:
+    """The quantized segments of one payload, in wire order.
+
+    Each is read in turn, since its unary stream has no length field and
+    only its levels tell how many sign bits follow.  ``values`` then
+    range-checks, dequantizes and signs them together, in the passes that
+    ``_passes`` groups them into.
+    """
+
+    def __init__(self):
+        self.levels: List[np.ndarray] = []
+        self.widths: List[int] = []
+        self.norms: List[float] = []
+        self.counts: List[int] = []  # nonzero levels, one sign bit each
+        self.signs: List[bytes] = []
+
+    def read(self, rd: _Reader, n: int, r: int):
+        """A segment whose first byte, r, is read: zeros for r = 0, else its
+        index in ``values``."""
+        if r == 0:
+            return np.zeros(n)
+        if r > 32:
+            raise MalformedPayload(f"invalid body byte {r}")
+        norm, k = rd.unpack("<dB")
+        if not 0.0 <= norm < math.inf:
+            raise MalformedPayload(f"quantized segment has invalid norm {norm!r}")
+        if k > r:
+            raise MalformedPayload(f"Rice parameter {k} is above the bit width {r}")
+        if k == r:  # every quotient is 0, so no unary stream travels
+            levels = _unpack_levels(rd.take((n * r + 7) // 8), n, r)
+        else:
+            levels = rd.unary(n)
+            # A quotient past 2**(r - k) is cut to it, so the level still
+            # reaches 2**r for values() to refuse, and no shift overflows.
+            np.minimum(levels, 1 << (r - k), out=levels)
+            if k:
+                levels <<= k
+                levels |= _unpack_levels(rd.take((n * k + 7) // 8), n, k)
+        count = int(np.count_nonzero(levels))
+        self.signs.append(rd.take((count + 7) // 8))
+        self.levels.append(levels)
+        self.widths.append(r)
+        self.norms.append(norm)
+        self.counts.append(count)
+        return len(self.levels) - 1
+
+    def values(self) -> List[np.ndarray]:
+        """Every segment's values, by index."""
+        out: List[np.ndarray] = [None] * len(self.levels)
+        for batch in _passes([levels.size for levels in self.levels]):
+            for seg, values in zip(batch, self._decode_pass(batch)):
+                out[seg] = values
+        return out
+
+    def _decode_pass(self, batch: List[int]) -> List[np.ndarray]:
+        """The values of the segments in ``batch``, refusing any level of
+        2**r or more, so that each decoded magnitude stays within its
+        segment's norm."""
+        parts = [self.levels[seg] for seg in batch]
+        levels = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        bounds = list(itertools.accumulate([part.size for part in parts], initial=0))
+        filled = [j for j, part in enumerate(parts) if part.size]
+        if filled:
+            tops = np.maximum.reduceat(levels, [bounds[j] for j in filled]).tolist()
+            for j, top in zip(filled, tops):
+                if top >> self.widths[batch[j]]:
+                    raise MalformedPayload(
+                        f"Rice-coded level does not fit in {self.widths[batch[j]]} bits"
+                    )
+        runs = [n for seg in batch for n in (self.counts[seg], -self.counts[seg] % 8)]
+        wire = np.frombuffer(b"".join([self.signs[seg] for seg in batch]), dtype=np.uint8)
+        signed = np.unpackbits(wire, bitorder="little").view(bool)
+        signed = signed[np.repeat(np.tile([True, False], len(batch)), runs)]
+        negative = np.flatnonzero(levels != 0)[np.flatnonzero(signed)]
+        widths = [self.widths[seg] for seg in batch]
+        values = _dequantize(levels, bounds, widths, [self.norms[seg] for seg in batch], negative)
+        return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _read_body(rd: _Reader, rows: int, cols: int, segments: _Segments):
+    """One tensor body, by its first byte: a dense body's values, a quantized
+    segment's zeros or index in ``segments.values()``, or for factors the
+    rank and both factors' parts."""
     n = rows * cols
     (tag,) = rd.unpack("<B")
     if tag == _DENSE:
@@ -316,50 +527,13 @@ def _read_body(rd: _Reader, rows: int, cols: int) -> np.ndarray:
             raise MalformedPayload("dense body holds NaN or Inf")
         return values
     if tag != _FACTORS:
-        return _read_segment(rd, n, tag)
+        return segments.read(rd, n, tag)
     (rank,) = rd.unpack("<H")
     if not 0 < rank * (rows + cols) < n:
         raise MalformedPayload(f"invalid retained rank {rank} for {rows}x{cols}")
-    left = _read_segment(rd, rows * rank, *rd.unpack("<B")).reshape(rows, rank)
-    right = _read_segment(rd, cols * rank, *rd.unpack("<B")).reshape(cols, rank)
-    # Each factor is bounded by its finite norm, but their product is not.
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = left @ right.T
-    if not np.isfinite(product).all():
-        raise MalformedPayload(f"low-rank factors of a {rows}x{cols} matrix overflow")
-    return product.ravel()
-
-
-def _read_segment(rd: _Reader, n: int, r: int) -> np.ndarray:
-    """The values of a quantized segment whose first byte, r, is read."""
-    if r == 0:
-        return np.zeros(n)
-    if r > 32:
-        raise MalformedPayload(f"invalid body byte {r}")
-    norm, k = rd.unpack("<dB")
-    if not 0.0 <= norm < math.inf:
-        raise MalformedPayload(f"quantized segment has invalid norm {norm!r}")
-    levels = _read_rice_levels(rd, n, r, k)
-    nonzero = levels != 0
-    signs = np.zeros(n, dtype=np.uint8)
-    signs[nonzero] = rd.bits(int(np.count_nonzero(nonzero)))
-    return dequantize(QuantizedVector(r=r, norm=norm, signs=signs, levels=levels))
-
-
-def _read_rice_levels(rd: _Reader, n: int, r: int, k: int) -> np.ndarray:
-    """Levels under Rice parameter k; refuses any level of 2**r or more, so
-    that each decoded magnitude stays within the segment's norm."""
-    if k > r:
-        raise MalformedPayload(f"Rice parameter {k} is above the bit width {r}")
-    if k == r:  # every quotient is 0, so no unary stream travels
-        return _unpack_levels(rd.take((n * r + 7) // 8), n, r)
-    quotients = rd.unary(n)
-    if int(quotients.max(initial=0)) >> (r - k):
-        raise MalformedPayload(f"Rice-coded level does not fit in {r} bits")
-    levels = (quotients << k).astype(np.uint32)
-    if k:
-        levels |= _unpack_levels(rd.take((n * k + 7) // 8), n, k)
-    return levels
+    left = segments.read(rd, rows * rank, *rd.unpack("<B"))
+    right = segments.read(rd, cols * rank, *rd.unpack("<B"))
+    return rank, left, right
 
 
 @dataclass
@@ -392,54 +566,71 @@ def encode_payload(
     value cutoff of ``tau_lowrank`` and ships quantized factors when their
     body is shorter than the plain quantized matrix, which it ships
     otherwise; matrices with a unit dimension (bias rows) skip the
-    factorization and travel as a plain quantized segment.
+    factorization and travel as a plain quantized segment.  Every quantized
+    segment of the payload, factor candidates included, is coded in one
+    pass.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    parts = [MAGIC, struct.pack("<HH", WIRE_VERSION, len(tensors))]
+    # A plan is a finished body, or the name, first segment index and the
+    # rank of the factors that follow that segment (0 for none) of a body
+    # still to be coded.
+    heads, plans, vecs = [], [], []
     ranks: Dict[str, int] = {}
     for name, tensor in tensors.items():
         mat = linalg.as_matrix(tensor)
         if not np.isfinite(mat).all():
             raise NonFiniteInput(f"tensor {name!r} contains NaN or Inf entries")
         encoded_name = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(encoded_name)))
-        parts.append(encoded_name)
-        parts.append(struct.pack("<II", mat.shape[0], mat.shape[1]))
+        heads.append(
+            struct.pack("<H", len(encoded_name)) + encoded_name + struct.pack("<II", *mat.shape)
+        )
         if scheme == SCHEME_DENSE:
-            parts.append(bytes([_DENSE]) + mat.astype("<f8").tobytes())
-        elif scheme == SCHEME_QUANTIZED or min(mat.shape) == 1:
-            parts.append(_quant_segment(mat.ravel(), r))
-        else:
-            ranks[name], body = _lowrank_body(mat, r, tau_lowrank)
-            parts.append(body)
+            plans.append(bytes([_DENSE]) + mat.astype("<f8").tobytes())
+            continue
+        rank = 0
+        if scheme == SCHEME_LOWRANK and min(mat.shape) > 1:
+            left, right = linalg.lowrank_truncate(linalg.svd(mat), tau_lowrank)
+            if left.shape[1] == 0:  # a cutoff that keeps no triple sends a zero tensor
+                ranks[name] = 0
+                plans.append(b"\x00")
+                continue
+            ranks[name] = min(mat.shape)  # unless the factors turn out shorter
+            # Factors of rank k hold k * (rows + cols) values; else they cannot be shorter.
+            if left.shape[1] * sum(mat.shape) < mat.size:
+                rank = left.shape[1]
+        plans.append((name, len(vecs), rank))
+        vecs.append(mat.ravel())
+        if rank:
+            vecs += [left.ravel(), right.ravel()]
+    segments = _quant_segments(vecs, r)
+
+    parts = [MAGIC, struct.pack("<HH", WIRE_VERSION, len(tensors))]
+    for head, plan in zip(heads, plans):
+        if isinstance(plan, tuple):
+            name, seg, rank = plan
+            body = segments[seg]
+            if rank:
+                factors = segments[seg + 1] + segments[seg + 2]
+                factored = struct.pack("<BH", _FACTORS, rank) + factors
+                if len(factored) < len(body):
+                    body, ranks[name] = factored, rank
+            plan = body
+        parts += [head, plan]
     return CompressedPayload(b"".join(parts), ranks)
 
 
-def _lowrank_body(mat: np.ndarray, r: int, tau: float) -> Tuple[int, bytes]:
-    """The factors' body or the plain segment, whichever is shorter, and the
-    rank it carries; a cutoff that keeps no triple sends a zero tensor."""
-    left, right = linalg.lowrank_truncate(linalg.svd(mat), tau)
-    rank = left.shape[1]  # 0 for a zero matrix
-    if rank == 0:
-        return 0, b"\x00"
-    plain = _quant_segment(mat.ravel(), r)
-    if rank * sum(mat.shape) < mat.size:  # else the factors cannot be shorter
-        body = struct.pack("<BH", _FACTORS, rank)
-        body += _quant_segment(left.ravel(), r)
-        body += _quant_segment(right.ravel(), r)
-        if len(body) < len(plain):
-            return rank, body
-    return min(mat.shape), plain
-
-
-def _walk(blob: bytes) -> Iterator[Tuple[str, np.ndarray]]:
+def decode_payload(payload) -> Dict[str, np.ndarray]:
+    """Reconstruct named matrices from a payload or raw wire bytes."""
+    blob = payload.blob if isinstance(payload, CompressedPayload) else bytes(payload)
     rd = _Reader(blob)
     if rd.take(4) != MAGIC:
         raise MalformedPayload("bad magic")
     version, count = rd.unpack("<HH")
     if version != WIRE_VERSION:
         raise MalformedPayload(f"unsupported payload version {version}")
+    segments = _Segments()
+    entries = {}
     declared = 0
     for _ in range(count):
         (name_len,) = rd.unpack("<H")
@@ -454,12 +645,27 @@ def _walk(blob: bytes) -> Iterator[Tuple[str, np.ndarray]]:
                 f"tensor {name!r} declares {rows}x{cols} values, past the "
                 f"{_MAX_WIRE_ELEMENTS}-value payload limit"
             )
-        yield name, _read_body(rd, rows, cols).reshape(rows, cols)
+        if name in entries:
+            raise MalformedPayload(f"tensor {name!r} appears twice")
+        entries[name] = rows, cols, _read_body(rd, rows, cols, segments)
     if not rd.done():
         raise MalformedPayload(f"{len(blob) - rd.pos} trailing bytes after last tensor")
 
+    values = segments.values()
 
-def decode_payload(payload) -> Dict[str, np.ndarray]:
-    """Reconstruct named matrices from a payload or raw wire bytes."""
-    blob = payload.blob if isinstance(payload, CompressedPayload) else bytes(payload)
-    return dict(_walk(blob))
+    def part(body):
+        return values[body] if isinstance(body, int) else body
+
+    out = {}
+    for name, (rows, cols, body) in entries.items():
+        if isinstance(body, tuple):
+            rank, left, right = body
+            # Each factor is bounded by its finite norm, but their product is not.
+            with np.errstate(over="ignore", invalid="ignore"):
+                product = part(left).reshape(rows, rank) @ part(right).reshape(cols, rank).T
+            if not np.isfinite(product).all():
+                raise MalformedPayload(f"low-rank factors of a {rows}x{cols} matrix overflow")
+            out[name] = product
+        else:
+            out[name] = part(body).reshape(rows, cols)
+    return out

@@ -19,11 +19,13 @@ communicated round; it starts as the initial model on both ends.  An
 uplink carries one tensor per parameter, the drift-corrected step
 ``w - theta - eta * h`` (SCAFFOLD's server update, Karimireddy et al.
 2020, combined on the client); the server takes the steps' sample-weighted
-mean, and the downlink carries that mean, a zero difference when no uplink
-arrived.  The low-rank downlink coder is the one place that truncates: it
-cuts each weight matrix of the difference at the relative singular-value
-cutoff ``tau_lowrank`` where it sends factors (at 0, a full-rank matrix
-travels as one quantized segment), so ``theta`` is not rank-limited.  A
+mean, decoding one uplink at a time into a sum shaped like ``theta`` and
+refusing an uplink whose tensors differ from it, and the downlink carries
+that mean, a zero difference when no uplink arrived.  The low-rank downlink
+coder is the one place that truncates: it cuts each weight matrix of the
+difference at the relative singular-value cutoff ``tau_lowrank`` where it
+sends factors (at 0, a full-rank matrix travels as one quantized segment),
+so ``theta`` is not rank-limited.  A
 quantizer's error scales with the norm of what it encodes, and these
 differences are far smaller than the models (DIANA, Mishchenko et al.
 2019; EF21, Richtárik et al. 2021).
@@ -279,9 +281,17 @@ def client_uplink(
 
 
 def _aggregate(
-    payloads: Sequence[compress.CompressedPayload], sample_sizes: Sequence[int]
+    theta: ModelParams,
+    payloads: Sequence[compress.CompressedPayload],
+    sample_sizes: Sequence[int],
 ) -> ModelParams:
-    """The sample-size-weighted mean of the uplinked steps."""
+    """The sample-size-weighted mean of the uplinked steps.
+
+    Uplinks are decoded one at a time and folded, in payload order, into a
+    sum that starts from zeros shaped like the broadcast ``theta``, so the
+    server holds at most one decoded uplink.  An uplink whose tensor names
+    or shapes differ from ``theta``'s raises ShapeMismatch.
+    """
     if len(payloads) == 0:
         raise ValueError("need at least one payload to aggregate")
     if len(payloads) != len(sample_sizes):
@@ -291,16 +301,15 @@ def _aggregate(
         weights = [size / total for size in sample_sizes]
     else:  # every participant is data-less; fall back to a plain mean
         weights = [1.0 / len(payloads)] * len(payloads)
-    decoded = [compress.decode_payload(p) for p in payloads]
-    names = list(decoded[0])
-    for d in decoded[1:]:
-        if list(d) != names:
-            raise ShapeMismatch("payloads carry different tensor sets")
-
-    step = {
-        name: linalg.weighted_sum([(wt, d[name]) for wt, d in zip(weights, decoded)])
-        for name in names
-    }
+    step = gnn.zeros_like_params(theta)
+    for weight, payload in zip(weights, payloads):
+        decoded = compress.decode_payload(payload)
+        if decoded.keys() != step.keys():
+            raise ShapeMismatch(
+                f"uplink carries tensors {sorted(decoded)}, the model {sorted(step)}"
+            )
+        for name, acc in step.items():
+            linalg.weighted_sum([(weight, decoded[name])], out=acc)
     _check_finite(step, "server aggregation")
     return step
 
@@ -406,7 +415,7 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
             for cid in survivors
         ]
         if payloads:
-            delta = _aggregate(payloads, [len(by_id[cid].train) for cid in survivors])
+            delta = _aggregate(anchor, payloads, [len(by_id[cid].train) for cid in survivors])
         else:  # nothing arrived: the broadcast is a zero delta
             delta = gnn.zeros_like_params(anchor)
         downlink = compress.encode_payload(

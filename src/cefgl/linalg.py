@@ -7,7 +7,7 @@ Every public operation returns freshly allocated arrays with finite entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,15 +74,17 @@ def lowrank_truncate(s: SvdResult, tau: float = 0.0) -> Tuple[Matrix, Matrix]:
     return s.u[:, :rank] * s.sigma[:rank], s.v[:, :rank].copy()
 
 
-def weighted_sum(terms: Sequence[Tuple[float, Matrix]]) -> Matrix:
-    """Elementwise sum of ``weight * matrix`` over at least one term."""
-    if len(terms) == 0:
-        raise ValueError("weighted_sum needs at least one term")
-    first = as_matrix(terms[0][1])
-    out = np.zeros_like(first)
+def weighted_sum(terms: Sequence[Tuple[float, Matrix]], out: Optional[Matrix] = None) -> Matrix:
+    """Elementwise sum of ``weight * matrix`` over the terms, added in order
+    to ``out``, which is updated in place and returned, or to zeros shaped
+    like the first of at least one term."""
+    if out is None:
+        if len(terms) == 0:
+            raise ValueError("weighted_sum needs at least one term")
+        out = np.zeros_like(as_matrix(terms[0][1]))
     for weight, mat in terms:
         m = as_matrix(mat)
-        if m.shape != first.shape:
-            raise ShapeMismatch(f"term shape {m.shape} != {first.shape}")
+        if m.shape != out.shape:
+            raise ShapeMismatch(f"term shape {m.shape} != {out.shape}")
         out += float(weight) * m
     return out

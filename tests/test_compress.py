@@ -314,7 +314,8 @@ class TestRiceCoding:
             assert np.array_equal(out, ref)
             assert np.array_equal(np.signbit(out), np.signbit(ref))
             # The decoder's first chunk, four bits per level, holds the stream.
-            _, quotient_sum = compress._rice_parameter(compress.quantize(x, r).levels, r)
+            levels = compress.quantize(x, r).levels
+            [(_, quotient_sum)] = compress._rice_parameters(levels, [0, x.size], r)
             assert quotient_sum < 3 * x.size
         assert compress.quantize(saturated, r).levels[2] == 2**r - 1
         # All-zero levels under a nonzero norm, in the shortest Rice body.
@@ -372,7 +373,8 @@ class TestRiceCoding:
 
     def test_fuzz_seeds_hold_both_bodies(self):
         tensors = _fuzz_tensors()
-        k = {name: compress._quant_segment(tensors[name].ravel(), 5)[9] for name in "gb"}
+        g, b = compress._quant_segments([tensors["g"].ravel(), tensors["b"].ravel()], 5)
+        k = {"g": g[9], "b": b[9]}
         assert k["g"] < 5 and k["b"] == 5
 
     @pytest.mark.parametrize("r", [1, 8, 16, 32])
@@ -604,11 +606,11 @@ class TestPayloads:
     def test_factored_body_that_does_not_pay_is_malformed(self):
         # Rank 3 of 4x3 would be 21 factor values for 12 entries; the encoder
         # never writes it, so the decoder refuses it.
-        factors = compress._quant_segment(np.ones(12), 4) + compress._quant_segment(np.ones(9), 4)
+        factors = b"".join(compress._quant_segments([np.ones(12), np.ones(9)], 4))
         with pytest.raises(MalformedPayload, match="rank 3"):
             compress.decode_payload(tensor_blob(4, 3, struct.pack("<BH", 0xFE, 3) + factors))
         # A rank-1 body of 8x6 is a valid factored one.
-        body = compress._quant_segment(np.ones(8), 4) + compress._quant_segment(np.ones(6), 4)
+        body = b"".join(compress._quant_segments([np.ones(8), np.ones(6)], 4))
         blob = tensor_blob(8, 6, struct.pack("<BH", 0xFE, 1) + body)
         assert compress.decode_payload(blob)["x"].shape == (8, 6)
 
@@ -661,6 +663,14 @@ class TestPayloads:
             bad_version = blob[:4] + struct.pack("<H", version) + blob[6:]
             with pytest.raises(MalformedPayload, match="version"):
                 compress.decode_payload(bad_version)
+
+    def test_duplicated_name_is_malformed(self):
+        # A dict cannot hold both tensors, so the payload is refused rather
+        # than collapsed to the second one.
+        entry = struct.pack("<H", 1) + b"x" + struct.pack("<II", 1, 1) + b"\x00"
+        blob = compress.MAGIC + struct.pack("<HH", compress.WIRE_VERSION, 2) + entry * 2
+        with pytest.raises(MalformedPayload, match="'x' appears twice"):
+            compress.decode_payload(blob)
 
     def test_trailing_garbage_is_malformed(self):
         blob = compress.encode_payload({"x": np.ones((1, 1))}, "dense").blob

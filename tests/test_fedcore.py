@@ -1,12 +1,14 @@
 import copy
 import dataclasses
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cefgl import compress, fedcore, gnn, graphdata, harness, linalg
-from cefgl.errors import DivergenceDetected
+from cefgl.errors import DivergenceDetected, MalformedPayload, ShapeMismatch
 from cefgl.fedcore import ClientConfig, ClientState, ServerConfig, ServerState
 from cefgl.gnn import ArchConfig
 from cefgl.graphdata import SynthSpec
@@ -333,7 +335,7 @@ class TestAggregate:
         rng = np.random.default_rng(1)
         w = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3))}
         h = gnn.zeros_like_params(w)
-        theta = fedcore._aggregate([step_payload(w, h, 0.01)], [10])
+        theta = fedcore._aggregate(w, [step_payload(w, h, 0.01)], [10])
         assert max_rel_frob(theta, w) <= 1e-8
 
     def test_two_equal_clients_average(self):
@@ -342,7 +344,7 @@ class TestAggregate:
         w2 = {"a": rng.normal(size=(4, 4))}
         zero = gnn.zeros_like_params(w1)
         theta = fedcore._aggregate(
-            [step_payload(w1, zero, 0.01), step_payload(w2, zero, 0.01)], [7, 7]
+            w1, [step_payload(w1, zero, 0.01), step_payload(w2, zero, 0.01)], [7, 7]
         )
         assert np.allclose(theta["a"], 0.5 * (w1["a"] + w2["a"]), atol=1e-8)
 
@@ -355,7 +357,7 @@ class TestAggregate:
         sizes = [2, 3, 5]
         eta = 0.05
         payloads = [step_payload(theta_prev, g, eta) for g in grads]
-        theta = fedcore._aggregate(payloads, sizes)
+        theta = fedcore._aggregate(theta_prev, payloads, sizes)
         mean_grad = sum(s * g["a"] for s, g in zip(sizes, grads)) / sum(sizes)
         assert np.allclose(theta["a"], theta_prev["a"] - eta * mean_grad, atol=1e-8)
 
@@ -371,7 +373,7 @@ class TestAggregate:
         sizes = [2, 3, 5]
         zero = gnn.zeros_like_params(anchor)
         payloads = [step_payload({k: w[k] - anchor[k] for k in w}, zero, 0.05) for w in ws]
-        step = fedcore._aggregate(payloads, sizes)
+        step = fedcore._aggregate(anchor, payloads, sizes)
         if merge:
             step = compress.decode_payload(compress.encode_payload(step, "dense"))
         for k in anchor:
@@ -393,6 +395,121 @@ class TestAggregate:
         with pytest.raises(DivergenceDetected, match="server aggregation"):
             fedcore.run_round(server, clients)
         assert all(c.w[k] is huge[k] for c in clients for k in huge)
+
+    @staticmethod
+    def _uplinks(theta, count, scheme, seed):
+        """Encoded random steps shaped like ``theta``."""
+        rng = np.random.default_rng(seed)
+        return [
+            compress.encode_payload(
+                {k: rng.normal(scale=0.1, size=v.shape) for k, v in theta.items()}, scheme, r=16
+            )
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize(
+        ("scheme", "sizes"),
+        [
+            ("quantized", [3, 5, 11, 1]),
+            ("dense", [3, 5, 11, 1]),  # the FedAvg preset's uplinks
+            ("quantized", [0, 0, 0]),  # every participant is data-less: a plain mean
+        ],
+        ids=["quantized", "dense", "plain-mean"],
+    )
+    def test_streaming_merge_is_bit_identical(self, scheme, sizes):
+        # Folding one decoded uplink at a time adds the same terms in the same
+        # order as one weighted_sum over all decoded uplinks.
+        theta0, _ = make_clients(hidden=16)
+        payloads = self._uplinks(theta0, len(sizes), scheme, seed=len(sizes))
+        total = sum(sizes)
+        weights = [s / total for s in sizes] if total else [1 / len(sizes)] * len(sizes)
+        decoded = [compress.decode_payload(p) for p in payloads]
+        step = fedcore._aggregate(theta0, payloads, sizes)
+        assert list(step) == list(theta0)
+        for k in theta0:
+            expected = linalg.weighted_sum([(w, d[k]) for w, d in zip(weights, decoded)])
+            assert np.array_equal(step[k], expected), k
+
+    @staticmethod
+    def _duplicated(theta):
+        """A dense payload of ``theta`` whose first tensor appears twice."""
+        first = next(iter(theta))
+        body = compress.encode_payload(theta, "dense").blob[8:]
+        again = compress.encode_payload({first: theta[first]}, "dense").blob[8:]
+        head = compress.MAGIC + struct.pack("<HH", compress.WIRE_VERSION, len(theta) + 1)
+        return head + body + again
+
+    @pytest.mark.parametrize(
+        ("case", "error"),
+        [
+            ("missing", ShapeMismatch),
+            ("extra", ShapeMismatch),
+            ("renamed", ShapeMismatch),
+            ("reshaped", ShapeMismatch),
+            ("second-disagrees", ShapeMismatch),
+            ("duplicated", MalformedPayload),
+        ],
+    )
+    def test_mismatched_uplink_is_refused(self, case, error):
+        # The sum starts from the broadcast's tensors, so an uplink that does
+        # not carry exactly those, at their shapes, raises instead of
+        # broadcasting into them or failing on a missing key.
+        theta0, _ = make_clients(hidden=4)
+        good = {k: np.full(v.shape, 0.5) for k, v in theta0.items()}
+        bad = dict(good)
+        if case in ("missing", "second-disagrees"):
+            del bad["head_b"]
+        elif case == "extra":
+            bad["extra"] = np.ones((1, 1))
+        elif case == "renamed":
+            bad["gnn1_bias"] = bad.pop("gnn1_b")
+        elif case == "reshaped":
+            bad["gnn1_w"] = np.ones((1, 4))
+        uplinks = [compress.encode_payload(good, "dense")]
+        if case == "duplicated":
+            uplinks.append(self._duplicated(good))
+        else:
+            uplinks.append(compress.encode_payload(bad, "dense"))
+        if case != "second-disagrees":
+            uplinks.reverse()
+        with pytest.raises(error):
+            fedcore._aggregate(theta0, uplinks, [1, 1])
+
+    def test_mismatched_uplink_leaves_the_broadcast(self, monkeypatch):
+        theta0, clients = make_clients(n_clients=3)
+        server = make_server(theta0, p=1.0)
+        real = fedcore.client_uplink
+
+        def short_uplink(c, anchor, scheme, r_bits):
+            step = compress.decode_payload(real(c, anchor, scheme, r_bits))
+            del step["head_b"]
+            return compress.encode_payload(step, scheme, r=r_bits)
+
+        monkeypatch.setattr(fedcore, "client_uplink", short_uplink)
+        with pytest.raises(ShapeMismatch, match="head_b"):
+            fedcore.run_round(server, clients)
+        assert server.t == 0
+        assert all(np.array_equal(server.theta[k], theta0[k]) for k in theta0)
+
+    def test_merge_memory_does_not_grow_with_uplinks(self):
+        # Uplinks of the wide benchmark's shapes (hidden 128, 8 features,
+        # 16 bits).  The merge holds one decoded uplink at a time, so its
+        # peak stays put as uplinks are added and stays below a handful of
+        # decoded models.
+        arch = ArchConfig(feature_dim=8, hidden=128, classes=3)
+        theta = gnn.init_params(arch, seed=1)
+        model_bytes = sum(v.nbytes for v in theta.values())
+        payloads = self._uplinks(theta, 40, "quantized", seed=7)
+        peaks = {}
+        for count in (5, 20, 40):
+            tracemalloc.start()
+            try:
+                fedcore._aggregate(theta, payloads[:count], [1] * count)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40] <= 1.1 * peaks[5]
+        assert peaks[20] < 8 * model_bytes
 
 
 class TestDropout:
@@ -764,6 +881,6 @@ class TestFedAvgReduction:
         theta_prev = {"a": rng.normal(size=(4, 4))}
         hs = [{"a": rng.normal(size=(4, 4))} for _ in range(2)]
         payloads = [step_payload(theta_prev, h, 0.1) for h in hs]
-        theta = fedcore._aggregate(payloads, [1, 1])
+        theta = fedcore._aggregate(theta_prev, payloads, [1, 1])
         expected = theta_prev["a"] - 0.1 * 0.5 * (hs[0]["a"] + hs[1]["a"])
         assert np.allclose(theta["a"], expected, atol=1e-8)
