@@ -127,7 +127,9 @@ def _check_bits(r) -> int:
     return int(r)
 
 
-def _levels(magnitudes: np.ndarray, bounds: Sequence[int], norms: Sequence[float], r: int):
+def _levels(
+    magnitudes: np.ndarray, bounds: Sequence[int], norms: Sequence[float], r: int
+) -> np.ndarray:
     """``2**r * |x_i| / ||x||`` rounded to the nearest level and clamped to
     ``2**r - 1``, for consecutive segments of ``magnitudes`` (segment s
     spans ``bounds[s]:bounds[s + 1]`` and has norm ``norms[s]``), which are

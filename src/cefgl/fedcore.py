@@ -25,10 +25,9 @@ that mean, a zero difference when no uplink arrived.  The low-rank downlink
 coder is the one place that truncates: it cuts each weight matrix of the
 difference at the relative singular-value cutoff ``tau_lowrank`` where it
 sends factors (at 0, a full-rank matrix travels as one quantized segment),
-so ``theta`` is not rank-limited.  A
-quantizer's error scales with the norm of what it encodes, and these
-differences are far smaller than the models (DIANA, Mishchenko et al.
-2019; EF21, Richtárik et al. 2021).
+so ``theta`` is not rank-limited.  A quantizer's error scales with the norm
+of what it encodes, and these differences are far smaller than the models
+(DIANA, Mishchenko et al. 2019; EF21, Richtárik et al. 2021).
 
 Clients and the server are mutable state records; round operations mutate
 them in place and are deterministic given the states' RNG streams.  A

@@ -1,7 +1,8 @@
 """Dense float64 matrix helpers: SVD, singular-value truncation, weighted sums.
 
 Matrices are plain 2-D C-contiguous ``numpy.ndarray`` objects of float64.
-Every public operation returns freshly allocated arrays with finite entries.
+Every public operation returns freshly allocated arrays with finite entries,
+but ``weighted_sum`` adds into the ``out`` array it is given.
 """
 
 from __future__ import annotations

@@ -140,6 +140,18 @@ class TestWeightedSum:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             linalg.weighted_sum([(1.0, np.ones((2, 2))), (1.0, np.ones((2, 3)))])
+        with pytest.raises(ShapeMismatch):
+            linalg.weighted_sum([(1.0, np.ones((1, 2)))], out=np.zeros((2, 2)))
+
+    def test_accumulates_into_out_in_order(self):
+        # Folding the terms one call at a time equals one call over them all.
+        rng = np.random.default_rng(5)
+        terms = [(w, rng.normal(size=(3, 4))) for w in (0.1, 0.7, 0.2)]
+        acc = np.zeros((3, 4))
+        for term in terms:
+            assert linalg.weighted_sum([term], out=acc) is acc
+        assert np.array_equal(acc, linalg.weighted_sum(terms))
+        assert linalg.weighted_sum([], out=acc) is acc
 
     def test_needs_at_least_one_term(self):
         with pytest.raises(ValueError):
