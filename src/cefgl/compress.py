@@ -107,7 +107,7 @@ def quantize(x, r: int) -> QuantizedVector:
     rounding ``2**r * |x_i| / ||x||`` to the nearest level."""
     r = _check_bits(r)
     vec = np.asarray(x, dtype=np.float64).ravel()
-    norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's own sum, without its checks
+    norm = _norm(vec)
     if norm == 0.0:
         raise ZeroVector("cannot quantize a zero (or empty) vector")
     levels = _levels(np.abs(vec), [0, vec.size], [norm], r)
@@ -119,6 +119,13 @@ def quantize(x, r: int) -> QuantizedVector:
 def dequantize(q: QuantizedVector) -> np.ndarray:
     """Reconstruct ``norm * sign_i * level_i / 2**r`` for each coordinate."""
     return _dequantize(q.levels, [0, q.levels.size], [q.r], [q.norm], np.flatnonzero(q.signs))
+
+
+def _norm(vec: np.ndarray) -> float:
+    """The L2 norm of a flat vector, summed by numpy's own pairwise
+    reduction: ``vec.dot(vec)`` goes to BLAS, whose sum order, and so its
+    last bit, depends on the thread count."""
+    return math.sqrt(float(np.add.reduce(vec * vec)))
 
 
 def _check_bits(r) -> int:
@@ -300,7 +307,7 @@ def _quant_segments(vecs: Sequence[np.ndarray], r: int) -> List[bytes]:
     if not vecs:
         return []
     r = _check_bits(r)
-    norms = [math.sqrt(v.dot(v)) for v in vecs]  # as quantize takes it, per tensor
+    norms = [_norm(v) for v in vecs]  # as quantize takes it, per tensor
     out = [b"\x00"] * len(vecs)
     live = [i for i, norm in enumerate(norms) if norm != 0.0]
     for batch in _passes([vecs[i].size for i in live]):

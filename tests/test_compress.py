@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -152,20 +155,23 @@ WIRE_RANK1 = np.outer([1.0, -0.5, 0.25, 2.0, -1.0, 0.75], [0.5, 1.0, -0.25, 0.12
 WIRE_RANK1_DIGEST = "0f881b607496e6b778dbd62021b5b42163a971bbffc8194eae82b2409627d7f4"
 
 
-# One SHA-256 over a seeded batch of 33 payloads (2.4 MB), pinned from the
-# per-segment coder that preceded the one-pass coder, so the codec is
+# One SHA-256 over a seeded batch of 33 payloads (2.4 MB), so the codec is
 # checked byte for byte far beyond WIRE_DIGESTS' small payloads.  Shapes
 # run from 1x1 to 128x128 and hold zero tensors, rank-1 and rank-3
 # matrices, and tensors whose norm a few outliers hold.  The segments meet
 # Rice parameter k = 0 (at r = 2, 4 and 7), 0 < k < r (from r = 4 up) and
 # k = r (at every r).  Every r runs under all three schemes, and the model
 # steps have the shapes of the skew (hidden 8, 3 features) and wide (hidden
-# 128, 8 features) benchmark workloads.
+# 128, 8 features) benchmark workloads.  The quantizer's norms are numpy
+# sums, so the digest holds at any BLAS thread count.  The low-rank bodies
+# still go through LAPACK's SVD, and the rank-3 inputs are built with `@`,
+# so the digest holds only for the CPU kernel OpenBLAS picks: under
+# OPENBLAS_CORETYPE=Haswell it reads f98809....
 WIDE_GOLDEN_BITS = (1, 2, 4, 7, 16, 31, 32)
 WIDE_GOLDEN_SHAPES = [
     (1, 1), (1, 7), (9, 1), (3, 5), (8, 8), (16, 31), (33, 17), (64, 128), (128, 128)
 ]
-WIDE_GOLDEN_DIGEST = "603d06b4357ac8477d604e822edd657cf90d4631863eb2f95891d2cf60d1ad41"
+WIDE_GOLDEN_DIGEST = "8551a9b2c988aa6d2a975cf8b11a0db85c0dc8a71fd0bb9dfe73667299124030"
 
 
 def wide_golden_payloads():
@@ -716,6 +722,30 @@ class TestPayloads:
         for blob in wide_golden_payloads():
             digest.update(blob)
         assert digest.hexdigest() == WIDE_GOLDEN_DIGEST
+
+    def test_wire_bytes_ignore_blas_thread_count(self):
+        # A 128x128 matrix under both schemes, the low-rank one as rank-51
+        # factors, encoded in two processes that differ only in their BLAS
+        # thread count.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from cefgl import compress\n"
+            "m = np.random.default_rng(0).standard_normal((128, 128))\n"
+            "for scheme in ('quantized', 'lowrank_quantized'):\n"
+            "    p = compress.encode_payload({'m': m}, scheme, r=8, tau_lowrank=0.5)\n"
+            "    print(scheme, p.ranks, hashlib.sha256(p.blob).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(compress.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.append(run.stdout)
+        assert "{'m': 51}" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_factored_wire_bytes_are_pinned(self):
         p = compress.encode_payload({"f": WIRE_RANK1}, "lowrank_quantized", r=16, tau_lowrank=0.1)
