@@ -172,6 +172,9 @@ WIDE_GOLDEN_SHAPES = [
     (1, 1), (1, 7), (9, 1), (3, 5), (8, 8), (16, 31), (33, 17), (64, 128), (128, 128)
 ]
 WIDE_GOLDEN_DIGEST = "8551a9b2c988aa6d2a975cf8b11a0db85c0dc8a71fd0bb9dfe73667299124030"
+# One SHA-256 over every tensor the same batch decodes to, its name and then
+# its float64 bytes, so the decoder is pinned beside the encoder.
+WIDE_GOLDEN_DECODED_DIGEST = "fbb6baa8d84fdaa2375d42f8b91101e35312eae2fbe4d4eabe2931c1bcac55a7"
 
 
 def wide_golden_payloads():
@@ -722,6 +725,14 @@ class TestPayloads:
         for blob in wide_golden_payloads():
             digest.update(blob)
         assert digest.hexdigest() == WIDE_GOLDEN_DIGEST
+
+    def test_wide_decoded_golden(self):
+        digest = hashlib.sha256()
+        for blob in wide_golden_payloads():
+            for name, values in compress.decode_payload(blob).items():
+                digest.update(name.encode("utf-8"))
+                digest.update(values.astype("<f8").tobytes())
+        assert digest.hexdigest() == WIDE_GOLDEN_DECODED_DIGEST
 
     def test_wire_bytes_ignore_blas_thread_count(self):
         # A 128x128 matrix under both schemes, the low-rank one as rank-51
