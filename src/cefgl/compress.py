@@ -35,9 +35,9 @@ to whole bytes.
 The encoder codes the quantized segments of a payload, low-rank factor
 candidates included, together: one pass scales, rounds and signs their
 values, picks their Rice parameters and packs their streams, a pass taking
-at most ``_PASS_VALUES`` values.  The decoder reads the segments one by one,
-as only each one's levels tell where the next begins, then range-checks,
-dequantizes and signs them in the same passes.
+at most ``_PASS_VALUES`` values.  The decoder reads, range-checks,
+dequantizes and signs each segment in turn, as only its levels tell where
+the next begins, and multiplies a body's factors as soon as both are read.
 
 The decoder refuses any other first byte; a tensor name that appears twice;
 payloads that declare more than ``_MAX_WIRE_ELEMENTS`` values in total;
@@ -118,7 +118,7 @@ def quantize(x, r: int) -> QuantizedVector:
 
 def dequantize(q: QuantizedVector) -> np.ndarray:
     """Reconstruct ``norm * sign_i * level_i / 2**r`` for each coordinate."""
-    return _dequantize(q.levels, [0, q.levels.size], [q.r], [q.norm], np.flatnonzero(q.signs))
+    return _dequantize(q.levels, q.r, q.norm, np.flatnonzero(q.signs))
 
 
 def _norm(vec: np.ndarray) -> float:
@@ -148,25 +148,16 @@ def _levels(
     return np.minimum(magnitudes, float(2**r - 1), out=magnitudes).astype(np.uint32)
 
 
-def _dequantize(
-    levels: np.ndarray,
-    bounds: Sequence[int],
-    widths: Sequence[int],
-    norms: Sequence[float],
-    negative: np.ndarray,
-) -> np.ndarray:
-    """``norm * sign * level / 2**r`` for consecutive segments of ``levels``
-    (segment s spans ``bounds[s]:bounds[s + 1]``, with bit width
-    ``widths[s]`` and norm ``norms[s]``); ``negative`` indexes the values
+def _dequantize(levels: np.ndarray, r: int, norm: float, negative: np.ndarray) -> np.ndarray:
+    """``norm * sign * level / 2**r``, where ``negative`` indexes the values
     that take a minus sign.
 
     The level is scaled to [0, 1) before the norm multiplies it, so no
     magnitude can overflow past a finite norm.
     """
     values = levels.astype(np.float64)
-    for start, stop, r, norm in zip(bounds, bounds[1:], widths, norms):
-        values[start:stop] /= float(2**r)
-        values[start:stop] *= norm
+    values /= float(2**r)
+    values *= norm
     values[negative] *= -1.0
     return values
 
@@ -445,89 +436,38 @@ class _Reader:
         return self.pos == len(self.blob)
 
 
-class _Segments:
-    """The quantized segments of one payload, in wire order.
-
-    Each is read in turn, since its unary stream has no length field and
-    only its levels tell how many sign bits follow.  ``values`` then
-    range-checks, dequantizes and signs them together, in the passes that
-    ``_passes`` groups them into.
-    """
-
-    def __init__(self):
-        self.levels: List[np.ndarray] = []
-        self.widths: List[int] = []
-        self.norms: List[float] = []
-        self.counts: List[int] = []  # nonzero levels, one sign bit each
-        self.signs: List[bytes] = []
-
-    def read(self, rd: _Reader, n: int, r: int):
-        """A segment whose first byte, r, is read: zeros for r = 0, else its
-        index in ``values``."""
-        if r == 0:
-            return np.zeros(n)
-        if r > 32:
-            raise MalformedPayload(f"invalid body byte {r}")
-        norm, k = rd.unpack("<dB")
-        if not 0.0 <= norm < math.inf:
-            raise MalformedPayload(f"quantized segment has invalid norm {norm!r}")
-        if k > r:
-            raise MalformedPayload(f"Rice parameter {k} is above the bit width {r}")
-        if k == r:  # every quotient is 0, so no unary stream travels
-            levels = _unpack_levels(rd.take((n * r + 7) // 8), n, r)
-        else:
-            levels = rd.unary(n)
-            # A quotient past 2**(r - k) is cut to it, so the level still
-            # reaches 2**r for values() to refuse, and no shift overflows.
-            np.minimum(levels, 1 << (r - k), out=levels)
-            if k:
-                levels <<= k
-                levels |= _unpack_levels(rd.take((n * k + 7) // 8), n, k)
-        count = int(np.count_nonzero(levels))
-        self.signs.append(rd.take((count + 7) // 8))
-        self.levels.append(levels)
-        self.widths.append(r)
-        self.norms.append(norm)
-        self.counts.append(count)
-        return len(self.levels) - 1
-
-    def values(self) -> List[np.ndarray]:
-        """Every segment's values, by index."""
-        out: List[np.ndarray] = [None] * len(self.levels)
-        for batch in _passes([levels.size for levels in self.levels]):
-            for seg, values in zip(batch, self._decode_pass(batch)):
-                out[seg] = values
-        return out
-
-    def _decode_pass(self, batch: List[int]) -> List[np.ndarray]:
-        """The values of the segments in ``batch``, refusing any level of
-        2**r or more, so that each decoded magnitude stays within its
-        segment's norm."""
-        parts = [self.levels[seg] for seg in batch]
-        levels = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        bounds = list(itertools.accumulate([part.size for part in parts], initial=0))
-        filled = [j for j, part in enumerate(parts) if part.size]
-        if filled:
-            tops = np.maximum.reduceat(levels, [bounds[j] for j in filled]).tolist()
-            for j, top in zip(filled, tops):
-                if top >> self.widths[batch[j]]:
-                    raise MalformedPayload(
-                        f"Rice-coded level does not fit in {self.widths[batch[j]]} bits"
-                    )
-        runs = [n for seg in batch for n in (self.counts[seg], -self.counts[seg] % 8)]
-        wire = np.frombuffer(b"".join([self.signs[seg] for seg in batch]), dtype=np.uint8)
-        signed = np.unpackbits(wire, bitorder="little").view(bool)
-        signed = signed[np.repeat(np.tile([True, False], len(batch)), runs)]
-        negative = np.flatnonzero(levels != 0)[np.flatnonzero(signed)]
-        widths = [self.widths[seg] for seg in batch]
-        values = _dequantize(levels, bounds, widths, [self.norms[seg] for seg in batch], negative)
-        return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+def _read_segment(rd: _Reader, n: int, r: int) -> np.ndarray:
+    """The values of a quantized segment whose first byte, r, is read: zeros
+    for r = 0.  Refuses any level of 2**r or more, so that each decoded
+    magnitude stays within the segment's norm."""
+    if r == 0:
+        return np.zeros(n)
+    if r > 32:
+        raise MalformedPayload(f"invalid body byte {r}")
+    norm, k = rd.unpack("<dB")
+    if not 0.0 <= norm < math.inf:
+        raise MalformedPayload(f"quantized segment has invalid norm {norm!r}")
+    if k > r:
+        raise MalformedPayload(f"Rice parameter {k} is above the bit width {r}")
+    if k == r:  # every quotient is 0, so no unary stream travels
+        levels = _unpack_levels(rd.take((n * r + 7) // 8), n, r)
+    else:
+        levels = rd.unary(n)
+        if int(levels.max(initial=0)) >> (r - k):
+            raise MalformedPayload(f"Rice-coded level does not fit in {r} bits")
+        if k:
+            levels <<= k
+            levels |= _unpack_levels(rd.take((n * k + 7) // 8), n, k)
+    # On random masks, numpy finds the True positions of a bool array and
+    # gathers by them faster than it takes nonzeros or a masked index.
+    nonzero = np.flatnonzero(levels != 0)
+    wire = np.frombuffer(rd.take((nonzero.size + 7) // 8), dtype=np.uint8)
+    signs = np.unpackbits(wire, count=nonzero.size, bitorder="little").view(bool)
+    return _dequantize(levels, r, norm, nonzero[np.flatnonzero(signs)])
 
 
-def _read_body(rd: _Reader, rows: int, cols: int, segments: _Segments):
-    """One tensor body, by its first byte: a dense body's values, a quantized
-    segment's zeros or index in ``segments.values()``, or for factors the
-    rank and both factors' parts."""
+def _read_body(rd: _Reader, rows: int, cols: int) -> np.ndarray:
+    """The values of one tensor body, by its first byte."""
     n = rows * cols
     (tag,) = rd.unpack("<B")
     if tag == _DENSE:
@@ -536,13 +476,18 @@ def _read_body(rd: _Reader, rows: int, cols: int, segments: _Segments):
             raise MalformedPayload("dense body holds NaN or Inf")
         return values
     if tag != _FACTORS:
-        return segments.read(rd, n, tag)
+        return _read_segment(rd, n, tag)
     (rank,) = rd.unpack("<H")
     if not 0 < rank * (rows + cols) < n:
         raise MalformedPayload(f"invalid retained rank {rank} for {rows}x{cols}")
-    left = segments.read(rd, rows * rank, *rd.unpack("<B"))
-    right = segments.read(rd, cols * rank, *rd.unpack("<B"))
-    return rank, left, right
+    left = _read_segment(rd, rows * rank, *rd.unpack("<B")).reshape(rows, rank)
+    right = _read_segment(rd, cols * rank, *rd.unpack("<B")).reshape(cols, rank)
+    # Each factor is bounded by its finite norm, but their product is not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = left @ right.T
+    if not np.isfinite(product).all():
+        raise MalformedPayload(f"low-rank factors of a {rows}x{cols} matrix overflow")
+    return product
 
 
 @dataclass
@@ -638,8 +583,7 @@ def decode_payload(payload) -> Dict[str, np.ndarray]:
     version, count = rd.unpack("<HH")
     if version != WIRE_VERSION:
         raise MalformedPayload(f"unsupported payload version {version}")
-    segments = _Segments()
-    entries = {}
+    out = {}
     declared = 0
     for _ in range(count):
         (name_len,) = rd.unpack("<H")
@@ -654,27 +598,9 @@ def decode_payload(payload) -> Dict[str, np.ndarray]:
                 f"tensor {name!r} declares {rows}x{cols} values, past the "
                 f"{_MAX_WIRE_ELEMENTS}-value payload limit"
             )
-        if name in entries:
+        if name in out:
             raise MalformedPayload(f"tensor {name!r} appears twice")
-        entries[name] = rows, cols, _read_body(rd, rows, cols, segments)
+        out[name] = _read_body(rd, rows, cols).reshape(rows, cols)
     if not rd.done():
         raise MalformedPayload(f"{len(blob) - rd.pos} trailing bytes after last tensor")
-
-    values = segments.values()
-
-    def part(body):
-        return values[body] if isinstance(body, int) else body
-
-    out = {}
-    for name, (rows, cols, body) in entries.items():
-        if isinstance(body, tuple):
-            rank, left, right = body
-            # Each factor is bounded by its finite norm, but their product is not.
-            with np.errstate(over="ignore", invalid="ignore"):
-                product = part(left).reshape(rows, rank) @ part(right).reshape(cols, rank).T
-            if not np.isfinite(product).all():
-                raise MalformedPayload(f"low-rank factors of a {rows}x{cols} matrix overflow")
-            out[name] = product
-        else:
-            out[name] = part(body).reshape(rows, cols)
     return out
