@@ -9,11 +9,13 @@ Three schemes are supported for a named set of matrices:
 * ``lowrank_quantized``: singular-value truncation first, then quantized
   left/right factors; the left factor carries the singular values.
 
-Wire format version 5 (little-endian): magic ``CFP1``, version u16, tensor
-count u16; per tensor: name length u16 + UTF-8 name, rows u32, cols u32,
-then a body whose first byte says what it holds, so only the encoder knows
-the scheme.  Bit streams are packed least significant bit first and padded
-to whole bytes.
+Wire format version 6 (little-endian): magic ``CFP1``, version u16, the
+4-byte ``_schema_check`` of the tensors' names and shapes, then one body
+per tensor.  Names and shapes do not travel: the decoder takes them from
+``like``, the receiver's own tensors, and reads the bodies in its order.
+A body's first byte says what it holds, so only the encoder knows the
+scheme.  Bit streams are packed least significant bit first and padded to
+whole bytes.
 
 * **0**: an all-zero tensor (a zero tensor has no L2 norm to quantize
   against).
@@ -39,13 +41,14 @@ at most ``_PASS_VALUES`` values.  The decoder reads, range-checks,
 dequantizes and signs each segment in turn, as only its levels tell where
 the next begins, and multiplies a body's factors as soon as both are read.
 
-The decoder refuses any other first byte; a tensor name that appears twice;
-payloads that declare more than ``_MAX_WIRE_ELEMENTS`` values in total;
-quantized segments whose norm is negative, infinite or NaN, whose k is above
-r, whose unary stream runs out of bytes or has bits set after its last
-terminator, or whose levels reach 2**r; low-rank bodies whose rank breaks
-the bound above or whose factors multiply out past the float64 range; and
-dense bodies holding NaN or Inf.
+The decoder refuses a schema check other than ``like``'s (a payload
+encoded for other names, shapes or order); any other first byte; bytes
+after the last body; quantized segments whose norm is negative, infinite
+or NaN, whose k is above r, whose unary stream runs out of bytes or has
+bits set after its last terminator, or whose levels reach 2**r; low-rank
+bodies whose rank breaks the bound above or whose factors multiply out
+past the float64 range; and dense bodies holding NaN or Inf.  Sizes come
+from ``like``, never from the wire.
 
 Only changes of the shared channel travel: up, each client's drift-corrected
 step, which folds in its correction term; down, the broadcast's change.  The
@@ -56,11 +59,12 @@ here.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +72,7 @@ from . import linalg
 from .errors import BadBits, MalformedPayload, NonFiniteInput, ZeroVector
 
 MAGIC = b"CFP1"
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 # First bytes of a factored and a dense body; 0..32 start a quantized one.
 _FACTORS = 0xFE
 _DENSE = 0xFF
@@ -78,11 +82,6 @@ SCHEME_QUANTIZED = "quantized"
 SCHEME_LOWRANK = "lowrank_quantized"
 _SCHEMES = (SCHEME_DENSE, SCHEME_QUANTIZED, SCHEME_LOWRANK)
 
-# Zero and low-rank bodies expand far beyond their wire size, so the bytes
-# that remain cannot bound what a payload decodes to; this cap (128 MiB of
-# float64) does.  Every other body is read only after the reader has checked
-# that its bytes are present.
-_MAX_WIRE_ELEMENTS = 1 << 24
 _UNPACK_CHUNK = 1 << 16  # levels per step of _unpack_levels; bytes of _Reader.unary
 
 
@@ -508,6 +507,16 @@ def payload_bits(p: CompressedPayload) -> int:
     return len(p.blob) * 8
 
 
+def _schema_check(shapes: Iterable[Tuple[str, Tuple[int, int]]]) -> bytes:
+    """The first 4 bytes of a SHA-256 over each tensor's UTF-8 name length
+    u16, name, rows u32 and cols u32, in order."""
+    digest = hashlib.sha256()
+    for name, (rows, cols) in shapes:
+        encoded = name.encode("utf-8")
+        digest.update(struct.pack("<H", len(encoded)) + encoded + struct.pack("<II", rows, cols))
+    return digest.digest()[:4]
+
+
 def encode_payload(
     tensors: Dict[str, np.ndarray],
     scheme: str,
@@ -522,23 +531,22 @@ def encode_payload(
     otherwise; matrices with a unit dimension (bias rows) skip the
     factorization and travel as a plain quantized segment.  Every quantized
     segment of the payload, factor candidates included, is coded in one
-    pass.
+    pass.  Names and shapes travel only as the schema check, so the
+    receiver decodes against tensors of the same names and shapes, in the
+    same order.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     # A plan is a finished body, or the name, first segment index and the
     # rank of the factors that follow that segment (0 for none) of a body
     # still to be coded.
-    heads, plans, vecs = [], [], []
+    shapes, plans, vecs = [], [], []
     ranks: Dict[str, int] = {}
     for name, tensor in tensors.items():
         mat = linalg.as_matrix(tensor)
         if not np.isfinite(mat).all():
             raise NonFiniteInput(f"tensor {name!r} contains NaN or Inf entries")
-        encoded_name = name.encode("utf-8")
-        heads.append(
-            struct.pack("<H", len(encoded_name)) + encoded_name + struct.pack("<II", *mat.shape)
-        )
+        shapes.append((name, mat.shape))
         if scheme == SCHEME_DENSE:
             plans.append(bytes([_DENSE]) + mat.astype("<f8").tobytes())
             continue
@@ -559,8 +567,8 @@ def encode_payload(
             vecs += [left.ravel(), right.ravel()]
     segments = _quant_segments(vecs, r)
 
-    parts = [MAGIC, struct.pack("<HH", WIRE_VERSION, len(tensors))]
-    for head, plan in zip(heads, plans):
+    parts = [MAGIC, struct.pack("<H", WIRE_VERSION), _schema_check(shapes)]
+    for plan in plans:
         if isinstance(plan, tuple):
             name, seg, rank = plan
             body = segments[seg]
@@ -570,37 +578,25 @@ def encode_payload(
                 if len(factored) < len(body):
                     body, ranks[name] = factored, rank
             plan = body
-        parts += [head, plan]
+        parts.append(plan)
     return CompressedPayload(b"".join(parts), ranks)
 
 
-def decode_payload(payload) -> Dict[str, np.ndarray]:
-    """Reconstruct named matrices from a payload or raw wire bytes."""
+def decode_payload(payload, like: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Reconstruct the matrices of a payload, or of raw wire bytes, encoded
+    from tensors named and shaped as ``like``'s, in its order; only their
+    names and shapes are read."""
     blob = payload.blob if isinstance(payload, CompressedPayload) else bytes(payload)
     rd = _Reader(blob)
     if rd.take(4) != MAGIC:
         raise MalformedPayload("bad magic")
-    version, count = rd.unpack("<HH")
+    (version,) = rd.unpack("<H")
     if version != WIRE_VERSION:
         raise MalformedPayload(f"unsupported payload version {version}")
-    out = {}
-    declared = 0
-    for _ in range(count):
-        (name_len,) = rd.unpack("<H")
-        try:
-            name = rd.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedPayload("tensor name is not valid UTF-8") from exc
-        rows, cols = rd.unpack("<II")
-        declared += rows * cols  # low-rank factors hold fewer values
-        if declared > _MAX_WIRE_ELEMENTS:
-            raise MalformedPayload(
-                f"tensor {name!r} declares {rows}x{cols} values, past the "
-                f"{_MAX_WIRE_ELEMENTS}-value payload limit"
-            )
-        if name in out:
-            raise MalformedPayload(f"tensor {name!r} appears twice")
-        out[name] = _read_body(rd, rows, cols).reshape(rows, cols)
+    shapes = [(name, values.shape) for name, values in like.items()]
+    if rd.take(4) != _schema_check(shapes):
+        raise MalformedPayload("schema check differs: the payload holds other tensors")
+    out = {name: _read_body(rd, *shape).reshape(shape) for name, shape in shapes}
     if not rd.done():
         raise MalformedPayload(f"{len(blob) - rd.pos} trailing bytes after last tensor")
     return out

@@ -19,8 +19,8 @@ communicated round; it starts as the initial model on both ends.  An
 uplink carries one tensor per parameter, the drift-corrected step
 ``w - theta - eta * h`` (SCAFFOLD's server update, Karimireddy et al.
 2020, combined on the client); the server takes the steps' sample-weighted
-mean, decoding one uplink at a time into a sum shaped like ``theta`` and
-refusing an uplink whose tensors differ from it, and the downlink carries
+mean, decoding one uplink at a time against ``theta``'s names and shapes
+into a sum shaped like it, and the downlink carries
 that mean, a zero difference when no uplink arrived.  The low-rank downlink
 coder is the one place that truncates: it cuts each weight matrix of the
 difference at the relative singular-value cutoff ``tau_lowrank`` where it
@@ -44,7 +44,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import compress, gnn, linalg
-from .errors import DivergenceDetected, ShapeMismatch
+from .errors import DivergenceDetected
 from .gnn import ModelParams
 from .graphdata import GraphBatch, GraphDataset
 
@@ -268,14 +268,14 @@ def client_uplink(
     c: ClientState, anchor: ModelParams, scheme: str, r_bits: int
 ) -> compress.CompressedPayload:
     """The shared channel's drift-corrected step since the last broadcast,
-    ``w - anchor - eta * h`` with the client's own eta, one tensor named
-    like each parameter, encoded under ``scheme``.
+    ``w - anchor - eta * h`` with the client's own eta, one tensor per
+    parameter in ``anchor``'s order, encoded under ``scheme``.
 
     The server uses the change and the correction term only in this
     combination, so they travel as one tensor.  The anchor is the broadcast
     both ends hold.  The private channel never leaves the client.
     """
-    step = {k: c.w[k] - anchor[k] - c.cfg.eta * c.h[k] for k in c.w}
+    step = {k: c.w[k] - anchor[k] - c.cfg.eta * c.h[k] for k in anchor}
     return compress.encode_payload(step, scheme, r=r_bits)
 
 
@@ -288,8 +288,9 @@ def _aggregate(
 
     Uplinks are decoded one at a time and folded, in payload order, into a
     sum that starts from zeros shaped like the broadcast ``theta``, so the
-    server holds at most one decoded uplink.  An uplink whose tensor names
-    or shapes differ from ``theta``'s raises ShapeMismatch.
+    server holds at most one decoded uplink.  Each is decoded against
+    ``theta``, so one encoded from tensors of other names or shapes raises
+    MalformedPayload.
     """
     if len(payloads) == 0:
         raise ValueError("need at least one payload to aggregate")
@@ -302,11 +303,7 @@ def _aggregate(
         weights = [1.0 / len(payloads)] * len(payloads)
     step = gnn.zeros_like_params(theta)
     for weight, payload in zip(weights, payloads):
-        decoded = compress.decode_payload(payload)
-        if decoded.keys() != step.keys():
-            raise ShapeMismatch(
-                f"uplink carries tensors {sorted(decoded)}, the model {sorted(step)}"
-            )
+        decoded = compress.decode_payload(payload, theta)
         for name, acc in step.items():
             linalg.weighted_sum([(weight, decoded[name])], out=acc)
     _check_finite(step, "server aggregation")
@@ -424,7 +421,7 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
             tau_lowrank=cfg.tau_lowrank,
         )
         rank_ratio, param_ratio = _lowrank_ratios(downlink, delta)
-        decoded = compress.decode_payload(downlink)
+        decoded = compress.decode_payload(downlink, anchor)
         with np.errstate(over="ignore"):  # an overflow is reported as divergence
             server.theta = {k: anchor[k] + decoded[k] for k in anchor}
         _check_finite(server.theta, "server aggregation")

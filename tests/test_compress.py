@@ -17,11 +17,23 @@ from cefgl.errors import BadBits, MalformedPayload, NonFiniteInput, ZeroVector
 from cefgl.fedcore import ClientConfig
 
 # Wire-format accounting used to derive expected byte counts independently.
-HEADER_BYTES = 4 + 2 + 2  # magic, version, tensor count
+HEADER_BYTES = 4 + 2 + 4  # magic, version, schema check
 
 
-def tensor_meta_bytes(name: str) -> int:
-    return 2 + len(name.encode()) + 4 + 4
+def schema_check(shapes) -> bytes:
+    """The first 4 bytes of a SHA-256 over each (name, shape) pair's name
+    length u16, UTF-8 name, rows u32 and cols u32, in order."""
+    heads = b""
+    for name, (rows, cols) in shapes:
+        heads += struct.pack("<H", len(name.encode())) + name.encode()
+        heads += struct.pack("<II", rows, cols)
+    return hashlib.sha256(heads).digest()[:4]
+
+
+def header(tensors) -> bytes:
+    """The header of a payload encoded from ``tensors``."""
+    check = schema_check((name, np.shape(v)) for name, v in tensors.items())
+    return compress.MAGIC + struct.pack("<H", compress.WIRE_VERSION) + check
 
 
 def plain_segment_bytes(levels: np.ndarray, r: int) -> int:
@@ -53,14 +65,18 @@ def segment_bytes(x, r: int) -> int:
     return min(rice_segment_bytes(levels, r), plain_segment_bytes(levels, r))
 
 
+def one_tensor(rows: int, cols: int) -> dict:
+    """The receiver's tensors for a hand-built payload: one named "x"."""
+    return {"x": np.zeros((rows, cols))}
+
+
 def tensor_blob(rows: int, cols: int, body: bytes) -> bytes:
-    """A one-tensor payload around a hand-built body."""
-    head = compress.MAGIC + struct.pack("<HH", compress.WIRE_VERSION, 1)
-    return head + struct.pack("<H", 1) + b"x" + struct.pack("<II", rows, cols) + body
+    """A payload of ``one_tensor(rows, cols)`` around a hand-built body."""
+    return header(one_tensor(rows, cols)) + body
 
 
 def quantized_blob(n: int, segment: bytes) -> bytes:
-    """A one-tensor 1 x n payload around a hand-built segment."""
+    """A payload of ``one_tensor(1, n)`` around a hand-built segment."""
     return tensor_blob(1, n, segment)
 
 
@@ -99,18 +115,23 @@ def _fuzz_seeds():
 
 
 def quantized_blob_with_norm(norm: float) -> bytes:
-    """A one-tensor quantized payload whose norm field is overwritten."""
+    """A payload of ``one_tensor(1, 2)``, quantized, whose norm field is
+    overwritten."""
     blob = bytearray(compress.encode_payload({"x": np.array([[0.6, -0.8]])}, "quantized").blob)
-    offset = HEADER_BYTES + tensor_meta_bytes("x") + 1  # past the bit-width byte
+    offset = HEADER_BYTES + 1  # past the bit-width byte
     blob[offset : offset + 8] = struct.pack("<d", norm)
     return bytes(blob)
 
 
+LOWRANK_LIKE = {"m": np.zeros((8, 6))}
+
+
 def lowrank_blob_with_norms(norm: float) -> bytes:
-    """An 8x6 rank-1 low-rank payload whose two factor norms are overwritten."""
+    """A rank-1 low-rank payload of ``LOWRANK_LIKE`` whose two factor norms
+    are overwritten."""
     p = compress.encode_payload({"m": rank1(8, 6, 41)}, "lowrank_quantized", r=8, tau_lowrank=1e-6)
     blob = bytearray(p.blob)
-    body = HEADER_BYTES + tensor_meta_bytes("m")
+    body = HEADER_BYTES
     assert struct.unpack("<BH", blob[body : body + 3]) == (0xFE, 1)
     left = body + 3 + 1  # past the tag, the rank and the left factor's bit width
     dec = linalg.svd(rank1(8, 6, 41))
@@ -129,9 +150,9 @@ def reference_pack(levels: np.ndarray, r: int) -> bytes:
 
 
 # SHA-256 of one fixed payload under each scheme, re-pinned for wire
-# version 5.  Each payload decodes to values equal to wire version 4's, sign
-# bits included; the dense one differs from it only in the version field,
-# the missing scheme byte and a tag byte per tensor.  The tensors are
+# version 6.  Each payload's bodies are wire version 5's, byte for byte; the
+# header's version field changes and the schema check replaces the tensor
+# count and each tensor's name and shape.  The tensors are
 # multiples of 1/8, so the sums of squares under the quantizer's norms are
 # exact in any order.  "w" has full rank, so it travels plain and each
 # low-rank payload equals the quantized one at its r; the rank-1 payload
@@ -145,14 +166,14 @@ WIRE_TENSORS = {
     "g": ((np.arange(64) * 5 % 17) - 8).reshape(1, 64) / 8.0,
 }
 WIRE_DIGESTS = {
-    ("dense", 4): "8532106d3dc5287a3eb2bea6119aa6e4fdf59cdfd940d5111b468f56ec45c26f",
-    ("quantized", 4): "81cca2daad30ffda29c7e793e90da5373e9d001d0574562a8f961d4aac083954",
-    ("quantized", 16): "eee81f113dbce4bfe4b80841d9bcf8a7fee4372ead891bdd4f558d0b272d66fa",
-    ("lowrank_quantized", 4): "81cca2daad30ffda29c7e793e90da5373e9d001d0574562a8f961d4aac083954",
-    ("lowrank_quantized", 16): "eee81f113dbce4bfe4b80841d9bcf8a7fee4372ead891bdd4f558d0b272d66fa",
+    ("dense", 4): "20b9711181806b041d126c5b9e365ef8508b3e6687c622670806313250fff852",
+    ("quantized", 4): "21a7cc599603e868635a51164226a8827226803e68e4f3525bd755fff8275691",
+    ("quantized", 16): "dcbd1a1063c9c19c2539314b80525113ce00646869dd4c083adb053ef7274a2d",
+    ("lowrank_quantized", 4): "21a7cc599603e868635a51164226a8827226803e68e4f3525bd755fff8275691",
+    ("lowrank_quantized", 16): "dcbd1a1063c9c19c2539314b80525113ce00646869dd4c083adb053ef7274a2d",
 }
 WIRE_RANK1 = np.outer([1.0, -0.5, 0.25, 2.0, -1.0, 0.75], [0.5, 1.0, -0.25, 0.125, -2.0])
-WIRE_RANK1_DIGEST = "0f881b607496e6b778dbd62021b5b42163a971bbffc8194eae82b2409627d7f4"
+WIRE_RANK1_DIGEST = "5710b3b2d7184d7a2f30e3d3fc00e68afdce0741f65715fdb09ec1a0997faa20"
 
 
 # One SHA-256 over a seeded batch of 33 payloads (2.4 MB), so the codec is
@@ -166,18 +187,20 @@ WIRE_RANK1_DIGEST = "0f881b607496e6b778dbd62021b5b42163a971bbffc8194eae82b240962
 # sums, so the digest holds at any BLAS thread count.  The low-rank bodies
 # still go through LAPACK's SVD, and the rank-3 inputs are built with `@`,
 # so the digest holds only for the CPU kernel OpenBLAS picks: under
-# OPENBLAS_CORETYPE=Haswell it reads f98809....
+# OPENBLAS_CORETYPE=Haswell it reads 7f1f22....  Re-pinned for wire version
+# 6, whose bodies are version 5's byte for byte.
 WIDE_GOLDEN_BITS = (1, 2, 4, 7, 16, 31, 32)
 WIDE_GOLDEN_SHAPES = [
     (1, 1), (1, 7), (9, 1), (3, 5), (8, 8), (16, 31), (33, 17), (64, 128), (128, 128)
 ]
-WIDE_GOLDEN_DIGEST = "8551a9b2c988aa6d2a975cf8b11a0db85c0dc8a71fd0bb9dfe73667299124030"
+WIDE_GOLDEN_DIGEST = "65a355566893b0ed9233031a81ba0b0c1f607783bd0acf507abc52048a45383f"
 # One SHA-256 over every tensor the same batch decodes to, its name and then
 # its float64 bytes, so the decoder is pinned beside the encoder.
 WIDE_GOLDEN_DECODED_DIGEST = "fbb6baa8d84fdaa2375d42f8b91101e35312eae2fbe4d4eabe2931c1bcac55a7"
 
 
 def wide_golden_payloads():
+    """The batch's wire images, each with the tensors it was encoded from."""
     rng = np.random.default_rng(19)
     for r in WIDE_GOLDEN_BITS:
         tensors = {}
@@ -195,7 +218,7 @@ def wide_golden_payloads():
                 mat = rng.normal(scale=10.0 ** rng.integers(-6, 4), size=(rows, cols))
             tensors[f"t{i}"] = mat
         for scheme in ("dense", "quantized", "lowrank_quantized"):
-            yield compress.encode_payload(tensors, scheme, r=r, tau_lowrank=0.05).blob
+            yield compress.encode_payload(tensors, scheme, r=r, tau_lowrank=0.05).blob, tensors
     for features, hidden in ((3, 8), (8, 128)):
         arch = gnn.ArchConfig(feature_dim=features, hidden=hidden, classes=3)
         step = {
@@ -207,7 +230,7 @@ def wide_golden_payloads():
         step["mlp_b"] = 1e-3 * rng.normal(size=step["mlp_b"].shape)
         for scheme in ("dense", "quantized", "lowrank_quantized"):
             for r in (4, 16):
-                yield compress.encode_payload(step, scheme, r=r, tau_lowrank=1e-4).blob
+                yield compress.encode_payload(step, scheme, r=r, tau_lowrank=1e-4).blob, step
 
 
 @st.composite
@@ -316,8 +339,9 @@ class TestRiceCoding:
         if r <= 5:  # every level rounds to zero, half of them from below
             cases.append(np.resize([1.0, -1.0], 4 ** (r + 1) + 1))
         for x in cases:
+            tensors = {"x": x.reshape(1, -1)}
             out = compress.decode_payload(
-                compress.encode_payload({"x": x.reshape(1, -1)}, "quantized", r=r)
+                compress.encode_payload(tensors, "quantized", r=r), tensors
             )["x"].ravel()
             ref = compress.dequantize(compress.quantize(x, r))
             assert np.array_equal(out, ref)
@@ -330,7 +354,8 @@ class TestRiceCoding:
         # All-zero levels under a nonzero norm, in the shortest Rice body.
         n = 13
         unary = bytes([0xFF, 0x1F])  # 13 lone terminators
-        out = compress.decode_payload(quantized_blob(n, rice_segment(r, 0, unary)))["x"]
+        blob = quantized_blob(n, rice_segment(r, 0, unary))
+        out = compress.decode_payload(blob, one_tensor(1, n))["x"]
         assert np.array_equal(out, np.zeros((1, n))) and not np.signbit(out).any()
 
     @pytest.mark.parametrize("chunk", [8, 16])
@@ -341,15 +366,16 @@ class TestRiceCoding:
         rng = np.random.default_rng(300)
         for r in (3, 7, 16, 29):
             x = rng.normal(size=1001)
-            p = compress.encode_payload({"x": x.reshape(1, -1)}, "quantized", r=r)
-            out = compress.decode_payload(p)["x"].ravel()
+            tensors = {"x": x.reshape(1, -1)}
+            p = compress.encode_payload(tensors, "quantized", r=r)
+            out = compress.decode_payload(p, tensors)["x"].ravel()
             assert np.array_equal(out, compress.dequantize(compress.quantize(x, r)))
 
     def test_rice_body_layout(self):
         # Levels 0, 3 and 5 at r = 4 and k = 1: quotients 0, 1, 2 are the
         # unary codes 1, 01, 001; remainders 0, 1, 1; signs of 3 and 5 only.
         seg = rice_segment(4, 1, bytes([0b100101]), bytes([0b110, 0b01]))
-        out = compress.decode_payload(quantized_blob(3, seg))["x"]
+        out = compress.decode_payload(quantized_blob(3, seg), one_tensor(1, 3))["x"]
         assert out.tolist() == [[0.0, -3 / 16, 5 / 16]]
 
     @pytest.mark.parametrize(
@@ -378,7 +404,7 @@ class TestRiceCoding:
     )
     def test_hostile_rice_body_is_malformed(self, r, n, segment, match):
         with pytest.raises(MalformedPayload, match=match):
-            compress.decode_payload(quantized_blob(n, segment))
+            compress.decode_payload(quantized_blob(n, segment), one_tensor(1, n))
 
     def test_fuzz_seeds_hold_both_bodies(self):
         tensors = _fuzz_tensors()
@@ -396,14 +422,14 @@ class TestRiceCoding:
         signs = rng.integers(0, 2, size=29, dtype=np.uint8) * (levels != 0)
         segment = struct.pack("<BdB", r, 3.0, r) + reference_pack(levels, r)
         segment += np.packbits(signs[levels != 0], bitorder="little").tobytes()
-        out = compress.decode_payload(quantized_blob(29, segment))["x"].ravel()
+        out = compress.decode_payload(quantized_blob(29, segment), one_tensor(1, 29))["x"].ravel()
         ref = compress.dequantize(compress.QuantizedVector(r=r, norm=3.0, signs=signs, levels=levels))
         assert np.array_equal(out, ref)
         # The encoder's k = r segment of two large levels, (0.6, 0.8) * 2**r.
         x = np.array([[3.0, -4.0]])
         p = compress.encode_payload({"x": x}, "quantized", r=r)
-        assert p.blob[HEADER_BYTES + tensor_meta_bytes("x") + 9] == r
-        out = compress.decode_payload(p)["x"].ravel()
+        assert p.blob[HEADER_BYTES + 9] == r
+        out = compress.decode_payload(p, {"x": x})["x"].ravel()
         assert np.array_equal(out, compress.dequantize(compress.quantize(x, r)))
 
 
@@ -471,13 +497,13 @@ class TestSparsify:
 class TestPayloads:
     def test_dense_bit_count(self):
         p = compress.encode_payload({"a": np.ones((2, 2))}, "dense")
-        expected = HEADER_BYTES + tensor_meta_bytes("a") + 1 + 4 * 8  # tag, values
+        expected = HEADER_BYTES + 1 + 4 * 8  # tag, values
         assert compress.payload_bits(p) == expected * 8
 
     def test_quantized_bit_count_n1024(self):
         x = np.random.default_rng(8).normal(size=(32, 32))
         p = compress.encode_payload({"t": x}, "quantized", r=4)
-        expected = HEADER_BYTES + tensor_meta_bytes("t") + segment_bytes(x, 4)
+        expected = HEADER_BYTES + segment_bytes(x, 4)
         assert compress.payload_bits(p) == expected * 8
         # Levels are about |x| / 2 here, so k = 0 and each level costs its
         # value plus one unary bit, and a sign bit if it is nonzero.
@@ -507,25 +533,25 @@ class TestPayloads:
     def test_dense_roundtrip_is_exact(self):
         rng = np.random.default_rng(10)
         tensors = {"w": rng.normal(size=(3, 5)), "b": rng.normal(size=(1, 5))}
-        out = compress.decode_payload(compress.encode_payload(tensors, "dense"))
-        assert set(out) == {"w", "b"}
+        out = compress.decode_payload(compress.encode_payload(tensors, "dense"), tensors)
+        assert list(out) == ["w", "b"]
         assert np.array_equal(out["w"], tensors["w"])
         assert np.array_equal(out["b"], tensors["b"])
 
     def test_quantized_roundtrip_matches_dequantize(self):
         x = np.array([[3.0, 4.0]])
-        out = compress.decode_payload(compress.encode_payload({"x": x}, "quantized", r=2))
+        out = compress.decode_payload(compress.encode_payload({"x": x}, "quantized", r=2), {"x": x})
         assert np.array_equal(out["x"], [[2.5, 3.75]])
 
     def test_zero_tensor_marker(self):
         tensors = {"z": np.zeros((4, 4)), "x": np.ones((2, 2))}
         for scheme in ("quantized", "lowrank_quantized"):
-            out = compress.decode_payload(compress.encode_payload(tensors, scheme, r=8))
+            out = compress.decode_payload(compress.encode_payload(tensors, scheme, r=8), tensors)
             assert np.array_equal(out["z"], np.zeros((4, 4)))
         # A zero tensor is the one body byte 0 under both schemes.
         for scheme in ("quantized", "lowrank_quantized"):
             p = compress.encode_payload({"z": np.zeros((4, 4))}, scheme, r=8)
-            assert compress.payload_bits(p) == (HEADER_BYTES + tensor_meta_bytes("z") + 1) * 8
+            assert compress.payload_bits(p) == (HEADER_BYTES + 1) * 8
             assert p.blob[-1] == 0
         assert compress.encode_payload({"z": np.zeros((4, 4))}, "lowrank_quantized").ranks == {"z": 0}
 
@@ -533,7 +559,7 @@ class TestPayloads:
         rng = np.random.default_rng(11)
         base = rng.normal(size=(8, 3)) @ rng.normal(size=(3, 6))  # exactly rank 3
         p = compress.encode_payload({"m": base}, "lowrank_quantized", r=32, tau_lowrank=1e-6)
-        out = compress.decode_payload(p)["m"]
+        out = compress.decode_payload(p, {"m": base})["m"]
         assert np.linalg.norm(out - base) <= 1e-6 * np.linalg.norm(base)
 
     def test_lowrank_encoding_builds_no_reconstruction(self, monkeypatch):
@@ -553,7 +579,7 @@ class TestPayloads:
         k = linalg.retained_rank(linalg.svd(x), 0.3)
         assert 0 < k < 6
         assert shapes == [[(8, k), (6, k)]]
-        assert compress.decode_payload(p)["m"].shape == (8, 6)
+        assert compress.decode_payload(p, {"m": x})["m"].shape == (8, 6)
 
     def test_lowrank_bit_count_is_rank_and_factors(self):
         # At rank 2 the factors' body (59 bytes) beats the plain segment (65
@@ -568,8 +594,8 @@ class TestPayloads:
         assert segment_bytes(left, 8) == plain_segment_bytes(levels["l"], 8) - 1 == 32
         assert segment_bytes(right, 8) == plain_segment_bytes(levels["r"], 8) == 24
         assert segment_bytes(base, 8) == 65
-        expected = HEADER_BYTES + tensor_meta_bytes("m") + 3 + 32 + 24  # tag and rank, factors
-        assert expected == 78
+        expected = HEADER_BYTES + 3 + 32 + 24  # tag and rank, factors
+        assert expected == 69
         assert compress.payload_bits(p) == expected * 8
         assert p.ranks == {"m": 2}
 
@@ -578,10 +604,10 @@ class TestPayloads:
         rng = np.random.default_rng(13)
         m = rng.normal(size=(600, 260)) @ rng.normal(size=(260, 600))
         p = compress.encode_payload({"m": m}, "lowrank_quantized", r=16, tau_lowrank=1e-6)
-        start = HEADER_BYTES + tensor_meta_bytes("m")
+        start = HEADER_BYTES
         assert struct.unpack("<BH", p.blob[start : start + 3]) == (0xFE, 260)
         assert p.ranks == {"m": 260}
-        out = compress.decode_payload(p)["m"]
+        out = compress.decode_payload(p, {"m": m})["m"]
         assert np.linalg.norm(out - m) <= 1e-2 * np.linalg.norm(m)
 
     def test_lowrank_full_rank_matrix_travels_plain(self):
@@ -617,11 +643,12 @@ class TestPayloads:
         # never writes it, so the decoder refuses it.
         factors = b"".join(compress._quant_segments([np.ones(12), np.ones(9)], 4))
         with pytest.raises(MalformedPayload, match="rank 3"):
-            compress.decode_payload(tensor_blob(4, 3, struct.pack("<BH", 0xFE, 3) + factors))
+            blob = tensor_blob(4, 3, struct.pack("<BH", 0xFE, 3) + factors)
+            compress.decode_payload(blob, one_tensor(4, 3))
         # A rank-1 body of 8x6 is a valid factored one.
         body = b"".join(compress._quant_segments([np.ones(8), np.ones(6)], 4))
         blob = tensor_blob(8, 6, struct.pack("<BH", 0xFE, 1) + body)
-        assert compress.decode_payload(blob)["x"].shape == (8, 6)
+        assert compress.decode_payload(blob, one_tensor(8, 6))["x"].shape == (8, 6)
 
     @pytest.mark.parametrize(
         ("rows", "cols", "body", "match"),
@@ -643,77 +670,79 @@ class TestPayloads:
     )
     def test_hostile_body_is_malformed(self, rows, cols, body, match):
         with pytest.raises(MalformedPayload, match=match):
-            compress.decode_payload(tensor_blob(rows, cols, body))
+            compress.decode_payload(tensor_blob(rows, cols, body), one_tensor(rows, cols))
 
     def test_lowrank_truncates_before_shipping(self):
         u, v = np.ones((6, 1)), np.ones((5, 1))
         spread = u @ v.T + 0.001 * np.eye(6, 5)  # dominant rank-1 plus noise
         p = compress.encode_payload({"m": spread}, "lowrank_quantized", r=32, tau_lowrank=0.5)
-        out = compress.decode_payload(p)["m"]
+        out = compress.decode_payload(p, {"m": spread})["m"]
         assert np.linalg.matrix_rank(out, tol=1e-6) == 1
 
     def test_lowrank_bias_rows_pass_through_quantized(self):
         bias = np.array([[0.5, -0.25, 0.125]])
         p = compress.encode_payload({"b": bias}, "lowrank_quantized", r=32, tau_lowrank=0.9)
-        out = compress.decode_payload(p)["b"]
+        out = compress.decode_payload(p, {"b": bias})["b"]
         assert np.allclose(out, bias, atol=1e-9)
 
     def test_truncated_stream_is_malformed(self):
         blob = compress.encode_payload({"x": np.ones((2, 2))}, "dense").blob
         for cut in (1, 8, len(blob) - 1):
             with pytest.raises(MalformedPayload):
-                compress.decode_payload(blob[:cut])
+                compress.decode_payload(blob[:cut], one_tensor(2, 2))
 
     def test_bad_magic_and_version(self):
         blob = compress.encode_payload({"x": np.ones((1, 1))}, "dense").blob
         with pytest.raises(MalformedPayload):
-            compress.decode_payload(b"XXXX" + blob[4:])
-        for version in (1, 2, 3, 4, 99):
+            compress.decode_payload(b"XXXX" + blob[4:], one_tensor(1, 1))
+        for version in (1, 2, 3, 4, 5, 99):
             bad_version = blob[:4] + struct.pack("<H", version) + blob[6:]
             with pytest.raises(MalformedPayload, match="version"):
-                compress.decode_payload(bad_version)
+                compress.decode_payload(bad_version, one_tensor(1, 1))
 
     def test_duplicated_name_is_malformed(self):
-        # A dict cannot hold both tensors, so the payload is refused rather
-        # than collapsed to the second one.
-        entry = struct.pack("<H", 1) + b"x" + struct.pack("<II", 1, 1) + b"\x00"
-        blob = compress.MAGIC + struct.pack("<HH", compress.WIRE_VERSION, 2) + entry * 2
-        with pytest.raises(MalformedPayload, match="'x' appears twice"):
-            compress.decode_payload(blob)
+        # A dict cannot hold both tensors, so a payload of "x" twice is
+        # refused rather than collapsed to one: by its schema check, or by
+        # its second body when the check is "x"'s alone.
+        head = compress.MAGIC + struct.pack("<H", compress.WIRE_VERSION)
+        blob = head + schema_check([("x", (1, 1))] * 2) + b"\x00" * 2
+        with pytest.raises(MalformedPayload, match="schema check"):
+            compress.decode_payload(blob, one_tensor(1, 1))
+        with pytest.raises(MalformedPayload, match="1 trailing bytes"):
+            compress.decode_payload(tensor_blob(1, 1, b"\x00" * 2), one_tensor(1, 1))
 
     def test_trailing_garbage_is_malformed(self):
         blob = compress.encode_payload({"x": np.ones((1, 1))}, "dense").blob
         with pytest.raises(MalformedPayload):
-            compress.decode_payload(blob + b"\x00")
+            compress.decode_payload(blob + b"\x00", one_tensor(1, 1))
 
     def test_oversized_declared_tensor_is_malformed(self):
-        # 20 bytes declaring a (2**32-1) x (2**32-1) all-zero tensor.
-        blob = tensor_blob(2**32 - 1, 2**32 - 1, b"\x00")
-        assert len(blob) == 20
-        with pytest.raises(MalformedPayload, match="payload limit"):
-            compress.decode_payload(blob)
-        # The limit holds per payload: two tensors of just over half of it
-        # each cannot add up past it.
-        rows, cols = 2, compress._MAX_WIRE_ELEMENTS // 4 + 1
-        entry = struct.pack("<HII", 0, rows, cols) + b"\x00"
-        blob = compress.MAGIC + struct.pack("<HH", compress.WIRE_VERSION, 2) + entry * 2
-        with pytest.raises(MalformedPayload, match="payload limit"):
-            compress.decode_payload(blob)
+        # A payload encoded for a (2**32-1) x (2**32-1) all-zero tensor is 11
+        # bytes.  The receiver's tensor sets the size, so against a 1x1 one
+        # the schema check refuses it, and a 1x1 zero body decodes to 1x1.
+        head = compress.MAGIC + struct.pack("<H", compress.WIRE_VERSION)
+        blob = head + schema_check([("x", (2**32 - 1, 2**32 - 1))]) + b"\x00"
+        assert len(blob) == 11
+        with pytest.raises(MalformedPayload, match="schema check"):
+            compress.decode_payload(blob, one_tensor(1, 1))
+        assert compress.decode_payload(tensor_blob(1, 1, b"\x00"), one_tensor(1, 1))["x"].shape == (1, 1)
 
     @pytest.mark.parametrize(
         "norm", [math.nan, math.inf, -1e308], ids=["nan", "inf", "negative"]
     )
     def test_invalid_norm_is_malformed(self, norm):
-        assert compress.decode_payload(quantized_blob_with_norm(0.5))["x"].shape == (1, 2)
+        like = one_tensor(1, 2)
+        assert compress.decode_payload(quantized_blob_with_norm(0.5), like)["x"].shape == (1, 2)
         with pytest.raises(MalformedPayload, match="norm"):
-            compress.decode_payload(quantized_blob_with_norm(norm))
+            compress.decode_payload(quantized_blob_with_norm(norm), like)
 
     def test_overflowing_lowrank_product_is_malformed(self):
-        assert np.isfinite(compress.decode_payload(lowrank_blob_with_norms(1.0))["m"]).all()
+        ok = compress.decode_payload(lowrank_blob_with_norms(1.0), LOWRANK_LIKE)
+        assert np.isfinite(ok["m"]).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MalformedPayload, match="overflow"):
-                compress.decode_payload(lowrank_blob_with_norms(1e200))
+                compress.decode_payload(lowrank_blob_with_norms(1e200), LOWRANK_LIKE)
 
     @pytest.mark.parametrize(("scheme", "r"), list(WIRE_DIGESTS))
     def test_wire_bytes_are_pinned(self, scheme, r):
@@ -722,17 +751,28 @@ class TestPayloads:
 
     def test_wide_wire_golden(self):
         digest = hashlib.sha256()
-        for blob in wide_golden_payloads():
+        for blob, _ in wide_golden_payloads():
             digest.update(blob)
         assert digest.hexdigest() == WIDE_GOLDEN_DIGEST
 
     def test_wide_decoded_golden(self):
         digest = hashlib.sha256()
-        for blob in wide_golden_payloads():
-            for name, values in compress.decode_payload(blob).items():
+        for blob, tensors in wide_golden_payloads():
+            for name, values in compress.decode_payload(blob, tensors).items():
                 digest.update(name.encode("utf-8"))
                 digest.update(values.astype("<f8").tobytes())
         assert digest.hexdigest() == WIDE_GOLDEN_DECODED_DIGEST
+
+    @staticmethod
+    def _stdout(script: str, **env: str) -> str:
+        """What ``script`` prints in a fresh interpreter under ``env``."""
+        src = os.path.dirname(os.path.dirname(compress.__file__))
+        env = dict(os.environ, **env)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        return run.stdout
 
     def test_wire_bytes_ignore_blas_thread_count(self):
         # A 128x128 matrix under both schemes, the low-rank one as rank-51
@@ -746,17 +786,34 @@ class TestPayloads:
             "    p = compress.encode_payload({'m': m}, scheme, r=8, tau_lowrank=0.5)\n"
             "    print(scheme, p.ranks, hashlib.sha256(p.blob).hexdigest())\n"
         )
-        src = os.path.dirname(os.path.dirname(compress.__file__))
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            run = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-            )
-            outputs.append(run.stdout)
+        outputs = [
+            self._stdout(script, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            for threads in ("1", "2")
+        ]
         assert "{'m': 51}" in outputs[0]
         assert outputs[0] == outputs[1]
+
+    def test_schema_check_ignores_the_string_hash(self):
+        # The check is a SHA-256 of the names and shapes in order, so two
+        # processes that hash strings differently write the same bytes, and
+        # the same tensors in another order are another schema.
+        script = (
+            "import sys, numpy as np\n"
+            "from cefgl import compress\n"
+            "names = ['mlp_w', 'mlp_b', 'gnn1_w', 'gnn1_b', 'head_w', 'head_b']\n"
+            "t = {n: np.full((1 + i % 2, 3 + i), 0.5) for i, n in enumerate(names)}\n"
+            "sys.stdout.write(compress.encode_payload(t, 'quantized', r=4).blob.hex())\n"
+        )
+        blobs = [self._stdout(script, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+        assert blobs[0] == blobs[1]
+        names = ["mlp_w", "mlp_b", "gnn1_w", "gnn1_b", "head_w", "head_b"]
+        tensors = {n: np.full((1 + i % 2, 3 + i), 0.5) for i, n in enumerate(names)}
+        blob = bytes.fromhex(blobs[0])
+        assert blob == compress.encode_payload(tensors, "quantized", r=4).blob
+        assert blob[:HEADER_BYTES] == header(tensors)
+        assert list(compress.decode_payload(blob, tensors)) == names
+        with pytest.raises(MalformedPayload, match="schema check"):
+            compress.decode_payload(blob, dict(reversed(tensors.items())))
 
     def test_factored_wire_bytes_are_pinned(self):
         p = compress.encode_payload({"f": WIRE_RANK1}, "lowrank_quantized", r=16, tau_lowrank=0.1)
@@ -775,14 +832,14 @@ class TestPayloads:
         # The encoder's 2**20-value segment at 32 bits, at k < r.
         x = np.random.default_rng(14).normal(size=(1, n))
         rice = compress.encode_payload({"x": x}, "quantized", r=32).blob
-        assert rice[HEADER_BYTES + tensor_meta_bytes("x") + 9] < 32
+        assert rice[HEADER_BYTES + 9] < 32
         # Two levels after a run of 2**26 zero bits: 8 MiB of unary stream,
         # which would be 64 MiB as one bit array.
         long_run = quantized_blob(2, rice_segment(32, 0, bytes(1 << 23) + b"\x03", b"\x00"))
-        for blob in (fixed, rice, long_run):
+        for blob, like in ((fixed, {"x": x}), (rice, {"x": x}), (long_run, one_tensor(1, 2))):
             tracemalloc.start()
             try:
-                out = compress.decode_payload(blob)
+                out = compress.decode_payload(blob, like)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -790,15 +847,17 @@ class TestPayloads:
         assert out["x"].tolist() == [[2.0**26 / 2.0**32, 0.0]]
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
-    @given(blob=hostile_blobs())
-    @example(blob=quantized_blob_with_norm(math.nan))
-    @example(blob=quantized_blob_with_norm(math.inf))
-    @example(blob=quantized_blob_with_norm(-1e308))
-    @example(blob=quantized_blob_with_norm(1e308))  # finite, but norm * level is not
-    @example(blob=lowrank_blob_with_norms(1e200))  # finite, but left @ right.T is not
-    def test_decoder_fuzz_returns_or_raises_malformed(self, blob):
+    @given(blob=hostile_blobs(), like=st.just(_fuzz_tensors()))
+    @example(blob=quantized_blob_with_norm(math.nan), like=one_tensor(1, 2))
+    @example(blob=quantized_blob_with_norm(math.inf), like=one_tensor(1, 2))
+    @example(blob=quantized_blob_with_norm(-1e308), like=one_tensor(1, 2))
+    # Finite, but norm * level is not.
+    @example(blob=quantized_blob_with_norm(1e308), like=one_tensor(1, 2))
+    # Finite, but left @ right.T is not.
+    @example(blob=lowrank_blob_with_norms(1e200), like=LOWRANK_LIKE)
+    def test_decoder_fuzz_returns_or_raises_malformed(self, blob, like):
         try:
-            decoded = compress.decode_payload(blob)
+            decoded = compress.decode_payload(blob, like)
         except MalformedPayload:
             return
         assert all(v.ndim == 2 and np.isfinite(v).all() for v in decoded.values())
@@ -815,7 +874,7 @@ class TestPayloads:
             for name, mat in tensors.items():
                 n = mat.size
                 body = 1 + 8 + (n + 7) // 8 + (n * r + 7) // 8 if mat.any() else 1
-                total += tensor_meta_bytes(name) + body
+                total += body
             return total
 
         rng = np.random.default_rng(12)
@@ -836,7 +895,7 @@ class TestPayloads:
                 tensors[f"t{i}"] = mat
             r = int(rng.integers(1, 33))
             payload = compress.encode_payload(tensors, scheme, r=r, tau_lowrank=0.01)
-            decoded = compress.decode_payload(payload)
+            decoded = compress.decode_payload(payload, tensors)
             if scheme == "quantized":
                 # Each segment costs at most one byte over fixed-width levels.
                 segments = sum(bool(m.any()) for m in tensors.values())

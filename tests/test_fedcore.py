@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from cefgl import compress, fedcore, gnn, graphdata, harness, linalg
-from cefgl.errors import DivergenceDetected, MalformedPayload, ShapeMismatch
+from cefgl.errors import DivergenceDetected, MalformedPayload
 from cefgl.fedcore import ClientConfig, ClientState, ServerConfig, ServerState
 from cefgl.gnn import ArchConfig
 from cefgl.graphdata import SynthSpec
 from helpers import clone_params, plain_fedavg_reference
-from test_compress import segment_bytes
+from test_compress import schema_check, segment_bytes
 
 
 def make_clients(
@@ -290,7 +290,7 @@ class TestUplink:
         _, clients = make_clients(n_clients=1)
         zero = gnn.zeros_like_params(clients[0].w)
         payload = fedcore.client_uplink(clients[0], zero, "quantized", r_bits=8)
-        decoded = compress.decode_payload(payload)
+        decoded = compress.decode_payload(payload, zero)
         assert list(decoded) == list(clients[0].w)
 
     @pytest.mark.parametrize("r", [4, 8, 16])
@@ -303,7 +303,8 @@ class TestUplink:
         rng = np.random.default_rng(r)
         anchor = {k: v + rng.normal(scale=0.1, size=v.shape) for k, v in c.w.items()}
         c.h = {k: rng.normal(size=v.shape) for k, v in c.w.items()}
-        decoded = compress.decode_payload(fedcore.client_uplink(c, anchor, "quantized", r_bits=r))
+        payload = fedcore.client_uplink(c, anchor, "quantized", r_bits=r)
+        decoded = compress.decode_payload(payload, anchor)
         assert list(decoded) == list(c.w)
         for k in c.w:
             step = c.w[k] - anchor[k] - 0.05 * c.h[k]
@@ -313,8 +314,8 @@ class TestUplink:
     def test_high_precision_uplink(self):
         _, clients = make_clients(n_clients=1)
         c = clients[0]
-        payload = fedcore.client_uplink(c, gnn.zeros_like_params(c.w), "quantized", r_bits=32)
-        decoded = compress.decode_payload(payload)
+        zero = gnn.zeros_like_params(c.w)
+        decoded = compress.decode_payload(fedcore.client_uplink(c, zero, "quantized", 32), zero)
         for k, v in c.w.items():
             err = np.linalg.norm(decoded[k] - v)
             assert err <= 1e-6 * max(np.linalg.norm(v), 1e-12)
@@ -375,7 +376,7 @@ class TestAggregate:
         payloads = [step_payload({k: w[k] - anchor[k] for k in w}, zero, 0.05) for w in ws]
         step = fedcore._aggregate(anchor, payloads, sizes)
         if merge:
-            step = compress.decode_payload(compress.encode_payload(step, "dense"))
+            step = compress.decode_payload(compress.encode_payload(step, "dense"), anchor)
         for k in anchor:
             mean = sum(n * w[k] for n, w in zip(sizes, ws)) / sum(sizes)
             assert np.allclose(anchor[k] + step[k], mean, rtol=0.0, atol=1e-12)
@@ -423,7 +424,7 @@ class TestAggregate:
         payloads = self._uplinks(theta0, len(sizes), scheme, seed=len(sizes))
         total = sum(sizes)
         weights = [s / total for s in sizes] if total else [1 / len(sizes)] * len(sizes)
-        decoded = [compress.decode_payload(p) for p in payloads]
+        decoded = [compress.decode_payload(p, theta0) for p in payloads]
         step = fedcore._aggregate(theta0, payloads, sizes)
         assert list(step) == list(theta0)
         for k in theta0:
@@ -434,26 +435,29 @@ class TestAggregate:
     def _duplicated(theta):
         """A dense payload of ``theta`` whose first tensor appears twice."""
         first = next(iter(theta))
-        body = compress.encode_payload(theta, "dense").blob[8:]
-        again = compress.encode_payload({first: theta[first]}, "dense").blob[8:]
-        head = compress.MAGIC + struct.pack("<HH", compress.WIRE_VERSION, len(theta) + 1)
-        return head + body + again
+        shapes = [(k, v.shape) for k, v in theta.items()] + [(first, theta[first].shape)]
+        body = compress.encode_payload(theta, "dense").blob[10:]
+        again = compress.encode_payload({first: theta[first]}, "dense").blob[10:]
+        head = compress.MAGIC + struct.pack("<H", compress.WIRE_VERSION)
+        return head + schema_check(shapes) + body + again
 
     @pytest.mark.parametrize(
         ("case", "error"),
         [
-            ("missing", ShapeMismatch),
-            ("extra", ShapeMismatch),
-            ("renamed", ShapeMismatch),
-            ("reshaped", ShapeMismatch),
-            ("second-disagrees", ShapeMismatch),
+            ("missing", MalformedPayload),
+            ("extra", MalformedPayload),
+            ("renamed", MalformedPayload),
+            ("reshaped", MalformedPayload),
+            ("second-disagrees", MalformedPayload),
             ("duplicated", MalformedPayload),
+            ("other-hidden", MalformedPayload),
         ],
     )
     def test_mismatched_uplink_is_refused(self, case, error):
-        # The sum starts from the broadcast's tensors, so an uplink that does
-        # not carry exactly those, at their shapes, raises instead of
-        # broadcasting into them or failing on a missing key.
+        # The sum starts from the broadcast's tensors and an uplink is
+        # decoded against their names and shapes, so one encoded from other
+        # tensors fails the schema check instead of broadcasting into them or
+        # failing on a missing key.
         theta0, _ = make_clients(hidden=4)
         good = {k: np.full(v.shape, 0.5) for k, v in theta0.items()}
         bad = dict(good)
@@ -465,6 +469,8 @@ class TestAggregate:
             bad["gnn1_bias"] = bad.pop("gnn1_b")
         elif case == "reshaped":
             bad["gnn1_w"] = np.ones((1, 4))
+        elif case == "other-hidden":  # a model of another run.hidden
+            bad = {k: np.full(v.shape, 0.5) for k, v in make_clients(hidden=8)[0].items()}
         uplinks = [compress.encode_payload(good, "dense")]
         if case == "duplicated":
             uplinks.append(self._duplicated(good))
@@ -472,7 +478,7 @@ class TestAggregate:
             uplinks.append(compress.encode_payload(bad, "dense"))
         if case != "second-disagrees":
             uplinks.reverse()
-        with pytest.raises(error):
+        with pytest.raises(error, match="schema check"):
             fedcore._aggregate(theta0, uplinks, [1, 1])
 
     def test_mismatched_uplink_leaves_the_broadcast(self, monkeypatch):
@@ -481,12 +487,12 @@ class TestAggregate:
         real = fedcore.client_uplink
 
         def short_uplink(c, anchor, scheme, r_bits):
-            step = compress.decode_payload(real(c, anchor, scheme, r_bits))
+            step = compress.decode_payload(real(c, anchor, scheme, r_bits), anchor)
             del step["head_b"]
             return compress.encode_payload(step, scheme, r=r_bits)
 
         monkeypatch.setattr(fedcore, "client_uplink", short_uplink)
-        with pytest.raises(ShapeMismatch, match="head_b"):
+        with pytest.raises(MalformedPayload, match="schema check"):
             fedcore.run_round(server, clients)
         assert server.t == 0
         assert all(np.array_equal(server.theta[k], theta0[k]) for k in theta0)
@@ -572,8 +578,8 @@ class TestRunRound:
         decoded = []
         real = compress.decode_payload
 
-        def recording(payload):
-            decoded.append(real(payload))
+        def recording(payload, like):
+            decoded.append(real(payload, like))
             return decoded[-1]
 
         monkeypatch.setattr(compress, "decode_payload", recording)
@@ -730,8 +736,8 @@ class TestRunRound:
         idle_h = shared[clients[1].id][1]
         for k in anchor:
             assert np.array_equal(uplinks[1][0][k], -clients[1].cfg.eta * idle_h[k])
-        ups = [compress.decode_payload(p) for _, p in uplinks]
-        decoded = compress.decode_payload(down)
+        ups = [compress.decode_payload(p, anchor) for _, p in uplinks]
+        decoded = compress.decode_payload(down, anchor)
         for k in anchor:
             merged = sum(n * u[k] for n, u in zip(sizes, ups)) / sum(sizes)
             np.testing.assert_allclose(delta[k], merged, rtol=0, atol=1e-12)

@@ -200,8 +200,10 @@ class TestRunExperiment:
             summary = harness.run_experiment(cfg)
             assert all(r.communicated for r in summary.records)
             # Four dense payloads a round (two uplinks, two downlinks), each
-            # 8 tensors in 638 bytes.
-            assert summary.total_uplink_bits + summary.total_downlink_bits == 3 * 4 * 638 * 8
+            # the header (magic, version, schema check), then a tag byte and
+            # float64 values for each of the model's 8 tensors, 62 values.
+            payload = 4 + 2 + 4 + 8 * 1 + 62 * 8
+            assert summary.total_uplink_bits + summary.total_downlink_bits == 3 * 4 * payload * 8
 
     def test_separable_task_reaches_high_accuracy(self):
         # Establish the task with the plain-averaging oracle first, then
