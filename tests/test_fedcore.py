@@ -13,7 +13,7 @@ from cefgl.fedcore import ClientConfig, ClientState, ServerConfig, ServerState
 from cefgl.gnn import ArchConfig
 from cefgl.graphdata import SynthSpec
 from helpers import clone_params, plain_fedavg_reference
-from test_compress import schema_check, segment_bytes
+from test_compress import HEADER_BYTES, schema_check, segment_bytes
 
 
 def make_clients(
@@ -436,8 +436,8 @@ class TestAggregate:
         """A dense payload of ``theta`` whose first tensor appears twice."""
         first = next(iter(theta))
         shapes = [(k, v.shape) for k, v in theta.items()] + [(first, theta[first].shape)]
-        body = compress.encode_payload(theta, "dense").blob[10:]
-        again = compress.encode_payload({first: theta[first]}, "dense").blob[10:]
+        body = compress.encode_payload(theta, "dense").blob[HEADER_BYTES:]
+        again = compress.encode_payload({first: theta[first]}, "dense").blob[HEADER_BYTES:]
         head = compress.MAGIC + struct.pack("<H", compress.WIRE_VERSION)
         return head + schema_check(shapes) + body + again
 
