@@ -95,11 +95,14 @@ def _relu(z: np.ndarray) -> np.ndarray:
 def _self_plus_neighbours(batch: GraphBatch, x: np.ndarray) -> np.ndarray:
     """Each node's row plus the sum of its neighbours' rows, one stacked
     matmul per node-count group.  Adjacency is symmetric, so the backward
-    pass uses the same map."""
-    out = x.copy()
+    pass uses the same map.  The groups cover every row, so each group's
+    product is written straight into one buffer, and ``x`` is added once."""
+    d = x.shape[1]
+    out = np.empty_like(x, order="C")  # C order keeps each group's rows a view
     for grp in batch.groups:
-        block = x[grp.rows].reshape(-1, grp.n, x.shape[1])
-        out[grp.rows] += np.matmul(grp.adj, block).reshape(-1, x.shape[1])
+        block = x[grp.rows].reshape(-1, grp.n, d)
+        np.matmul(grp.adj, block, out=out[grp.rows].reshape(-1, grp.n, d))
+    out += x
     return out
 
 

@@ -8,6 +8,7 @@ datasets and partitions are reproducible and safely shareable.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, islice
@@ -58,6 +59,14 @@ class Graph:
             if not (0 <= i and j < self.n):  # i <= j
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
         self.edges = tuple(canonical)
+
+
+def _checked_graph(n: int, edges, features: np.ndarray, label: int) -> Graph:
+    """A ``Graph`` from fields its caller has already checked, without
+    ``__post_init__``: ``edges`` canonical, ``features`` float64 rows."""
+    g = object.__new__(Graph)
+    g.n, g.edges, g.features, g.label = n, edges, features, label
+    return g
 
 
 @dataclass
@@ -167,36 +176,49 @@ class ClientPartition:
 # TU-format loading
 
 
+def _loadtxt(source, dtype) -> np.ndarray:
+    """Comma-separated rows from a path or a list of lines; no comment syntax."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no rows: an empty table
+        return np.loadtxt(
+            source, dtype=dtype, delimiter=",", comments=None, ndmin=2, encoding="utf-8"
+        )
+
+
 class _TuTable:
     """One TU text file parsed as a table, one row per non-blank line.
 
-    The whole file goes through one ``np.loadtxt`` call.  Errors name the
-    physical line they point at; the per-line scan that finds it runs only
-    when that call has already failed.
+    On valid input the file goes straight into one ``np.loadtxt`` call,
+    which reads it in universal-newline mode and skips empty lines; no list
+    of its lines is built.  Only when that call fails (a whitespace-only
+    line, a bad token, a ragged row or bytes that are not UTF-8) is the file
+    read again line by line: whitespace-only lines are dropped there, and
+    an error names the physical line it points at.
     """
 
     def __init__(self, path: Path, dtype, width: Optional[int], expected: str):
         self.path = path
         try:
-            self.text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
-        rows = list(filter(str.strip, self.text.split("\n")))
-        if not rows:
+            self.rows = _loadtxt(path, dtype)
+        except ValueError:  # UnicodeDecodeError included
+            try:
+                self.rows = _loadtxt([line for _, line in self._lines()], dtype)
+            except ValueError:
+                raise self._locate(dtype, width, expected)
+        if not self.rows.size:
             self.rows = np.empty((0, width or 0), dtype=dtype)
-            return
-        try:
-            self.rows = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            raise self._locate(dtype, width, expected)
-        if width is not None and self.rows.shape[1] != width:
+        elif width is not None and self.rows.shape[1] != width:
             raise self._locate(dtype, width, expected)
 
     def _lines(self):
         """(physical line number, line) for each non-blank line."""
+        try:
+            text = self.path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{self.path.name}: not UTF-8 text ({exc.reason})") from exc
         return (
             (lineno, line)
-            for lineno, line in enumerate(self.text.split("\n"), start=1)
+            for lineno, line in enumerate(text.split("\n"), start=1)
             if line.strip()
         )
 
@@ -206,7 +228,7 @@ class _TuTable:
         for lineno, line in self._lines():
             where = f"{self.path.name}:{lineno}"
             try:
-                fields = np.loadtxt([line], dtype=dtype, delimiter=",", comments=None, ndmin=2)
+                fields = _loadtxt([line], dtype)
             except ValueError:
                 return ParseError(f"{where}: expected {expected}, got {line.strip()!r}")
             if width is not None and fields.shape[1] != width:
@@ -229,13 +251,20 @@ def load_tu_dataset(dir_path) -> GraphDataset:
     ``<DS>_node_labels.txt`` one-hot over its distinct labels, else a
     constant scalar feature.
 
-    Every file is UTF-8 text with one record per line.  Blank and
-    whitespace-only lines are skipped; there is no comment syntax, so a
-    ``#`` line is a bad token.  Fields are separated by commas: ``i, j``
-    (1-based node ids) in ``A``, one integer per line in the indicator and
-    label files, and a fixed number of floats per line in the attributes.
-    Integers are plain decimal and must fit int64.  Errors name the file
-    and the physical line number, blank lines counted.
+    Every file is UTF-8 text with one record per line; lines end in
+    ``\n``, ``\r\n`` or ``\r``.  Blank and whitespace-only lines are
+    skipped; there is no comment syntax, so a ``#`` line is a bad token.
+    Fields are separated by commas: ``i, j`` (1-based node ids) in ``A``,
+    one integer per line in the indicator and label files, and a fixed
+    number of floats per line in the attributes.  Integers are plain
+    decimal and must fit int64.  Errors name the file and the physical line
+    number, blank lines counted.
+
+    Each table is parsed in one pass and every check runs once, vectorized
+    over the whole table: ids in range and 1-based, no edge across graphs,
+    no graph without nodes, one finite feature row per node.  Edges become
+    canonical (lo, hi) pairs, sorted, with repeats and self-loops dropped.
+    The graphs are built without running ``Graph``'s own checks again.
     """
     root = Path(dir_path)
     if not root.is_dir():
@@ -272,14 +301,46 @@ def load_tu_dataset(dir_path) -> GraphDataset:
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
         raise ParseError(f"{labels_path.name}: graph {empty[0] + 1} has zero nodes")
-    # Nodes grouped graph by graph, in file order within a graph: a node's
-    # place in this order minus its graph's start is its local index.
-    order = np.argsort(graph_id, kind="stable")
-    place = np.empty(n_nodes, dtype=np.int64)
-    place[order] = np.arange(n_nodes)
     starts = np.concatenate(([0], np.cumsum(sizes)))
+    # Nodes grouped graph by graph, in file order within a graph.
+    order = np.argsort(graph_id, kind="stable")
 
-    edge_file = _TuTable(required("A"), np.int64, 2, "'i, j'")
+    # The tables are read in helpers, so that their intermediates are freed
+    # before the graphs are built.
+    lo, hi, cuts = _tu_edges(required("A"), graph_id, order, starts)
+    edges = list(zip(lo, hi))
+    features = _tu_features(root, prefix, n_nodes)[order]
+
+    label_space, labels = np.unique(raw_labels, return_inverse=True)
+    starts = starts.tolist()
+    # Every check of Graph.__post_init__ holds by now: each graph has a
+    # node, a float64 feature row per node, all finite, and in-range,
+    # canonical, duplicate-free edges.  So it is not run a second time.
+    graphs = [
+        _checked_graph(
+            starts[g + 1] - starts[g],
+            tuple(edges[cuts[g] : cuts[g + 1]]),
+            features[starts[g] : starts[g + 1]],
+            label,
+        )
+        for g, label in enumerate(labels.tolist())
+    ]
+    return GraphDataset(
+        graphs=graphs,
+        num_classes=len(label_space),
+        feature_dim=features.shape[1],
+        name=prefix,
+    )
+
+
+def _tu_edges(path: Path, graph_id: np.ndarray, order: np.ndarray, starts: np.ndarray):
+    """Each graph's undirected edges as local (lo, hi) pairs, lo < hi,
+    sorted, once each and without self-loops: graph g's are those from
+    ``cuts[g]`` to ``cuts[g + 1]``.  ``order`` lists the nodes graph by
+    graph, so a node's place in it minus its graph's start is its local
+    index."""
+    edge_file = _TuTable(path, np.int64, 2, "'i, j'")
+    n_nodes = len(graph_id)
     ends = edge_file.rows
     outside = ((ends < 1) | (ends > n_nodes)).any(axis=1)
     ends = np.where(outside[:, None], 1, ends) - 1
@@ -291,15 +352,25 @@ def load_tu_dataset(dir_path) -> GraphDataset:
             raise edge_file.error(row, "node id out of range", IndexOutOfRange)
         ga, gb = graph_id[ends[row]]
         raise edge_file.error(row, f"edge crosses graphs {ga} and {gb}")
-    ends = place[ends[ends[:, 0] != ends[:, 1]]]
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    place = np.empty(n_nodes, dtype=np.int64)
+    place[order] = np.arange(n_nodes)
+    loop = ends[:, 0] == ends[:, 1]
+    a, b = place[ends[~loop, 0]], place[ends[~loop, 1]]
     # One sorted key per undirected edge: graph first, then local (lo, hi).
-    key = np.unique(lo * n_nodes + hi)
+    key = np.minimum(a, b) * n_nodes + np.maximum(a, b)
+    key.sort()
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    key = key[first]
     lo, hi = key // n_nodes, key % n_nodes
-    cuts = np.searchsorted(lo, starts).tolist()
+    cuts = np.searchsorted(lo, starts)
     offsets = np.repeat(starts[:-1], np.diff(cuts))
-    lo, hi = (lo - offsets).tolist(), (hi - offsets).tolist()
+    return (lo - offsets).tolist(), (hi - offsets).tolist(), cuts.tolist()
 
+
+def _tu_features(root: Path, prefix: str, n_nodes: int) -> np.ndarray:
+    """Node features in file order: the attributes, else the node labels
+    one-hot, else a constant 1."""
     attributes_path = root / f"{prefix}_node_attributes.txt"
     node_labels_path = root / f"{prefix}_node_labels.txt"
     if attributes_path.is_file():
@@ -310,37 +381,19 @@ def load_tu_dataset(dir_path) -> GraphDataset:
             raise attributes.error(non_finite[0], "non-finite attribute")
         if len(features) != n_nodes:
             raise ParseError(f"{attributes_path.name}: {len(features)} rows for {n_nodes} nodes")
-    elif node_labels_path.is_file():
+        return features
+    if node_labels_path.is_file():
         node_labels = _TuTable(node_labels_path, np.int64, 1, "an integer label").rows[:, 0]
         if len(node_labels) != n_nodes:
             raise ParseError(
                 f"{node_labels_path.name}: {len(node_labels)} rows for {n_nodes} nodes"
             )
-        # One column per distinct label, as graph labels are remapped below.
+        # One column per distinct label, as graph labels are remapped.
         distinct, column = np.unique(node_labels, return_inverse=True)
         features = np.zeros((n_nodes, len(distinct)))
         features[np.arange(n_nodes), column] = 1.0
-    else:
-        features = np.ones((n_nodes, 1))
-    features = features[order]
-
-    label_space, labels = np.unique(raw_labels, return_inverse=True)
-    starts = starts.tolist()
-    graphs = [
-        Graph(
-            n=starts[g + 1] - starts[g],
-            edges=tuple(zip(lo[cuts[g] : cuts[g + 1]], hi[cuts[g] : cuts[g + 1]])),
-            features=features[starts[g] : starts[g + 1]],
-            label=label,
-        )
-        for g, label in enumerate(labels.tolist())
-    ]
-    return GraphDataset(
-        graphs=graphs,
-        num_classes=len(label_space),
-        feature_dim=features.shape[1],
-        name=prefix,
-    )
+        return features
+    return np.ones((n_nodes, 1))
 
 
 def write_tu_fixture(dir_path, prefix: str = "FIXTURE") -> Path:

@@ -188,7 +188,7 @@ def parse_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {p} does not exist")
-    for lineno, raw_line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, raw_line in enumerate(_read_utf8(p, ConfigError).splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -492,13 +492,14 @@ def emit_metrics(summary: RunSummary, sink) -> Path:
     return out
 
 
-def _read_utf8(path: Path) -> str:
+def _read_utf8(path: Path, kind=IoError) -> str:
+    """The file's text; bytes that are not UTF-8 raise ``kind`` naming the line."""
     raw = path.read_bytes()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
-        raise IoError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+        raise kind(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
 
 
 _CHECKED_COLUMNS = ("round", "communicated", "uplink_bits", "downlink_bits", "mean_acc")

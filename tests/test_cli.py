@@ -49,6 +49,7 @@ class TestCli:
             ("", "-3", "CEFGL_SEED"),
             ("run.algorithm = fedavg\nrun.ablation = s_only", None, "run.ablation"),
             ("server.downlink_scheme = quantized", None, "server.downlink_scheme"),
+            (b"# caf\xe9", None, "exp.cfg:10: not UTF-8 text"),
         ],
         ids=[
             "duplicate_motif",
@@ -57,12 +58,17 @@ class TestCli:
             "negative_env_seed",
             "baseline_ablation",
             "removed_downlink_scheme",
+            "not_utf8",
         ],
     )
     def test_refused_config_exit_code(self, tmp_path, monkeypatch, capsys, line, env_seed, named):
         if env_seed is not None:
             monkeypatch.setenv("CEFGL_SEED", env_seed)
-        cfg = write_config(tmp_path, BASE_CONFIG + line + "\n")
+        if isinstance(line, bytes):
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_bytes(BASE_CONFIG.encode() + line + b"\n")
+        else:
+            cfg = write_config(tmp_path, BASE_CONFIG + line + "\n")
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and named in err
