@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -225,3 +229,53 @@ def test_documented_config_trains_without_blowing_up(tmp_path, monkeypatch, caps
     assert len(records) == 200
     worst = max(max(r["train_loss"]) for r in records)
     assert worst < 10.0
+
+
+# Run-level goldens: the SHA-256 of rounds.jsonl and summary.csv that
+# `cefgl run` writes for three short configs, so a change to the round's
+# arithmetic shows as a moved trajectory, not only as moved wire bytes.
+# The first is the empty config (threshold sparsifier, low-rank downlink),
+# the second keeps the top decile of the private channel, and the third
+# trains the private channel alone from the initial model.  Each runs in a
+# fresh interpreter at one BLAS thread.  The digests hold for the CPU kernel
+# OpenBLAS picks, as the codec's wide golden does (numpy 2.4, OpenBLAS 0.3,
+# an AVX-512 x86-64 CPU).
+RUN_GOLDENS = {
+    "defaults": (
+        "run.rounds = 20\n",
+        "2b775a2cbf14da9e4e9aee3cf9c7ea2eff16b41e5d34ea7c9ba6510d64894199",
+        "cc308be015739f3692ab796dbb0ccb1dce390348db24d2116b24e5d66d83b2e4",
+    ),
+    "topk": (
+        "run.rounds = 20\nclient.sparsifier = topk\n",
+        "acd371858992a8d24819aaaeb5259644b212d48fc54960d9a79a5dacb9d80343",
+        "bb825b65d844a98711934adab9dc21603ab4cf99f6174235b4c3a8317989386f",
+    ),
+    "s_only": (
+        "run.rounds = 20\nrun.ablation = s_only\n",
+        "60662d3e5a0f71ccdf76dddb63463662f30cbd1f9d7613364bc3ae5c7535f435",
+        "d11f34477bf3e88f28416e9d2f80b22f69664b7da2c92af21aad16469cfa9a40",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RUN_GOLDENS)
+def test_run_outputs_match_golden_digests(tmp_path, name):
+    text, jsonl_digest, csv_digest = RUN_GOLDENS[name]
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "CEFGL_SEED"}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "cefgl.cli", "run", str(cfg), "--out", str(out)],
+        env=env,
+        capture_output=True,
+        check=True,
+    )
+    digest = {
+        f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+        for f in ("rounds.jsonl", "summary.csv")
+    }
+    assert digest == {"rounds.jsonl": jsonl_digest, "summary.csv": csv_digest}
