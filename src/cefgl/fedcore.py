@@ -10,8 +10,10 @@ and proximal (FedProx) baselines are settings of its knobs, which
 
 ``ClientConfig`` and ``ServerConfig`` are the ``client`` and ``server``
 sections of a config file, as ``harness.parse_config`` fills them; its
-``_validate`` is their one range check.  The private channel is sparsified
-by a mask on the parameters themselves and never travels.
+``_validate`` is their one range check.  The private channel never
+travels.  Each client holds it as the entries the sparsifier keeps, a
+``gnn.SparseParams`` over its shared channel's tensors, and densifies it
+only for the step of fine-tuning that updates it.
 
 Both links carry differences from the last decoded broadcast, which the
 server holds as ``ServerState.theta`` and every client adopts on a
@@ -100,39 +102,38 @@ def preset(
     return client_cfg, replace(server_cfg, p=1.0), compress.SCHEME_DENSE, compress.SCHEME_DENSE
 
 
-def apply_sparsifier(params: ModelParams, cfg: ClientConfig) -> ModelParams:
-    """Zero the entries the private-channel rule drops.
+def apply_sparsifier(params: ModelParams, cfg: ClientConfig) -> gnn.SparseParams:
+    """The nonzero entries the private-channel rule keeps, as a compact record.
 
     ``threshold`` keeps entries unless ``|v| < cut_sparse``, so NaN and Inf
     survive for the finiteness check to catch; ``topk`` keeps the
-    ``ceil(beta * size)`` largest magnitudes across all matrices, the smaller
-    flat index (matrices in dict order) winning ties.
+    ``ceil(beta * size)`` largest nonzero magnitudes across all matrices, the
+    smaller flat index (matrices in dict order) winning ties.
     """
     flat = np.concatenate([v.ravel() for v in params.values()])
     if cfg.sparsifier == "threshold":
-        keep = ~(np.abs(flat) < cfg.cut_sparse)
+        # |v| < cut without a float temporary; NaN fails both tests.
+        small = (flat > -cfg.cut_sparse) & (flat < cfg.cut_sparse)
+        positions = np.flatnonzero(~small & (flat != 0))
     else:
-        nonzero = np.nonzero(flat)[0]
+        nonzero = np.flatnonzero(flat)
         # Descending magnitude, then ascending flat index.
         order = nonzero[np.lexsort((nonzero, -np.abs(flat[nonzero])))]
-        keep = np.zeros(flat.size, dtype=bool)
-        keep[order[: math.ceil(cfg.beta * flat.size)]] = True
-    kept = np.where(keep, flat, 0.0)
-    out: ModelParams = {}
-    offset = 0
-    for name, v in params.items():
-        out[name] = kept[offset : offset + v.size].reshape(v.shape)
-        offset += v.size
-    return out
+        positions = np.sort(order[: math.ceil(cfg.beta * flat.size)])
+    return gnn.SparseParams(positions, flat[positions])
 
 
 @dataclass
 class ClientState:
-    """One client's channels, correction term and data."""
+    """One client's channels, correction term and data.
+
+    The private channel ``s`` is held as its kept entries; ``w`` gives its
+    names and shapes.
+    """
 
     id: int
     w: ModelParams
-    s: ModelParams
+    s: gnn.SparseParams
     h: ModelParams
     train: GraphDataset
     test: GraphDataset
@@ -140,8 +141,8 @@ class ClientState:
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
     def __post_init__(self):
-        for other in (self.s, self.h):
-            gnn.check_congruent(self.w, other)
+        gnn.check_congruent(self.w, self.h)
+        gnn.check_sparse(self.s, self.w)
 
 
 @dataclass
@@ -239,11 +240,16 @@ def finetune_sparse(c: ClientState, view: ModelParams) -> ClientState:
         for batch in _batches(c):
             # d(loss at view + s)/ds equals the gradient at the sum.
             _, grads = gnn.loss_and_grad(gnn.combine(view, c.s), batch)
-            stepped = {
-                k: c.s[k] - c.cfg.eta * (grads[k] + c.cfg.nu * np.sign(c.s[k]))
-                for k in c.s
-            }
-            c.s = apply_sparsifier(stepped, c.cfg)
+            # s - eta * (g + nu * sign(s)), worked out in place on a dense copy
+            # of s, which leaves one temporary per tensor, not five.
+            s = gnn.densify(c.s, view)
+            for k, v in s.items():
+                step = np.sign(v)
+                step *= c.cfg.nu
+                step += grads[k]
+                step *= c.cfg.eta
+                v -= step
+            c.s = apply_sparsifier(s, c.cfg)
         _check_finite(c.s, f"client {c.id} fine-tuning")
     return c
 
@@ -360,8 +366,7 @@ def _round_metrics(clients: Sequence[ClientState]) -> Tuple[List[float], List[fl
             acc = gnn.evaluate(personalized, c.test)[0]
         losses.append(train_loss)
         accs.append(acc)
-        total = sum(v.size for v in c.s.values())
-        density.append(sum(int(np.count_nonzero(v)) for v in c.s.values()) / total)
+        density.append(c.s.positions.size / sum(v.size for v in c.w.values()))
     return losses, accs, float(np.mean(density))
 
 

@@ -2,6 +2,10 @@
 
 The parameter record is a plain ordered dict of named float64 matrices; it
 is the unit that the federated protocol trains, compresses and aggregates.
+A ``SparseParams`` record holds only a record's nonzero entries, as
+ascending positions over its tensors flattened in dict order and one value
+per position; names and shapes come from a dense record ``like`` it.  The
+private channel is held that way, and ``combine`` adds it to a dense one.
 Layer stack: feature MLP, two message-passing layers (self plus neighbour
 sum), mean readout, linear head.  Every pass runs on a whole
 ``graphdata.GraphBatch`` at once, in the batch's node-count order: one
@@ -70,7 +74,48 @@ def zeros_like_params(p: ModelParams) -> ModelParams:
     return {k: np.zeros_like(v) for k, v in p.items()}
 
 
-def params_finite(p: ModelParams) -> bool:
+@dataclass(frozen=True)
+class SparseParams:
+    """A parameter record's kept entries: ascending int64 positions over its
+    tensors flattened in dict order, and one float64 value per position."""
+
+    positions: np.ndarray
+    values: np.ndarray
+
+
+def _flatten(p: ModelParams) -> np.ndarray:
+    """A record's tensors raveled and concatenated in dict order, as a copy."""
+    return np.concatenate([v.ravel() for v in p.values()])
+
+
+def _unflatten(flat: np.ndarray, like: ModelParams) -> ModelParams:
+    """``flat`` split into views shaped like ``like``'s tensors, in its order."""
+    out: ModelParams = {}
+    offset = 0
+    for name, v in like.items():
+        out[name] = flat[offset : offset + v.size].reshape(v.shape)
+        offset += v.size
+    return out
+
+
+def nonzero_entries(p: ModelParams) -> SparseParams:
+    """The nonzero entries of a dense record."""
+    flat = _flatten(p)
+    positions = np.flatnonzero(flat)
+    return SparseParams(positions, flat[positions])
+
+
+def densify(s: SparseParams, like: ModelParams) -> ModelParams:
+    """``s`` as a fresh, writable dense record shaped like ``like``, zero
+    where it holds no entry."""
+    flat = np.zeros(sum(v.size for v in like.values()))
+    flat[s.positions] = s.values
+    return _unflatten(flat, like)
+
+
+def params_finite(p: Union[ModelParams, SparseParams]) -> bool:
+    if isinstance(p, SparseParams):
+        return bool(np.isfinite(p.values).all())
     return all(np.isfinite(v).all() for v in p.values())
 
 
@@ -82,10 +127,28 @@ def check_congruent(a: ModelParams, b: ModelParams) -> None:
             raise ShapeMismatch(f"{k}: {a[k].shape} vs {b[k].shape}")
 
 
-def combine(w: ModelParams, s: ModelParams) -> ModelParams:
-    """Elementwise sum of two congruent parameter records."""
-    check_congruent(w, s)
-    return {k: w[k] + s[k] for k in w}
+def check_sparse(s: SparseParams, like: ModelParams) -> None:
+    """Refuse a compact record that is not one of ``like``'s entries each at
+    most once, in ascending order, with one float64 value apiece."""
+    pos, size = s.positions, sum(v.size for v in like.values())
+    if pos.dtype != np.int64 or pos.ndim != 1:
+        raise ShapeMismatch(f"positions must be a 1-D int64 array, got {pos.dtype} {pos.shape}")
+    if s.values.dtype != np.float64 or s.values.shape != pos.shape:
+        raise ShapeMismatch(f"{s.values.size} {s.values.dtype} values for {pos.size} positions")
+    if np.any(pos[1:] <= pos[:-1]):
+        raise ShapeMismatch("positions must ascend, each at most once")
+    if pos.size and (pos[0] < 0 or pos[-1] >= size):
+        raise ShapeMismatch(f"a position lies outside the record's {size} entries")
+
+
+def combine(w: ModelParams, s: SparseParams) -> ModelParams:
+    """The dense record ``w`` plus the compact ``s``: a flat copy of ``w`` with
+    ``s``'s values added at their positions, split back into ``w``'s tensors."""
+    flat = _flatten(w)
+    if s.positions.size and not 0 <= s.positions[0] <= s.positions[-1] < flat.size:
+        raise ShapeMismatch(f"a position lies outside the record's {flat.size} entries")
+    flat[s.positions] += s.values
+    return _unflatten(flat, w)
 
 
 def _relu(z: np.ndarray) -> np.ndarray:

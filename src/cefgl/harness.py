@@ -33,7 +33,7 @@ log = logging.getLogger("cefgl")
 
 SEED_ENV_VAR = "CEFGL_SEED"
 CHECKPOINT_MAGIC = b"CFCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 ABLATIONS = ("full", "w_only", "s_only")
 SWEEP_AXES = {
@@ -287,22 +287,24 @@ def build_simulation(
         classes=pool[0].num_classes,
     )
     theta0 = gnn.init_params(arch, cfg.seeds.init)
-    # The server and every client start from the same arrays, read-only:
-    # each step and each downlink rebinds a party's channels to new arrays.
     zeros = gnn.zeros_like_params(theta0)
-    for v in (*theta0.values(), *zeros.values()):
-        v.setflags(write=False)
-    shared, private = theta0, zeros
+    # The private channel starts empty.
+    shared, private = theta0, gnn.SparseParams(np.empty(0, dtype=np.int64), np.empty(0))
     client_cfg, server_cfg, up, down = fedcore.preset(cfg.run.algorithm, cfg.client, cfg.server)
     # An ablation switches off one channel of cefgl; under s_only the private
-    # one starts from the initial model.  _validate refuses ablations for the
-    # baselines, where w_only is full and s_only trains nothing.
+    # one starts from the initial model's nonzero entries.  _validate refuses
+    # ablations for the baselines, where w_only is full and s_only trains
+    # nothing.
     if cfg.run.ablation == "s_only":
-        shared, private = zeros, theta0
+        shared, private = zeros, gnn.nonzero_entries(theta0)
         client_cfg.local_epochs = 0
         server_cfg.p = 0.0
     elif cfg.run.ablation == "w_only":
         client_cfg.finetune_epochs = 0
+    # The server and every client start from the same arrays, read-only:
+    # each step and each downlink rebinds a party's channels to new arrays.
+    for v in (*theta0.values(), *zeros.values(), private.positions, private.values):
+        v.setflags(write=False)
     ratios = (cfg.data.train_frac, cfg.data.val_frac, cfg.data.test_frac)
     clients = []
     for cid in range(cfg.run.clients):
@@ -314,7 +316,7 @@ def build_simulation(
             ClientState(
                 id=cid,
                 w=dict(shared),
-                s=dict(private),
+                s=private,
                 h=dict(zeros),
                 train=train,
                 test=test,
@@ -474,21 +476,38 @@ def _csv_row(rec: RoundRecord) -> dict:
     }
 
 
+def _write_atomic(path, write) -> None:
+    """Call ``write`` on a binary file beside ``path``, then rename that file
+    onto ``path``.  If ``write`` raises, the file goes and ``path`` is as it
+    was, so no reader sees a truncated file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def emit_metrics(summary: RunSummary, sink) -> Path:
-    """Write rounds.jsonl and summary.csv into the sink directory."""
+    """Write rounds.jsonl and summary.csv into the sink directory, each
+    through a temporary file renamed into place."""
     out = Path(sink)
     out.mkdir(parents=True, exist_ok=True)
     lines = [
         json.dumps(dataclasses.asdict(rec), sort_keys=True, separators=(",", ":"))
         for rec in summary.records
     ]
-    (out / "rounds.jsonl").write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _write_atomic(out / "rounds.jsonl", lambda fh: fh.write(text.encode()))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for rec in summary.records:
         writer.writerow(_csv_row(rec))
-    (out / "summary.csv").write_text(buf.getvalue())
+    _write_atomic(out / "summary.csv", lambda fh: fh.write(buf.getvalue().encode()))
     return out
 
 
@@ -552,11 +571,15 @@ def load_summary(directory) -> RunSummary:
 
 
 def save_checkpoint(states, path) -> None:
-    """Stream any picklable training state to disk after a version header."""
-    with open(path, "wb") as fh:
+    """Stream any picklable training state to disk after a version header,
+    through a temporary file renamed into place."""
+
+    def write(fh):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", CHECKPOINT_VERSION))
         pickle.dump(states, fh, protocol=pickle.HIGHEST_PROTOCOL)
+
+    _write_atomic(path, write)
 
 
 def load_checkpoint(path):
@@ -574,9 +597,15 @@ def load_checkpoint(path):
 
 
 def run_and_persist(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
-    """run_experiment plus the standard output files and final checkpoint."""
+    """run_experiment plus the standard output files and final checkpoint.
+
+    The checkpoint is written first: it is the largest file, and the one
+    whose write can fail on the state itself.  If it fails, an earlier run's
+    files in ``out_dir`` stay as they were.
+    """
     out = Path(out_dir if out_dir is not None else cfg.run.out_dir)
     summary, server, clients = _execute(cfg)
-    emit_metrics(summary, out)
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint((server, clients, cfg.run.rounds), out / "checkpoint.bin")
+    emit_metrics(summary, out)
     return summary

@@ -15,7 +15,7 @@ from cefgl import compress, fedcore, gnn, graphdata, harness, linalg
 from cefgl.errors import IndexOutOfRange, MissingFile, ParseError
 from cefgl.gnn import ArchConfig
 from cefgl.graphdata import SynthSpec
-from helpers import clone_params, plain_fedavg_reference
+from helpers import clone_params, compact, plain_fedavg_reference
 
 
 @contextmanager
@@ -199,7 +199,7 @@ def _reduction_clients(seed):
             fedcore.ClientState(
                 id=cid,
                 w=clone_params(theta0),
-                s=gnn.zeros_like_params(theta0),
+                s=compact(gnn.zeros_like_params(theta0)),
                 h=gnn.zeros_like_params(theta0),
                 train=train,
                 test=test,

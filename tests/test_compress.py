@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cefgl import compress, fedcore, gnn, linalg
 from cefgl.errors import BadBits, MalformedPayload, NonFiniteInput, ZeroVector
 from cefgl.fedcore import ClientConfig
+from helpers import dense
 
 # Wire-format accounting used to derive expected byte counts independently.
 HEADER_BYTES = 4 + 2 + 4  # magic, version, schema check
@@ -439,14 +440,15 @@ class TestSparsify:
     @staticmethod
     def threshold(m, cut):
         cfg = ClientConfig(sparsifier="threshold", cut_sparse=cut)
-        return fedcore.apply_sparsifier({"m": np.asarray(m)}, cfg)["m"]
+        params = {"m": np.asarray(m)}
+        return dense(fedcore.apply_sparsifier(params, cfg), params)["m"]
 
     @staticmethod
     def topk(m, k):
         m = np.asarray(m)
         cfg = ClientConfig(sparsifier="topk", beta=k / m.size)
         assert math.ceil(cfg.beta * m.size) == k
-        return fedcore.apply_sparsifier({"m": m}, cfg)["m"]
+        return dense(fedcore.apply_sparsifier({"m": m}, cfg), {"m": m})["m"]
 
     def test_threshold_zero_keeps_all_nonzeros(self):
         # NaN and Inf are kept, so the finiteness check downstream sees them.

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from cefgl import compress, fedcore, gnn, graphdata, harness, linalg
-from cefgl.errors import DivergenceDetected, MalformedPayload
+from cefgl.errors import DivergenceDetected, MalformedPayload, ShapeMismatch
 from cefgl.fedcore import ClientConfig, ClientState, ServerConfig, ServerState
 from cefgl.gnn import ArchConfig
 from cefgl.graphdata import SynthSpec
-from helpers import clone_params, plain_fedavg_reference
+from helpers import clone_params, compact, dense, plain_fedavg_reference
 from test_compress import HEADER_BYTES, schema_check, segment_bytes
 
 
@@ -34,7 +34,7 @@ def make_clients(
             ClientState(
                 id=cid,
                 w=clone_params(theta0),
-                s=gnn.zeros_like_params(theta0),
+                s=compact(gnn.zeros_like_params(theta0)),
                 h=gnn.zeros_like_params(theta0),
                 train=train,
                 test=test,
@@ -77,8 +77,11 @@ def step_payload(w, h, eta):
 class TestSparsifier:
     def test_threshold_postcondition(self):
         params = {"a": np.array([[0.5, -0.0005], [0.002, 0.0]])}
-        out = fedcore.apply_sparsifier(
-            params, ClientConfig(sparsifier="threshold", cut_sparse=0.001)
+        out = dense(
+            fedcore.apply_sparsifier(
+                params, ClientConfig(sparsifier="threshold", cut_sparse=0.001)
+            ),
+            params,
         )
         nz = out["a"][out["a"] != 0]
         assert np.min(np.abs(nz)) >= 0.001
@@ -86,16 +89,16 @@ class TestSparsifier:
 
     def test_topk_is_global_across_matrices(self):
         params = {"a": np.array([[5.0, 0.1]]), "b": np.array([[4.0, 0.2]])}
-        out = fedcore.apply_sparsifier(params, ClientConfig(sparsifier="topk", beta=0.5))
+        out = dense(fedcore.apply_sparsifier(params, ClientConfig(sparsifier="topk", beta=0.5)), params)
         assert out["a"][0, 0] == 5.0 and out["b"][0, 0] == 4.0
         assert out["a"][0, 1] == 0.0 and out["b"][0, 1] == 0.0
         # A tie across matrices goes to the smaller flat index, the matrices
         # concatenated in dict order.
         a, b = np.array([[1.0, -3.0]]), np.array([[3.0, 1.0]])
         one = ClientConfig(sparsifier="topk", beta=0.25)
-        out = fedcore.apply_sparsifier({"a": a, "b": b}, one)
+        out = dense(fedcore.apply_sparsifier({"a": a, "b": b}, one), {"a": a, "b": b})
         assert out["a"].tolist() == [[0.0, -3.0]] and not out["b"].any()
-        out = fedcore.apply_sparsifier({"b": b, "a": a}, one)
+        out = dense(fedcore.apply_sparsifier({"b": b, "a": a}, one), {"b": b, "a": a})
         assert out["b"].tolist() == [[3.0, 0.0]] and not out["a"].any()
 
     def test_topk_nnz_bound(self):
@@ -103,9 +106,53 @@ class TestSparsifier:
         params = {"a": rng.normal(size=(5, 5)), "b": rng.normal(size=(3, 7))}
         total = 46
         for beta in (0.0, 0.1, 0.37, 1.0):
-            out = fedcore.apply_sparsifier(params, ClientConfig(sparsifier="topk", beta=beta))
+            out = dense(
+                fedcore.apply_sparsifier(params, ClientConfig(sparsifier="topk", beta=beta)), params
+            )
             nnz = sum(int(np.count_nonzero(v)) for v in out.values())
             assert nnz <= math.ceil(beta * total)
+
+
+class TestCompactPrivateChannel:
+    def test_private_channel_stores_sixteen_bytes_per_kept_entry(self):
+        cfg = harness.ExperimentConfig()
+        cfg.run.clients = 3
+        cfg.run.hidden = 128
+        cfg.data.n_graphs = 30
+        server, clients, _ = harness.build_simulation(cfg)
+        for _ in range(2):
+            fedcore.run_round(server, clients)
+        size = sum(v.size for v in clients[0].w.values())
+        for c in clients:
+            nnz = int(np.count_nonzero(c.s.values))
+            assert 0 < nnz < size // 10
+            # An int64 position and a float64 value per entry, and nothing
+            # stored for the dropped ones.
+            assert c.s.positions.nbytes + c.s.values.nbytes == 16 * nnz
+
+    def test_sparsifier_stores_no_zeros(self):
+        params = {"a": np.array([[0.5, 0.0], [-0.0, np.nan]]), "b": np.array([[0.0, 2.0]])}
+        out = fedcore.apply_sparsifier(params, ClientConfig(cut_sparse=0.0))
+        assert out.positions.tolist() == [0, 3, 5]
+        assert out.positions.dtype == np.int64 and out.values.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "positions, values, problem",
+        [
+            ([3, 1], [1.0, 2.0], "ascend"),
+            ([1, 1], [1.0, 2.0], "ascend"),
+            ([0, 99], [1.0, 2.0], "outside"),
+            ([-1, 0], [1.0, 2.0], "outside"),
+            ([0, 1], [1.0], "values for 2 positions"),
+        ],
+        ids=["unsorted", "repeated", "past-the-end", "negative", "one-value-short"],
+    )
+    def test_client_state_refuses_a_malformed_private_channel(self, positions, values, problem):
+        _, clients = make_clients(n_clients=1)
+        c = clients[0]
+        s = gnn.SparseParams(np.array(positions, dtype=np.int64), np.array(values))
+        with pytest.raises(ShapeMismatch, match=problem):
+            dataclasses.replace(c, s=s)
 
 
 class TestLocalSteps:
@@ -172,10 +219,10 @@ class TestFinetune:
     def test_zero_epochs_leaves_s_untouched(self):
         _, clients = make_clients(n_clients=1, finetune_epochs=0)
         c = clients[0]
-        before = clone_params(c.s)
+        before = dense(c.s, c.w)
         fedcore.finetune_sparse(c, c.w)
         for k in before:
-            assert np.array_equal(c.s[k], before[k])
+            assert np.array_equal(dense(c.s, c.w)[k], before[k])
 
     def test_beta_one_nu_zero_is_plain_sgd_on_s(self):
         _, clients = make_clients(
@@ -186,12 +233,12 @@ class TestFinetune:
             finetune_epochs=2,
         )
         c = clients[0]
-        expected = gnn.zeros_like_params(c.s)
+        expected = dense(c.s, c.w)
         for _ in range(2):
-            _, grads = gnn.loss_and_grad(gnn.combine(c.w, expected), c.train.graphs)
+            _, grads = gnn.loss_and_grad(gnn.combine(c.w, compact(expected)), c.train.graphs)
             expected = {k: expected[k] - c.cfg.eta * grads[k] for k in expected}
         fedcore.finetune_sparse(c, c.w)
-        assert max_rel_frob(c.s, expected) <= 1e-12
+        assert max_rel_frob(dense(c.s, c.w), expected) <= 1e-12
 
     def test_beta_zero_keeps_s_all_zero(self):
         _, clients = make_clients(
@@ -200,15 +247,17 @@ class TestFinetune:
         c = clients[0]
         for _ in range(3):
             fedcore.finetune_sparse(c, c.w)
-        assert all(not v.any() for v in c.s.values())
+        assert all(not v.any() for v in dense(c.s, c.w).values())
 
     def test_nan_private_channel_is_divergence(self):
         # The sparsifier keeps NaN, so fine-tuning reports it instead of
         # zeroing the private channel.
         _, clients = make_clients(n_clients=1)
         c = clients[0]
-        name = next(iter(c.s))
-        c.s[name][0, 0] = np.nan
+        s = dense(c.s, c.w)
+        name = next(iter(s))
+        s[name][0, 0] = np.nan
+        c.s = compact(s)
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceDetected):
             fedcore.finetune_sparse(c, c.w)
 
@@ -217,10 +266,10 @@ class TestFinetune:
             n_clients=1, sparsifier="topk", beta=0.2, finetune_epochs=1
         )
         c = clients[0]
-        total = sum(v.size for v in c.s.values())
+        total = sum(v.size for v in dense(c.s, c.w).values())
         for _ in range(4):
             fedcore.finetune_sparse(c, c.w)
-            nnz = sum(int(np.count_nonzero(v)) for v in c.s.values())
+            nnz = sum(int(np.count_nonzero(v)) for v in dense(c.s, c.w).values())
             assert nnz <= math.ceil(0.2 * total)
 
 
@@ -655,11 +704,11 @@ class TestRunRound:
             sparsifier="topk", beta=0.1, finetune_epochs=1
         )
         server = make_server(theta0, p=0.5)
-        total = sum(v.size for v in clients[0].s.values())
+        total = sum(v.size for v in dense(clients[0].s, clients[0].w).values())
         for _ in range(6):
             fedcore.run_round(server, clients)
             for c in clients:
-                nnz = sum(int(np.count_nonzero(v)) for v in c.s.values())
+                nnz = sum(int(np.count_nonzero(v)) for v in dense(c.s, c.w).values())
                 assert nnz <= math.ceil(0.1 * total)
 
     def test_uplinks_encoded_only_for_communicated_participants(self, monkeypatch):
@@ -787,7 +836,7 @@ class TestBaselines:
         twin = ClientState(
             id=1,
             w=clone_params(base.w),
-            s=gnn.zeros_like_params(base.w),
+            s=compact(gnn.zeros_like_params(base.w)),
             h=gnn.zeros_like_params(base.w),
             train=base.train,
             test=base.test,

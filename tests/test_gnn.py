@@ -7,6 +7,7 @@ from cefgl import gnn, graphdata
 from cefgl.errors import ShapeMismatch
 from cefgl.gnn import ArchConfig
 from cefgl.graphdata import Graph, GraphDataset, SynthSpec
+from helpers import compact
 
 
 def random_graph(rng, n_nodes, feature_dim, label=0):
@@ -72,29 +73,29 @@ class TestCombine:
     def test_additive_identity(self):
         p = gnn.init_params(ArchConfig(feature_dim=2, hidden=3, classes=2), seed=0)
         z = gnn.zeros_like_params(p)
-        out = gnn.combine(p, z)
+        out = gnn.combine(p, compact(z))
         for k in p:
             assert np.array_equal(out[k], p[k])
-        out = gnn.combine(z, p)
+        out = gnn.combine(z, compact(p))
         for k in p:
             assert np.array_equal(out[k], p[k])
 
     def test_scalar_case(self):
-        assert gnn.combine({"x": np.array([[2.0]])}, {"x": np.array([[3.0]])})["x"] == 5.0
+        assert gnn.combine({"x": np.array([[2.0]])}, compact({"x": np.array([[3.0]])}))["x"] == 5.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            gnn.combine({"x": np.ones((1, 2))}, {"x": np.ones((2, 1))})
+            gnn.combine({"x": np.ones((1, 2))}, compact({"x": np.ones((3, 1))}))
         with pytest.raises(ShapeMismatch):
-            gnn.combine({"x": np.ones((1, 2))}, {"y": np.ones((1, 2))})
+            gnn.combine({"x": np.ones((1, 2))}, gnn.SparseParams(np.array([-1]), np.ones(1)))
 
     def test_commutative_and_associative(self):
         rng = np.random.default_rng(19)
         a, b, c = ({"m": rng.normal(size=(3, 3))} for _ in range(3))
-        ab, ba = gnn.combine(a, b), gnn.combine(b, a)
+        ab, ba = gnn.combine(a, compact(b)), gnn.combine(b, compact(a))
         assert np.array_equal(ab["m"], ba["m"])  # IEEE addition commutes exactly
-        left = gnn.combine(gnn.combine(a, b), c)
-        right = gnn.combine(a, gnn.combine(b, c))
+        left = gnn.combine(gnn.combine(a, compact(b)), compact(c))
+        right = gnn.combine(a, compact(gnn.combine(b, compact(c))))
         assert np.allclose(left["m"], right["m"], atol=1e-12)
 
 
@@ -193,15 +194,15 @@ class TestLossAndGrad:
         batch = [random_graph(rng, 4, 2, label=1)]
         # The private channel is trained with the gradient taken at the sum
         # of both channels; check it against finite differences in s alone.
-        _, grads = gnn.loss_and_grad(gnn.combine(base, s), batch)
+        _, grads = gnn.loss_and_grad(gnn.combine(base, compact(s)), batch)
         eps = 1e-6
         for k, mat in s.items():
             for idx in np.ndindex(mat.shape):
                 saved = mat[idx]
                 mat[idx] = saved + eps
-                up, _ = gnn.loss_and_grad(gnn.combine(base, s), batch)
+                up, _ = gnn.loss_and_grad(gnn.combine(base, compact(s)), batch)
                 mat[idx] = saved - eps
-                down, _ = gnn.loss_and_grad(gnn.combine(base, s), batch)
+                down, _ = gnn.loss_and_grad(gnn.combine(base, compact(s)), batch)
                 mat[idx] = saved
                 assert abs((up - down) / (2 * eps) - grads[k][idx]) <= 1e-6
 

@@ -6,6 +6,7 @@ import pytest
 
 from cefgl import fedcore, graphdata, harness
 from cefgl.errors import ConfigError, IoError, VersionMismatch
+from helpers import dense
 
 
 def small_cfg(**overrides) -> harness.ExperimentConfig:
@@ -149,7 +150,9 @@ class TestRunExperiment:
         for c in clients:
             for k in c.w:
                 assert c.w[k] is server.theta[k] and not c.w[k].flags.writeable
-                assert c.s[k] is c.h[k] and not c.s[k].any()
+            # Every private channel starts as one empty, read-only record.
+            assert c.s is clients[0].s and c.s.positions.size == 0
+            assert not (c.s.positions.flags.writeable or c.s.values.flags.writeable)
         with pytest.raises(ValueError, match="read-only"):
             clients[1].h["head_b"][0, 0] = 1.0
         # Every party adopts the downlinked broadcast's arrays, read-only too.
@@ -340,7 +343,7 @@ class TestPersistence:
         # Version 1 stored the round-start view and val split per client.
         # A version-2 server state may lack a link-scheme field, which
         # unpickling would fill from the class default without a word.
-        for old in (1, 2):
+        for old in (1, 2, 3):
             path.write_bytes(blob[:4] + struct.pack("<H", old) + blob[6:])
             with pytest.raises(VersionMismatch, match=f"version {old} "):
                 harness.load_checkpoint(path)
@@ -351,6 +354,22 @@ class TestPersistence:
         assert (tmp_path / "exp" / "rounds.jsonl").is_file()
         assert (tmp_path / "exp" / "summary.csv").is_file()
         assert (tmp_path / "exp" / "checkpoint.bin").is_file()
+
+    def test_failed_checkpoint_leaves_the_earlier_run_files(self, tmp_path, monkeypatch):
+        out = tmp_path / "exp"
+        harness.run_and_persist(small_cfg(), out_dir=out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["checkpoint.bin", "rounds.jsonl", "summary.csv"]
+
+        def full_disk(obj, fh, protocol=None):
+            fh.write(b"half a pickle")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(harness.pickle, "dump", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            harness.run_and_persist(small_cfg(**{"run.rounds": 6}), out_dir=out)
+        # No file changed, and no temporary file is left beside them.
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_jsonl_is_byte_deterministic(self, tmp_path):
         for name in ("a", "b"):
@@ -366,7 +385,7 @@ class TestAblations:
         server, clients, _ = harness.build_simulation(cfg)
         for _ in range(3):
             fedcore.run_round(server, clients)
-        assert all(not v.any() for c in clients for v in c.s.values())
+        assert all(not v.any() for c in clients for v in dense(c.s, c.w).values())
 
     def test_s_only_keeps_shared_channel_zero(self):
         cfg = small_cfg(**{"run.ablation": "s_only", "run.rounds": 3})
@@ -386,9 +405,11 @@ class TestAblations:
         server, clients, _ = harness.build_simulation(
             small_cfg(**dict(overrides, **{"run.ablation": "s_only"}))
         )
-        start = [dict(c.s) for c in clients]
+        start = [dense(c.s, c.w) for c in clients]
         assert all(np.array_equal(s[k], full[0].w[k]) for s in start for k in s)
         for _ in range(3):
             fedcore.run_round(server, clients)
-        moved = {k for c, s in zip(clients, start) for k in s if not np.array_equal(c.s[k], s[k])}
+        moved = {
+            k for c, s in zip(clients, start) for k in s if not np.array_equal(dense(c.s, c.w)[k], s[k])
+        }
         assert moved - {"head_b"}
