@@ -89,7 +89,8 @@ class TestSparsifier:
 
     def test_topk_is_global_across_matrices(self):
         params = {"a": np.array([[5.0, 0.1]]), "b": np.array([[4.0, 0.2]])}
-        out = dense(fedcore.apply_sparsifier(params, ClientConfig(sparsifier="topk", beta=0.5)), params)
+        half = ClientConfig(sparsifier="topk", beta=0.5)
+        out = dense(fedcore.apply_sparsifier(params, half), params)
         assert out["a"][0, 0] == 5.0 and out["b"][0, 0] == 4.0
         assert out["a"][0, 1] == 0.0 and out["b"][0, 1] == 0.0
         # A tie across matrices goes to the smaller flat index, the matrices

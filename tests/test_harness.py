@@ -409,7 +409,6 @@ class TestAblations:
         assert all(np.array_equal(s[k], full[0].w[k]) for s in start for k in s)
         for _ in range(3):
             fedcore.run_round(server, clients)
-        moved = {
-            k for c, s in zip(clients, start) for k in s if not np.array_equal(dense(c.s, c.w)[k], s[k])
-        }
+        now = [dense(c.s, c.w) for c in clients]
+        moved = {k for s, t in zip(now, start) for k in s if not np.array_equal(s[k], t[k])}
         assert moved - {"head_b"}
