@@ -9,46 +9,63 @@ Three schemes are supported for a named set of matrices:
 * ``lowrank_quantized``: singular-value truncation first, then quantized
   left/right factors; the left factor carries the singular values.
 
-Wire format version 6 (little-endian): magic ``CFP1``, version u16, the
-4-byte ``_schema_check`` of the tensors' names and shapes, then one body
-per tensor.  Names and shapes do not travel: the decoder takes them from
-``like``, the receiver's own tensors, and reads the bodies in its order.
-A body's first byte says what it holds, so only the encoder knows the
-scheme.  Bit streams are packed least significant bit first and padded to
-whole bytes.
+Wire format version 7 (little-endian): magic ``CFP1``, version u8, the bit
+width r u8 of every quantized segment, and the 4-byte ``_schema_check`` of
+the tensors' names and shapes.  Names and shapes do not travel: the decoder
+takes them from ``like``, the receiver's own tensors, and reads the bodies
+in its order.  Then comes each tensor's body head, in tensor order, and
+after the last head the bit streams of every quantized segment in the
+payload.  A head's first byte, its tag, says what the body holds, so only
+the encoder knows the scheme:
 
 * **0**: an all-zero tensor (a zero tensor has no L2 norm to quantize
   against).
-* **1..32**: a quantized segment of bit width r: norm f64, then the Rice
-  parameter k <= r u8, the unary stream (per level, ``level >> k`` zero
-  bits and a 1, padded with 0 bits to the end of the byte that holds the
-  last 1), the low k bits of each level, and one sign bit per nonzero
-  level.  At k = r every quotient is 0 and no unary stream travels.  The
+* **k + 1** for k <= r: a quantized segment whose levels are Rice coded
+  with parameter k; the norm f64 follows.  At k = r every quotient is 0,
+  so its levels take no unary code and travel as r-bit fields.  The
   encoder writes the least k < r that minimises the level bits, or k = r
-  where that is no longer.
-* **0xFE**: low-rank factors: rank u16, then the left (rows x rank) and
-  right (cols x rank) factors, each a segment of the two kinds above.
-  Factors of rank k travel only when they hold fewer values than the
-  matrix, 0 < k * (rows + cols) < rows * cols, and their body is also the
-  shorter one; otherwise the matrix travels as one quantized segment.
-  Matrices with a unit dimension are never factored.
-* **0xFF**: ``rows * cols`` float64 values.
+  where that is not fewer bits.
+* **0xFE**: low-rank factors: rank u16, then the heads of the left (rows x
+  rank) and right (cols x rank) factors, each a quantized segment or a
+  zero one.  Factors of rank k travel only when they hold fewer values
+  than the matrix, 0 < k * (rows + cols) < rows * cols, take fewer bits
+  than its quantized segment, stream padding aside, and do not lengthen
+  the payload, padding included; otherwise the matrix travels as one
+  quantized segment.  Matrices with a unit dimension are never factored.
+* **0xFF**: ``rows * cols`` float64 values, which follow in the head.
+
+The streams take the segments in order of k, ties in head order, and each
+is padded with 0 bits to a whole byte once per payload:
+
+1. the low k bits of each level, one stream per width k >= 1 in ascending
+   order, packed least significant bit first.  Their sizes follow from
+   the heads, so they come first;
+2. one unary stream: per level of every segment with k < r, ``level >> k``
+   zero bits and a 1 (its terminator), least significant bit first.  It
+   carries no length and ends with the byte that holds its last
+   terminator;
+3. one sign stream: a bit per nonzero level, 1 for negative.
 
 The encoder codes the quantized segments of a payload, low-rank factor
 candidates included, together: one pass scales, rounds and signs their
-values, picks their Rice parameters and packs their streams, a pass taking
-at most ``_PASS_VALUES`` values.  The decoder reads, range-checks,
-dequantizes and signs each segment in turn, as only its levels tell where
-the next begins, and multiplies a body's factors as soon as both are read.
+values and picks their Rice parameters, a pass taking at most
+``_PASS_VALUES`` values, and each stream is packed once from the pieces of
+every pass.  The decoder reads the heads, then decodes the streams in
+passes of consecutive segments of at most ``_PASS_VALUES`` values with a
+fixed number of numpy calls per pass: it takes the pass's terminators from
+one scan of the unary stream, unpacks its remainders once per width, and
+once the unary stream's end locates the sign stream, signs and scales its
+levels.
 
-The decoder refuses a schema check other than ``like``'s (a payload
-encoded for other names, shapes or order); any other first byte; bytes
-after the last body; quantized segments whose norm is negative, infinite
-or NaN, whose k is above r, whose unary stream runs out of bytes or has
-bits set after its last terminator, or whose levels reach 2**r; low-rank
-bodies whose rank breaks the bound above or whose factors multiply out
-past the float64 range; and dense bodies holding NaN or Inf.  Sizes come
-from ``like``, never from the wire.
+The decoder refuses a version other than 7; a bit width r outside [1, 32];
+a schema check other than ``like``'s (a payload encoded for other names,
+shapes or order); a tag whose k is above r; bytes after the last stream;
+quantized segments whose norm is negative, infinite or NaN, whose unary
+codes run out of bytes or are followed by set bits in the byte of the
+last terminator, or whose levels reach 2**r; low-rank bodies whose rank
+breaks the bound above, whose factor is itself factored or dense, or whose
+factors multiply out past the float64 range; and dense bodies holding NaN
+or Inf.  Sizes come from ``like``, never from the wire.
 
 Only changes of the shared channel travel: up, each client's drift-corrected
 step, which folds in its correction term; down, the broadcast's change.  The
@@ -58,13 +75,14 @@ here.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,8 +90,8 @@ from . import linalg
 from .errors import BadBits, MalformedPayload, NonFiniteInput, ZeroVector
 
 MAGIC = b"CFP1"
-WIRE_VERSION = 6
-# First bytes of a factored and a dense body; 0..32 start a quantized one.
+WIRE_VERSION = 7
+# Tags of a factored and a dense body; 0 is a zero tensor, k + 1 a quantized one.
 _FACTORS = 0xFE
 _DENSE = 0xFF
 
@@ -82,7 +100,8 @@ SCHEME_QUANTIZED = "quantized"
 SCHEME_LOWRANK = "lowrank_quantized"
 _SCHEMES = (SCHEME_DENSE, SCHEME_QUANTIZED, SCHEME_LOWRANK)
 
-_UNPACK_CHUNK = 1 << 16  # levels per step of _unpack_levels; bytes of _Reader.unary
+_UNPACK_CHUNK = 1 << 16  # levels per step of _unpack_levels' octet route
+_BIT_ROUTE_LEVELS = 512  # up to this many, levels are packed and unpacked through a bit matrix
 
 
 @dataclass
@@ -116,8 +135,17 @@ def quantize(x, r: int) -> QuantizedVector:
 
 
 def dequantize(q: QuantizedVector) -> np.ndarray:
-    """Reconstruct ``norm * sign_i * level_i / 2**r`` for each coordinate."""
-    return _dequantize(q.levels, q.r, q.norm, np.flatnonzero(q.signs))
+    """Reconstruct ``norm * sign_i * level_i / 2**r`` for each coordinate.
+
+    The level is scaled to [0, 1) before the norm multiplies it, so no
+    magnitude can overflow past a finite norm; the decoder takes the same
+    steps.
+    """
+    values = q.levels.astype(np.float64)
+    values *= 2.0**-q.r  # exact, as a level is an integer below 2**32
+    values *= q.norm
+    values[np.flatnonzero(q.signs)] *= -1.0
+    return values
 
 
 def _norm(vec: np.ndarray) -> float:
@@ -147,20 +175,6 @@ def _levels(
     return np.minimum(magnitudes, float(2**r - 1), out=magnitudes).astype(np.uint32)
 
 
-def _dequantize(levels: np.ndarray, r: int, norm: float, negative: np.ndarray) -> np.ndarray:
-    """``norm * sign * level / 2**r``, where ``negative`` indexes the values
-    that take a minus sign.
-
-    The level is scaled to [0, 1) before the norm multiplies it, so no
-    magnitude can overflow past a finite norm.
-    """
-    values = levels.astype(np.float64)
-    values /= float(2**r)
-    values *= norm
-    values[negative] *= -1.0
-    return values
-
-
 @functools.lru_cache(maxsize=None)
 def _octet_fields(r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Where the 8 r-bit fields of an octet of levels sit in its uint64
@@ -172,41 +186,60 @@ def _octet_fields(r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return word, shift, firsts, np.flatnonzero(shift + r > 64)
 
 
-def _pack_levels(levels: np.ndarray, r: int) -> bytes:
-    """Concatenate the low r bits of each level, least significant first.
+def _pack_levels(pieces: Sequence[np.ndarray], r: int) -> bytes:
+    """Concatenate the low r bits of each level of the pieces, in order,
+    least significant first.
 
-    A width of 8, 16 or 32 bits is a plain little-endian cast.  Otherwise
-    each octet of levels fills exactly r bytes: its levels are shifted to
-    bit offsets 0, r, ..., 7r, ORed into little-endian uint64 words, and the
-    first r bytes of those words are cut out.  The last octet is padded with
-    zero levels.
+    A width of 8, 16 or 32 bits is a plain little-endian cast.  Up to
+    ``_BIT_ROUTE_LEVELS`` levels go through a matrix of their bits.
+    Otherwise each octet of levels fills exactly r bytes: its levels are
+    shifted to bit offsets 0, r, ..., 7r, ORed into little-endian uint64
+    words, and the first r bytes of those words are cut out.  The last
+    octet is padded with zero levels.
     """
-    n = levels.size
+    n = sum(piece.size for piece in pieces)
+    if r not in (8, 16, 32) and n <= _BIT_ROUTE_LEVELS:  # through a matrix of their bits
+        levels = np.concatenate(pieces).astype("<u4", copy=False)
+        bits = np.unpackbits(levels.view(np.uint8).reshape(n, 4), axis=1, bitorder="little")
+        return np.packbits(bits[:, :r], bitorder="little").tobytes()
     if r in (8, 16, 32):
-        return levels.astype(f"<u{r // 8}").tobytes()
-    rows = -(-n // 8)
-    octets = np.zeros(8 * rows, dtype=np.uint64)
-    np.bitwise_and(levels, (1 << r) - 1, out=octets[:n])
-    octets = octets.reshape(rows, 8)
+        octets = np.empty(n, dtype=f"<u{r // 8}")
+    else:
+        octets = np.zeros(-(-n // 8) * 8, dtype=np.uint64)
+    at = 0
+    for piece in pieces:  # each is cast on assignment, to its low r bits at 8, 16 and 32
+        octets[at : at + piece.size] = piece
+        at += piece.size
+    if r in (8, 16, 32):
+        return octets.tobytes()
+    octets &= np.uint64((1 << r) - 1)
+    octets = octets.reshape(-1, 8)
     word, shift, firsts, straddle = _octet_fields(r)
-    words = np.zeros((rows, (8 * r + 63) // 64), dtype="<u8")
+    words = np.zeros((octets.shape[0], (8 * r + 63) // 64), dtype="<u8")
     words[:, word[firsts]] = np.bitwise_or.reduceat(octets << shift, firsts, axis=1)
     if straddle.size:
         words[:, word[straddle] + 1] |= octets[:, straddle] >> (64 - shift[straddle])
     return words.view(np.uint8)[:, :r].tobytes()[: (n * r + 7) // 8]
 
 
-def _unpack_levels(buf: bytes, n: int, r: int) -> np.ndarray:
-    """Inverse of ``_pack_levels``: widen each r-bit field to 32 bits.
+def _unpack_levels(buf, n: int, r: int) -> np.ndarray:
+    """Inverse of ``_pack_levels``: widen each r-bit field of ``buf``, bytes
+    or a uint8 array, to 32 bits.
 
-    Takes the same two routes.  The word route works ``_UNPACK_CHUNK``
-    levels at a time, so its matrices stay a few MiB however long the
-    segment is; the chunk is a multiple of 8 levels, so each chunk starts
-    on a byte boundary.
+    Widths of 8, 16 and 32 bits are a cast.  Up to ``_BIT_ROUTE_LEVELS``
+    levels go through a matrix of their bits, which costs 32 bytes a level
+    but only a few numpy calls.  More take the octet route of
+    ``_pack_levels`` backwards, ``_UNPACK_CHUNK`` levels at a time, so its
+    matrices stay a few MiB however long the segment is; the chunk is a
+    multiple of 8 levels, so each chunk starts on a byte boundary.
     """
     if r in (8, 16, 32):
         return np.frombuffer(buf, dtype=f"<u{r // 8}").astype(np.uint32)
     wire = np.frombuffer(buf, dtype=np.uint8)
+    if n <= _BIT_ROUTE_LEVELS:
+        bits = np.zeros((n, 32), dtype=np.uint8)
+        bits[:, :r] = np.unpackbits(wire, count=n * r, bitorder="little").reshape(n, r)
+        return np.packbits(bits, axis=1, bitorder="little").view("<u4").ravel()
     levels = np.empty(n, dtype=np.uint32)
     mask = np.uint64((1 << r) - 1)
     word, shift, _, straddle = _octet_fields(r)
@@ -261,15 +294,48 @@ def _rice_parameters(levels: np.ndarray, bounds: Sequence[int], r: int) -> List[
     return best
 
 
-# Zero levels that fill a segment's last octet, and zero bits that fill a
-# stream's last byte.
-_PAD_LEVELS = np.zeros(7, dtype=np.uint32)
+# Zero bits that fill the unary stream's last byte.
 _PAD_BITS = np.zeros(7, dtype=bool)
-_PAD_LEVELS.setflags(write=False)
 _PAD_BITS.setflags(write=False)
-# Values per coding pass.  A pass's temporaries grow with its values, so a
-# cap keeps them near those of one large tensor.
+# Values per coding pass, of the encoder and of the decoder.  A pass's
+# temporaries grow with its values, so a cap keeps them near those of one
+# large tensor.
 _PASS_VALUES = 1 << 14
+# Bytes of unary stream per scan step: 64 KiB of unpacked bits.
+_SCAN_BYTES = 1 << 13
+
+
+@dataclass
+class _Segment:
+    """A coded quantized segment: its head, and its pieces of the streams.
+    The pieces are views into the arrays of the pass that coded it."""
+
+    k: int
+    norm: float
+    levels: np.ndarray  # uint32; the low k bits of each travel as its remainder
+    unary: np.ndarray  # bool, its unary codes; empty at k = r
+    signs: np.ndarray  # bool, one per nonzero level, True for negative
+
+
+def _head(segment: Optional[_Segment]) -> bytes:
+    """A segment's head; a zero one is its tag byte alone."""
+    return b"\x00" if segment is None else struct.pack("<Bd", segment.k + 1, segment.norm)
+
+
+def _size(bodies: Sequence[Sequence[Optional[_Segment]]]) -> Tuple[int, int]:
+    """The bytes that quantized bodies, each one segment or two factors,
+    take on the wire, heads and streams, each stream padded once; and their
+    bits, stream padding aside."""
+    heads, streams = 0, collections.Counter()
+    for body in bodies:
+        heads += 3 if len(body) == 2 else 0  # the factors' tag and rank
+        for s in body:
+            heads += len(_head(s))
+            if s is not None:
+                streams[s.k] += s.levels.size * s.k
+                streams.update(unary=s.unary.size, signs=s.signs.size)
+    padded = sum((bits + 7) // 8 for bits in streams.values())
+    return heads + padded, 8 * heads + sum(streams.values())
 
 
 def _passes(sizes: Sequence[int]) -> List[List[int]]:
@@ -285,20 +351,18 @@ def _passes(sizes: Sequence[int]) -> List[List[int]]:
     return passes
 
 
-def _quant_segments(vecs: Sequence[np.ndarray], r: int) -> List[bytes]:
+def _quant_segments(vecs: Sequence[np.ndarray], r: int) -> List[Optional[_Segment]]:
     """The quantized segments of flattened tensors at bit width r.
 
     Each segment has its own norm and the best Rice parameter k < r, or
-    k = r, without a unary stream, when that is no longer.  ZeroVector's
+    k = r, without unary codes, when that is not fewer bits.  ZeroVector's
     case, a genuinely zero tensor or one so small that its norm underflows,
-    is a legal model state and travels as the single bit-width byte 0.  The
-    others are coded together, in as few passes as ``_passes`` allows.
+    is a legal model state and travels as the single tag byte 0 (None
+    here).  The others are coded together, in as few passes as ``_passes``
+    allows.
     """
-    if not vecs:
-        return []
-    r = _check_bits(r)
     norms = [_norm(v) for v in vecs]  # as quantize takes it, per tensor
-    out = [b"\x00"] * len(vecs)
+    out: List[Optional[_Segment]] = [None] * len(vecs)
     live = [i for i, norm in enumerate(norms) if norm != 0.0]
     for batch in _passes([vecs[i].size for i in live]):
         picked = [live[j] for j in batch]
@@ -308,12 +372,10 @@ def _quant_segments(vecs: Sequence[np.ndarray], r: int) -> List[bytes]:
     return out
 
 
-def _code_pass(vecs: Sequence[np.ndarray], norms: Sequence[float], r: int) -> List[bytes]:
+def _code_pass(vecs: Sequence[np.ndarray], norms: Sequence[float], r: int) -> List[_Segment]:
     """Nonzero flattened tensors coded in one pass over their concatenated
-    values: each divides by its own norm, the scaling, rounding, sign bits
-    and Rice sums run once for all, the unary and sign streams of every
-    segment are packed together and the remainders once per width.  Each
-    stream starts on a byte boundary."""
+    values: each divides by its own norm, and the scaling, rounding, sign
+    bits, Rice sums and unary codes run once for all."""
     sizes = [v.size for v in vecs]
     bounds = list(itertools.accumulate(sizes, initial=0))
     values = np.concatenate(vecs)
@@ -321,13 +383,13 @@ def _code_pass(vecs: Sequence[np.ndarray], norms: Sequence[float], r: int) -> Li
     levels = _levels(np.abs(values, out=values), bounds, norms, r)
     del values
     nonzero = levels != 0
-    counts = [int(np.count_nonzero(nonzero[a:b])) for a, b in zip(bounds, bounds[1:])]
+    counts = np.add.reduceat(nonzero, bounds[:-1], dtype=np.int64).tolist()
     signs = negative[nonzero]
 
     ks, unary_bits = [], []
     for n, (k, quotient_sum) in zip(sizes, _rice_parameters(levels, bounds, r)):
         unary = quotient_sum + n
-        if (unary + 7) // 8 + (n * k + 7) // 8 >= (n * r + 7) // 8:
+        if unary + n * k >= n * r:
             k, unary = r, 0
         ks.append(k)
         unary_bits.append(unary)
@@ -346,32 +408,25 @@ def _code_pass(vecs: Sequence[np.ndarray], norms: Sequence[float], r: int) -> Li
     unary[ends] = True
     del ends
 
-    pieces, u, c = [], 0, 0
-    for ub, count in zip(unary_bits, counts):
-        pieces += [unary[u : u + ub], _PAD_BITS[: -ub % 8]]
-        pieces += [signs[c : c + count], _PAD_BITS[: -count % 8]]
+    out, u, c = [], 0, 0
+    for seg, (norm, k, ub, count) in enumerate(zip(norms, ks, unary_bits, counts)):
+        part = levels[bounds[seg] : bounds[seg + 1]]
+        out.append(_Segment(k, norm, part, unary[u : u + ub], signs[c : c + count]))
         u, c = u + ub, c + count
-    streams = np.packbits(np.concatenate(pieces), bitorder="little").tobytes()
-
-    remainders = [b""] * len(ks)
-    for width in sorted(set(ks) - {0}):
-        group = [seg for seg, k in enumerate(ks) if k == width]
-        parts = []
-        for seg in group:
-            parts += [levels[bounds[seg] : bounds[seg + 1]], _PAD_LEVELS[: -sizes[seg] % 8]]
-        packed = _pack_levels(np.concatenate(parts) if len(group) > 1 else parts[0], width)
-        at = 0
-        for seg in group:
-            remainders[seg] = packed[at : at + (sizes[seg] * width + 7) // 8]
-            at += (sizes[seg] + 7) // 8 * width
-
-    out, at = [], 0
-    for norm, k, ub, count, rem in zip(norms, ks, unary_bits, counts, remainders):
-        u, g = (ub + 7) // 8, (count + 7) // 8
-        head = struct.pack("<BdB", r, norm, k)
-        out.append(b"".join([head, streams[at : at + u], rem, streams[at + u : at + u + g]]))
-        at += u + g
     return out
+
+
+def _streams(segments: Sequence[_Segment]) -> bytes:
+    """The remainder streams, the unary stream and the sign stream of
+    quantized segments, which are in stream order."""
+    parts = []
+    for width in sorted({s.k for s in segments} - {0}):
+        parts.append(_pack_levels([s.levels for s in segments if s.k == width], width))
+    unary = [s.unary for s in segments]
+    size = sum(u.size for u in unary)
+    bits = np.concatenate(unary + [_PAD_BITS[: -size % 8]] + [s.signs for s in segments])
+    parts.append(np.packbits(bits, bitorder="little").tobytes())
+    return b"".join(parts)
 
 
 class _Reader:
@@ -394,79 +449,114 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def unary(self, n: int) -> np.ndarray:
-        """The next n unary codes as quotients, each the count of 0 bits
-        before its terminating 1 bit.  The stream ends with the byte that
-        holds the n-th 1, whose later bits must be 0.
 
-        The stream has no length field, so it is scanned in chunks, each
-        twice as long as the one before and at most ``_UNPACK_CHUNK``
-        bytes, so a long run of zeros costs no more memory than a short
-        one.  The first chunk holds four bits per code, which covers every
-        stream the encoder writes below that cap: its k keeps the sum of
-        the quotients below 3 n.
-        """
-        if 8 * (len(self.blob) - self.pos) < n:
-            raise MalformedPayload(
-                f"{len(self.blob) - self.pos} bytes cannot hold {n} unary codes"
-            )
-        wire = np.frombuffer(self.blob, dtype=np.uint8)
-        ends = np.empty(n, dtype=np.int64)
-        found, start, step = 0, self.pos, (n + 1) // 2
-        while found < n:
-            if start >= wire.size:
-                raise MalformedPayload(f"unary stream holds {found} of {n} terminators")
-            step = min(step, _UNPACK_CHUNK)
-            bits = np.unpackbits(wire[start : start + step], bitorder="little")
-            at = np.flatnonzero(bits.view(bool))[: n - found]
-            np.add(at, 8 * (start - self.pos), out=ends[found : found + at.size])
-            found += at.size
-            start += step
-            step *= 2
-        if n:
-            last_byte, last_bit = divmod(int(ends[-1]), 8)
-            if wire[self.pos + last_byte] >> (last_bit + 1):
-                raise MalformedPayload("unary stream has bits set after its last terminator")
-            self.pos += last_byte + 1
-        ends[1:] -= ends[:-1] + 1  # terminator positions to quotients
-        return ends
-
-    def done(self) -> bool:
-        return self.pos == len(self.blob)
+# The number of 1 bits in each byte value, and of each byte of an array:
+# numpy 2 counts them natively, older numpy looks them up.
+_ONES = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+_ONES.setflags(write=False)
+_bit_counts = getattr(np, "bitwise_count", _ONES.take)
 
 
-def _read_segment(rd: _Reader, n: int, r: int) -> np.ndarray:
-    """The values of a quantized segment whose first byte, r, is read: zeros
-    for r = 0.  Refuses any level of 2**r or more, so that each decoded
-    magnitude stays within the segment's norm."""
-    if r == 0:
-        return np.zeros(n)
-    if r > 32:
-        raise MalformedPayload(f"invalid body byte {r}")
-    norm, k = rd.unpack("<dB")
-    if not 0.0 <= norm < math.inf:
-        raise MalformedPayload(f"quantized segment has invalid norm {norm!r}")
+class _Unary:
+    """The unary stream that starts at byte ``start`` of ``wire`` and holds
+    ``total`` codes, each a run of 0 bits and its terminating 1 bit.
+
+    Passes take their codes in turn, each unpacking the stream's bytes from
+    where the last take ended in steps of at most ``_SCAN_BYTES`` bytes, so
+    a long run of zeros costs no more memory than a short one.  A take
+    before the last stops at the byte that holds its last terminator, which
+    a count of the 1 bits of each byte, running ahead of the takes, finds.
+    The last take stops at the step that holds its last terminator, so only
+    its last step can read past the stream, into the sign stream.
+    """
+
+    def __init__(self, wire: np.ndarray, start: int, total: int):
+        if 8 * (wire.size - start) < total:
+            raise MalformedPayload(f"{wire.size - start} bytes cannot hold {total} unary codes")
+        self.wire, self.start, self.total = wire, start, total
+        self.bit = 8 * start  # where the next code starts, in bits from the wire's start
+        self.taken = 0
+        self.counted = start  # the 1 bits of the bytes before this one are counted:
+        self.before = 0  # those before the last counted step,
+        self.counts = np.zeros(0, dtype=np.int64)  # and in it, running by byte
+
+    def _byte_of(self, ones: int) -> int:
+        """The byte that holds the stream's ``ones``-th 1 bit."""
+        while True:
+            at = int(np.searchsorted(self.counts, ones - self.before))
+            if at < self.counts.size:
+                return self.counted - self.counts.size + at
+            self.before += int(self.counts[-1]) if self.counts.size else 0
+            if self.counted >= self.wire.size:
+                raise MalformedPayload(
+                    f"unary stream holds {self.before} of {self.total} terminators"
+                )
+            step = self.wire[self.counted : self.counted + _SCAN_BYTES]
+            self.counts = np.cumsum(_bit_counts(step), dtype=np.int64)
+            self.counted += step.size
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n codes as quotients, their counts of 0 bits (int64)."""
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
+        first = self.bit // 8
+        # The first byte's 1 bits below the next code end earlier codes.
+        earlier = int(_ONES[self.wire[first] & ((1 << self.bit % 8) - 1)])
+        last = self.taken + n == self.total
+        stop = self.wire.size if last else self._byte_of(self.taken + n) + 1
+        parts, found, at = [], 0, first
+        while found < earlier + n:
+            if at >= stop:
+                found += self.taken - earlier
+                raise MalformedPayload(f"unary stream holds {found} of {self.total} terminators")
+            step = self.wire[at : min(at + _SCAN_BYTES, stop)]
+            # numpy finds the True positions of a bool array several times
+            # faster than the nonzero ones of a uint8 or a float64 array.
+            ends = np.flatnonzero(np.unpackbits(step, bitorder="little").view(bool))
+            ends += 8 * at
+            parts.append(ends)
+            found += ends.size
+            at += step.size
+        ends = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        quotients = ends[earlier : earlier + n]
+        next_bit, self.bit = self.bit, int(quotients[-1]) + 1
+        quotients[1:] -= quotients[:-1] + 1  # terminator offsets to quotients
+        quotients[0] -= next_bit
+        self.taken += n
+        return quotients
+
+    def end(self) -> int:
+        """The byte after the one that holds the last terminator, whose
+        later bits must be 0."""
+        if not self.taken:
+            return self.start
+        byte, bit = divmod(self.bit - 1, 8)
+        if self.wire[byte] >> (bit + 1):
+            raise MalformedPayload("unary stream has bits set after its last terminator")
+        return byte + 1
+
+
+def _read_segment_head(rd: _Reader, tag: int, n: int, r: int, heads: list) -> Optional[int]:
+    """Read the norm of a quantized segment of n values whose tag is read
+    and list its (n, k, norm) in ``heads``: its index there, or None for a
+    zero tensor."""
+    if tag == 0:
+        return None
+    if tag in (_FACTORS, _DENSE):
+        raise MalformedPayload(f"invalid body byte {tag}")
+    k = tag - 1
     if k > r:
         raise MalformedPayload(f"Rice parameter {k} is above the bit width {r}")
-    if k == r:  # every quotient is 0, so no unary stream travels
-        levels = _unpack_levels(rd.take((n * r + 7) // 8), n, r)
-    else:
-        levels = rd.unary(n)
-        if int(levels.max(initial=0)) >> (r - k):
-            raise MalformedPayload(f"Rice-coded level does not fit in {r} bits")
-        if k:
-            levels <<= k
-            levels |= _unpack_levels(rd.take((n * k + 7) // 8), n, k)
-    # On random masks, numpy finds the True positions of a bool array and
-    # gathers by them faster than it takes nonzeros or a masked index.
-    nonzero = np.flatnonzero(levels != 0)
-    wire = np.frombuffer(rd.take((nonzero.size + 7) // 8), dtype=np.uint8)
-    signs = np.unpackbits(wire, count=nonzero.size, bitorder="little").view(bool)
-    return _dequantize(levels, r, norm, nonzero[np.flatnonzero(signs)])
+    (norm,) = rd.unpack("<d")
+    if not 0.0 <= norm < math.inf:
+        raise MalformedPayload(f"quantized segment has invalid norm {norm!r}")
+    heads.append((n, k, norm))
+    return len(heads) - 1
 
 
-def _read_body(rd: _Reader, rows: int, cols: int) -> np.ndarray:
-    """The values of one tensor body, by its first byte."""
+def _read_head(rd: _Reader, rows: int, cols: int, r: int, heads: list):
+    """Read one tensor's body head: a dense body's values, or the ``heads``
+    index of its quantized segment, or the rank and indices of its factors."""
     n = rows * cols
     (tag,) = rd.unpack("<B")
     if tag == _DENSE:
@@ -475,18 +565,107 @@ def _read_body(rd: _Reader, rows: int, cols: int) -> np.ndarray:
             raise MalformedPayload("dense body holds NaN or Inf")
         return values
     if tag != _FACTORS:
-        return _read_segment(rd, n, tag)
+        return _read_segment_head(rd, tag, n, r, heads)
     (rank,) = rd.unpack("<H")
     if not 0 < rank * (rows + cols) < n:
         raise MalformedPayload(f"invalid retained rank {rank} for {rows}x{cols}")
-    left = _read_segment(rd, rows * rank, *rd.unpack("<B")).reshape(rows, rank)
-    right = _read_segment(rd, cols * rank, *rd.unpack("<B")).reshape(cols, rank)
-    # Each factor is bounded by its finite norm, but their product is not.
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = left @ right.T
-    if not np.isfinite(product).all():
-        raise MalformedPayload(f"low-rank factors of a {rows}x{cols} matrix overflow")
-    return product
+    left = _read_segment_head(rd, *rd.unpack("<B"), rows * rank, r, heads)
+    right = _read_segment_head(rd, *rd.unpack("<B"), cols * rank, r, heads)
+    return rank, left, right
+
+
+def _stream_passes(sizes: Sequence[int]) -> List[Tuple[int, int]]:
+    """Consecutive segments, as (first, stop) index pairs, grouped into
+    decoding passes of at most ``_PASS_VALUES`` values unless one segment
+    holds more."""
+    cuts, total = [0], 0
+    for i, n in enumerate(sizes):
+        if total and total + n > _PASS_VALUES:
+            cuts.append(i)
+            total = 0
+        total += n
+    cuts.append(len(sizes))
+    return list(zip(cuts, cuts[1:]))
+
+
+def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[Tuple[int, int, float]], r: int):
+    """The values of quantized segments with heads (n, k, norm), whose
+    streams start at byte ``pos`` and end the payload: one float64 array in
+    stream order, and each segment's offset into it.
+
+    Each pass writes its levels into its part of the array; then, the unary
+    stream's end having located the sign stream, each pass scales and signs
+    its part in place.  Refuses any level of 2**r or more, so that each
+    decoded magnitude stays within its segment's norm.
+    """
+    order = sorted(range(len(heads)), key=lambda i: heads[i][1])
+    sizes = [heads[i][0] for i in order]
+    ks = [heads[i][1] for i in order]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    offsets = [0] * len(heads)
+    for i, start in zip(order, starts):
+        offsets[i] = start
+
+    remainders = {}  # width -> [byte where its stream starts, values read]
+    for width, group in itertools.groupby(zip(ks, sizes), key=lambda pair: pair[0]):
+        if width:
+            remainders[width] = [pos, 0]
+            pos += (sum(n for _, n in group) * width + 7) // 8
+    if pos > wire.size:
+        raise MalformedPayload(f"truncated payload: remainder streams end at byte {pos}")
+    unary = _Unary(wire, pos, sum(n for n, k in zip(sizes, ks) if k < r))
+
+    def read_remainders(width: int, m: int) -> np.ndarray:
+        stream = remainders[width]
+        first, skip = stream[1], stream[1] % 8  # unpack from the octet that holds the first
+        stream[1] += m
+        part = wire[stream[0] + (first - skip) * width // 8 : stream[0] + (stream[1] * width + 7) // 8]
+        return _unpack_levels(part, skip + m, width)[skip:]
+
+    def read_levels(first: int, stop: int) -> None:
+        """Write the levels of segments first..stop - 1 into ``values``."""
+        base = starts[first]
+        quotients = unary.take(sum(n for n, k in zip(sizes[first:stop], ks[first:stop]) if k < r))
+        for width, group in itertools.groupby(range(first, stop), key=ks.__getitem__):
+            group = list(group)
+            lo, hi = starts[group[0]] - base, starts[group[-1] + 1] - base
+            if width == r:
+                values[base + lo : base + hi] = read_remainders(width, hi - lo)
+                continue
+            levels = quotients[lo:hi]
+            if levels.size and int(levels.max()) >> (r - width):
+                raise MalformedPayload(f"Rice-coded level does not fit in {r} bits")
+            if width:  # the levels are below 2**r, so uint32 holds them
+                levels = levels.astype(np.uint32)
+                levels <<= width
+                levels |= read_remainders(width, hi - lo)
+            values[base + lo : base + hi] = levels
+
+    values = np.empty(starts[-1])
+    passes = _stream_passes(sizes)
+    for first, stop in passes:
+        read_levels(first, stop)
+    at = 8 * unary.end()  # where the sign stream starts, in bits
+    del unary  # and its running count of 1 bits
+    norms = [heads[i][2] for i in order]
+    for first, stop in passes:
+        part = values[starts[first] : starts[stop]]
+        nonzero = np.flatnonzero(part != 0)
+        stop_byte = (at + nonzero.size + 7) // 8
+        if stop_byte > wire.size:
+            raise MalformedPayload(
+                f"truncated payload: wanted {nonzero.size} sign bits at bit {at}, "
+                f"have {8 * wire.size - at}"
+            )
+        bits = np.unpackbits(wire[at // 8 : stop_byte], bitorder="little")
+        # As dequantize does: scale the level to [0, 1), then by the norm.
+        part *= 2.0**-r
+        part *= norms[first] if stop - first == 1 else np.repeat(norms[first:stop], sizes[first:stop])
+        part[nonzero[np.flatnonzero(bits[at % 8 : at % 8 + nonzero.size].view(bool))]] *= -1.0
+        at += nonzero.size
+    if (at + 7) // 8 < wire.size:
+        raise MalformedPayload(f"{wire.size - (at + 7) // 8} trailing bytes after the sign stream")
+    return values, offsets
 
 
 @dataclass
@@ -526,9 +705,9 @@ def encode_payload(
     """Serialize named matrices under one compression scheme.
 
     ``lowrank_quantized`` truncates each matrix with a relative singular
-    value cutoff of ``tau_lowrank`` and ships quantized factors when their
-    body is shorter than the plain quantized matrix, which it ships
-    otherwise; matrices with a unit dimension (bias rows) skip the
+    value cutoff of ``tau_lowrank`` and ships quantized factors when they
+    take fewer bits than the plain quantized matrix and the payload is no
+    longer for them, and the plain matrix otherwise; matrices with a unit dimension (bias rows) skip the
     factorization and travel as a plain quantized segment.  Every quantized
     segment of the payload, factor candidates included, is coded in one
     pass.  Names and shapes travel only as the schema check, so the
@@ -537,7 +716,8 @@ def encode_payload(
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    # A plan is a finished body, or the name, first segment index and the
+    r = _check_bits(r)
+    # A plan is a finished head, or the name, first segment index and the
     # rank of the factors that follow that segment (0 for none) of a body
     # still to be coded.
     shapes, plans, vecs = [], [], []
@@ -565,20 +745,36 @@ def encode_payload(
         vecs.append(mat.ravel())
         if rank:
             vecs += [left.ravel(), right.ravel()]
-    segments = _quant_segments(vecs, r)
+    coded = _quant_segments(vecs, r)
 
-    parts = [MAGIC, struct.pack("<H", WIRE_VERSION), _schema_check(shapes)]
+    # Each factored candidate in turn travels as factors if they take fewer
+    # bits than its plain segment and the payload, padding included, is not
+    # longer for them: no low-rank payload is longer than the quantized one.
+    bodies = [coded[plan[1] : plan[1] + 1] for plan in plans if isinstance(plan, tuple)]
+    at = 0
     for plan in plans:
         if isinstance(plan, tuple):
             name, seg, rank = plan
-            body = segments[seg]
             if rank:
-                factors = segments[seg + 1] + segments[seg + 2]
-                factored = struct.pack("<BH", _FACTORS, rank) + factors
-                if len(factored) < len(body):
-                    body, ranks[name] = factored, rank
-            plan = body
-        parts.append(plan)
+                factored = bodies[:at] + [coded[seg + 1 : seg + 3]] + bodies[at + 1 :]
+                (size, bits), (plain_size, plain_bits) = _size(factored), _size(bodies)
+                if bits < plain_bits and size <= plain_size:
+                    bodies, ranks[name] = factored, rank
+            at += 1
+
+    parts = [MAGIC, struct.pack("<BB", WIRE_VERSION, r), _schema_check(shapes)]
+    quantized = iter(bodies)
+    for plan in plans:
+        if isinstance(plan, bytes):
+            parts.append(plan)
+            continue
+        body = next(quantized)
+        if len(body) == 2:
+            parts.append(struct.pack("<BH", _FACTORS, plan[2]))
+        parts += [_head(s) for s in body]
+    segments = [s for body in bodies for s in body if s is not None]
+    if segments:
+        parts.append(_streams(sorted(segments, key=lambda s: s.k)))
     return CompressedPayload(b"".join(parts), ranks)
 
 
@@ -590,13 +786,36 @@ def decode_payload(payload, like: Mapping[str, np.ndarray]) -> Dict[str, np.ndar
     rd = _Reader(blob)
     if rd.take(4) != MAGIC:
         raise MalformedPayload("bad magic")
-    (version,) = rd.unpack("<H")
+    version, r = rd.unpack("<BB")
     if version != WIRE_VERSION:
         raise MalformedPayload(f"unsupported payload version {version}")
+    if not 1 <= r <= 32:
+        raise MalformedPayload(f"invalid bit width {r}")
     shapes = [(name, values.shape) for name, values in like.items()]
     if rd.take(4) != _schema_check(shapes):
         raise MalformedPayload("schema check differs: the payload holds other tensors")
-    out = {name: _read_body(rd, *shape).reshape(shape) for name, shape in shapes}
-    if not rd.done():
+    heads: List[Tuple[int, int, float]] = []
+    bodies = [_read_head(rd, *shape, r, heads) for _, shape in shapes]
+    if heads:
+        values, offsets = _read_streams(np.frombuffer(blob, dtype=np.uint8), rd.pos, heads, r)
+    elif rd.pos != len(blob):
         raise MalformedPayload(f"{len(blob) - rd.pos} trailing bytes after last tensor")
+
+    def segment(index: Optional[int], n: int) -> np.ndarray:
+        return np.zeros(n) if index is None else values[offsets[index] : offsets[index] + n]
+
+    out = {}
+    for (name, (rows, cols)), body in zip(shapes, bodies):
+        if isinstance(body, tuple):
+            rank, left, right = body
+            left = segment(left, rows * rank).reshape(rows, rank)
+            right = segment(right, cols * rank).reshape(cols, rank)
+            # Each factor is bounded by its finite norm, but their product is not.
+            with np.errstate(over="ignore", invalid="ignore"):
+                body = left @ right.T
+            if not np.isfinite(body).all():
+                raise MalformedPayload(f"low-rank factors of a {rows}x{cols} matrix overflow")
+        elif not isinstance(body, np.ndarray):
+            body = segment(body, rows * cols)
+        out[name] = body.reshape(rows, cols)
     return out

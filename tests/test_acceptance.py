@@ -124,12 +124,12 @@ def test_c03_compression_accounting():
         x = np.random.default_rng(1003).uniform(-1.0, 1.0, size=(64, 64))
         quantized = compress.encode_payload({"t": x}, "quantized", r=4)
         dense = compress.encode_payload({"t": x}, "dense")
-        header = (4 + 2 + 4) * 8  # magic, version, schema check
+        header = (4 + 1 + 1 + 4) * 8  # magic, version, bit width, schema check
         # Every |x| < 1 while ||x|| is about 37, so each level rounds to 0:
-        # a Rice body with k = 0 codes each as one terminator bit, after the
-        # bit width, norm and k, with no remainder or sign bits.
+        # a Rice segment with k = 0 codes each as one terminator bit, after
+        # its tag and norm, with no remainder or sign bits.
         assert not compress.quantize(x, 4).levels.any()
-        expected_quantized = header + 8 + 64 + 8 + n
+        expected_quantized = header + 8 + 64 + n
         expected_dense = header + 8 + n * 64  # the 0xFF tag, values
         assert compress.payload_bits(quantized) == expected_quantized
         assert compress.payload_bits(dense) == expected_dense

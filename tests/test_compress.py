@@ -18,7 +18,8 @@ from cefgl.fedcore import ClientConfig
 from helpers import dense
 
 # Wire-format accounting used to derive expected byte counts independently.
-HEADER_BYTES = 4 + 2 + 4  # magic, version, schema check
+HEADER_BYTES = 4 + 1 + 1 + 4  # magic, version, bit width, schema check
+SEGMENT_HEAD_BYTES = 1 + 8  # tag, norm
 
 
 def schema_check(shapes) -> bytes:
@@ -31,39 +32,64 @@ def schema_check(shapes) -> bytes:
     return hashlib.sha256(heads).digest()[:4]
 
 
-def header(tensors) -> bytes:
-    """The header of a payload encoded from ``tensors``."""
+def header(tensors, r: int = 4) -> bytes:
+    """The header of a payload encoded from ``tensors`` at bit width r."""
     check = schema_check((name, np.shape(v)) for name, v in tensors.items())
-    return compress.MAGIC + struct.pack("<H", compress.WIRE_VERSION) + check
+    return compress.MAGIC + struct.pack("<BB", compress.WIRE_VERSION, r) + check
 
 
-def plain_segment_bytes(levels: np.ndarray, r: int) -> int:
-    """Bit width, norm, k = r, the r-bit levels and the signs of nonzero
-    levels."""
-    n, signs = levels.size, int(np.count_nonzero(levels))
-    return 1 + 8 + 1 + (n * r + 7) // 8 + (signs + 7) // 8
-
-
-def rice_segment_bytes(levels: np.ndarray, r: int) -> int:
-    """Bit width, norm, Rice parameter, unary stream, k-bit remainders and
-    the signs of nonzero levels, where k is the least of those with the
-    fewest level bits, found by trying every k below r."""
+def rice_choice(levels: np.ndarray, r: int):
+    """The Rice parameter k of a segment and its unary bits: the least k < r
+    with the fewest level bits, found by trying every k, unless k = r, with
+    no unary codes, is not more bits."""
     n, wide = levels.size, levels.astype(np.int64)
-    cost = [n * k + int((wide >> k).sum()) for k in range(r)]
+    cost = [n * k + int((wide >> k).sum()) + n for k in range(r)]
     k = cost.index(min(cost))
-    unary = int((wide >> k).sum()) + n
-    signs = int(np.count_nonzero(levels))
-    return 1 + 8 + 1 + (unary + 7) // 8 + (n * k + 7) // 8 + (signs + 7) // 8
+    if cost[k] >= n * r:
+        return r, 0
+    return k, int((wide >> k).sum()) + n
 
 
-def segment_bytes(x, r: int) -> int:
-    """Length of the quantized segment of x: the shorter of k < r and
-    k = r, or the one zero byte of a zero tensor."""
+def quantized_payload_bytes(tensors, r: int) -> int:
+    """The length of a quantized payload of ``tensors``: the header, a head
+    per tensor (one byte for a zero one), then the streams, each padded to
+    a whole byte once: the remainders of each width k >= 1, the unary codes
+    and the signs of nonzero levels."""
+    return HEADER_BYTES + bodies_bytes([[segment_streams(x, r)] for x in tensors.values()])
+
+
+def segment_streams(x, r: int):
+    """The bits a quantized segment of x puts in each stream: its remainders
+    under their width k, its unary codes under "unary" and its signs under
+    "signs"; None for a zero tensor, whose body is one tag byte."""
     try:
         levels = compress.quantize(x, r).levels
     except ZeroVector:
-        return 1
-    return min(rice_segment_bytes(levels, r), plain_segment_bytes(levels, r))
+        return None
+    k, unary = rice_choice(levels, r)
+    return {k: levels.size * k, "unary": unary, "signs": int(np.count_nonzero(levels))}
+
+
+def body_bits(body) -> int:
+    """The bits of a quantized body, a list of one segment's streams or of two
+    factors', heads included and stream padding aside."""
+    bits = 24 if len(body) == 2 else 0  # the factors' tag and rank
+    for streams in body:
+        bits += 8 if streams is None else 8 * SEGMENT_HEAD_BYTES + sum(streams.values())
+    return bits
+
+
+def bodies_bytes(bodies) -> int:
+    """The bytes of quantized bodies on the wire: their heads, and each
+    stream padded to a whole byte once."""
+    heads, totals = 0, {}
+    for body in bodies:
+        heads += 3 if len(body) == 2 else 0
+        for streams in body:
+            heads += 1 if streams is None else SEGMENT_HEAD_BYTES
+            for name, bits in (streams or {}).items():
+                totals[name] = totals.get(name, 0) + bits
+    return heads + sum(-(-bits // 8) for bits in totals.values())
 
 
 def one_tensor(rows: int, cols: int) -> dict:
@@ -71,20 +97,23 @@ def one_tensor(rows: int, cols: int) -> dict:
     return {"x": np.zeros((rows, cols))}
 
 
-def tensor_blob(rows: int, cols: int, body: bytes) -> bytes:
-    """A payload of ``one_tensor(rows, cols)`` around a hand-built body."""
-    return header(one_tensor(rows, cols)) + body
+def tensor_blob(rows: int, cols: int, body: bytes, r: int = 4) -> bytes:
+    """A payload of ``one_tensor(rows, cols)`` at bit width r around a
+    hand-built head and streams."""
+    return header(one_tensor(rows, cols), r) + body
 
 
-def quantized_blob(n: int, segment: bytes) -> bytes:
-    """A payload of ``one_tensor(1, n)`` around a hand-built segment."""
-    return tensor_blob(1, n, segment)
+def quantized_blob(n: int, r: int, segment: bytes) -> bytes:
+    """A payload of ``one_tensor(1, n)`` at bit width r around a hand-built
+    segment."""
+    return tensor_blob(1, n, segment, r)
 
 
-def rice_segment(r: int, k: int, unary: bytes, rest: bytes = b"") -> bytes:
-    """A Rice body of norm 1: its header, the unary stream, then ``rest``
-    (remainders and signs)."""
-    return struct.pack("<BdB", r, 1.0, k) + unary + rest
+def rice_segment(k: int, unary: bytes, remainders: bytes = b"", signs: bytes = b"") -> bytes:
+    """A one-segment payload's body: the head of a segment of norm 1 at Rice
+    parameter k, then its streams in wire order: the k-bit remainders, the
+    unary codes and the signs."""
+    return struct.pack("<Bd", k + 1, 1.0) + remainders + unary + signs
 
 
 def rank1(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -134,9 +163,8 @@ def lowrank_blob_with_norms(norm: float) -> bytes:
     blob = bytearray(p.blob)
     body = HEADER_BYTES
     assert struct.unpack("<BH", blob[body : body + 3]) == (0xFE, 1)
-    left = body + 3 + 1  # past the tag, the rank and the left factor's bit width
-    dec = linalg.svd(rank1(8, 6, 41))
-    right = left + segment_bytes(dec.u[:, :1] * dec.sigma[:1], 8)  # the right factor's norm
+    left = body + 3 + 1  # past the tag, the rank and the left factor's tag
+    right = left + 8 + 1  # past the left factor's norm and the right factor's tag
     for offset in (left, right):
         blob[offset : offset + 8] = struct.pack("<d", norm)
     return bytes(blob)
@@ -151,15 +179,15 @@ def reference_pack(levels: np.ndarray, r: int) -> bytes:
 
 
 # SHA-256 of one fixed payload under each scheme, re-pinned for wire
-# version 6.  Each payload's bodies are wire version 5's, byte for byte; the
-# header's version field changes and the schema check replaces the tensor
-# count and each tensor's name and shape.  The tensors are
-# multiples of 1/8, so the sums of squares under the quantizer's norms are
-# exact in any order.  "w" has full rank, so it travels plain and each
-# low-rank payload equals the quantized one at its r; the rank-1 payload
-# pins the factor layout and the last bits of numpy's SVD of its matrix.
-# "w" and "g" are Rice-coded (k = 1 at r = 4; k = 13 and 12 at r = 16), "b"
-# and the rank-1 factors at k = r.
+# version 7, whose layout (the bit width in the header, k in each tag, and
+# one stream of each kind per payload) changes every quantized payload; the
+# values they decode to are version 6's.  The tensors are multiples of 1/8,
+# so the sums of squares under the quantizer's norms are exact in any
+# order.  "w" has full rank, so it travels plain and each low-rank payload
+# equals the quantized one at its r; the rank-1 payload pins the factor
+# layout and the last bits of numpy's SVD of its matrix.  "w", "b" and "g"
+# are Rice-coded (k = 1, 2 and 1 at r = 4; 13, 14 and 12 at r = 16); the
+# rank-1 factors take k = 16 = r and k = 14.
 WIRE_TENSORS = {
     "w": ((np.arange(30) * 7 % 11) - 5).reshape(6, 5) / 4.0,
     "b": np.array([[0.5, -0.25, 0.125, 0.0, -1.0]]),
@@ -167,14 +195,14 @@ WIRE_TENSORS = {
     "g": ((np.arange(64) * 5 % 17) - 8).reshape(1, 64) / 8.0,
 }
 WIRE_DIGESTS = {
-    ("dense", 4): "20b9711181806b041d126c5b9e365ef8508b3e6687c622670806313250fff852",
-    ("quantized", 4): "21a7cc599603e868635a51164226a8827226803e68e4f3525bd755fff8275691",
-    ("quantized", 16): "dcbd1a1063c9c19c2539314b80525113ce00646869dd4c083adb053ef7274a2d",
-    ("lowrank_quantized", 4): "21a7cc599603e868635a51164226a8827226803e68e4f3525bd755fff8275691",
-    ("lowrank_quantized", 16): "dcbd1a1063c9c19c2539314b80525113ce00646869dd4c083adb053ef7274a2d",
+    ("dense", 4): "9c0eb7dafd94dcb5012800c3e40659b6086b55a607310ea59af936ce4fefd5a2",
+    ("quantized", 4): "7a64d9def253f84ed926595770e68a46f0eaa2720ec93b198b0c67d344c13175",
+    ("quantized", 16): "374a3f31fbabd89e8151620dc3be0dcb43fa6a3319dfc81ec28c4381a5b66c84",
+    ("lowrank_quantized", 4): "7a64d9def253f84ed926595770e68a46f0eaa2720ec93b198b0c67d344c13175",
+    ("lowrank_quantized", 16): "374a3f31fbabd89e8151620dc3be0dcb43fa6a3319dfc81ec28c4381a5b66c84",
 }
 WIRE_RANK1 = np.outer([1.0, -0.5, 0.25, 2.0, -1.0, 0.75], [0.5, 1.0, -0.25, 0.125, -2.0])
-WIRE_RANK1_DIGEST = "5710b3b2d7184d7a2f30e3d3fc00e68afdce0741f65715fdb09ec1a0997faa20"
+WIRE_RANK1_DIGEST = "afd4f50b585a3069ff0ec49b0dc99349436b84cbe41e0a7b053e34ccaca67afd"
 
 
 # One SHA-256 over a seeded batch of 33 payloads (2.4 MB), so the codec is
@@ -188,13 +216,14 @@ WIRE_RANK1_DIGEST = "5710b3b2d7184d7a2f30e3d3fc00e68afdce0741f65715fdb09ec1a0997
 # sums, so the digest holds at any BLAS thread count.  The low-rank bodies
 # still go through LAPACK's SVD, and the rank-3 inputs are built with `@`,
 # so the digest holds only for the CPU kernel OpenBLAS picks: under
-# OPENBLAS_CORETYPE=Haswell it reads 7f1f22....  Re-pinned for wire version
-# 6, whose bodies are version 5's byte for byte.
+# OPENBLAS_CORETYPE=Haswell it read 7f1f22... under wire version 6.
+# Re-pinned for wire version 7: 2,392,302 bytes become 2,392,041, and no
+# payload of the batch grows; the decoded digest below holds unedited.
 WIDE_GOLDEN_BITS = (1, 2, 4, 7, 16, 31, 32)
 WIDE_GOLDEN_SHAPES = [
     (1, 1), (1, 7), (9, 1), (3, 5), (8, 8), (16, 31), (33, 17), (64, 128), (128, 128)
 ]
-WIDE_GOLDEN_DIGEST = "65a355566893b0ed9233031a81ba0b0c1f607783bd0acf507abc52048a45383f"
+WIDE_GOLDEN_DIGEST = "46d664d73064c7d05154cdc3638144d01207ac5af1e7176ab65dd4cce3f591ad"
 # One SHA-256 over every tensor the same batch decodes to, its name and then
 # its float64 bytes, so the decoder is pinned beside the encoder.
 WIDE_GOLDEN_DECODED_DIGEST = "fbb6baa8d84fdaa2375d42f8b91101e35312eae2fbe4d4eabe2931c1bcac55a7"
@@ -242,6 +271,49 @@ def hostile_blobs(draw):
         blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
     blob = blob[: draw(st.integers(0, len(blob)))]
     return bytes(blob) + draw(st.binary(max_size=8))
+
+
+def _seed_streams():
+    """What follows the heads of the quantized and low-rank fuzz seeds: the
+    remainder, unary and sign streams of their segments."""
+    out = []
+    for blob in _fuzz_seeds()[1:]:
+        rd = compress._Reader(blob)
+        rd.pos = HEADER_BYTES
+        for x in _fuzz_tensors().values():
+            compress._read_head(rd, *x.shape, 5, [])
+        out.append(blob[rd.pos :])
+    return out
+
+
+@st.composite
+def built_blobs(draw):
+    """A wire version 7 payload of ``_fuzz_tensors`` put together from drawn
+    parts, most of them valid, so that most draws reach the streams: a bit
+    width, a head of any kind per tensor, and a seed's streams, cut or
+    extended."""
+    r = draw(st.sampled_from([5] * 6 + [1, 32, 0, 33]))
+    norms = st.sampled_from([1.0] * 8 + [0.0, 1e300, -1.0, math.nan, math.inf])
+
+    def segment_head():
+        tag = draw(st.integers(0, r + 1))  # a zero tensor, or k + 1 for k up to r
+        return bytes([tag]) + (struct.pack("<d", draw(norms)) if tag else b"")
+
+    heads = b""
+    for x in _fuzz_tensors().values():
+        rows, cols = x.shape
+        ranks = [k for k in range(1, 4) if k * (rows + cols) < x.size]
+        kind = draw(st.sampled_from(["segment"] * 4 + ["factors"] * bool(ranks) + ["dense"]))
+        if kind == "segment":
+            heads += segment_head()
+        elif kind == "factors":
+            heads += struct.pack("<BH", 0xFE, draw(st.sampled_from(ranks)))
+            heads += segment_head() + segment_head()
+        else:
+            heads += b"\xff" + np.ones(x.size).tobytes()
+    streams = draw(st.sampled_from(_seed_streams()))
+    streams = streams[: draw(st.integers(0, len(streams)))] + draw(st.binary(max_size=8))
+    return header(_fuzz_tensors(), r) + heads + streams
 
 
 class TestQuantize:
@@ -309,14 +381,25 @@ class TestQuantize:
 class TestLevelPacking:
     @pytest.mark.parametrize("r", range(1, 33))
     def test_matches_bitwise_reference(self, r):
+        # Both sides of the bit-matrix route's limit of 512 levels.
         rng = np.random.default_rng(r)
-        for n in (1, 7, 8, 9, 1000):
+        for n in (1, 7, 8, 9, 512, 513, 1000):
             levels = rng.integers(0, 2**r, size=n, dtype=np.uint64).astype(np.uint32)
             levels[-1] = 2**r - 1  # a saturated level
-            packed = compress._pack_levels(levels, r)
+            packed = compress._pack_levels([levels], r)
             assert packed == reference_pack(levels, r)
             assert len(packed) == math.ceil(n * r / 8)
             assert np.array_equal(compress._unpack_levels(packed, n, r), levels)
+
+    @pytest.mark.parametrize("r", [1, 3, 7, 8, 16, 31, 32])
+    def test_pieces_pack_as_their_concatenation(self, r):
+        # A width's remainder stream is packed once from the segments'
+        # pieces, with no padding between them, at any piece size.
+        rng = np.random.default_rng(50 + r)
+        for sizes in ((1, 7, 3), (9, 600, 2), (513,), (300, 300)):
+            pieces = [rng.integers(0, 2**r, size=n, dtype=np.uint64).astype(np.uint32) for n in sizes]
+            whole = np.concatenate(pieces)
+            assert compress._pack_levels(pieces, r) == reference_pack(whole, r)
 
     @pytest.mark.parametrize("r", [1, 3, 7, 16, 31, 32])
     def test_unpack_crosses_chunk_boundaries(self, r):
@@ -325,7 +408,7 @@ class TestLevelPacking:
         for n in (chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
             levels = rng.integers(0, 2**r, size=n, dtype=np.uint64).astype(np.uint32)
             levels[::997] = 2**r - 1  # saturated levels on both sides of each boundary
-            packed = compress._pack_levels(levels, r)
+            packed = compress._pack_levels([levels], r)
             assert np.array_equal(compress._unpack_levels(packed, n, r), levels)
 
 
@@ -341,61 +424,64 @@ class TestRiceCoding:
             cases.append(np.resize([1.0, -1.0], 4 ** (r + 1) + 1))
         for x in cases:
             tensors = {"x": x.reshape(1, -1)}
-            out = compress.decode_payload(
-                compress.encode_payload(tensors, "quantized", r=r), tensors
-            )["x"].ravel()
+            p = compress.encode_payload(tensors, "quantized", r=r)
+            out = compress.decode_payload(p, tensors)["x"].ravel()
             ref = compress.dequantize(compress.quantize(x, r))
             assert np.array_equal(out, ref)
             assert np.array_equal(np.signbit(out), np.signbit(ref))
-            # The decoder's first chunk, four bits per level, holds the stream.
-            levels = compress.quantize(x, r).levels
-            [(_, quotient_sum)] = compress._rice_parameters(levels, [0, x.size], r)
-            assert quotient_sum < 3 * x.size
+            assert len(p.blob) == quantized_payload_bytes(tensors, r)
         assert compress.quantize(saturated, r).levels[2] == 2**r - 1
         # All-zero levels under a nonzero norm, in the shortest Rice body.
         n = 13
         unary = bytes([0xFF, 0x1F])  # 13 lone terminators
-        blob = quantized_blob(n, rice_segment(r, 0, unary))
+        blob = quantized_blob(n, r, rice_segment(0, unary))
         out = compress.decode_payload(blob, one_tensor(1, n))["x"]
         assert np.array_equal(out, np.zeros((1, n))) and not np.signbit(out).any()
 
     @pytest.mark.parametrize("chunk", [8, 16])
     def test_decoding_crosses_chunk_boundaries(self, monkeypatch, chunk):
-        # Small chunks put many boundaries inside each unary stream and
-        # remainder block; the result must not depend on the chunk.
-        monkeypatch.setattr(compress, "_UNPACK_CHUNK", chunk)
+        # Small chunks, scan steps and passes put many boundaries inside each
+        # unary, remainder and sign stream, and start passes at bits inside
+        # a byte; neither the wire bytes nor the values may depend on them.
         rng = np.random.default_rng(300)
+        cases = []
         for r in (3, 7, 16, 29):
-            x = rng.normal(size=1001)
-            tensors = {"x": x.reshape(1, -1)}
-            p = compress.encode_payload(tensors, "quantized", r=r)
-            out = compress.decode_payload(p, tensors)["x"].ravel()
-            assert np.array_equal(out, compress.dequantize(compress.quantize(x, r)))
+            tensors = {f"x{i}": rng.normal(size=(1, n)) for i, n in enumerate((1001, 37, 3, 250))}
+            tensors["x1"][0, :5] *= 1e4  # a few large values, so this one's k differs
+            cases.append((compress.encode_payload(tensors, "quantized", r=r).blob, tensors, r))
+        monkeypatch.setattr(compress, "_UNPACK_CHUNK", chunk)
+        monkeypatch.setattr(compress, "_SCAN_BYTES", chunk // 8)
+        monkeypatch.setattr(compress, "_PASS_VALUES", 2 * chunk)
+        for blob, tensors, r in cases:
+            assert compress.encode_payload(tensors, "quantized", r=r).blob == blob
+            out = compress.decode_payload(blob, tensors)
+            for name, x in tensors.items():
+                assert np.array_equal(out[name].ravel(), compress.dequantize(compress.quantize(x, r)))
 
     def test_rice_body_layout(self):
-        # Levels 0, 3 and 5 at r = 4 and k = 1: quotients 0, 1, 2 are the
-        # unary codes 1, 01, 001; remainders 0, 1, 1; signs of 3 and 5 only.
-        seg = rice_segment(4, 1, bytes([0b100101]), bytes([0b110, 0b01]))
-        out = compress.decode_payload(quantized_blob(3, seg), one_tensor(1, 3))["x"]
+        # Levels 0, 3 and 5 at r = 4 and k = 1: remainders 0, 1, 1; quotients
+        # 0, 1, 2 are the unary codes 1, 01, 001; signs of 3 and 5 only.
+        seg = rice_segment(1, bytes([0b100101]), bytes([0b110]), bytes([0b01]))
+        out = compress.decode_payload(quantized_blob(3, 4, seg), one_tensor(1, 3))["x"]
         assert out.tolist() == [[0.0, -3 / 16, 5 / 16]]
 
     @pytest.mark.parametrize(
         ("r", "n", "segment", "match"),
         [
-            (4, 3, rice_segment(4, 5, bytes([0b100101]), bytes([0b110, 1])), "Rice parameter"),
-            (4, 3, rice_segment(4, 200, bytes([0b100101]), bytes([0b110, 1])), "Rice parameter"),
+            (4, 3, rice_segment(5, bytes([0b100101]), bytes([0b110]), bytes([1])), "Rice parameter"),
+            (4, 3, rice_segment(200, bytes([0b100101]), bytes([0b110]), bytes([1])), "Rice parameter"),
             # Two terminators, then the payload ends.
-            (4, 3, rice_segment(4, 1, bytes([0b101, 0])), "2 of 3 terminators"),
-            # A long zero run that never ends, past the first chunks.
-            (4, 3, rice_segment(4, 1, bytes([0b101]) + bytes(1000)), "2 of 3 terminators"),
-            (4, 9, rice_segment(4, 1, b""), "cannot hold"),
+            (4, 3, rice_segment(1, bytes([0b101, 0]), bytes([0b110])), "2 of 3 terminators"),
+            # A long zero run that never ends, past the first scan steps.
+            (4, 3, rice_segment(1, bytes([0b101]) + bytes(1000), bytes([0b110])), "2 of 3 terminators"),
+            (4, 9, rice_segment(1, b"", bytes(2)), "cannot hold"),
             # A fourth 1 bit after the third terminator, in the same byte.
-            (4, 3, rice_segment(4, 1, bytes([0b1100101]), bytes([0b110, 1])), "after its last"),
-            (4, 3, rice_segment(4, 1, bytes([0b100101]), bytes([0b110])), "truncated"),
+            (4, 3, rice_segment(1, bytes([0b1100101]), bytes([0b110]), bytes([1])), "after its last"),
+            (4, 3, rice_segment(1, bytes([0b100101]), bytes([0b110])), "truncated"),
             # Quotient 8 at k = 1 is level 16 = 2**4.
-            (4, 3, rice_segment(4, 1, bytes([0b101, 0b1000]), bytes([0, 3])), "fit in 4 bits"),
+            (4, 3, rice_segment(1, bytes([0b101, 0b1000]), bytes([0]), bytes([3])), "fit in 4 bits"),
             # Quotient 2 at k = 31 is level 2**32, which a uint32 shift would wrap to 0.
-            (32, 1, rice_segment(32, 31, bytes([0b100]), bytes([0, 0, 0, 0, 1])), "fit in 32"),
+            (32, 1, rice_segment(31, bytes([0b100]), bytes(4), bytes([1])), "fit in 32"),
         ],
         ids=[
             "k-above-r", "k-above-32", "too-few-terminators", "endless-zero-run",
@@ -405,13 +491,28 @@ class TestRiceCoding:
     )
     def test_hostile_rice_body_is_malformed(self, r, n, segment, match):
         with pytest.raises(MalformedPayload, match=match):
-            compress.decode_payload(quantized_blob(n, segment), one_tensor(1, n))
+            compress.decode_payload(quantized_blob(n, r, segment), one_tensor(1, n))
+
+    def test_tag_above_the_header_bit_width_is_malformed(self):
+        # The encoder's payload at r = 8 decodes; the same bytes under a
+        # header that says r = 2 carry tags whose k is above it.
+        tensors = _fuzz_tensors()
+        blob = bytearray(compress.encode_payload(tensors, "quantized", r=8).blob)
+        assert compress.decode_payload(bytes(blob), tensors).keys() == tensors.keys()
+        k = blob[HEADER_BYTES] - 1  # the first tensor's
+        assert k > 2
+        blob[5] = 2
+        with pytest.raises(MalformedPayload, match=f"Rice parameter {k} is above the bit width 2"):
+            compress.decode_payload(bytes(blob), tensors)
+        for r in (0, 33, 255):
+            blob[5] = r
+            with pytest.raises(MalformedPayload, match=f"invalid bit width {r}"):
+                compress.decode_payload(bytes(blob), tensors)
 
     def test_fuzz_seeds_hold_both_bodies(self):
         tensors = _fuzz_tensors()
         g, b = compress._quant_segments([tensors["g"].ravel(), tensors["b"].ravel()], 5)
-        k = {"g": g[9], "b": b[9]}
-        assert k["g"] < 5 and k["b"] == 5
+        assert g.k < 5 and b.k == 5
 
     @pytest.mark.parametrize("r", [1, 8, 16, 32])
     def test_k_equal_to_r_is_lossless(self, r):
@@ -421,15 +522,15 @@ class TestRiceCoding:
         levels = rng.integers(0, 2**r, size=29, dtype=np.uint64).astype(np.uint32)
         levels[[0, 1]] = [0, 2**r - 1]
         signs = rng.integers(0, 2, size=29, dtype=np.uint8) * (levels != 0)
-        segment = struct.pack("<BdB", r, 3.0, r) + reference_pack(levels, r)
+        segment = struct.pack("<Bd", r + 1, 3.0) + reference_pack(levels, r)
         segment += np.packbits(signs[levels != 0], bitorder="little").tobytes()
-        out = compress.decode_payload(quantized_blob(29, segment), one_tensor(1, 29))["x"].ravel()
+        out = compress.decode_payload(quantized_blob(29, r, segment), one_tensor(1, 29))["x"].ravel()
         ref = compress.dequantize(compress.QuantizedVector(r=r, norm=3.0, signs=signs, levels=levels))
         assert np.array_equal(out, ref)
         # The encoder's k = r segment of two large levels, (0.6, 0.8) * 2**r.
         x = np.array([[3.0, -4.0]])
         p = compress.encode_payload({"x": x}, "quantized", r=r)
-        assert p.blob[HEADER_BYTES + 9] == r
+        assert p.blob[HEADER_BYTES] == r + 1
         out = compress.decode_payload(p, {"x": x})["x"].ravel()
         assert np.array_equal(out, compress.dequantize(compress.quantize(x, r)))
 
@@ -505,17 +606,56 @@ class TestPayloads:
     def test_quantized_bit_count_n1024(self):
         x = np.random.default_rng(8).normal(size=(32, 32))
         p = compress.encode_payload({"t": x}, "quantized", r=4)
-        expected = HEADER_BYTES + segment_bytes(x, 4)
-        assert compress.payload_bits(p) == expected * 8
         # Levels are about |x| / 2 here, so k = 0 and each level costs its
         # value plus one unary bit, and a sign bit if it is nonzero.
         levels = compress.quantize(x, 4).levels
         unary, signs = int(levels.sum()) + 1024, int(np.count_nonzero(levels))
         assert (unary, signs) == (1348, 321)
-        assert segment_bytes(x, 4) == 1 + 8 + 1 + 169 + 41 == 220
-        # At k = r each level costs 4 bits and the signs are the same.
-        assert plain_segment_bytes(levels, 4) == 1 + 8 + 1 + 512 + 41
-        assert segment_bytes(x, 4) < plain_segment_bytes(levels, 4)
+        assert rice_choice(levels, 4) == (0, unary)
+        expected = HEADER_BYTES + SEGMENT_HEAD_BYTES + 169 + 41  # unary, signs
+        assert compress.payload_bits(p) == expected * 8 == quantized_payload_bytes({"t": x}, 4) * 8
+        # At k = r each level would cost 4 bits, 512 bytes in all.
+        assert 169 < 512
+
+    def test_streams_are_padded_once_per_payload(self):
+        # Segments at k = 0, at two widths 0 < k < r and at k = r, and a zero
+        # tensor.  The payload is the header, the heads, and each stream
+        # padded once: ceil(unary / 8) + sum over widths of ceil(rem / 8) +
+        # ceil(signs / 8).  Padding each segment's streams would cost more.
+        rng = np.random.default_rng(16)
+        tensors = {
+            "a": rng.normal(size=(9, 7)),
+            "b": rng.normal(size=(1, 13)),
+            "c": rng.standard_cauchy(size=(5, 11)),
+            "z": np.zeros((2, 3)),
+            "d": rng.normal(size=(3, 3)),
+            "e": rng.normal(size=(1, 3)),
+            "f": rng.normal(size=(31, 5)),
+        }
+        r = 4
+        segments = [compress.quantize(x, r).levels for x in tensors.values() if x.any()]
+        choices = [rice_choice(levels, r) for levels in segments]
+        ks = [k for k, _ in choices]
+        assert 0 in ks and r in ks and len({k for k in ks if 0 < k < r}) >= 2
+        unary = sum(u for _, u in choices)
+        signs = sum(int(np.count_nonzero(levels)) for levels in segments)
+        rem = {}
+        for (k, _), levels in zip(choices, segments):
+            rem[k] = rem.get(k, 0) + levels.size * k
+        heads = 1 + SEGMENT_HEAD_BYTES * len(segments)
+        expected = HEADER_BYTES + heads + -(-unary // 8)
+        expected += sum(-(-bits // 8) for bits in rem.values()) + -(-signs // 8)
+        p = compress.encode_payload(tensors, "quantized", r=r)
+        assert len(p.blob) == expected == quantized_payload_bytes(tensors, r)
+        per_segment = sum(
+            -(-u // 8) + -(-levels.size * k // 8) + -(-int(np.count_nonzero(levels)) // 8)
+            for (k, u), levels in zip(choices, segments)
+        )
+        assert len(p.blob) < HEADER_BYTES + heads + per_segment
+        out = compress.decode_payload(p, tensors)
+        for name, x in tensors.items():
+            ref = compress.dequantize(compress.quantize(x, r)) if x.any() else np.zeros(x.size)
+            assert np.array_equal(out[name].ravel(), ref)
 
     def test_empty_payload_is_header_only(self):
         p = compress.encode_payload({}, "dense")
@@ -584,21 +724,22 @@ class TestPayloads:
         assert compress.decode_payload(p, {"m": x})["m"].shape == (8, 6)
 
     def test_lowrank_bit_count_is_rank_and_factors(self):
-        # At rank 2 the factors' body (59 bytes) beats the plain segment (65
-        # bytes).  The left factor's segment is Rice-coded, one byte under
-        # its k = r body; the right factor's is at k = r.
+        # At rank 2 the factors' payload (64 bytes) beats the plain one (74
+        # bytes).  Both factors are Rice-coded at k = 5, the plain matrix at
+        # k = 4.
         rng = np.random.default_rng(11)
         base = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 6))  # exactly rank 2
         p = compress.encode_payload({"m": base}, "lowrank_quantized", r=8, tau_lowrank=1e-6)
         dec = linalg.svd(base)
         left, right = dec.u[:, :2] * dec.sigma[:2], dec.v[:, :2]
-        levels = {name: compress.quantize(m, 8).levels for name, m in (("l", left), ("r", right))}
-        assert segment_bytes(left, 8) == plain_segment_bytes(levels["l"], 8) - 1 == 32
-        assert segment_bytes(right, 8) == plain_segment_bytes(levels["r"], 8) == 24
-        assert segment_bytes(base, 8) == 65
-        expected = HEADER_BYTES + 3 + 32 + 24  # tag and rank, factors
-        assert expected == 69
+        levels = [compress.quantize(m, 8).levels for m in (left, right)]
+        assert [rice_choice(lv, 8) for lv in levels] == [(5, 41), (5, 30)]
+        assert [int(np.count_nonzero(lv)) for lv in levels] == [20, 12]
+        # Tag and rank, two heads, 32 remainders at 5 bits, 71 unary bits, 32 signs.
+        expected = HEADER_BYTES + 3 + 2 * SEGMENT_HEAD_BYTES + 20 + 9 + 4
+        assert expected == 64
         assert compress.payload_bits(p) == expected * 8
+        assert quantized_payload_bytes({"m": base}, 8) == 74
         assert p.ranks == {"m": 2}
 
     def test_lowrank_rank_above_255_roundtrips(self):
@@ -643,31 +784,37 @@ class TestPayloads:
     def test_factored_body_that_does_not_pay_is_malformed(self):
         # Rank 3 of 4x3 would be 21 factor values for 12 entries; the encoder
         # never writes it, so the decoder refuses it.
-        factors = b"".join(compress._quant_segments([np.ones(12), np.ones(9)], 4))
+        # Two factors of norm 1 at k = r = 4 whose levels are all 1: their
+        # 4-bit remainders, no unary codes, and a positive sign per level.
+        def factors(rank, rows, cols):
+            n = rank * (rows + cols)
+            heads = struct.pack("<BHBdBd", 0xFE, rank, 5, 1.0, 5, 1.0)
+            return heads + bytes([0x11]) * (n // 2) + bytes(-(-n // 8))
+
         with pytest.raises(MalformedPayload, match="rank 3"):
-            blob = tensor_blob(4, 3, struct.pack("<BH", 0xFE, 3) + factors)
-            compress.decode_payload(blob, one_tensor(4, 3))
+            compress.decode_payload(tensor_blob(4, 3, factors(3, 4, 3)), one_tensor(4, 3))
         # A rank-1 body of 8x6 is a valid factored one.
-        body = b"".join(compress._quant_segments([np.ones(8), np.ones(6)], 4))
-        blob = tensor_blob(8, 6, struct.pack("<BH", 0xFE, 1) + body)
-        assert compress.decode_payload(blob, one_tensor(8, 6))["x"].shape == (8, 6)
+        out = compress.decode_payload(tensor_blob(8, 6, factors(1, 8, 6)), one_tensor(8, 6))["x"]
+        assert np.array_equal(out, np.full((8, 6), 1 / 16**2))
 
     @pytest.mark.parametrize(
         ("rows", "cols", "body", "match"),
         [
-            (1, 3, bytes([33]), "invalid body byte 33"),
-            (1, 3, bytes([0xFD]), "invalid body byte 253"),
+            # A tag is k + 1; at the header's r = 4, k stops at 4.
+            (1, 3, bytes([33]), "Rice parameter 32 is above the bit width 4"),
+            (1, 3, bytes([0xFD]), "Rice parameter 252 is above the bit width 4"),
             (4, 4, struct.pack("<BH", 0xFE, 0), "rank 0"),
             # Factors of a 1 x n matrix never hold fewer values than it.
             (1, 8, struct.pack("<BH", 0xFE, 1) + bytes(2), "rank 1 for 1x8"),
             # A factor is a quantized segment, never factors again.
             (8, 6, struct.pack("<BHB", 0xFE, 1, 0xFE) + bytes(8), "invalid body byte 254"),
+            (8, 6, struct.pack("<BHB", 0xFE, 1, 0xFF) + bytes(8), "invalid body byte 255"),
             (1, 3, b"\xff" + bytes(23), "truncated"),
             (1, 3, b"\xff" + struct.pack("<3d", 1.0, math.nan, 2.0), "NaN or Inf"),
         ],
         ids=[
             "byte-33", "byte-0xFD", "rank-0", "factors-of-1xn", "nested-factors",
-            "dense-cut-short", "dense-nan",
+            "dense-factor", "dense-cut-short", "dense-nan",
         ],
     )
     def test_hostile_body_is_malformed(self, rows, cols, body, match):
@@ -697,16 +844,26 @@ class TestPayloads:
         blob = compress.encode_payload({"x": np.ones((1, 1))}, "dense").blob
         with pytest.raises(MalformedPayload):
             compress.decode_payload(b"XXXX" + blob[4:], one_tensor(1, 1))
-        for version in (1, 2, 3, 4, 5, 99):
-            bad_version = blob[:4] + struct.pack("<H", version) + blob[6:]
-            with pytest.raises(MalformedPayload, match="version"):
+        for version in (1, 2, 3, 4, 5, 6, 99):
+            bad_version = blob[:4] + bytes([version]) + blob[5:]
+            with pytest.raises(MalformedPayload, match=f"unsupported payload version {version}"):
                 compress.decode_payload(bad_version, one_tensor(1, 1))
+
+    def test_version_6_payload_is_refused(self):
+        # Wire version 6 wrote version u16 6 where version 7 has its version
+        # byte and r, then the same schema check and a per-segment layout.
+        tensors = {"x": np.array([[0.6, -0.8]])}
+        check = schema_check([("x", (1, 2))])
+        v6 = compress.MAGIC + struct.pack("<H", 6) + check + struct.pack("<BdB", 4, 1.0, 4)
+        v6 += bytes([0xDA, 0x02])  # levels 10 and 13 at k = r = 4, then their signs
+        with pytest.raises(MalformedPayload, match="unsupported payload version 6"):
+            compress.decode_payload(v6, tensors)
 
     def test_duplicated_name_is_malformed(self):
         # A dict cannot hold both tensors, so a payload of "x" twice is
         # refused rather than collapsed to one: by its schema check, or by
         # its second body when the check is "x"'s alone.
-        head = compress.MAGIC + struct.pack("<H", compress.WIRE_VERSION)
+        head = compress.MAGIC + struct.pack("<BB", compress.WIRE_VERSION, 4)
         blob = head + schema_check([("x", (1, 1))] * 2) + b"\x00" * 2
         with pytest.raises(MalformedPayload, match="schema check"):
             compress.decode_payload(blob, one_tensor(1, 1))
@@ -717,12 +874,16 @@ class TestPayloads:
         blob = compress.encode_payload({"x": np.ones((1, 1))}, "dense").blob
         with pytest.raises(MalformedPayload):
             compress.decode_payload(blob + b"\x00", one_tensor(1, 1))
+        tensors = _fuzz_tensors()
+        blob = compress.encode_payload(tensors, "quantized", r=5).blob
+        with pytest.raises(MalformedPayload, match="1 trailing bytes after the sign stream"):
+            compress.decode_payload(blob + b"\x00", tensors)
 
     def test_oversized_declared_tensor_is_malformed(self):
         # A payload encoded for a (2**32-1) x (2**32-1) all-zero tensor is 11
         # bytes.  The receiver's tensor sets the size, so against a 1x1 one
         # the schema check refuses it, and a 1x1 zero body decodes to 1x1.
-        head = compress.MAGIC + struct.pack("<H", compress.WIRE_VERSION)
+        head = compress.MAGIC + struct.pack("<BB", compress.WIRE_VERSION, 4)
         blob = head + schema_check([("x", (2**32 - 1, 2**32 - 1))]) + b"\x00"
         assert len(blob) == 11
         with pytest.raises(MalformedPayload, match="schema check"):
@@ -830,14 +991,14 @@ class TestPayloads:
         rng = np.random.default_rng(14)
         levels = rng.integers(1, 2**32, size=n, dtype=np.uint64).astype("<u4").tobytes()
         signs = rng.integers(0, 256, size=n // 8, dtype=np.uint8).tobytes()
-        fixed = quantized_blob(n, struct.pack("<BdB", 32, 1.0, 32) + levels + signs)
+        fixed = quantized_blob(n, 32, struct.pack("<Bd", 33, 1.0) + levels + signs)
         # The encoder's 2**20-value segment at 32 bits, at k < r.
         x = np.random.default_rng(14).normal(size=(1, n))
         rice = compress.encode_payload({"x": x}, "quantized", r=32).blob
-        assert rice[HEADER_BYTES + 9] < 32
+        assert rice[HEADER_BYTES] - 1 < 32  # its k
         # Two levels after a run of 2**26 zero bits: 8 MiB of unary stream,
         # which would be 64 MiB as one bit array.
-        long_run = quantized_blob(2, rice_segment(32, 0, bytes(1 << 23) + b"\x03", b"\x00"))
+        long_run = quantized_blob(2, 32, rice_segment(0, bytes(1 << 23) + b"\x03", signs=b"\x00"))
         for blob, like in ((fixed, {"x": x}), (rice, {"x": x}), (long_run, one_tensor(1, 2))):
             tracemalloc.start()
             try:
@@ -858,6 +1019,15 @@ class TestPayloads:
     # Finite, but left @ right.T is not.
     @example(blob=lowrank_blob_with_norms(1e200), like=LOWRANK_LIKE)
     def test_decoder_fuzz_returns_or_raises_malformed(self, blob, like):
+        try:
+            decoded = compress.decode_payload(blob, like)
+        except MalformedPayload:
+            return
+        assert all(v.ndim == 2 and np.isfinite(v).all() for v in decoded.values())
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(blob=built_blobs(), like=st.just(_fuzz_tensors()))
+    def test_decoder_fuzz_on_built_payloads(self, blob, like):
         try:
             decoded = compress.decode_payload(blob, like)
         except MalformedPayload:

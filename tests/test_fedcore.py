@@ -13,7 +13,7 @@ from cefgl.fedcore import ClientConfig, ClientState, ServerConfig, ServerState
 from cefgl.gnn import ArchConfig
 from cefgl.graphdata import SynthSpec
 from helpers import clone_params, compact, dense, plain_fedavg_reference
-from test_compress import HEADER_BYTES, schema_check, segment_bytes
+from test_compress import HEADER_BYTES, bodies_bytes, body_bits, schema_check, segment_streams
 
 
 def make_clients(
@@ -488,7 +488,7 @@ class TestAggregate:
         shapes = [(k, v.shape) for k, v in theta.items()] + [(first, theta[first].shape)]
         body = compress.encode_payload(theta, "dense").blob[HEADER_BYTES:]
         again = compress.encode_payload({first: theta[first]}, "dense").blob[HEADER_BYTES:]
-        head = compress.MAGIC + struct.pack("<H", compress.WIRE_VERSION)
+        head = compress.MAGIC + struct.pack("<BB", compress.WIRE_VERSION, 4)
         return head + schema_check(shapes) + body + again
 
     @pytest.mark.parametrize(
@@ -794,19 +794,25 @@ class TestRunRound:
             np.testing.assert_allclose(server.theta[k] - anchor[k], decoded[k], atol=1e-12)
 
         # The low-rank ratios are those of the downlinked delta: rank k of an
-        # m x n matrix travels as factors when they are the shorter body, and
-        # otherwise the matrix travels plain and counts as full rank.  Segment
-        # lengths depend on the levels (r_bits = 8), so each is measured on
-        # the vector it codes.
-        ranks, values = {}, 0
-        for k, v in delta.items():
+        # m x n matrix travels as factors when they take fewer bits than the
+        # plain segment and do not lengthen the payload, tensor by tensor in
+        # order; otherwise the matrix travels plain and counts as full rank.
+        # Stream sizes depend on the levels (r_bits = 8), so each is measured
+        # on the vector it codes.
+        ranks, values, bodies = {}, 0, [[segment_streams(v, 8)] for v in delta.values()]
+        for i, (k, v) in enumerate(delta.items()):
             if min(v.shape) == 1:
                 continue
             (m, n), dec = v.shape, linalg.svd(v)
             rank = linalg.retained_rank(dec, tau)
-            factors = [dec.u[:, :rank] * dec.sigma[:rank], dec.v[:, :rank]] if rank else []
-            shorter = sum(segment_bytes(f, 8) for f in factors) < segment_bytes(v, 8)
-            pays = rank * (m + n) < m * n and shorter
+            pays = 0 < rank * (m + n) < m * n
+            if pays:
+                factors = [dec.u[:, :rank] * dec.sigma[:rank], dec.v[:, :rank]]
+                factored = [segment_streams(f, 8) for f in factors]
+                trial = bodies[:i] + [factored] + bodies[i + 1 :]
+                pays = body_bits(factored) < body_bits(bodies[i])
+                pays = pays and bodies_bytes(trial) <= bodies_bytes(bodies)
+                bodies = trial if pays else bodies
             ranks[k] = rank if pays else min(m, n)
             values += rank * (m + n) if pays else m * n
         assert down.ranks == ranks
