@@ -148,7 +148,7 @@ def quantized_blob_with_norm(norm: float) -> bytes:
     """A payload of ``one_tensor(1, 2)``, quantized, whose norm field is
     overwritten."""
     blob = bytearray(compress.encode_payload({"x": np.array([[0.6, -0.8]])}, "quantized").blob)
-    offset = HEADER_BYTES + 1  # past the bit-width byte
+    offset = HEADER_BYTES + 1  # past the tag
     blob[offset : offset + 8] = struct.pack("<d", norm)
     return bytes(blob)
 
