@@ -707,10 +707,11 @@ def encode_payload(
     ``lowrank_quantized`` truncates each matrix with a relative singular
     value cutoff of ``tau_lowrank`` and ships quantized factors when they
     take fewer bits than the plain quantized matrix and the payload is no
-    longer for them, and the plain matrix otherwise; matrices with a unit dimension (bias rows) skip the
-    factorization and travel as a plain quantized segment.  Every quantized
-    segment of the payload, factor candidates included, is coded in one
-    pass.  Names and shapes travel only as the schema check, so the
+    longer for them, and the plain matrix otherwise; matrices with a unit
+    dimension (bias rows) skip the factorization and travel as a plain
+    quantized segment.  The quantized segments of the payload, factor
+    candidates included, are coded together, and each stream is packed
+    once.  Names and shapes travel only as the schema check, so the
     receiver decodes against tensors of the same names and shapes, in the
     same order.
     """
