@@ -21,7 +21,7 @@ import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -180,8 +180,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse a flat dotted-key config file; unknown keys are rejected, and
-    so is a key set on two lines.
+    """Parse a flat dotted-key config file; unknown keys are rejected.
 
     ``CEFGL_SEED`` in the environment overrides the whole seed block.
     """
@@ -189,7 +188,6 @@ def parse_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {p} does not exist")
-    set_on: Dict[str, int] = {}  # each key's line
     for lineno, raw_line in enumerate(_read_utf8(p, ConfigError).splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -205,9 +203,6 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{p.name}:{lineno}: unknown section {section_name!r}")
         if field_name not in {f.name for f in dataclasses.fields(section)}:
             raise ConfigError(f"{p.name}:{lineno}: unknown key {key!r}")
-        if key in set_on:
-            raise ConfigError(f"{p.name}:{lineno}: key {key!r} is already set on line {set_on[key]}")
-        set_on[key] = lineno
         setattr(section, field_name, _coerce(raw_value, getattr(section, field_name), key))
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:

@@ -10,6 +10,7 @@ from cefgl import cli, graphdata
 
 
 BASE_CONFIG = """
+run.algorithm = cefgl
 run.rounds = 3
 run.clients = 2
 run.hidden = 4
@@ -52,8 +53,7 @@ class TestCli:
             ("", "-3", "CEFGL_SEED"),
             ("run.algorithm = fedavg\nrun.ablation = s_only", None, "run.ablation"),
             ("server.downlink_scheme = quantized", None, "server.downlink_scheme"),
-            (b"# caf\xe9", None, "exp.cfg:9: not UTF-8 text"),
-            ("run.rounds = 4", None, "exp.cfg:9: key 'run.rounds' is already set on line 2"),
+            (b"# caf\xe9", None, "exp.cfg:10: not UTF-8 text"),
         ],
         ids=[
             "duplicate_motif",
@@ -63,7 +63,6 @@ class TestCli:
             "baseline_ablation",
             "removed_downlink_scheme",
             "not_utf8",
-            "repeated_key",
         ],
     )
     def test_refused_config_exit_code(self, tmp_path, monkeypatch, capsys, line, env_seed, named):

@@ -99,14 +99,6 @@ class TestParseConfig:
         path.write_text(f"run.ablation = {ablation}\n")
         assert harness.parse_config(path).run.ablation == ablation
 
-    def test_repeated_key_rejected(self, tmp_path):
-        # A key set twice is refused, naming both lines, rather than the last
-        # one silently winning; spacing does not make it another key.
-        path = tmp_path / "c.cfg"
-        path.write_text("run.rounds = 3\n# a comment\nserver.p = 0.25\nrun.rounds=4\n")
-        with pytest.raises(ConfigError, match=r"c\.cfg:4: key 'run\.rounds' is already set on line 1"):
-            harness.parse_config(path)
-
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("server.teleport = 1\n")
