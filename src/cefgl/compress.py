@@ -101,7 +101,9 @@ SCHEME_LOWRANK = "lowrank_quantized"
 _SCHEMES = (SCHEME_DENSE, SCHEME_QUANTIZED, SCHEME_LOWRANK)
 
 _UNPACK_CHUNK = 1 << 16  # levels per step of _unpack_levels' octet route
-_BIT_ROUTE_LEVELS = 512  # up to this many, levels are packed and unpacked through a bit matrix
+# Up to this many, levels are packed and unpacked through a bit matrix, in
+# fewer numpy calls than the octet route but with arrays of 32 bytes a level.
+_BIT_ROUTE_LEVELS = 512
 
 
 @dataclass
@@ -322,18 +324,22 @@ def _head(segment: Optional[_Segment]) -> bytes:
     return b"\x00" if segment is None else struct.pack("<Bd", segment.k + 1, segment.norm)
 
 
-def _size(bodies: Sequence[Sequence[Optional[_Segment]]]) -> Tuple[int, int]:
-    """The bytes that quantized bodies, each one segment or two factors,
-    take on the wire, heads and streams, each stream padded once; and their
-    bits, stream padding aside."""
-    heads, streams = 0, collections.Counter()
-    for body in bodies:
-        heads += 3 if len(body) == 2 else 0  # the factors' tag and rank
-        for s in body:
-            heads += len(_head(s))
-            if s is not None:
-                streams[s.k] += s.levels.size * s.k
-                streams.update(unary=s.unary.size, signs=s.signs.size)
+def _tally(body: Sequence[Optional[_Segment]]) -> Tuple[int, Dict[object, int]]:
+    """The head bytes of a quantized body, one segment or two factors, and
+    its bits in each stream it feeds: a remainder width, ``"unary"`` or
+    ``"signs"``."""
+    heads, bits = (3 if len(body) == 2 else 0), {}  # the factors' tag and rank
+    for s in body:
+        heads += len(_head(s))
+        if s is not None:
+            for key, n in ((s.k, s.levels.size * s.k), ("unary", s.unary.size), ("signs", s.signs.size)):
+                bits[key] = bits.get(key, 0) + n
+    return heads, bits
+
+
+def _size(heads: int, streams: Mapping[object, int]) -> Tuple[int, int]:
+    """The wire bytes of ``heads`` head bytes and of streams that hold
+    these bits, each stream padded once; and their bits, padding aside."""
     padded = sum((bits + 7) // 8 for bits in streams.values())
     return heads + padded, 8 * heads + sum(streams.values())
 
@@ -751,17 +757,28 @@ def encode_payload(
     # Each factored candidate in turn travels as factors if they take fewer
     # bits than its plain segment and the payload, padding included, is not
     # longer for them: no low-rank payload is longer than the quantized one.
-    bodies = [coded[plan[1] : plan[1] + 1] for plan in plans if isinstance(plan, tuple)]
-    at = 0
-    for plan in plans:
-        if isinstance(plan, tuple):
-            name, seg, rank = plan
-            if rank:
-                factored = bodies[:at] + [coded[seg + 1 : seg + 3]] + bodies[at + 1 :]
-                (size, bits), (plain_size, plain_bits) = _size(factored), _size(bodies)
-                if bits < plain_bits and size <= plain_size:
-                    bodies, ranks[name] = factored, rank
-            at += 1
+    # The payload's head bytes and bits per stream are kept as running
+    # totals, so a trial recounts only the candidate's own body.
+    quantized_plans = [plan for plan in plans if isinstance(plan, tuple)]
+    bodies = [coded[seg : seg + 1] for _, seg, _ in quantized_plans]
+    candidates = [(at, plan) for at, plan in enumerate(quantized_plans) if plan[2]]
+    if candidates:
+        heads, streams = 0, collections.Counter()
+        for body in bodies:
+            body_heads, body_bits = _tally(body)
+            heads += body_heads
+            streams.update(body_bits)
+        size, bits = _size(heads, streams)
+        for at, (name, seg, rank) in candidates:
+            factors = coded[seg + 1 : seg + 3]
+            (factor_heads, factor_bits), (plain_heads, plain_bits) = _tally(factors), _tally(bodies[at])
+            trial_heads, trial_streams = heads + factor_heads - plain_heads, streams.copy()
+            trial_streams.update(factor_bits)
+            trial_streams.subtract(plain_bits)
+            trial_size, trial_bits = _size(trial_heads, trial_streams)
+            if trial_bits < bits and trial_size <= size:
+                bodies[at], ranks[name] = factors, rank
+                heads, streams, size, bits = trial_heads, trial_streams, trial_size, trial_bits
 
     parts = [MAGIC, struct.pack("<BB", WIRE_VERSION, r), _schema_check(shapes)]
     quantized = iter(bodies)

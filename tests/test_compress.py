@@ -381,9 +381,10 @@ class TestQuantize:
 class TestLevelPacking:
     @pytest.mark.parametrize("r", range(1, 33))
     def test_matches_bitwise_reference(self, r):
-        # Both sides of the bit-matrix route's limit of 512 levels.
+        # Both sides of the bit-matrix route's limit.
         rng = np.random.default_rng(r)
-        for n in (1, 7, 8, 9, 512, 513, 1000):
+        limit = compress._BIT_ROUTE_LEVELS
+        for n in (1, 7, 8, 9, limit, limit + 1, 1000):
             levels = rng.integers(0, 2**r, size=n, dtype=np.uint64).astype(np.uint32)
             levels[-1] = 2**r - 1  # a saturated level
             packed = compress._pack_levels([levels], r)
@@ -396,7 +397,8 @@ class TestLevelPacking:
         # A width's remainder stream is packed once from the segments'
         # pieces, with no padding between them, at any piece size.
         rng = np.random.default_rng(50 + r)
-        for sizes in ((1, 7, 3), (9, 600, 2), (513,), (300, 300)):
+        limit = compress._BIT_ROUTE_LEVELS
+        for sizes in ((1, 7, 3), (9, 600, 2), (limit + 1,), (100, limit - 100), (300, 300)):
             pieces = [rng.integers(0, 2**r, size=n, dtype=np.uint64).astype(np.uint32) for n in sizes]
             whole = np.concatenate(pieces)
             assert compress._pack_levels(pieces, r) == reference_pack(whole, r)
@@ -457,6 +459,20 @@ class TestRiceCoding:
             out = compress.decode_payload(blob, tensors)
             for name, x in tensors.items():
                 assert np.array_equal(out[name].ravel(), compress.dequantize(compress.quantize(x, r)))
+
+    def test_decoding_with_the_bit_count_table(self, monkeypatch):
+        # numpy before 2.0 has no bitwise_count; the table that replaces it
+        # must find the same pass ends, across many scan steps and passes.
+        rng = np.random.default_rng(301)
+        tensors = {f"x{i}": rng.normal(size=(1, n)) for i, n in enumerate((1001, 37, 3, 250))}
+        tensors["x1"][0, :5] *= 1e4
+        blob = compress.encode_payload(tensors, "quantized", r=5).blob
+        monkeypatch.setattr(compress, "_bit_counts", compress._ONES.take)
+        monkeypatch.setattr(compress, "_SCAN_BYTES", 2)
+        monkeypatch.setattr(compress, "_PASS_VALUES", 32)
+        out = compress.decode_payload(blob, tensors)
+        for name, x in tensors.items():
+            assert np.array_equal(out[name].ravel(), compress.dequantize(compress.quantize(x, 5)))
 
     def test_rice_body_layout(self):
         # Levels 0, 3 and 5 at r = 4 and k = 1: remainders 0, 1, 1; quotients
