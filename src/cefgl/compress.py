@@ -90,8 +90,11 @@ from . import linalg
 from .errors import BadBits, MalformedPayload, NonFiniteInput, ZeroVector
 
 MAGIC = b"CFP1"
-WIRE_VERSION = 7
-# Tags of a factored and a dense body; 0 is a zero tensor, k + 1 a quantized one.
+WIRE_VERSION = 8
+# Tags of a quantized segment with a k per column or per row, of a factored
+# body and of a dense one; 0 is a zero tensor, k + 1 a segment with one k.
+_COLS = 0xFC
+_ROWS = 0xFD
 _FACTORS = 0xFE
 _DENSE = 0xFF
 
@@ -101,6 +104,8 @@ SCHEME_LOWRANK = "lowrank_quantized"
 _SCHEMES = (SCHEME_DENSE, SCHEME_QUANTIZED, SCHEME_LOWRANK)
 
 _UNPACK_CHUNK = 1 << 16  # levels per step of _unpack_levels' octet route
+_POWERS = np.left_shift(1, np.arange(32, dtype=np.uint32))  # 2**j, for the bit-matrix route
+_POWERS.setflags(write=False)
 # Up to this many, levels are packed and unpacked through a bit matrix, in
 # fewer numpy calls than the octet route but with arrays of 32 bytes a level.
 _BIT_ROUTE_LEVELS = 512
@@ -229,8 +234,8 @@ def _unpack_levels(buf, n: int, r: int) -> np.ndarray:
     or a uint8 array, to 32 bits.
 
     Widths of 8, 16 and 32 bits are a cast.  Up to ``_BIT_ROUTE_LEVELS``
-    levels go through a matrix of their bits, which costs 32 bytes a level
-    but only a few numpy calls.  More take the octet route of
+    levels go through a matrix of their bits, r bytes a level, weighed
+    against the powers of two in one product.  More take the octet route of
     ``_pack_levels`` backwards, ``_UNPACK_CHUNK`` levels at a time, so its
     matrices stay a few MiB however long the segment is; the chunk is a
     multiple of 8 levels, so each chunk starts on a byte boundary.
@@ -239,9 +244,7 @@ def _unpack_levels(buf, n: int, r: int) -> np.ndarray:
         return np.frombuffer(buf, dtype=f"<u{r // 8}").astype(np.uint32)
     wire = np.frombuffer(buf, dtype=np.uint8)
     if n <= _BIT_ROUTE_LEVELS:
-        bits = np.zeros((n, 32), dtype=np.uint8)
-        bits[:, :r] = np.unpackbits(wire, count=n * r, bitorder="little").reshape(n, r)
-        return np.packbits(bits, axis=1, bitorder="little").view("<u4").ravel()
+        return np.unpackbits(wire, count=n * r, bitorder="little").reshape(n, r).dot(_POWERS[:r])
     levels = np.empty(n, dtype=np.uint32)
     mask = np.uint64((1 << r) - 1)
     word, shift, _, straddle = _octet_fields(r)
@@ -262,38 +265,82 @@ def _unpack_levels(buf, n: int, r: int) -> np.ndarray:
     return levels
 
 
-def _rice_parameters(levels: np.ndarray, bounds: Sequence[int], r: int) -> List[Tuple[int, int]]:
-    """For each segment of ``levels`` (segment s spans
-    ``bounds[s]:bounds[s + 1]``), the least k in [0, r) that minimises the
-    Rice code's level bits, n * k remainder bits plus S_k + n unary bits
-    with S_k = sum(levels >> k), and that S_k.
+def _rice_parameters(levels: np.ndarray, sizes: np.ndarray, r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """For each line of ``levels``, consecutive lines of ``sizes`` values
+    (int64), the least k in [0, r) that minimises the Rice code's level
+    bits, n * k remainder bits plus S_k + n unary bits with S_k =
+    sum(levels >> k), or k = r, n * r bits without unary codes, where that
+    is not fewer bits: each line's k and level bits, as int64 arrays.
 
     With m the mean level and k0 = floor(log2(floor(m))), only k0 - 1, k0
     and k0 + 1 can win.  The bit count is convex in k.  It rises from k0 + 1
     on, since S_k < n once 2**k > m; it falls up to k0 - 1, since S_k > 2 n
-    once 2**k <= m / 4.  Each of the sums is taken for every segment at once.
+    once 2**k <= m / 4.  So of the three k from max(k0 - 1, 0) up, which
+    are tried, one past k0 + 1 cannot win, nor can k = r, which costs more
+    than n * r.  Each of the sums is taken for every line at once.
     """
-    starts = bounds[:-1]
-    sizes = [stop - start for start, stop in zip(bounds, bounds[1:])]
-    totals = np.add.reduceat(levels, starts, dtype=np.uint64).tolist()
-    k0s = [(total // n).bit_length() - 1 for total, n in zip(totals, sizes)]
-    firsts = [max(k0 - 1, 0) for k0 in k0s]
-    quotients = np.empty_like(levels)
-    for start, stop, first in zip(bounds, bounds[1:], firsts):
-        np.right_shift(levels[start:stop], first, out=quotients[start:stop])
-    sums = [np.add.reduceat(quotients, starts, dtype=np.uint64).tolist()]
-    for _ in range(2):
-        quotients >>= 1
-        sums.append(np.add.reduceat(quotients, starts, dtype=np.uint64).tolist())
-    best = []
-    for seg, (n, k0, first) in enumerate(zip(sizes, k0s, firsts)):
-        choice = None
-        for k in range(first, min(k0 + 2, r)):
-            quotient_sum = sums[k - first][seg]
-            if choice is None or n * k + quotient_sum < n * choice[0] + choice[1]:
-                choice = (k, quotient_sum)
-        best.append(choice)
-    return best
+    starts = np.cumsum(sizes) - sizes
+    totals = np.add.reduceat(levels, starts, dtype=np.uint64).astype(np.int64)
+    k0s = np.frexp(totals // sizes)[1] - 1  # the mean is below 2**32, so exact
+    firsts = np.maximum(k0s - 1, 0)
+    quotients = levels >> np.repeat(firsts.astype(np.uint8), sizes)
+    bits = np.empty((3, sizes.size), dtype=np.int64)
+    for j in range(3):
+        if j:
+            quotients >>= 1
+        bits[j] = np.add.reduceat(quotients, starts, dtype=np.uint64)
+    del quotients
+    bits += sizes * (firsts + np.arange(1, 4)[:, None])
+    ks = firsts + bits.argmin(axis=0)  # the least k on ties
+    bits = bits.min(axis=0)
+    fixed = bits >= sizes * r
+    ks[fixed] = r
+    return ks, np.minimum(bits, sizes * r)
+
+
+def _layouts(levels: np.ndarray, shapes: Sequence[Tuple[int, int]], r: int) -> List[Tuple[int, np.ndarray]]:
+    """The layout of each segment of ``levels``, consecutive row-major
+    matrices of ``shapes``: its tag and the k of each of its lines, in line
+    order.
+
+    A segment takes one k, a k per row or a k per column, whichever has the
+    fewest level bits, its lines' k fields and their padding included; one
+    k on ties, then per row.  A matrix with a unit dimension has one line or
+    lines of one value, and takes one k.
+    """
+    # Jobs of lines to judge: every segment whole, then the rows and the
+    # columns of each segment with no unit dimension.  They go to
+    # _rice_parameters in batches of at most _PASS_VALUES values, so that
+    # its temporaries stay those of one pass.
+    jobs, lined, at = [(levels, [m * c for m, c in shapes])], [], 0
+    for seg, (m, c) in enumerate(shapes):
+        if m > 1 and c > 1:
+            block = levels[at : at + m * c].reshape(m, c)
+            lined.append((seg, m, c))
+            jobs += [(block, [c] * m), (block.T, [m] * c)]
+        at += m * c
+    ks, bits, batch, total = [], [], [], 0
+    for i, (data, sizes) in enumerate(jobs):
+        batch.append((data, sizes))
+        total += data.size
+        if i + 1 == len(jobs) or total + jobs[i + 1][0].size > _PASS_VALUES:
+            data = np.concatenate([d.ravel() for d, _ in batch]) if len(batch) > 1 else data.ravel()
+            batch_ks, batch_bits = _rice_parameters(data, np.array([n for _, s in batch for n in s]), r)
+            ks.append(batch_ks)
+            bits += batch_bits.tolist()
+            batch, total = [], 0
+    ks = np.concatenate(ks) if len(ks) > 1 else ks[0]
+    out = [(k + 1, ks[seg : seg + 1]) for seg, k in enumerate(ks[: len(shapes)].tolist())]
+    first, width = len(shapes), r.bit_length()
+    for seg, m, c in lined:
+        by_row = sum(bits[first : first + m]) + 8 * ((m * width + 7) // 8)
+        by_col = sum(bits[first + m : first + m + c]) + 8 * ((c * width + 7) // 8)
+        if by_row < bits[seg] and by_row <= by_col:
+            out[seg] = (_ROWS, ks[first : first + m])
+        elif by_col < bits[seg]:
+            out[seg] = (_COLS, ks[first + m : first + m + c])
+        first += m + c
+    return out
 
 
 # Zero bits that fill the unary stream's last byte.
@@ -309,19 +356,14 @@ _SCAN_BYTES = 1 << 13
 
 @dataclass
 class _Segment:
-    """A coded quantized segment: its head, and its pieces of the streams.
-    The pieces are views into the arrays of the pass that coded it."""
+    """A coded quantized segment: its head, and its pieces of the streams by
+    line width k, each a (levels, unary codes, sign bits) triple of views
+    into the arrays of the pass that coded it.  The low k bits of each level
+    travel as its remainder; the unary codes are empty at k = r, and a sign
+    bit, True for negative, goes with each nonzero level."""
 
-    k: int
-    norm: float
-    levels: np.ndarray  # uint32; the low k bits of each travel as its remainder
-    unary: np.ndarray  # bool, its unary codes; empty at k = r
-    signs: np.ndarray  # bool, one per nonzero level, True for negative
-
-
-def _head(segment: Optional[_Segment]) -> bytes:
-    """A segment's head; a zero one is its tag byte alone."""
-    return b"\x00" if segment is None else struct.pack("<Bd", segment.k + 1, segment.norm)
+    head: bytes
+    parts: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _tally(body: Sequence[Optional[_Segment]]) -> Tuple[int, Dict[object, int]]:
@@ -330,9 +372,9 @@ def _tally(body: Sequence[Optional[_Segment]]) -> Tuple[int, Dict[object, int]]:
     ``"signs"``."""
     heads, bits = (3 if len(body) == 2 else 0), {}  # the factors' tag and rank
     for s in body:
-        heads += len(_head(s))
-        if s is not None:
-            for key, n in ((s.k, s.levels.size * s.k), ("unary", s.unary.size), ("signs", s.signs.size)):
+        heads += 1 if s is None else len(s.head)
+        for width, (levels, unary, signs) in (s.parts.items() if s is not None else ()):
+            for key, n in ((width, levels.size * width), ("unary", unary.size), ("signs", signs.size)):
                 bits[key] = bits.get(key, 0) + n
     return heads, bits
 
@@ -357,82 +399,107 @@ def _passes(sizes: Sequence[int]) -> List[List[int]]:
     return passes
 
 
-def _quant_segments(vecs: Sequence[np.ndarray], r: int) -> List[Optional[_Segment]]:
-    """The quantized segments of flattened tensors at bit width r.
+def _quant_segments(mats: Sequence[np.ndarray], r: int) -> List[Optional[_Segment]]:
+    """The quantized segments of matrices at bit width r.
 
-    Each segment has its own norm and the best Rice parameter k < r, or
-    k = r, without unary codes, when that is not fewer bits.  ZeroVector's
-    case, a genuinely zero tensor or one so small that its norm underflows,
-    is a legal model state and travels as the single tag byte 0 (None
-    here).  The others are coded together, in as few passes as ``_passes``
-    allows.
+    Each segment has its own norm and the layout of ``_layouts``.
+    ZeroVector's case, a genuinely zero tensor or one so small that its
+    norm underflows, is a legal model state and travels as the single tag
+    byte 0 (None here).  The others are coded together, in as few passes
+    as ``_passes`` allows.
     """
-    norms = [_norm(v) for v in vecs]  # as quantize takes it, per tensor
-    out: List[Optional[_Segment]] = [None] * len(vecs)
+    norms = [_norm(m.ravel()) for m in mats]  # as quantize takes it, per tensor
+    out: List[Optional[_Segment]] = [None] * len(mats)
     live = [i for i, norm in enumerate(norms) if norm != 0.0]
-    for batch in _passes([vecs[i].size for i in live]):
+    for batch in _passes([mats[i].size for i in live]):
         picked = [live[j] for j in batch]
-        coded = _code_pass([vecs[i] for i in picked], [norms[i] for i in picked], r)
+        coded = _code_pass([mats[i] for i in picked], [norms[i] for i in picked], r)
         for i, segment in zip(picked, coded):
             out[i] = segment
     return out
 
 
-def _code_pass(vecs: Sequence[np.ndarray], norms: Sequence[float], r: int) -> List[_Segment]:
-    """Nonzero flattened tensors coded in one pass over their concatenated
-    values: each divides by its own norm, and the scaling, rounding, sign
-    bits, Rice sums and unary codes run once for all."""
-    sizes = [v.size for v in vecs]
-    bounds = list(itertools.accumulate(sizes, initial=0))
-    values = np.concatenate(vecs)
+def _code_pass(mats: Sequence[np.ndarray], norms: Sequence[float], r: int) -> List[_Segment]:
+    """Nonzero matrices coded in one pass over their concatenated values:
+    each divides by its own norm, and the scaling, rounding, sign bits,
+    Rice sums and unary codes run once for all.  A segment of a per-line
+    layout has its values put in stream order: its lines by k, ties in line
+    order."""
+    shapes = [m.shape for m in mats]
+    bounds = list(itertools.accumulate((m.size for m in mats), initial=0))
+    values = np.concatenate([m.ravel() for m in mats])
     negative = values < 0
     levels = _levels(np.abs(values, out=values), bounds, norms, r)
     del values
-    nonzero = levels != 0
-    counts = np.add.reduceat(nonzero, bounds[:-1], dtype=np.int64).tolist()
-    signs = negative[nonzero]
+    layouts = _layouts(levels, shapes, r)
 
-    ks, unary_bits = [], []
-    for n, (k, quotient_sum) in zip(sizes, _rice_parameters(levels, bounds, r)):
-        unary = quotient_sum + n
-        if unary + n * k >= n * r:
-            k, unary = r, 0
-        ks.append(k)
-        unary_bits.append(unary)
+    # Each segment's runs, its lines of one k in line order, as (k, start,
+    # stop) in the pass; a per-line segment's values move into stream order.
+    runs: List[List[Tuple[int, int, int]]] = []
+    for (m, c), start, (tag, ks) in zip(shapes, bounds, layouts):
+        stop = start + m * c
+        if tag < _COLS:
+            runs.append([(tag - 1, start, stop)])
+            continue
+        lines = np.argsort(ks, kind="stable")
+        for arr in (levels, negative):
+            block = arr[start:stop].reshape(m, c)
+            arr[start:stop] = (block if tag == _ROWS else block.T)[lines].ravel()
+        counts = np.bincount(ks, minlength=r + 1)
+        widths = np.flatnonzero(counts)
+        stops = (start + np.cumsum(counts[widths]) * (m * c // ks.size)).tolist()
+        runs.append(list(zip(widths.tolist(), [start] + stops[:-1], stops)))
+    nonzero = levels != 0
+    flat = [run for seg in runs for run in seg]
+    counts = np.add.reduceat(nonzero, [start for _, start, _ in flat], dtype=np.int64).tolist()
+    signs = negative[nonzero]
+    del negative, nonzero
+
     # Level i's terminator follows its own and the earlier levels' codes.
-    rice = [seg for seg, k in enumerate(ks) if k < r]
-    ends = np.empty(sum(sizes[seg] for seg in rice), dtype=np.int64)
-    at = 0
-    for seg in rice:
-        part = levels[bounds[seg] : bounds[seg + 1]]
-        np.right_shift(part, ks[seg], out=ends[at : at + sizes[seg]])
-        at += sizes[seg]
+    rice = [(k, start, stop) for k, start, stop in flat if k < r]
+    ends = np.empty(sum(stop - start for _, start, stop in rice), dtype=np.int64)
+    marks, at = [], 0
+    for k, start, stop in rice:
+        np.right_shift(levels[start:stop], k, out=ends[at : at + stop - start])
+        at += stop - start
+        marks.append(at - 1)
     ends += 1
     np.cumsum(ends, out=ends)
+    unary_stops = iter(ends[marks].tolist())
     ends -= 1
-    unary = np.zeros(sum(unary_bits), dtype=bool)
+    unary = np.zeros(int(ends[-1]) + 1 if ends.size else 0, dtype=bool)
     unary[ends] = True
     del ends
 
-    out, u, c = [], 0, 0
-    for seg, (norm, k, ub, count) in enumerate(zip(norms, ks, unary_bits, counts)):
-        part = levels[bounds[seg] : bounds[seg + 1]]
-        out.append(_Segment(k, norm, part, unary[u : u + ub], signs[c : c + count]))
-        u, c = u + ub, c + count
+    out, count_at, u, c = [], iter(counts), 0, 0
+    for norm, (tag, ks), seg_runs in zip(norms, layouts, runs):
+        head = struct.pack("<Bd", tag, norm)
+        if tag >= _COLS:
+            head += _pack_levels([ks], r.bit_length())
+        parts = {}
+        for k, start, stop in seg_runs:
+            u_stop = next(unary_stops) if k < r else u
+            count = next(count_at)
+            parts[k] = (levels[start:stop], unary[u:u_stop], signs[c : c + count])
+            u, c = u_stop, c + count
+        out.append(_Segment(head, parts))
     return out
 
 
 def _streams(segments: Sequence[_Segment]) -> bytes:
     """The remainder streams, the unary stream and the sign stream of
-    quantized segments, which are in stream order."""
-    parts = []
-    for width in sorted({s.k for s in segments} - {0}):
-        parts.append(_pack_levels([s.levels for s in segments if s.k == width], width))
-    unary = [s.unary for s in segments]
+    quantized segments in head order: each takes the segments' pieces by
+    width, ties in head order."""
+    widths = sorted({k for s in segments for k in s.parts})
+    pieces = [s.parts[k] for k in widths for s in segments if k in s.parts]
+    out = [
+        _pack_levels([s.parts[k][0] for s in segments if k in s.parts], k) for k in widths if k
+    ]
+    unary = [piece[1] for piece in pieces]
     size = sum(u.size for u in unary)
-    bits = np.concatenate(unary + [_PAD_BITS[: -size % 8]] + [s.signs for s in segments])
-    parts.append(np.packbits(bits, bitorder="little").tobytes())
-    return b"".join(parts)
+    bits = np.concatenate(unary + [_PAD_BITS[: -size % 8]] + [piece[2] for piece in pieces])
+    out.append(np.packbits(bits, bitorder="little").tobytes())
+    return b"".join(out)
 
 
 class _Reader:
@@ -542,21 +609,31 @@ class _Unary:
         return byte + 1
 
 
-def _read_segment_head(rd: _Reader, tag: int, n: int, r: int, heads: list) -> Optional[int]:
-    """Read the norm of a quantized segment of n values whose tag is read
-    and list its (n, k, norm) in ``heads``: its index there, or None for a
-    zero tensor."""
+def _read_segment_head(rd: _Reader, tag: int, rows: int, cols: int, r: int, heads: list) -> Optional[int]:
+    """Read the rest of the head of a quantized rows x cols segment whose tag
+    is read and list its (tag, rows, cols, line ks, norm) in ``heads``: its
+    index there, or None for a zero tensor."""
     if tag == 0:
         return None
     if tag in (_FACTORS, _DENSE):
         raise MalformedPayload(f"invalid body byte {tag}")
-    k = tag - 1
-    if k > r:
-        raise MalformedPayload(f"Rice parameter {k} is above the bit width {r}")
+    if tag in (_ROWS, _COLS):
+        if min(rows, cols) == 1:
+            raise MalformedPayload(f"a {rows}x{cols} matrix takes one Rice parameter, not layout tag {tag}")
+        lines = rows if tag == _ROWS else cols
+    elif tag - 1 > r:
+        raise MalformedPayload(f"Rice parameter {tag - 1} is above the bit width {r}")
     (norm,) = rd.unpack("<d")
     if not 0.0 <= norm < math.inf:
         raise MalformedPayload(f"quantized segment has invalid norm {norm!r}")
-    heads.append((n, k, norm))
+    if tag in (_ROWS, _COLS):
+        width = r.bit_length()
+        ks = _unpack_levels(rd.take((lines * width + 7) // 8), lines, width).astype(np.int64)
+        if int(ks.max()) > r:
+            raise MalformedPayload(f"line Rice parameter {int(ks.max())} is above the bit width {r}")
+    else:
+        ks = np.array([tag - 1])
+    heads.append((tag, rows, cols, ks, norm))
     return len(heads) - 1
 
 
@@ -571,19 +648,18 @@ def _read_head(rd: _Reader, rows: int, cols: int, r: int, heads: list):
             raise MalformedPayload("dense body holds NaN or Inf")
         return values
     if tag != _FACTORS:
-        return _read_segment_head(rd, tag, n, r, heads)
+        return _read_segment_head(rd, tag, rows, cols, r, heads)
     (rank,) = rd.unpack("<H")
     if not 0 < rank * (rows + cols) < n:
         raise MalformedPayload(f"invalid retained rank {rank} for {rows}x{cols}")
-    left = _read_segment_head(rd, *rd.unpack("<B"), rows * rank, r, heads)
-    right = _read_segment_head(rd, *rd.unpack("<B"), cols * rank, r, heads)
+    left = _read_segment_head(rd, *rd.unpack("<B"), rows, rank, r, heads)
+    right = _read_segment_head(rd, *rd.unpack("<B"), cols, rank, r, heads)
     return rank, left, right
 
 
 def _stream_passes(sizes: Sequence[int]) -> List[Tuple[int, int]]:
-    """Consecutive segments, as (first, stop) index pairs, grouped into
-    decoding passes of at most ``_PASS_VALUES`` values unless one segment
-    holds more."""
+    """Consecutive runs, as (first, stop) index pairs, grouped into decoding
+    passes of at most ``_PASS_VALUES`` values unless one run holds more."""
     cuts, total = [0], 0
     for i, n in enumerate(sizes):
         if total and total + n > _PASS_VALUES:
@@ -594,23 +670,31 @@ def _stream_passes(sizes: Sequence[int]) -> List[Tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[Tuple[int, int, float]], r: int):
-    """The values of quantized segments with heads (n, k, norm), whose
-    streams start at byte ``pos`` and end the payload: one float64 array in
-    stream order, and each segment's offset into it.
+def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[tuple], r: int) -> List[np.ndarray]:
+    """The values of quantized segments with heads (tag, rows, cols, line
+    ks, norm), whose streams start at byte ``pos`` and end the payload: one
+    flat row-major float64 array per head.
 
-    Each pass writes its levels into its part of the array; then, the unary
+    A segment's run of width k is its lines of that k, in line order.  The
+    streams take the runs by k, ties in head order; each pass writes its
+    runs' levels into its part of one array in that order.  Then, the unary
     stream's end having located the sign stream, each pass scales and signs
-    its part in place.  Refuses any level of 2**r or more, so that each
+    its part in place, and each segment of a per-line layout gathers its
+    lines from its runs.  Refuses any level of 2**r or more, so that each
     decoded magnitude stays within its segment's norm.
     """
-    order = sorted(range(len(heads)), key=lambda i: heads[i][1])
-    sizes = [heads[i][0] for i in order]
-    ks = [heads[i][1] for i in order]
+    runs = []  # (k, head index, values)
+    for i, (tag, rows, cols, ks, _) in enumerate(heads):
+        if tag < _COLS:
+            runs.append((tag - 1, i, rows * cols))
+            continue
+        counts = np.bincount(ks, minlength=r + 1)
+        widths = np.flatnonzero(counts)
+        runs += zip(widths.tolist(), itertools.repeat(i), (counts[widths] * (rows * cols // ks.size)).tolist())
+    runs.sort(key=lambda run: run[0])
+    ks = [k for k, _, _ in runs]
+    sizes = [n for _, _, n in runs]
     starts = list(itertools.accumulate(sizes, initial=0))
-    offsets = [0] * len(heads)
-    for i, start in zip(order, starts):
-        offsets[i] = start
 
     remainders = {}  # width -> [byte where its stream starts, values read]
     for width, group in itertools.groupby(zip(ks, sizes), key=lambda pair: pair[0]):
@@ -629,7 +713,7 @@ def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[Tuple[int, int, fl
         return _unpack_levels(part, skip + m, width)[skip:]
 
     def read_levels(first: int, stop: int) -> None:
-        """Write the levels of segments first..stop - 1 into ``values``."""
+        """Write the levels of runs first..stop - 1 into ``values``."""
         base = starts[first]
         quotients = unary.take(sum(n for n, k in zip(sizes[first:stop], ks[first:stop]) if k < r))
         for width, group in itertools.groupby(range(first, stop), key=ks.__getitem__):
@@ -638,11 +722,10 @@ def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[Tuple[int, int, fl
             if width == r:
                 values[base + lo : base + hi] = read_remainders(width, hi - lo)
                 continue
-            levels = quotients[lo:hi]
+            levels = quotients[lo:hi]  # int64, so the shift below cannot wrap
             if levels.size and int(levels.max()) >> (r - width):
                 raise MalformedPayload(f"Rice-coded level does not fit in {r} bits")
-            if width:  # the levels are below 2**r, so uint32 holds them
-                levels = levels.astype(np.uint32)
+            if width:
                 levels <<= width
                 levels |= read_remainders(width, hi - lo)
             values[base + lo : base + hi] = levels
@@ -653,7 +736,7 @@ def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[Tuple[int, int, fl
         read_levels(first, stop)
     at = 8 * unary.end()  # where the sign stream starts, in bits
     del unary  # and its running count of 1 bits
-    norms = [heads[i][2] for i in order]
+    norms = [heads[i][4] for _, i, _ in runs]
     for first, stop in passes:
         part = values[starts[first] : starts[stop]]
         nonzero = np.flatnonzero(part != 0)
@@ -671,7 +754,21 @@ def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[Tuple[int, int, fl
         at += nonzero.size
     if (at + 7) // 8 < wire.size:
         raise MalformedPayload(f"{wire.size - (at + 7) // 8} trailing bytes after the sign stream")
-    return values, offsets
+
+    # Each segment's runs, in order of k, put its lines in stream order.
+    pieces: List[list] = [[] for _ in heads]
+    for (_, i, n), start in zip(runs, starts):
+        pieces[i].append(values[start : start + n])
+    out = []
+    for (tag, rows, cols, ks, _), parts in zip(heads, pieces):
+        if tag < _COLS:
+            out.append(parts[0])
+            continue
+        block = np.empty((rows, cols))
+        lines = block if tag == _ROWS else block.T
+        lines[np.argsort(ks, kind="stable")] = np.concatenate(parts).reshape(lines.shape)
+        out.append(block.ravel())
+    return out
 
 
 @dataclass
@@ -727,7 +824,7 @@ def encode_payload(
     # A plan is a finished head, or the name, first segment index and the
     # rank of the factors that follow that segment (0 for none) of a body
     # still to be coded.
-    shapes, plans, vecs = [], [], []
+    shapes, plans, mats = [], [], []
     ranks: Dict[str, int] = {}
     for name, tensor in tensors.items():
         mat = linalg.as_matrix(tensor)
@@ -748,11 +845,11 @@ def encode_payload(
             # Factors of rank k hold k * (rows + cols) values; else they cannot be shorter.
             if left.shape[1] * sum(mat.shape) < mat.size:
                 rank = left.shape[1]
-        plans.append((name, len(vecs), rank))
-        vecs.append(mat.ravel())
+        plans.append((name, len(mats), rank))
+        mats.append(mat)
         if rank:
-            vecs += [left.ravel(), right.ravel()]
-    coded = _quant_segments(vecs, r)
+            mats += [left, right]
+    coded = _quant_segments(mats, r)
 
     # Each factored candidate in turn travels as factors if they take fewer
     # bits than its plain segment and the payload, padding included, is not
@@ -789,10 +886,10 @@ def encode_payload(
         body = next(quantized)
         if len(body) == 2:
             parts.append(struct.pack("<BH", _FACTORS, plan[2]))
-        parts += [_head(s) for s in body]
+        parts += [b"\x00" if s is None else s.head for s in body]
     segments = [s for body in bodies for s in body if s is not None]
     if segments:
-        parts.append(_streams(sorted(segments, key=lambda s: s.k)))
+        parts.append(_streams(segments))
     return CompressedPayload(b"".join(parts), ranks)
 
 
@@ -812,15 +909,15 @@ def decode_payload(payload, like: Mapping[str, np.ndarray]) -> Dict[str, np.ndar
     shapes = [(name, values.shape) for name, values in like.items()]
     if rd.take(4) != _schema_check(shapes):
         raise MalformedPayload("schema check differs: the payload holds other tensors")
-    heads: List[Tuple[int, int, float]] = []
+    heads: List[tuple] = []
     bodies = [_read_head(rd, *shape, r, heads) for _, shape in shapes]
     if heads:
-        values, offsets = _read_streams(np.frombuffer(blob, dtype=np.uint8), rd.pos, heads, r)
+        segments = _read_streams(np.frombuffer(blob, dtype=np.uint8), rd.pos, heads, r)
     elif rd.pos != len(blob):
         raise MalformedPayload(f"{len(blob) - rd.pos} trailing bytes after last tensor")
 
     def segment(index: Optional[int], n: int) -> np.ndarray:
-        return np.zeros(n) if index is None else values[offsets[index] : offsets[index] + n]
+        return np.zeros(n) if index is None else segments[index]
 
     out = {}
     for (name, (rows, cols)), body in zip(shapes, bodies):

@@ -19,7 +19,8 @@ from helpers import dense
 
 # Wire-format accounting used to derive expected byte counts independently.
 HEADER_BYTES = 4 + 1 + 1 + 4  # magic, version, bit width, schema check
-SEGMENT_HEAD_BYTES = 1 + 8  # tag, norm
+SEGMENT_HEAD_BYTES = 1 + 8  # tag, norm; a per-line layout's k fields follow
+COLS, ROWS = 0xFC, 0xFD  # the tags of a k per column and a k per row
 
 
 def schema_check(shapes) -> bytes:
@@ -58,24 +59,58 @@ def quantized_payload_bytes(tensors, r: int) -> int:
     return HEADER_BYTES + bodies_bytes([[segment_streams(x, r)] for x in tensors.values()])
 
 
+def layout_bits(lines, r: int):
+    """The bits that lines of levels put in each stream, each line at the
+    k of ``rice_choice``: its remainders under their width k, its unary
+    codes under "unary" and its signs under "signs"; and their level bits,
+    the remainders and unary codes."""
+    streams = {"unary": 0, "signs": 0}
+    for line in lines:
+        k, unary = rice_choice(line, r)
+        streams[k] = streams.get(k, 0) + line.size * k
+        streams["unary"] += unary
+        streams["signs"] += int(np.count_nonzero(line))
+    return streams, sum(bits for key, bits in streams.items() if key != "signs")
+
+
+def segment_layouts(x, r: int):
+    """The layouts a quantized segment of x may take, in the encoder's order
+    of preference: (name, lines, head bytes), one k first, then a k per row
+    and per column where x has no unit dimension; a line k field is
+    r.bit_length() bits, padded to a byte per head."""
+    levels = compress.quantize(x, r).levels.reshape(np.atleast_2d(x).shape)
+    rows, cols = levels.shape
+    out = [("one", [levels.ravel()], SEGMENT_HEAD_BYTES)]
+    if rows > 1 and cols > 1:
+        for name, lines in (("rows", list(levels)), ("cols", list(levels.T))):
+            out.append((name, lines, SEGMENT_HEAD_BYTES + -(-len(lines) * r.bit_length() // 8)))
+    return out
+
+
 def segment_streams(x, r: int):
-    """The bits a quantized segment of x puts in each stream: its remainders
-    under their width k, its unary codes under "unary" and its signs under
-    "signs"; None for a zero tensor, whose body is one tag byte."""
+    """The head bytes of a quantized segment of x and the bits it puts in
+    each stream, by ``layout_bits``, under the layout with the fewest level
+    bits and k fields (one k on ties, then a k per row); None for a zero
+    tensor, whose body is one tag byte."""
     try:
-        levels = compress.quantize(x, r).levels
+        layouts = segment_layouts(x, r)
     except ZeroVector:
         return None
-    k, unary = rice_choice(levels, r)
-    return {k: levels.size * k, "unary": unary, "signs": int(np.count_nonzero(levels))}
+    best = None
+    for _, lines, head in layouts:
+        streams, bits = layout_bits(lines, r)
+        cost = bits + 8 * (head - SEGMENT_HEAD_BYTES)
+        if best is None or cost < best[0]:
+            best = (cost, head, streams)
+    return best[1:]
 
 
 def body_bits(body) -> int:
-    """The bits of a quantized body, a list of one segment's streams or of two
-    factors', heads included and stream padding aside."""
+    """The bits of a quantized body, a list of one segment's head bytes and
+    streams or of two factors', heads included and stream padding aside."""
     bits = 24 if len(body) == 2 else 0  # the factors' tag and rank
-    for streams in body:
-        bits += 8 if streams is None else 8 * SEGMENT_HEAD_BYTES + sum(streams.values())
+    for segment in body:
+        bits += 8 if segment is None else 8 * segment[0] + sum(segment[1].values())
     return bits
 
 
@@ -85,9 +120,9 @@ def bodies_bytes(bodies) -> int:
     heads, totals = 0, {}
     for body in bodies:
         heads += 3 if len(body) == 2 else 0
-        for streams in body:
-            heads += 1 if streams is None else SEGMENT_HEAD_BYTES
-            for name, bits in (streams or {}).items():
+        for segment in body:
+            heads += 1 if segment is None else segment[0]
+            for name, bits in (segment[1] if segment else {}).items():
                 totals[name] = totals.get(name, 0) + bits
     return heads + sum(-(-bits // 8) for bits in totals.values())
 
@@ -124,8 +159,9 @@ def rank1(rows: int, cols: int, seed: int) -> np.ndarray:
 
 def _fuzz_tensors():
     """Bias rows, a zero tensor, low-rank bodies both factored ("f") and
-    plain ("w"), and quantized segments at both k < r ("g", "w") and k = r
-    ("b")."""
+    plain ("w"), quantized segments at both k < r ("g", "w") and k = r
+    ("b"), and segments with a k per row ("p", its rows scaled apart) and
+    per column ("q", its columns scaled apart)."""
     rng = np.random.default_rng(40)
     return {
         "w": rng.normal(size=(4, 3)),
@@ -133,6 +169,8 @@ def _fuzz_tensors():
         "b": rng.normal(size=(1, 3)),
         "z": np.zeros((2, 2)),
         "g": rng.normal(size=(1, 256)),
+        "p": rng.normal(size=(6, 8)) * (4.0 ** -np.arange(6))[:, None],
+        "q": rng.normal(size=(8, 6)) * (4.0 ** -np.arange(6))[None, :],
     }
 
 
@@ -179,9 +217,9 @@ def reference_pack(levels: np.ndarray, r: int) -> bytes:
 
 
 # SHA-256 of one fixed payload under each scheme, re-pinned for wire
-# version 7, whose layout (the bit width in the header, k in each tag, and
-# one stream of each kind per payload) changes every quantized payload; the
-# values they decode to are version 6's.  The tensors are multiples of 1/8,
+# version 8.  Every segment here takes one k, whose streams version 8 lays
+# out as version 7 did, so only the version byte changed; the values they
+# decode to are version 6's.  The tensors are multiples of 1/8,
 # so the sums of squares under the quantizer's norms are exact in any
 # order.  "w" has full rank, so it travels plain and each low-rank payload
 # equals the quantized one at its r; the rank-1 payload pins the factor
@@ -195,14 +233,14 @@ WIRE_TENSORS = {
     "g": ((np.arange(64) * 5 % 17) - 8).reshape(1, 64) / 8.0,
 }
 WIRE_DIGESTS = {
-    ("dense", 4): "9c0eb7dafd94dcb5012800c3e40659b6086b55a607310ea59af936ce4fefd5a2",
-    ("quantized", 4): "7a64d9def253f84ed926595770e68a46f0eaa2720ec93b198b0c67d344c13175",
-    ("quantized", 16): "374a3f31fbabd89e8151620dc3be0dcb43fa6a3319dfc81ec28c4381a5b66c84",
-    ("lowrank_quantized", 4): "7a64d9def253f84ed926595770e68a46f0eaa2720ec93b198b0c67d344c13175",
-    ("lowrank_quantized", 16): "374a3f31fbabd89e8151620dc3be0dcb43fa6a3319dfc81ec28c4381a5b66c84",
+    ("dense", 4): "1448cff03d6984bc08520c517352e1eca467518979c46a16e4384a55cb3c1faf",
+    ("quantized", 4): "89a00efda062eac9123a5ffc75ca1651e08c3a61c5c817263e42a4981386f774",
+    ("quantized", 16): "2155fac263c85873cf8505d1713bf137eb8b1e78ccd89c19662e4111ce9ce3ce",
+    ("lowrank_quantized", 4): "89a00efda062eac9123a5ffc75ca1651e08c3a61c5c817263e42a4981386f774",
+    ("lowrank_quantized", 16): "2155fac263c85873cf8505d1713bf137eb8b1e78ccd89c19662e4111ce9ce3ce",
 }
 WIRE_RANK1 = np.outer([1.0, -0.5, 0.25, 2.0, -1.0, 0.75], [0.5, 1.0, -0.25, 0.125, -2.0])
-WIRE_RANK1_DIGEST = "afd4f50b585a3069ff0ec49b0dc99349436b84cbe41e0a7b053e34ccaca67afd"
+WIRE_RANK1_DIGEST = "d1d96b1823df29e975d568966cb6d8e5cd6b81f961f9593d76e65eb785327b88"
 
 
 # One SHA-256 over a seeded batch of 33 payloads (2.4 MB), so the codec is
@@ -217,13 +255,15 @@ WIRE_RANK1_DIGEST = "afd4f50b585a3069ff0ec49b0dc99349436b84cbe41e0a7b053e34ccaca
 # still go through LAPACK's SVD, and the rank-3 inputs are built with `@`,
 # so the digest holds only for the CPU kernel OpenBLAS picks: under
 # OPENBLAS_CORETYPE=Haswell it read 7f1f22... under wire version 6.
-# Re-pinned for wire version 7: 2,392,302 bytes become 2,392,041, and no
-# payload of the batch grows; the decoded digest below holds unedited.
+# Re-pinned for wire version 8, which gives 12 of the batch's 180 quantized
+# segments a k per row and 14 a k per column: 2,392,041 bytes become
+# 2,389,910, and no payload of the batch grows; the decoded digest below
+# holds unedited.
 WIDE_GOLDEN_BITS = (1, 2, 4, 7, 16, 31, 32)
 WIDE_GOLDEN_SHAPES = [
     (1, 1), (1, 7), (9, 1), (3, 5), (8, 8), (16, 31), (33, 17), (64, 128), (128, 128)
 ]
-WIDE_GOLDEN_DIGEST = "46d664d73064c7d05154cdc3638144d01207ac5af1e7176ab65dd4cce3f591ad"
+WIDE_GOLDEN_DIGEST = "9d8c9bb6e6139d35f7c9a3aa8382b393c79af6eb8dd75c167509bea61d0a8ec6"
 # One SHA-256 over every tensor the same batch decodes to, its name and then
 # its float64 bytes, so the decoder is pinned beside the encoder.
 WIDE_GOLDEN_DECODED_DIGEST = "fbb6baa8d84fdaa2375d42f8b91101e35312eae2fbe4d4eabe2931c1bcac55a7"
@@ -288,16 +328,22 @@ def _seed_streams():
 
 @st.composite
 def built_blobs(draw):
-    """A wire version 7 payload of ``_fuzz_tensors`` put together from drawn
+    """A wire version 8 payload of ``_fuzz_tensors`` put together from drawn
     parts, most of them valid, so that most draws reach the streams: a bit
     width, a head of any kind per tensor, and a seed's streams, cut or
     extended."""
     r = draw(st.sampled_from([5] * 6 + [1, 32, 0, 33]))
     norms = st.sampled_from([1.0] * 8 + [0.0, 1e300, -1.0, math.nan, math.inf])
 
-    def segment_head():
-        tag = draw(st.integers(0, r + 1))  # a zero tensor, or k + 1 for k up to r
-        return bytes([tag]) + (struct.pack("<d", draw(norms)) if tag else b"")
+    def segment_head(rows, cols):
+        # A zero tensor, k + 1 for k up to r, or a k per row or per column,
+        # whose k fields are all 0, drawn, or cut short.
+        tag = draw(st.sampled_from([*range(r + 2), ROWS, COLS]))
+        head = bytes([tag]) + (struct.pack("<d", draw(norms)) if tag else b"")
+        if tag in (ROWS, COLS):
+            n = -(-(rows if tag == ROWS else cols) * r.bit_length() // 8)
+            head += draw(st.sampled_from([bytes(n), bytes(max(n - 1, 0))]) | st.binary(min_size=n, max_size=n))
+        return head
 
     heads = b""
     for x in _fuzz_tensors().values():
@@ -305,10 +351,11 @@ def built_blobs(draw):
         ranks = [k for k in range(1, 4) if k * (rows + cols) < x.size]
         kind = draw(st.sampled_from(["segment"] * 4 + ["factors"] * bool(ranks) + ["dense"]))
         if kind == "segment":
-            heads += segment_head()
+            heads += segment_head(rows, cols)
         elif kind == "factors":
-            heads += struct.pack("<BH", 0xFE, draw(st.sampled_from(ranks)))
-            heads += segment_head() + segment_head()
+            rank = draw(st.sampled_from(ranks))
+            heads += struct.pack("<BH", 0xFE, rank)
+            heads += segment_head(rows, rank) + segment_head(cols, rank)
         else:
             heads += b"\xff" + np.ones(x.size).tobytes()
     streams = draw(st.sampled_from(_seed_streams()))
@@ -509,6 +556,21 @@ class TestRiceCoding:
         with pytest.raises(MalformedPayload, match=match):
             compress.decode_payload(quantized_blob(n, r, segment), one_tensor(1, n))
 
+    @pytest.mark.parametrize("tag", [ROWS, COLS])
+    def test_per_line_body_layout(self, tag):
+        # A 2x3 matrix at r = 4 with a k per row, or its 3x2 transpose with a
+        # k per column: line 0 at k = 2 with levels 5, 0, 9 and line 1 at k =
+        # 0 with levels 1, 0, 2, in 3-bit k fields 2 and 0.  The streams take
+        # line 1 (k = 0) before line 0 (k = 2): 2-bit remainders 1, 0, 1;
+        # unary codes 01 1 001 and then 01 1 001; signs of 1, 2, 5 and 9,
+        # with 2 and 5 negative.
+        head = struct.pack("<BdB", tag, 1.0, 0b000010)
+        body = head + bytes([0b010001]) + bytes([0b10100110, 0b1001]) + bytes([0b0110])
+        lines = np.array([[-5, 0, 9], [1, 0, -2]]) / 16
+        shape = (2, 3) if tag == ROWS else (3, 2)
+        out = compress.decode_payload(tensor_blob(*shape, body), one_tensor(*shape))["x"]
+        assert out.tolist() == (lines if tag == ROWS else lines.T).tolist()
+
     def test_tag_above_the_header_bit_width_is_malformed(self):
         # The encoder's payload at r = 8 decodes; the same bytes under a
         # header that says r = 2 carry tags whose k is above it.
@@ -526,9 +588,51 @@ class TestRiceCoding:
                 compress.decode_payload(bytes(blob), tensors)
 
     def test_fuzz_seeds_hold_both_bodies(self):
+        # One k below r and at r, a k per row and a k per column.
         tensors = _fuzz_tensors()
-        g, b = compress._quant_segments([tensors["g"].ravel(), tensors["b"].ravel()], 5)
-        assert g.k < 5 and b.k == 5
+        g, b, p, q = compress._quant_segments([tensors[name] for name in "gbpq"], 5)
+        assert g.head[0] - 1 < 5 and b.head[0] - 1 == 5
+        assert (p.head[0], q.head[0]) == (ROWS, COLS)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 9), (9, 1), (8, 8), (128, 128)]),
+        r=st.sampled_from([1, 2, 7, 16, 31, 32]),
+        axis=st.sampled_from([0, 1]),
+        decades=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    @example(shape=(128, 128), r=32, axis=0, decades=9, seed=0)
+    @example(shape=(8, 8), r=32, axis=1, decades=9, seed=1)
+    def test_per_line_layouts_are_lossless(self, shape, r, axis, decades, seed):
+        # Rows (axis 0) or columns (axis 1) scaled across up to 9 decades,
+        # and the transpose beside, so that both per-line layouts get
+        # picked.  At r = 32 a line's k can reach 31 or 32, where quotient
+        # << k overflows a uint32.
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** -rng.uniform(0, decades, size=shape[axis])
+        x = rng.normal(size=shape) * (scales[:, None] if axis == 0 else scales[None, :])
+        tensors = {"x": x, "t": x.T.copy()}
+        p = compress.encode_payload(tensors, "quantized", r=r)
+        out = compress.decode_payload(p, tensors)
+        for name, t in tensors.items():
+            assert np.array_equal(out[name].ravel(), compress.dequantize(compress.quantize(t, r)))
+        assert len(p.blob) == quantized_payload_bytes(tensors, r)
+        # A per-line layout travels only when its level bits and k fields
+        # are fewer bits than one k, each line at the best k for it.
+        heads, rd = [], compress._Reader(p.blob)
+        rd.pos = HEADER_BYTES
+        for t in tensors.values():
+            compress._read_head(rd, *t.shape, r, heads)
+        for (tag, _, _, ks, _), t in zip(heads, tensors.values()):
+            layouts = {name: (lines, head) for name, lines, head in segment_layouts(t, r)}
+            one_k = layout_bits(layouts["one"][0], r)[1]
+            if tag in (ROWS, COLS):
+                lines, head = layouts["rows" if tag == ROWS else "cols"]
+                assert ks.tolist() == [rice_choice(line, r)[0] for line in lines]
+                assert layout_bits(lines, r)[1] + 8 * (head - SEGMENT_HEAD_BYTES) < one_k
+            else:
+                assert tag - 1 == rice_choice(layouts["one"][0][0], r)[0]
 
     @pytest.mark.parametrize("r", [1, 8, 16, 32])
     def test_k_equal_to_r_is_lossless(self, r):
@@ -818,7 +922,16 @@ class TestPayloads:
         [
             # A tag is k + 1; at the header's r = 4, k stops at 4.
             (1, 3, bytes([33]), "Rice parameter 32 is above the bit width 4"),
-            (1, 3, bytes([0xFD]), "Rice parameter 252 is above the bit width 4"),
+            (1, 3, bytes([0xFB]), "Rice parameter 250 is above the bit width 4"),
+            # A matrix with a unit dimension takes one k.
+            (1, 3, bytes([ROWS]), "1x3 matrix takes one Rice parameter, not layout tag 253"),
+            (3, 1, bytes([COLS]), "3x1 matrix takes one Rice parameter, not layout tag 252"),
+            # Factors of rank 1 have one column.
+            (8, 6, struct.pack("<BHB", 0xFE, 1, COLS), "8x1 matrix takes one Rice parameter"),
+            # Three row k fields of 3 bits at r = 4 need 2 bytes.
+            (3, 2, struct.pack("<Bd", ROWS, 1.0) + bytes(1), "truncated"),
+            # Row k fields 4, 5, 0: k = 5 is above r = 4.
+            (3, 2, struct.pack("<BdH", ROWS, 1.0, 0b000101100), "line Rice parameter 5 is above"),
             (4, 4, struct.pack("<BH", 0xFE, 0), "rank 0"),
             # Factors of a 1 x n matrix never hold fewer values than it.
             (1, 8, struct.pack("<BH", 0xFE, 1) + bytes(2), "rank 1 for 1x8"),
@@ -829,7 +942,9 @@ class TestPayloads:
             (1, 3, b"\xff" + struct.pack("<3d", 1.0, math.nan, 2.0), "NaN or Inf"),
         ],
         ids=[
-            "byte-33", "byte-0xFD", "rank-0", "factors-of-1xn", "nested-factors",
+            "byte-33", "byte-0xFB", "byte-0xFD", "column-layout-of-nx1",
+            "column-layout-of-rank-1-factor", "line-ks-cut-short", "line-k-above-r",
+            "rank-0", "factors-of-1xn", "nested-factors",
             "dense-factor", "dense-cut-short", "dense-nan",
         ],
     )
@@ -860,7 +975,7 @@ class TestPayloads:
         blob = compress.encode_payload({"x": np.ones((1, 1))}, "dense").blob
         with pytest.raises(MalformedPayload):
             compress.decode_payload(b"XXXX" + blob[4:], one_tensor(1, 1))
-        for version in (1, 2, 3, 4, 5, 6, 99):
+        for version in (1, 2, 3, 4, 5, 6, 7, 99):
             bad_version = blob[:4] + bytes([version]) + blob[5:]
             with pytest.raises(MalformedPayload, match=f"unsupported payload version {version}"):
                 compress.decode_payload(bad_version, one_tensor(1, 1))
@@ -874,6 +989,18 @@ class TestPayloads:
         v6 += bytes([0xDA, 0x02])  # levels 10 and 13 at k = r = 4, then their signs
         with pytest.raises(MalformedPayload, match="unsupported payload version 6"):
             compress.decode_payload(v6, tensors)
+
+    def test_version_7_payload_is_refused(self):
+        # Wire version 7 had the same header and one k per segment, whose
+        # streams version 8 reads alike; its version byte is refused.
+        tensors = {"x": np.array([[0.6, -0.8]])}
+        check = schema_check([("x", (1, 2))])
+        v7 = compress.MAGIC + struct.pack("<BB", 7, 4) + check + struct.pack("<Bd", 5, 1.0)
+        v7 += bytes([0xDA, 0x02])  # levels 10 and 13 at k = r = 4, then their signs
+        with pytest.raises(MalformedPayload, match="unsupported payload version 7"):
+            compress.decode_payload(v7, tensors)
+        v8 = compress.MAGIC + struct.pack("<BB", 8, 4) + v7[6:]
+        assert compress.decode_payload(v8, tensors)["x"].tolist() == [[10 / 16, -13 / 16]]
 
     def test_duplicated_name_is_malformed(self):
         # A dict cannot hold both tensors, so a payload of "x" twice is
