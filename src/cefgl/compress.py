@@ -9,7 +9,7 @@ Three schemes are supported for a named set of matrices:
 * ``lowrank_quantized``: singular-value truncation first, then quantized
   left/right factors; the left factor carries the singular values.
 
-Wire format version 7 (little-endian): magic ``CFP1``, version u8, the bit
+Wire format version 8 (little-endian): magic ``CFP1``, version u8, the bit
 width r u8 of every quantized segment, and the 4-byte ``_schema_check`` of
 the tensors' names and shapes.  Names and shapes do not travel: the decoder
 takes them from ``like``, the receiver's own tensors, and reads the bodies
@@ -20,11 +20,13 @@ the encoder knows the scheme:
 
 * **0**: an all-zero tensor (a zero tensor has no L2 norm to quantize
   against).
-* **k + 1** for k <= r: a quantized segment whose levels are Rice coded
-  with parameter k; the norm f64 follows.  At k = r every quotient is 0,
-  so its levels take no unary code and travel as r-bit fields.  The
-  encoder writes the least k < r that minimises the level bits, or k = r
-  where that is not fewer bits.
+* **k + 1** for k <= r: a quantized segment of one line, all its levels,
+  Rice coded with parameter k; the norm f64 follows.
+* **0xFD** and **0xFC**: a quantized segment whose lines are its rows
+  (0xFD) or its columns (0xFC), each with its own Rice parameter; the norm
+  f64 follows, then each line's k in [0, r], in line order, in fields of
+  ``r.bit_length()`` bits packed least significant bit first and padded
+  with 0 bits to a whole byte.
 * **0xFE**: low-rank factors: rank u16, then the heads of the left (rows x
   rank) and right (cols x rank) factors, each a quantized segment or a
   zero one.  Factors of rank k travel only when they hold fewer values
@@ -34,13 +36,23 @@ the encoder knows the scheme:
   quantized segment.  Matrices with a unit dimension are never factored.
 * **0xFF**: ``rows * cols`` float64 values, which follow in the head.
 
-The streams take the segments in order of k, ties in head order, and each
-is padded with 0 bits to a whole byte once per payload:
+A line of Rice parameter k < r sends each level as its low k bits and
+``level >> k`` in unary; at k = r every quotient is 0, so its levels take
+no unary code and travel as r-bit fields.  For each line the encoder takes
+the least k < r that minimises the level bits, or k = r where that is not
+fewer bits.  For each segment it takes one k, a k per row or a k per
+column, whichever has the fewest level bits, the k fields and their
+padding included; one k on ties, then per row.  A matrix with a unit
+dimension takes one k.
+
+The streams take the lines of every segment in order of k, ties in head
+order and then in line order, and each is padded with 0 bits to a whole
+byte once per payload:
 
 1. the low k bits of each level, one stream per width k >= 1 in ascending
    order, packed least significant bit first.  Their sizes follow from
    the heads, so they come first;
-2. one unary stream: per level of every segment with k < r, ``level >> k``
+2. one unary stream: per level of every line with k < r, ``level >> k``
    zero bits and a 1 (its terminator), least significant bit first.  It
    carries no length and ends with the byte that holds its last
    terminator;
@@ -48,24 +60,29 @@ is padded with 0 bits to a whole byte once per payload:
 
 The encoder codes the quantized segments of a payload, low-rank factor
 candidates included, together: one pass scales, rounds and signs their
-values and picks their Rice parameters, a pass taking at most
-``_PASS_VALUES`` values, and each stream is packed once from the pieces of
+values, judges each line's Rice parameter under every layout, and puts
+the values of a per-line segment in stream order, a pass taking at most
+``_PASS_VALUES`` values; each stream is packed once from the pieces of
 every pass.  The decoder reads the heads, then decodes the streams in
-passes of consecutive segments of at most ``_PASS_VALUES`` values with a
-fixed number of numpy calls per pass: it takes the pass's terminators from
-one scan of the unary stream, unpacks its remainders once per width, and
-once the unary stream's end locates the sign stream, signs and scales its
-levels.
+passes of consecutive runs, a segment's lines of one k, of at most
+``_PASS_VALUES`` values, with a number of numpy calls per pass that grows
+with its widths, never with its lines: it takes the pass's terminators
+from one scan of the unary stream, unpacks its remainders once per width,
+and once the unary stream's end locates the sign stream, signs and scales
+its levels.  Last, each per-line segment puts its lines back in order
+with one scatter.
 
-The decoder refuses a version other than 7; a bit width r outside [1, 32];
+The decoder refuses a version other than 8; a bit width r outside [1, 32];
 a schema check other than ``like``'s (a payload encoded for other names,
-shapes or order); a tag whose k is above r; bytes after the last stream;
-quantized segments whose norm is negative, infinite or NaN, whose unary
-codes run out of bytes or are followed by set bits in the byte of the
-last terminator, or whose levels reach 2**r; low-rank bodies whose rank
-breaks the bound above, whose factor is itself factored or dense, or whose
-factors multiply out past the float64 range; and dense bodies holding NaN
-or Inf.  Sizes come from ``like``, never from the wire.
+shapes or order); a tag whose k is above r; a row or column layout of a
+matrix with a unit dimension; line k fields that are cut short or hold a
+k above r; bytes after the last stream; quantized segments whose norm is
+negative, infinite or NaN, whose unary codes run out of bytes or are
+followed by set bits in the byte of the last terminator, or whose levels
+reach 2**r; low-rank bodies whose rank breaks the bound above, whose factor
+is itself factored or dense, or whose factors multiply out past the
+float64 range; and dense bodies holding NaN or Inf.  Sizes come from
+``like``, never from the wire.
 
 Only changes of the shared channel travel: up, each client's drift-corrected
 step, which folds in its correction term; down, the broadcast's change.  The
@@ -223,7 +240,8 @@ def _pack_levels(pieces: Sequence[np.ndarray], r: int) -> bytes:
     octets = octets.reshape(-1, 8)
     word, shift, firsts, straddle = _octet_fields(r)
     words = np.zeros((octets.shape[0], (8 * r + 63) // 64), dtype="<u8")
-    words[:, word[firsts]] = np.bitwise_or.reduceat(octets << shift, firsts, axis=1)
+    # The fields of a word hold disjoint bits, so their sum is their OR.
+    words[:, word[firsts]] = np.add.reduceat(octets << shift, firsts, axis=1)
     if straddle.size:
         words[:, word[straddle] + 1] |= octets[:, straddle] >> (64 - shift[straddle])
     return words.view(np.uint8)[:, :r].tobytes()[: (n * r + 7) // 8]
@@ -281,8 +299,9 @@ def _rice_parameters(levels: np.ndarray, sizes: np.ndarray, r: int) -> Tuple[np.
     """
     starts = np.cumsum(sizes) - sizes
     totals = np.add.reduceat(levels, starts, dtype=np.uint64).astype(np.int64)
-    k0s = np.frexp(totals // sizes)[1] - 1  # the mean is below 2**32, so exact
-    firsts = np.maximum(k0s - 1, 0)
+    # max(k0 - 1, 0), where k0 + 1 is the exponent of the mean, which is
+    # below 2**32 and so exact in a float64.
+    firsts = np.maximum(np.frexp(totals // sizes)[1] - 2, 0)
     quotients = levels >> np.repeat(firsts.astype(np.uint8), sizes)
     bits = np.empty((3, sizes.size), dtype=np.int64)
     for j in range(3):
@@ -457,12 +476,12 @@ def _code_pass(mats: Sequence[np.ndarray], norms: Sequence[float], r: int) -> Li
 
     # Level i's terminator follows its own and the earlier levels' codes.
     rice = [(k, start, stop) for k, start, stop in flat if k < r]
-    ends = np.empty(sum(stop - start for _, start, stop in rice), dtype=np.int64)
-    marks, at = [], 0
-    for k, start, stop in rice:
-        np.right_shift(levels[start:stop], k, out=ends[at : at + stop - start])
-        at += stop - start
-        marks.append(at - 1)
+    sizes = [stop - start for _, start, stop in rice]
+    marks = [at - 1 for at in itertools.accumulate(sizes)]
+    ends = np.empty(sum(sizes), dtype=np.int64)
+    if rice:
+        np.concatenate([levels[start:stop] for _, start, stop in rice], out=ends)
+        ends >>= np.repeat(np.array([k for k, _, _ in rice], dtype=np.uint8), sizes)
     ends += 1
     np.cumsum(ends, out=ends)
     unary_stops = iter(ends[marks].tolist())
@@ -713,22 +732,29 @@ def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[tuple], r: int) ->
         return _unpack_levels(part, skip + m, width)[skip:]
 
     def read_levels(first: int, stop: int) -> None:
-        """Write the levels of runs first..stop - 1 into ``values``."""
-        base = starts[first]
-        quotients = unary.take(sum(n for n, k in zip(sizes[first:stop], ks[first:stop]) if k < r))
-        for width, group in itertools.groupby(range(first, stop), key=ks.__getitem__):
-            group = list(group)
-            lo, hi = starts[group[0]] - base, starts[group[-1] + 1] - base
-            if width == r:
-                values[base + lo : base + hi] = read_remainders(width, hi - lo)
-                continue
-            levels = quotients[lo:hi]  # int64, so the shift below cannot wrap
-            if levels.size and int(levels.max()) >> (r - width):
+        """Write the levels of runs first..stop - 1 into ``values``.  The
+        runs are in order of k, so the values at k = 0, which have no
+        remainders, come first, and those at k = r, which have no unary
+        codes, last."""
+        widths, counts = [], []
+        for width, group in itertools.groupby(zip(ks[first:stop], sizes[first:stop]), key=lambda run: run[0]):
+            widths.append(width)
+            counts.append(sum(n for _, n in group))
+        fixed = counts[-1] if widths[-1] == r else 0
+        base, rice = starts[first], starts[stop] - starts[first] - fixed
+        quotients = unary.take(rice)  # int64, so the shifts below cannot wrap
+        if rice:
+            shifts = np.repeat(np.array(widths[: len(widths) - bool(fixed)], dtype=np.uint8), counts[: len(widths) - bool(fixed)])
+            if (quotients >> (r - shifts)).any():
                 raise MalformedPayload(f"Rice-coded level does not fit in {r} bits")
-            if width:
-                levels <<= width
-                levels |= read_remainders(width, hi - lo)
-            values[base + lo : base + hi] = levels
+            quotients <<= shifts
+        parts = [read_remainders(width, n) for width, n in zip(widths, counts) if width]
+        if parts:
+            remainders = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            plain = counts[0] if widths[0] == 0 else 0  # the values without remainders
+            quotients[plain:] |= remainders[: rice - plain]
+            values[base + rice : base + rice + fixed] = remainders[rice - plain :]
+        values[base : base + rice] = quotients
 
     values = np.empty(starts[-1])
     passes = _stream_passes(sizes)
