@@ -65,12 +65,12 @@ the values of a per-line segment in stream order, a pass taking at most
 ``_PASS_VALUES`` values; each stream is packed once from the pieces of
 every pass.  The decoder reads the heads, then decodes the streams in
 passes of consecutive runs, a segment's lines of one k, of at most
-``_PASS_VALUES`` values, with a number of numpy calls per pass that grows
-with its widths, never with its lines: it takes the pass's terminators
-from one scan of the unary stream, unpacks its remainders once per width,
+``_PASS_VALUES`` values, in numpy calls per pass that grow with the widths
+it holds, never with its lines: it unpacks each width's remainder stream
+once, takes each pass's terminators from one scan of the unary stream,
 and once the unary stream's end locates the sign stream, signs and scales
-its levels.  Last, each per-line segment puts its lines back in order
-with one scatter.
+each pass's levels.  Last, each per-line segment puts its lines back in
+order with one scatter.  No step loops over lines.
 
 The decoder refuses a version other than 8; a bit width r outside [1, 32];
 a schema check other than ``like``'s (a payload encoded for other names,
@@ -695,8 +695,9 @@ def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[tuple], r: int) ->
     flat row-major float64 array per head.
 
     A segment's run of width k is its lines of that k, in line order.  The
-    streams take the runs by k, ties in head order; each pass writes its
-    runs' levels into its part of one array in that order.  Then, the unary
+    streams take the runs by k, ties in head order.  Each width's remainder
+    stream is unpacked once, whole; then each pass writes its runs' levels
+    into its part of one array in stream order.  Then, the unary
     stream's end having located the sign stream, each pass scales and signs
     its part in place, and each segment of a per-line layout gathers its
     lines from its runs.  Refuses any level of 2**r or more, so that each
@@ -715,21 +716,21 @@ def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[tuple], r: int) ->
     sizes = [n for _, _, n in runs]
     starts = list(itertools.accumulate(sizes, initial=0))
 
-    remainders = {}  # width -> [byte where its stream starts, values read]
+    remainders = {}  # width -> [its levels, unpacked once, and how many are read]
     for width, group in itertools.groupby(zip(ks, sizes), key=lambda pair: pair[0]):
         if width:
-            remainders[width] = [pos, 0]
-            pos += (sum(n for _, n in group) * width + 7) // 8
-    if pos > wire.size:
-        raise MalformedPayload(f"truncated payload: remainder streams end at byte {pos}")
+            n = sum(n for _, n in group)
+            end = pos + (n * width + 7) // 8
+            if end > wire.size:
+                raise MalformedPayload(f"truncated payload: remainder streams end at byte {end}")
+            remainders[width] = [_unpack_levels(wire[pos:end], n, width), 0]
+            pos = end
     unary = _Unary(wire, pos, sum(n for n, k in zip(sizes, ks) if k < r))
 
     def read_remainders(width: int, m: int) -> np.ndarray:
         stream = remainders[width]
-        first, skip = stream[1], stream[1] % 8  # unpack from the octet that holds the first
         stream[1] += m
-        part = wire[stream[0] + (first - skip) * width // 8 : stream[0] + (stream[1] * width + 7) // 8]
-        return _unpack_levels(part, skip + m, width)[skip:]
+        return stream[0][stream[1] - m : stream[1]]
 
     def read_levels(first: int, stop: int) -> None:
         """Write the levels of runs first..stop - 1 into ``values``.  The
@@ -740,21 +741,22 @@ def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[tuple], r: int) ->
         for width, group in itertools.groupby(zip(ks[first:stop], sizes[first:stop]), key=lambda run: run[0]):
             widths.append(width)
             counts.append(sum(n for _, n in group))
-        fixed = counts[-1] if widths[-1] == r else 0
-        base, rice = starts[first], starts[stop] - starts[first] - fixed
-        quotients = unary.take(rice)  # int64, so the shifts below cannot wrap
-        if rice:
-            shifts = np.repeat(np.array(widths[: len(widths) - bool(fixed)], dtype=np.uint8), counts[: len(widths) - bool(fixed)])
-            if (quotients >> (r - shifts)).any():
-                raise MalformedPayload(f"Rice-coded level does not fit in {r} bits")
-            quotients <<= shifts
-        parts = [read_remainders(width, n) for width, n in zip(widths, counts) if width]
+        rice = len(widths) - (widths[-1] == r)  # the widths with unary codes
+        base, n = starts[first], sum(counts[:rice])
+        quotients = unary.take(n)  # int64, so the shifts below cannot wrap
+        if n:
+            bounds = list(itertools.accumulate(counts[: rice - 1], initial=0))
+            for width, top in zip(widths, np.maximum.reduceat(quotients, bounds).tolist()):
+                if top >> (r - width):
+                    raise MalformedPayload(f"Rice-coded level does not fit in {r} bits")
+            quotients <<= np.repeat(np.array(widths[:rice], dtype=np.uint8), counts[:rice])
+        parts = [read_remainders(width, m) for width, m in zip(widths, counts) if width]
         if parts:
-            remainders = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            low = np.concatenate(parts) if len(parts) > 1 else parts[0]
             plain = counts[0] if widths[0] == 0 else 0  # the values without remainders
-            quotients[plain:] |= remainders[: rice - plain]
-            values[base + rice : base + rice + fixed] = remainders[rice - plain :]
-        values[base : base + rice] = quotients
+            quotients[plain:] |= low[: n - plain]
+            values[base + n : base + n + counts[-1] * (rice < len(widths))] = low[n - plain :]
+        values[base : base + n] = quotients
 
     values = np.empty(starts[-1])
     passes = _stream_passes(sizes)

@@ -607,8 +607,8 @@ class TestRiceCoding:
     def test_per_line_layouts_are_lossless(self, shape, r, axis, decades, seed):
         # Rows (axis 0) or columns (axis 1) scaled across up to 9 decades,
         # and the transpose beside, so that both per-line layouts get
-        # picked.  At r = 32 a line's k can reach 31 or 32, where quotient
-        # << k overflows a uint32.
+        # picked.  At r = 32 lines reach k = 30 here, where quotient << k
+        # overflows a uint32 unless the quotient is checked first.
         rng = np.random.default_rng(seed)
         scales = 10.0 ** -rng.uniform(0, decades, size=shape[axis])
         x = rng.normal(size=shape) * (scales[:, None] if axis == 0 else scales[None, :])
@@ -633,6 +633,19 @@ class TestRiceCoding:
                 assert layout_bits(lines, r)[1] + 8 * (head - SEGMENT_HEAD_BYTES) < one_k
             else:
                 assert tag - 1 == rice_choice(layouts["one"][0][0], r)[0]
+
+    def test_line_at_k_equal_to_r_beside_a_rice_line(self):
+        # At r = 32 a row of levels above 2**31 travels as 32-bit fields
+        # (k = r; k = 31 would cost as much, so it never wins), beside a
+        # row of small levels at k = 2.
+        x = np.array([[1.0, -0.999, 0.998], [1e-9, 2e-9, -3e-9]])
+        p = compress.encode_payload({"x": x}, "quantized", r=32)
+        heads, rd = [], compress._Reader(p.blob)
+        rd.pos = HEADER_BYTES
+        compress._read_head(rd, 2, 3, 32, heads)
+        assert heads[0][0] == ROWS and heads[0][3].tolist() == [32, 2]
+        out = compress.decode_payload(p, {"x": x})["x"].ravel()
+        assert np.array_equal(out, compress.dequantize(compress.quantize(x, 32)))
 
     @pytest.mark.parametrize("r", [1, 8, 16, 32])
     def test_k_equal_to_r_is_lossless(self, r):
