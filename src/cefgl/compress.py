@@ -40,10 +40,17 @@ A line of Rice parameter k < r sends each level as its low k bits and
 ``level >> k`` in unary; at k = r every quotient is 0, so its levels take
 no unary code and travel as r-bit fields.  For each line the encoder takes
 the least k < r that minimises the level bits, or k = r where that is not
-fewer bits.  For each segment it takes one k, a k per row or a k per
-column, whichever has the fewest level bits, the k fields and their
-padding included; one k on ties, then per row.  A matrix with a unit
-dimension takes one k.
+fewer bits.  A segment takes one k unless it holds at least
+``_LINE_VALUES`` (4096) values and has no unit dimension.  Such a segment
+tries its rows or its columns, whichever a closed-form estimate from the
+line sums puts at fewer bits, k fields included (rows on ties), if that is
+below the estimate for one k; the lines travel with their own k only if
+their exact level bits, k fields and 7 bits for each stream the segment
+may feed or stop feeding (its distinct line ks, one k's width and the
+unary stream) are fewer than one k's level bits.  A stream's padding
+grows by at most 7 bits, so no payload of quantized segments is longer
+than with one k per segment.  Smaller segments save too little to pay for
+the judging's numpy calls.
 
 The streams take the lines of every segment in order of k, ties in head
 order and then in line order, and each is padded with 0 bits to a whole
@@ -60,10 +67,10 @@ byte once per payload:
 
 The encoder codes the quantized segments of a payload, low-rank factor
 candidates included, together: one pass scales, rounds and signs their
-values, judges each line's Rice parameter under every layout, and puts
-the values of a per-line segment in stream order, a pass taking at most
-``_PASS_VALUES`` values; each stream is packed once from the pieces of
-every pass.  The decoder reads the heads, then decodes the streams in
+values, judges the layout of each segment it may give a k per line, and
+puts the values of a per-line segment in stream order, a pass taking at
+most ``_PASS_VALUES`` values; each stream is packed once from the pieces
+of every pass.  The decoder reads the heads, then decodes the streams in
 passes of consecutive runs, a segment's lines of one k, of at most
 ``_PASS_VALUES`` values, in numpy calls per pass that grow with the widths
 it holds, never with its lines: it unpacks each width's remainder stream
@@ -99,7 +106,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,6 +133,10 @@ _POWERS.setflags(write=False)
 # Up to this many, levels are packed and unpacked through a bit matrix, in
 # fewer numpy calls than the octet route but with arrays of 32 bytes a level.
 _BIT_ROUTE_LEVELS = 512
+# Segments of at least this many values, with no unit dimension, may take a
+# k per row or per column.  Smaller ones take one k: what they would save
+# does not pay for the numpy calls that judge them.
+_LINE_VALUES = 1 << 12
 
 
 @dataclass
@@ -193,8 +204,10 @@ def _levels(
     spans ``bounds[s]:bounds[s + 1]`` and has norm ``norms[s]``), which are
     scaled in place."""
     magnitudes *= float(2**r)
-    for start, stop, norm in zip(bounds, bounds[1:], norms):
-        magnitudes[start:stop] /= norm
+    if len(norms) == 1:
+        magnitudes /= norms[0]
+    else:  # each value divides by its own segment's norm, as it would alone
+        magnitudes /= np.repeat(norms, np.diff(bounds))
     np.rint(magnitudes, out=magnitudes)
     return np.minimum(magnitudes, float(2**r - 1), out=magnitudes).astype(np.uint32)
 
@@ -283,12 +296,22 @@ def _unpack_levels(buf, n: int, r: int) -> np.ndarray:
     return levels
 
 
-def _rice_parameters(levels: np.ndarray, sizes: np.ndarray, r: int) -> Tuple[np.ndarray, np.ndarray]:
-    """For each line of ``levels``, consecutive lines of ``sizes`` values
-    (int64), the least k in [0, r) that minimises the Rice code's level
-    bits, n * k remainder bits plus S_k + n unary bits with S_k =
-    sum(levels >> k), or k = r, n * r bits without unary codes, where that
-    is not fewer bits: each line's k and level bits, as int64 arrays.
+def _sum_dtype(n: int, r: int):
+    """The unsigned type that sums n levels of r bits: uint32, which numpy
+    adds several times faster, where it cannot wrap."""
+    return np.uint32 if n * (2**r - 1) < 2**32 else np.uint64
+
+
+def _rice_parameters(
+    levels: np.ndarray, sizes: np.ndarray, r: int, totals: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """For each line of ``levels``, the least k in [0, r) that minimises the
+    Rice code's level bits, n * k remainder bits plus S_k + n unary bits
+    with S_k = sum(levels >> k), or k = r, n * r bits without unary codes,
+    where that is not fewer bits: each line's k and level bits, as int64
+    arrays.  The lines are the rows of a 2-D array or view, of ``sizes``
+    values each, whose sums ``totals`` may be given; or consecutive lines
+    of ``sizes`` values (int64) of a flat array.
 
     With m the mean level and k0 = floor(log2(floor(m))), only k0 - 1, k0
     and k0 + 1 can win.  The bit count is convex in k.  It rises from k0 + 1
@@ -297,17 +320,24 @@ def _rice_parameters(levels: np.ndarray, sizes: np.ndarray, r: int) -> Tuple[np.
     are tried, one past k0 + 1 cannot win, nor can k = r, which costs more
     than n * r.  Each of the sums is taken for every line at once.
     """
-    starts = np.cumsum(sizes) - sizes
-    totals = np.add.reduceat(levels, starts, dtype=np.uint64).astype(np.int64)
+    if levels.ndim == 1 and np.size(sizes) == 1:
+        levels = levels.reshape(1, -1)
+    dtype = _sum_dtype(np.max(sizes), r)
+    if levels.ndim == 2:  # lines of one length: sums along rows, shifts broadcast
+        sums = functools.partial(np.sum, axis=1, dtype=dtype)
+    else:
+        sums = functools.partial(np.add.reduceat, indices=np.cumsum(sizes) - sizes, dtype=dtype)
+    totals = (sums(levels) if totals is None else totals).astype(np.int64)
     # max(k0 - 1, 0), where k0 + 1 is the exponent of the mean, which is
     # below 2**32 and so exact in a float64.
     firsts = np.maximum(np.frexp(totals // sizes)[1] - 2, 0)
-    quotients = levels >> np.repeat(firsts.astype(np.uint8), sizes)
-    bits = np.empty((3, sizes.size), dtype=np.int64)
+    shifts = firsts.astype(np.uint32)
+    quotients = levels >> (shifts[:, None] if levels.ndim == 2 else np.repeat(shifts, sizes))
+    bits = np.empty((3, firsts.size), dtype=np.int64)
     for j in range(3):
         if j:
             quotients >>= 1
-        bits[j] = np.add.reduceat(quotients, starts, dtype=np.uint64)
+        bits[j] = sums(quotients)
     del quotients
     bits += sizes * (firsts + np.arange(1, 4)[:, None])
     ks = firsts + bits.argmin(axis=0)  # the least k on ties
@@ -317,48 +347,87 @@ def _rice_parameters(levels: np.ndarray, sizes: np.ndarray, r: int) -> Tuple[np.
     return ks, np.minimum(bits, sizes * r)
 
 
+def _estimates(sizes: np.ndarray, totals: np.ndarray, spreads: np.ndarray, r: int) -> np.ndarray:
+    """For lines of ``sizes`` values summing to ``totals``, the least over
+    real k in [0, r - 1] of n k + n (1 - 1 / spread) + (S + n / spread) /
+    2**k bits, or n r if fewer; each line's spread is 1 or 2.
+
+    That is n (k + 1) + (S - n (2**k - 1) / spread) / 2**k.  A level's
+    quotient at k is at least (level - 2**k + 1) / 2**k, so at spread 1
+    this is a lower bound of the line's Rice bits, up to float rounding.  At
+    spread 2, which takes each remainder at half its largest value, it
+    estimates them.  The least k solves 2**k = ln 2 (S / n + 1 / spread).
+    """
+    load = totals + sizes / spreads
+    k = np.clip(np.log2(load * (math.log(2) / sizes)), 0, r - 1)
+    bits = sizes * (k + 1 - 1 / spreads) + load / np.exp2(k)
+    return np.minimum(bits, sizes * r)
+
+
+@functools.lru_cache(maxsize=None)
+def _judged_lines(m: int, c: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The sizes and ``_estimates`` spreads of the lines ``_layouts`` judges
+    for an m x c segment: its rows and columns at spread 2, then the whole
+    at spread 2 and at spread 1."""
+    return np.repeat([c, m, m * c, m * c], [m, c, 1, 1]), np.repeat([2.0, 1.0], [m + c + 1, 1])
+
+
 def _layouts(levels: np.ndarray, shapes: Sequence[Tuple[int, int]], r: int) -> List[Tuple[int, np.ndarray]]:
     """The layout of each segment of ``levels``, consecutive row-major
     matrices of ``shapes``: its tag and the k of each of its lines, in line
     order.
 
-    A segment takes one k, a k per row or a k per column, whichever has the
-    fewest level bits, its lines' k fields and their padding included; one
-    k on ties, then per row.  A matrix with a unit dimension has one line or
-    lines of one value, and takes one k.
+    A segment of fewer than ``_LINE_VALUES`` values or with a unit
+    dimension takes one k.  Another takes its rows or its columns as lines,
+    whichever ``_estimates`` at spread 2 puts at fewer bits, k fields
+    included (rows on ties), if that is below its estimate for one k; and
+    then only if their exact level bits, k fields and 7 bits for each
+    stream the segment may feed or stop feeding (its distinct line ks, one
+    k's width and the unary stream) are fewer than one k's.  Padding adds
+    at most 7 bits to a stream, so no payload of quantized segments gets
+    longer for a k per line.  The bound of ``_estimates`` at spread 1
+    settles most segments without one k's exact bits.
     """
-    # Jobs of lines to judge: every segment whole, then the rows and the
-    # columns of each segment with no unit dimension.  They go to
-    # _rice_parameters in batches of at most _PASS_VALUES values, so that
-    # its temporaries stay those of one pass.
-    jobs, lined, at = [(levels, [m * c for m, c in shapes])], [], 0
-    for seg, (m, c) in enumerate(shapes):
-        if m > 1 and c > 1:
-            block = levels[at : at + m * c].reshape(m, c)
-            lined.append((seg, m, c))
-            jobs += [(block, [c] * m), (block.T, [m] * c)]
-        at += m * c
-    ks, bits, batch, total = [], [], [], 0
-    for i, (data, sizes) in enumerate(jobs):
-        batch.append((data, sizes))
-        total += data.size
-        if i + 1 == len(jobs) or total + jobs[i + 1][0].size > _PASS_VALUES:
-            data = np.concatenate([d.ravel() for d, _ in batch]) if len(batch) > 1 else data.ravel()
-            batch_ks, batch_bits = _rice_parameters(data, np.array([n for _, s in batch for n in s]), r)
-            ks.append(batch_ks)
-            bits += batch_bits.tolist()
-            batch, total = [], 0
-    ks = np.concatenate(ks) if len(ks) > 1 else ks[0]
-    out = [(k + 1, ks[seg : seg + 1]) for seg, k in enumerate(ks[: len(shapes)].tolist())]
-    first, width = len(shapes), r.bit_length()
-    for seg, m, c in lined:
-        by_row = sum(bits[first : first + m]) + 8 * ((m * width + 7) // 8)
-        by_col = sum(bits[first + m : first + m + c]) + 8 * ((c * width + 7) // 8)
-        if by_row < bits[seg] and by_row <= by_col:
-            out[seg] = (_ROWS, ks[first : first + m])
-        elif by_col < bits[seg]:
-            out[seg] = (_COLS, ks[first + m : first + m + c])
-        first += m + c
+    sizes = np.array([m * c for m, c in shapes])
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    width = r.bit_length()
+    out: List[Optional[Tuple[int, np.ndarray]]] = [None] * len(shapes)
+    trials = []  # (segment, tag, k of each line, their bits with k fields and margin)
+    for s, (m, c) in enumerate(shapes):
+        if m == 1 or c == 1 or m * c < _LINE_VALUES:
+            continue
+        block = levels[starts[s] : starts[s] + m * c].reshape(m, c)
+        # The sums of each row and each column, then twice the whole's.
+        totals = np.empty(m + c + 2, dtype=_sum_dtype(m * c, r))
+        block.sum(axis=1, out=totals[:m])
+        block.sum(axis=0, out=totals[m : m + c])
+        totals[m + c :] = totals[:m].sum()
+        line_sizes, spreads = _judged_lines(m, c)
+        guess = _estimates(line_sizes, totals, spreads, r)
+        by_row = guess[:m].sum() + 8 * ((m * width + 7) // 8)
+        by_col = guess[m : m + c].sum() + 8 * ((c * width + 7) // 8)
+        if min(by_row, by_col) >= guess[-2]:
+            continue
+        if by_row <= by_col:
+            tag, lines, line_totals = _ROWS, block, totals[:m]
+        else:
+            tag, lines, line_totals = _COLS, block.T, totals[m : m + c]
+        ks, bits = _rice_parameters(lines, lines.shape[1], r, line_totals)
+        cost = int(bits.sum()) + 8 * ((ks.size * width + 7) // 8) + 7 * (np.count_nonzero(np.bincount(ks)) + 2)
+        if cost + 1 <= guess[-1]:  # the bound's float rounding aside, fewer bits than one k
+            out[s] = (tag, ks)
+        else:
+            trials.append((s, tag, ks, cost))
+    rest = [s for s, layout in enumerate(out) if layout is None]
+    if rest:
+        data = levels if len(rest) == len(shapes) else np.concatenate([levels[starts[s] : starts[s] + sizes[s]] for s in rest])
+        ks, bits = _rice_parameters(data, sizes[rest], r)
+        for i, (s, k) in enumerate(zip(rest, ks.tolist())):
+            out[s] = (k + 1, ks[i : i + 1])
+        bits = dict(zip(rest, bits.tolist()))
+        for s, tag, ks, cost in trials:
+            if cost < bits[s]:
+                out[s] = (tag, ks)
     return out
 
 
@@ -792,10 +861,10 @@ def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[tuple], r: int) ->
         if tag < _COLS:
             out.append(parts[0])
             continue
-        block = np.empty((rows, cols))
-        lines = block if tag == _ROWS else block.T
+        # Lines as rows of a matrix, so the scatter writes whole rows.
+        lines = np.empty((rows, cols) if tag == _ROWS else (cols, rows))
         lines[np.argsort(ks, kind="stable")] = np.concatenate(parts).reshape(lines.shape)
-        out.append(block.ravel())
+        out.append(lines.ravel() if tag == _ROWS else lines.T.ravel())
     return out
 
 
@@ -817,9 +886,11 @@ def payload_bits(p: CompressedPayload) -> int:
     return len(p.blob) * 8
 
 
-def _schema_check(shapes: Iterable[Tuple[str, Tuple[int, int]]]) -> bytes:
+@functools.lru_cache(maxsize=64)
+def _schema_check(shapes: Tuple[Tuple[str, Tuple[int, int]], ...]) -> bytes:
     """The first 4 bytes of a SHA-256 over each tensor's UTF-8 name length
-    u16, name, rows u32 and cols u32, in order."""
+    u16, name, rows u32 and cols u32, in order.  A run sends the same few
+    schemas every round, so they are kept."""
     digest = hashlib.sha256()
     for name, (rows, cols) in shapes:
         encoded = name.encode("utf-8")
@@ -905,7 +976,7 @@ def encode_payload(
                 bodies[at], ranks[name] = factors, rank
                 heads, streams, size, bits = trial_heads, trial_streams, trial_size, trial_bits
 
-    parts = [MAGIC, struct.pack("<BB", WIRE_VERSION, r), _schema_check(shapes)]
+    parts = [MAGIC, struct.pack("<BB", WIRE_VERSION, r), _schema_check(tuple(shapes))]
     quantized = iter(bodies)
     for plan in plans:
         if isinstance(plan, bytes):
@@ -934,7 +1005,7 @@ def decode_payload(payload, like: Mapping[str, np.ndarray]) -> Dict[str, np.ndar
         raise MalformedPayload(f"unsupported payload version {version}")
     if not 1 <= r <= 32:
         raise MalformedPayload(f"invalid bit width {r}")
-    shapes = [(name, values.shape) for name, values in like.items()]
+    shapes = tuple((name, values.shape) for name, values in like.items())
     if rd.take(4) != _schema_check(shapes):
         raise MalformedPayload("schema check differs: the payload holds other tensors")
     heads: List[tuple] = []

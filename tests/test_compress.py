@@ -51,12 +51,13 @@ def rice_choice(levels: np.ndarray, r: int):
     return k, int((wide >> k).sum()) + n
 
 
-def quantized_payload_bytes(tensors, r: int) -> int:
+def quantized_payload_bytes(tensors, r: int, lines: bool = True) -> int:
     """The length of a quantized payload of ``tensors``: the header, a head
     per tensor (one byte for a zero one), then the streams, each padded to
     a whole byte once: the remainders of each width k >= 1, the unary codes
-    and the signs of nonzero levels."""
-    return HEADER_BYTES + bodies_bytes([[segment_streams(x, r)] for x in tensors.values()])
+    and the signs of nonzero levels.  ``lines=False``: with one k for every
+    segment, as wire format 7 sent them."""
+    return HEADER_BYTES + bodies_bytes([[segment_streams(x, r, lines)] for x in tensors.values()])
 
 
 def layout_bits(lines, r: int):
@@ -74,10 +75,10 @@ def layout_bits(lines, r: int):
 
 
 def segment_layouts(x, r: int):
-    """The layouts a quantized segment of x may take, in the encoder's order
-    of preference: (name, lines, head bytes), one k first, then a k per row
-    and per column where x has no unit dimension; a line k field is
-    r.bit_length() bits, padded to a byte per head."""
+    """The layouts a quantized segment of x may take: (name, lines, head
+    bytes), one k first, then a k per row and per column where x has no
+    unit dimension; a line k field is r.bit_length() bits, padded to a byte
+    per head."""
     levels = compress.quantize(x, r).levels.reshape(np.atleast_2d(x).shape)
     rows, cols = levels.shape
     out = [("one", [levels.ravel()], SEGMENT_HEAD_BYTES)]
@@ -87,22 +88,45 @@ def segment_layouts(x, r: int):
     return out
 
 
-def segment_streams(x, r: int):
+def guessed_bits(lines, r: int) -> float:
+    """The encoder's estimate of lines' level bits (``compress._estimates``
+    at spread 2), which only picks which per-line layout to try."""
+    sizes = np.array([line.size for line in lines])
+    totals = np.array([int(line.sum(dtype=np.uint64)) for line in lines], dtype=np.uint64)
+    return compress._estimates(sizes, totals, np.full(len(lines), 2.0), r).sum()
+
+
+def chosen_layout(x, r: int, lines: bool = True):
+    """The layout the encoder gives a quantized segment of x: one k, unless
+    x has at least ``compress._LINE_VALUES`` values and no unit dimension,
+    the rows or columns with the lower estimate (rows on ties, k fields
+    counted) are estimated below one k, and their exact level bits, k
+    fields and a margin of 7 bits per stream the segment may feed or stop
+    feeding (its distinct line ks, one k's width, the unary stream) are
+    below one k's level bits.  ``lines=False`` keeps one k."""
+    layouts = segment_layouts(x, r)
+    one = layouts[0]
+    if not lines or len(layouts) == 1 or np.size(x) < compress._LINE_VALUES:
+        return one
+    fields = {name: 8 * (head - SEGMENT_HEAD_BYTES) for name, _, head in layouts}
+    guess = {name: guessed_bits(ls, r) + fields[name] for name, ls, _ in layouts[1:]}
+    pick = layouts[1] if guess["rows"] <= guess["cols"] else layouts[2]
+    if guess[pick[0]] >= guessed_bits(one[1], r):
+        return one
+    ks = {rice_choice(line, r)[0] for line in pick[1]}
+    cost = layout_bits(pick[1], r)[1] + fields[pick[0]] + 7 * (len(ks) + 2)
+    return pick if cost < layout_bits(one[1], r)[1] else one
+
+
+def segment_streams(x, r: int, lines: bool = True):
     """The head bytes of a quantized segment of x and the bits it puts in
-    each stream, by ``layout_bits``, under the layout with the fewest level
-    bits and k fields (one k on ties, then a k per row); None for a zero
-    tensor, whose body is one tag byte."""
+    each stream, by ``layout_bits``, under ``chosen_layout``; None for a
+    zero tensor, whose body is one tag byte."""
     try:
-        layouts = segment_layouts(x, r)
+        _, layout, head = chosen_layout(x, r, lines)
     except ZeroVector:
         return None
-    best = None
-    for _, lines, head in layouts:
-        streams, bits = layout_bits(lines, r)
-        cost = bits + 8 * (head - SEGMENT_HEAD_BYTES)
-        if best is None or cost < best[0]:
-            best = (cost, head, streams)
-    return best[1:]
+    return head, layout_bits(layout, r)[0]
 
 
 def body_bits(body) -> int:
@@ -162,24 +186,28 @@ def _fuzz_tensors():
     plain ("w"), quantized segments at both k < r ("g", "w") and k = r
     ("b"), and segments with a k per row ("p", its rows scaled apart) and
     per column ("q", its columns scaled apart)."""
-    rng = np.random.default_rng(40)
+    rng, lines = np.random.default_rng(40), np.random.default_rng(101)
+    scales = 8.0 ** -(np.arange(8) % 4)
     return {
         "w": rng.normal(size=(4, 3)),
         "f": rank1(8, 6, 42),
         "b": rng.normal(size=(1, 3)),
         "z": np.zeros((2, 2)),
         "g": rng.normal(size=(1, 256)),
-        "p": rng.normal(size=(6, 8)) * (4.0 ** -np.arange(6))[:, None],
-        "q": rng.normal(size=(8, 6)) * (4.0 ** -np.arange(6))[None, :],
+        "p": lines.normal(size=(8, 12)) * scales[:, None],
+        "q": lines.normal(size=(12, 8)) * scales[None, :],
     }
 
 
 def _fuzz_seeds():
-    """Valid wire images of ``_fuzz_tensors`` under every scheme."""
-    return [
-        compress.encode_payload(_fuzz_tensors(), scheme, r=5, tau_lowrank=0.1).blob
-        for scheme in ("dense", "quantized", "lowrank_quantized")
-    ]
+    """Valid wire images of ``_fuzz_tensors`` under every scheme, with
+    segments of any size judged per line."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compress, "_LINE_VALUES", 1)
+        return [
+            compress.encode_payload(_fuzz_tensors(), scheme, r=5, tau_lowrank=0.1).blob
+            for scheme in ("dense", "quantized", "lowrank_quantized")
+        ]
 
 
 def quantized_blob_with_norm(norm: float) -> bytes:
@@ -255,15 +283,15 @@ WIRE_RANK1_DIGEST = "d1d96b1823df29e975d568966cb6d8e5cd6b81f961f9593d76e65eb7853
 # still go through LAPACK's SVD, and the rank-3 inputs are built with `@`,
 # so the digest holds only for the CPU kernel OpenBLAS picks: under
 # OPENBLAS_CORETYPE=Haswell it read 7f1f22... under wire version 6.
-# Re-pinned for wire version 8, which gives 12 of the batch's 180 quantized
-# segments a k per row and 14 a k per column: 2,392,041 bytes become
-# 2,389,910, and no payload of the batch grows; the decoded digest below
-# holds unedited.
+# Re-pinned for wire version 8, which lets a segment of at least 4096
+# values take a k per row or per column: 4 of the batch's 180 quantized
+# segments take a k per column, 2,392,041 bytes become 2,390,828, and no
+# payload of the batch grows; the decoded digest below holds unedited.
 WIDE_GOLDEN_BITS = (1, 2, 4, 7, 16, 31, 32)
 WIDE_GOLDEN_SHAPES = [
     (1, 1), (1, 7), (9, 1), (3, 5), (8, 8), (16, 31), (33, 17), (64, 128), (128, 128)
 ]
-WIDE_GOLDEN_DIGEST = "9d8c9bb6e6139d35f7c9a3aa8382b393c79af6eb8dd75c167509bea61d0a8ec6"
+WIDE_GOLDEN_DIGEST = "28ed91a629d8c0e1267972b9d7541cd7324f92e11bcec4d621957daa0b6cedfb"
 # One SHA-256 over every tensor the same batch decodes to, its name and then
 # its float64 bytes, so the decoder is pinned beside the encoder.
 WIDE_GOLDEN_DECODED_DIGEST = "fbb6baa8d84fdaa2375d42f8b91101e35312eae2fbe4d4eabe2931c1bcac55a7"
@@ -587,8 +615,9 @@ class TestRiceCoding:
             with pytest.raises(MalformedPayload, match=f"invalid bit width {r}"):
                 compress.decode_payload(bytes(blob), tensors)
 
-    def test_fuzz_seeds_hold_both_bodies(self):
+    def test_fuzz_seeds_hold_both_bodies(self, monkeypatch):
         # One k below r and at r, a k per row and a k per column.
+        monkeypatch.setattr(compress, "_LINE_VALUES", 1)
         tensors = _fuzz_tensors()
         g, b, p, q = compress._quant_segments([tensors[name] for name in "gbpq"], 5)
         assert g.head[0] - 1 < 5 and b.head[0] - 1 == 5
@@ -607,19 +636,25 @@ class TestRiceCoding:
     def test_per_line_layouts_are_lossless(self, shape, r, axis, decades, seed):
         # Rows (axis 0) or columns (axis 1) scaled across up to 9 decades,
         # and the transpose beside, so that both per-line layouts get
-        # picked.  At r = 32 lines reach k = 30 here, where quotient << k
-        # overflows a uint32 unless the quotient is checked first.
+        # picked; segments of any size are judged per line here.  At r = 32
+        # lines reach k = 30 here, where quotient << k overflows a uint32
+        # unless the quotient is checked first.
         rng = np.random.default_rng(seed)
         scales = 10.0 ** -rng.uniform(0, decades, size=shape[axis])
         x = rng.normal(size=shape) * (scales[:, None] if axis == 0 else scales[None, :])
         tensors = {"x": x, "t": x.T.copy()}
-        p = compress.encode_payload(tensors, "quantized", r=r)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compress, "_LINE_VALUES", 1)
+            p = compress.encode_payload(tensors, "quantized", r=r)
+            assert len(p.blob) == quantized_payload_bytes(tensors, r)
         out = compress.decode_payload(p, tensors)
         for name, t in tensors.items():
             assert np.array_equal(out[name].ravel(), compress.dequantize(compress.quantize(t, r)))
-        assert len(p.blob) == quantized_payload_bytes(tensors, r)
-        # A per-line layout travels only when its level bits and k fields
-        # are fewer bits than one k, each line at the best k for it.
+        # No payload is longer than with one k per segment, padding included.
+        assert len(p.blob) <= quantized_payload_bytes(tensors, r, lines=False)
+        # A per-line layout travels only when its level bits, k fields and
+        # padding margin are fewer bits than one k, each line at the best k
+        # for it.
         heads, rd = [], compress._Reader(p.blob)
         rd.pos = HEADER_BYTES
         for t in tensors.values():
@@ -630,14 +665,29 @@ class TestRiceCoding:
             if tag in (ROWS, COLS):
                 lines, head = layouts["rows" if tag == ROWS else "cols"]
                 assert ks.tolist() == [rice_choice(line, r)[0] for line in lines]
-                assert layout_bits(lines, r)[1] + 8 * (head - SEGMENT_HEAD_BYTES) < one_k
+                margin = 7 * (len(set(ks.tolist())) + 2)
+                assert layout_bits(lines, r)[1] + 8 * (head - SEGMENT_HEAD_BYTES) + margin < one_k
             else:
                 assert tag - 1 == rice_choice(layouts["one"][0][0], r)[0]
 
-    def test_line_at_k_equal_to_r_beside_a_rice_line(self):
+    def test_only_large_segments_take_a_k_per_line(self):
+        # Columns scaled across 6 decades: a 64x64 segment (4096 values)
+        # takes a k per column, a 63x64 one (4032 values) one k.
+        rng = np.random.default_rng(7)
+        for rows, tag in ((64, COLS), (63, None)):
+            x = rng.normal(size=(rows, 64)) * 10.0 ** -rng.uniform(0, 6, size=64)
+            p = compress.encode_payload({"x": x}, "quantized", r=16)
+            got = p.blob[HEADER_BYTES]
+            assert got == tag if tag else got - 1 <= 16
+            assert len(p.blob) == quantized_payload_bytes({"x": x}, 16)
+            out = compress.decode_payload(p, {"x": x})["x"].ravel()
+            assert np.array_equal(out, compress.dequantize(compress.quantize(x, 16)))
+
+    def test_line_at_k_equal_to_r_beside_a_rice_line(self, monkeypatch):
         # At r = 32 a row of levels above 2**31 travels as 32-bit fields
         # (k = r; k = 31 would cost as much, so it never wins), beside a
         # row of small levels at k = 2.
+        monkeypatch.setattr(compress, "_LINE_VALUES", 1)
         x = np.array([[1.0, -0.999, 0.998], [1e-9, 2e-9, -3e-9]])
         p = compress.encode_payload({"x": x}, "quantized", r=32)
         heads, rd = [], compress._Reader(p.blob)
