@@ -204,10 +204,8 @@ def _levels(
     spans ``bounds[s]:bounds[s + 1]`` and has norm ``norms[s]``), which are
     scaled in place."""
     magnitudes *= float(2**r)
-    if len(norms) == 1:
-        magnitudes /= norms[0]
-    else:  # each value divides by its own segment's norm, as it would alone
-        magnitudes /= np.repeat(norms, np.diff(bounds))
+    for start, stop, norm in zip(bounds, bounds[1:], norms):
+        magnitudes[start:stop] /= norm
     np.rint(magnitudes, out=magnitudes)
     return np.minimum(magnitudes, float(2**r - 1), out=magnitudes).astype(np.uint32)
 
@@ -229,10 +227,13 @@ def _pack_levels(pieces: Sequence[np.ndarray], r: int) -> bytes:
 
     A width of 8, 16 or 32 bits is a plain little-endian cast.  Up to
     ``_BIT_ROUTE_LEVELS`` levels go through a matrix of their bits.
-    Otherwise each octet of levels fills exactly r bytes: its levels are
-    shifted to bit offsets 0, r, ..., 7r, ORed into little-endian uint64
-    words, and the first r bytes of those words are cut out.  The last
-    octet is padded with zero levels.
+    Otherwise each octet of levels fills exactly r bytes; the last octet is
+    padded with zero levels.  Below 16 bits, neighbouring fields merge
+    pairwise into fields of twice the width, up to one 8r-bit word an
+    octet for r < 8 and two 4r-bit fields an octet for 8 < r < 16, which
+    two words hold.  Wider levels are shifted to bit offsets 0, r, ..., 7r,
+    summed into little-endian uint64 words, since their bits are disjoint,
+    and the first r bytes of those words are cut out.
     """
     n = sum(piece.size for piece in pieces)
     if r not in (8, 16, 32) and n <= _BIT_ROUTE_LEVELS:  # through a matrix of their bits
@@ -250,6 +251,16 @@ def _pack_levels(pieces: Sequence[np.ndarray], r: int) -> bytes:
     if r in (8, 16, 32):
         return octets.tobytes()
     octets &= np.uint64((1 << r) - 1)
+    if r < 16:  # pairs of fields merge into fields of twice the width
+        width = r
+        while 2 * width <= 64 and width < 8 * r:
+            octets = octets[0::2] | (octets[1::2] << np.uint64(width))
+            width *= 2
+        if width < 8 * r:  # two fields of 4r bits, 36 to 60, make an octet
+            octets = octets.reshape(-1, 2)
+            high = octets[:, 1] >> np.uint64(64 - width)
+            octets = np.stack([octets[:, 0] | (octets[:, 1] << np.uint64(width)), high], axis=1)
+        return octets.reshape(-(-n // 8), -1).view(np.uint8)[:, :r].tobytes()[: (n * r + 7) // 8]
     octets = octets.reshape(-1, 8)
     word, shift, firsts, straddle = _octet_fields(r)
     words = np.zeros((octets.shape[0], (8 * r + 63) // 64), dtype="<u8")
@@ -266,9 +277,9 @@ def _unpack_levels(buf, n: int, r: int) -> np.ndarray:
 
     Widths of 8, 16 and 32 bits are a cast.  Up to ``_BIT_ROUTE_LEVELS``
     levels go through a matrix of their bits, r bytes a level, weighed
-    against the powers of two in one product.  More take the octet route of
-    ``_pack_levels`` backwards, ``_UNPACK_CHUNK`` levels at a time, so its
-    matrices stay a few MiB however long the segment is; the chunk is a
+    against the powers of two in one product.  More take ``_pack_levels``'
+    octet routes backwards, ``_UNPACK_CHUNK`` levels at a time, so their
+    arrays stay a few MiB however long the segment is; the chunk is a
     multiple of 8 levels, so each chunk starts on a byte boundary.
     """
     if r in (8, 16, 32):
@@ -284,6 +295,27 @@ def _unpack_levels(buf, n: int, r: int) -> np.ndarray:
         rows = -(-m // 8)
         first = start * r // 8
         part = wire[first : first + (m * r + 7) // 8]
+        if r < 16:  # split _pack_levels' merged fields back in halves
+            # Each octet's r bytes, read as the little-endian words that
+            # start at its first byte and 8 bytes on: views, not copies.
+            padded = np.zeros(rows * r + 16, dtype=np.uint8)
+            padded[: part.size] = part
+            words = [np.ndarray((rows,), "<u8", padded, at, (r,)) for at in (0, 8)]
+            width = 8 * r if r < 8 else 4 * r
+            if width == 8 * r:
+                fields = words[0] & np.uint64((1 << width) - 1)
+            else:
+                fields = np.empty(2 * rows, dtype=np.uint64)
+                fields[0::2] = words[0]
+                fields[1::2] = (words[0] >> np.uint64(width)) | (words[1] << np.uint64(64 - width))
+            while width > r:
+                width //= 2
+                halves = np.empty(2 * fields.size, dtype=np.uint64)
+                halves[0::2] = fields
+                halves[1::2] = fields >> np.uint64(width)
+                fields = halves
+            levels[start : start + m] = fields[:m] & mask
+            continue
         octet_bytes = np.zeros(rows * r, dtype=np.uint8)
         octet_bytes[: part.size] = part
         raw = np.zeros((rows, 8 * ((8 * r + 63) // 64)), dtype=np.uint8)
@@ -322,11 +354,16 @@ def _rice_parameters(
     """
     if levels.ndim == 1 and np.size(sizes) == 1:
         levels = levels.reshape(1, -1)
-    dtype = _sum_dtype(np.max(sizes), r)
+    dtype = _sum_dtype(levels.size, r)  # no line holds more values
     if levels.ndim == 2:  # lines of one length: sums along rows, shifts broadcast
-        sums = functools.partial(np.sum, axis=1, dtype=dtype)
+        def sums(x):
+            return x.sum(axis=1, dtype=dtype)
     else:
-        sums = functools.partial(np.add.reduceat, indices=np.cumsum(sizes) - sizes, dtype=dtype)
+        starts = np.cumsum(sizes) - sizes
+
+        def sums(x):
+            return np.add.reduceat(x, starts, dtype=dtype)
+
     totals = (sums(levels) if totals is None else totals).astype(np.int64)
     # max(k0 - 1, 0), where k0 + 1 is the exponent of the mean, which is
     # below 2**32 and so exact in a float64.
@@ -389,13 +426,16 @@ def _layouts(levels: np.ndarray, shapes: Sequence[Tuple[int, int]], r: int) -> L
     settles most segments without one k's exact bits.
     """
     sizes = np.array([m * c for m, c in shapes])
+    lined = [s for s, (m, c) in enumerate(shapes) if m > 1 and c > 1 and m * c >= _LINE_VALUES]
+    if not lined:
+        ks, _ = _rice_parameters(levels, sizes, r)
+        return [(k + 1, ks[i : i + 1]) for i, k in enumerate(ks.tolist())]
     starts = (np.cumsum(sizes) - sizes).tolist()
     width = r.bit_length()
     out: List[Optional[Tuple[int, np.ndarray]]] = [None] * len(shapes)
     trials = []  # (segment, tag, k of each line, their bits with k fields and margin)
-    for s, (m, c) in enumerate(shapes):
-        if m == 1 or c == 1 or m * c < _LINE_VALUES:
-            continue
+    for s in lined:
+        m, c = shapes[s]
         block = levels[starts[s] : starts[s] + m * c].reshape(m, c)
         # The sums of each row and each column, then twice the whole's.
         totals = np.empty(m + c + 2, dtype=_sum_dtype(m * c, r))

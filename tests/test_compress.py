@@ -467,7 +467,7 @@ class TestLevelPacking:
             assert len(packed) == math.ceil(n * r / 8)
             assert np.array_equal(compress._unpack_levels(packed, n, r), levels)
 
-    @pytest.mark.parametrize("r", [1, 3, 7, 8, 16, 31, 32])
+    @pytest.mark.parametrize("r", [1, 3, 7, 8, 11, 16, 31, 32])
     def test_pieces_pack_as_their_concatenation(self, r):
         # A width's remainder stream is packed once from the segments'
         # pieces, with no padding between them, at any piece size.
@@ -478,7 +478,7 @@ class TestLevelPacking:
             whole = np.concatenate(pieces)
             assert compress._pack_levels(pieces, r) == reference_pack(whole, r)
 
-    @pytest.mark.parametrize("r", [1, 3, 7, 16, 31, 32])
+    @pytest.mark.parametrize("r", [1, 3, 7, 11, 16, 31, 32])
     def test_unpack_crosses_chunk_boundaries(self, r):
         rng = np.random.default_rng(100 + r)
         chunk = compress._UNPACK_CHUNK
