@@ -243,9 +243,9 @@ def test_documented_config_trains_without_blowing_up(tmp_path, monkeypatch, caps
 # which bills fewer bits per payload: their files differ from format 6's
 # only in uplink_bits and downlink_bits (and so in wall_time, which bills
 # time by bits); s_only communicates nothing and held.  Wire format 8,
-# which gives a segment a Rice parameter per row or per column where that
-# saves bits, held all three unedited: their files are byte-identical to
-# format 7's, so no payload of these 4-bit runs changed size.
+# which gives a segment of at least 4096 values a Rice parameter per row or
+# per column where that saves bits, held all three unedited: these models
+# have no such segment, and their files are byte-identical to format 7's.
 RUN_GOLDENS = {
     "defaults": (
         "run.rounds = 20\n",
