@@ -652,6 +652,9 @@ class TestRiceCoding:
             assert np.array_equal(out[name].ravel(), compress.dequantize(compress.quantize(t, r)))
         # No payload is longer than with one k per segment, padding included.
         assert len(p.blob) <= quantized_payload_bytes(tensors, r, lines=False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compress, "_LINE_VALUES", 2**62)
+            assert len(p.blob) <= len(compress.encode_payload(tensors, "quantized", r=r).blob)
         # A per-line layout travels only when its level bits, k fields and
         # padding margin are fewer bits than one k, each line at the best k
         # for it.
