@@ -68,16 +68,18 @@ byte once per payload:
 The encoder codes the quantized segments of a payload, low-rank factor
 candidates included, together: one pass scales, rounds and signs their
 values, judges the layout of each segment it may give a k per line, and
-puts the values of a per-line segment in stream order, a pass taking at
-most ``_PASS_VALUES`` values; each stream is packed once from the pieces
-of every pass.  The decoder reads the heads, then decodes the streams in
-passes of consecutive runs, a segment's lines of one k, of at most
-``_PASS_VALUES`` values, in numpy calls per pass that grow with the widths
-it holds, never with its lines: it unpacks each width's remainder stream
-once, takes each pass's terminators from one scan of the unary stream,
-and once the unary stream's end locates the sign stream, signs and scales
-each pass's levels.  Last, each per-line segment puts its lines back in
-order with one scatter.  No step loops over lines.
+puts the values of a per-line segment in stream order, a pass taking
+consecutive segments, smallest first, of at most ``_PASS_VALUES`` values
+in all; each stream is packed once from the pieces of every pass.  The
+decoder reads the heads, then decodes the streams in passes of
+consecutive runs, a segment's lines of one k, cut by the same rule, in
+numpy calls per pass that grow with the widths it holds, never with its
+lines: it unpacks each width's remainder stream once, takes each pass's
+terminators from the unary stream where the last pass's ended,
+unpacking it in steps of at most ``_SCAN_BYTES`` bytes, and once the
+unary stream's end locates the sign stream, signs and scales each pass's
+levels.  Last, each per-line segment puts its lines back in order with
+one scatter.  No step loops over lines.
 
 The decoder refuses a version other than 8; a bit width r outside [1, 32];
 a schema check other than ``like``'s (a payload encoded for other names,
@@ -210,15 +212,11 @@ def _levels(
     return np.minimum(magnitudes, float(2**r - 1), out=magnitudes).astype(np.uint32)
 
 
-@functools.lru_cache(maxsize=None)
-def _octet_fields(r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Where the 8 r-bit fields of an octet of levels sit in its uint64
-    words: each field's word and bit offset in it, the first field of each
-    word, and the fields that straddle into the next word."""
-    offsets = np.arange(8) * r
-    word, shift = offsets // 64, (offsets % 64).astype(np.uint64)
-    firsts = np.flatnonzero(np.diff(word, prepend=-1))
-    return word, shift, firsts, np.flatnonzero(shift + r > 64)
+def _merged_width(r: int) -> int:
+    """The width of the fields that ``_pack_levels`` merges an octet of
+    r-bit levels into, for r neither 8, 16 nor 32: one field of 8r bits for
+    r < 8, two of 4r for 8 < r < 16, four of 2r for 16 < r < 32."""
+    return 8 * r // (1 if r < 8 else 2 if r < 16 else 4)
 
 
 def _pack_levels(pieces: Sequence[np.ndarray], r: int) -> bytes:
@@ -228,12 +226,13 @@ def _pack_levels(pieces: Sequence[np.ndarray], r: int) -> bytes:
     A width of 8, 16 or 32 bits is a plain little-endian cast.  Up to
     ``_BIT_ROUTE_LEVELS`` levels go through a matrix of their bits.
     Otherwise each octet of levels fills exactly r bytes; the last octet is
-    padded with zero levels.  Below 16 bits, neighbouring fields merge
-    pairwise into fields of twice the width, up to one 8r-bit word an
-    octet for r < 8 and two 4r-bit fields an octet for 8 < r < 16, which
-    two words hold.  Wider levels are shifted to bit offsets 0, r, ..., 7r,
-    summed into little-endian uint64 words, since their bits are disjoint,
-    and the first r bytes of those words are cut out.
+    padded with zero levels.  Neighbouring fields merge pairwise into fields
+    of twice the width, up to ``_merged_width(r)``: one 8r-bit field an
+    octet for r < 8, whose bytes are the octet's, two 4r-bit fields for 8 <
+    r < 16 or four 2r-bit fields for 16 < r < 32.  Two or four fields are
+    ORed into the octet's little-endian uint64 words, a field that crosses
+    a word putting its high bits into the next one, and the first r bytes
+    of the words are cut out.
     """
     n = sum(piece.size for piece in pieces)
     if r not in (8, 16, 32) and n <= _BIT_ROUTE_LEVELS:  # through a matrix of their bits
@@ -251,24 +250,23 @@ def _pack_levels(pieces: Sequence[np.ndarray], r: int) -> bytes:
     if r in (8, 16, 32):
         return octets.tobytes()
     octets &= np.uint64((1 << r) - 1)
-    if r < 16:  # pairs of fields merge into fields of twice the width
-        width = r
-        while 2 * width <= 64 and width < 8 * r:
-            octets = octets[0::2] | (octets[1::2] << np.uint64(width))
-            width *= 2
-        if width < 8 * r:  # two fields of 4r bits, 36 to 60, make an octet
-            octets = octets.reshape(-1, 2)
-            high = octets[:, 1] >> np.uint64(64 - width)
-            octets = np.stack([octets[:, 0] | (octets[:, 1] << np.uint64(width)), high], axis=1)
-        return octets.reshape(-(-n // 8), -1).view(np.uint8)[:, :r].tobytes()[: (n * r + 7) // 8]
-    octets = octets.reshape(-1, 8)
-    word, shift, firsts, straddle = _octet_fields(r)
-    words = np.zeros((octets.shape[0], (8 * r + 63) // 64), dtype="<u8")
-    # The fields of a word hold disjoint bits, so their sum is their OR.
-    words[:, word[firsts]] = np.add.reduceat(octets << shift, firsts, axis=1)
-    if straddle.size:
-        words[:, word[straddle] + 1] |= octets[:, straddle] >> (64 - shift[straddle])
-    return words.view(np.uint8)[:, :r].tobytes()[: (n * r + 7) // 8]
+    width, merged = r, _merged_width(r)
+    while width < merged:
+        octets = octets[0::2] | (octets[1::2] << np.uint64(width))
+        width *= 2
+    fields = octets.reshape(-(-n // 8), -1)
+    if fields.shape[1] > 1:
+        words = np.empty((fields.shape[0], -(-r // 8)), dtype="<u8")
+        for j in range(fields.shape[1]):
+            word, shift = divmod(j * width, 64)
+            if shift:
+                words[:, word] |= fields[:, j] << np.uint64(shift)
+            else:
+                words[:, word] = fields[:, j]
+            if shift + width > 64:  # the field's high bits start the next word
+                words[:, word + 1] = fields[:, j] >> np.uint64(64 - shift)
+        fields = words
+    return fields.view(np.uint8)[:, :r].tobytes()[: (n * r + 7) // 8]
 
 
 def _unpack_levels(buf, n: int, r: int) -> np.ndarray:
@@ -278,9 +276,12 @@ def _unpack_levels(buf, n: int, r: int) -> np.ndarray:
     Widths of 8, 16 and 32 bits are a cast.  Up to ``_BIT_ROUTE_LEVELS``
     levels go through a matrix of their bits, r bytes a level, weighed
     against the powers of two in one product.  More take ``_pack_levels``'
-    octet routes backwards, ``_UNPACK_CHUNK`` levels at a time, so their
+    octet route backwards, ``_UNPACK_CHUNK`` levels at a time, so their
     arrays stay a few MiB however long the segment is; the chunk is a
-    multiple of 8 levels, so each chunk starts on a byte boundary.
+    multiple of 8 levels, so each chunk starts on a byte boundary.  Each
+    octet's merged fields are read from the little-endian words that start
+    at its bytes 0, 8, 16 and 24, views with a stride of r bytes, and split
+    in halves down to r bits.
     """
     if r in (8, 16, 32):
         return np.frombuffer(buf, dtype=f"<u{r // 8}").astype(np.uint32)
@@ -289,42 +290,29 @@ def _unpack_levels(buf, n: int, r: int) -> np.ndarray:
         return np.unpackbits(wire, count=n * r, bitorder="little").reshape(n, r).dot(_POWERS[:r])
     levels = np.empty(n, dtype=np.uint32)
     mask = np.uint64((1 << r) - 1)
-    word, shift, _, straddle = _octet_fields(r)
+    merged, spans = _merged_width(r), -(-r // 8)  # an octet's field width and words
     for start in range(0, n, _UNPACK_CHUNK):
         m = min(_UNPACK_CHUNK, n - start)
         rows = -(-m // 8)
         first = start * r // 8
         part = wire[first : first + (m * r + 7) // 8]
-        if r < 16:  # split _pack_levels' merged fields back in halves
-            # Each octet's r bytes, read as the little-endian words that
-            # start at its first byte and 8 bytes on: views, not copies.
-            padded = np.zeros(rows * r + 16, dtype=np.uint8)
-            padded[: part.size] = part
-            words = [np.ndarray((rows,), "<u8", padded, at, (r,)) for at in (0, 8)]
-            width = 8 * r if r < 8 else 4 * r
-            if width == 8 * r:
-                fields = words[0] & np.uint64((1 << width) - 1)
-            else:
-                fields = np.empty(2 * rows, dtype=np.uint64)
-                fields[0::2] = words[0]
-                fields[1::2] = (words[0] >> np.uint64(width)) | (words[1] << np.uint64(64 - width))
-            while width > r:
-                width //= 2
-                halves = np.empty(2 * fields.size, dtype=np.uint64)
-                halves[0::2] = fields
-                halves[1::2] = fields >> np.uint64(width)
-                fields = halves
-            levels[start : start + m] = fields[:m] & mask
-            continue
-        octet_bytes = np.zeros(rows * r, dtype=np.uint8)
-        octet_bytes[: part.size] = part
-        raw = np.zeros((rows, 8 * ((8 * r + 63) // 64)), dtype=np.uint8)
-        raw[:, :r] = octet_bytes.reshape(rows, r)
-        words = raw.view("<u8")
-        octets = words[:, word] >> shift
-        if straddle.size:
-            octets[:, straddle] |= words[:, word[straddle] + 1] << (64 - shift[straddle])
-        levels[start : start + m] = (octets.reshape(-1)[:m] & mask).astype(np.uint32)
+        padded = np.zeros(rows * r + 8 * spans, dtype=np.uint8)
+        padded[: part.size] = part
+        words = [np.ndarray((rows,), "<u8", padded, 8 * i, (r,)) for i in range(spans)]
+        fields = np.empty((rows, 8 * r // merged), dtype=np.uint64)
+        for j in range(fields.shape[1]):
+            word, shift = divmod(j * merged, 64)
+            np.right_shift(words[word], np.uint64(shift), out=fields[:, j])
+            if shift + merged > 64:
+                fields[:, j] |= words[word + 1] << np.uint64(64 - shift)
+        fields, width = fields.ravel(), merged
+        while width > r:  # bits above a field's own are cut by the mask
+            width //= 2
+            halves = np.empty(2 * fields.size, dtype=np.uint64)
+            halves[0::2] = fields
+            halves[1::2] = fields >> np.uint64(width)
+            fields = halves
+        levels[start : start + m] = fields[:m] & mask
     return levels
 
 
@@ -514,17 +502,17 @@ def _size(heads: int, streams: Mapping[object, int]) -> Tuple[int, int]:
     return heads + padded, 8 * heads + sum(streams.values())
 
 
-def _passes(sizes: Sequence[int]) -> List[List[int]]:
-    """Segment indices grouped into coding passes, smallest segments first;
-    a pass holds at most ``_PASS_VALUES`` values unless one segment does."""
-    passes, total = [], 0
-    for i in sorted(range(len(sizes)), key=sizes.__getitem__):
-        if not passes or total + sizes[i] > _PASS_VALUES:
-            passes.append([])
+def _passes(sizes: Sequence[int]) -> List[Tuple[int, int]]:
+    """Consecutive items of these sizes, as (first, stop) index pairs,
+    grouped into the coding passes of the encoder and of the decoder: at
+    most ``_PASS_VALUES`` values a pass unless one item holds more."""
+    cuts, total = [], 0
+    for i, n in enumerate(sizes):
+        if not cuts or total + n > _PASS_VALUES:
+            cuts.append(i)
             total = 0
-        passes[-1].append(i)
-        total += sizes[i]
-    return passes
+        total += n
+    return list(zip(cuts, cuts[1:] + [len(sizes)]))
 
 
 def _quant_segments(mats: Sequence[np.ndarray], r: int) -> List[Optional[_Segment]]:
@@ -533,14 +521,14 @@ def _quant_segments(mats: Sequence[np.ndarray], r: int) -> List[Optional[_Segmen
     Each segment has its own norm and the layout of ``_layouts``.
     ZeroVector's case, a genuinely zero tensor or one so small that its
     norm underflows, is a legal model state and travels as the single tag
-    byte 0 (None here).  The others are coded together, in as few passes
-    as ``_passes`` allows.
+    byte 0 (None here).  The others are coded together, smallest first, in
+    as few passes as ``_passes`` allows.
     """
     norms = [_norm(m.ravel()) for m in mats]  # as quantize takes it, per tensor
     out: List[Optional[_Segment]] = [None] * len(mats)
-    live = [i for i, norm in enumerate(norms) if norm != 0.0]
-    for batch in _passes([mats[i].size for i in live]):
-        picked = [live[j] for j in batch]
+    live = sorted((i for i, norm in enumerate(norms) if norm != 0.0), key=lambda i: mats[i].size)
+    for first, stop in _passes([mats[i].size for i in live]):
+        picked = live[first:stop]
         coded = _code_pass([mats[i] for i in picked], [norms[i] for i in picked], r)
         for i, segment in zip(picked, coded):
             out[i] = segment
@@ -651,24 +639,16 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-# The number of 1 bits in each byte value, and of each byte of an array:
-# numpy 2 counts them natively, older numpy looks them up.
-_ONES = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
-_ONES.setflags(write=False)
-_bit_counts = getattr(np, "bitwise_count", _ONES.take)
-
-
 class _Unary:
     """The unary stream that starts at byte ``start`` of ``wire`` and holds
     ``total`` codes, each a run of 0 bits and its terminating 1 bit.
 
     Passes take their codes in turn, each unpacking the stream's bytes from
-    where the last take ended in steps of at most ``_SCAN_BYTES`` bytes, so
-    a long run of zeros costs no more memory than a short one.  A take
-    before the last stops at the byte that holds its last terminator, which
-    a count of the 1 bits of each byte, running ahead of the takes, finds.
-    The last take stops at the step that holds its last terminator, so only
-    its last step can read past the stream, into the sign stream.
+    where the last take stopped in steps of at most ``_SCAN_BYTES`` bytes,
+    so a long run of zeros costs no more memory than a short one.  The
+    terminators that a step holds beyond a take's codes are kept for the
+    next take.  The codes are the first ``total`` 1 bits, so the bits that
+    the last step reads past the stream, into the sign stream, go unused.
     """
 
     def __init__(self, wire: np.ndarray, start: int, total: int):
@@ -677,49 +657,27 @@ class _Unary:
         self.wire, self.start, self.total = wire, start, total
         self.bit = 8 * start  # where the next code starts, in bits from the wire's start
         self.taken = 0
-        self.counted = start  # the 1 bits of the bytes before this one are counted:
-        self.before = 0  # those before the last counted step,
-        self.counts = np.zeros(0, dtype=np.int64)  # and in it, running by byte
-
-    def _byte_of(self, ones: int) -> int:
-        """The byte that holds the stream's ``ones``-th 1 bit."""
-        while True:
-            at = int(np.searchsorted(self.counts, ones - self.before))
-            if at < self.counts.size:
-                return self.counted - self.counts.size + at
-            self.before += int(self.counts[-1]) if self.counts.size else 0
-            if self.counted >= self.wire.size:
-                raise MalformedPayload(
-                    f"unary stream holds {self.before} of {self.total} terminators"
-                )
-            step = self.wire[self.counted : self.counted + _SCAN_BYTES]
-            self.counts = np.cumsum(_bit_counts(step), dtype=np.int64)
-            self.counted += step.size
+        self.at = start  # the next byte to unpack
+        self.held = np.empty(0, dtype=np.int64)  # terminators found but not taken
 
     def take(self, n: int) -> np.ndarray:
         """The next n codes as quotients, their counts of 0 bits (int64)."""
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        first = self.bit // 8
-        # The first byte's 1 bits below the next code end earlier codes.
-        earlier = int(_ONES[self.wire[first] & ((1 << self.bit % 8) - 1)])
-        last = self.taken + n == self.total
-        stop = self.wire.size if last else self._byte_of(self.taken + n) + 1
-        parts, found, at = [], 0, first
-        while found < earlier + n:
-            if at >= stop:
-                found += self.taken - earlier
-                raise MalformedPayload(f"unary stream holds {found} of {self.total} terminators")
-            step = self.wire[at : min(at + _SCAN_BYTES, stop)]
+        parts, found = ([self.held] if self.held.size else []), self.held.size
+        while found < n:
+            if self.at >= self.wire.size:
+                raise MalformedPayload(f"unary stream holds {self.taken + found} of {self.total} terminators")
+            step = self.wire[self.at : self.at + _SCAN_BYTES]
             # numpy finds the True positions of a bool array several times
             # faster than the nonzero ones of a uint8 or a float64 array.
             ends = np.flatnonzero(np.unpackbits(step, bitorder="little").view(bool))
-            ends += 8 * at
+            ends += 8 * self.at
             parts.append(ends)
             found += ends.size
-            at += step.size
-        ends = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        quotients = ends[earlier : earlier + n]
+            self.at += step.size
+        ends = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        quotients, self.held = ends[:n], ends[n:]
         next_bit, self.bit = self.bit, int(quotients[-1]) + 1
         quotients[1:] -= quotients[:-1] + 1  # terminator offsets to quotients
         quotients[0] -= next_bit
@@ -783,19 +741,6 @@ def _read_head(rd: _Reader, rows: int, cols: int, r: int, heads: list):
     left = _read_segment_head(rd, *rd.unpack("<B"), rows, rank, r, heads)
     right = _read_segment_head(rd, *rd.unpack("<B"), cols, rank, r, heads)
     return rank, left, right
-
-
-def _stream_passes(sizes: Sequence[int]) -> List[Tuple[int, int]]:
-    """Consecutive runs, as (first, stop) index pairs, grouped into decoding
-    passes of at most ``_PASS_VALUES`` values unless one run holds more."""
-    cuts, total = [0], 0
-    for i, n in enumerate(sizes):
-        if total and total + n > _PASS_VALUES:
-            cuts.append(i)
-            total = 0
-        total += n
-    cuts.append(len(sizes))
-    return list(zip(cuts, cuts[1:]))
 
 
 def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[tuple], r: int) -> List[np.ndarray]:
@@ -868,11 +813,11 @@ def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[tuple], r: int) ->
         values[base : base + n] = quotients
 
     values = np.empty(starts[-1])
-    passes = _stream_passes(sizes)
+    passes = _passes(sizes)
     for first, stop in passes:
         read_levels(first, stop)
     at = 8 * unary.end()  # where the sign stream starts, in bits
-    del unary  # and its running count of 1 bits
+    del unary  # and the terminators it read past the stream
     norms = [heads[i][4] for _, i, _ in runs]
     for first, stop in passes:
         part = values[starts[first] : starts[stop]]

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -346,7 +347,8 @@ def dropout_filter(
 
 
 def _sample_participants(server: ServerState, ids: Sequence[int]) -> List[int]:
-    m = math.ceil(len(ids) * server.cfg.rho)
+    # The ceiling of the decimal product: 100 * 0.07 is 7.000000000000001 in floats.
+    m = math.ceil(Fraction(str(server.cfg.rho)) * len(ids))
     picked = server.sampling_rng.choice(np.asarray(ids), size=m, replace=False)
     return sorted(int(i) for i in picked)
 

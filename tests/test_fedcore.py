@@ -655,6 +655,15 @@ class TestRunRound:
         rec = fedcore.run_round(server, clients)
         assert len(rec.participants) == math.ceil(5 * 0.5)
 
+    @pytest.mark.parametrize(("n_clients", "rho"), [(100, 0.07), (25, 0.28), (50, 0.14)])
+    def test_rho_sampling_count_is_the_ceiling_of_the_decimal_product(self, n_clients, rho):
+        # n_clients * rho is 7.000000000000001 in float64, whose ceiling is 8.
+        assert math.ceil(n_clients * rho) == 8
+        theta0, clients = make_clients(n_clients=n_clients, n_graphs=4 * n_clients)
+        server = make_server(theta0, p=1.0, rho=rho)
+        rec = fedcore.run_round(server, clients)
+        assert len(rec.participants) == 7
+
     def test_zero_survivor_round_keeps_theta(self):
         theta0, clients = make_clients()
         server = make_server(theta0, p=1.0, dropout_a=1e6, dropout_b=1e-3)  # drops everyone
