@@ -71,15 +71,16 @@ values, judges the layout of each segment it may give a k per line, and
 puts the values of a per-line segment in stream order, a pass taking
 consecutive segments, smallest first, of at most ``_PASS_VALUES`` values
 in all; each stream is packed once from the pieces of every pass.  The
-decoder reads the heads, then decodes the streams in passes of
-consecutive runs, a segment's lines of one k, cut by the same rule, in
-numpy calls per pass that grow with the widths it holds, never with its
-lines: it unpacks each width's remainder stream once, takes each pass's
-terminators from the unary stream where the last pass's ended,
-unpacking it in steps of at most ``_SCAN_BYTES`` bytes, and once the
-unary stream's end locates the sign stream, signs and scales each pass's
-levels.  Last, each per-line segment puts its lines back in order with
-one scatter.  No step loops over lines.
+decoder reads the heads, then each stream once, front to back, in numpy
+calls that grow with the widths the payload holds, never with its lines:
+it finds each width's remainder stream, scans the unary stream in steps
+of at most ``_SCAN_BYTES`` bytes, writing each code's quotient as its
+terminator turns up, and builds the levels one width at a time, from its
+quotients and its remainder stream.  Once the unary stream's end locates
+the sign stream, it signs and scales the levels in passes of consecutive
+runs, a segment's lines of one k, cut by the encoder's rule.  Last, each
+per-line segment puts its lines back in order with one scatter.  No step
+loops over lines.
 
 The decoder refuses a version other than 8; a bit width r outside [1, 32];
 a schema check other than ``like``'s (a payload encoded for other names,
@@ -462,9 +463,9 @@ def _layouts(levels: np.ndarray, shapes: Sequence[Tuple[int, int]], r: int) -> L
 # Zero bits that fill the unary stream's last byte.
 _PAD_BITS = np.zeros(7, dtype=bool)
 _PAD_BITS.setflags(write=False)
-# Values per coding pass, of the encoder and of the decoder.  A pass's
-# temporaries grow with its values, so a cap keeps them near those of one
-# large tensor.
+# Values per pass of the encoder's coding and of the decoder's signing and
+# scaling.  A pass's temporaries grow with its values, so a cap keeps them
+# near those of one large tensor.
 _PASS_VALUES = 1 << 14
 # Bytes of unary stream per scan step: 64 KiB of unpacked bits.
 _SCAN_BYTES = 1 << 13
@@ -504,8 +505,9 @@ def _size(heads: int, streams: Mapping[object, int]) -> Tuple[int, int]:
 
 def _passes(sizes: Sequence[int]) -> List[Tuple[int, int]]:
     """Consecutive items of these sizes, as (first, stop) index pairs,
-    grouped into the coding passes of the encoder and of the decoder: at
-    most ``_PASS_VALUES`` values a pass unless one item holds more."""
+    grouped into the encoder's coding passes and the decoder's sign and
+    scale passes: at most ``_PASS_VALUES`` values a pass unless one item
+    holds more."""
     cuts, total = [], 0
     for i, n in enumerate(sizes):
         if not cuts or total + n > _PASS_VALUES:
@@ -639,60 +641,43 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-class _Unary:
-    """The unary stream that starts at byte ``start`` of ``wire`` and holds
-    ``total`` codes, each a run of 0 bits and its terminating 1 bit.
+def _read_unary(wire: np.ndarray, start: int, quotients: np.ndarray) -> int:
+    """Write the quotients of the unary stream that starts at byte ``start``
+    of ``wire`` into ``quotients`` (int64), each code's count of 0 bits
+    before its terminating 1 bit, and return the byte after the one that
+    holds the last terminator, whose later bits must be 0.
 
-    Passes take their codes in turn, each unpacking the stream's bytes from
-    where the last take stopped in steps of at most ``_SCAN_BYTES`` bytes,
-    so a long run of zeros costs no more memory than a short one.  The
-    terminators that a step holds beyond a take's codes are kept for the
-    next take.  The codes are the first ``total`` 1 bits, so the bits that
-    the last step reads past the stream, into the sign stream, go unused.
+    The stream is unpacked once, front to back, in steps of at most
+    ``_SCAN_BYTES`` bytes, so a long run of zeros costs no more memory than
+    a short one; each step writes the codes whose terminators it holds.
+    The codes are the first ``quotients.size`` 1 bits, so the bits that the
+    last step reads past the stream, into the sign stream, go unused.
     """
-
-    def __init__(self, wire: np.ndarray, start: int, total: int):
-        if 8 * (wire.size - start) < total:
-            raise MalformedPayload(f"{wire.size - start} bytes cannot hold {total} unary codes")
-        self.wire, self.start, self.total = wire, start, total
-        self.bit = 8 * start  # where the next code starts, in bits from the wire's start
-        self.taken = 0
-        self.at = start  # the next byte to unpack
-        self.held = np.empty(0, dtype=np.int64)  # terminators found but not taken
-
-    def take(self, n: int) -> np.ndarray:
-        """The next n codes as quotients, their counts of 0 bits (int64)."""
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        parts, found = ([self.held] if self.held.size else []), self.held.size
-        while found < n:
-            if self.at >= self.wire.size:
-                raise MalformedPayload(f"unary stream holds {self.taken + found} of {self.total} terminators")
-            step = self.wire[self.at : self.at + _SCAN_BYTES]
-            # numpy finds the True positions of a bool array several times
-            # faster than the nonzero ones of a uint8 or a float64 array.
-            ends = np.flatnonzero(np.unpackbits(step, bitorder="little").view(bool))
-            ends += 8 * self.at
-            parts.append(ends)
-            found += ends.size
-            self.at += step.size
-        ends = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        quotients, self.held = ends[:n], ends[n:]
-        next_bit, self.bit = self.bit, int(quotients[-1]) + 1
-        quotients[1:] -= quotients[:-1] + 1  # terminator offsets to quotients
-        quotients[0] -= next_bit
-        self.taken += n
-        return quotients
-
-    def end(self) -> int:
-        """The byte after the one that holds the last terminator, whose
-        later bits must be 0."""
-        if not self.taken:
-            return self.start
-        byte, bit = divmod(self.bit - 1, 8)
-        if self.wire[byte] >> (bit + 1):
-            raise MalformedPayload("unary stream has bits set after its last terminator")
-        return byte + 1
+    total = quotients.size
+    if 8 * (wire.size - start) < total:
+        raise MalformedPayload(f"{wire.size - start} bytes cannot hold {total} unary codes")
+    found, at, bit = 0, start, 8 * start  # codes written, the next byte to unpack, where the next code starts
+    while found < total:
+        if at >= wire.size:
+            raise MalformedPayload(f"unary stream holds {found} of {total} terminators")
+        step = wire[at : at + _SCAN_BYTES]
+        # numpy finds the True positions of a bool array several times
+        # faster than the nonzero ones of a uint8 or a float64 array.
+        ends = np.flatnonzero(np.unpackbits(step, bitorder="little").view(bool))[: total - found]
+        if ends.size:
+            ends += 8 * at
+            out = quotients[found : found + ends.size]
+            np.subtract(ends[1:], ends[:-1], out=out[1:])
+            out -= 1
+            out[0] = ends[0] - bit
+            found, bit = found + ends.size, int(ends[-1]) + 1
+        at += step.size
+    if not total:
+        return start
+    byte, bit = divmod(bit - 1, 8)
+    if wire[byte] >> (bit + 1):
+        raise MalformedPayload("unary stream has bits set after its last terminator")
+    return byte + 1
 
 
 def _read_segment_head(rd: _Reader, tag: int, rows: int, cols: int, r: int, heads: list) -> Optional[int]:
@@ -749,13 +734,16 @@ def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[tuple], r: int) ->
     flat row-major float64 array per head.
 
     A segment's run of width k is its lines of that k, in line order.  The
-    streams take the runs by k, ties in head order.  Each width's remainder
-    stream is unpacked once, whole; then each pass writes its runs' levels
-    into its part of one array in stream order.  Then, the unary
-    stream's end having located the sign stream, each pass scales and signs
-    its part in place, and each segment of a per-line layout gathers its
-    lines from its runs.  Refuses any level of 2**r or more, so that each
-    decoded magnitude stays within its segment's norm.
+    streams take the runs by k, ties in head order, and the levels go into
+    one array in that order, so each width's values are one slice of it.
+    The unary stream's quotients are written as int64 into the front of the
+    same array, where the values with unary codes lie; each width's levels
+    are its quotients shifted and ORed with its remainders, or at k = r its
+    remainders alone.  Then, the unary stream's end having located the sign
+    stream, each pass signs and scales its part in place, and each segment
+    of a per-line layout gathers its lines from its runs.  Refuses any level
+    of 2**r or more, so that each decoded magnitude stays within its
+    segment's norm.
     """
     runs = []  # (k, head index, values)
     for i, (tag, rows, cols, ks, _) in enumerate(heads):
@@ -763,63 +751,39 @@ def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[tuple], r: int) ->
             runs.append((tag - 1, i, rows * cols))
             continue
         counts = np.bincount(ks, minlength=r + 1)
-        widths = np.flatnonzero(counts)
-        runs += zip(widths.tolist(), itertools.repeat(i), (counts[widths] * (rows * cols // ks.size)).tolist())
+        line_ks = np.flatnonzero(counts)
+        runs += zip(line_ks.tolist(), itertools.repeat(i), (counts[line_ks] * (rows * cols // ks.size)).tolist())
     runs.sort(key=lambda run: run[0])
-    ks = [k for k, _, _ in runs]
     sizes = [n for _, _, n in runs]
     starts = list(itertools.accumulate(sizes, initial=0))
 
-    remainders = {}  # width -> [its levels, unpacked once, and how many are read]
-    for width, group in itertools.groupby(zip(ks, sizes), key=lambda pair: pair[0]):
-        if width:
-            n = sum(n for _, n in group)
-            end = pos + (n * width + 7) // 8
-            if end > wire.size:
-                raise MalformedPayload(f"truncated payload: remainder streams end at byte {end}")
-            remainders[width] = [_unpack_levels(wire[pos:end], n, width), 0]
-            pos = end
-    unary = _Unary(wire, pos, sum(n for n, k in zip(sizes, ks) if k < r))
-
-    def read_remainders(width: int, m: int) -> np.ndarray:
-        stream = remainders[width]
-        stream[1] += m
-        return stream[0][stream[1] - m : stream[1]]
-
-    def read_levels(first: int, stop: int) -> None:
-        """Write the levels of runs first..stop - 1 into ``values``.  The
-        runs are in order of k, so the values at k = 0, which have no
-        remainders, come first, and those at k = r, which have no unary
-        codes, last."""
-        widths, counts = [], []
-        for width, group in itertools.groupby(zip(ks[first:stop], sizes[first:stop]), key=lambda run: run[0]):
-            widths.append(width)
-            counts.append(sum(n for _, n in group))
-        rice = len(widths) - (widths[-1] == r)  # the widths with unary codes
-        base, n = starts[first], sum(counts[:rice])
-        quotients = unary.take(n)  # int64, so the shifts below cannot wrap
-        if n:
-            bounds = list(itertools.accumulate(counts[: rice - 1], initial=0))
-            for width, top in zip(widths, np.maximum.reduceat(quotients, bounds).tolist()):
-                if top >> (r - width):
-                    raise MalformedPayload(f"Rice-coded level does not fit in {r} bits")
-            quotients <<= np.repeat(np.array(widths[:rice], dtype=np.uint8), counts[:rice])
-        parts = [read_remainders(width, m) for width, m in zip(widths, counts) if width]
-        if parts:
-            low = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            plain = counts[0] if widths[0] == 0 else 0  # the values without remainders
-            quotients[plain:] |= low[: n - plain]
-            values[base + n : base + n + counts[-1] * (rice < len(widths))] = low[n - plain :]
-        values[base : base + n] = quotients
-
+    widths = []  # (k, first value, stop, its remainder stream) per width
+    for k, group in itertools.groupby(runs, key=lambda run: run[0]):
+        first = widths[-1][2] if widths else 0
+        stop = first + sum(n for _, _, n in group)
+        end = pos + ((stop - first) * k + 7) // 8
+        if end > wire.size:
+            raise MalformedPayload(f"truncated payload: remainder streams end at byte {end}")
+        widths.append((k, first, stop, wire[pos:end]))
+        pos = end
     values = np.empty(starts[-1])
-    passes = _passes(sizes)
-    for first, stop in passes:
-        read_levels(first, stop)
-    at = 8 * unary.end()  # where the sign stream starts, in bits
-    del unary  # and the terminators it read past the stream
+    # The values with unary codes come first; their quotients are written
+    # into the same bytes, so the shifts below cannot wrap.
+    quotients = values[: sum(stop - first for k, first, stop, _ in widths if k < r)].view(np.int64)
+    at = 8 * _read_unary(wire, pos, quotients)  # where the sign stream starts, in bits
+    for k, first, stop, stream in widths:
+        if k == r:  # no unary codes: the remainders are the levels
+            values[first:stop] = _unpack_levels(stream, stop - first, k)
+            continue
+        levels = quotients[first:stop]
+        if int(levels.max(initial=0)) >> (r - k):
+            raise MalformedPayload(f"Rice-coded level does not fit in {r} bits")
+        if k:
+            levels <<= k
+            levels |= _unpack_levels(stream, stop - first, k)
+        values[first:stop] = levels  # in place, each level to its own float64
     norms = [heads[i][4] for _, i, _ in runs]
-    for first, stop in passes:
+    for first, stop in _passes(sizes):
         part = values[starts[first] : starts[stop]]
         nonzero = np.flatnonzero(part != 0)
         stop_byte = (at + nonzero.size + 7) // 8

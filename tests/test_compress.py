@@ -570,6 +570,38 @@ class TestRiceCoding:
         with pytest.raises(MalformedPayload, match=match):
             compress.decode_payload(quantized_blob(n, r, segment), one_tensor(1, n))
 
+    @pytest.mark.parametrize(
+        ("ks", "levels"),
+        [
+            # The second width, k = 2, holds quotient 4 = 2**(r - k).
+            ((0, 2), ([1, 2], [1, 16])),
+            # The k = 0 width, which comes first, holds quotient 16 = 2**r.
+            ((2, 0), ([5, 9], [3, 16])),
+        ],
+        ids=["second-width", "k-0-width"],
+    )
+    def test_oversized_level_is_refused_in_any_width(self, ks, levels):
+        # Two segments of two levels at r = 4, each at its own k, so the
+        # streams hold two widths; level 16 = 2**r is in one of them.
+        r, like = 4, {"x": np.zeros((1, 2)), "y": np.zeros((1, 2))}
+
+        def blob(levels):
+            runs = sorted(zip(ks, levels))  # the streams take the segments by k
+            unary = "".join("0" * (level >> k) + "1" for k, line in runs for level in line)
+            return b"".join(
+                [header(like, r)]
+                + [struct.pack("<Bd", k + 1, 1.0) for k in ks]
+                + [reference_pack(np.array(line) % 2**k, k) for k, line in runs if k]
+                + [int(unary[::-1], 2).to_bytes((len(unary) + 7) // 8, "little"), bytes(1)]
+            )
+
+        with pytest.raises(MalformedPayload, match=f"does not fit in {r} bits"):
+            compress.decode_payload(blob(levels), like)
+        # One level less, 2**r - 1, decodes.
+        fitting = [[min(level, 2**r - 1) for level in line] for line in levels]
+        out = compress.decode_payload(blob(fitting), like)
+        assert [out[name].ravel().tolist() for name in like] == [[v / 2**r for v in line] for line in fitting]
+
     @pytest.mark.parametrize("tag", [ROWS, COLS])
     def test_per_line_body_layout(self, tag):
         # A 2x3 matrix at r = 4 with a k per row, or its 3x2 transpose with a
