@@ -527,10 +527,10 @@ _CHECKED_COLUMNS = ("round", "communicated", "uplink_bits", "downlink_bits", "me
 def load_summary(directory) -> RunSummary:
     """Rebuild a RunSummary from rounds.jsonl, cross-checking summary.csv.
 
-    A file that is not UTF-8, a rounds.jsonl line that is not a round
-    record, a summary.csv without a checked column, or a disagreement
-    between the two raises IoError naming the file and, where one line is at
-    fault, its physical line number.
+    A missing file, a file that is not UTF-8, a rounds.jsonl line that is
+    not a round record, a summary.csv without a checked column, or a
+    disagreement between the two raises IoError naming the file and, where
+    one line is at fault, its physical line number.
     """
     root = Path(directory)
     jsonl = root / "rounds.jsonl"
@@ -547,26 +547,27 @@ def load_summary(directory) -> RunSummary:
         raise IoError(f"{jsonl} holds no round records")
     summary = RunSummary(records=records, partition_hash="")
     csv_path = root / "summary.csv"
-    if csv_path.is_file():
-        reader = csv.DictReader(io.StringIO(_read_utf8(csv_path), newline=""))
-        try:
-            header = reader.fieldnames or []
-            rows = list(reader)
-        except csv.Error as exc:
-            raise IoError(f"{csv_path}:{reader.line_num}: {exc}") from exc
-        missing = [col for col in _CHECKED_COLUMNS if col not in header]
-        if missing:
-            raise IoError(f"{csv_path}:1: no {missing[0]!r} column")
-        if len(rows) != len(records):
-            raise IoError(f"{csv_path} has {len(rows)} rows but {jsonl} has {len(records)}")
-        for lineno, (row, rec) in enumerate(zip(rows, records), start=2):
-            expect = _csv_row(rec)
-            for col in _CHECKED_COLUMNS:
-                if str(expect[col]) != row[col]:
-                    raise IoError(
-                        f"{csv_path}:{lineno}: disagrees with rounds.jsonl at round "
-                        f"{rec.t} ({col})"
-                    )
+    if not csv_path.is_file():
+        raise IoError(f"{csv_path} does not exist")
+    reader = csv.DictReader(io.StringIO(_read_utf8(csv_path), newline=""))
+    try:
+        header = reader.fieldnames or []
+        rows = list(reader)
+    except csv.Error as exc:
+        raise IoError(f"{csv_path}:{reader.line_num}: {exc}") from exc
+    missing = [col for col in _CHECKED_COLUMNS if col not in header]
+    if missing:
+        raise IoError(f"{csv_path}:1: no {missing[0]!r} column")
+    if len(rows) != len(records):
+        raise IoError(f"{csv_path} has {len(rows)} rows but {jsonl} has {len(records)}")
+    for lineno, (row, rec) in enumerate(zip(rows, records), start=2):
+        expect = _csv_row(rec)
+        for col in _CHECKED_COLUMNS:
+            if str(expect[col]) != row[col]:
+                raise IoError(
+                    f"{csv_path}:{lineno}: disagrees with rounds.jsonl at round "
+                    f"{rec.t} ({col})"
+                )
     return summary
 
 

@@ -117,6 +117,7 @@ class TestCli:
             ("unknown_key", "rounds.jsonl:3"),
             ("wrong_type", "rounds.jsonl:1"),
             ("csv_missing_column", "summary.csv:1"),
+            ("csv_missing", "summary.csv does not exist"),
         ],
     )
     def test_inspect_malformed_run_exit_code(self, tmp_path, capsys, breakage, named):
@@ -138,9 +139,11 @@ class TestCli:
             lines[2] = json.dumps(dict(records[2], extra=1)).encode()
         elif breakage == "wrong_type":
             lines[0] = json.dumps(dict(records[0], test_accuracy=[])).encode()
+        csv_path = out / "summary.csv"
         if breakage == "csv_missing_column":
-            csv_path = out / "summary.csv"
             csv_path.write_text(csv_path.read_text().replace("uplink_bits", "uplink", 1))
+        elif breakage == "csv_missing":
+            csv_path.unlink()
         else:
             jsonl.write_bytes(b"\n".join(lines))
         capsys.readouterr()
