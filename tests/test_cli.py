@@ -240,9 +240,13 @@ def test_documented_config_trains_without_blowing_up(tmp_path, monkeypatch, caps
 # The first is the empty config (threshold sparsifier, low-rank downlink),
 # the second keeps the top decile of the private channel, and the third
 # trains the private channel alone from the initial model.  Each runs in a
-# fresh interpreter at one BLAS thread.  The digests hold for the CPU kernel
-# OpenBLAS picks, as the codec's wide golden does (numpy 2.4, OpenBLAS 0.3,
-# an AVX-512 x86-64 CPU).  The first two were re-pinned for wire format 7,
+# fresh interpreter at one BLAS thread on OpenBLAS' Haswell kernels
+# (OPENBLAS_CORETYPE=Haswell, which needs AVX2), as the codec's wide golden
+# does: the files depend on the CPU kernel OpenBLAS picks, so a pinned
+# kernel makes the digests hold on CPUs with and without AVX-512 (numpy
+# 2.4, OpenBLAS 0.3).  They were taken on an AVX-512 CPU's own kernels
+# before: 0592735a... / 015d6f38..., 0c61221a... / cff3edd5... and
+# 60662d3e... / d11f3447....  The first two were re-pinned for wire format 7,
 # which bills fewer bits per payload: their files differ from format 6's
 # only in uplink_bits and downlink_bits (and so in wall_time, which bills
 # time by bits); s_only communicates nothing and held.  Wire format 8,
@@ -252,18 +256,18 @@ def test_documented_config_trains_without_blowing_up(tmp_path, monkeypatch, caps
 RUN_GOLDENS = {
     "defaults": (
         "run.rounds = 20\n",
-        "0592735aafdd2f6edfc209b1e23a311d0cae23dc7a6c8fa571503236d06bbddb",
-        "015d6f38f5749fb82955af488eb38e15a13412af99a0ff7de8a6218cf987429e",
+        "0782b1efea6ac37b77484a6eda2cce3b98ed5c7a57579ff83e84a61557617927",
+        "386979c9a6fd57adb19695be17cd21a26657102869958d0bd7952027559bc138",
     ),
     "topk": (
         "run.rounds = 20\nclient.sparsifier = topk\n",
-        "0c61221a708390a51dee3d0fad28e5b7a9e6dc0cace349163b3853f0c4cad03b",
-        "cff3edd5fa5557419a8cfb9bc3828ab5dbda60efcc43a52c6e9e773422a68940",
+        "d455e3da14b0ec0905f045182b73b0f3fd43b8d125d6aec72da0a58f7034111d",
+        "2671fcca9f4fe41948a1b76c1135f536f5e158082e69a92f2185aba0258ec46a",
     ),
     "s_only": (
         "run.rounds = 20\nrun.ablation = s_only\n",
-        "60662d3e5a0f71ccdf76dddb63463662f30cbd1f9d7613364bc3ae5c7535f435",
-        "d11f34477bf3e88f28416e9d2f80b22f69664b7da2c92af21aad16469cfa9a40",
+        "79c8a650e88a899beba9c5d57b704cc816a9531ca1a9ee11276b168704554814",
+        "d71f06c9e3da0c4fb0d2d268b44175b205bb511d0c1f9bd588e2ed67c6a94dac",
     ),
 }
 
@@ -275,7 +279,7 @@ def test_run_outputs_match_golden_digests(tmp_path, name):
     out = tmp_path / "out"
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {k: v for k, v in os.environ.items() if k != "CEFGL_SEED"}
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", OPENBLAS_CORETYPE="Haswell")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     subprocess.run(
         [sys.executable, "-m", "cefgl.cli", "run", str(cfg), "--out", str(out)],

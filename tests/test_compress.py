@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -281,20 +282,24 @@ WIRE_RANK1_DIGEST = "d1d96b1823df29e975d568966cb6d8e5cd6b81f961f9593d76e65eb7853
 # 128, 8 features) benchmark workloads.  The quantizer's norms are numpy
 # sums, so the digest holds at any BLAS thread count.  The low-rank bodies
 # still go through LAPACK's SVD, and the rank-3 inputs are built with `@`,
-# so the digest holds only for the CPU kernel OpenBLAS picks: under
-# OPENBLAS_CORETYPE=Haswell it read 7f1f22... under wire version 6.
-# Re-pinned for wire version 8, which lets a segment of at least 4096
-# values take a k per row or per column: 4 of the batch's 180 quantized
-# segments take a k per column, 2,392,041 bytes become 2,390,828, and no
-# payload of the batch grows; the decoded digest below holds unedited.
+# so the digest depends on the CPU kernel OpenBLAS picks.  Both digests of
+# this pair are therefore taken in a fresh interpreter on OpenBLAS' Haswell
+# kernels (OPENBLAS_CORETYPE=Haswell, which needs AVX2), at the caller's
+# BLAS thread count, so they hold on CPUs with and without AVX-512; on an
+# AVX-512 CPU's own kernels the batch reads 28ed91... and fbb6ba....  The
+# wire digest was re-pinned for wire version 8, which lets a segment of at
+# least 4096 values take a k per row or per column: 4 of the batch's 180
+# quantized segments take a k per column, 2,392,041 bytes become
+# 2,390,828, and no payload of the batch grows; the decoded digest held
+# unedited.
 WIDE_GOLDEN_BITS = (1, 2, 4, 7, 16, 31, 32)
 WIDE_GOLDEN_SHAPES = [
     (1, 1), (1, 7), (9, 1), (3, 5), (8, 8), (16, 31), (33, 17), (64, 128), (128, 128)
 ]
-WIDE_GOLDEN_DIGEST = "28ed91a629d8c0e1267972b9d7541cd7324f92e11bcec4d621957daa0b6cedfb"
+WIDE_GOLDEN_DIGEST = "b7f0edab0af5f0422f3ac07bbf144cac0e2c087d9be6cd00728269557b7e14f3"
 # One SHA-256 over every tensor the same batch decodes to, its name and then
 # its float64 bytes, so the decoder is pinned beside the encoder.
-WIDE_GOLDEN_DECODED_DIGEST = "fbb6baa8d84fdaa2375d42f8b91101e35312eae2fbe4d4eabe2931c1bcac55a7"
+WIDE_GOLDEN_DECODED_DIGEST = "3996b81aa6f0a7b9d2c15b9c48280e6575678e3cdb8507f5934802942b2936af"
 
 
 def wide_golden_payloads():
@@ -329,6 +334,27 @@ def wide_golden_payloads():
         for scheme in ("dense", "quantized", "lowrank_quantized"):
             for r in (4, 16):
                 yield compress.encode_payload(step, scheme, r=r, tau_lowrank=1e-4).blob, step
+
+
+@functools.lru_cache(maxsize=None)
+def wide_golden_digests():
+    """The SHA-256 of the wide batch's wire images and the one over each
+    tensor they decode to, its name and then its float64 bytes, computed in
+    a fresh interpreter on OpenBLAS' Haswell kernels at this process's BLAS
+    thread count."""
+    script = (
+        "import hashlib, sys\n"
+        f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+        "from test_compress import compress, wide_golden_payloads\n"
+        "wire, decoded = hashlib.sha256(), hashlib.sha256()\n"
+        "for blob, tensors in wide_golden_payloads():\n"
+        "    wire.update(blob)\n"
+        "    for name, values in compress.decode_payload(blob, tensors).items():\n"
+        "        decoded.update(name.encode('utf-8'))\n"
+        "        decoded.update(values.astype('<f8').tobytes())\n"
+        "print(wire.hexdigest(), decoded.hexdigest())\n"
+    )
+    return tuple(TestPayloads._stdout(script, OPENBLAS_CORETYPE="Haswell").split())
 
 
 @st.composite
@@ -1140,18 +1166,10 @@ class TestPayloads:
         assert hashlib.sha256(blob).hexdigest() == WIRE_DIGESTS[scheme, r]
 
     def test_wide_wire_golden(self):
-        digest = hashlib.sha256()
-        for blob, _ in wide_golden_payloads():
-            digest.update(blob)
-        assert digest.hexdigest() == WIDE_GOLDEN_DIGEST
+        assert wide_golden_digests()[0] == WIDE_GOLDEN_DIGEST
 
     def test_wide_decoded_golden(self):
-        digest = hashlib.sha256()
-        for blob, tensors in wide_golden_payloads():
-            for name, values in compress.decode_payload(blob, tensors).items():
-                digest.update(name.encode("utf-8"))
-                digest.update(values.astype("<f8").tobytes())
-        assert digest.hexdigest() == WIDE_GOLDEN_DECODED_DIGEST
+        assert wide_golden_digests()[1] == WIDE_GOLDEN_DECODED_DIGEST
 
     @staticmethod
     def _stdout(script: str, **env: str) -> str:
