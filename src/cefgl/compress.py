@@ -751,27 +751,28 @@ def _read_streams(wire: np.ndarray, pos: int, heads: Sequence[tuple], r: int) ->
             runs.append((tag - 1, i, rows * cols))
             continue
         counts = np.bincount(ks, minlength=r + 1)
-        line_ks = np.flatnonzero(counts)
-        runs += zip(line_ks.tolist(), itertools.repeat(i), (counts[line_ks] * (rows * cols // ks.size)).tolist())
+        widths = np.flatnonzero(counts)
+        runs += zip(widths.tolist(), itertools.repeat(i), (counts[widths] * (rows * cols // ks.size)).tolist())
     runs.sort(key=lambda run: run[0])
     sizes = [n for _, _, n in runs]
     starts = list(itertools.accumulate(sizes, initial=0))
 
-    widths = []  # (k, first value, stop, its remainder stream) per width
+    groups = []  # (k, first value, stop, remainder stream) of each width, ascending
     for k, group in itertools.groupby(runs, key=lambda run: run[0]):
-        first = widths[-1][2] if widths else 0
+        first = groups[-1][2] if groups else 0
         stop = first + sum(n for _, _, n in group)
         end = pos + ((stop - first) * k + 7) // 8
         if end > wire.size:
             raise MalformedPayload(f"truncated payload: remainder streams end at byte {end}")
-        widths.append((k, first, stop, wire[pos:end]))
+        groups.append((k, first, stop, wire[pos:end]))
         pos = end
     values = np.empty(starts[-1])
-    # The values with unary codes come first; their quotients are written
-    # into the same bytes, so the shifts below cannot wrap.
-    quotients = values[: sum(stop - first for k, first, stop, _ in widths if k < r)].view(np.int64)
+    # The values with unary codes come first.  Their quotients go into the
+    # same bytes as int64, in which the shifts below cannot wrap, so the
+    # decoder holds no second array the size of the payload.
+    quotients = values[: sum(stop - first for k, first, stop, _ in groups if k < r)].view(np.int64)
     at = 8 * _read_unary(wire, pos, quotients)  # where the sign stream starts, in bits
-    for k, first, stop, stream in widths:
+    for k, first, stop, stream in groups:
         if k == r:  # no unary codes: the remainders are the levels
             values[first:stop] = _unpack_levels(stream, stop - first, k)
             continue
