@@ -244,9 +244,9 @@ def test_documented_config_trains_without_blowing_up(tmp_path, monkeypatch, caps
 # (OPENBLAS_CORETYPE=Haswell, which needs AVX2), as the codec's wide golden
 # does: the files depend on the CPU kernel OpenBLAS picks, so a pinned
 # kernel makes the digests hold on CPUs with and without AVX-512 (numpy
-# 2.4, OpenBLAS 0.3).  They were taken on an AVX-512 CPU's own kernels
-# before: 0592735a... / 015d6f38..., 0c61221a... / cff3edd5... and
-# 60662d3e... / d11f3447....  The first two were re-pinned for wire format 7,
+# 2.4, OpenBLAS 0.3).  On an AVX-512 CPU's own kernels the files read
+# 0592735a... / 015d6f38..., 0c61221a... / cff3edd5... and 60662d3e... /
+# d11f3447....  The first two were re-pinned for wire format 7,
 # which bills fewer bits per payload: their files differ from format 6's
 # only in uplink_bits and downlink_bits (and so in wall_time, which bills
 # time by bits); s_only communicates nothing and held.  Wire format 8,
