@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,6 +162,11 @@ class ServerState:
 class RoundRecord:
     """Metrics for one round; bits are zero whenever communication is skipped.
 
+    ``train_loss`` holds, per client in id order, the mean of the losses its
+    fine-tune steps took this round at view + s, each before its step; a
+    client that runs no fine-tune step reports its local steps' mean loss at
+    w instead.  A client that took no step this round has None.
+
     The low-rank ratios are those of the downlinked difference's factorable
     matrices (no unit dimension), where a matrix sent plain counts as full
     rank and rows * cols values; they are None when no low-rank body was
@@ -174,7 +179,7 @@ class RoundRecord:
     dropped: List[int]
     uplink_bits: int
     downlink_bits: int
-    train_loss: List[float]
+    train_loss: List[Optional[float]]
     test_accuracy: List[float]
     wall_time: float
     sparsity_ratio: float
@@ -218,29 +223,33 @@ def _check_finite(params: ModelParams, who: str) -> None:
         raise DivergenceDetected(f"{who} produced non-finite parameters (lower eta)")
 
 
-def local_train_round(c: ClientState, view: ModelParams) -> int:
+def local_train_round(c: ClientState, view: ModelParams) -> List[float]:
     """Run the configured local epochs on the shared channel, pulled toward
-    the global view; returns the number of steps taken."""
-    steps = 0
+    the global view; returns each step's loss at w before the step, in step
+    order."""
+    losses = []
     for _ in range(c.cfg.local_epochs):
         for batch in _batches(c):
-            _, grads = gnn.loss_and_grad(c.w, batch)
+            loss, grads = gnn.loss_and_grad(c.w, batch)
             c.w = lowrank_channel_step(c.w, grads, c.h, view, c.cfg.eta, c.cfg.alpha)
-            steps += 1
+            losses.append(loss)
         _check_finite(c.w, f"client {c.id} local training")
-    return steps
+    return losses
 
 
-def finetune_sparse(c: ClientState, view: ModelParams) -> ClientState:
+def finetune_sparse(c: ClientState, view: ModelParams) -> List[float]:
     """Fine-tune the private channel at (global view + private), then re-sparsify.
 
     The shared channel stays frozen; an L1 subgradient (elementwise sign,
-    zero at zero) scaled by nu joins every step.
+    zero at zero) scaled by nu joins every step.  Returns each step's loss
+    at view + s before the step, in step order.
     """
+    losses = []
     for _ in range(c.cfg.finetune_epochs):
         for batch in _batches(c):
             # d(loss at view + s)/ds equals the gradient at the sum.
-            _, grads = gnn.loss_and_grad(gnn.combine(view, c.s), batch)
+            loss, grads = gnn.loss_and_grad(gnn.combine(view, c.s), batch)
+            losses.append(loss)
             # s - eta * (g + nu * sign(s)), worked out in place on a dense copy
             # of s, which leaves one temporary per tensor, not five.
             s = gnn.densify(c.s, view)
@@ -252,7 +261,7 @@ def finetune_sparse(c: ClientState, view: ModelParams) -> ClientState:
                 v -= step
             c.s = apply_sparsifier(s, c.cfg)
         _check_finite(c.s, f"client {c.id} fine-tuning")
-    return c
+    return losses
 
 
 def update_correction(c: ClientState, view: ModelParams, steps: int) -> ClientState:
@@ -353,23 +362,24 @@ def _sample_participants(server: ServerState, ids: Sequence[int]) -> List[int]:
     return sorted(int(i) for i in picked)
 
 
-def _round_metrics(clients: Sequence[ClientState]) -> Tuple[List[float], List[float], float]:
-    """Per-client loss on train data and accuracy on held-out data, both at
-    the personalized model (shared channel + private channel).
+def _round_metrics(
+    clients: Sequence[ClientState], train_loss: Dict[int, float]
+) -> Tuple[List[Optional[float]], List[float], float]:
+    """Per-client train loss, accuracy on held-out data at the personalized
+    model (shared channel + private channel), and the mean density of the
+    private channels.
 
-    Tiny shards fall back from the test split to the train split; clients
-    holding no data at all report zeros.
+    ``train_loss`` maps each client that took a step this round to its mean
+    step loss; the others report None.  Tiny shards fall back from the test
+    split to the train split; clients holding no data at all score zero.
     """
-    losses, accs, density = [], [], []
+    accs, density = [], []
     for c in clients:
-        personalized = gnn.combine(c.w, c.s)
-        acc, train_loss = gnn.evaluate(personalized, c.train) if len(c.train) else (0.0, 0.0)
-        if len(c.test):
-            acc = gnn.evaluate(personalized, c.test)[0]
-        losses.append(train_loss)
+        held_out = c.test if len(c.test) else c.train
+        acc = gnn.evaluate(gnn.combine(c.w, c.s), held_out)[0] if len(held_out) else 0.0
         accs.append(acc)
         density.append(c.s.positions.size / sum(v.size for v in c.w.values()))
-    return losses, accs, float(np.mean(density))
+    return [train_loss.get(c.id) for c in clients], accs, float(np.mean(density))
 
 
 def _wall_time(cfg: ServerConfig, bits: int, messages: int) -> float:
@@ -401,14 +411,19 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
     dropped = sorted(set(sampled) - set(survivors))
     by_id = {c.id: c for c in clients}
 
+    train_loss = {}
     for cid in survivors:
         c = by_id[cid]
         view = c.w  # every step rebinds c.w, so this stays the round-start model
-        steps = local_train_round(c, view) if c.cfg.local_epochs > 0 else 0
-        if c.cfg.finetune_epochs > 0:
-            finetune_sparse(c, view)
+        local = local_train_round(c, view)
+        tuned = finetune_sparse(c, view)
         if c.cfg.use_correction and not c.cfg.proxskip_h:
-            update_correction(c, view, steps)
+            update_correction(c, view, len(local))
+        # The loss at the personalized model: view + s where the private
+        # channel trains, else w, which is then the whole model.
+        losses = tuned or local
+        if losses:
+            train_loss[cid] = sum(losses) / len(losses)
 
     rank_ratio = param_ratio = None
     if communicate:
@@ -447,7 +462,7 @@ def run_round(server: ServerState, clients: Sequence[ClientState]) -> RoundRecor
     else:
         uplink_bits = downlink_bits = messages = 0
 
-    losses, accs, density = _round_metrics(clients)
+    losses, accs, density = _round_metrics(clients, train_loss)
     record = RoundRecord(
         t=server.t,
         communicated=communicate,

@@ -11,7 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,6 +24,7 @@ from .errors import (
     IndexOutOfRange,
     IoError,
     MissingFile,
+    NonFiniteInput,
     ParseError,
 )
 
@@ -110,9 +111,9 @@ class GraphBatch:
             members = list(run)
             k = len(members)
             adj = np.zeros((k, n, n))
-            slot = np.repeat(np.arange(k), [len(g.edges) for g in members])
-            ends = np.array([e for g in members for e in g.edges], dtype=np.intp)
-            ends = ends.reshape(-1, 2)
+            counts = [len(g.edges) for g in members]
+            slot = np.repeat(np.arange(k), counts)
+            ends = _edge_ends(members, sum(counts), np.intp)
             adj[slot, ends[:, 0], ends[:, 1]] = 1.0
             adj[slot, ends[:, 1], ends[:, 0]] = 1.0
             self.groups.append(SizeGroup(n, slice(start, start + k * n), adj))
@@ -120,6 +121,18 @@ class GraphBatch:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+
+def _edge_ends(graphs: Sequence[Graph], count: int, dtype) -> np.ndarray:
+    """The graphs' ``count`` edges, graph after graph, as a (count, 2) array
+    of local node ids."""
+    flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
+    return np.fromiter(flat, dtype=dtype, count=2 * count).reshape(-1, 2)
+
+
+def _narrow(values: Sequence[int]) -> np.ndarray:
+    """Non-negative ints in the narrowest unsigned dtype that holds them."""
+    return np.array(values, dtype=np.min_scalar_type(max(values, default=0)))
 
 
 @dataclass
@@ -148,10 +161,42 @@ class GraphDataset:
         return GraphBatch(self.graphs)
 
     def __getstate__(self):
-        # Pickles (checkpoints) carry the graphs only; the batch is rebuilt.
-        state = dict(self.__dict__)
-        state.pop("batch", None)
+        """Pickles (checkpoints) carry the graphs as flat arrays, not as
+        ``Graph`` objects, and leave out the batch, which is rebuilt on
+        first use: node counts, labels, edge counts, every graph's local
+        edge ends in turn, and its feature rows stacked."""
+        graphs = self.graphs
+        sizes = [g.n for g in graphs]
+        edge_counts = [len(g.edges) for g in graphs]
+        state = {k: v for k, v in vars(self).items() if k not in ("graphs", "batch")}
+        state["graphs"] = {
+            "sizes": _narrow(sizes),
+            "labels": _narrow([g.label for g in graphs]),
+            "edge_counts": _narrow(edge_counts),
+            "ends": _edge_ends(
+                graphs, sum(edge_counts), np.min_scalar_type(max(sizes, default=1) - 1)
+            ),
+            "features": np.concatenate(
+                [g.features for g in graphs] or [np.empty((0, self.feature_dim))]
+            ),
+        }
         return state
+
+    def __setstate__(self, state):
+        flat = state.pop("graphs")
+        edges = list(zip(*flat["ends"].T.tolist()))
+        features = flat["features"]
+        graphs, row, cut = [], 0, 0
+        for n, e, label in zip(
+            flat["sizes"].tolist(), flat["edge_counts"].tolist(), flat["labels"].tolist()
+        ):
+            # Each graph passed Graph's checks before it was pickled.
+            graphs.append(
+                _checked_graph(n, tuple(edges[cut : cut + e]), features[row : row + n], label)
+            )
+            row, cut = row + n, cut + e
+        state["graphs"] = graphs
+        vars(self).update(state)
 
     def labels(self) -> np.ndarray:
         return np.array([g.label for g in self.graphs], dtype=np.int64)
@@ -456,6 +501,7 @@ def synth_generate(spec: SynthSpec, seed: int) -> GraphDataset:
     """Deterministically generate a motif-labelled dataset for a seed.
 
     Labels are assigned round-robin, so class counts balance within one.
+    A noise so large that a feature overflows raises NonFiniteInput.
     """
     classes = len(spec.motifs)
     if classes < 1:
@@ -480,18 +526,17 @@ def synth_generate(spec: SynthSpec, seed: int) -> GraphDataset:
     for c in range(classes):
         means[c, c % spec.feature_dim] = 1.0
     graphs = []
-    for idx in range(spec.n_graphs):
-        label = idx % classes
-        n = int(rng.integers(lo, hi + 1))
-        feats = means[label] + spec.noise * rng.standard_normal((n, spec.feature_dim))
-        graphs.append(
-            Graph(
-                n=n,
-                edges=tuple(_motif_edges(spec.motifs[label], n)),
-                features=feats,
-                label=label,
-            )
-        )
+    # A noise that overflows a feature leaves an inf, which Graph refuses.
+    with np.errstate(over="ignore"):
+        for idx in range(spec.n_graphs):
+            label = idx % classes
+            n = int(rng.integers(lo, hi + 1))
+            feats = means[label] + spec.noise * rng.standard_normal((n, spec.feature_dim))
+            edges = tuple(_motif_edges(spec.motifs[label], n))
+            try:
+                graphs.append(Graph(n=n, edges=edges, features=feats, label=label))
+            except ValueError as exc:  # the motif edges are valid, so the features are not
+                raise NonFiniteInput(f"noise {spec.noise!r} overflows a node feature") from exc
     return GraphDataset(
         graphs=graphs, num_classes=classes, feature_dim=spec.feature_dim, name="synth"
     )

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import pickle
 import struct
@@ -26,14 +27,14 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import fedcore, gnn, graphdata
-from .errors import ConfigError, IoError, VersionMismatch
+from .errors import ConfigError, IoError, NonFiniteInput, VersionMismatch
 from .fedcore import ALGORITHMS, ClientConfig, ClientState, RoundRecord, ServerConfig, ServerState
 
 log = logging.getLogger("cefgl")
 
 SEED_ENV_VAR = "CEFGL_SEED"
 CHECKPOINT_MAGIC = b"CFCK"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 ABLATIONS = ("full", "w_only", "s_only")
 SWEEP_AXES = {
@@ -110,11 +111,16 @@ def _coerce(raw: str, current, key: str):
     try:
         if isinstance(current, int):
             return int(raw)
-        if isinstance(current, float):
-            return float(raw)
+        if not isinstance(current, float):
+            return raw
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {type(current).__name__}") from exc
-    return raw
+    # Range checks refuse nan but not every inf: an infinite latency would
+    # bill inf * 0 = nan seconds to a round that sends no message.
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be a finite number, got {raw!r}")
+    return value
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -235,15 +241,19 @@ def _load_pool(cfg: ExperimentConfig) -> List[graphdata.GraphDataset]:
                 )
             pool = [graphdata.load_tu_dataset(sub) for sub in subdirs]
         else:
-            spec = _synth_spec(cfg)
-            pool = [
-                graphdata.synth_generate(spec, cfg.seeds.data + i)
-                for i in range(cfg.run.clients)
-            ]
+            pool = _synth_pool(cfg, [cfg.seeds.data + i for i in range(cfg.run.clients)])
         return graphdata.pad_to_common(pool)
     if d.source == "tu":
         return [graphdata.load_tu_dataset(d.tu_path)]
-    return [graphdata.synth_generate(_synth_spec(cfg), cfg.seeds.data)]
+    return _synth_pool(cfg, [cfg.seeds.data])
+
+
+def _synth_pool(cfg: ExperimentConfig, seeds: Sequence[int]) -> List[graphdata.GraphDataset]:
+    spec = _synth_spec(cfg)
+    try:
+        return [graphdata.synth_generate(spec, seed) for seed in seeds]
+    except NonFiniteInput as exc:  # the noise is the one input that can overflow
+        raise ConfigError(f"data.noise: {exc}") from exc
 
 
 def _synth_spec(cfg: ExperimentConfig) -> graphdata.SynthSpec:
@@ -415,7 +425,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: Sequence) -> List[RunSum
 def _record_from_dict(d) -> RoundRecord:
     """The record one rounds.jsonl line holds; TypeError if it is not an
     object with RoundRecord's keys and values of the types they are written
-    with (the per-client lists non-empty)."""
+    with (the per-client lists non-empty, and only ``train_loss`` holding
+    nulls)."""
     if not isinstance(d, dict):
         raise TypeError(f"expected a JSON object, got {type(d).__name__}")
     rec = RoundRecord(**d)
@@ -426,15 +437,19 @@ def _record_from_dict(d) -> RoundRecord:
     def ints(vs):
         return isinstance(vs, list) and all(num(v) and isinstance(v, int) for v in vs)
 
-    def nums(vs):
-        return isinstance(vs, list) and len(vs) > 0 and all(map(num, vs))
+    def nums(vs, allow_null=False):
+        return (
+            isinstance(vs, list)
+            and len(vs) > 0
+            and all(num(v) or (allow_null and v is None) for v in vs)
+        )
 
     fits = (
         ints([rec.t, rec.uplink_bits, rec.downlink_bits])
         and isinstance(rec.communicated, bool)
         and ints(rec.participants)
         and ints(rec.dropped)
-        and nums(rec.train_loss)
+        and nums(rec.train_loss, allow_null=True)
         and nums(rec.test_accuracy)
         and num(rec.wall_time)
         and num(rec.sparsity_ratio)
@@ -459,20 +474,23 @@ CSV_COLUMNS = [
 ]
 
 
+def _optional(value) -> str:
+    return "" if value is None else repr(value)
+
+
 def _csv_row(rec: RoundRecord) -> dict:
+    losses = [v for v in rec.train_loss if v is not None]
     return {
         "round": rec.t,
         "communicated": int(rec.communicated),
         "uplink_bits": rec.uplink_bits,
         "downlink_bits": rec.downlink_bits,
         "mean_acc": repr(float(np.mean(rec.test_accuracy))),
-        "mean_train_loss": repr(float(np.mean(rec.train_loss))),
+        "mean_train_loss": _optional(float(np.mean(losses)) if losses else None),
         "wall_time": repr(rec.wall_time),
         "sparsity_ratio": repr(rec.sparsity_ratio),
-        "lowrank_rank_ratio": "" if rec.lowrank_rank_ratio is None else repr(rec.lowrank_rank_ratio),
-        "lowrank_param_ratio": ""
-        if rec.lowrank_param_ratio is None
-        else repr(rec.lowrank_param_ratio),
+        "lowrank_rank_ratio": _optional(rec.lowrank_rank_ratio),
+        "lowrank_param_ratio": _optional(rec.lowrank_param_ratio),
     }
 
 

@@ -43,7 +43,10 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     # Values the synthetic generator or numpy's RNG would refuse once the run
-    # started; the config check refuses them first and names the key.
+    # started, or that it would carry into its records as inf and nan; the
+    # config check refuses them first and names the key.  A finite noise
+    # that overflows a feature shows only as the features are drawn, and is
+    # a config error too.
     @pytest.mark.parametrize(
         "line, env_seed, named",
         [
@@ -54,6 +57,9 @@ class TestCli:
             ("run.algorithm = fedavg\nrun.ablation = s_only", None, "run.ablation"),
             ("server.downlink_scheme = quantized", None, "server.downlink_scheme"),
             (b"# caf\xe9", None, "exp.cfg:10: not UTF-8 text"),
+            ("server.latency_ms = inf", None, "server.latency_ms"),
+            ("data.noise = inf", None, "data.noise"),
+            ("data.noise = 1e308", None, "data.noise"),
         ],
         ids=[
             "duplicate_motif",
@@ -63,6 +69,9 @@ class TestCli:
             "baseline_ablation",
             "removed_downlink_scheme",
             "not_utf8",
+            "infinite_latency",
+            "infinite_noise",
+            "overflowing_noise",
         ],
     )
     def test_refused_config_exit_code(self, tmp_path, monkeypatch, capsys, line, env_seed, named):
@@ -116,6 +125,7 @@ class TestCli:
             ("missing_key", "rounds.jsonl:2"),
             ("unknown_key", "rounds.jsonl:3"),
             ("wrong_type", "rounds.jsonl:1"),
+            ("null_accuracy", "rounds.jsonl:2"),
             ("csv_missing_column", "summary.csv:1"),
             ("csv_missing", "summary.csv does not exist"),
         ],
@@ -139,6 +149,8 @@ class TestCli:
             lines[2] = json.dumps(dict(records[2], extra=1)).encode()
         elif breakage == "wrong_type":
             lines[0] = json.dumps(dict(records[0], test_accuracy=[])).encode()
+        elif breakage == "null_accuracy":  # only train_loss may hold nulls
+            lines[1] = json.dumps(dict(records[1], test_accuracy=[None, 0.5])).encode()
         csv_path = out / "summary.csv"
         if breakage == "csv_missing_column":
             csv_path.write_text(csv_path.read_text().replace("uplink_bits", "uplink", 1))
@@ -230,7 +242,7 @@ def test_documented_config_trains_without_blowing_up(tmp_path, monkeypatch, caps
     assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_OK, capsys.readouterr().err
     records = [json.loads(line) for line in (out / "rounds.jsonl").read_text().splitlines()]
     assert len(records) == 200
-    worst = max(max(r["train_loss"]) for r in records)
+    worst = max(v for r in records for v in r["train_loss"] if v is not None)
     assert worst < 10.0
 
 

@@ -184,7 +184,7 @@ class TestLocalSteps:
                 batch = [graphs[i] for i in order[start : start + 3]]
                 _, grads = gnn.loss_and_grad(expected, batch)
                 expected = {k: expected[k] - c.cfg.eta * grads[k] for k in expected}
-        assert fedcore.local_train_round(c, c.w) == 12
+        assert len(fedcore.local_train_round(c, c.w)) == 12
         assert max_rel_frob(c.w, expected) <= 1e-12
 
     def test_zero_gradient_pulls_toward_global_view(self):
@@ -830,6 +830,76 @@ class TestRunRound:
         assert rec.lowrank_param_ratio == values / sum(delta[k].size for k in ranks)
         assert rec.lowrank_param_ratio <= 1.0
         assert (rec.lowrank_rank_ratio < 1.0) == (tau > 0.0)
+
+
+class TestRoundMetrics:
+    def test_train_loss_is_the_finetune_loss_at_the_round_start(self):
+        # Full-batch steps: the one fine-tune step's loss is the loss of the
+        # model each client ended the previous round with, view + s.
+        theta0, clients = make_clients(n_clients=3, n_graphs=30)
+        server = make_server(theta0, p=1.0)
+        fedcore.run_round(server, clients)
+        assert any(c.s.positions.size for c in clients)
+        expected = [gnn.loss_and_grad(gnn.combine(c.w, c.s), c.train.batch)[0] for c in clients]
+        rec = fedcore.run_round(server, clients)
+        assert rec.participants == [0, 1, 2]
+        assert rec.train_loss == expected
+
+    def test_train_loss_is_the_mean_step_loss(self):
+        # Two fine-tune epochs of minibatches: the mean of every step's loss
+        # at view + s before the step, summed in step order.
+        theta0, clients = make_clients(n_clients=1, finetune_epochs=2, batch_size=4)
+        replay = copy.deepcopy(clients)[0]
+        server = make_server(theta0, p=0.0)
+        rec = fedcore.run_round(server, clients)
+        fedcore.local_train_round(replay, theta0)
+        losses = fedcore.finetune_sparse(replay, theta0)
+        assert len(losses) == 2 * math.ceil(len(replay.train) / 4)
+        assert rec.train_loss == [sum(losses) / len(losses)]
+
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fedprox"])
+    def test_a_baseline_reports_its_local_step_loss(self, algorithm):
+        # No fine-tune step runs, so w is the whole model and its local
+        # steps' loss is the train loss.
+        theta0, clients = make_clients(algorithm=algorithm)
+        server = make_server(theta0, algorithm=algorithm)
+        expected = [gnn.loss_and_grad(c.w, c.train.batch)[0] for c in clients]
+        rec = fedcore.run_round(server, clients)
+        assert rec.train_loss == expected
+
+    def test_clients_that_take_no_step_report_none(self):
+        # ceil(4 * 0.5) = 2 clients are sampled; one more holds no train
+        # graphs, and its test split alone is scored.
+        theta0, clients = make_clients(n_clients=4, n_graphs=40)
+        clients[3].train = clients[3].train.subset([])
+        server = make_server(theta0, p=1.0, rho=0.5)
+        for _ in range(4):
+            rec = fedcore.run_round(server, clients)
+            stepped = set(rec.participants) - {3}
+            assert [v is not None for v in rec.train_loss] == [c.id in stepped for c in clients]
+            assert len(rec.test_accuracy) == 4
+
+    def test_one_evaluate_per_client_on_its_held_out_split(self, monkeypatch):
+        # Every client with test graphs is scored on them alone; a test-less
+        # client with train graphs falls back to one train-split call, and a
+        # data-less one is not evaluated.
+        theta0, clients = make_clients(n_clients=4, n_graphs=40)
+        clients[2].test = clients[2].test.subset([])
+        clients[3].train = clients[3].train.subset([])
+        clients[3].test = clients[3].test.subset([])
+        seen = []
+        real = gnn.evaluate
+
+        def recording(params, data):
+            seen.append(data)
+            return real(params, data)
+
+        monkeypatch.setattr(gnn, "evaluate", recording)
+        server = make_server(theta0, p=1.0)
+        rec = fedcore.run_round(server, clients)
+        scored = (clients[0].test, clients[1].test, clients[2].train)
+        assert [id(d) for d in seen] == [id(d) for d in scored]
+        assert rec.test_accuracy[3] == 0.0 and rec.train_loss[3] is None
 
 
 class TestBaselines:

@@ -1,4 +1,5 @@
 import gc
+import pickle
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
@@ -7,7 +8,15 @@ import numpy as np
 import pytest
 
 from cefgl import graphdata
-from cefgl.errors import BadMode, BadRatios, BadSpec, IndexOutOfRange, MissingFile, ParseError
+from cefgl.errors import (
+    BadMode,
+    BadRatios,
+    BadSpec,
+    IndexOutOfRange,
+    MissingFile,
+    NonFiniteInput,
+    ParseError,
+)
 from cefgl.graphdata import SynthSpec
 
 
@@ -187,6 +196,50 @@ class TestGraph:
         adj = graphdata.GraphBatch([g]).groups[0].adj[0]
         assert np.array_equal(adj, adj.T)
         assert adj.sum() == 4
+
+
+class TestPickle:
+    @staticmethod
+    def assert_same_graphs(got, want):
+        assert (got.num_classes, got.feature_dim, got.name) == (
+            want.num_classes,
+            want.feature_dim,
+            want.name,
+        )
+        assert len(got) == len(want)
+        for g, h in zip(got.graphs, want.graphs):
+            assert (g.n, g.edges, g.label) == (h.n, h.edges, h.label)
+            assert all(type(i) is int for edge in g.edges for i in edge)
+            assert np.array_equal(g.features, h.features)
+
+    def test_round_trip_returns_equal_graphs(self, tu_dir):
+        for ds in (
+            graphdata.load_tu_dataset(tu_dir),
+            graphdata.synth_generate(SynthSpec(n_graphs=30, nodes=(3, 9)), seed=4),
+        ):
+            ds.batch  # a cached batch is left out and rebuilt
+            back = pickle.loads(pickle.dumps(ds))
+            self.assert_same_graphs(back, ds)
+            assert "batch" not in vars(back)
+            assert np.array_equal(back.batch.features, ds.batch.features)
+
+    def test_empty_dataset_round_trips(self):
+        ds = graphdata.synth_generate(SynthSpec(n_graphs=4), seed=0).subset([])
+        back = pickle.loads(pickle.dumps(ds))
+        self.assert_same_graphs(back, ds)
+        assert back.graphs == []
+
+    def test_edge_ends_take_the_narrowest_dtype(self):
+        # Local node ids below 256 travel as one byte each; a graph of 300
+        # nodes needs two.
+        small = graphdata.synth_generate(SynthSpec(n_graphs=4), seed=0)
+        assert small.__getstate__()["graphs"]["ends"].dtype == np.uint8
+        big = graphdata.GraphDataset(
+            [graphdata.Graph(300, ((0, 299),), np.zeros((300, 1)), 0)], 1, 1
+        )
+        ends = big.__getstate__()["graphs"]["ends"]
+        assert ends.dtype == np.uint16 and ends.tolist() == [[0, 299]]
+        self.assert_same_graphs(pickle.loads(pickle.dumps(big)), big)
 
 
 class TestTuLoader:
@@ -376,6 +429,12 @@ class TestSynth:
         for g in ds.graphs:
             per_node[g.label].append(triangle_count(g) / g.n)
         assert np.mean(per_node[0]) > np.mean(per_node[1])
+
+    def test_overflowing_noise_is_refused(self):
+        # The product overflows to inf without a RuntimeWarning (the suite
+        # turns those into errors), and Graph's own check refuses it.
+        with pytest.raises(NonFiniteInput, match="noise 1e\\+308"):
+            graphdata.synth_generate(SynthSpec(noise=1e308), 0)
 
     def test_bad_specs(self):
         with pytest.raises(BadSpec):

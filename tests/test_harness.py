@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 
@@ -301,6 +302,30 @@ class TestPersistence:
         with pytest.raises(IoError):
             harness.load_summary(out)
 
+    def test_null_train_losses_round_trip(self, tmp_path):
+        # Half the clients are sampled each round; the others take no step
+        # and report null, which summary.csv's mean leaves out.
+        summary = harness.run_experiment(small_cfg(**{"run.clients": 4, "server.rho": 0.5}))
+        out = harness.emit_metrics(summary, tmp_path / "out")
+        loaded = harness.load_summary(out)
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        column = harness.CSV_COLUMNS.index("mean_train_loss")
+        for rec, row in zip(loaded.records, rows):
+            losses = [v for v in rec.train_loss if v is not None]
+            assert [v is not None for v in rec.train_loss] == [
+                cid in rec.participants for cid in range(4)
+            ]
+            assert row.split(",")[column] == repr(float(np.mean(losses)))
+        assert [r.train_loss for r in loaded.records] == [r.train_loss for r in summary.records]
+
+    def test_round_without_a_train_loss_has_an_empty_mean(self, tmp_path):
+        summary = harness.run_experiment(small_cfg())
+        record = dataclasses.replace(summary.records[0], train_loss=[None, None])
+        out = harness.emit_metrics(harness.RunSummary([record], ""), tmp_path / "out")
+        row = (out / "summary.csv").read_text().splitlines()[1].split(",")
+        assert row[harness.CSV_COLUMNS.index("mean_train_loss")] == ""
+        assert harness.load_summary(out).records[0].train_loss == [None, None]
+
     def test_missing_rounds_file(self, tmp_path):
         with pytest.raises(IoError):
             harness.load_summary(tmp_path)
@@ -331,6 +356,25 @@ class TestPersistence:
         fedcore.run_round(server2, clients2)  # the resumed run rebuilds them
         assert all("batch" in vars(c.train) for c in clients2)
 
+    def test_checkpoint_returns_equal_graphs(self, tmp_path):
+        server, clients, _ = harness.build_simulation(small_cfg(**{"run.clients": 3}))
+        harness.save_checkpoint((server, clients, 0), tmp_path / "ck.bin")
+        _, clients2, _ = harness.load_checkpoint(tmp_path / "ck.bin")
+        for c, c2 in zip(clients, clients2):
+            for split, split2 in ((c.train, c2.train), (c.test, c2.test)):
+                assert (split2.num_classes, split2.feature_dim, split2.name) == (
+                    split.num_classes,
+                    split.feature_dim,
+                    split.name,
+                )
+                assert len(split2) == len(split)
+                for g, g2 in zip(split.graphs, split2.graphs):
+                    assert (g2.n, g2.edges, g2.label) == (g.n, g.edges, g.label)
+                    assert all(type(i) is int for edge in g2.edges for i in edge)
+                    assert type(g2.n) is int and type(g2.label) is int
+                    assert g2.features.dtype == np.float64
+                    assert np.array_equal(g2.features, g.features)
+
     def test_checkpoint_version_check(self, tmp_path):
         path = tmp_path / "ck.bin"
         harness.save_checkpoint({"x": 1}, path)
@@ -344,7 +388,9 @@ class TestPersistence:
         # Version 1 stored the round-start view and val split per client.
         # A version-2 server state may lack a link-scheme field, which
         # unpickling would fill from the class default without a word.
-        for old in (1, 2, 3):
+        # Version 3 held dense private channels, and version 4 pickled each
+        # dataset's Graph objects, not its flat arrays.
+        for old in (1, 2, 3, 4):
             path.write_bytes(blob[:4] + struct.pack("<H", old) + blob[6:])
             with pytest.raises(VersionMismatch, match=f"version {old} "):
                 harness.load_checkpoint(path)
