@@ -257,29 +257,34 @@ def test_documented_config_trains_without_blowing_up(tmp_path, monkeypatch, caps
 # does: the files depend on the CPU kernel OpenBLAS picks, so a pinned
 # kernel makes the digests hold on CPUs with and without AVX-512 (numpy
 # 2.4, OpenBLAS 0.3).  On an AVX-512 CPU's own kernels the files read
-# 0592735a... / 015d6f38..., 0c61221a... / cff3edd5... and 60662d3e... /
-# d11f3447....  The first two were re-pinned for wire format 7,
+# fb5c10ac... / aaf63f2b..., 3aaa7ae9... / 91184837... and f8d96e1e... /
+# 615650c1....  The first two were re-pinned for wire format 7,
 # which bills fewer bits per payload: their files differ from format 6's
 # only in uplink_bits and downlink_bits (and so in wall_time, which bills
 # time by bits); s_only communicates nothing and held.  Wire format 8,
 # which gives a segment of at least 4096 values a Rice parameter per row or
 # per column where that saves bits, held all three unedited: these models
 # have no such segment, and their files are byte-identical to format 7's.
+# All three were re-pinned when train_loss became the mean loss of the
+# round's own fine-tune steps, taken before each step, instead of a second
+# pass over the train split after the round: their files differ from the
+# earlier ones only in train_loss and summary.csv's mean_train_loss.  Every
+# client trains every round in these configs, so none reports null.
 RUN_GOLDENS = {
     "defaults": (
         "run.rounds = 20\n",
-        "0782b1efea6ac37b77484a6eda2cce3b98ed5c7a57579ff83e84a61557617927",
-        "386979c9a6fd57adb19695be17cd21a26657102869958d0bd7952027559bc138",
+        "82c6533612c177aae8bc479f8654920f9f4d3d1f3c015998cc016ca78c3855e6",
+        "f3797b09b8e233b9a459e2a2a522ac393638855de9778b826af214023acb516c",
     ),
     "topk": (
         "run.rounds = 20\nclient.sparsifier = topk\n",
-        "d455e3da14b0ec0905f045182b73b0f3fd43b8d125d6aec72da0a58f7034111d",
-        "2671fcca9f4fe41948a1b76c1135f536f5e158082e69a92f2185aba0258ec46a",
+        "b00fa901ebfe38605d10a53bd1d9abee0d029413a07a93dd51ee7777a0838e32",
+        "6768709a81f1786bff2ff90d042200bea6e00891cc27bae96b4eaeeba9ea0df3",
     ),
     "s_only": (
         "run.rounds = 20\nrun.ablation = s_only\n",
-        "79c8a650e88a899beba9c5d57b704cc816a9531ca1a9ee11276b168704554814",
-        "d71f06c9e3da0c4fb0d2d268b44175b205bb511d0c1f9bd588e2ed67c6a94dac",
+        "74ad8bfcddefb0e149c4303b07cfb865609a4be5b6f15a5caabbca11d7631782",
+        "ff0a0064707d3f4861f3f5448a7cb4e3585fe746409359f906487607584c26df",
     ),
 }
 
