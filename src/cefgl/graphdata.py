@@ -2,12 +2,17 @@
 train/val/test splitting, client partitioning and size-grouped batches.
 
 Everything here is a pure function of its inputs and an explicit seed, so
-datasets and partitions are reproducible and safely shareable.
+datasets and partitions are reproducible and safely shareable.  A TU
+dataset's parsed arrays are also kept in a cache file beside its text
+files, which a later load reads back in place of the text.
 """
 
 from __future__ import annotations
 
+import hashlib
+import logging
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,15 +39,31 @@ MODE_CROSS_DATASET = "cross_dataset"
 
 MOTIFS = ("triangles", "star", "ring", "path", "clique")
 
+log = logging.getLogger(__name__)
 
-@dataclass
+
+@dataclass(eq=False)
 class Graph:
-    """One undirected graph with node features and a class label."""
+    """One undirected graph with node features and a class label.
+
+    Two graphs are equal when their node counts, labels and edges are, and
+    their features have the same shape, dtype and bytes.
+    """
 
     n: int
     edges: Tuple[Tuple[int, int], ...]
     features: np.ndarray
     label: int
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        a, b = self.features, other.features
+        return (
+            (self.n, self.label, self.edges) == (other.n, other.label, other.edges)
+            and (a.shape, a.dtype) == (b.shape, b.dtype)
+            and a.tobytes() == b.tobytes()
+        )
 
     def __post_init__(self):
         if self.n < 1:
@@ -105,19 +126,23 @@ class GraphBatch:
         self.labels = np.array([g.label for g in graphs], dtype=np.int64)
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.features = np.concatenate([g.features for g in graphs])
+        # Every graph's n x n adjacency, graph after graph in one buffer, set
+        # by one scatter per edge direction; each group's is a view of it.
+        counts = [len(g.edges) for g in graphs]
+        area = self.sizes * self.sizes
+        at = np.cumsum(area) - area
+        adjacency = np.zeros(area.sum())
+        ends = _edge_ends(graphs, sum(counts), np.intp)
+        base, n = np.repeat(at, counts), np.repeat(self.sizes, counts)
+        adjacency[base + ends[:, 0] * n + ends[:, 1]] = 1.0
+        adjacency[base + ends[:, 1] * n + ends[:, 0]] = 1.0
         self.groups: List[SizeGroup] = []
-        start = 0
-        for n, run in groupby(graphs, key=lambda g: g.n):
-            members = list(run)
-            k = len(members)
-            adj = np.zeros((k, n, n))
-            counts = [len(g.edges) for g in members]
-            slot = np.repeat(np.arange(k), counts)
-            ends = _edge_ends(members, sum(counts), np.intp)
-            adj[slot, ends[:, 0], ends[:, 1]] = 1.0
-            adj[slot, ends[:, 1], ends[:, 0]] = 1.0
+        first = start = 0
+        for n, run in groupby(self.sizes.tolist()):
+            k = len(list(run))
+            adj = adjacency[at[first] : at[first] + k * n * n].reshape(k, n, n)
             self.groups.append(SizeGroup(n, slice(start, start + k * n), adj))
-            start += k * n
+            first, start = first + k, start + k * n
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -130,9 +155,29 @@ def _edge_ends(graphs: Sequence[Graph], count: int, dtype) -> np.ndarray:
     return np.fromiter(flat, dtype=dtype, count=2 * count).reshape(-1, 2)
 
 
-def _narrow(values: Sequence[int]) -> np.ndarray:
+def _narrow(values) -> np.ndarray:
     """Non-negative ints in the narrowest unsigned dtype that holds them."""
-    return np.array(values, dtype=np.min_scalar_type(max(values, default=0)))
+    values = np.asarray(values, dtype=np.int64)
+    return values.astype(np.min_scalar_type(values.max(initial=0)))
+
+
+# The flat form of a dataset's graphs, in the order of its arrays.
+_FLAT_KEYS = ("sizes", "labels", "edge_counts", "ends", "features")
+
+
+def _flat_graphs(sizes, labels, edge_counts, ends: np.ndarray, features: np.ndarray) -> dict:
+    """Graphs as flat arrays: node counts, labels and edge counts, every
+    graph's local edge ends in turn, and its feature rows stacked.  The
+    counts, labels and ends take the narrowest unsigned dtype that holds
+    them; for the ends that is set by the largest graph."""
+    sizes = _narrow(sizes)
+    return {
+        "sizes": sizes,
+        "labels": _narrow(labels),
+        "edge_counts": _narrow(edge_counts),
+        "ends": ends.astype(np.min_scalar_type(sizes.max(initial=1) - 1), copy=False),
+        "features": features,
+    }
 
 
 @dataclass
@@ -161,28 +206,27 @@ class GraphDataset:
         return GraphBatch(self.graphs)
 
     def __getstate__(self):
-        """Pickles (checkpoints) carry the graphs as flat arrays, not as
-        ``Graph`` objects, and leave out the batch, which is rebuilt on
-        first use: node counts, labels, edge counts, every graph's local
-        edge ends in turn, and its feature rows stacked."""
+        """Pickles (checkpoints) carry the graphs as flat arrays
+        (``_flat_graphs``), not as ``Graph`` objects, and leave out the
+        batch, which is rebuilt on first use."""
         graphs = self.graphs
         sizes = [g.n for g in graphs]
         edge_counts = [len(g.edges) for g in graphs]
         state = {k: v for k, v in vars(self).items() if k not in ("graphs", "batch")}
-        state["graphs"] = {
-            "sizes": _narrow(sizes),
-            "labels": _narrow([g.label for g in graphs]),
-            "edge_counts": _narrow(edge_counts),
-            "ends": _edge_ends(
-                graphs, sum(edge_counts), np.min_scalar_type(max(sizes, default=1) - 1)
-            ),
-            "features": np.concatenate(
-                [g.features for g in graphs] or [np.empty((0, self.feature_dim))]
-            ),
-        }
+        state["graphs"] = _flat_graphs(
+            sizes,
+            [g.label for g in graphs],
+            edge_counts,
+            _edge_ends(graphs, sum(edge_counts), np.min_scalar_type(max(sizes, default=1) - 1)),
+            np.concatenate([g.features for g in graphs] or [np.empty((0, self.feature_dim))]),
+        )
         return state
 
     def __setstate__(self, state):
+        """Rebuild the graphs from flat arrays that hold every check of
+        ``Graph`` and of this class: a pickle's, made from checked graphs,
+        a freshly parsed TU dataset's, or a TU cache's that passed
+        ``_check_flat``."""
         flat = state.pop("graphs")
         edges = list(zip(*flat["ends"].T.tolist()))
         features = flat["features"]
@@ -190,7 +234,6 @@ class GraphDataset:
         for n, e, label in zip(
             flat["sizes"].tolist(), flat["edge_counts"].tolist(), flat["labels"].tolist()
         ):
-            # Each graph passed Graph's checks before it was pickled.
             graphs.append(
                 _checked_graph(n, tuple(edges[cut : cut + e]), features[row : row + n], label)
             )
@@ -310,6 +353,12 @@ def load_tu_dataset(dir_path) -> GraphDataset:
     no graph without nodes, one finite feature row per node.  Edges become
     canonical (lo, hi) pairs, sorted, with repeats and self-loops dropped.
     The graphs are built without running ``Graph``'s own checks again.
+
+    The parsed arrays are saved to ``<DS>.cefgl.npy`` beside the files,
+    keyed by a SHA-256 of the files the load reads.  A later load whose
+    files hash to the same key reads the arrays from there instead,
+    after ``_check_flat``; any other cache is ignored and rewritten, and a
+    cache that cannot be written is left out.  One DEBUG line says which.
     """
     root = Path(dir_path)
     if not root.is_dir():
@@ -325,7 +374,45 @@ def load_tu_dataset(dir_path) -> GraphDataset:
             raise MissingFile(f"missing {p.name} in {root}")
         return p
 
-    indicator = _TuTable(required("graph_indicator"), np.int64, 1, "a graph id")
+    sources = [required("graph_indicator"), required("graph_labels"), required("A")]
+    for suffix in ("node_attributes", "node_labels"):
+        if (root / f"{prefix}_{suffix}.txt").is_file():
+            sources.append(root / f"{prefix}_{suffix}.txt")
+            break
+    cache = root / f"{prefix}{TU_CACHE_SUFFIX}"
+    key = _tu_cache_key(sources)
+    try:
+        num_classes, flat = _read_tu_cache(cache, key)
+        outcome = "hit"
+    except FileNotFoundError:
+        outcome = "miss"
+    except (OSError, ValueError) as exc:
+        outcome = f"refused ({exc})"
+    if outcome != "hit":
+        num_classes, flat = _parse_tu(*sources)
+        outcome += _write_tu_cache(cache, key, num_classes, flat)
+    log.debug("%s: TU cache %s", cache, outcome)
+    ds = object.__new__(GraphDataset)
+    ds.__setstate__(
+        {
+            "graphs": flat,
+            "num_classes": num_classes,
+            "feature_dim": flat["features"].shape[1],
+            "name": prefix,
+        }
+    )
+    return ds
+
+
+def _parse_tu(
+    indicator_path: Path,
+    labels_path: Path,
+    edges_path: Path,
+    feature_path: Optional[Path] = None,
+) -> Tuple[int, dict]:
+    """The class count and the graphs as flat arrays (``_flat_graphs``),
+    parsed from the TU text files and checked."""
+    indicator = _TuTable(indicator_path, np.int64, 1, "a graph id")
     graph_id = indicator.rows[:, 0]
     n_nodes = len(graph_id)
     if not n_nodes:
@@ -334,7 +421,6 @@ def load_tu_dataset(dir_path) -> GraphDataset:
     if below.size:
         raise indicator.error(below[0], "graph ids are 1-based")
 
-    labels_path = required("graph_labels")
     raw_labels = _TuTable(labels_path, np.int64, 1, "an integer label").rows[:, 0]
     n_graphs = len(raw_labels)
     if graph_id.max() > n_graphs:
@@ -351,39 +437,21 @@ def load_tu_dataset(dir_path) -> GraphDataset:
     order = np.argsort(graph_id, kind="stable")
 
     # The tables are read in helpers, so that their intermediates are freed
-    # before the graphs are built.
-    lo, hi, cuts = _tu_edges(required("A"), graph_id, order, starts)
-    edges = list(zip(lo, hi))
-    features = _tu_features(root, prefix, n_nodes)[order]
-
+    # before the next one is read.
+    ends, edge_counts = _tu_edges(edges_path, graph_id, order, starts)
+    features = _tu_features(feature_path, n_nodes)[order]
     label_space, labels = np.unique(raw_labels, return_inverse=True)
-    starts = starts.tolist()
     # Every check of Graph.__post_init__ holds by now: each graph has a
     # node, a float64 feature row per node, all finite, and in-range,
-    # canonical, duplicate-free edges.  So it is not run a second time.
-    graphs = [
-        _checked_graph(
-            starts[g + 1] - starts[g],
-            tuple(edges[cuts[g] : cuts[g + 1]]),
-            features[starts[g] : starts[g + 1]],
-            label,
-        )
-        for g, label in enumerate(labels.tolist())
-    ]
-    return GraphDataset(
-        graphs=graphs,
-        num_classes=len(label_space),
-        feature_dim=features.shape[1],
-        name=prefix,
-    )
+    # canonical, duplicate-free edges.
+    return len(label_space), _flat_graphs(sizes, labels, edge_counts, ends, features)
 
 
 def _tu_edges(path: Path, graph_id: np.ndarray, order: np.ndarray, starts: np.ndarray):
-    """Each graph's undirected edges as local (lo, hi) pairs, lo < hi,
-    sorted, once each and without self-loops: graph g's are those from
-    ``cuts[g]`` to ``cuts[g + 1]``.  ``order`` lists the nodes graph by
-    graph, so a node's place in it minus its graph's start is its local
-    index."""
+    """Each graph's undirected edges as local (lo, hi) rows, lo < hi,
+    sorted, once each and without self-loops, graph after graph, and each
+    graph's edge count.  ``order`` lists the nodes graph by graph, so a
+    node's place in it minus its graph's start is its local index."""
     edge_file = _TuTable(path, np.int64, 2, "'i, j'")
     n_nodes = len(graph_id)
     ends = edge_file.rows
@@ -408,37 +476,184 @@ def _tu_edges(path: Path, graph_id: np.ndarray, order: np.ndarray, starts: np.nd
     first[1:] = key[1:] != key[:-1]
     key = key[first]
     lo, hi = key // n_nodes, key % n_nodes
-    cuts = np.searchsorted(lo, starts)
-    offsets = np.repeat(starts[:-1], np.diff(cuts))
-    return (lo - offsets).tolist(), (hi - offsets).tolist(), cuts.tolist()
+    edge_counts = np.diff(np.searchsorted(lo, starts))
+    offsets = np.repeat(starts[:-1], edge_counts)
+    return np.column_stack((lo - offsets, hi - offsets)), edge_counts
 
 
-def _tu_features(root: Path, prefix: str, n_nodes: int) -> np.ndarray:
-    """Node features in file order: the attributes, else the node labels
-    one-hot, else a constant 1."""
-    attributes_path = root / f"{prefix}_node_attributes.txt"
-    node_labels_path = root / f"{prefix}_node_labels.txt"
-    if attributes_path.is_file():
-        attributes = _TuTable(attributes_path, np.float64, None, "a row of numbers")
+def _tu_features(path: Optional[Path], n_nodes: int) -> np.ndarray:
+    """Node features in file order: the attributes, the node labels one-hot,
+    or, without a feature file, a constant 1."""
+    if path is None:
+        return np.ones((n_nodes, 1))
+    if path.name.endswith("_node_attributes.txt"):
+        attributes = _TuTable(path, np.float64, None, "a row of numbers")
         features = attributes.rows
         non_finite = np.flatnonzero(~np.isfinite(features).all(axis=1))
         if non_finite.size:
             raise attributes.error(non_finite[0], "non-finite attribute")
         if len(features) != n_nodes:
-            raise ParseError(f"{attributes_path.name}: {len(features)} rows for {n_nodes} nodes")
+            raise ParseError(f"{path.name}: {len(features)} rows for {n_nodes} nodes")
         return features
-    if node_labels_path.is_file():
-        node_labels = _TuTable(node_labels_path, np.int64, 1, "an integer label").rows[:, 0]
-        if len(node_labels) != n_nodes:
-            raise ParseError(
-                f"{node_labels_path.name}: {len(node_labels)} rows for {n_nodes} nodes"
-            )
-        # One column per distinct label, as graph labels are remapped.
-        distinct, column = np.unique(node_labels, return_inverse=True)
-        features = np.zeros((n_nodes, len(distinct)))
-        features[np.arange(n_nodes), column] = 1.0
-        return features
-    return np.ones((n_nodes, 1))
+    node_labels = _TuTable(path, np.int64, 1, "an integer label").rows[:, 0]
+    if len(node_labels) != n_nodes:
+        raise ParseError(f"{path.name}: {len(node_labels)} rows for {n_nodes} nodes")
+    # One column per distinct label, as graph labels are remapped.
+    distinct, column = np.unique(node_labels, return_inverse=True)
+    features = np.zeros((n_nodes, len(distinct)))
+    features[np.arange(n_nodes), column] = 1.0
+    return features
+
+
+# ---------------------------------------------------------------------------
+# The TU cache: a parsed dataset's flat arrays, beside its text files
+
+TU_CACHE_VERSION = 1
+TU_CACHE_SUFFIX = ".cefgl.npy"
+_HASH_CHUNK = 1 << 18
+
+
+def _tu_cache_key(sources: Sequence[Path]) -> bytes:
+    """SHA-256 over the cache version and, in turn, each source file's name,
+    bytes and byte count, read in chunks."""
+    digest = hashlib.sha256(b"cefgl TU cache %d\n" % TU_CACHE_VERSION)
+    chunk = bytearray(_HASH_CHUNK)
+    view = memoryview(chunk)
+    for path in sources:
+        digest.update(os.fsencode(path.name) + b"\n")
+        length = 0
+        with open(path, "rb") as fh:
+            while size := fh.readinto(chunk):
+                digest.update(view[:size])
+                length += size
+        digest.update(length.to_bytes(8, "little"))
+    return digest.digest()
+
+
+def _write_atomic(path, write) -> None:
+    """Call ``write`` on a binary file beside ``path``, then rename that file
+    onto ``path``.  If ``write`` raises, the file goes and ``path`` is as it
+    was, so no reader sees a truncated file.  The harness writes its run
+    files through it too; it is private so that a tracer of the public
+    functions counts the time to the caller, as before."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_tu_cache(path: Path, key: bytes, num_classes: int, flat: dict) -> str:
+    """Save the version, the key, the class count and the flat arrays as
+    consecutive ``.npy`` records; say for the log whether that worked."""
+    records = (
+        np.array(TU_CACHE_VERSION, dtype=np.uint32),
+        np.frombuffer(key, dtype=np.uint8),
+        np.array(num_classes, dtype=np.uint64),
+        *(flat[k] for k in _FLAT_KEYS),
+    )
+
+    def write(fh):
+        for record in records:  # np.save writes a real file's array with no copy
+            np.save(fh, record, allow_pickle=False)
+
+    try:
+        _write_atomic(path, write)
+    except OSError as exc:
+        return f", not written ({exc})"
+    return ", written"
+
+
+def _read_record(fh, size: int) -> np.ndarray:
+    """The next ``.npy`` record of a file of ``size`` bytes: unsigned,
+    signed or float, and refused before it is read if it declares more
+    bytes than the file has left."""
+    start = fh.tell()
+    version = np.lib.format.read_magic(fh)
+    if version == (1, 0):
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+    elif version == (2, 0):
+        shape, _, dtype = np.lib.format.read_array_header_2_0(fh)
+    else:
+        raise ValueError(f"record at byte {start}: .npy version {version}")
+    if dtype.kind not in "uif" or any(d < 0 for d in shape):
+        raise ValueError(f"record at byte {start}: {dtype} array of shape {shape}")
+    declared, left = math.prod(shape) * dtype.itemsize, size - fh.tell()
+    if declared > left:
+        raise ValueError(f"record at byte {start}: declares {declared} bytes, {left} left")
+    fh.seek(start)
+    return np.load(fh, allow_pickle=False)
+
+
+def _read_tu_cache(path: Path, key: bytes) -> Tuple[int, dict]:
+    """The class count and flat arrays a cache written under ``key`` holds.
+    Raises FileNotFoundError without a cache, and OSError or ValueError
+    naming the first check it fails."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        version = _read_record(fh, size)
+        if version.shape != () or version.dtype.kind != "u" or version != TU_CACHE_VERSION:
+            raise ValueError(f"version {version.tolist()}, not {TU_CACHE_VERSION}")
+        if _read_record(fh, size).tobytes() != key:
+            raise ValueError("key differs from the TU files' SHA-256")
+        classes = _read_record(fh, size)
+        flat = {k: _read_record(fh, size) for k in _FLAT_KEYS}
+        if fh.read(1):
+            raise ValueError("bytes after the last record")
+    if classes.shape != () or classes.dtype.kind != "u":
+        raise ValueError(f"class count {classes!r}")
+    _check_flat(int(classes), flat)
+    return int(classes), flat
+
+
+def _check_flat(num_classes: int, flat: dict) -> None:
+    """Raise ValueError unless the flat arrays hold everything ``Graph`` and
+    ``GraphDataset`` require and the TU parser guarantees; every check runs
+    once over whole arrays."""
+    sizes, labels, edge_counts, ends, features = (flat[k] for k in _FLAT_KEYS)
+    for name in ("sizes", "labels", "edge_counts", "ends"):
+        if flat[name].dtype.kind != "u":
+            raise ValueError(f"{name}: {flat[name].dtype}, not an unsigned integer type")
+    if sizes.ndim != 1 or not sizes.size or sizes.min() < 1:
+        raise ValueError("no graphs, or a graph without nodes")
+    n_graphs = len(sizes)
+    if labels.shape != (n_graphs,) or edge_counts.shape != (n_graphs,):
+        raise ValueError("labels or edge counts do not match the graphs")
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ValueError(f"edge ends of shape {ends.shape}")
+    if (
+        features.dtype != np.float64
+        or features.ndim != 2
+        or not features.shape[1]
+        or not features.flags.c_contiguous
+    ):
+        raise ValueError(f"features: {features.dtype} array of shape {features.shape}")
+    # Each bound is checked before the sum it keeps from wrapping.
+    if sizes.max() > len(features) or sizes.sum() != len(features):
+        raise ValueError(f"node counts do not sum to the {len(features)} feature rows")
+    if not np.isfinite(features).all():
+        raise ValueError("a non-finite feature")
+    if not 1 <= num_classes <= n_graphs or labels.max() >= num_classes:
+        raise ValueError(f"a label at or above the class count {num_classes}")
+    if not np.bincount(labels.astype(np.intp), minlength=num_classes).all():
+        raise ValueError("a class without graphs")
+    if edge_counts.max() > len(ends) or edge_counts.sum() != len(ends):
+        raise ValueError(f"edge counts do not sum to the {len(ends)} edges")
+    if not len(ends):
+        return
+    if ends.max() >= sizes.max():
+        raise ValueError("an edge end outside its graph")
+    lo, hi = ends.astype(np.int64).T
+    graph = np.repeat(np.arange(n_graphs), edge_counts.astype(np.intp))
+    if not ((lo < hi) & (hi < sizes[graph])).all():
+        raise ValueError("an edge not lo < hi < n within its graph")
+    ascending = (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
+    if not (ascending | (graph[1:] != graph[:-1])).all():
+        raise ValueError("a graph's edges repeat or are out of order")
 
 
 def write_tu_fixture(dir_path, prefix: str = "FIXTURE") -> Path:

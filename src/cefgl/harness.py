@@ -494,21 +494,6 @@ def _csv_row(rec: RoundRecord) -> dict:
     }
 
 
-def _write_atomic(path, write) -> None:
-    """Call ``write`` on a binary file beside ``path``, then rename that file
-    onto ``path``.  If ``write`` raises, the file goes and ``path`` is as it
-    was, so no reader sees a truncated file."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def emit_metrics(summary: RunSummary, sink) -> Path:
     """Write rounds.jsonl and summary.csv into the sink directory, each
     through a temporary file renamed into place."""
@@ -519,13 +504,13 @@ def emit_metrics(summary: RunSummary, sink) -> Path:
         for rec in summary.records
     ]
     text = "\n".join(lines) + "\n"
-    _write_atomic(out / "rounds.jsonl", lambda fh: fh.write(text.encode()))
+    graphdata._write_atomic(out / "rounds.jsonl", lambda fh: fh.write(text.encode()))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for rec in summary.records:
         writer.writerow(_csv_row(rec))
-    _write_atomic(out / "summary.csv", lambda fh: fh.write(buf.getvalue().encode()))
+    graphdata._write_atomic(out / "summary.csv", lambda fh: fh.write(buf.getvalue().encode()))
     return out
 
 
@@ -598,7 +583,7 @@ def save_checkpoint(states, path) -> None:
         fh.write(struct.pack("<H", CHECKPOINT_VERSION))
         pickle.dump(states, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
-    _write_atomic(path, write)
+    graphdata._write_atomic(path, write)
 
 
 def load_checkpoint(path):

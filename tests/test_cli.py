@@ -199,6 +199,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "i/o error" in err and named in err
 
+    def test_tu_run_writes_the_same_files_cold_warm_and_after_a_broken_cache(self, tmp_path):
+        root = graphdata.write_tu_fixture(tmp_path / "tu")
+        cfg = write_config(
+            tmp_path, f"run.rounds = 5\nrun.clients = 2\ndata.source = tu\ndata.tu_path = {root}\n"
+        )
+        cache = root / f"FIXTURE{graphdata.TU_CACHE_SUFFIX}"
+        written = []
+        for name in ("cold", "warm", "truncated"):
+            if name == "truncated":
+                cache.write_bytes(cache.read_bytes()[:100])
+            out = tmp_path / name
+            assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+            written.append([(out / f).read_bytes() for f in ("rounds.jsonl", "summary.csv")])
+            if name == "cold":
+                cached = cache.read_bytes()
+        assert written[0] == written[1] == written[2]
+        assert cache.read_bytes() == cached
+
     def test_make_fixture_then_load(self, tmp_path):
         target = tmp_path / "fixture"
         assert cli.main(["make-fixture", str(target)]) == cli.EXIT_OK

@@ -197,6 +197,40 @@ class TestGraph:
         assert np.array_equal(adj, adj.T)
         assert adj.sum() == 4
 
+    def test_batch_groups_hold_each_graphs_adjacency(self):
+        ds = graphdata.synth_generate(SynthSpec(n_graphs=40, nodes=(3, 9)), seed=5)
+        batch = graphdata.GraphBatch(ds.graphs)
+        ordered = sorted(ds.graphs, key=lambda g: g.n)
+        rows, k = 0, 0
+        for grp in batch.groups:
+            assert grp.rows == slice(rows, rows + grp.adj.shape[0] * grp.n)
+            for adj in grp.adj:
+                g = ordered[k]
+                want = np.zeros((g.n, g.n))
+                for i, j in g.edges:
+                    want[i, j] = want[j, i] = 1.0
+                assert g.n == grp.n and np.array_equal(adj, want)
+                k += 1
+            rows = grp.rows.stop
+        assert k == len(ds) and rows == len(batch.features)
+
+    def test_equality_compares_fields_and_feature_bytes(self):
+        def make(edges=((0, 1), (1, 2)), features=None):
+            feats = np.arange(6.0).reshape(3, 2) if features is None else features
+            return graphdata.Graph(n=3, edges=edges, features=feats, label=1)
+
+        g, h = make(), make()
+        assert g == h and not g != h
+        flipped = np.arange(6.0).reshape(3, 2)
+        flipped.view(np.uint64)[2, 1] ^= 1  # one bit of one feature
+        assert g != make(features=flipped)
+        assert g != make(edges=((0, 1), (0, 2)))
+        assert g != make(features=np.arange(6.0).reshape(2, 3).T.copy())
+        assert g != graphdata.Graph(n=3, edges=g.edges, features=g.features, label=0)
+        a = graphdata.GraphDataset([g, make()], num_classes=2, feature_dim=2)
+        assert a == graphdata.GraphDataset([make(), h], num_classes=2, feature_dim=2)
+        assert a != graphdata.GraphDataset([make(), make(features=flipped)], 2, 2)
+
 
 class TestPickle:
     @staticmethod
@@ -399,6 +433,202 @@ class TestTuLoader:
         ds = graphdata.load_tu_dataset(tu_dir)
         assert ds.feature_dim == 2
         assert np.allclose(ds.graphs[0].features, [[0.5, 1.5]] * 3)
+
+
+def cache_path(root: Path) -> Path:
+    return next(root.glob(f"*{graphdata.TU_CACHE_SUFFIX}"))
+
+
+def read_records(path: Path) -> list:
+    """The cache's records: version, key, class count, then the flat arrays."""
+    with open(path, "rb") as fh:
+        return [np.load(fh) for _ in range(3 + len(graphdata._FLAT_KEYS))]
+
+
+def write_records(path: Path, records) -> None:
+    with open(path, "wb") as fh:
+        for record in records:
+            np.save(fh, record)
+
+
+def bigger_than_the_file(path: Path, records) -> None:
+    """The records, the last one declaring far more rows than it holds."""
+    write_records(path, records[:-1])
+    last = records[-1]
+    with open(path, "ab") as fh:
+        header = np.lib.format.header_data_from_array_1_0(last)
+        header["shape"] = (10**12, last.shape[1])
+        np.lib.format.write_array_header_1_0(fh, header)
+        fh.write(last.tobytes())
+
+
+def edited(index: int, change):
+    """A breakage that rewrites record ``index`` as ``change`` makes it."""
+
+    def breakage(path, records):
+        records[index] = change(records[index].copy())
+        write_records(path, records)
+
+    return breakage
+
+
+def set_item(where, value):
+    def change(a):
+        a[where] = value
+        return a
+
+    return change
+
+
+# Cache breakages, each applied to the fixture's valid cache: the fixture
+# holds a triangle (edges (0, 1), (0, 2), (1, 2)) and an edge, labels 0 and 1.
+CACHE_REFUSALS = {
+    "truncated": lambda path, records: path.write_bytes(path.read_bytes()[:-9]),
+    "trailing-bytes": lambda path, records: path.write_bytes(path.read_bytes() + b"\0"),
+    "empty": lambda path, records: path.write_bytes(b""),
+    "not-npy": lambda path, records: path.write_bytes(b"1, 2\n" * 40),
+    "wrong-version": edited(0, lambda a: a + 1),
+    "wrong-key": edited(1, set_item(0, 0)),
+    "declared-larger-than-file": bigger_than_the_file,
+    "signed-counts": edited(3, lambda a: a.astype(np.int64)),
+    "float-edge-counts": edited(5, lambda a: a.astype(np.float64)),
+    "object-record": edited(4, lambda a: a.astype(object)),
+    "no-graphs": lambda path, records: write_records(
+        path, records[:3] + [a[:0] for a in records[3:]]
+    ),
+    "zero-node-graph": edited(3, set_item(1, 0)),
+    "missing-feature-row": edited(7, lambda a: a[:-1]),
+    "feature-columns": edited(7, lambda a: np.asfortranarray(a)),
+    "edge-end-at-n": edited(6, set_item((2, 1), 3)),
+    "edge-end-of-next-graph": edited(6, set_item((3, 1), 2)),
+    "edge-lo-above-hi": edited(6, set_item(0, [1, 0])),
+    "repeated-edge": edited(6, set_item(1, [0, 1])),
+    "unsorted-edges": edited(6, lambda a: a[[1, 0, 2, 3]]),
+    "edge-count-sum": edited(5, set_item(1, 0)),
+    "nan-feature": edited(7, set_item((1, 0), np.nan)),
+    "label-at-class-count": edited(4, set_item(0, 2)),
+    "unused-class": edited(4, set_item(1, 0)),
+}
+
+
+class TestTuCache:
+    @staticmethod
+    def assert_same_dataset(got, want):
+        assert got == want
+        assert (got.name, got.feature_dim) == (want.name, want.feature_dim)
+        for g in got.graphs:
+            assert type(g.n) is int and type(g.label) is int
+            assert all(type(i) is int for edge in g.edges for i in edge)
+            assert g.features.dtype == np.float64
+        got_flat, want_flat = got.__getstate__()["graphs"], want.__getstate__()["graphs"]
+        for k in graphdata._FLAT_KEYS:
+            assert got_flat[k].dtype == want_flat[k].dtype
+            assert np.array_equal(got_flat[k], want_flat[k])
+
+    @pytest.mark.parametrize("kind", ["fixture", "rings"])
+    def test_warm_load_equals_cold_load_without_parsing(self, tmp_path, monkeypatch, kind):
+        if kind == "fixture":
+            root = graphdata.write_tu_fixture(tmp_path / "fixture")
+        else:
+            root = tmp_path / "rings"
+            write_ring_tu(root, 40, seed=3)
+        cold = graphdata.load_tu_dataset(root)
+        want = reference_load_tu(root, cold.name)
+        self.assert_same_dataset(cold, want)
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a warm load parsed a TU file")
+
+        monkeypatch.setattr(np, "loadtxt", no_parse)
+        self.assert_same_dataset(graphdata.load_tu_dataset(root), want)
+
+    def test_edited_files_are_read_again(self, tmp_path):
+        root = tmp_path / "rings"
+        write_ring_tu(root, 5, seed=1)
+        first = graphdata.load_tu_dataset(root)
+        attributes = root / "RING_node_attributes.txt"
+        lines = attributes.read_text().splitlines()
+        lines[0] = "0.25,0.5,0.75,1.0"
+        attributes.write_text("\n".join(lines) + "\n")
+        changed = graphdata.load_tu_dataset(root)
+        assert changed.graphs[0].features[0].tolist() == [0.25, 0.5, 0.75, 1.0]
+        assert changed.graphs[1:] == first.graphs[1:]
+        with open(root / "RING_A.txt", "a") as fh:
+            fh.write("1, 3\n")
+        appended = graphdata.load_tu_dataset(root)
+        assert (0, 2) in appended.graphs[0].edges
+        assert len(appended.graphs[0].edges) == len(first.graphs[0].edges) + 1
+        assert appended == reference_load_tu(root, "RING")
+
+    def test_a_feature_file_added_after_caching_is_read(self, tu_dir):
+        assert graphdata.load_tu_dataset(tu_dir).feature_dim == 3
+        (tu_dir / "FIXTURE_node_attributes.txt").write_text("0.5, 1.5\n" * 5)
+        assert graphdata.load_tu_dataset(tu_dir).feature_dim == 2
+        (tu_dir / "FIXTURE_node_attributes.txt").unlink()
+        (tu_dir / "FIXTURE_node_labels.txt").unlink()
+        assert graphdata.load_tu_dataset(tu_dir).feature_dim == 1
+
+    @pytest.mark.parametrize(
+        "suffix, text, error, line",
+        [pytest.param(*case[1:], id=case[0]) for case in TU_REFUSALS],
+    )
+    def test_malformed_edit_after_caching_is_refused(self, tu_dir, suffix, text, error, line):
+        graphdata.load_tu_dataset(tu_dir)
+        path = tu_dir / f"FIXTURE_{suffix}.txt"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        named = f"FIXTURE_{suffix}.txt:{line}:" if line else f"FIXTURE_{suffix}.txt: "
+        with pytest.raises(error, match=named) as excinfo:
+            graphdata.load_tu_dataset(tu_dir)
+        assert excinfo.type is error
+
+    @pytest.mark.parametrize("breakage", CACHE_REFUSALS.values(), ids=CACHE_REFUSALS.keys())
+    def test_broken_cache_is_refused_and_rewritten(self, tu_dir, caplog, breakage):
+        cold = graphdata.load_tu_dataset(tu_dir)
+        path = cache_path(tu_dir)
+        good = path.read_bytes()
+        breakage(path, read_records(path))
+        assert path.read_bytes() != good
+        caplog.set_level("DEBUG", logger="cefgl.graphdata")
+        self.assert_same_dataset(graphdata.load_tu_dataset(tu_dir), cold)
+        assert "TU cache refused" in caplog.text and ", written" in caplog.text
+        assert path.read_bytes() == good
+
+    def test_a_directory_at_the_cache_path_does_not_stop_the_load(self, tu_dir, caplog):
+        cold = graphdata.load_tu_dataset(tu_dir)
+        path = cache_path(tu_dir)
+        path.unlink()
+        path.mkdir()
+        caplog.set_level("DEBUG", logger="cefgl.graphdata")
+        for _ in range(2):
+            self.assert_same_dataset(graphdata.load_tu_dataset(tu_dir), cold)
+        assert caplog.text.count("not written") == 2
+        assert path.is_dir() and sorted(p.name for p in tu_dir.iterdir() if p.name[0] == ".") == []
+
+    def test_log_names_hit_and_miss(self, tu_dir, caplog):
+        caplog.set_level("DEBUG", logger="cefgl.graphdata")
+        graphdata.load_tu_dataset(tu_dir)
+        graphdata.load_tu_dataset(tu_dir)
+        lines = [r.getMessage() for r in caplog.records]
+        assert [line.split("TU cache ")[1] for line in lines] == ["miss, written", "hit"]
+        assert all(str(cache_path(tu_dir)) in line for line in lines)
+
+    def test_peak_memory_of_a_warm_load_is_a_small_multiple_of_the_result(self, tmp_path):
+        root = tmp_path / "rings"
+        write_ring_tu(root, 2000, seed=0)
+        graphdata.load_tu_dataset(root)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ds = graphdata.load_tu_dataset(root)
+            kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 2000 and ds.feature_dim == 4
+        assert peak < 2.5 * kept, f"peak {peak / kept:.2f} times the {kept} bytes kept"
 
 
 class TestSynth:
