@@ -41,6 +41,10 @@ class IndexOutOfRange(IoError):
     pass
 
 
+class AmbiguousDataset(IoError):
+    pass
+
+
 class BadSpec(CefglError):
     pass
 

@@ -205,17 +205,18 @@ def lowrank_channel_step(
 
 def _batches(c: ClientState) -> Iterator[GraphBatch]:
     """The steps of one epoch: the train split's cached batch, or with a
-    batch size below the split's a fresh batch per step in a permuted order."""
-    graphs = c.train.graphs
-    if not graphs:  # data-less clients sit rounds out
+    batch size below the split's the batch of each slice of a fresh
+    permutation of it."""
+    n = len(c.train)
+    if not n:  # data-less clients sit rounds out
         return
     size = c.cfg.batch_size
-    if size <= 0 or size >= len(graphs):
+    if size <= 0 or size >= n:
         yield c.train.batch
         return
-    order = c.rng.permutation(len(graphs))
-    for start in range(0, len(order), size):
-        yield GraphBatch([graphs[i] for i in order[start : start + size]])
+    order = c.rng.permutation(n)
+    for start in range(0, n, size):
+        yield GraphBatch(c.train.subset(order[start : start + size]))
 
 
 def _check_finite(params: ModelParams, who: str) -> None:

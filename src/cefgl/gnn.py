@@ -8,7 +8,9 @@ per position; names and shapes come from a dense record ``like`` it.  The
 private channel is held that way, and ``combine`` adds it to a dense one.
 Layer stack: feature MLP, two message-passing layers (self plus neighbour
 sum), mean readout, linear head.  Every pass runs on a whole
-``graphdata.GraphBatch`` at once, in the batch's node-count order: one
+``graphdata.GraphBatch``, which a dataset's flat arrays (or a subset's, for
+a minibatch) are gathered into; nothing here reads per-graph records.  A
+pass runs on all the batch's graphs at once, in its node-count order: one
 matmul per layer over the stacked nodes, one stacked adjacency matmul per
 node-count group, and one ``np.add.reduceat`` over the graphs' consecutive
 node rows for the readout.  Losses and gradients are means over the batch,
@@ -19,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .graphdata import Graph, GraphBatch, GraphDataset
+from .graphdata import GraphBatch, GraphDataset
 
 ModelParams = Dict[str, np.ndarray]
 GradSet = Dict[str, np.ndarray]
@@ -199,17 +201,8 @@ def _summed_loss(log_probs: np.ndarray, labels: np.ndarray) -> float:
     return 0.0 - float(np.cumsum(picked)[-1])
 
 
-def loss_and_grad(
-    p: ModelParams, batch: Union[GraphBatch, Sequence[Graph]]
-) -> Tuple[float, GradSet]:
-    """Mean cross-entropy over a batch and its gradients for every parameter.
-
-    ``batch`` is a ``GraphBatch``, or graphs to batch first.
-    """
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
-    if not isinstance(batch, GraphBatch):
-        batch = GraphBatch(batch)
+def loss_and_grad(p: ModelParams, batch: GraphBatch) -> Tuple[float, GradSet]:
+    """Mean cross-entropy over a batch and its gradients for every parameter."""
     logits, (x, z0, m1, z1, m2, z2, pooled) = _forward_trace(p, batch)
     log_probs = _log_softmax(logits)
     inv_b = 1.0 / len(batch)

@@ -1,6 +1,14 @@
 """Graph classification datasets: TU-format ingestion, synthetic generation,
 train/val/test splitting, client partitioning and size-grouped batches.
 
+A dataset is one collated store of flat arrays, as in PyTorch Geometric's
+``InMemoryDataset``: per-graph node, edge and label arrays, every graph's
+edges as ascending local (lo, hi) node ids, and every graph's feature rows
+stacked.
+They are checked once, over whole arrays, when a dataset is built; a
+subset, a split and a batch gather index ranges from them.  The records
+of ``GraphDataset.graphs`` are for readers outside the package.
+
 Everything here is a pure function of its inputs and an explicit seed, so
 datasets and partitions are reproducible and safely shareable.  A TU
 dataset's parsed arrays are also kept in a cache file beside its text
@@ -18,11 +26,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby, islice
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
+    AmbiguousDataset,
     BadMode,
     BadRatios,
     BadSpec,
@@ -42,53 +51,16 @@ MOTIFS = ("triangles", "star", "ring", "path", "clique")
 log = logging.getLogger(__name__)
 
 
-@dataclass(eq=False)
-class Graph:
-    """One undirected graph with node features and a class label.
-
-    Two graphs are equal when their node counts, labels and edges are, and
-    their features have the same shape, dtype and bytes.
-    """
+class Graph(NamedTuple):
+    """One graph as ``GraphDataset.graphs`` lists it: its node count, its
+    edges as (lo, hi) pairs of local node ids, a view of its feature rows,
+    and its label.  A record holds no checks of its own; its dataset's
+    arrays were checked."""
 
     n: int
     edges: Tuple[Tuple[int, int], ...]
     features: np.ndarray
     label: int
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        a, b = self.features, other.features
-        return (
-            (self.n, self.label, self.edges) == (other.n, other.label, other.edges)
-            and (a.shape, a.dtype) == (b.shape, b.dtype)
-            and a.tobytes() == b.tobytes()
-        )
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graphs must have at least one node")
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.shape[0] != self.n:
-            raise ValueError(f"feature rows {feats.shape[0]} != node count {self.n}")
-        if not np.isfinite(feats).all():
-            raise ValueError("node features must be finite")
-        self.features = feats
-        canonical = [(i, j) if i <= j else (j, i) for i, j in self.edges]
-        if len(set(canonical)) != len(canonical):
-            raise ValueError("duplicate undirected edge")
-        for i, j in canonical:
-            if not (0 <= i and j < self.n):  # i <= j
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-        self.edges = tuple(canonical)
-
-
-def _checked_graph(n: int, edges, features: np.ndarray, label: int) -> Graph:
-    """A ``Graph`` from fields its caller has already checked, without
-    ``__post_init__``: ``edges`` canonical, ``features`` float64 rows."""
-    g = object.__new__(Graph)
-    g.n, g.edges, g.features, g.label = n, edges, features, label
-    return g
 
 
 @dataclass
@@ -106,10 +78,10 @@ class SizeGroup:
 
 
 class GraphBatch:
-    """Graphs as one disjoint union, sorted stably by node count.
+    """A dataset's graphs as one disjoint union, sorted stably by node count.
 
-    Batch order is the input order sorted by node count, equal counts kept
-    in input order, so each node count's graphs form one ``SizeGroup`` run
+    Batch order is the dataset's order sorted by node count, equal counts
+    kept in that order, so each node count's graphs form one ``SizeGroup`` run
     and one stacked matmul per group does every neighbour sum, while
     adjacency storage stays the sum of n_i^2 over the graphs: nothing is
     padded to the largest graph.  ``len`` is the number of graphs;
@@ -118,21 +90,21 @@ class GraphBatch:
     ``np.add.reduceat`` over the rows sums every graph's nodes.
     """
 
-    def __init__(self, graphs: Sequence[Graph]):
-        if not graphs:
+    def __init__(self, data: GraphDataset):
+        if not len(data):
             raise ValueError("a batch needs at least one graph")
-        graphs = sorted(graphs, key=lambda g: g.n)  # stable
-        self.sizes = np.array([g.n for g in graphs])
-        self.labels = np.array([g.label for g in graphs], dtype=np.int64)
+        part = data.subset(np.argsort(data.sizes, kind="stable"))
+        self.sizes = part.sizes.astype(np.int64)
+        self.labels = part.labels.astype(np.int64)
         self.starts = np.cumsum(self.sizes) - self.sizes
-        self.features = np.concatenate([g.features for g in graphs])
+        self.features = part.features
         # Every graph's n x n adjacency, graph after graph in one buffer, set
         # by one scatter per edge direction; each group's is a view of it.
-        counts = [len(g.edges) for g in graphs]
+        counts = part.edge_counts.astype(np.intp)
         area = self.sizes * self.sizes
         at = np.cumsum(area) - area
         adjacency = np.zeros(area.sum())
-        ends = _edge_ends(graphs, sum(counts), np.intp)
+        ends = part.ends.astype(np.intp)
         base, n = np.repeat(at, counts), np.repeat(self.sizes, counts)
         adjacency[base + ends[:, 0] * n + ends[:, 1]] = 1.0
         adjacency[base + ends[:, 1] * n + ends[:, 0]] = 1.0
@@ -148,109 +120,116 @@ class GraphBatch:
         return len(self.labels)
 
 
-def _edge_ends(graphs: Sequence[Graph], count: int, dtype) -> np.ndarray:
-    """The graphs' ``count`` edges, graph after graph, as a (count, 2) array
-    of local node ids."""
-    flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
-    return np.fromiter(flat, dtype=dtype, count=2 * count).reshape(-1, 2)
+def _bounds(counts: np.ndarray) -> np.ndarray:
+    """0, then the running sums of ``counts``: laid end to end, run i spans
+    ``bounds[i]`` to ``bounds[i + 1]``."""
+    return np.concatenate(([0], counts.astype(np.intp).cumsum()))
 
 
-def _narrow(values) -> np.ndarray:
-    """Non-negative ints in the narrowest unsigned dtype that holds them."""
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The indices ``start, ..., start + length - 1`` of each range in turn,
+    and the bounds (``_bounds``) of the ranges laid end to end."""
+    bounds = _bounds(lengths)
+    return (starts - bounds[:-1]).repeat(lengths) + np.arange(bounds[-1]), bounds
+
+
+def _narrow(values, top=0) -> np.ndarray:
+    """Non-negative ints in the narrowest unsigned dtype that holds them and
+    ``top``; ValueError for a negative one."""
     values = np.asarray(values, dtype=np.int64)
-    return values.astype(np.min_scalar_type(values.max(initial=0)))
+    if values.min(initial=0) < 0:
+        raise ValueError("a negative node count, label, edge count or edge end")
+    return values.astype(np.min_scalar_type(max(values.max(initial=0), top)))
 
 
-# The flat form of a dataset's graphs, in the order of its arrays.
+# A dataset's arrays, in the order its constructor and its TU cache take them.
 _FLAT_KEYS = ("sizes", "labels", "edge_counts", "ends", "features")
 
 
-def _flat_graphs(sizes, labels, edge_counts, ends: np.ndarray, features: np.ndarray) -> dict:
-    """Graphs as flat arrays: node counts, labels and edge counts, every
-    graph's local edge ends in turn, and its feature rows stacked.  The
-    counts, labels and ends take the narrowest unsigned dtype that holds
-    them; for the ends that is set by the largest graph."""
-    sizes = _narrow(sizes)
-    return {
-        "sizes": sizes,
-        "labels": _narrow(labels),
-        "edge_counts": _narrow(edge_counts),
-        "ends": ends.astype(np.min_scalar_type(sizes.max(initial=1) - 1), copy=False),
-        "features": features,
-    }
-
-
-@dataclass
 class GraphDataset:
-    """An ordered collection of graphs sharing a feature and label space."""
+    """Graphs sharing a feature and label space, as flat arrays.
 
-    graphs: List[Graph]
-    num_classes: int
-    feature_dim: int
-    name: str = ""
+    ``sizes``, ``labels`` and ``edge_counts`` hold one entry per graph,
+    ``ends`` every graph's edges in turn as ascending (lo, hi) rows of
+    local node ids, and ``features`` every graph's node rows in turn.  The
+    constructor stores the counts, labels and ends in the narrowest
+    unsigned dtype that holds them (for the ends, that holds the largest
+    graph's node ids) and raises ValueError unless the arrays pass
+    ``_check_flat``.  A pickle (a checkpoint) holds the arrays, the class
+    count and the name.
+    """
 
-    def __post_init__(self):
-        for g in self.graphs:
-            if not 0 <= g.label < self.num_classes:
-                raise ValueError(f"label {g.label} outside [0, {self.num_classes})")
-            if g.features.shape[1] != self.feature_dim:
-                raise ValueError("inconsistent feature dimension")
+    def __init__(self, sizes, labels, edge_counts, ends, features, num_classes: int, name=""):
+        sizes = _narrow(sizes)
+        ends = _narrow(ends, sizes.max(initial=1) - 1)
+        flat = dict(zip(_FLAT_KEYS, (sizes, _narrow(labels), _narrow(edge_counts), ends, features)))
+        _check_flat(num_classes, flat)
+        vars(self).update(flat, num_classes=num_classes, name=name)
 
     def __len__(self) -> int:
-        return len(self.graphs)
+        return len(self.sizes)
+
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
+
+    # The cached values below assume that the arrays do not change.
 
     @cached_property
     def batch(self) -> GraphBatch:
-        """All graphs as one batch, built on first use; ``graphs`` must not
-        change after that."""
-        return GraphBatch(self.graphs)
+        """All graphs as one batch, built on first use."""
+        return GraphBatch(self)
+
+    @cached_property
+    def _offsets(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The bounds (``_bounds``) of each graph's feature rows and edges."""
+        return _bounds(self.sizes), _bounds(self.edge_counts)
 
     def __getstate__(self):
-        """Pickles (checkpoints) carry the graphs as flat arrays
-        (``_flat_graphs``), not as ``Graph`` objects, and leave out the
-        batch, which is rebuilt on first use."""
-        graphs = self.graphs
-        sizes = [g.n for g in graphs]
-        edge_counts = [len(g.edges) for g in graphs]
-        state = {k: v for k, v in vars(self).items() if k not in ("graphs", "batch")}
-        state["graphs"] = _flat_graphs(
-            sizes,
-            [g.label for g in graphs],
-            edge_counts,
-            _edge_ends(graphs, sum(edge_counts), np.min_scalar_type(max(sizes, default=1) - 1)),
-            np.concatenate([g.features for g in graphs] or [np.empty((0, self.feature_dim))]),
-        )
-        return state
+        return {k: v for k, v in vars(self).items() if k not in ("batch", "_offsets")}
 
-    def __setstate__(self, state):
-        """Rebuild the graphs from flat arrays that hold every check of
-        ``Graph`` and of this class: a pickle's, made from checked graphs,
-        a freshly parsed TU dataset's, or a TU cache's that passed
-        ``_check_flat``."""
-        flat = state.pop("graphs")
-        edges = list(zip(*flat["ends"].T.tolist()))
-        features = flat["features"]
-        graphs, row, cut = [], 0, 0
-        for n, e, label in zip(
-            flat["sizes"].tolist(), flat["edge_counts"].tolist(), flat["labels"].tolist()
-        ):
-            graphs.append(
-                _checked_graph(n, tuple(edges[cut : cut + e]), features[row : row + n], label)
-            )
-            row, cut = row + n, cut + e
-        state["graphs"] = graphs
-        vars(self).update(state)
-
-    def labels(self) -> np.ndarray:
-        return np.array([g.label for g in self.graphs], dtype=np.int64)
+    @property
+    def graphs(self) -> List[Graph]:
+        """The graphs as records, built on each read, each edge a pair of
+        Python ints; the package itself reads the arrays."""
+        edges = list(zip(*self.ends.T.tolist()))
+        rows, cuts = (offsets.tolist() for offsets in self._offsets)
+        sizes, counts, labels = (a.tolist() for a in (self.sizes, self.edge_counts, self.labels))
+        return [
+            Graph(n, tuple(edges[cut : cut + e]), self.features[row : row + n], label)
+            for n, e, label, row, cut in zip(sizes, counts, labels, rows, cuts)
+        ]
 
     def subset(self, indices: Sequence[int], name: str = "") -> "GraphDataset":
-        return GraphDataset(
-            graphs=[self.graphs[i] for i in indices],
-            num_classes=self.num_classes,
-            feature_dim=self.feature_dim,
-            name=name or self.name,
-        )
+        """The graphs at ``indices``, in that order, gathered as index ranges
+        of the arrays; a subset of checked arrays is not checked again."""
+        index = np.asarray(indices, dtype=np.intp)
+        sizes, edge_counts = self.sizes[index], self.edge_counts[index]
+        rows, cuts = self._offsets
+        row_index, row_bounds = _ranges(rows[index], sizes)
+        edge_index, edge_bounds = _ranges(cuts[index], edge_counts)
+        ends, features = self.ends.take(edge_index, axis=0), self.features.take(row_index, axis=0)
+        labels, name = self.labels[index], name or self.name
+        part = _dataset(self.num_classes, name, sizes, labels, edge_counts, ends, features)
+        part._offsets = row_bounds, edge_bounds  # known from the gather
+        return part
+
+    def _slice(self, start: int, stop: int, name: str) -> "GraphDataset":
+        """Graphs ``start`` to ``stop`` as views of the arrays."""
+        rows, cuts = self._offsets
+        per_graph = (a[start:stop] for a in (self.sizes, self.labels, self.edge_counts))
+        ends = self.ends[cuts[start] : cuts[stop]]
+        features = self.features[rows[start] : rows[stop]]
+        return _dataset(self.num_classes, name, *per_graph, ends, features)
+
+
+def _dataset(num_classes: int, name: str, *flat: np.ndarray) -> GraphDataset:
+    """A dataset of arrays (``_FLAT_KEYS``, in order) that hold
+    ``_check_flat`` already: a subset's, a slice's, or a TU cache's that
+    passed its checks."""
+    ds = object.__new__(GraphDataset)
+    vars(ds).update(zip(_FLAT_KEYS, flat), num_classes=num_classes, name=name)
+    return ds
 
 
 @dataclass
@@ -348,25 +327,31 @@ def load_tu_dataset(dir_path) -> GraphDataset:
     decimal and must fit int64.  Errors name the file and the physical line
     number, blank lines counted.
 
+    A directory holding several ``*_A.txt`` files is refused with
+    AmbiguousDataset, which names every prefix.
+
     Each table is parsed in one pass and every check runs once, vectorized
     over the whole table: ids in range and 1-based, no edge across graphs,
     no graph without nodes, one finite feature row per node.  Edges become
     canonical (lo, hi) pairs, sorted, with repeats and self-loops dropped.
-    The graphs are built without running ``Graph``'s own checks again.
+    The arrays then pass the dataset constructor's checks.
 
     The parsed arrays are saved to ``<DS>.cefgl.npy`` beside the files,
     keyed by a SHA-256 of the files the load reads.  A later load whose
-    files hash to the same key reads the arrays from there instead,
-    after ``_check_flat``; any other cache is ignored and rewritten, and a
-    cache that cannot be written is left out.  One DEBUG line says which.
+    files hash to the same key reads the arrays from there instead, after
+    ``_read_tu_cache``'s checks; any other cache is ignored and rewritten,
+    and a cache that cannot be written is left out.  One DEBUG line says
+    which.
     """
     root = Path(dir_path)
     if not root.is_dir():
         raise MissingFile(f"dataset directory {root} does not exist")
-    candidates = sorted(root.glob("*_A.txt"))
-    if not candidates:
+    prefixes = sorted(p.name[: -len("_A.txt")] for p in root.glob("*_A.txt"))
+    if not prefixes:
         raise MissingFile(f"no *_A.txt edge file under {root}")
-    prefix = candidates[0].name[: -len("_A.txt")]
+    if len(prefixes) > 1:
+        raise AmbiguousDataset(f"{root} holds several datasets: {', '.join(prefixes)}")
+    (prefix,) = prefixes
 
     def required(suffix: str) -> Path:
         p = root / f"{prefix}_{suffix}.txt"
@@ -382,25 +367,16 @@ def load_tu_dataset(dir_path) -> GraphDataset:
     cache = root / f"{prefix}{TU_CACHE_SUFFIX}"
     key = _tu_cache_key(sources)
     try:
-        num_classes, flat = _read_tu_cache(cache, key)
+        ds = _read_tu_cache(cache, key, prefix)
         outcome = "hit"
     except FileNotFoundError:
         outcome = "miss"
     except (OSError, ValueError) as exc:
         outcome = f"refused ({exc})"
     if outcome != "hit":
-        num_classes, flat = _parse_tu(*sources)
-        outcome += _write_tu_cache(cache, key, num_classes, flat)
+        ds = GraphDataset(*_parse_tu(*sources), name=prefix)
+        outcome += _write_tu_cache(cache, key, ds)
     log.debug("%s: TU cache %s", cache, outcome)
-    ds = object.__new__(GraphDataset)
-    ds.__setstate__(
-        {
-            "graphs": flat,
-            "num_classes": num_classes,
-            "feature_dim": flat["features"].shape[1],
-            "name": prefix,
-        }
-    )
     return ds
 
 
@@ -409,9 +385,9 @@ def _parse_tu(
     labels_path: Path,
     edges_path: Path,
     feature_path: Optional[Path] = None,
-) -> Tuple[int, dict]:
-    """The class count and the graphs as flat arrays (``_flat_graphs``),
-    parsed from the TU text files and checked."""
+) -> tuple:
+    """The dataset the TU text files hold, as ``GraphDataset``'s arguments
+    but the name: the arrays (``_FLAT_KEYS``) and the class count."""
     indicator = _TuTable(indicator_path, np.int64, 1, "a graph id")
     graph_id = indicator.rows[:, 0]
     n_nodes = len(graph_id)
@@ -428,57 +404,72 @@ def _parse_tu(
             f"{indicator.path.name}: node assigned to graph {graph_id.max()} "
             f"but only {n_graphs} labels present"
         )
-    sizes = np.bincount(graph_id - 1, minlength=n_graphs)
+    graph_id = graph_id.astype(np.min_scalar_type(n_graphs))
+    del indicator  # its int64 table
+    sizes = np.bincount(graph_id, minlength=n_graphs + 1)[1:]
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
         raise ParseError(f"{labels_path.name}: graph {empty[0] + 1} has zero nodes")
     starts = np.concatenate(([0], np.cumsum(sizes)))
-    # Nodes grouped graph by graph, in file order within a graph.
+    # Nodes grouped graph by graph, in file order within a graph.  Most
+    # files list them so already, and then the features are not gathered.
     order = np.argsort(graph_id, kind="stable")
-
     # The tables are read in helpers, so that their intermediates are freed
     # before the next one is read.
     ends, edge_counts = _tu_edges(edges_path, graph_id, order, starts)
-    features = _tu_features(feature_path, n_nodes)[order]
+    features = _tu_features(feature_path, n_nodes)
+    if (graph_id[1:] < graph_id[:-1]).any():
+        features = features[order]
     label_space, labels = np.unique(raw_labels, return_inverse=True)
-    # Every check of Graph.__post_init__ holds by now: each graph has a
-    # node, a float64 feature row per node, all finite, and in-range,
-    # canonical, duplicate-free edges.
-    return len(label_space), _flat_graphs(sizes, labels, edge_counts, ends, features)
+    # By now each graph has a node and in-range, ascending, duplicate-free
+    # edges, and every label is used, as _read_tu_cache requires.
+    return sizes, labels, edge_counts, ends, features, len(label_space)
 
 
 def _tu_edges(path: Path, graph_id: np.ndarray, order: np.ndarray, starts: np.ndarray):
     """Each graph's undirected edges as local (lo, hi) rows, lo < hi,
     sorted, once each and without self-loops, graph after graph, and each
-    graph's edge count.  ``order`` lists the nodes graph by graph, so a
+    graph's edge count."""
+    lo, hi = np.divmod(_tu_edge_keys(path, graph_id, order), len(graph_id))
+    edge_counts = np.diff(np.searchsorted(lo, starts))
+    offsets = np.repeat(starts[:-1], edge_counts)
+    lo -= offsets
+    hi -= offsets
+    return _narrow(np.column_stack((lo, hi))), edge_counts
+
+
+def _tu_edge_keys(path: Path, graph_id: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """One key per undirected edge of the edge file, lo * nodes + hi over
+    the places of its ends in ``order``, lo < hi, sorted, once each and
+    without self-loops.  ``order`` lists the nodes graph by graph, so a
     node's place in it minus its graph's start is its local index."""
     edge_file = _TuTable(path, np.int64, 2, "'i, j'")
     n_nodes = len(graph_id)
     ends = edge_file.rows
     outside = ((ends < 1) | (ends > n_nodes)).any(axis=1)
-    ends = np.where(outside[:, None], 1, ends) - 1
-    crossing = graph_id[ends[:, 0]] != graph_id[ends[:, 1]]
-    bad = np.flatnonzero(outside | crossing)
+    ends -= 1  # zero-based, in place
+    ends[outside] = 0
+    # Whole-table gathers: a column as an index would be copied first.
+    owner = graph_id[ends]
+    bad = np.flatnonzero(outside | (owner[:, 0] != owner[:, 1]))
     if bad.size:
         row = bad[0]
         if outside[row]:
             raise edge_file.error(row, "node id out of range", IndexOutOfRange)
-        ga, gb = graph_id[ends[row]]
+        ga, gb = owner[row]
         raise edge_file.error(row, f"edge crosses graphs {ga} and {gb}")
-    place = np.empty(n_nodes, dtype=np.int64)
+    place = np.empty(n_nodes, dtype=np.min_scalar_type(n_nodes))
     place[order] = np.arange(n_nodes)
-    loop = ends[:, 0] == ends[:, 1]
-    a, b = place[ends[~loop, 0]], place[ends[~loop, 1]]
-    # One sorted key per undirected edge: graph first, then local (lo, hi).
-    key = np.minimum(a, b) * n_nodes + np.maximum(a, b)
+    a, b = place[ends].T
+    del edge_file, ends, owner  # the tables, before the keys are built
+    keep = a != b
+    key = np.minimum(a, b)[keep].astype(np.int64)
+    key *= n_nodes
+    key += np.maximum(a, b)[keep]
     key.sort()
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    key = key[first]
-    lo, hi = key // n_nodes, key % n_nodes
-    edge_counts = np.diff(np.searchsorted(lo, starts))
-    offsets = np.repeat(starts[:-1], edge_counts)
-    return np.column_stack((lo - offsets, hi - offsets)), edge_counts
+    return key[first]
 
 
 def _tu_features(path: Optional[Path], n_nodes: int) -> np.ndarray:
@@ -547,14 +538,14 @@ def _write_atomic(path, write) -> None:
         raise
 
 
-def _write_tu_cache(path: Path, key: bytes, num_classes: int, flat: dict) -> str:
-    """Save the version, the key, the class count and the flat arrays as
-    consecutive ``.npy`` records; say for the log whether that worked."""
+def _write_tu_cache(path: Path, key: bytes, ds: GraphDataset) -> str:
+    """Save the version, the key, the class count and the dataset's arrays
+    as consecutive ``.npy`` records; say for the log whether that worked."""
     records = (
         np.array(TU_CACHE_VERSION, dtype=np.uint32),
         np.frombuffer(key, dtype=np.uint8),
-        np.array(num_classes, dtype=np.uint64),
-        *(flat[k] for k in _FLAT_KEYS),
+        np.array(ds.num_classes, dtype=np.uint64),
+        *(getattr(ds, k) for k in _FLAT_KEYS),
     )
 
     def write(fh):
@@ -589,8 +580,8 @@ def _read_record(fh, size: int) -> np.ndarray:
     return np.load(fh, allow_pickle=False)
 
 
-def _read_tu_cache(path: Path, key: bytes) -> Tuple[int, dict]:
-    """The class count and flat arrays a cache written under ``key`` holds.
+def _read_tu_cache(path: Path, key: bytes, name: str) -> GraphDataset:
+    """The dataset a cache written under ``key`` holds, named ``name``.
     Raises FileNotFoundError without a cache, and OSError or ValueError
     naming the first check it fails."""
     with open(path, "rb") as fh:
@@ -606,53 +597,62 @@ def _read_tu_cache(path: Path, key: bytes) -> Tuple[int, dict]:
             raise ValueError("bytes after the last record")
     if classes.shape != () or classes.dtype.kind != "u":
         raise ValueError(f"class count {classes!r}")
-    _check_flat(int(classes), flat)
-    return int(classes), flat
+    num_classes = int(classes)
+    # The dataset's invariants, and on top what only the parser guarantees:
+    # every class used, so at least one graph.
+    _check_flat(num_classes, flat)
+    if not np.bincount(flat["labels"].astype(np.intp), minlength=num_classes).all():
+        raise ValueError("a class without graphs")
+    return _dataset(num_classes, name, *flat.values())
 
 
 def _check_flat(num_classes: int, flat: dict) -> None:
-    """Raise ValueError unless the flat arrays hold everything ``Graph`` and
-    ``GraphDataset`` require and the TU parser guarantees; every check runs
-    once over whole arrays."""
+    """Raise ValueError unless the flat arrays are a dataset's: unsigned
+    counts, labels and ends, at least one node per graph, one finite
+    float64 feature row per node, labels below the class count, and each
+    graph's edges ``lo < hi < n`` in strictly ascending order, so none
+    repeats.  Every check runs once over whole arrays."""
     sizes, labels, edge_counts, ends, features = (flat[k] for k in _FLAT_KEYS)
     for name in ("sizes", "labels", "edge_counts", "ends"):
         if flat[name].dtype.kind != "u":
             raise ValueError(f"{name}: {flat[name].dtype}, not an unsigned integer type")
-    if sizes.ndim != 1 or not sizes.size or sizes.min() < 1:
-        raise ValueError("no graphs, or a graph without nodes")
+    if sizes.ndim != 1 or sizes.min(initial=1) < 1:
+        raise ValueError("a graph without nodes")
     n_graphs = len(sizes)
     if labels.shape != (n_graphs,) or edge_counts.shape != (n_graphs,):
         raise ValueError("labels or edge counts do not match the graphs")
     if ends.ndim != 2 or ends.shape[1] != 2:
         raise ValueError(f"edge ends of shape {ends.shape}")
-    if (
-        features.dtype != np.float64
-        or features.ndim != 2
-        or not features.shape[1]
-        or not features.flags.c_contiguous
-    ):
+    if features.dtype != np.float64 or features.ndim != 2 or not features.shape[1]:
         raise ValueError(f"features: {features.dtype} array of shape {features.shape}")
+    if not features.flags.c_contiguous:
+        raise ValueError("features not in C order")
     # Each bound is checked before the sum it keeps from wrapping.
-    if sizes.max() > len(features) or sizes.sum() != len(features):
-        raise ValueError(f"node counts do not sum to the {len(features)} feature rows")
+    n_rows = len(features)
+    if sizes.max(initial=0) > n_rows or sizes.sum() != n_rows:
+        raise ValueError(f"node counts do not sum to the {n_rows} feature rows")
     if not np.isfinite(features).all():
         raise ValueError("a non-finite feature")
-    if not 1 <= num_classes <= n_graphs or labels.max() >= num_classes:
+    if num_classes < 1 or labels.max(initial=0) >= num_classes:
         raise ValueError(f"a label at or above the class count {num_classes}")
-    if not np.bincount(labels.astype(np.intp), minlength=num_classes).all():
-        raise ValueError("a class without graphs")
-    if edge_counts.max() > len(ends) or edge_counts.sum() != len(ends):
+    if edge_counts.max(initial=0) > len(ends) or edge_counts.sum() != len(ends):
         raise ValueError(f"edge counts do not sum to the {len(ends)} edges")
-    if not len(ends):
-        return
-    if ends.max() >= sizes.max():
+    if ends.max(initial=0) >= sizes.max(initial=1):
         raise ValueError("an edge end outside its graph")
-    lo, hi = ends.astype(np.int64).T
-    graph = np.repeat(np.arange(n_graphs), edge_counts.astype(np.intp))
-    if not ((lo < hi) & (hi < sizes[graph])).all():
+    lo, hi = ends.T
+    counts = edge_counts.astype(np.intp)
+    if not ((lo < hi) & (hi < np.repeat(sizes, counts))).all():
         raise ValueError("an edge not lo < hi < n within its graph")
-    ascending = (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
-    if not (ascending | (graph[1:] != graph[:-1])).all():
+    # Each edge's key, (its graph's first row + lo) * rows + its graph's
+    # first row + hi, ascends exactly when every graph's edges do.  It is
+    # worked out in place, so that the check holds few copies.
+    first = np.repeat(_bounds(sizes)[:-1], counts)
+    key = lo.astype(np.intp)
+    key += first
+    key *= n_rows
+    key += first
+    key += hi.astype(np.intp)
+    if (key[1:] <= key[:-1]).any():
         raise ValueError("a graph's edges repeat or are out of order")
 
 
@@ -695,16 +695,16 @@ def _motif_edges(motif: str, n: int) -> List[Tuple[int, int]]:
         blocks = n // 3
         for b in range(blocks):
             a = 3 * b
-            edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
             if b > 0:
                 edges.append((a - 1, a))
+            edges += [(a, a + 1), (a, a + 2), (a + 1, a + 2)]
         for leftover in range(3 * blocks, n):
             edges.append((leftover - 1, leftover))
         return edges
     if motif == "star":
         return [(0, i) for i in range(1, n)]
     if motif == "ring":
-        return [(i, (i + 1) % n) for i in range(n)]
+        return [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)]
     if motif == "path":
         return [(i, i + 1) for i in range(n - 1)]
     if motif == "clique":
@@ -740,21 +740,22 @@ def synth_generate(spec: SynthSpec, seed: int) -> GraphDataset:
     means = np.zeros((classes, spec.feature_dim))
     for c in range(classes):
         means[c, c % spec.feature_dim] = 1.0
-    graphs = []
-    # A noise that overflows a feature leaves an inf, which Graph refuses.
+    labels = [idx % classes for idx in range(spec.n_graphs)]
+    sizes, features, edges = [], [], []
+    # A noise that overflows a feature leaves an inf, which the dataset refuses.
     with np.errstate(over="ignore"):
-        for idx in range(spec.n_graphs):
-            label = idx % classes
+        for label in labels:
             n = int(rng.integers(lo, hi + 1))
-            feats = means[label] + spec.noise * rng.standard_normal((n, spec.feature_dim))
-            edges = tuple(_motif_edges(spec.motifs[label], n))
-            try:
-                graphs.append(Graph(n=n, edges=edges, features=feats, label=label))
-            except ValueError as exc:  # the motif edges are valid, so the features are not
-                raise NonFiniteInput(f"noise {spec.noise!r} overflows a node feature") from exc
-    return GraphDataset(
-        graphs=graphs, num_classes=classes, feature_dim=spec.feature_dim, name="synth"
-    )
+            features.append(means[label] + spec.noise * rng.standard_normal((n, spec.feature_dim)))
+            edges.append(_motif_edges(spec.motifs[label], n))
+            sizes.append(n)
+    counts = [len(e) for e in edges]
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(edges)), dtype=np.int64)
+    features = np.concatenate(features)
+    try:
+        return GraphDataset(sizes, labels, counts, ends.reshape(-1, 2), features, classes, "synth")
+    except ValueError as exc:  # the motif edges are valid, so the features are not
+        raise NonFiniteInput(f"noise {spec.noise!r} overflows a node feature") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -762,9 +763,11 @@ def synth_generate(spec: SynthSpec, seed: int) -> GraphDataset:
 
 
 def split_dataset(
-    d: GraphDataset, ratios: Tuple[float, float, float], seed: int
+    d: GraphDataset, ratios: Tuple[float, float, float], seed: int, indices=None, name: str = ""
 ) -> Tuple[GraphDataset, GraphDataset, GraphDataset]:
-    """Shuffle deterministically and split into train/val/test.
+    """Shuffle the graphs at ``indices`` (all of ``d``'s by default)
+    deterministically and split them into train/val/test, named
+    ``<name>/train`` and so on (``name`` defaults to ``d``'s).
 
     Validation and test sizes are floors of their ratios; the remainder
     lands in train.
@@ -773,15 +776,17 @@ def split_dataset(
         raise BadRatios(f"need three non-negative ratios, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise BadRatios(f"ratios must sum to 1, got {sum(ratios)}")
-    n = len(d)
+    index = np.arange(len(d)) if indices is None else np.asarray(indices, dtype=np.intp)
+    n = len(index)
     n_val = int(math.floor(n * ratios[1]))
     n_test = int(math.floor(n * ratios[2]))
     n_train = n - n_val - n_test
-    perm = np.random.default_rng(seed).permutation(n)
-    return (
-        d.subset(perm[:n_train], name=f"{d.name}/train"),
-        d.subset(perm[n_train : n_train + n_val], name=f"{d.name}/val"),
-        d.subset(perm[n_train + n_val :], name=f"{d.name}/test"),
+    # One gather in shuffled order; each split is a run of it.
+    shuffled = d.subset(index[np.random.default_rng(seed).permutation(n)])
+    cuts = (0, n_train, n_train + n_val, n)
+    return tuple(
+        shuffled._slice(start, stop, f"{name or d.name}/{part}")
+        for start, stop, part in zip(cuts, cuts[1:], ("train", "val", "test"))
     )
 
 
@@ -817,7 +822,7 @@ def partition_clients(
     else:
         if skew <= 0:
             raise BadMode("label_skew needs a positive Dirichlet concentration")
-        labels = data.labels()
+        labels = data.labels
         for cls in range(data.num_classes):
             idx = np.nonzero(labels == cls)[0]
             rng.shuffle(idx)
@@ -834,17 +839,7 @@ def pad_to_common(pool: Sequence[GraphDataset]) -> List[GraphDataset]:
     c_max = max(ds.num_classes for ds in pool)
     out = []
     for ds in pool:
-        pad = d_max - ds.feature_dim
-        graphs = [
-            Graph(
-                n=g.n,
-                edges=g.edges,
-                features=np.pad(g.features, ((0, 0), (0, pad))) if pad else g.features,
-                label=g.label,
-            )
-            for g in ds.graphs
-        ]
-        out.append(
-            GraphDataset(graphs=graphs, num_classes=c_max, feature_dim=d_max, name=ds.name)
-        )
+        features = np.pad(ds.features, ((0, 0), (0, d_max - ds.feature_dim)))
+        flat = (ds.sizes, ds.labels, ds.edge_counts, ds.ends, features)
+        out.append(GraphDataset(*flat, c_max, ds.name))
     return out

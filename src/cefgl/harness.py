@@ -34,7 +34,7 @@ log = logging.getLogger("cefgl")
 
 SEED_ENV_VAR = "CEFGL_SEED"
 CHECKPOINT_MAGIC = b"CFCK"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 ABLATIONS = ("full", "w_only", "s_only")
 SWEEP_AXES = {
@@ -319,9 +319,10 @@ def build_simulation(
     clients = []
     for cid in range(cfg.run.clients):
         source = pool[cid] if cfg.data.partition == graphdata.MODE_CROSS_DATASET else pool[0]
-        local = source.subset(partition.assignments[cid], name=f"client{cid}")
         # The val split is held out but nothing scores it.
-        train, _, test = graphdata.split_dataset(local, ratios, cfg.seeds.data + 1000 + cid)
+        seed = cfg.seeds.data + 1000 + cid
+        assigned = partition.assignments[cid]
+        train, _, test = graphdata.split_dataset(source, ratios, seed, assigned, f"client{cid}")
         clients.append(
             ClientState(
                 id=cid,

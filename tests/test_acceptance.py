@@ -15,7 +15,7 @@ from cefgl import compress, fedcore, gnn, graphdata, harness, linalg
 from cefgl.errors import IndexOutOfRange, MissingFile, ParseError
 from cefgl.gnn import ArchConfig
 from cefgl.graphdata import SynthSpec
-from helpers import clone_params, compact, plain_fedavg_reference
+from helpers import batch_of, clone_params, compact, plain_fedavg_reference
 
 
 @contextmanager
@@ -167,14 +167,15 @@ def test_c05_gradient_oracle():
                 features=rng.normal(size=(5, 3)),
                 label=int(rng.integers(0, 2)),
             )
-            _, analytic = gnn.loss_and_grad(p, [g])
+            batch = batch_of([g])
+            _, analytic = gnn.loss_and_grad(p, batch)
             for name, mat in p.items():
                 for idx in np.ndindex(mat.shape):
                     saved = mat[idx]
                     mat[idx] = saved + eps
-                    up, _ = gnn.loss_and_grad(p, [g])
+                    up, _ = gnn.loss_and_grad(p, batch)
                     mat[idx] = saved - eps
-                    down, _ = gnn.loss_and_grad(p, [g])
+                    down, _ = gnn.loss_and_grad(p, batch)
                     mat[idx] = saved
                     numeric = (up - down) / (2 * eps)
                     denom = max(abs(numeric), 1e-8)

@@ -12,7 +12,7 @@ from cefgl.errors import DivergenceDetected, MalformedPayload, ShapeMismatch
 from cefgl.fedcore import ClientConfig, ClientState, ServerConfig, ServerState
 from cefgl.gnn import ArchConfig
 from cefgl.graphdata import SynthSpec
-from helpers import clone_params, compact, dense, plain_fedavg_reference
+from helpers import batch_of, clone_params, compact, dense, plain_fedavg_reference
 from test_compress import HEADER_BYTES, bodies_bytes, body_bits, schema_check, segment_streams
 
 
@@ -164,7 +164,7 @@ class TestLocalSteps:
         reference = clone_params(c.w)
         expected = clone_params(c.w)
         for _ in range(3):
-            _, grads = gnn.loss_and_grad(expected, c.train.graphs)
+            _, grads = gnn.loss_and_grad(expected, c.train.batch)
             expected = {k: expected[k] - c.cfg.eta * grads[k] for k in expected}
         fedcore.local_train_round(c, c.w)
         assert max_rel_frob(c.w, expected) <= 1e-12
@@ -181,7 +181,7 @@ class TestLocalSteps:
         for _ in range(2):
             order = rng.permutation(len(graphs))
             for start in range(0, len(order), 3):
-                batch = [graphs[i] for i in order[start : start + 3]]
+                batch = batch_of([graphs[i] for i in order[start : start + 3]])
                 _, grads = gnn.loss_and_grad(expected, batch)
                 expected = {k: expected[k] - c.cfg.eta * grads[k] for k in expected}
         assert len(fedcore.local_train_round(c, c.w)) == 12
@@ -236,7 +236,7 @@ class TestFinetune:
         c = clients[0]
         expected = dense(c.s, c.w)
         for _ in range(2):
-            _, grads = gnn.loss_and_grad(gnn.combine(c.w, compact(expected)), c.train.graphs)
+            _, grads = gnn.loss_and_grad(gnn.combine(c.w, compact(expected)), c.train.batch)
             expected = {k: expected[k] - c.cfg.eta * grads[k] for k in expected}
         fedcore.finetune_sparse(c, c.w)
         assert max_rel_frob(dense(c.s, c.w), expected) <= 1e-12
@@ -910,7 +910,7 @@ class TestBaselines:
         # After the round the client was reset to theta, so replay one epoch.
         theta1, replay = make_clients(n_clients=1)
         for _ in range(replay[0].cfg.local_epochs):
-            _, grads = gnn.loss_and_grad(replay[0].w, replay[0].train.graphs)
+            _, grads = gnn.loss_and_grad(replay[0].w, replay[0].train.batch)
             replay[0].w = {
                 k: replay[0].w[k] - replay[0].cfg.eta * grads[k] for k in replay[0].w
             }
@@ -940,7 +940,7 @@ class TestBaselines:
         c = clients[0]
 
         w0 = clone_params(c.w)
-        _, grads = gnn.loss_and_grad(w0, c.train.graphs)
+        _, grads = gnn.loss_and_grad(w0, c.train.batch)
         plain = {k: w0[k] - c.cfg.eta * grads[k] for k in w0}
 
         fedcore.local_train_round(c, w0)  # mu = 0

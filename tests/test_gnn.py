@@ -6,8 +6,8 @@ import pytest
 from cefgl import gnn, graphdata
 from cefgl.errors import ShapeMismatch
 from cefgl.gnn import ArchConfig
-from cefgl.graphdata import Graph, GraphDataset, SynthSpec
-from helpers import compact
+from cefgl.graphdata import Graph, SynthSpec
+from helpers import batch_of, compact, dataset
 
 
 def random_graph(rng, n_nodes, feature_dim, label=0):
@@ -23,7 +23,7 @@ def random_graph(rng, n_nodes, feature_dim, label=0):
 
 def logits_of(p, g):
     """Class logits for one graph (length C), from a one-graph batch."""
-    logits, _ = gnn._forward_trace(p, graphdata.GraphBatch([g]))
+    logits, _ = gnn._forward_trace(p, batch_of([g]))
     return logits[0]
 
 
@@ -145,7 +145,7 @@ class TestLossAndGrad:
         cfg = ArchConfig(feature_dim=2, hidden=3, classes=2)
         p = gnn.zeros_like_params(gnn.init_params(cfg, seed=0))
         g = Graph(n=2, edges=((0, 1),), features=np.ones((2, 2)), label=1)
-        loss, _ = gnn.loss_and_grad(p, [g])
+        loss, _ = gnn.loss_and_grad(p, batch_of([g]))
         assert abs(loss - math.log(2.0)) <= 1e-12
 
     def test_matches_finite_differences(self):
@@ -156,7 +156,9 @@ class TestLossAndGrad:
             # isolated nodes exactly on the kink.
             p = gnn.init_params(cfg, seed=trial)
             p = {k: v + 0.1 * rng.normal(size=v.shape) for k, v in p.items()}
-            batch = [random_graph(rng, 5, 3, label=int(rng.integers(0, 2))) for _ in range(2)]
+            batch = batch_of(
+                [random_graph(rng, 5, 3, label=int(rng.integers(0, 2))) for _ in range(2)]
+            )
             _, analytic = gnn.loss_and_grad(p, batch)
             numeric = numeric_grads(p, batch)
             for name in p:
@@ -168,9 +170,9 @@ class TestLossAndGrad:
         rng = np.random.default_rng(15)
         cfg = ArchConfig(feature_dim=2, hidden=3, classes=2)
         p = gnn.init_params(cfg, seed=7)
-        batch = [random_graph(rng, 4, 2, label=i % 2) for i in range(3)]
-        loss_a, grads_a = gnn.loss_and_grad(p, batch)
-        loss_b, grads_b = gnn.loss_and_grad(p, batch + batch)
+        graphs = [random_graph(rng, 4, 2, label=i % 2) for i in range(3)]
+        loss_a, grads_a = gnn.loss_and_grad(p, batch_of(graphs))
+        loss_b, grads_b = gnn.loss_and_grad(p, batch_of(graphs + graphs))
         assert abs(loss_a - loss_b) <= 1e-12
         for k in grads_a:
             assert np.max(np.abs(grads_a[k] - grads_b[k])) <= 1e-12
@@ -181,7 +183,7 @@ class TestLossAndGrad:
         for trial in range(20):
             p = gnn.init_params(cfg, seed=trial)
             g = random_graph(rng, 4, 2, label=int(rng.integers(0, 4)))
-            loss, _ = gnn.loss_and_grad(p, [g])
+            loss, _ = gnn.loss_and_grad(p, batch_of([g]))
             assert loss >= 0.0
             probs = np.exp(gnn._log_softmax(logits_of(p, g)))
             assert abs(probs.sum() - 1.0) <= 1e-12
@@ -191,7 +193,7 @@ class TestLossAndGrad:
         cfg = ArchConfig(feature_dim=2, hidden=3, classes=2)
         base = gnn.init_params(cfg, seed=1)
         s = {k: 0.1 * rng.normal(size=v.shape) for k, v in base.items()}
-        batch = [random_graph(rng, 4, 2, label=1)]
+        batch = batch_of([random_graph(rng, 4, 2, label=1)])
         # The private channel is trained with the gradient taken at the sum
         # of both channels; check it against finite differences in s alone.
         _, grads = gnn.loss_and_grad(gnn.combine(base, compact(s)), batch)
@@ -207,9 +209,9 @@ class TestLossAndGrad:
                 assert abs((up - down) / (2 * eps) - grads[k][idx]) <= 1e-6
 
     def test_empty_batch_rejected(self):
-        p = gnn.init_params(ArchConfig(feature_dim=2, hidden=3, classes=2), seed=0)
-        with pytest.raises(ValueError):
-            gnn.loss_and_grad(p, [])
+        # loss_and_grad takes a batch, and a batch holds at least one graph.
+        with pytest.raises(ValueError, match="at least one graph"):
+            batch_of([])
 
 
 def mixed_graphs(rng, feature_dim=3):
@@ -228,8 +230,8 @@ class TestBatch:
         cfg = ArchConfig(feature_dim=3, hidden=5, classes=3)
         p = gnn.init_params(cfg, seed=4)
         p = {k: v + 0.1 * rng.normal(size=v.shape) for k, v in p.items()}
-        loss, grads = gnn.loss_and_grad(p, graphdata.GraphBatch(graphs))
-        singles = [gnn.loss_and_grad(p, [g]) for g in graphs]
+        loss, grads = gnn.loss_and_grad(p, batch_of(graphs))
+        singles = [gnn.loss_and_grad(p, batch_of([g])) for g in graphs]
         assert abs(loss - np.mean([single[0] for single in singles])) <= 1e-12
         assert list(grads) == list(p)
         for k in p:
@@ -241,7 +243,7 @@ class TestBatch:
         graphs = mixed_graphs(rng)
         cfg = ArchConfig(feature_dim=3, hidden=4, classes=3)
         p = gnn.init_params(cfg, seed=6)
-        acc, loss = gnn.evaluate(p, GraphDataset(graphs=graphs, num_classes=3, feature_dim=3))
+        acc, loss = gnn.evaluate(p, dataset(graphs, num_classes=3))
         hits, total = 0, 0.0
         for g in graphs:
             logits = logits_of(p, g)
@@ -253,7 +255,7 @@ class TestBatch:
     def test_adjacency_is_not_padded(self):
         rng = np.random.default_rng(23)
         graphs = mixed_graphs(rng)
-        batch = graphdata.GraphBatch(graphs)
+        batch = batch_of(graphs)
         # Batch order is a stable node-count sort: equal sizes keep their
         # input order.
         order = sorted(range(len(graphs)), key=lambda i: graphs[i].n)
@@ -287,7 +289,7 @@ class TestEvaluate:
         graphs = [
             Graph(n=1, edges=(), features=np.ones((1, 2)), label=i % 2) for i in range(6)
         ]
-        ds = GraphDataset(graphs=graphs, num_classes=2, feature_dim=2)
+        ds = dataset(graphs, num_classes=2)
         acc, loss = gnn.evaluate(p, ds)
         assert acc == 0.5  # zero params predict class 0 everywhere
         assert abs(loss - math.log(2.0)) <= 1e-12
@@ -305,7 +307,7 @@ class TestEvaluate:
             Graph(n=1, edges=(), features=np.eye(2)[[label]], label=label)
             for label in (0, 1, 0, 1)
         ]
-        ds = GraphDataset(graphs=graphs, num_classes=2, feature_dim=2)
+        ds = dataset(graphs, num_classes=2)
         acc, _ = gnn.evaluate(p, ds)
         assert acc == 1.0
 
@@ -313,9 +315,7 @@ class TestEvaluate:
         rng = np.random.default_rng(18)
         cfg = ArchConfig(feature_dim=2, hidden=3, classes=2)
         p = gnn.init_params(cfg, seed=3)
-        ds = GraphDataset(
-            graphs=[random_graph(rng, 3, 2, label=1)], num_classes=2, feature_dim=2
-        )
+        ds = dataset([random_graph(rng, 3, 2, label=1)], num_classes=2)
         acc, _ = gnn.evaluate(p, ds)
         assert acc in (0.0, 1.0)
 

@@ -9,6 +9,7 @@ import pytest
 
 from cefgl import graphdata
 from cefgl.errors import (
+    AmbiguousDataset,
     BadMode,
     BadRatios,
     BadSpec,
@@ -17,7 +18,8 @@ from cefgl.errors import (
     NonFiniteInput,
     ParseError,
 )
-from cefgl.graphdata import SynthSpec
+from cefgl.graphdata import Graph, GraphDataset, SynthSpec
+from helpers import dataset
 
 
 @pytest.fixture
@@ -62,7 +64,7 @@ def reference_load_tu(root: Path, prefix: str) -> graphdata.GraphDataset:
     label_space = sorted(set(raw_labels))
     remap = {lab: i for i, lab in enumerate(label_space)}
     graphs = [
-        graphdata.Graph(
+        Graph(
             n=len(mem),
             edges=tuple(sorted(edges_per_graph[gid])),
             features=features[mem],
@@ -70,9 +72,31 @@ def reference_load_tu(root: Path, prefix: str) -> graphdata.GraphDataset:
         )
         for gid, mem in enumerate(members)
     ]
-    return graphdata.GraphDataset(
-        graphs=graphs, num_classes=len(label_space), feature_dim=features.shape[1], name=prefix
+    return dataset(graphs, num_classes=len(label_space), name=prefix)
+
+
+def assert_same_arrays(got, want):
+    """Equal class counts, names and flat arrays, dtypes included."""
+    assert (got.name, got.num_classes, got.feature_dim) == (
+        want.name,
+        want.num_classes,
+        want.feature_dim,
     )
+    for k in graphdata._FLAT_KEYS:
+        assert getattr(got, k).dtype == getattr(want, k).dtype, k
+        assert np.array_equal(getattr(got, k), getattr(want, k)), k
+
+
+def assert_same_graphs(got, want):
+    """The two datasets' ``graphs`` views hold equal records, each edge a
+    pair of Python ints."""
+    assert len(got) == len(want)
+    for g, h in zip(got.graphs, want.graphs):
+        assert (g.n, g.edges, g.label) == (h.n, h.edges, h.label)
+        assert type(g.n) is int and type(g.label) is int
+        assert all(type(i) is int for edge in g.edges for i in edge)
+        assert g.features.dtype == np.float64
+        assert np.array_equal(g.features, h.features)
 
 
 def write_random_tu(root: Path, seed: int, features: str) -> None:
@@ -168,9 +192,9 @@ TU_REFUSALS = [
 ]
 
 
-def triangle_count(g: graphdata.Graph) -> int:
+def triangle_count(g: Graph) -> int:
     """Brute-force motif oracle over all node triples (a < b < c, so every
-    pair is in the canonical (min, max) form that ``Graph.edges`` stores)."""
+    pair is in the (lo, hi) form that a dataset stores)."""
     edges = set(g.edges)
     return sum(
         1
@@ -179,27 +203,68 @@ def triangle_count(g: graphdata.Graph) -> int:
     )
 
 
-class TestGraph:
-    def test_duplicate_edges_rejected(self):
-        with pytest.raises(ValueError):
-            graphdata.Graph(n=3, edges=((0, 1), (1, 0)), features=np.zeros((3, 1)), label=0)
+# A valid dataset: a path on 3 nodes and an edge, labels 0 and 1.
+VALID = dict(
+    sizes=[3, 2],
+    labels=[0, 1],
+    edge_counts=[2, 1],
+    ends=[[0, 1], [1, 2], [0, 1]],
+    features=np.zeros((5, 2)),
+    num_classes=2,
+)
 
-    def test_out_of_range_edge_rejected(self):
-        with pytest.raises(ValueError):
-            graphdata.Graph(n=2, edges=((0, 2),), features=np.zeros((2, 1)), label=0)
+# Changes to VALID that the constructor refuses: (id, changed fields, message).
+DATASET_REFUSALS = [
+    ("duplicate-edge", dict(ends=[[0, 1], [0, 1], [0, 1]]), "repeat or are out of order"),
+    ("descending-edges", dict(ends=[[1, 2], [0, 1], [0, 1]]), "repeat or are out of order"),
+    ("edge-end-out-of-range", dict(ends=[[0, 1], [1, 2], [0, 2]]), "not lo < hi < n"),
+    ("edge-end-past-largest-graph", dict(ends=[[0, 1], [1, 3], [0, 1]]), "outside its graph"),
+    ("edge-end-wider-than-a-byte", dict(ends=[[0, 1], [1, 257], [0, 1]]), "outside its graph"),
+    ("self-loop", dict(ends=[[0, 1], [1, 1], [0, 1]]), "not lo < hi < n"),
+    ("edge-hi-lo", dict(ends=[[1, 0], [1, 2], [0, 1]]), "not lo < hi < n"),
+    ("negative-edge-end", dict(ends=[[0, 1], [-1, 2], [0, 1]]), "negative"),
+    ("edge-count-sum", dict(edge_counts=[2, 2]), "edge counts do not sum"),
+    ("non-finite-feature", dict(features=np.array([[0.0, 0]] * 4 + [[np.inf, 0]])), "non-finite"),
+    ("feature-rows", dict(features=np.zeros((4, 2))), "feature rows"),
+    (
+        "graph-without-nodes",
+        dict(sizes=[3, 0, 2], labels=[0, 0, 1], edge_counts=[2, 0, 1]),
+        "without nodes",
+    ),
+    ("label-at-class-count", dict(labels=[0, 2]), "class count 2"),
+    ("negative-label", dict(labels=[0, -1]), "negative"),
+    ("no-classes", dict(labels=[0, 0], num_classes=0), "class count 0"),
+]
+
+
+class TestGraph:
+    @pytest.mark.parametrize(
+        "change, message", [pytest.param(*case[1:], id=case[0]) for case in DATASET_REFUSALS]
+    )
+    def test_constructor_refuses(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            GraphDataset(**{**VALID, **change})
+
+    def test_constructor_accepts_an_empty_dataset_and_unused_classes(self):
+        ds = GraphDataset(**VALID)
+        assert len(ds) == 2 and ds.feature_dim == 2
+        assert [g.edges for g in ds.graphs] == [((0, 1), (1, 2)), ((0, 1),)]
+        empty = GraphDataset([], [], [], np.empty((0, 2), dtype=int), np.empty((0, 3)), 4)
+        assert len(empty) == 0 and empty.feature_dim == 3 and empty.graphs == []
+        unused = GraphDataset(**{**VALID, "labels": [0, 0], "num_classes": 3})
+        assert unused.labels.tolist() == [0, 0] and unused.num_classes == 3
 
     def test_adjacency_is_symmetric(self):
-        g = graphdata.Graph(n=3, edges=((1, 0), (1, 2)), features=np.zeros((3, 2)), label=0)
-        # One canonical (min, max) entry per undirected edge, whatever order
-        # it was given in; the adjacency a batch builds from them is symmetric.
-        assert g.edges == ((0, 1), (1, 2))
-        adj = graphdata.GraphBatch([g]).groups[0].adj[0]
+        g = Graph(n=3, edges=((0, 1), (1, 2)), features=np.zeros((3, 2)), label=0)
+        # One (lo, hi) entry per undirected edge; the adjacency a batch
+        # builds from them is symmetric.
+        adj = dataset([g]).batch.groups[0].adj[0]
         assert np.array_equal(adj, adj.T)
         assert adj.sum() == 4
 
     def test_batch_groups_hold_each_graphs_adjacency(self):
         ds = graphdata.synth_generate(SynthSpec(n_graphs=40, nodes=(3, 9)), seed=5)
-        batch = graphdata.GraphBatch(ds.graphs)
+        batch = ds.batch
         ordered = sorted(ds.graphs, key=lambda g: g.n)
         rows, k = 0, 0
         for grp in batch.groups:
@@ -214,66 +279,47 @@ class TestGraph:
             rows = grp.rows.stop
         assert k == len(ds) and rows == len(batch.features)
 
-    def test_equality_compares_fields_and_feature_bytes(self):
-        def make(edges=((0, 1), (1, 2)), features=None):
-            feats = np.arange(6.0).reshape(3, 2) if features is None else features
-            return graphdata.Graph(n=3, edges=edges, features=feats, label=1)
-
-        g, h = make(), make()
-        assert g == h and not g != h
-        flipped = np.arange(6.0).reshape(3, 2)
-        flipped.view(np.uint64)[2, 1] ^= 1  # one bit of one feature
-        assert g != make(features=flipped)
-        assert g != make(edges=((0, 1), (0, 2)))
-        assert g != make(features=np.arange(6.0).reshape(2, 3).T.copy())
-        assert g != graphdata.Graph(n=3, edges=g.edges, features=g.features, label=0)
-        a = graphdata.GraphDataset([g, make()], num_classes=2, feature_dim=2)
-        assert a == graphdata.GraphDataset([make(), h], num_classes=2, feature_dim=2)
-        assert a != graphdata.GraphDataset([make(), make(features=flipped)], 2, 2)
+    def test_subset_gathers_the_graphs_in_order(self):
+        ds = graphdata.synth_generate(SynthSpec(n_graphs=12, nodes=(3, 9)), seed=2)
+        index = [7, 0, 11, 7]
+        part = ds.subset(index, name="part")
+        assert part.name == "part" and part.num_classes == ds.num_classes
+        graphs = ds.graphs
+        want = dataset([graphs[i] for i in index], num_classes=ds.num_classes, name="part")
+        assert_same_graphs(part, want)
+        assert all(getattr(part, k).dtype == getattr(ds, k).dtype for k in graphdata._FLAT_KEYS)
 
 
 class TestPickle:
-    @staticmethod
-    def assert_same_graphs(got, want):
-        assert (got.num_classes, got.feature_dim, got.name) == (
-            want.num_classes,
-            want.feature_dim,
-            want.name,
-        )
-        assert len(got) == len(want)
-        for g, h in zip(got.graphs, want.graphs):
-            assert (g.n, g.edges, g.label) == (h.n, h.edges, h.label)
-            assert all(type(i) is int for edge in g.edges for i in edge)
-            assert np.array_equal(g.features, h.features)
-
     def test_round_trip_returns_equal_graphs(self, tu_dir):
         for ds in (
             graphdata.load_tu_dataset(tu_dir),
             graphdata.synth_generate(SynthSpec(n_graphs=30, nodes=(3, 9)), seed=4),
         ):
             ds.batch  # a cached batch is left out and rebuilt
+            ds.graphs  # and so are the cached offsets
             back = pickle.loads(pickle.dumps(ds))
-            self.assert_same_graphs(back, ds)
-            assert "batch" not in vars(back)
+            assert set(vars(back)) == {*graphdata._FLAT_KEYS, "num_classes", "name"}
+            assert_same_arrays(back, ds)
+            assert_same_graphs(back, ds)
             assert np.array_equal(back.batch.features, ds.batch.features)
 
     def test_empty_dataset_round_trips(self):
         ds = graphdata.synth_generate(SynthSpec(n_graphs=4), seed=0).subset([])
         back = pickle.loads(pickle.dumps(ds))
-        self.assert_same_graphs(back, ds)
-        assert back.graphs == []
+        assert_same_arrays(back, ds)
+        assert back.graphs == [] and back.feature_dim == 4
 
     def test_edge_ends_take_the_narrowest_dtype(self):
         # Local node ids below 256 travel as one byte each; a graph of 300
         # nodes needs two.
         small = graphdata.synth_generate(SynthSpec(n_graphs=4), seed=0)
-        assert small.__getstate__()["graphs"]["ends"].dtype == np.uint8
-        big = graphdata.GraphDataset(
-            [graphdata.Graph(300, ((0, 299),), np.zeros((300, 1)), 0)], 1, 1
-        )
-        ends = big.__getstate__()["graphs"]["ends"]
-        assert ends.dtype == np.uint16 and ends.tolist() == [[0, 299]]
-        self.assert_same_graphs(pickle.loads(pickle.dumps(big)), big)
+        assert small.ends.dtype == np.uint8
+        big = dataset([Graph(300, ((0, 299),), np.zeros((300, 1)), 0)])
+        assert big.ends.dtype == np.uint16 and big.ends.tolist() == [[0, 299]]
+        back = pickle.loads(pickle.dumps(big))
+        assert_same_arrays(back, big)
+        assert_same_graphs(back, big)
 
 
 class TestTuLoader:
@@ -283,7 +329,7 @@ class TestTuLoader:
         assert ds.num_classes == 2
         assert [g.n for g in ds.graphs] == [3, 2]
         assert [len(g.edges) for g in ds.graphs] == [3, 1]
-        assert sorted(ds.labels().tolist()) == [0, 1]
+        assert sorted(ds.labels.tolist()) == [0, 1]
         assert ds.feature_dim == 3  # one-hot of node labels {0, 1, 2}
         assert np.array_equal(ds.graphs[0].features.sum(axis=0), [2.0, 1.0, 0.0])
 
@@ -305,6 +351,12 @@ class TestTuLoader:
     def test_missing_required_file(self, tu_dir):
         (tu_dir / "FIXTURE_graph_labels.txt").unlink()
         with pytest.raises(MissingFile):
+            graphdata.load_tu_dataset(tu_dir)
+
+    def test_several_datasets_in_one_directory_are_refused(self, tu_dir):
+        graphdata.write_tu_fixture(tu_dir, prefix="AAA")
+        graphdata.write_tu_fixture(tu_dir, prefix="BBB")
+        with pytest.raises(AmbiguousDataset, match="AAA, BBB, FIXTURE$"):
             graphdata.load_tu_dataset(tu_dir)
 
     def test_parse_error_carries_line_number(self, tu_dir):
@@ -356,27 +408,19 @@ class TestTuLoader:
         write_random_tu(root, seed, features)
         got = graphdata.load_tu_dataset(root)
         want = reference_load_tu(root, "RAND")
-        assert (got.name, got.num_classes, got.feature_dim) == (
-            want.name,
-            want.num_classes,
-            want.feature_dim,
-        )
-        assert len(got) == len(want)
-        for g, w in zip(got.graphs, want.graphs):
-            assert (g.n, g.edges, g.label) == (w.n, w.edges, w.label)
-            assert g.features.tobytes() == w.features.tobytes()
-            assert g.features.shape == w.features.shape
-            # The loader skips Graph's own checks; the constructor accepts
-            # every graph it returns and leaves it as it is.
-            again = graphdata.Graph(g.n, g.edges, g.features, g.label)
-            assert (again.n, again.edges, again.label) == (g.n, g.edges, g.label)
-            assert again.features.dtype == np.float64
-            assert again.features.tobytes() == g.features.tobytes()
+        assert_same_arrays(got, want)
+        assert_same_graphs(got, want)
+        # The loader skips the dataset check; the checked constructor
+        # accepts the arrays it returns and leaves them as they are.
+        flat = {k: getattr(got, k) for k in graphdata._FLAT_KEYS}
+        assert_same_arrays(GraphDataset(**flat, num_classes=got.num_classes, name=got.name), got)
 
     def test_peak_memory_is_a_small_multiple_of_the_result(self, tmp_path):
-        # About 1.6 times what the loader returns.  Holding each table as a
-        # list of its lines, and every intermediate of the edge and feature
-        # passes while the graphs are built, read 2.9 times.
+        # About 1.9 times what the loader returns, now that it returns flat
+        # arrays without a Graph object per graph (0.9 MB kept, 1.7 MB at
+        # peak; with the Graph objects 3.1 and 5.1 MB).  Holding each table
+        # as a list of its lines, and every intermediate of the edge and
+        # feature passes while the graphs are built, read 2.9 times then.
         root = tmp_path / "rings"
         write_ring_tu(root, 2000, seed=0)
         gc.collect()
@@ -514,16 +558,8 @@ CACHE_REFUSALS = {
 class TestTuCache:
     @staticmethod
     def assert_same_dataset(got, want):
-        assert got == want
-        assert (got.name, got.feature_dim) == (want.name, want.feature_dim)
-        for g in got.graphs:
-            assert type(g.n) is int and type(g.label) is int
-            assert all(type(i) is int for edge in g.edges for i in edge)
-            assert g.features.dtype == np.float64
-        got_flat, want_flat = got.__getstate__()["graphs"], want.__getstate__()["graphs"]
-        for k in graphdata._FLAT_KEYS:
-            assert got_flat[k].dtype == want_flat[k].dtype
-            assert np.array_equal(got_flat[k], want_flat[k])
+        assert_same_arrays(got, want)
+        assert_same_graphs(got, want)
 
     @pytest.mark.parametrize("kind", ["fixture", "rings"])
     def test_warm_load_equals_cold_load_without_parsing(self, tmp_path, monkeypatch, kind):
@@ -552,13 +588,14 @@ class TestTuCache:
         attributes.write_text("\n".join(lines) + "\n")
         changed = graphdata.load_tu_dataset(root)
         assert changed.graphs[0].features[0].tolist() == [0.25, 0.5, 0.75, 1.0]
-        assert changed.graphs[1:] == first.graphs[1:]
+        rest = range(1, len(first))
+        assert_same_arrays(changed.subset(rest), first.subset(rest))
         with open(root / "RING_A.txt", "a") as fh:
             fh.write("1, 3\n")
         appended = graphdata.load_tu_dataset(root)
         assert (0, 2) in appended.graphs[0].edges
         assert len(appended.graphs[0].edges) == len(first.graphs[0].edges) + 1
-        assert appended == reference_load_tu(root, "RING")
+        self.assert_same_dataset(appended, reference_load_tu(root, "RING"))
 
     def test_a_feature_file_added_after_caching_is_read(self, tu_dir):
         assert graphdata.load_tu_dataset(tu_dir).feature_dim == 3
@@ -644,13 +681,13 @@ class TestSynth:
 
     def test_label_balance(self):
         ds = graphdata.synth_generate(SynthSpec(n_graphs=100), seed=0)
-        labels = ds.labels()
+        labels = ds.labels
         assert (labels == 0).sum() == 50
         assert (labels == 1).sum() == 50
 
     def test_odd_count_balances_within_one(self):
         ds = graphdata.synth_generate(SynthSpec(n_graphs=31, motifs=("star", "ring")), seed=0)
-        counts = np.bincount(ds.labels())
+        counts = np.bincount(ds.labels)
         assert counts.max() - counts.min() <= 1
 
     def test_triangle_class_is_triangle_rich(self):
@@ -662,7 +699,7 @@ class TestSynth:
 
     def test_overflowing_noise_is_refused(self):
         # The product overflows to inf without a RuntimeWarning (the suite
-        # turns those into errors), and Graph's own check refuses it.
+        # turns those into errors), and the dataset's check refuses it.
         with pytest.raises(NonFiniteInput, match="noise 1e\\+308"):
             graphdata.synth_generate(SynthSpec(noise=1e308), 0)
 
@@ -700,6 +737,17 @@ class TestSplit:
         with pytest.raises(BadRatios):
             graphdata.split_dataset(ds, (1.2, -0.1, -0.1), seed=0)
 
+    def test_split_of_indices_equals_split_of_their_subset(self):
+        ds = graphdata.synth_generate(SynthSpec(n_graphs=30, nodes=(3, 9)), seed=1)
+        index = [4, 17, 0, 29, 8, 12, 21, 3, 5, 26, 14]
+        direct = graphdata.split_dataset(ds, (0.6, 0.2, 0.2), seed=9, indices=index, name="c")
+        via = graphdata.split_dataset(ds.subset(index, name="c"), (0.6, 0.2, 0.2), seed=9)
+        assert [len(part) for part in direct] == [7, 2, 2]
+        for got, want in zip(direct, via):
+            assert_same_arrays(got, want)
+            assert_same_graphs(got, want)
+        assert [part.name for part in direct] == ["c/train", "c/val", "c/test"]
+
     def test_deterministic_shuffle(self):
         ds = graphdata.synth_generate(SynthSpec(n_graphs=20), seed=1)
         a = graphdata.split_dataset(ds, (0.8, 0.1, 0.1), seed=9)
@@ -736,7 +784,7 @@ class TestPartition:
         part = graphdata.partition_clients(
             pool, 7, graphdata.MODE_LABEL_SKEW, skew=1e6, seed=4
         )
-        labels = pool[0].labels()
+        labels = pool[0].labels
         stat = 0.0
         for idxs in part.assignments.values():
             counts = np.bincount(labels[list(idxs)], minlength=2)

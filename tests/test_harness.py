@@ -345,6 +345,31 @@ class TestPersistence:
         for ref, got in zip(reference, first + resumed):
             assert ref.__dict__ == got.__dict__
 
+    @pytest.mark.parametrize("source", ["synth", "tu"])
+    def test_runs_build_no_graph_records(self, tmp_path, monkeypatch, source):
+        # Runs read a dataset's arrays; only the graphs view builds records.
+        # A label-skew set-up and round with minibatches, and one on TU files.
+        overrides = {
+            "data.partition": "label_skew",
+            "data.n_graphs": 40,
+            "run.clients": 4,
+            "client.batch_size": 3,
+        }
+        if source == "tu":
+            graphdata.write_tu_fixture(tmp_path / "tu")
+            overrides = {"data.source": "tu", "data.tu_path": str(tmp_path / "tu")}
+
+        def no_record(*args, **kwargs):
+            raise AssertionError("a run built a per-graph record")
+
+        monkeypatch.setattr(graphdata, "Graph", no_record)
+        server, clients, _ = harness.build_simulation(small_cfg(**overrides))
+        fedcore.run_round(server, clients)
+        harness.save_checkpoint((server, clients, 1), tmp_path / "ck.bin")
+        harness.load_checkpoint(tmp_path / "ck.bin")
+        with pytest.raises(AssertionError, match="per-graph record"):
+            max(clients, key=lambda c: len(c.train)).train.graphs
+
     def test_checkpoint_leaves_out_cached_batches(self, tmp_path):
         server, clients, _ = harness.build_simulation(small_cfg(**{"run.rounds": 2}))
         fedcore.run_round(server, clients)
@@ -388,9 +413,10 @@ class TestPersistence:
         # Version 1 stored the round-start view and val split per client.
         # A version-2 server state may lack a link-scheme field, which
         # unpickling would fill from the class default without a word.
-        # Version 3 held dense private channels, and version 4 pickled each
-        # dataset's Graph objects, not its flat arrays.
-        for old in (1, 2, 3, 4):
+        # Version 3 held dense private channels, version 4 pickled each
+        # dataset's Graph objects, not its flat arrays, and version 5 nested
+        # those arrays under a "graphs" key beside a stored feature width.
+        for old in (1, 2, 3, 4, 5):
             path.write_bytes(blob[:4] + struct.pack("<H", old) + blob[6:])
             with pytest.raises(VersionMismatch, match=f"version {old} "):
                 harness.load_checkpoint(path)
